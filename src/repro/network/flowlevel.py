@@ -24,7 +24,8 @@ from repro.network.topology import MultiDimTopology, TopologyError
 class _FlowLink:
     """A directed link: capacity shared by the flows crossing it."""
 
-    __slots__ = ("capacity", "latency_ns", "flows", "key")
+    __slots__ = ("capacity", "latency_ns", "flows", "key", "residual",
+                 "unfrozen")
 
     def __init__(self, bandwidth_gbps: float, latency_ns: float) -> None:
         self.capacity = bandwidth_gbps  # GB/s == bytes/ns
@@ -36,6 +37,10 @@ class _FlowLink:
         # Graph key, filled in by backends that need to name links in
         # telemetry (the lazy graph's on_create hook sets it).
         self.key = None
+        # Progressive-filling scratch, reset by every solve: capacity not
+        # yet handed out, and how many of ``flows`` still await a rate.
+        self.residual = 0.0
+        self.unfrozen = 0
 
 
 class _Flow:
@@ -54,7 +59,9 @@ class _Flow:
             1, message.size_bytes if size_bytes is None else size_bytes))
         self.remaining = self.size
         self.rate = 0.0
-        self.prop_latency_ns = sum(link.latency_ns for link in links)
+        # A packet segment shares its group's route; summed once there.
+        self.prop_latency_ns = (group.prop_latency_ns if group is not None
+                                else sum(link.latency_ns for link in links))
         # Rate * time accumulates relative float error; declare the flow
         # done once the residue is negligible for its size, or the
         # scheduler grinds through microscopic remainders forever.
@@ -69,14 +76,15 @@ class _Flow:
 class _SubFlowGroup:
     """An escalated message: packet-granularity sub-flows run in sequence.
 
-    HyGra-style fidelity escalation (see
-    :class:`FlowLevelNetwork`): on a contended route the fluid
-    approximation is replaced by store-and-forward packet segments, so
-    rate changes are resolved at packet rather than message granularity.
-    The message delivers when its last segment finishes.
+    HyGra-style fidelity escalation (see :mod:`repro.network.adaptive`):
+    on a contended route the fluid approximation is replaced by
+    store-and-forward packet segments, so rate changes are resolved at
+    packet rather than message granularity.  The message delivers when
+    its last segment finishes.
     """
 
-    __slots__ = ("message", "on_sent", "links", "sizes", "next_idx")
+    __slots__ = ("message", "on_sent", "links", "sizes", "next_idx",
+                 "prop_latency_ns")
 
     def __init__(self, message: Message, on_sent: Optional[Callable[[], None]],
                  links: List[_FlowLink], sizes: List[int]) -> None:
@@ -85,6 +93,7 @@ class _SubFlowGroup:
         self.links = links
         self.sizes = sizes
         self.next_idx = 0
+        self.prop_latency_ns = sum(link.latency_ns for link in links)
 
 
 class FlowLevelNetwork(NetworkBackend):
@@ -171,44 +180,51 @@ class FlowLevelNetwork(NetworkBackend):
         self._last_update = self.engine.now
 
     def _reallocate(self) -> None:
-        """Progressive-filling max-min allocation, then reschedule."""
+        """Progressive-filling max-min allocation, then reschedule.
+
+        Counted filling: every link keeps its residual capacity and its
+        number of unfrozen flows, so a round finds the bottleneck with
+        one division per active link, and freezing a flow touches only
+        that flow's hops.  Rates are bit-identical to recounting each
+        link's unfrozen flows every round, because the arithmetic and
+        its order are the same: links are visited in creation order, the
+        first link with the strictly smallest share wins, the
+        bottleneck's flows freeze in insertion order, and each frozen
+        flow's hops are debited in route order under the same clamp.
+        """
         self.rate_recomputations += 1
-        unfrozen: Dict[_Flow, None] = dict.fromkeys(self._flows)
         # Only links currently carrying flows can constrain the
-        # allocation; skipping idle links keeps each filling round
-        # O(active links) on large topologies (max-min rates are unique,
-        # so the restriction cannot change the result).
-        residual: Dict[int, float] = {
-            id(link): link.capacity
-            for link in self._links.values() if link.flows
-        }
-        link_objects: Dict[int, _FlowLink] = {
-            id(link): link for link in self._links.values() if link.flows
-        }
+        # allocation (max-min rates are unique, so skipping idle links
+        # cannot change the result).
+        active = [link for link in self._links.values() if link.flows]
+        for link in active:
+            link.residual = link.capacity
+            link.unfrozen = len(link.flows)
+        unfrozen = set(self._flows)
         while unfrozen:
             # Most-constrained link among those carrying unfrozen flows.
             best_share = None
-            best_link_id = None
-            for link_id, link in link_objects.items():
-                active = [f for f in link.flows if f in unfrozen]
-                if not active:
-                    continue
-                share = residual[link_id] / len(active)
-                if best_share is None or share < best_share:
-                    best_share = share
-                    best_link_id = link_id
-            if best_link_id is None:
+            bottleneck = None
+            for link in active:
+                if link.unfrozen:
+                    share = link.residual / link.unfrozen
+                    if best_share is None or share < best_share:
+                        best_share = share
+                        bottleneck = link
+            if bottleneck is None:
                 break
-            bottleneck = link_objects[best_link_id]
-            for flow in [f for f in bottleneck.flows if f in unfrozen]:
-                flow.rate = best_share
-                unfrozen.pop(flow, None)
-                for link in flow.links:
-                    residual[id(link)] = max(
-                        0.0, residual[id(link)] - best_share)
+            for flow in bottleneck.flows:
+                if flow in unfrozen:
+                    unfrozen.discard(flow)
+                    flow.rate = best_share
+                    for link in flow.links:
+                        # max(0.0, left) for every float, NaN included,
+                        # without a builtin call on the hottest line.
+                        left = link.residual - best_share
+                        link.residual = left if left > 0.0 else 0.0
+                        link.unfrozen -= 1
         if self.invariants is not None:
-            self.invariants.check_flow_rates(
-                link_objects.values(), self.engine.now)
+            self.invariants.check_flow_rates(active, self.engine.now)
         self._schedule_next_completion()
 
     def _schedule_next_completion(self) -> None:
