@@ -67,6 +67,10 @@ PRE_FOLD_32K_SPEEDUP_FLOOR = 20.0
 # tolerance the conformance matrix uses for fluid-vs-packet pairs).
 ADAPTIVE_EVENT_REDUCTION_FLOOR = 3.0
 ADAPTIVE_REL_BAND = 0.02
+# ... and must beat pure packet on wall clock too, not only on events:
+# the flow backends solve max-min once per change set, so fewer events
+# are no longer paid back in solver time.
+ADAPTIVE_WALL_CLOCK_SPEEDUP_FLOOR = 1.0
 
 
 def test_event_kernel_speedup_gates():
@@ -122,10 +126,30 @@ def test_backend_speedup_direction():
     assert abs(garnet_ns - analytical_ns) / analytical_ns < 0.05
 
 
+def _adaptive_beats_packet(attempts=3):
+    """Run the adaptive bench until adaptive wins on wall clock.
+
+    Each arm is a single timed run of a few milliseconds, so a busy
+    runner can slow either one; the simulated outputs are the same on
+    every attempt.  Three losses in a row is a real regression.
+    """
+    reports = []
+    for _ in range(attempts):
+        report = bench_adaptive(quick=True)
+        reports.append(report)
+        if report["wall_clock_speedup"] > ADAPTIVE_WALL_CLOCK_SPEEDUP_FLOOR:
+            return report
+    raise AssertionError(
+        f"adaptive wall_clock_speedup <= {ADAPTIVE_WALL_CLOCK_SPEEDUP_FLOOR} "
+        f"on all {attempts} attempts: "
+        f"{[r['wall_clock_speedup'] for r in reports]}")
+
+
 def test_adaptive_granularity_gates():
     """Adaptive vs pure packet: within the band at a fraction of the
-    events, with real escalations (the controller actually ran)."""
-    report = bench_adaptive(quick=True)
+    events and less wall clock, with real escalations (the controller
+    actually ran)."""
+    report = _adaptive_beats_packet()
     assert report["rel_error"] <= ADAPTIVE_REL_BAND, report
     assert (report["event_reduction"]
             >= ADAPTIVE_EVENT_REDUCTION_FLOOR), report

@@ -36,7 +36,7 @@ the exact reason ``"adaptive granularity observes per-link contention"``.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.events import EventEngine
 from repro.network.api import Message
@@ -315,17 +315,21 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
                 if state.mode == "fluid" and not state.pending:
                     self._pend_transition(link, state)
         self._flush_transitions()
-        self._reallocate()
+        self._resolve()
 
-    def _complete_due_flows(self) -> List[_Flow]:
-        finished = super()._complete_due_flows()
+    def _complete_due_flows(self) -> Tuple[List[_Flow], bool]:
+        finished, departed = super()._complete_due_flows()
         for flow in finished:
             if flow.group is not None:
                 self.escalated_bytes += flow.size
             else:
                 self.fluid_bytes += flow.size
         # Drains can only pull links *down* through the hysteresis band.
-        if self._gran:
+        # Segment handoffs alone leave every link's flow count as it was,
+        # and a packet link already inside the band has a transition
+        # pending since the drain that brought it there, so the scan
+        # could not pend anything.
+        if departed and self._gran:
             for flow in finished:
                 for link in flow.links:
                     state = self._gran.get(id(link))
@@ -334,7 +338,7 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
                             and self._should_deescalate(len(link.flows))):
                         self._pend_transition(link, state)
             self._flush_transitions()
-        return finished
+        return finished, departed
 
     # -- telemetry ------------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 The third point on the fidelity/speed spectrum, standing in for the
 astra-sim + ns3 coupling the paper cites ([12]): messages are *flows*
 that share link capacity under progressive-filling (max-min) fairness,
-re-solved whenever a flow starts or finishes.  Unlike the analytical
+re-solved whenever the set of flows changes.  Unlike the analytical
 backend (no cross-flow contention beyond ports) and Garnet-lite (per
 packet, expensive), the flow model captures time-varying rates — a flow
 slows down when a competitor joins mid-transfer and speeds back up when
@@ -12,7 +12,8 @@ it leaves — at one event per rate change instead of one per packet-hop.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.events import EventEngine
 from repro.events.engine import Event
@@ -99,11 +100,16 @@ class _SubFlowGroup:
 class FlowLevelNetwork(NetworkBackend):
     """Max-min fair flow simulation over the explicit link graph.
 
-    On every flow arrival/departure the rate allocation is re-solved with
+    When the set of flows changes the rate allocation is re-solved with
     progressive filling: repeatedly saturate the most-constrained link
     (fair share = residual capacity / unfrozen flows), freeze its flows
     at that rate, and continue.  Between events every flow progresses
     linearly at its rate, so only the earliest completion needs an event.
+
+    A solve runs once per change set, not once per change: joins inside
+    :meth:`batch` (and every change made while completions drain) share
+    one solve at the scope's exit, and a packet segment handing off to
+    its successor on the same route keeps every rate as it is.
 
     Granularity escalation (the static opt-in that used to live here as
     ``escalation_threshold``) moved to the runtime controller in
@@ -129,6 +135,10 @@ class FlowLevelNetwork(NetworkBackend):
         self._last_update = 0.0
         self._completion_event: Optional[Event] = None
         self.rate_recomputations = 0
+        # Open batch() scopes, and whether a change inside them still
+        # awaits its solve.
+        self._batch_depth = 0
+        self._solve_pending = False
         self.granularity_escalations = 0
         # (src, dest) -> per-hop links; routes are pure topology functions.
         self._path_cache: Dict[Tuple[int, int], List[_FlowLink]] = {}
@@ -158,9 +168,30 @@ class FlowLevelNetwork(NetworkBackend):
         self._flows[flow] = None
         for link in links:
             link.flows[flow] = None
-        self._reallocate()
+        self._resolve()
 
-    def _launch_next_subflow(self, group: _SubFlowGroup) -> None:
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        # Max-min rates depend only on the set of flows, and no simulated
+        # time passes inside the scope, so intermediate solves could never
+        # advance a flow: only the solve at the outermost exit is used.
+        self._batch_depth += 1
+        try:
+            yield
+        finally:
+            self._batch_depth -= 1
+            if not self._batch_depth and self._solve_pending:
+                self._solve_pending = False
+                self._reallocate()
+
+    def _resolve(self) -> None:
+        """Re-solve now, or at the exit of the open :meth:`batch`."""
+        if self._batch_depth:
+            self._solve_pending = True
+        else:
+            self._reallocate()
+
+    def _launch_next_subflow(self, group: _SubFlowGroup) -> _Flow:
         size = group.sizes[group.next_idx]
         group.next_idx += 1
         sub = _Flow(group.message, None, group.links,
@@ -168,6 +199,7 @@ class FlowLevelNetwork(NetworkBackend):
         self._flows[sub] = None
         for link in group.links:
             link.flows[sub] = None
+        return sub
 
     # -- fluid dynamics -----------------------------------------------------------
 
@@ -242,32 +274,40 @@ class FlowLevelNetwork(NetworkBackend):
             self._completion_event = self.engine.schedule(
                 soonest, self._complete_due_flows)
 
-    def _complete_due_flows(self) -> List[_Flow]:
+    def _complete_due_flows(self) -> Tuple[List[_Flow], bool]:
+        """Retire finished flows; return them, and whether any departed.
+
+        Sends issued from ``on_sent`` join inside one :meth:`batch`, so
+        the drain costs one solve.  When nothing departed (every finished
+        flow was a packet segment whose successor took its place on the
+        same route) the flow set is unchanged as a multiset of routes,
+        which is all progressive filling reads, so each successor takes
+        its predecessor's rate and no solve runs.
+        """
         self._completion_event = None
         self._advance_to_now()
         finished = [f for f in self._flows if f.finished]
-        for flow in finished:
-            self._flows.pop(flow, None)
-            for link in flow.links:
-                link.flows.pop(flow, None)
-            group = flow.group
-            if group is not None:
-                if group.next_idx < len(group.sizes):
-                    self._launch_next_subflow(group)
-                else:
-                    if group.on_sent is not None:
-                        group.on_sent()
-                    self._record_flow_span(group.message)
-                    self.engine.schedule(flow.prop_latency_ns, self._deliver,
-                                         group.message)
-                continue
-            if flow.on_sent is not None:
-                flow.on_sent()
-            self._record_flow_span(flow.message)
-            self.engine.schedule(flow.prop_latency_ns, self._deliver,
-                                 flow.message)
-        self._reallocate()
-        return finished
+        departed = False
+        with self.batch():
+            for flow in finished:
+                self._flows.pop(flow, None)
+                for link in flow.links:
+                    link.flows.pop(flow, None)
+                group = flow.group
+                if group is not None and group.next_idx < len(group.sizes):
+                    self._launch_next_subflow(group).rate = flow.rate
+                    continue
+                departed = True
+                self._resolve()
+                on_sent = flow.on_sent if group is None else group.on_sent
+                if on_sent is not None:
+                    on_sent()
+                self._record_flow_span(flow.message)
+                self.engine.schedule(flow.prop_latency_ns, self._deliver,
+                                     flow.message)
+        if not departed:
+            self._schedule_next_completion()
+        return finished, departed
 
     # -- introspection ------------------------------------------------------------
 

@@ -17,6 +17,11 @@ All three Table I algorithms are implemented for 1-D groups:
 
 Multi-dimensional collectives in production runs use the phase-level
 :class:`~repro.system.collective_op.CollectiveOperation` instead.
+
+Each algorithm's opening fan-out runs inside the backend's
+:meth:`~repro.network.api.NetworkBackend.batch` scope: every rank's
+first sends join at one instant on fresh tags, so no receive can fire
+inside the loop, and a flow backend solves its rates once for the lot.
 """
 
 from __future__ import annotations
@@ -136,8 +141,9 @@ class SendRecvCollectiveExecutor:
                 self.backend.sim_send(npu, peer, chunk, tag=tag,
                                       callback=on_sent)
 
-        for idx in range(k):
-            start_phase(idx, 0)
+        with self.backend.batch():
+            for idx in range(k):
+                start_phase(idx, 0)
 
     def run_alltoall(
         self,
@@ -189,8 +195,9 @@ class SendRecvCollectiveExecutor:
                 self.backend.sim_send(npu, peer, chunk, tag=tag,
                                       callback=on_sent)
 
-        for idx in range(k):
-            start_rank(idx)
+        with self.backend.batch():
+            for idx in range(k):
+                start_rank(idx)
 
     def run_halving_doubling_allreduce(
         self,
@@ -262,8 +269,9 @@ class SendRecvCollectiveExecutor:
             self.backend.sim_send(npu, partner, size, tag=tag,
                                   callback=on_sent)
 
-        for idx in range(k):
-            start_step(idx, 0)
+        with self.backend.batch():
+            for idx in range(k):
+                start_step(idx, 0)
 
     # -- internals -----------------------------------------------------------------
 
@@ -322,5 +330,6 @@ class SendRecvCollectiveExecutor:
             self.backend.sim_recv(npu, prv, chunk, tag=tag, callback=on_received)
             self.backend.sim_send(npu, nxt, chunk, tag=tag, callback=on_sent)
 
-        for idx in range(k):
-            start_step(idx)
+        with self.backend.batch():
+            for idx in range(k):
+                start_step(idx)
