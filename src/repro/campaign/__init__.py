@@ -62,7 +62,6 @@ from repro.campaign.runner import (
     canonical_campaign_json,
     default_fields,
     normalize_point,
-    point_to_argv,
     run_point,
 )
 from repro.campaign.serve import (
@@ -102,7 +101,6 @@ __all__ = [
     "normalize_point",
     "pick_start_method",
     "plan_batches",
-    "point_to_argv",
     "results_by_config",
     "run_batch",
     "run_point",

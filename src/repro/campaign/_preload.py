@@ -3,15 +3,11 @@
 Imported by the forkserver parent (via ``set_forkserver_preload``) and by
 every pool worker's initializer.  After this module loads, a worker can
 execute :func:`repro.campaign.runner.run_point` without paying any
-import or argparse-construction cost — the expensive first-use work
-(package import, CLI parser defaults) happens exactly once per worker
-*lifetime*, not once per sweep or once per point.
+import cost: the package, the simulate path in :mod:`repro.cli` and the
+run-field table are loaded once per worker *lifetime*, not once per
+sweep or once per point.
 """
 
 import repro  # noqa: F401
+import repro.campaign.runner  # noqa: F401
 import repro.cli  # noqa: F401
-from repro.campaign.runner import default_fields
-
-# Build and memoise the CLI-default field table: the first normalize_point
-# call in a cold process otherwise constructs a full argument parser.
-default_fields()

@@ -2,9 +2,11 @@
 
 A :class:`CampaignRunner` takes a :class:`~repro.campaign.spec.SweepSpec`,
 expands it, and executes every point through an *executor* — by default
-:func:`run_point`, which replays the point through the real ``repro run``
-argument parser and :func:`repro.cli.simulate_from_args`, so a sweep
-point is exactly a CLI invocation.
+:func:`run_point`, which normalizes the point against the run-field
+table (:mod:`repro.runspec`, the same table ``repro run``'s flags are
+generated from) and hands it to :func:`repro.cli.simulate_from_args`,
+so a sweep point runs exactly as the equivalent ``repro run`` would,
+without building or running an argument parser.
 
 Execution contract:
 
@@ -35,9 +37,7 @@ Execution contract:
 
 from __future__ import annotations
 
-from contextlib import redirect_stderr
 from dataclasses import dataclass, field
-from io import StringIO
 from typing import (
     Any,
     Callable,
@@ -52,8 +52,15 @@ from typing import (
 )
 
 from repro.campaign.cache import RunCache
-from repro.campaign.pool import error_record as _error_record
+from repro.campaign.pool import error_record as _error_record, run_batch
 from repro.campaign.spec import SweepSpec, SweepSpecError, canonical_json
+from repro.runspec import (  # noqa: F401 - re-exported campaign API
+    FIELD_TYPES,
+    PointConfigError,
+    default_fields,
+    normalize_point,
+    run_namespace,
+)
 from repro.telemetry import MetricsRegistry
 
 CAMPAIGN_SCHEMA_VERSION = 1
@@ -63,181 +70,20 @@ class CampaignError(RuntimeError):
     """A campaign aborted (fail-fast point failure or broken pool)."""
 
 
-class PointConfigError(ValueError):
-    """A sweep point does not form a valid run configuration."""
-
-
 # -- the default executor: one point == one `repro run` invocation ---------------------
 
 
-def _dims_csv(value: Any) -> str:
-    """Canonical comma-list form for bandwidths/latencies fields."""
-    if isinstance(value, (list, tuple)):
-        return ",".join(format(float(v), "g") for v in value)
-    if value in ("", None):
-        return ""
-    return ",".join(format(float(v), "g") for v in str(value).split(","))
-
-
-def _bool(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)):
-        return bool(value)
-    text = str(value).strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off", ""):
-        return False
-    raise ValueError(f"not a boolean: {value!r}")
-
-
-def _faults_list(value: Any) -> Optional[List[str]]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return [value]
-    return [str(v) for v in value]
-
-
-def _opt_int(value: Any) -> Optional[int]:
-    return None if value is None else int(value)
-
-
-#: Sweepable fields of the default executor and their normalizers; the
-#: names mirror the ``repro run`` flags with dashes as underscores.
-FIELD_TYPES: Dict[str, Callable[[Any], Any]] = {
-    "topology": str,
-    "bandwidths": _dims_csv,
-    "latencies": _dims_csv,
-    "workload": str,
-    "model": str,
-    "model_json": str,
-    "batch": int,
-    "seq_len": int,
-    "payload_mib": float,
-    "scheduler": str,
-    "backend": str,
-    "packet_bytes": int,
-    "train_packets": int,
-    "granularity": str,
-    "escalation_threshold": float,
-    "deescalation_hysteresis": float,
-    "chunks": int,
-    "mp": int,
-    "dp": int,
-    "pp": int,
-    "ep": int,
-    "microbatches": int,
-    "peak_tflops": float,
-    "hbm_gbps": float,
-    "memory_model": str,
-    "fabric_bw_gbps": float,
-    "group_bw_gbps": float,
-    "remote_path_gbps": float,
-    "inswitch": _bool,
-    "faults": _faults_list,
-    "fault_seed": _opt_int,
-    "checkpoint_interval_ms": float,
-    "checkpoint_gib": float,
-    "trace_level": str,
-    "check_invariants": _bool,
-}
-
-_default_fields_cache: Optional[Dict[str, Any]] = None
-
-
-def default_fields() -> Dict[str, Any]:
-    """Default value of every sweepable field, from the real CLI parser.
-
-    Parsing a dummy ``run`` command keeps campaign defaults in lockstep
-    with the CLI's — a flag default changed in one place changes both.
-    """
-    global _default_fields_cache
-    if _default_fields_cache is None:
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["run", "--topology", "Ring(2)", "--bandwidths", "1"])
-        fields = {name: getattr(args, name) for name in FIELD_TYPES}
-        fields["topology"] = ""
-        fields["bandwidths"] = ""
-        _default_fields_cache = fields
-    return dict(_default_fields_cache)
-
-
-def normalize_point(point: Mapping[str, Any]) -> Dict[str, Any]:
-    """A fully-resolved, canonically-typed config for one run.
-
-    Fills every field the default executor knows with the CLI default,
-    applies the field's type conversion (so ``"64"`` from a ``--grid``
-    axis and ``64`` from the Python API hash identically in the run
-    cache), and rejects unknown fields.
-    """
-    unknown = sorted(set(point) - set(FIELD_TYPES))
-    if unknown:
-        raise PointConfigError(
-            f"unknown sweep field(s) {unknown}; valid fields: "
-            + ", ".join(sorted(FIELD_TYPES)))
-    resolved = default_fields()
-    for name, value in point.items():
-        try:
-            resolved[name] = FIELD_TYPES[name](value)
-        except (TypeError, ValueError) as exc:
-            raise PointConfigError(
-                f"field {name!r}: cannot interpret {value!r} ({exc})")
-    if not resolved["topology"] or not resolved["bandwidths"]:
-        raise PointConfigError(
-            "every point needs 'topology' and 'bandwidths' (set them in "
-            "the base config or a sweep axis)")
-    return resolved
-
-
-def point_to_argv(point: Mapping[str, Any]) -> List[str]:
-    """The ``repro run`` argument vector equivalent to a resolved point."""
-    resolved = normalize_point(point)
-    argv: List[str] = []
-    for name, value in resolved.items():
-        flag = "--" + name.replace("_", "-")
-        if name in ("inswitch", "check_invariants"):
-            if value:
-                argv.append(flag)
-        elif name == "faults":
-            for spec_text in value or ():
-                argv.extend([flag, spec_text])
-        elif name == "fault_seed":
-            if value is not None:
-                argv.extend([flag, str(value)])
-        elif name in ("latencies", "model", "model_json"):
-            if value:
-                argv.extend([flag, value])
-        else:
-            argv.extend([flag, str(value)])
-    return argv
-
-
 def run_point(point: Mapping[str, Any]) -> Dict[str, Any]:
-    """Default executor: simulate one point via the ``repro run`` path.
+    """Default executor: normalize one point and run the simulate path.
 
-    Returns the schema-v2 ``result_to_dict`` payload.  Runs in worker
+    Returns the schema-v2 ``result_to_dict`` payload; an invalid
+    configuration raises :class:`PointConfigError`.  Runs in worker
     processes, so everything it touches must be importable there.
     """
-    from repro.cli import build_parser, simulate_from_args
+    from repro.cli import simulate_from_args
     from repro.stats.export import result_to_dict
 
-    argv = ["run"] + point_to_argv(point)
-    capture = StringIO()
-    try:
-        with redirect_stderr(capture):
-            args = build_parser().parse_args(argv)
-        _topology, result, _resilience = simulate_from_args(args)
-    except SystemExit as exc:
-        # argparse/validation failures surface as SystemExit; convert to a
-        # real exception so the error record carries the message.
-        message = str(exc) if str(exc) not in ("", "2") else ""
-        raise PointConfigError(
-            (message or capture.getvalue().strip() or "invalid run "
-             "configuration")) from None
+    _topology, result, _resilience = simulate_from_args(run_namespace(point))
     return result_to_dict(result)
 
 
@@ -256,15 +102,6 @@ def base_point_from_args(args) -> Dict[str, Any]:
 
 
 # -- pool plumbing ---------------------------------------------------------------------
-
-
-def _pool_task(executor: Callable[[Mapping[str, Any]], Dict[str, Any]],
-               point: Mapping[str, Any]) -> Dict[str, Any]:
-    """Execute one point, converting failures to structured outcomes."""
-    try:
-        return {"ok": True, "result": executor(point)}
-    except (Exception, SystemExit) as exc:  # noqa: BLE001 - error record
-        return {"ok": False, "error": _error_record(exc)}
 
 
 def _wait_any(futures: Sequence) -> set:
@@ -512,7 +349,7 @@ class CampaignRunner:
         self, points: Sequence[Mapping[str, Any]], pending: Sequence[int],
     ) -> Iterator[Tuple[int, Dict[str, Any]]]:
         for index in pending:
-            yield index, _pool_task(self.executor, points[index])
+            yield from run_batch(self.executor, {}, [(index, points[index])])
 
     # -- warm-fleet path ---------------------------------------------------------
 
@@ -536,7 +373,6 @@ class CampaignRunner:
             WarmPool,
             get_shared_pool,
             plan_batches,
-            run_batch,
             shutdown_shared_pool,
             split_common_base,
         )

@@ -9,9 +9,10 @@ across clients.  Stdlib only (:class:`http.server.ThreadingHTTPServer`)
 
 Endpoints:
 
-- ``POST /run`` — body: a JSON object of sweep-point fields (the same
-  fields ``repro run`` flags expose, e.g. ``{"topology": "Ring(4)",
-  "bandwidths": "100", "workload": "allreduce"}``).  Response: the
+- ``POST /run`` — body: a JSON object of run fields from the run-field
+  table (:mod:`repro.runspec`; the fields ``repro run`` flags expose,
+  e.g. ``{"topology": "Ring(4)", "bandwidths": "100", "workload":
+  "allreduce"}``).  Response: the
   schema-v2 ``result_to_dict`` document, bit-identical to an in-process
   run of the same config; ``X-Repro-Cache: hit|miss`` reports dedup.
 - ``POST /sweep`` — body: a :class:`~repro.campaign.spec.SweepSpec`
@@ -126,17 +127,17 @@ class ReproServer(ThreadingHTTPServer):
             self.metrics.counter("campaign", name, **labels).inc(amount)
 
     def runner(self, options: Mapping[str, Any]) -> CampaignRunner:
-        jobs = int(options.get("jobs", self.config.jobs))
-        if jobs < 0:
-            raise PointConfigError(f"jobs must be >= 0, got {jobs}")
-        return CampaignRunner(
-            jobs=jobs,
-            batch_size=int(options.get("batch_size",
-                                       self.config.batch_size)),
-            fail_fast=bool(options.get("fail_fast", False)),
-            executor=self.executor,
-            cache=self.cache,
-        )
+        try:
+            return CampaignRunner(
+                jobs=int(options.get("jobs", self.config.jobs)),
+                batch_size=int(options.get("batch_size",
+                                           self.config.batch_size)),
+                fail_fast=bool(options.get("fail_fast", False)),
+                executor=self.executor,
+                cache=self.cache,
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PointConfigError(f"bad sweep option: {exc}") from exc
 
     def warm_up(self) -> None:
         """Pre-start the fleet so the first request pays no worker boot."""
@@ -192,8 +193,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_error(self, status: int, endpoint: str, exc: Exception) -> None:
+        self.server.count("http_errors", endpoint=endpoint)
+        self._send_json(status, {"error": {"type": type(exc).__name__,
+                                           "message": str(exc)}})
+
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise PointConfigError("Content-Length is not an integer")
         if length <= 0:
             raise PointConfigError("empty request body; expected JSON")
         if length > self.server.config.max_body_bytes:
@@ -268,13 +277,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             server.count("points_executed")
             self._send_json(200, result, headers={"X-Repro-Cache": "miss"})
         except (PointConfigError, SweepSpecError) as exc:
-            server.count("http_errors", endpoint="run")
-            self._send_json(400, {"error": {"type": type(exc).__name__,
-                                            "message": str(exc)}})
+            self._send_error(400, "run", exc)
         except Exception as exc:  # noqa: BLE001 - daemon must not die
-            server.count("http_errors", endpoint="run")
-            self._send_json(500, {"error": {"type": type(exc).__name__,
-                                            "message": str(exc)}})
+            self._send_error(500, "run", exc)
 
     def _execute_point(self, point: Mapping[str, Any]) -> Dict[str, Any]:
         """One point: on the fleet when jobs >= 1, else in this thread."""
@@ -314,9 +319,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 for point in spec.expand():
                     normalize(point)
         except (PointConfigError, SweepSpecError) as exc:
-            server.count("http_errors", endpoint="sweep")
-            self._send_json(400, {"error": {"type": type(exc).__name__,
-                                            "message": str(exc)}})
+            self._send_error(400, "sweep", exc)
             return
 
         # Headers are committed before execution: from here on, errors

@@ -45,6 +45,9 @@ def canonical_json(value: Any) -> str:
 
 
 def _check_axes(kind: str, axes: Mapping[str, Sequence[Any]]) -> None:
+    if not isinstance(axes, Mapping):
+        raise SweepSpecError(f"{kind} must map field names to value lists, "
+                             f"got {type(axes).__name__}")
     for field, values in axes.items():
         if not isinstance(field, str) or not field:
             raise SweepSpecError(f"{kind} field names must be non-empty "
@@ -154,8 +157,17 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "SweepSpec":
-        return cls(base=doc.get("base"), grid=doc.get("grid"),
-                   zip_axes=doc.get("zip"), points=doc.get("points"))
+        if not isinstance(doc, Mapping):
+            raise SweepSpecError(
+                f"a sweep spec must be an object, got {type(doc).__name__}")
+        base, points = doc.get("base") or {}, doc.get("points") or []
+        if not isinstance(base, Mapping) or not isinstance(points, list) \
+                or not all(isinstance(p, Mapping) for p in points):
+            raise SweepSpecError(
+                "a sweep spec's 'base' must be an object and its 'points' "
+                "a list of objects")
+        return cls(base=base, grid=doc.get("grid"),
+                   zip_axes=doc.get("zip"), points=points)
 
     # -- CLI text grammar --------------------------------------------------------
 

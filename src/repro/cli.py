@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional, Tuple
 
 import repro
+from repro.runspec import PointConfigError, add_run_flags, check_choices
 from repro.stats import format_breakdown_table
 from repro.trace.analysis import summarize
 from repro.workload import (
@@ -42,41 +43,35 @@ from repro.workload import (
     transformer_1t,
 )
 
-WORKLOADS = ("allreduce", "alltoall", "gpt3", "transformer1t", "dlrm",
-             "fsdp-gpt3", "dp-gpt3", "pp-gpt3", "moe1t")
-
-MEMORY_MODELS = ("local", "hiermem", "zero-infinity")
-
-
 def _parse_floats(text: str) -> List[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise SystemExit(f"error: not a comma-separated float list: {text!r}")
+        raise PointConfigError(f"not a comma-separated float list: {text!r}")
 
 
 def _build_topology(args: argparse.Namespace):
     if not args.topology or not args.bandwidths:
-        raise SystemExit(
-            "error: --topology and --bandwidths are required (directly or "
+        raise PointConfigError(
+            "--topology and --bandwidths are required (directly or "
             "via a sweep axis)")
     latencies = _parse_floats(args.latencies) if args.latencies else ()
     bandwidths = _parse_floats(args.bandwidths)
     num_dims = len([s for s in args.topology.split("_") if s.strip()])
     if len(bandwidths) != num_dims:
-        raise SystemExit(
-            f"error: --bandwidths lists {len(bandwidths)} value(s) but "
+        raise PointConfigError(
+            f"--bandwidths lists {len(bandwidths)} value(s) but "
             f"topology {args.topology!r} has {num_dims} dimension(s); "
             "give one bandwidth per dimension")
     if latencies and len(latencies) != num_dims:
-        raise SystemExit(
-            f"error: --latencies lists {len(latencies)} value(s) but "
+        raise PointConfigError(
+            f"--latencies lists {len(latencies)} value(s) but "
             f"topology {args.topology!r} has {num_dims} dimension(s)")
     try:
         return repro.parse_topology(args.topology, bandwidths,
                                     latencies_ns=list(latencies))
     except repro.TopologyError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise PointConfigError(str(exc))
 
 
 def _parallel_degrees(args: argparse.Namespace, topology, mp: int, pp: int = 1):
@@ -84,14 +79,14 @@ def _parallel_degrees(args: argparse.Namespace, topology, mp: int, pp: int = 1):
     shard = mp * pp
     if shard < 1 or topology.num_npus % shard != 0:
         flags = f"--mp {mp}" + (f" x --pp {pp}" if pp > 1 else "")
-        raise SystemExit(
-            f"error: {flags} does not divide the topology's "
+        raise PointConfigError(
+            f"{flags} does not divide the topology's "
             f"{topology.num_npus} NPUs; pick degrees whose product divides "
             "the NPU count")
     dp = args.dp or topology.num_npus // shard
     if mp * pp * dp > topology.num_npus:
-        raise SystemExit(
-            f"error: mp x pp x dp = {mp * pp * dp} exceeds the topology's "
+        raise PointConfigError(
+            f"mp x pp x dp = {mp * pp * dp} exceeds the topology's "
             f"{topology.num_npus} NPUs")
     return dp
 
@@ -111,15 +106,14 @@ def _ingest_from_args(args: argparse.Namespace):
         zoo_entry,
     )
 
-    model = getattr(args, "model", "")
-    model_json = getattr(args, "model_json", "")
+    model, model_json = args.model, args.model_json
     if model and model_json:
-        raise SystemExit(
-            "error: --model and --model-json are mutually exclusive; give "
+        raise PointConfigError(
+            "--model and --model-json are mutually exclusive; give "
             "one spec source")
     if not model and not model_json:
-        raise SystemExit(
-            "error: no model spec; give --model NAME or --model-json PATH")
+        raise PointConfigError(
+            "no model spec; give --model NAME or --model-json PATH")
     try:
         if model:
             entry = zoo_entry(model)
@@ -132,9 +126,9 @@ def _ingest_from_args(args: argparse.Namespace):
                 return opgraph_from_dict(payload)
             options = default_options_for(payload)
         overrides = {}
-        if getattr(args, "batch", 0):
+        if args.batch:
             overrides["batch"] = args.batch
-        if getattr(args, "seq_len", 0):
+        if args.seq_len:
             overrides["seq_len"] = args.seq_len
         if overrides:
             options = dataclasses.replace(options, **overrides)
@@ -142,28 +136,35 @@ def _ingest_from_args(args: argparse.Namespace):
         graph.name = model or (graph.name or Path(model_json).stem)
         return graph
     except FrontendError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise PointConfigError(str(exc))
 
 
-def _frontend_traces(args: argparse.Namespace, topology):
-    """The frontend path of _build_traces: ingest, plan, emit traces."""
+def _plan(args: argparse.Namespace, graph, topology):
+    """Plan an ingested op graph onto the topology with the run's degrees."""
     from repro.frontend import FrontendError, PlanConfig, plan
 
-    graph = _ingest_from_args(args)
     try:
-        planned = plan(graph, topology, PlanConfig(
-            tp=args.mp, dp=args.dp, pp=args.pp,
-            ep=getattr(args, "ep", 0),
+        return plan(graph, topology, PlanConfig(
+            tp=args.mp, dp=args.dp, pp=args.pp, ep=args.ep,
             microbatches=args.microbatches))
     except FrontendError as exc:
-        raise SystemExit(f"error: {exc}")
-    args.workload = f"ingest:{graph.name}"
-    return planned.traces
+        raise PointConfigError(str(exc))
+
+
+def _is_frontend(args: argparse.Namespace) -> bool:
+    return bool(args.model or args.model_json)
+
+
+def _workload_label(args: argparse.Namespace) -> str:
+    """The workload's display name: ``ingest:<model>`` on the frontend path."""
+    if _is_frontend(args):
+        return f"ingest:{_ingest_from_args(args).name}"
+    return args.workload
 
 
 def _build_traces(args: argparse.Namespace, topology):
-    if getattr(args, "model", "") or getattr(args, "model_json", ""):
-        return _frontend_traces(args, topology)
+    if _is_frontend(args):
+        return _plan(args, _ingest_from_args(args), topology).traces
     payload = int(args.payload_mib * (1 << 20))
     if args.workload == "allreduce":
         return generate_single_collective(
@@ -195,7 +196,7 @@ def _build_traces(args: argparse.Namespace, topology):
         return generate_pipeline_parallel(
             gpt3_175b(), topology, ParallelismSpec(mp=mp, pp=pp, dp=dp),
             microbatches=args.microbatches)
-    raise SystemExit(f"unknown workload {args.workload!r}")
+    raise PointConfigError(f"unknown workload {args.workload!r}")
 
 
 def _memory_models(args: argparse.Namespace, topology):
@@ -209,8 +210,8 @@ def _memory_models(args: argparse.Namespace, topology):
 
     local = LocalMemory(bandwidth_gbps=args.hbm_gbps)
     if args.inswitch and args.memory_model != "hiermem":
-        raise SystemExit(
-            "error: --inswitch requires --memory-model hiermem (in-switch "
+        raise PointConfigError(
+            "--inswitch requires --memory-model hiermem (in-switch "
             "collectives run inside the pooled fabric)")
     if args.memory_model == "local":
         return local, None, None
@@ -249,7 +250,7 @@ def _checkpoint_config(args: argparse.Namespace, topology):
     from repro.faults import CheckpointConfig
 
     interval_ns = args.checkpoint_interval_ms * 1e6
-    if args.workload in ("gpt3", "transformer1t"):
+    if args.workload in ("gpt3", "transformer1t") and not _is_frontend(args):
         from repro.memory.capacity import transformer_footprint
 
         model = (transformer_1t() if args.workload == "transformer1t"
@@ -271,7 +272,7 @@ def _fault_schedule(args: argparse.Namespace, topology, horizon_ns: float):
         for text in args.faults or ():
             schedules.append(FaultSchedule.parse(text))
     except FaultSpecError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise PointConfigError(str(exc))
     if args.fault_seed is not None:
         schedules.append(FaultSchedule.generate(
             seed=args.fault_seed,
@@ -289,76 +290,83 @@ def _fault_schedule(args: argparse.Namespace, topology, horizon_ns: float):
     return FaultSchedule.merge(schedules)
 
 
-def _telemetry_config(args: argparse.Namespace):
+def _telemetry_config(args: argparse.Namespace, collect_metrics: bool):
     """Build the telemetry config from CLI flags (None when disabled).
 
-    Telemetry activates when metrics are exported (``--metrics-out``) or
-    spans are requested (``--trace-level`` above ``off``); otherwise the
-    run stays on the un-instrumented fast path.
+    Telemetry activates when metrics are exported (``collect_metrics``,
+    set by ``--metrics-out``) or spans are requested (``--trace-level``
+    above ``off``); otherwise the run stays on the un-instrumented fast
+    path.
     """
     from repro.telemetry import TelemetryConfig, TelemetryError, TraceLevel
 
     try:
         level = TraceLevel.parse(args.trace_level)
     except TelemetryError as exc:
-        raise SystemExit(f"error: {exc}")
+        raise PointConfigError(str(exc))
     if (level is TraceLevel.PACKET and args.backend == "analytical"
-            and not getattr(args, "granularity", "")):
-        raise SystemExit(
-            "error: --trace-level packet requires --backend garnet or flow "
+            and not args.granularity):
+        raise PointConfigError(
+            "--trace-level packet requires --backend garnet or flow "
             "(or a --granularity policy; the analytical backend does not "
             "model individual packets)")
-    if level is TraceLevel.OFF and not getattr(args, "metrics_out", ""):
+    if level is TraceLevel.OFF and not collect_metrics:
         return None
     return TelemetryConfig(trace_level=level)
 
 
 def _invariants_config(args: argparse.Namespace):
     """Build the invariant-checker config (None when disabled)."""
-    if not getattr(args, "check_invariants", False):
+    if not args.check_invariants:
         return None
     from repro.validate import InvariantConfig
 
-    return InvariantConfig(strict=getattr(args, "strict_invariants", False))
+    return InvariantConfig(strict=args.strict_invariants)
 
 
-def simulate_from_args(args: argparse.Namespace) -> Tuple[object, object, object]:
-    """Build and run one simulation from parsed ``run`` flags.
+def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
+                       ) -> Tuple[object, object, object]:
+    """Build and run one simulation from run fields.
 
-    The shared execution path of the ``run`` subcommand and every
-    campaign worker (:mod:`repro.campaign.runner`): identical flag
-    semantics, no printing.  Returns ``(topology, result, resilience)``.
+    The shared execution path of the ``run`` subcommand (parsed flags)
+    and every campaign point (:func:`repro.runspec.run_namespace`):
+    identical field semantics, no printing, and an invalid configuration
+    raises :class:`~repro.runspec.PointConfigError`.  Returns
+    ``(topology, result, resilience)``.
     """
+    check_choices(args)
     topology = _build_topology(args)
     traces = _build_traces(args, topology)
-    local_memory, remote_memory, fabric = _memory_models(args, topology)
-    config = repro.SystemConfig(
-        topology=topology,
-        scheduler=args.scheduler,
-        collective_chunks=args.chunks,
-        network_backend=args.backend,
-        packet_bytes=args.packet_bytes,
-        train_packets=args.train_packets,
-        granularity=getattr(args, "granularity", ""),
-        escalation_threshold=getattr(args, "escalation_threshold", 4.0),
-        deescalation_hysteresis=getattr(
-            args, "deescalation_hysteresis", 1.0),
-        compute=repro.RooflineCompute(
-            peak_tflops=args.peak_tflops,
-            mem_bandwidth_gbps=args.hbm_gbps,
-        ),
-        local_memory=local_memory,
-        remote_memory=remote_memory,
-        fabric_collectives=fabric,
-        telemetry=_telemetry_config(args),
-        invariants=_invariants_config(args),
-        folding=getattr(args, "folding", "auto"),
-    )
+    try:
+        local_memory, remote_memory, fabric = _memory_models(args, topology)
+        config = repro.SystemConfig(
+            topology=topology,
+            scheduler=args.scheduler,
+            collective_chunks=args.chunks,
+            network_backend=args.backend,
+            packet_bytes=args.packet_bytes,
+            train_packets=args.train_packets,
+            granularity=args.granularity,
+            escalation_threshold=args.escalation_threshold,
+            deescalation_hysteresis=args.deescalation_hysteresis,
+            compute=repro.RooflineCompute(
+                peak_tflops=args.peak_tflops,
+                mem_bandwidth_gbps=args.hbm_gbps,
+            ),
+            local_memory=local_memory,
+            remote_memory=remote_memory,
+            fabric_collectives=fabric,
+            telemetry=_telemetry_config(args, collect_metrics),
+            invariants=_invariants_config(args),
+            folding=args.folding,
+        )
+    except ValueError as exc:  # PointConfigError included: same message
+        raise PointConfigError(str(exc)) from exc
     resilience = None
     if args.faults or args.fault_seed is not None:
-        if args.backend != "analytical" or getattr(args, "granularity", ""):
-            raise SystemExit(
-                "error: --faults/--fault-seed require --backend analytical "
+        if args.backend != "analytical" or args.granularity:
+            raise PointConfigError(
+                "--faults/--fault-seed require --backend analytical "
                 "(and no --granularity policy)")
         import dataclasses
 
@@ -373,7 +381,7 @@ def simulate_from_args(args: argparse.Namespace) -> Tuple[object, object, object
             traces = _build_traces(args, topology)  # fresh node state
             result = repro.simulate(traces, config)
         except repro.faults.FaultSpecError as exc:
-            raise SystemExit(f"error: {exc}")
+            raise PointConfigError(str(exc))
         if result.resilience is not None:
             result.resilience.baseline_ns = baseline.total_time_ns
             resilience = result.resilience
@@ -383,9 +391,11 @@ def simulate_from_args(args: argparse.Namespace) -> Tuple[object, object, object
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    topology, result, resilience = simulate_from_args(args)
+    topology, result, resilience = simulate_from_args(
+        args, collect_metrics=bool(args.metrics_out))
+    workload = _workload_label(args)
     print(f"topology : {topology.notation()}  ({topology.num_npus} NPUs)")
-    print(f"workload : {args.workload}  scheduler: {args.scheduler}  "
+    print(f"workload : {workload}  scheduler: {args.scheduler}  "
           f"chunks: {args.chunks}")
     print(f"total    : {result.total_time_ms:.3f} ms  "
           f"({result.nodes_executed} nodes, "
@@ -401,7 +411,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"sim rate : {result.simulation_rate_eps:,.0f} events/s  "
               f"({result.wall_time_s:.3f} s wall)")
     print()
-    print(format_breakdown_table({args.workload: result.breakdown}))
+    print(format_breakdown_table({workload: result.breakdown}))
     if resilience is not None:
         print("\nresilience:")
         print(resilience.format())
@@ -556,7 +566,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         status = "ok" if report.ok else "FAIL"
         print(f"invariants  : {status}  ({report.checks} checks, "
               f"{report.violations_total} violations on "
-              f"{topology.notation()}/{args.workload})")
+              f"{topology.notation()}/{_workload_label(args)})")
         for violation in report.violations[:10]:
             print(f"  [{violation.layer}/{violation.name}] "
                   f"{violation.message}")
@@ -686,16 +696,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.emit_traces:
         from pathlib import Path
 
-        from repro.frontend import FrontendError, PlanConfig, plan
         from repro.trace.serialization import save_trace
 
         topology = _build_topology(args)
-        try:
-            planned = plan(graph, topology, PlanConfig(
-                tp=args.mp, dp=args.dp, pp=args.pp, ep=args.ep,
-                microbatches=args.microbatches))
-        except FrontendError as exc:
-            raise SystemExit(f"error: {exc}")
+        planned = _plan(args, graph, topology)
         out_dir = Path(args.emit_traces)
         out_dir.mkdir(parents=True, exist_ok=True)
         for npu, trace in sorted(planned.traces.items()):
@@ -728,140 +732,13 @@ def _cmd_topology_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    """The simulation-configuration flags shared by ``run`` and ``sweep``.
-
-    With ``required=False`` (the sweep subcommand) --topology and
-    --bandwidths may instead come from a sweep axis; the per-point
-    validation still insists they resolve somewhere.
-    """
-    parser.add_argument("--topology", required=required, default="",
-                        help='shape notation, e.g. "Ring(4)_Switch(8)"')
-    parser.add_argument("--bandwidths", required=required, default="",
-                        help="per-dim GB/s, comma separated")
-    parser.add_argument("--latencies", default="",
-                        help="per-dim ns/hop, comma separated (default 500)")
-    parser.add_argument("--workload", choices=WORKLOADS, default="allreduce")
-    parser.add_argument("--model", default="", metavar="NAME",
-                        help="simulate a frontend zoo model instead of a "
-                             "builtin workload (see: repro ingest "
-                             "--list-models)")
-    parser.add_argument("--model-json", default="", metavar="PATH",
-                        help="ingest an HF-style config.json or repro-opgraph "
-                             "JSON through the frontend and simulate it")
-    parser.add_argument("--batch", type=int, default=0,
-                        help="frontend batch size override (0 = the model "
-                             "family's default)")
-    parser.add_argument("--seq-len", type=int, default=0,
-                        help="frontend sequence length override (0 = the "
-                             "model family's default)")
-    parser.add_argument("--ep", type=int, default=0,
-                        help="expert-parallel degree for frontend models "
-                             "with routed ops (0 = auto)")
-    parser.add_argument("--payload-mib", type=float, default=1024.0,
-                        help="collective payload for allreduce/alltoall")
-    parser.add_argument("--scheduler", choices=("baseline", "themis"),
-                        default="themis")
-    parser.add_argument("--backend", choices=("analytical", "garnet", "flow"),
-                        default="analytical",
-                        help="network backend; on garnet/flow collectives "
-                             "are lowered to explicit send/recv algorithms")
-    parser.add_argument("--packet-bytes", type=int, default=0,
-                        help="packet/segment size for the detailed backends "
-                             "(0 = backend default, 4096)")
-    parser.add_argument("--train-packets", type=int, default=1,
-                        help="garnet packet-train coalescing factor; > 1 "
-                             "trades contention granularity for simulation "
-                             "speed on large payloads")
-    parser.add_argument("--granularity",
-                        choices=("", "fluid", "packet", "adaptive"),
-                        default="",
-                        help="simulation granularity policy: 'fluid' (flow-"
-                             "level), 'packet' (garnet-lite), or 'adaptive' "
-                             "(runtime per-link fluid->packet escalation "
-                             "under contention with hysteresis-based "
-                             "de-escalation); default: --backend decides")
-    parser.add_argument("--escalation-threshold", type=float, default=4.0,
-                        help="adaptive granularity: escalate a link to "
-                             "packet simulation when it carries more than "
-                             "this many concurrent flows (0 = always, "
-                             "inf = never)")
-    parser.add_argument("--deescalation-hysteresis", type=float, default=1.0,
-                        help="adaptive granularity: de-escalate a packet-"
-                             "mode link when its flow count drops to "
-                             "threshold minus this margin or below")
-    parser.add_argument("--folding", choices=("auto", "off"), default="auto",
-                        help="symmetry folding: 'auto' simulates one rank "
-                             "per equivalence class of symmetric ranks and "
-                             "reconstructs the per-rank result bit-"
-                             "identically; 'off' simulates every trace")
-    parser.add_argument("--chunks", type=int, default=16)
-    parser.add_argument("--mp", type=int, default=0)
-    parser.add_argument("--dp", type=int, default=0)
-    parser.add_argument("--pp", type=int, default=0)
-    parser.add_argument("--microbatches", type=int, default=4)
-    parser.add_argument("--peak-tflops", type=float, default=234.0)
-    parser.add_argument("--hbm-gbps", type=float, default=2039.0,
-                        help="local HBM bandwidth (roofline + local memory "
-                             "model)")
-    parser.add_argument("--memory-model", choices=MEMORY_MODELS,
-                        default="local",
-                        help="remote-memory organisation: hiermem pools "
-                             "groups behind switches (Table V), "
-                             "zero-infinity gives each GPU a private slow "
-                             "path")
-    parser.add_argument("--fabric-bw-gbps", type=float, default=256.0,
-                        help="hiermem in-node pooled fabric bandwidth "
-                             "(Table V row 3)")
-    parser.add_argument("--group-bw-gbps", type=float, default=100.0,
-                        help="hiermem remote memory group bandwidth "
-                             "(Table V row 6)")
-    parser.add_argument("--remote-path-gbps", type=float, default=100.0,
-                        help="zero-infinity per-GPU slow-path bandwidth")
-    parser.add_argument("--inswitch", action="store_true",
-                        help="fuse collectives into the pooled memory "
-                             "fabric (moe1t workload; requires "
-                             "--memory-model hiermem)")
-    parser.add_argument("--faults", action="append", metavar="SPEC",
-                        help="inject faults, e.g. 'straggler@npu3:1.5x@t=2ms' "
-                             "(repeatable; ';' separates specs; see "
-                             "repro.faults for the grammar)")
-    parser.add_argument("--fault-seed", type=int, default=None, metavar="SEED",
-                        help="also draw a seeded random fault schedule over "
-                             "the run's fault-free duration (deterministic "
-                             "per seed)")
-    parser.add_argument("--checkpoint-interval-ms", type=float, default=0.0,
-                        help="checkpoint period for the resilience report's "
-                             "restart/replay accounting (0 = no checkpoints)")
-    parser.add_argument("--checkpoint-gib", type=float, default=16.0,
-                        help="per-NPU snapshot size for non-transformer "
-                             "workloads (transformer workloads derive it from "
-                             "the model-state footprint)")
-    parser.add_argument("--trace-level",
-                        choices=("off", "phase", "collective", "chunk",
-                                 "packet"),
-                        default="off",
-                        help="span recording depth for --chrome-trace / "
-                             "--metrics-out (deeper levels record more "
-                             "spans; 'packet' needs a packet-modeling "
-                             "backend)")
-    parser.add_argument("--check-invariants", action="store_true",
-                        help="attach the runtime invariant checker "
-                             "(repro.validate): causality, conservation, "
-                             "and capacity laws verified during the run; "
-                             "violations are reported and fail the command")
-    parser.add_argument("--strict-invariants", action="store_true",
-                        help="with --check-invariants, raise at the first "
-                             "violation instead of collecting a report")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="ASTRA-sim 2.0 reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a workload on a topology")
-    _add_run_flags(run, required=True)
+    add_run_flags(run, required=("topology", "bandwidths"))
     run.add_argument("--collectives", type=int, default=0,
                      help="print the first N collective records")
     run.add_argument("--json-out", default="",
@@ -882,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a sweep campaign over run-flag axes, optionally in "
              "parallel and through the run cache")
-    _add_run_flags(sweep, required=False)
+    add_run_flags(sweep)
     sweep.add_argument("--grid", action="append", metavar="FIELD=V1|V2|...",
                        help="cartesian-product axis over a run flag "
                             "(repeatable; the last axis varies fastest)")
@@ -939,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the conformance/invariant suites (repro.validate): "
              "runtime invariants, metamorphic relations, and the "
              "cross-backend differential oracle")
-    _add_run_flags(validate, required=False)
+    add_run_flags(validate)
     validate.add_argument("--suite",
                           choices=("invariants", "metamorphic",
                                    "conformance", "adaptive", "frontend",
@@ -967,10 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="lint the ingested op graph "
                              "(repro.workload.lint); findings fail the "
                              "command")
-    ingest.add_argument("--batch", type=int, default=0,
-                        help="batch size override (0 = family default)")
-    ingest.add_argument("--seq-len", type=int, default=0,
-                        help="sequence length override (0 = family default)")
+    add_run_flags(ingest, ("batch", "seq_len"))
     ingest.add_argument("--out", default="", metavar="PATH",
                         help="export the normalized op graph as "
                              "repro-opgraph JSON")
@@ -978,19 +852,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="plan on --topology/--bandwidths and write the "
                              "representative execution traces as ET JSON "
                              "files")
-    ingest.add_argument("--topology", default="",
-                        help="shape notation for --emit-traces")
-    ingest.add_argument("--bandwidths", default="",
-                        help="per-dim GB/s for --emit-traces")
-    ingest.add_argument("--latencies", default="",
-                        help="per-dim ns/hop for --emit-traces")
-    ingest.add_argument("--mp", type=int, default=0,
-                        help="tensor-parallel degree for --emit-traces "
-                             "(0 = auto)")
-    ingest.add_argument("--dp", type=int, default=0)
-    ingest.add_argument("--pp", type=int, default=0)
-    ingest.add_argument("--ep", type=int, default=0)
-    ingest.add_argument("--microbatches", type=int, default=4)
+    add_run_flags(ingest.add_argument_group(
+        "--emit-traces system", "the system the traces are planned on"),
+        ("topology", "bandwidths", "latencies", "mp", "dp", "pp", "ep",
+         "microbatches"))
     ingest.set_defaults(func=_cmd_ingest)
 
     info = sub.add_parser("trace-info", help="summarize an ET JSON file")
@@ -999,16 +864,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     topo = sub.add_parser("topology-info", help="describe a topology string")
     topo.add_argument("topology")
-    topo.add_argument("--bandwidths", required=True)
-    topo.add_argument("--latencies", default="")
+    add_run_flags(topo, ("bandwidths", "latencies"), required=("bandwidths",))
     topo.set_defaults(func=_cmd_topology_info)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except PointConfigError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

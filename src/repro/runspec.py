@@ -1,0 +1,257 @@
+"""The run-field table: every ``repro run`` configuration field, declared once.
+
+Each :class:`RunField` row holds a field's name, normalizer, default,
+help, choices and whether it is sweepable.  Generated from the table:
+the run flags of ``repro run``/``sweep``/``validate`` and the subset
+``ingest`` and ``topology-info`` take (:func:`add_run_flags`); the
+campaign's :data:`FIELD_TYPES`, :func:`default_fields` and
+:func:`normalize_point` (whose output is the run-cache key and the
+merged document's ``config``); and the namespace the simulate path in
+:mod:`repro.cli` reads for a sweep or ``repro serve`` point
+(:func:`run_namespace`), with its choice check (:func:`check_choices`).
+"""
+
+from __future__ import annotations
+
+import argparse
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+
+WORKLOADS = ("allreduce", "alltoall", "gpt3", "transformer1t", "dlrm",
+             "fsdp-gpt3", "dp-gpt3", "pp-gpt3", "moe1t")
+
+MEMORY_MODELS = ("local", "hiermem", "zero-infinity")
+
+
+class PointConfigError(ValueError):
+    """A point (or a set of run flags) does not form a valid run configuration."""
+
+
+def _dims_csv(value: Any) -> str:
+    """Canonical comma-list form for bandwidths/latencies fields."""
+    if isinstance(value, (list, tuple)):
+        return ",".join(format(float(v), "g") for v in value)
+    if value in ("", None):
+        return ""
+    return ",".join(format(float(v), "g") for v in str(value).split(","))
+
+
+def _bool(value: Any) -> bool:
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, (int, float)):
+        return bool(value)
+    text = str(value).strip().lower()
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("0", "false", "no", "off", ""):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
+
+
+def _faults_list(value: Any) -> Optional[List[str]]:
+    if value is None:
+        return None
+    if isinstance(value, str):
+        return [value]
+    return [str(v) for v in value]
+
+
+def _opt_int(value: Any) -> Optional[int]:
+    return None if value is None else int(value)
+
+
+@dataclass(frozen=True)
+class RunField:
+    """One run-configuration field; its flag is ``--`` + name with dashes."""
+
+    name: str
+    normalize: Callable[[Any], Any]
+    default: Any
+    help: str
+    choices: Optional[Tuple[str, ...]] = None
+    sweepable: bool = True
+    metavar: Optional[str] = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+RUN_FIELDS: Tuple[RunField, ...] = (
+    RunField("topology", str, "", 'shape notation, e.g. "Ring(4)_Switch(8)"'),
+    RunField("bandwidths", _dims_csv, "", "per-dim GB/s, comma separated"),
+    RunField("latencies", _dims_csv, "",
+             "per-dim ns/hop, comma separated (default 500)"),
+    RunField("workload", str, "allreduce", "builtin workload",
+             choices=WORKLOADS),
+    RunField("model", str, "",
+             "simulate a frontend zoo model instead of a builtin workload "
+             "(see: repro ingest --list-models)", metavar="NAME"),
+    RunField("model_json", str, "",
+             "ingest an HF-style config.json or repro-opgraph JSON through "
+             "the frontend and simulate it", metavar="PATH"),
+    RunField("batch", int, 0,
+             "frontend batch size override (0 = the model family's default)"),
+    RunField("seq_len", int, 0,
+             "frontend sequence length override (0 = the model family's "
+             "default)"),
+    RunField("payload_mib", float, 1024.0,
+             "collective payload for allreduce/alltoall"),
+    RunField("scheduler", str, "themis", "collective chunk scheduler",
+             choices=("baseline", "themis")),
+    RunField("backend", str, "analytical",
+             "network backend; on garnet/flow collectives are lowered to "
+             "explicit send/recv algorithms",
+             choices=("analytical", "garnet", "flow")),
+    RunField("packet_bytes", int, 0,
+             "packet/segment size for the detailed backends (0 = backend "
+             "default, 4096)"),
+    RunField("train_packets", int, 1,
+             "garnet packet-train coalescing factor; > 1 trades contention "
+             "granularity for simulation speed on large payloads"),
+    RunField("granularity", str, "",
+             "simulation granularity policy: 'fluid' (flow-level), 'packet' "
+             "(garnet-lite), or 'adaptive' (runtime per-link fluid->packet "
+             "escalation under contention with hysteresis-based "
+             "de-escalation); default: --backend decides",
+             choices=("", "fluid", "packet", "adaptive")),
+    RunField("escalation_threshold", float, 4.0,
+             "adaptive granularity: escalate a link to packet simulation "
+             "when it carries more than this many concurrent flows "
+             "(0 = always, inf = never)"),
+    RunField("deescalation_hysteresis", float, 1.0,
+             "adaptive granularity: de-escalate a packet-mode link when its "
+             "flow count drops to threshold minus this margin or below"),
+    RunField("chunks", int, 16, "pipelining degree of each collective"),
+    RunField("mp", int, 0, "tensor/model-parallel degree (0 = auto)"),
+    RunField("dp", int, 0, "data-parallel degree (0 = auto)"),
+    RunField("pp", int, 0, "pipeline-parallel degree (0 = auto)"),
+    RunField("ep", int, 0,
+             "expert-parallel degree for frontend models with routed ops "
+             "(0 = auto)"),
+    RunField("microbatches", int, 4, "pipeline microbatches per iteration"),
+    RunField("peak_tflops", float, 234.0, "NPU roofline peak TFLOP/s"),
+    RunField("hbm_gbps", float, 2039.0,
+             "local HBM bandwidth (roofline + local memory model)"),
+    RunField("memory_model", str, "local",
+             "remote-memory organisation: hiermem pools groups behind "
+             "switches (Table V), zero-infinity gives each GPU a private "
+             "slow path", choices=MEMORY_MODELS),
+    RunField("fabric_bw_gbps", float, 256.0,
+             "hiermem in-node pooled fabric bandwidth (Table V row 3)"),
+    RunField("group_bw_gbps", float, 100.0,
+             "hiermem remote memory group bandwidth (Table V row 6)"),
+    RunField("remote_path_gbps", float, 100.0,
+             "zero-infinity per-GPU slow-path bandwidth"),
+    RunField("inswitch", _bool, False,
+             "fuse collectives into the pooled memory fabric (moe1t "
+             "workload; requires --memory-model hiermem)"),
+    RunField("faults", _faults_list, None,
+             "inject faults, e.g. 'straggler@npu3:1.5x@t=2ms' (repeatable; "
+             "';' separates specs; see repro.faults for the grammar)",
+             metavar="SPEC"),
+    RunField("fault_seed", _opt_int, None,
+             "also draw a seeded random fault schedule over the run's "
+             "fault-free duration (deterministic per seed)", metavar="SEED"),
+    RunField("checkpoint_interval_ms", float, 0.0,
+             "checkpoint period for the resilience report's restart/replay "
+             "accounting (0 = no checkpoints)"),
+    RunField("checkpoint_gib", float, 16.0,
+             "per-NPU snapshot size for non-transformer workloads "
+             "(transformer workloads derive it from the model-state "
+             "footprint)"),
+    RunField("trace_level", str, "off",
+             "span recording depth for --chrome-trace / --metrics-out "
+             "(deeper levels record more spans; 'packet' needs a "
+             "packet-modeling backend)",
+             choices=("off", "phase", "collective", "chunk", "packet")),
+    RunField("check_invariants", _bool, False,
+             "attach the runtime invariant checker (repro.validate): "
+             "causality, conservation, and capacity laws verified during "
+             "the run; violations are reported and fail the command"),
+    RunField("folding", str, "auto",
+             "symmetry folding: 'auto' simulates one rank per equivalence "
+             "class of symmetric ranks and reconstructs the per-rank result "
+             "bit-identically; 'off' simulates every trace",
+             choices=("auto", "off"), sweepable=False),
+    RunField("strict_invariants", _bool, False,
+             "with --check-invariants, raise at the first violation instead "
+             "of collecting a report", sweepable=False),
+)
+
+FIELDS: Dict[str, RunField] = {f.name: f for f in RUN_FIELDS}
+
+#: Sweepable fields and their normalizers, in table order.
+FIELD_TYPES: Dict[str, Callable[[Any], Any]] = {
+    f.name: f.normalize for f in RUN_FIELDS if f.sweepable}
+
+_FIXED_DEFAULTS = {f.name: f.default for f in RUN_FIELDS if not f.sweepable}
+_CHOICE_FIELDS = tuple(f for f in RUN_FIELDS if f.choices is not None)
+_FLAG_TYPES = {int: int, float: float, _opt_int: int}
+_FLAG_ACTIONS = {_bool: "store_true", _faults_list: "append"}
+
+
+def default_fields() -> Dict[str, Any]:
+    """Default value of every sweepable field (``repro run``'s defaults)."""
+    return {name: FIELDS[name].default for name in FIELD_TYPES}
+
+
+def normalize_point(point: Mapping[str, Any]) -> Dict[str, Any]:
+    """A fully-resolved, canonically-typed config for one run.
+
+    Fills every sweepable field with its default, applies the field's
+    normalizer (so ``"64"`` from a ``--grid`` axis and ``64`` from the
+    Python API hash identically in the run cache), and rejects unknown
+    fields, uncoercible values and a missing topology or bandwidths.
+    """
+    unknown = sorted(set(point) - set(FIELD_TYPES))
+    if unknown:
+        raise PointConfigError(
+            f"unknown sweep field(s) {unknown}; valid fields: "
+            + ", ".join(sorted(FIELD_TYPES)))
+    resolved = default_fields()
+    for name, value in point.items():
+        try:
+            resolved[name] = FIELD_TYPES[name](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise PointConfigError(
+                f"field {name!r}: cannot interpret {value!r} ({exc})")
+    if not resolved["topology"] or not resolved["bandwidths"]:
+        raise PointConfigError(
+            "every point needs 'topology' and 'bandwidths' (set them in "
+            "the base config or a sweep axis)")
+    return resolved
+
+
+def run_namespace(point: Mapping[str, Any]) -> argparse.Namespace:
+    """The simulate path's view of a point: normalized, plus fixed defaults."""
+    return argparse.Namespace(**_FIXED_DEFAULTS, **normalize_point(point))
+
+
+def check_choices(args: Any) -> None:
+    """Reject a choice field whose value is not one of its choices."""
+    for f in _CHOICE_FIELDS:
+        value = getattr(args, f.name)
+        if value not in f.choices:
+            raise PointConfigError(
+                f"argument {f.flag}: invalid choice: {value!r} (choose from "
+                + ", ".join(repr(c) for c in f.choices) + ")")
+
+
+def add_run_flags(parser: Any, names: Optional[Iterable[str]] = None,
+                  required: Iterable[str] = ()) -> None:
+    """Add the flags of ``names`` (default: every run field) to a parser
+    or argument group."""
+    required = set(required)
+    for f in RUN_FIELDS if names is None else [FIELDS[n] for n in names]:
+        kwargs: Dict[str, Any] = {"default": f.default, "help": f.help}
+        if f.normalize in _FLAG_ACTIONS:
+            kwargs["action"] = _FLAG_ACTIONS[f.normalize]
+        else:
+            kwargs["type"] = _FLAG_TYPES.get(f.normalize)
+        if f.choices is not None:
+            kwargs["choices"] = f.choices
+        if f.metavar is not None:
+            kwargs["metavar"] = f.metavar
+        parser.add_argument(f.flag, required=f.name in required, **kwargs)

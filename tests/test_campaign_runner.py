@@ -1,5 +1,7 @@
 """Unit tests for the campaign runner (serial path, errors, cache)."""
 
+import argparse
+
 import pytest
 
 from repro.campaign import (
@@ -7,8 +9,9 @@ from repro.campaign import (
     CampaignError,
     PointConfigError,
     SweepSpec,
+    canonical_json,
     normalize_point,
-    point_to_argv,
+    run_point,
 )
 
 SMALL_BASE = {
@@ -56,14 +59,49 @@ class TestNormalization:
         with pytest.raises(PointConfigError, match="chunks"):
             normalize_point(dict(SMALL_BASE, chunks="many"))
 
-    def test_point_to_argv_is_parseable_run_command(self):
-        from repro.cli import build_parser
+    def test_normalized_point_is_pinned(self):
+        # The normalized point is the run-cache key and the merged
+        # document's config: a drifted default or type changes both.
+        assert canonical_json(normalize_point(SMALL_BASE)) == (
+            '{"backend":"analytical","bandwidths":"100","batch":0,'
+            '"check_invariants":false,"checkpoint_gib":16.0,'
+            '"checkpoint_interval_ms":0.0,"chunks":16,'
+            '"deescalation_hysteresis":1.0,"dp":0,"ep":0,'
+            '"escalation_threshold":4.0,"fabric_bw_gbps":256.0,'
+            '"fault_seed":null,"faults":null,"granularity":"",'
+            '"group_bw_gbps":100.0,"hbm_gbps":2039.0,"inswitch":false,'
+            '"latencies":"","memory_model":"local","microbatches":4,'
+            '"model":"","model_json":"","mp":0,"packet_bytes":0,'
+            '"payload_mib":1.0,"peak_tflops":234.0,"pp":0,'
+            '"remote_path_gbps":100.0,"scheduler":"themis","seq_len":0,'
+            '"topology":"Ring(4)","trace_level":"off","train_packets":1,'
+            '"workload":"allreduce"}')
+        assert len(normalize_point(SMALL_BASE)) == 35
 
-        argv = point_to_argv(dict(SMALL_BASE, inswitch=False))
-        args = build_parser().parse_args(["run"] + argv)
-        assert args.topology == "Ring(4)"
-        assert args.payload_mib == 1.0
-        assert args.inswitch is False
+    def test_run_point_leaves_frontend_point_unchanged(self):
+        point = {"topology": "Ring(4)", "bandwidths": "100",
+                 "model": "llama3-8b", "seq_len": 256}
+        before = dict(point)
+        run_point(point)
+        assert point == before
+        resolved = normalize_point(point)
+        run_point(resolved)
+        assert resolved["workload"] == "allreduce"
+
+    def test_run_point_builds_no_argument_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            counting_init)
+        run_point(SMALL_BASE)
+        with pytest.raises(PointConfigError):
+            run_point(dict(SMALL_BASE, scheduler="nope"))
+        assert built == []
 
 
 class TestSerialExecution:

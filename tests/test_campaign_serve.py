@@ -94,6 +94,26 @@ class TestRunEndpoint:
             assert error["type"] == "PointConfigError"
             assert "no_such_field" in error["message"]
 
+    def test_invalid_system_config_is_400(self):
+        with serving() as (base, _server):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/run", dict(POINT, chunks=0))
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert error["type"] == "PointConfigError"
+            assert "collective_chunks" in error["message"]
+
+    def test_non_numeric_content_length_is_400(self):
+        with serving() as (base, _server):
+            request = urllib.request.Request(
+                base + "/run", data=json.dumps(POINT).encode(),
+                headers={"Content-Length": "abc"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=60)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert error["type"] == "PointConfigError"
+
     def test_non_object_body_is_400(self):
         with serving() as (base, _server):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -142,6 +162,28 @@ class TestSweepEndpoint:
         assert lines[0]["error"]["type"] == "PointConfigError"
         assert lines[1]["error"] is None
         assert lines[-1]["summary"]["errors"] == 1
+
+    @pytest.mark.parametrize("body", [
+        {"spec": [1]},
+        {"base": POINT, "grid": "x"},
+        {"spec": SWEEP, "jobs": "abc"},
+        {"spec": SWEEP, "batch_size": -1},
+        {"spec": SWEEP, "jobs": -1},
+        {"spec": SWEEP, "jobs": float("inf")},
+        {"base": [1], "grid": {"payload_mib": [1]}},
+        {"points": [1]},
+        {"base": dict(POINT, chunks=float("inf")),
+         "grid": {"payload_mib": [1]}},
+    ], ids=["spec-not-object", "grid-not-object", "jobs-not-int",
+            "negative-batch-size", "negative-jobs", "infinite-jobs",
+            "base-not-object", "point-not-object", "infinite-field"])
+    def test_malformed_sweep_body_is_400(self, body):
+        with serving() as (base, _server):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/sweep", body)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert set(error) == {"type", "message"}
 
     def test_invalid_sweep_field_is_400_before_streaming(self):
         bad = {"base": POINT, "grid": {"no_such_field": [1, 2]}}

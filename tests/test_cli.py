@@ -148,6 +148,23 @@ class TestValidation:
                   "--workload", "pp-gpt3", "--mp", "1", "--pp", "3"])
         assert "does not divide" in str(exc_info.value)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--chunks", "0"], "collective_chunks must be >= 1"),
+        (["--packet-bytes", "-1"], "packet_bytes must be >= 0"),
+        (["--train-packets", "0"], "train_packets must be >= 1"),
+        (["--backend", "garnet", "--granularity", "adaptive"],
+         "conflicts with network_backend 'garnet'"),
+        (["--granularity", "adaptive", "--escalation-threshold", "-1"],
+         "escalation_threshold must be >= 0"),
+    ], ids=["chunks", "packet-bytes", "train-packets", "backend-granularity",
+            "escalation-threshold"])
+    def test_invalid_system_config_is_an_error_exit(self, flags, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--topology", "Ring(4)", "--bandwidths", "100",
+                  "--payload-mib", "1"] + flags)
+        assert str(exc_info.value).startswith("error: ")
+        assert message in str(exc_info.value)
+
     def test_dividing_mp_still_works(self, capsys):
         code = main(["run", "--topology", "Ring(4)_Switch(2)",
                      "--bandwidths", "100,50", "--workload", "gpt3",

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.campaign.runner import point_to_argv
+from repro.campaign.runner import run_point
 from repro.cli import main
 
 
@@ -78,16 +78,16 @@ class TestRunCheckInvariants:
 
 
 class TestSweepAxis:
-    def test_check_invariants_point_maps_to_flag(self):
-        argv = point_to_argv({
+    def test_check_invariants_point_matches_cli_json(self, tmp_path, capsys):
+        path = tmp_path / "result.json"
+        assert main(["run", "--topology", "Ring(4)", "--bandwidths", "100",
+                     "--workload", "allreduce", "--payload-mib", "1",
+                     "--check-invariants", "--json-out", str(path)]) == 0
+        capsys.readouterr()
+        doc = run_point({
             "topology": "Ring(4)", "bandwidths": "100",
             "workload": "allreduce", "payload_mib": 1.0,
             "check_invariants": True,
         })
-        assert "--check-invariants" in argv
-        off = point_to_argv({
-            "topology": "Ring(4)", "bandwidths": "100",
-            "workload": "allreduce", "payload_mib": 1.0,
-            "check_invariants": False,
-        })
-        assert "--check-invariants" not in off
+        assert doc["invariants"]["checks"] > 0
+        assert doc == json.loads(path.read_text())
