@@ -247,9 +247,14 @@ class ExecutionEngine:
             channel = self._resource(self._local_channel, npu)
             activity = Activity.MEM_LOCAL
         duration = model.access_time_ns(request)
+        # Memory models are shared, run-independent timing functions: the
+        # run's own observers read each access here, never through them.
+        if self.invariants is not None:
+            self.invariants.check_memory_access(model, request, duration)
         start, end = channel.reserve(self.engine.now, duration)
         self.activity.record(npu, start, end, activity, node.name)
         if self.telemetry is not None:
+            model.telemetry_access(self.telemetry, request)
             self.telemetry.record_memory(
                 "remote" if activity is Activity.MEM_REMOTE else "local",
                 node.tensor_bytes, duration,

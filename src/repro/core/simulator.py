@@ -88,10 +88,7 @@ class Simulator:
 
             self.telemetry = Telemetry(config.telemetry)
             self.telemetry.install(
-                self.engine, network=self.network, execution=self.execution,
-                memory_models=(config.local_memory, config.remote_memory,
-                               config.fabric_collectives),
-            )
+                self.engine, network=self.network, execution=self.execution)
             # Folding never coexists with telemetry (per-rank observation
             # disables it); the counter records that — and why — so
             # instrumented runs can see the fold state they forfeited.
@@ -106,10 +103,7 @@ class Simulator:
 
             self.invariants = InvariantChecker(config.invariants)
             self.invariants.install(
-                self.engine, network=self.network, execution=self.execution,
-                memory_models=(config.local_memory, config.remote_memory,
-                               config.fabric_collectives),
-            )
+                self.engine, network=self.network, execution=self.execution)
 
     def run(self) -> RunResult:
         """Run to completion and collect results."""

@@ -107,12 +107,11 @@ class EventEngine:
         self._stopped: bool = False
         self._live: int = 0        # scheduled, not yet fired or cancelled
         self._cancelled: int = 0   # cancelled entries still in the heap
-        # Lifetime observability counters (never reset by compaction) and
-        # the telemetry collector slot (repro.telemetry samples `pending`
-        # from outside the hot loop, so the drain path stays untouched).
+        # Lifetime observability counters (never reset by compaction;
+        # repro.telemetry samples `pending` from outside the hot loop, so
+        # the drain path stays untouched).
         self.cancels: int = 0
         self.compactions: int = 0
-        self.telemetry = None
         # Invariant checker slot (repro.validate.InvariantChecker);
         # None keeps every schedule path un-instrumented.  The guards
         # below catch what the delay/time raises cannot: NaN and

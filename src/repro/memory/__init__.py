@@ -13,6 +13,10 @@ memory-system design, and returns access time.  Provided models:
 - :class:`ZeroInfinityMemory` — the ZeRO-Infinity baseline (Fig. 10):
   per-GPU dedicated slow paths to CPU memory / NVMe;
 - the Fig. 5 pool-architecture variants in :mod:`repro.memory.pools`.
+
+Models hold no per-run state and no instrumentation slots; the
+execution engine records their telemetry counters and checks their
+invariants where it issues each memory node.
 """
 
 from repro.memory.api import MemoryModel, MemoryRequest

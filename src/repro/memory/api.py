@@ -3,6 +3,12 @@
 A memory model answers one question — *how long does it take to move this
 tensor between an NPU and its memory system?* — given the request's size,
 direction, and the system's design parameters (paper Sec. IV-D).
+
+Models hold no per-run state.  They outlive a run and may be shared
+between runs, so no telemetry collector or invariant checker is ever
+attached to them: the execution engine takes memory counters (passing
+its collector to :meth:`MemoryModel.telemetry_access`) and runs memory
+checks where it issues each memory node.
 """
 
 from __future__ import annotations
@@ -38,6 +44,13 @@ class MemoryModel(abc.ABC):
     @abc.abstractmethod
     def access_time_ns(self, request: MemoryRequest) -> float:
         """Time in ns to complete the request (per-NPU perspective)."""
+
+    def telemetry_access(self, telemetry, request: MemoryRequest) -> None:
+        """Record model-specific counters for one access (default: none).
+
+        Called by the execution engine right after :meth:`access_time_ns`
+        when the run has a telemetry collector; models never hold one.
+        """
 
     def load_time_ns(self, size_bytes: int) -> float:
         """Convenience: time to load ``size_bytes``."""

@@ -26,10 +26,6 @@ from repro.trace.node import TensorLocation
 class PoolDesign(MemoryModel, abc.ABC):
     """Base class for pool interconnect variants."""
 
-    # Telemetry collector slot: the class attribute opts this model into
-    # Telemetry.install() attachment; None is the zero-cost fast path.
-    telemetry = None
-
     def __init__(self, config: HierMemConfig) -> None:
         self.config = config
 
@@ -53,18 +49,21 @@ class PoolDesign(MemoryModel, abc.ABC):
         if request.size_bytes == 0:
             return self.config.access_latency_ns
         n = self._beats(request.size_bytes)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            design = type(self).__name__
-            metrics = telemetry.metrics
-            metrics.counter("memory", "pool_transfers", design=design).inc()
-            metrics.counter("memory", "pool_pipeline_beats",
-                            design=design).inc(n)
         return (
             self.config.access_latency_ns
             + self.fill_latency_ns()
             + (n - 1) * self.per_chunk_beat_ns()
         )
+
+    def telemetry_access(self, telemetry, request: MemoryRequest) -> None:
+        """Transfer and pipeline-beat counts of one non-empty access."""
+        if request.size_bytes == 0:
+            return
+        design = type(self).__name__
+        metrics = telemetry.metrics
+        metrics.counter("memory", "pool_transfers", design=design).inc()
+        metrics.counter("memory", "pool_pipeline_beats", design=design).inc(
+            self._beats(request.size_bytes))
 
 
 class MultiLevelSwitchPool(PoolDesign):

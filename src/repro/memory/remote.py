@@ -92,13 +92,6 @@ class HierMemConfig:
 class HierarchicalRemoteMemory(MemoryModel):
     """Remote memory model over a hierarchical pool (no in-switch compute)."""
 
-    # Telemetry collector slot: the class attribute opts this model into
-    # Telemetry.install() attachment; None is the zero-cost fast path.
-    telemetry = None
-    # Invariant checker slot — same opt-in contract for
-    # InvariantChecker.install() (pipeline chunk-balance law).
-    invariants = None
-
     def __init__(self, config: HierMemConfig) -> None:
         self.config = config
 
@@ -151,24 +144,24 @@ class HierarchicalRemoteMemory(MemoryModel):
             return self.config.access_latency_ns
         c = self.config
         n = self.num_pipeline_stages(request.size_bytes)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            metrics = telemetry.metrics
-            metrics.counter("memory", "hiermem_transfers").inc()
-            metrics.counter("memory", "hiermem_pipeline_beats").inc(n)
-            peak = metrics.gauge("memory", "hiermem_max_pipeline_depth")
-            if n > peak.value:
-                peak.set(float(n))
         # The final (possibly partial) chunk only shortens the tail; we
         # follow the paper and treat all chunks as full-size.
         stages = self.stage_times_ns(self.effective_chunk_bytes(request.size_bytes))
         fill = sum(stages.values())
         steady = (n - 1) * max(stages.values())
-        total = c.access_latency_ns + fill + steady
-        if self.invariants is not None:
-            self.invariants.check_hiermem_access(
-                self, request.size_bytes, total)
-        return total
+        return c.access_latency_ns + fill + steady
+
+    def telemetry_access(self, telemetry, request: MemoryRequest) -> None:
+        """Transfer count and pipeline depth of one non-empty access."""
+        if request.size_bytes == 0:
+            return
+        n = self.num_pipeline_stages(request.size_bytes)
+        metrics = telemetry.metrics
+        metrics.counter("memory", "hiermem_transfers").inc()
+        metrics.counter("memory", "hiermem_pipeline_beats").inc(n)
+        peak = metrics.gauge("memory", "hiermem_max_pipeline_depth")
+        if n > peak.value:
+            peak.set(float(n))
 
     # -- derived metrics ----------------------------------------------------------------
 

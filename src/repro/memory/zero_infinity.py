@@ -54,26 +54,22 @@ class ZeroInfinityConfig:
 class ZeroInfinityMemory(MemoryModel):
     """Dedicated-path slow memory: ``latency + size / path_bw`` per GPU."""
 
-    # Telemetry collector slot: the class attribute opts this model into
-    # Telemetry.install() attachment; None is the zero-cost fast path.
-    telemetry = None
-
     def __init__(self, config: ZeroInfinityConfig) -> None:
         self.config = config
 
     def access_time_ns(self, request: MemoryRequest) -> float:
         if request.location is TensorLocation.LOCAL:
             raise ValueError("ZeroInfinityMemory models remote tensors; got LOCAL")
-        telemetry = self.telemetry
-        if telemetry is not None:
-            direction = "store" if request.is_store else "load"
-            telemetry.metrics.counter(
-                "memory", "zero_infinity_offload_bytes",
-                direction=direction).inc(request.size_bytes)
-            telemetry.metrics.counter(
-                "memory", "zero_infinity_accesses",
-                direction=direction).inc()
         return (
             self.config.access_latency_ns
             + request.size_bytes / self.config.path_bandwidth_gbps
         )
+
+    def telemetry_access(self, telemetry, request: MemoryRequest) -> None:
+        """Offloaded bytes and access count, per direction (every access)."""
+        direction = "store" if request.is_store else "load"
+        telemetry.metrics.counter(
+            "memory", "zero_infinity_offload_bytes",
+            direction=direction).inc(request.size_bytes)
+        telemetry.metrics.counter(
+            "memory", "zero_infinity_accesses", direction=direction).inc()

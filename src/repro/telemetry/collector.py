@@ -3,9 +3,12 @@
 One :class:`Telemetry` instance serves one simulation run, mirroring the
 :class:`~repro.faults.injector.FaultInjector` contract:
 
-- :meth:`Telemetry.install` attaches the collector to the event engine,
-  the network backend, the execution engine, and any memory models, and
-  schedules the adaptive simulated-time sampler;
+- :meth:`Telemetry.install` attaches the collector to the run's own
+  objects — the network backend and the execution engine — and schedules
+  the adaptive simulated-time sampler on the event engine.  Memory models
+  outlive a run and may be shared between runs, so they hold no
+  collector: the execution engine takes their counters where it issues
+  each memory node (:meth:`~repro.memory.api.MemoryModel.telemetry_access`);
 - during the run, layers feed it through small guarded hooks
   (``if telemetry is not None``) — an absent collector keeps every hook
   on its zero-cost fast path;
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.telemetry.config import TelemetryConfig, TraceLevel
 from repro.telemetry.metrics import Counter, MetricsRegistry
@@ -53,7 +56,6 @@ class Telemetry:
         self._engine = None
         self._network = None
         self._execution = None
-        self._memory_models: Tuple[Any, ...] = ()
         self._sample_interval = self.config.sample_interval_ns
         self._samples_taken = 0
         self._finalized = False
@@ -65,27 +67,15 @@ class Telemetry:
 
     # -- installation ------------------------------------------------------------
 
-    def install(self, engine, network=None, execution=None,
-                memory_models: Tuple[Any, ...] = ()) -> None:
+    def install(self, engine, network=None, execution=None) -> None:
         """Attach to a run's layers and start the simulated-time sampler."""
         self._engine = engine
-        engine.telemetry = self
         if network is not None:
             self._network = network
             network.telemetry = self
         if execution is not None:
             self._execution = execution
             execution.telemetry = self
-        attached = []
-        for model in memory_models:
-            # Memory models are plain objects shared across runs; only
-            # attach where the class opts in with a ``telemetry`` slot
-            # (finalize detaches, so a later un-instrumented run never
-            # records into a stale collector).
-            if model is not None and hasattr(type(model), "telemetry"):
-                model.telemetry = self
-                attached.append(model)
-        self._memory_models = tuple(attached)
         if self._sample_interval > 0:
             engine.schedule(0.0, self._sample, priority=SAMPLER_PRIORITY)
 
@@ -194,8 +184,6 @@ class Telemetry:
                     "system", "exposed_ns",
                     activity=activity.value).set(exposed)
             self.metrics.gauge("system", "idle_ns").set(breakdown.idle_ns)
-        for model in self._memory_models:
-            model.telemetry = None
         if self.phase_spans:
             self.spans.add("run", "run", "run", 0.0, total_ns)
         return TelemetryReport(

@@ -387,13 +387,10 @@ def run_memory_matrix(quick: bool = True) -> List[MemoryModelCase]:
                 collective=n.collective,
             ) for n in traces[0].nodes]
             traces = {0: ExecutionTrace(0, nodes)}
-        config = SystemConfig(topology=topo, remote_memory=remote)
-        sim = Simulator(traces, config)
-        checker = InvariantChecker(InvariantConfig()).install(
-            sim.engine, network=sim.network, execution=sim.execution,
-            memory_models=(config.local_memory, remote))
-        result = sim.run()
-        report = checker.finalize(result.total_time_ns)
+        config = SystemConfig(topology=topo, remote_memory=remote,
+                              invariants=InvariantConfig())
+        result = Simulator(traces, config).run()
+        report = result.invariants
         passed = report.ok and math.isfinite(result.total_time_ns)
         message = "" if report.ok else (
             f"{report.violations_total} invariant violations: "

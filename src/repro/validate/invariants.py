@@ -1,11 +1,15 @@
 """Runtime invariant checking — pillar 1 of :mod:`repro.validate`.
 
-An :class:`InvariantChecker` attaches to the layers of a running
+An :class:`InvariantChecker` attaches to the per-run objects of a
 simulation through the same opt-in slot pattern as telemetry and fault
-injection: every layer carries an ``invariants`` attribute that defaults
-to ``None``, and every hook guards with ``if inv is not None`` — an
-absent config keeps the simulation on the exact un-instrumented code
-path (bit-identical results, enforced by the perf-smoke A/B gate).
+injection: the event engine, the network backend and the execution
+engine each carry an ``invariants`` attribute that defaults to ``None``,
+and every hook guards with ``if inv is not None`` — an absent config
+keeps the simulation on the exact un-instrumented code path
+(bit-identical results, enforced by the perf-smoke A/B gate).  Memory
+models outlive a run and may be shared between runs, so they carry no
+slot: the execution engine checks each memory access where it issues
+the memory node.
 
 Checked physical laws:
 
@@ -35,6 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.memory.remote import HierarchicalRemoteMemory
 from repro.network.building_blocks import alltoall_traffic_fraction
 from repro.trace.node import CollectiveType
 
@@ -178,13 +183,12 @@ class InvariantChecker:
         self._engine = None
         self._network = None
         self._execution = None
-        self._memory_models: Tuple[Any, ...] = ()
         self._seq_at_install = 0
 
     # -- installation ------------------------------------------------------------
 
-    def install(self, engine, network=None, execution=None,
-                memory_models: Tuple[Any, ...] = ()) -> "InvariantChecker":
+    def install(self, engine, network=None,
+                execution=None) -> "InvariantChecker":
         """Attach to the layers' ``invariants`` slots."""
         self._engine = engine
         self._seq_at_install = engine._seq
@@ -195,27 +199,7 @@ class InvariantChecker:
         if execution is not None:
             self._execution = execution
             execution.invariants = self
-        attached = []
-        for model in memory_models:
-            # Only models that declare the opt-in class slot participate
-            # (the pipelined hierarchical pool carries the chunk-balance
-            # law; flat models have nothing instance-level to check).
-            if model is not None and hasattr(type(model), "invariants"):
-                model.invariants = self
-                attached.append(model)
-        self._memory_models = tuple(attached)
         return self
-
-    def uninstall(self) -> None:
-        """Detach from every layer (used by A/B perf harnesses)."""
-        if self._engine is not None:
-            self._engine.invariants = None
-        if self._network is not None:
-            self._network.invariants = None
-        if self._execution is not None:
-            self._execution.invariants = None
-        for model in self._memory_models:
-            model.invariants = None
 
     # -- recording ---------------------------------------------------------------
 
@@ -384,16 +368,21 @@ class InvariantChecker:
                 f"{after:.6g}", time_ns=now, before_bytes=before,
                 after_bytes=after)
 
-    def check_hiermem_access(self, model, size_bytes: int,
-                             duration_ns: float) -> None:
+    def check_memory_access(self, model, request,
+                            duration_ns: float) -> None:
         """HierMem pipeline: chunk counts balance the bytes they carry.
 
+        Only non-empty accesses to a :class:`HierarchicalRemoteMemory`
+        are checked; flat models have nothing instance-level to check.
         ``n`` full chunks flow down each remote-group -> out-switch
         link; they must cover the per-link byte share without over- or
         under-counting by a whole beat: ``(n-1) * chunk < bytes_per_link
         <= n * chunk`` (the final chunk may be partial).  The access must
         also cost at least the fixed request latency.
         """
+        size_bytes = request.size_bytes
+        if size_bytes == 0 or not isinstance(model, HierarchicalRemoteMemory):
+            return
         self.checks += 1
         c = model.config
         if duration_ns < c.access_latency_ns - 1e-9 or not math.isfinite(
@@ -404,8 +393,6 @@ class InvariantChecker:
                 f"ns, below the fixed {c.access_latency_ns} ns request "
                 "latency", time_ns=0.0, size_bytes=size_bytes,
                 duration_ns=duration_ns)
-        if size_bytes <= 0:
-            return
         n = model.num_pipeline_stages(size_bytes)
         chunk = model.effective_chunk_bytes(size_bytes)
         per_link = (size_bytes * c.num_gpus) / (

@@ -1,12 +1,12 @@
 """Unit and integration tests for the repro.telemetry subsystem."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import repro
 from repro.events import EventEngine
-from repro.memory.api import MemoryRequest
 from repro.memory.pools import MultiLevelSwitchPool
 from repro.memory.remote import HierarchicalRemoteMemory, HierMemConfig
 from repro.memory.zero_infinity import ZeroInfinityConfig, ZeroInfinityMemory
@@ -26,7 +26,9 @@ from repro.telemetry import (
     dump_metrics_json,
     load_metrics_json,
 )
-from repro.trace.node import TensorLocation
+from repro.trace.graph import ExecutionTrace
+from repro.trace.node import ETNode, NodeType, TensorLocation
+from repro.validate import InvariantConfig
 
 
 def _run(telemetry=None, topology="Ring(4)_Switch(2)", bandwidths=(200, 50),
@@ -213,7 +215,7 @@ class TestZeroCostContract:
             topo, repro.CollectiveType.ALL_REDUCE, 1 << 20)
         sim = repro.Simulator(traces, repro.SystemConfig(topology=topo))
         assert sim.telemetry is None
-        assert sim.engine.telemetry is None
+        assert not hasattr(sim.engine, "telemetry")
         assert sim.network.telemetry is None
         assert sim.execution.telemetry is None
         assert sim.run().telemetry is None
@@ -337,63 +339,84 @@ class TestBackendMetrics:
         assert report.metric_value("network", "links_dropped") > 0
 
 
+def _remote_io_traces(*accesses):
+    """One NPU running a chain of remote (size_bytes, is_store) accesses."""
+    nodes = [
+        ETNode(i, NodeType.MEMORY_STORE if is_store else NodeType.MEMORY_LOAD,
+               name=f"io{i}", tensor_bytes=size, deps=(i - 1,) if i else (),
+               location=TensorLocation.REMOTE)
+        for i, (size, is_store) in enumerate(accesses)
+    ]
+    return {0: ExecutionTrace(0, nodes)}
+
+
+_HIERMEM_COUNTERS = (
+    # 64 MiB per GPU over 256 groups x 16 out-switches: 4 MiB per link,
+    # i.e. four 1 MiB chunks down every link.
+    ("hiermem_transfers", {}, 1.0),
+    ("hiermem_pipeline_beats", {}, 4.0),
+    ("hiermem_max_pipeline_depth", {}, 4.0),
+)
+
+
 class TestMemoryMetrics:
-    def test_zero_infinity_offload_traffic(self):
-        model = ZeroInfinityMemory(ZeroInfinityConfig())
-        telemetry = Telemetry(TelemetryConfig())
-        model.telemetry = telemetry
-        try:
-            model.access_time_ns(MemoryRequest(
-                size_bytes=1 << 20, is_store=False,
-                location=TensorLocation.REMOTE))
-            model.access_time_ns(MemoryRequest(
-                size_bytes=1 << 10, is_store=True,
-                location=TensorLocation.REMOTE))
-        finally:
-            model.telemetry = None
-        assert telemetry.metrics.value(
-            "memory", "zero_infinity_offload_bytes",
-            direction="load") == float(1 << 20)
-        assert telemetry.metrics.value(
-            "memory", "zero_infinity_accesses", direction="store") == 1.0
-
-    def test_hiermem_pipeline_depth(self):
-        model = HierarchicalRemoteMemory(HierMemConfig())
-        telemetry = Telemetry(TelemetryConfig())
-        model.telemetry = telemetry
-        try:
-            model.access_time_ns(MemoryRequest(
-                size_bytes=1 << 26, is_store=False,
-                location=TensorLocation.REMOTE))
-        finally:
-            model.telemetry = None
-        assert telemetry.metrics.value("memory", "hiermem_transfers") == 1.0
-        beats = telemetry.metrics.value("memory", "hiermem_pipeline_beats")
-        depth = telemetry.metrics.value("memory", "hiermem_max_pipeline_depth")
-        assert beats == depth > 0
-
-    def test_pool_design_beats(self):
-        model = MultiLevelSwitchPool(HierMemConfig())
-        telemetry = Telemetry(TelemetryConfig())
-        model.telemetry = telemetry
-        try:
-            model.access_time_ns(MemoryRequest(
-                size_bytes=1 << 26, is_store=False,
-                location=TensorLocation.REMOTE))
-        finally:
-            model.telemetry = None
-        assert telemetry.metrics.value(
-            "memory", "pool_transfers", design="MultiLevelSwitchPool") == 1.0
-
-    def test_simulator_detaches_models_at_finalize(self):
-        remote = HierarchicalRemoteMemory(HierMemConfig())
+    @pytest.mark.parametrize("model, accesses, expected", [
+        pytest.param(
+            ZeroInfinityMemory(ZeroInfinityConfig()),
+            ((1 << 20, False), (1 << 10, True)),
+            (("zero_infinity_offload_bytes", {"direction": "load"},
+              float(1 << 20)),
+             ("zero_infinity_accesses", {"direction": "store"}, 1.0)),
+            id="zero-infinity"),
+        pytest.param(
+            HierarchicalRemoteMemory(HierMemConfig()),
+            ((1 << 26, False),), _HIERMEM_COUNTERS, id="hiermem"),
+        pytest.param(
+            # A zero-byte access costs the request latency but moves no
+            # chunk, so it records no transfer.
+            HierarchicalRemoteMemory(HierMemConfig()),
+            ((0, False), (1 << 26, False)), _HIERMEM_COUNTERS,
+            id="hiermem-zero-byte"),
+        pytest.param(
+            MultiLevelSwitchPool(HierMemConfig()),
+            ((1 << 26, False),),
+            (("pool_transfers", {"design": "MultiLevelSwitchPool"}, 1.0),),
+            id="multi-level-switch-pool"),
+    ])
+    def test_model_counters_through_simulate(self, model, accesses,
+                                             expected):
         topo = repro.parse_topology("Ring(4)", [100])
-        traces = repro.generate_single_collective(
-            topo, repro.CollectiveType.ALL_REDUCE, 1 << 20)
-        config = repro.SystemConfig(topology=topo, remote_memory=remote,
+        config = repro.SystemConfig(topology=topo, remote_memory=model,
                                     telemetry=TelemetryConfig())
-        repro.simulate(traces, config)
-        assert remote.telemetry is None
+        report = repro.simulate(_remote_io_traces(*accesses),
+                                config).telemetry
+        for name, labels, value in expected:
+            assert report.metric_value("memory", name, **labels) == value
+
+    def test_simulate_never_mutates_memory_models(self):
+        from repro.workload import generate_moe, moe_1t
+        topo = repro.parse_topology("Ring(4)_Switch(2)", [200, 50])
+        remote = HierarchicalRemoteMemory(HierMemConfig())
+        pristine = dict(vars(remote))
+        plain = repro.SystemConfig(topology=topo, remote_memory=remote)
+        traces = generate_moe(moe_1t(), topo, remote_parameters=True)
+
+        checked = repro.Simulator(
+            traces, replace(plain, invariants=InvariantConfig()))
+        assert checked.run().invariants.checks > 0
+        assert vars(remote) == pristine
+        checks = checked.invariants.checks
+        repro.simulate(traces, plain)
+        assert checked.invariants.checks == checks
+
+        # In-switch traces without a fabric model raise mid-run, before
+        # telemetry finalizes; the shared model must still be untouched.
+        inswitch = generate_moe(moe_1t(), topo, remote_parameters=True,
+                                inswitch_collectives=True)
+        with pytest.raises(ValueError, match="fabric_collectives"):
+            repro.simulate(inswitch,
+                           replace(plain, telemetry=TelemetryConfig()))
+        assert vars(remote) == pristine
 
     def test_engine_memory_hooks_count_accesses(self):
         from repro.workload import generate_moe, moe_1t

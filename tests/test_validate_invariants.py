@@ -176,18 +176,6 @@ class TestSimulatorIntegration:
             "validate", "checks") == result.invariants.checks
         assert result.telemetry.metric_value("validate", "violations") == 0.0
 
-    def test_install_uninstall_restores_slots(self):
-        from repro.events import EventEngine
-        from repro.network import AnalyticalNetwork
-
-        topo = parse_topology("Ring(4)", [100.0])
-        engine = EventEngine()
-        net = AnalyticalNetwork(engine, topo)
-        inv = InvariantChecker().install(engine, network=net)
-        assert engine.invariants is inv and net.invariants is inv
-        inv.uninstall()
-        assert engine.invariants is None and net.invariants is None
-
     def test_finalize_exports_counters_to_metrics(self):
         telemetry = Telemetry(TelemetryConfig())
         inv = InvariantChecker()
