@@ -175,6 +175,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.0"
     server_version = "repro-serve/%d" % SERVE_SCHEMA_VERSION
     server: ReproServer  # narrowed for type checkers
+    #: Whether this request holds an admission-gate slot.
+    _slot_held = False
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.server.config.quiet:
@@ -182,9 +184,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------------
 
+    def _release_slot(self) -> None:
+        if self._slot_held:
+            self._slot_held = False
+            self.server.gate.leave()
+
     def _send_json(self, status: int, doc: Any,
                    headers: Optional[Mapping[str, str]] = None) -> None:
         body = _canon(doc)
+        # A JSON reply ends the request: free its slot before the client
+        # can read the reply, so a client that waits for it and sends
+        # again is admitted rather than answered 429.
+        self._release_slot()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -244,13 +255,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
                              self.server.gate.capacity),
             }, headers={"Retry-After": "1"})
             return
+        self._slot_held = True
         try:
             if self.path == "/run":
                 self._handle_run()
             else:
                 self._handle_sweep()
         finally:
-            self.server.gate.leave()
+            self._release_slot()
 
     def _handle_run(self) -> None:
         server = self.server

@@ -8,11 +8,12 @@ breakdowns (paper Fig. 1).
 """
 
 from repro.core.config import SystemConfig
-from repro.core.engine import DeadlockError, ExecutionEngine
+from repro.core.engine import CollectiveGroupError, DeadlockError, ExecutionEngine
 from repro.core.results import CollectiveRecord, RunResult
 from repro.core.simulator import Simulator, simulate
 
 __all__ = [
+    "CollectiveGroupError",
     "CollectiveRecord",
     "DeadlockError",
     "ExecutionEngine",

@@ -36,6 +36,32 @@ class DeadlockError(RuntimeError):
     """The event queue drained while trace nodes were still incomplete."""
 
 
+class CollectiveGroupError(ValueError):
+    """A collective's explicit member list leaves out the NPU issuing it."""
+
+    def __init__(self, npu: int, node: ETNode,
+                 group: Tuple[int, ...]) -> None:
+        self.npu = npu
+        self.node_id = node.node_id
+        self.group = group
+        super().__init__(
+            f"npu {npu} node {node.node_id} ({node.name!r}) issues a "
+            f"collective whose involved_npus {list(group)} exclude it")
+
+
+class _Communicator:
+    """One NPU's view of a communicator, derived on its first collective."""
+
+    __slots__ = ("key", "group_shape", "participants", "issued")
+
+    def __init__(self, key: Tuple, group_shape: Optional[Dict[int, int]],
+                 participants: Set[int]) -> None:
+        self.key = key  # (rep, dims, group)
+        self.group_shape = group_shape
+        self.participants = participants
+        self.issued = 0  # collectives this NPU has issued on it
+
+
 class _CollectiveRendezvous:
     """Arrival tracking for one collective instance."""
 
@@ -99,9 +125,10 @@ class ExecutionEngine:
         self._fabric_port: Dict[int, DimPort] = {}
 
         self._rendezvous: Dict[Tuple, _CollectiveRendezvous] = {}
+        self._communicators: Dict[Tuple, _Communicator] = {}
+        self._all_dims = tuple(range(config.topology.num_dims))
         # Lazily-built send/recv collective lowering for packet backends.
         self._sendrecv_executor = None
-        self._coll_seq: Dict[Tuple, int] = {}
 
     # -- public ------------------------------------------------------------------
 
@@ -278,42 +305,33 @@ class ExecutionEngine:
     # -- collectives -----------------------------------------------------------------
 
     def _issue_collective(self, npu: int, node: ETNode) -> None:
-        topo = self.config.topology
-        dims = node.comm_dims if node.comm_dims is not None else tuple(
-            range(topo.num_dims)
-        )
-        group_shape = None
-        if node.involved_npus is not None:
-            group = node.involved_npus
-            group_shape = self._shape_of(group, dims, node)
-            rep = min(group)
-        else:
-            # Symbolic communicator: O(num_dims) to build, hash, and test
-            # membership against, independent of how many NPUs it spans —
-            # the analytical hot path never materializes the member list.
-            group = topo.comm_group(npu, dims)
-            rep = group.rep
-        comm_key = (rep, dims, group)
-        seq_key = (npu,) + comm_key
-        seq = self._coll_seq.get(seq_key, 0)
-        self._coll_seq[seq_key] = seq + 1
-        instance_key = comm_key + (seq,)
+        dims = node.comm_dims
+        if dims is None:
+            dims = self._all_dims
+        comm_id = (npu, dims, node.involved_npus)
+        comm = self._communicators.get(comm_id)
+        if comm is None:
+            comm = self._communicators[comm_id] = self._communicator(
+                npu, dims, node)
+        seq = comm.issued
+        comm.issued = seq + 1
+        instance_key = comm.key + (seq,)
 
         rendezvous = self._rendezvous.get(instance_key)
         if rendezvous is None:
-            if isinstance(group, CommGroup):
-                participants = group.intersection(self.traces)
-            else:
-                participants = set(group) & set(self.traces)
-            rendezvous = _CollectiveRendezvous(participants)
+            rendezvous = _CollectiveRendezvous(comm.participants)
             self._rendezvous[instance_key] = rendezvous
-        rendezvous.arrived[npu] = node.node_id
+        arrived = rendezvous.arrived
+        arrived[npu] = node.node_id
 
-        if set(rendezvous.arrived) == rendezvous.participants:
+        # The issuer is always a participant and arrives once per
+        # instance, so a full count means every participant is in.
+        if len(arrived) == len(rendezvous.participants):
             del self._rendezvous[instance_key]
+            rep, dims, group = comm.key
             if isinstance(self.network, AnalyticalNetwork):
                 self._start_collective(
-                    node, dims, rep, group, rendezvous, group_shape
+                    node, dims, rep, group, rendezvous, comm.group_shape
                 )
             else:
                 # Packet-modeling backends have no phase-level collective
@@ -322,6 +340,30 @@ class ExecutionEngine:
                 # the same traces execute unmodified on every backend.
                 self._start_collective_sendrecv(node, dims, rep, group,
                                                 rendezvous)
+
+    def _communicator(
+        self, npu: int, dims: Tuple[int, ...], node: ETNode
+    ) -> _Communicator:
+        """Derive (once per NPU and communicator) what every issue needs.
+
+        Valid for the engine's lifetime because the trace set is fixed.
+        """
+        group = node.involved_npus
+        if group is not None:
+            if npu not in group:
+                raise CollectiveGroupError(npu, node, group)
+            group_shape = self._shape_of(group, dims, node)
+            rep = min(group)
+            participants = set(group) & set(self.traces)
+        else:
+            # Symbolic communicator: O(num_dims) to build, hash, and test
+            # membership against, independent of how many NPUs it spans —
+            # the analytical hot path never materializes the member list.
+            group = self.config.topology.comm_group(npu, dims)
+            group_shape = None
+            rep = group.rep
+            participants = group.intersection(self.traces)
+        return _Communicator((rep, dims, group), group_shape, participants)
 
     def _shape_of(
         self, group: Tuple[int, ...], dims: Tuple[int, ...], node: ETNode
@@ -505,16 +547,17 @@ class ExecutionEngine:
     # -- completion --------------------------------------------------------------------
 
     def _complete(self, npu: int, node: ETNode) -> None:
+        indegree = self._indegree
         key = (npu, node.node_id)
-        if self._indegree.get(key, -1) < 0:
+        if indegree.get(key, -1) < 0:
             raise RuntimeError(f"node {key} completed twice")
-        self._indegree[key] = -1
+        indegree[key] = -1
         self._remaining -= 1
         self.nodes_executed += 1
         self.finish_time = max(self.finish_time, self.engine.now)
         trace = self.traces[npu]
         for child_id in trace.children_of(node.node_id):
             child_key = (npu, child_id)
-            self._indegree[child_key] -= 1
-            if self._indegree[child_key] == 0:
+            indegree[child_key] -= 1
+            if indegree[child_key] == 0:
                 self.engine.schedule(0.0, self._issue, npu, trace.node(child_id))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 
@@ -28,7 +29,9 @@ class Activity(enum.Enum):
     COMM = "comm"
 
 
-_PRIORITY = {a: i for i, a in enumerate(Activity)}
+#: Exposure rank of each activity (lower wins); the one priority table.
+PRIORITY: Dict[Activity, int] = {a: i for i, a in enumerate(Activity)}
+_ACTIVITIES = tuple(Activity)
 
 
 @dataclass
@@ -112,36 +115,37 @@ def compute_breakdown(
     """Sweep one NPU's intervals and charge time by priority.
 
     Builds the elementary segments between interval boundaries, tracks how
-    many intervals of each activity cover each segment, and charges the
-    segment to the highest-priority covered activity.
+    many intervals of each activity cover each segment (counters indexed by
+    :data:`PRIORITY` rank), and charges the segment to the highest-priority
+    covered activity.
     """
     if total_ns < 0:
         raise ValueError(f"negative total time {total_ns}")
-    events: List[Tuple[float, int, Activity]] = []
+    events: List[Tuple[float, int, int]] = []
     for start, end, activity in intervals:
-        events.append((start, +1, activity))
-        events.append((end, -1, activity))
-    events.sort(key=lambda e: e[0])
+        rank = PRIORITY[activity]
+        events.append((start, +1, rank))
+        events.append((end, -1, rank))
+    events.sort(key=itemgetter(0))
 
-    exposed: Dict[Activity, float] = {a: 0.0 for a in Activity}
-    active = {a: 0 for a in Activity}
+    ranks = range(len(_ACTIVITIES))
+    exposed = [0.0 for _ in ranks]
+    active = [0 for _ in ranks]
     covered = 0.0
     prev_t = events[0][0] if events else 0.0
-    idx = 0
-    while idx < len(events):
-        t = events[idx][0]
-        span = t - prev_t
-        if span > 0:
-            current = [a for a in Activity if active[a] > 0]
-            if current:
-                winner = min(current, key=_PRIORITY.get)
-                exposed[winner] += span
-                covered += span
-        while idx < len(events) and events[idx][0] == t:
-            _, delta, activity = events[idx]
-            active[activity] += delta
-            idx += 1
-        prev_t = t
+    for t, delta, rank in events:
+        if t != prev_t:
+            # Close the segment [prev_t, t): every event at prev_t is in.
+            for winner in ranks:
+                if active[winner] > 0:
+                    span = t - prev_t
+                    exposed[winner] += span
+                    covered += span
+                    break
+            prev_t = t
+        active[rank] += delta
 
     idle = max(0.0, total_ns - covered)
-    return Breakdown(total_ns=total_ns, exposed_ns=exposed, idle_ns=idle)
+    return Breakdown(total_ns=total_ns,
+                     exposed_ns=dict(zip(_ACTIVITIES, exposed)),
+                     idle_ns=idle)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.stats.breakdown import Activity, ActivityLog
+from repro.stats.breakdown import PRIORITY, Activity, ActivityLog
 
 _GLYPH = {
     Activity.COMPUTE: "#",
@@ -18,7 +18,6 @@ _GLYPH = {
     Activity.MEM_REMOTE: "R",
     Activity.COMM: "~",
 }
-_PRIORITY = {a: i for i, a in enumerate(Activity)}
 IDLE_GLYPH = "."
 
 LEGEND = "legend: # compute   m local-mem   R remote-mem   ~ comm   . idle"
@@ -50,7 +49,7 @@ def render_timeline(
             first = min(width - 1, int(start / slice_ns))
             last = min(width - 1, int(max(start, end - 1e-9) / slice_ns))
             for i in range(first, last + 1):
-                if best[i] is None or _PRIORITY[activity] < _PRIORITY[best[i]]:
+                if best[i] is None or PRIORITY[activity] < PRIORITY[best[i]]:
                     best[i] = activity
                     cells[i] = _GLYPH[activity]
         rows.append(f"npu {str(npu).rjust(label_width)} |{''.join(cells)}|")

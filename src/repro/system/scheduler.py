@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import abc
 import itertools
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import DimSpec
@@ -121,7 +121,8 @@ class BalancedPlan:
     whole collective under the balanced order mix; ``fill_ns`` is the
     pipeline ramp (the draining chunk's path outside its heaviest dim);
     ``traffic_bytes`` is the per-dimension serialized byte count for
-    reporting.
+    reporting.  Plans are memoized and shared between collectives, so
+    consumers only read them.
     """
 
     __slots__ = ("loads_ns", "fill_ns", "traffic_bytes")
@@ -200,9 +201,11 @@ class ThemisScheduler(ChunkScheduler):
     signature, a small linear program over candidate dimension orders —
     exactly the load-balancing problem Themis's greedy chunk placement
     approximates — and returns balanced per-dimension loads for fluid
-    execution.  Without scipy it returns ``None`` and execution falls back
-    to chunk-by-chunk traversal with :meth:`plan_order`'s greedy
-    bottleneck minimization.
+    execution.  The plan itself is memoized per exact signature, so a
+    training loop's thousands of collectives build only a handful.
+    Without scipy it returns ``None`` and execution falls back to
+    chunk-by-chunk traversal with :meth:`plan_order`'s greedy bottleneck
+    minimization.
     """
 
     name = "themis"
@@ -215,6 +218,9 @@ class ThemisScheduler(ChunkScheduler):
         # vectors per exact signature (payload kept as the exact float —
         # unlike the LP mix there is no rounding, results stay bit-exact).
         self._work_cache: Dict[tuple, Dict[Tuple[int, ...], Dict[int, float]]] = {}
+        # balanced_plan is pure in its exact signature (payload as the
+        # exact float, effective specs as the DimSpecs themselves).
+        self._plan_cache: Dict[tuple, Optional[BalancedPlan]] = {}
 
     def balanced_plan(
         self,
@@ -225,14 +231,35 @@ class ThemisScheduler(ChunkScheduler):
         num_chunks: int,
         roundtrip: bool = False,
         dim_specs: DimSpecs = None,
-    ):
+    ) -> Optional[BalancedPlan]:
         """Balanced per-dim loads for the whole collective, or ``None``.
 
         Latency steps are charged per chunk (each of the ``num_chunks``
         pipelined chunks pays its phase latencies), matching what the
-        chunk-level execution would enqueue in total.
+        chunk-level execution would enqueue in total.  The returned plan
+        is shared by every call with the same signature.
         """
         specs = _resolve_specs(network, dim_specs)
+        dims = tuple(dims)
+        signature = (dims, kind, payload_bytes, num_chunks, roundtrip,
+                     tuple(specs[d] for d in dims))
+        try:
+            return self._plan_cache[signature]
+        except KeyError:
+            pass
+        plan = self._plan_cache[signature] = self._build_plan(
+            specs, dims, kind, payload_bytes, num_chunks, roundtrip)
+        return plan
+
+    def _build_plan(
+        self,
+        specs: DimSpecs,
+        dims: Tuple[int, ...],
+        kind: PhaseKind,
+        payload_bytes: float,
+        num_chunks: int,
+        roundtrip: bool,
+    ) -> Optional[BalancedPlan]:
         mix = self._mix(specs, sorted(dims), kind,
                         payload_bytes / num_chunks, roundtrip)
         if not mix:

@@ -9,7 +9,7 @@ aggregate statistics used for reporting.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.trace.node import ETNode, NodeType
 
@@ -106,9 +106,13 @@ class ExecutionTrace:
         """Nodes with no dependencies — the initially-issuable frontier."""
         return [n for n in self._nodes.values() if not n.deps]
 
-    def children_of(self, node_id: int) -> List[int]:
-        """Ids of nodes that list ``node_id`` as a dependency."""
-        return list(self._children.get(node_id, ()))
+    def children_of(self, node_id: int) -> Sequence[int]:
+        """Ids of nodes that list ``node_id`` as a dependency.
+
+        The trace's own sequence, not a copy (the engine walks it on every
+        completion): callers only read it.
+        """
+        return self._children.get(node_id, ())
 
     def topological_order(self) -> List[ETNode]:
         """Deterministic topological order (Kahn, ties broken by node id)."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeadlockError, Simulator, SystemConfig
+from repro.core import CollectiveGroupError, DeadlockError, Simulator, SystemConfig
 from repro.memory import LocalMemory
 from repro.network import parse_topology
 from repro.system import RooflineCompute
@@ -68,3 +68,25 @@ def test_healthy_run_raises_nothing():
     trace = ExecutionTrace(0, [ETNode(0, NodeType.COMPUTE, flops=100)])
     result = Simulator({0: trace}, _config()).run()
     assert result.total_time_ns > 0
+
+
+def test_collective_excluding_its_issuer_is_rejected_at_issue():
+    # NPU 3 names a member list without itself: no rendezvous can ever
+    # complete, so the issue fails with the NPU, node and group named
+    # instead of deadlocking every member.
+    traces = {
+        npu: ExecutionTrace(npu, [
+            ETNode(0, NodeType.COMM_COLLECTIVE, name="ar", tensor_bytes=100,
+                   collective=CollectiveType.ALL_REDUCE, comm_dims=(0,),
+                   involved_npus=(0, 1, 2) if npu == 3 else (0, 1, 2, 3)),
+        ])
+        for npu in range(4)
+    }
+    sim = Simulator(traces, _config())
+    with pytest.raises(CollectiveGroupError) as exc:
+        sim.run()
+    error = exc.value
+    assert isinstance(error, ValueError)
+    assert (error.npu, error.node_id, error.group) == (3, 0, (0, 1, 2))
+    assert str(error) == ("npu 3 node 0 ('ar') issues a collective whose "
+                          "involved_npus [0, 1, 2] exclude it")

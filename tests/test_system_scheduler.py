@@ -1,11 +1,17 @@
 """Unit tests for chunk-to-dimension schedulers."""
 
+import dataclasses
+
 import pytest
 
+from repro.core import Simulator, SystemConfig
 from repro.events import EventEngine
+from repro.faults.spec import FaultSchedule
 from repro.network import AnalyticalNetwork, parse_topology
 from repro.system import BaselineScheduler, PhaseKind, ThemisScheduler, make_scheduler
 from repro.system.scheduler import chunk_traffic_vector, chunk_work_vector
+from repro.trace import CollectiveType
+from repro.workload.generators import generate_single_collective
 
 
 def _network(bws=(100, 100, 100), sizes=None):
@@ -129,6 +135,105 @@ class TestThemisBalancedPlan:
             network=net, dims=(0, 1), kind=PhaseKind.REDUCE_SCATTER,
             payload_bytes=1 << 30, num_chunks=32, roundtrip=True)
         assert 0 <= plan.fill_ns < max(plan.loads_ns.values())
+
+
+def _conv4d_net():
+    topo = parse_topology("Ring(2)_FC(8)_Ring(8)_Switch(4)",
+                          [250, 200, 100, 50], latencies_ns=[50, 250, 250, 500])
+    return AnalyticalNetwork(EventEngine(), topo)
+
+
+def _plan(scheduler, net, payload=1 << 30, num_chunks=32, dims=(0, 1, 2, 3)):
+    return scheduler.balanced_plan(
+        network=net, dims=dims, kind=PhaseKind.REDUCE_SCATTER,
+        payload_bytes=payload, num_chunks=num_chunks, roundtrip=True)
+
+
+class TestPlanMemo:
+    """balanced_plan builds one plan per exact signature and shares it."""
+
+    def test_same_signature_shares_one_plan(self):
+        net, scheduler = _conv4d_net(), ThemisScheduler()
+        first = _plan(scheduler, net)
+        assert _plan(scheduler, net) is first
+        # Equal effective specs passed explicitly are the same signature.
+        specs = {d: net.topology.dims[d] for d in range(4)}
+        assert scheduler.balanced_plan(
+            network=net, dims=(0, 1, 2, 3), kind=PhaseKind.REDUCE_SCATTER,
+            payload_bytes=1 << 30, num_chunks=32, roundtrip=True,
+            dim_specs=specs) is first
+        assert len(scheduler._plan_cache) == 1
+
+    def test_payload_chunks_and_specs_each_get_their_own_plan(self):
+        net, scheduler = _conv4d_net(), ThemisScheduler()
+        base = _plan(scheduler, net)
+        # A payload this close shares base's (rounded) LP mix key, but
+        # the plan is keyed on the exact float.
+        plans = [base, _plan(scheduler, net, payload=(1 << 30) + 0.001),
+                 _plan(scheduler, net, num_chunks=16),
+                 _plan(scheduler, net, dims=(0, 1))]
+        slower = {d: dataclasses.replace(spec, bandwidth_gbps=10.0)
+                  for d, spec in enumerate(net.topology.dims)}
+        plans.append(scheduler.balanced_plan(
+            network=net, dims=(0, 1, 2, 3), kind=PhaseKind.REDUCE_SCATTER,
+            payload_bytes=1 << 30, num_chunks=32, roundtrip=True,
+            dim_specs=slower))
+        assert len({id(p) for p in plans}) == len(plans)
+        assert len(scheduler._plan_cache) == len(plans)
+        assert len(scheduler._mix_cache) == len(plans) - 1
+
+    def test_memoized_plan_equals_a_fresh_schedulers_plan(self):
+        net, warm = _conv4d_net(), ThemisScheduler()
+        signatures = [(1 << 30, 32), (12345.0, 4), (1 << 30, 32),
+                      (3.5e8, 8), (12345.0, 4)]
+        for payload, chunks in signatures:
+            memoized = _plan(warm, net, payload=payload, num_chunks=chunks)
+            fresh = _plan(ThemisScheduler(), net, payload=payload,
+                          num_chunks=chunks)
+            assert memoized.loads_ns == fresh.loads_ns
+            assert list(memoized.loads_ns) == list(fresh.loads_ns)
+            assert memoized.fill_ns == fresh.fill_ns
+            assert memoized.traffic_bytes == fresh.traffic_bytes
+        assert len(warm._plan_cache) == 3
+
+    def test_faulted_run_still_goes_chunk_by_chunk(self, monkeypatch):
+        orders = []
+        original = ThemisScheduler.plan_order
+
+        def counting(self, *args, **kwargs):
+            orders.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThemisScheduler, "plan_order", counting)
+        topo = parse_topology("Ring(4)_Ring(2)", [100, 50])
+        traces = generate_single_collective(topo, CollectiveType.ALL_REDUCE,
+                                            1 << 20)
+        sim = Simulator(traces, SystemConfig(
+            topology=topo, scheduler="themis", collective_chunks=4,
+            faults=FaultSchedule.parse("straggler@npu0:2x@t=0")))
+        sim.run()
+        assert sim.scheduler._plan_cache == {}
+        assert len(orders) == 4
+
+    def test_llama70b_conv4d_builds_three_plans_per_point(self, monkeypatch):
+        from repro import frontend
+
+        calls = {"balanced_plan": 0, "_build_plan": 0}
+        for name in calls:
+            original = getattr(ThemisScheduler, name)
+
+            def counting(self, *args, _name=name, _original=original,
+                         **kwargs):
+                calls[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ThemisScheduler, name, counting)
+        topo = _conv4d_net().topology
+        planned = frontend.plan(frontend.zoo_graph("llama-70b"), topo,
+                                frontend.PlanConfig(tp=16, pp=8, dp=4))
+        Simulator(planned.traces, SystemConfig(
+            topology=topo, scheduler="themis", collective_chunks=32)).run()
+        assert calls == {"balanced_plan": 1369, "_build_plan": 3}
 
 
 class TestFactory:
