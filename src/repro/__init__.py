@@ -22,161 +22,71 @@ Quickstart::
     print(f"All-Reduce took {result.total_time_us:.1f} us")
 """
 
-from repro.core import (
-    CollectiveRecord,
-    DeadlockError,
-    ExecutionEngine,
-    RunResult,
-    Simulator,
-    SystemConfig,
-    simulate,
-)
-from repro.events import EventEngine
-from repro.faults import (
-    CheckpointConfig,
-    FaultKind,
-    FaultSchedule,
-    FaultSpec,
-    parse_faults,
-)
-from repro.memory import (
-    HierMemConfig,
-    HierarchicalRemoteMemory,
-    InSwitchCollectiveMemory,
-    LocalMemory,
-    MemoryRequest,
-    ZeroInfinityConfig,
-    ZeroInfinityMemory,
-)
-from repro.network import (
-    AnalyticalNetwork,
-    BuildingBlock,
-    DimSpec,
-    FlowLevelNetwork,
-    GarnetLiteNetwork,
-    MultiDimTopology,
-    TopologyError,
-    parse_topology,
-)
-from repro.stats import (
-    Activity,
-    Breakdown,
-    ResilienceReport,
-    format_breakdown_table,
-    format_table,
-)
-from repro.system import RooflineCompute, SendRecvCollectiveExecutor, make_scheduler
-from repro.telemetry import (
-    Telemetry,
-    TelemetryConfig,
-    TelemetryError,
-    TelemetryReport,
-    TraceLevel,
-)
-from repro.trace import (
-    CollectiveType,
-    ETNode,
-    ExecutionTrace,
-    NodeType,
-    TensorLocation,
-    load_trace,
-    save_trace,
-)
-from repro.validate import (
-    ConformanceReport,
-    InvariantChecker,
-    InvariantConfig,
-    InvariantError,
-    InvariantReport,
-    InvariantViolation,
-    run_conformance_suite,
-    run_metamorphic_suite,
-)
-from repro.workload import (
-    ParallelismSpec,
-    dlrm_paper,
-    generate_data_parallel,
-    generate_dlrm,
-    generate_fsdp,
-    generate_megatron_hybrid,
-    generate_moe,
-    generate_pipeline_parallel,
-    generate_single_collective,
-    gpt3_175b,
-    moe_1t,
-    transformer_1t,
-)
+import importlib
+import sys
+
+
+def _lazy_exports(package, table):
+    """Resolve a package's re-exports on first access (PEP 562).
+
+    ``table`` maps each module to the space-separated public names the
+    package re-exports from it.  Returns ``(names, __getattr__,
+    __dir__)``: the sorted names for ``__all__``, and module hooks that
+    import a name's module the first time the name is looked up and
+    cache the value in the package namespace.  ``package.X``, ``from
+    package import X`` and ``import *`` work as with eager imports, but
+    importing the package itself loads none of those modules.
+    """
+    exports = {name: module for module, names in table.items()
+               for name in names.split()}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(exports))
+
+    return sorted(exports), __getattr__, __dir__
+
+
+_names, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core": "CollectiveRecord DeadlockError ExecutionEngine RunResult "
+                  "Simulator SystemConfig simulate",
+    "repro.events": "EventEngine",
+    "repro.faults": "CheckpointConfig FaultKind FaultSchedule FaultSpec "
+                    "parse_faults",
+    "repro.memory": "HierMemConfig HierarchicalRemoteMemory "
+                    "InSwitchCollectiveMemory LocalMemory MemoryRequest "
+                    "ZeroInfinityConfig ZeroInfinityMemory",
+    "repro.network": "AnalyticalNetwork BuildingBlock DimSpec "
+                     "FlowLevelNetwork GarnetLiteNetwork MultiDimTopology "
+                     "TopologyError parse_topology",
+    "repro.stats": "Activity Breakdown ResilienceReport "
+                   "format_breakdown_table format_table",
+    "repro.system": "RooflineCompute SendRecvCollectiveExecutor "
+                    "make_scheduler",
+    "repro.telemetry": "Telemetry TelemetryConfig TelemetryError "
+                       "TelemetryReport TraceLevel",
+    "repro.trace": "CollectiveType ETNode ExecutionTrace NodeType "
+                   "TensorLocation load_trace save_trace",
+    "repro.validate": "ConformanceReport InvariantChecker InvariantConfig "
+                      "InvariantError InvariantReport InvariantViolation "
+                      "run_conformance_suite run_metamorphic_suite",
+    "repro.workload": "ParallelismSpec dlrm_paper generate_data_parallel "
+                      "generate_dlrm generate_fsdp generate_megatron_hybrid "
+                      "generate_moe generate_pipeline_parallel "
+                      "generate_single_collective gpt3_175b moe_1t "
+                      "transformer_1t",
+})
 
 __version__ = "2.0.0"
 
-__all__ = [
-    "Activity",
-    "AnalyticalNetwork",
-    "Breakdown",
-    "BuildingBlock",
-    "CheckpointConfig",
-    "CollectiveRecord",
-    "CollectiveType",
-    "ConformanceReport",
-    "DeadlockError",
-    "DimSpec",
-    "ETNode",
-    "EventEngine",
-    "ExecutionEngine",
-    "ExecutionTrace",
-    "FaultKind",
-    "FaultSchedule",
-    "FaultSpec",
-    "FlowLevelNetwork",
-    "GarnetLiteNetwork",
-    "HierMemConfig",
-    "HierarchicalRemoteMemory",
-    "InSwitchCollectiveMemory",
-    "InvariantChecker",
-    "InvariantConfig",
-    "InvariantError",
-    "InvariantReport",
-    "InvariantViolation",
-    "LocalMemory",
-    "MemoryRequest",
-    "MultiDimTopology",
-    "NodeType",
-    "ParallelismSpec",
-    "ResilienceReport",
-    "RooflineCompute",
-    "RunResult",
-    "SendRecvCollectiveExecutor",
-    "Simulator",
-    "SystemConfig",
-    "Telemetry",
-    "TelemetryConfig",
-    "TelemetryError",
-    "TelemetryReport",
-    "TensorLocation",
-    "TopologyError",
-    "TraceLevel",
-    "ZeroInfinityConfig",
-    "ZeroInfinityMemory",
-    "dlrm_paper",
-    "format_breakdown_table",
-    "format_table",
-    "generate_data_parallel",
-    "generate_dlrm",
-    "generate_fsdp",
-    "generate_megatron_hybrid",
-    "generate_moe",
-    "generate_pipeline_parallel",
-    "generate_single_collective",
-    "gpt3_175b",
-    "load_trace",
-    "make_scheduler",
-    "moe_1t",
-    "parse_faults",
-    "parse_topology",
-    "run_conformance_suite",
-    "run_metamorphic_suite",
-    "save_trace",
-    "simulate",
-    "transformer_1t",
-    "__version__",
-]
+__all__ = [*_names, "__version__"]
+del _names

@@ -24,90 +24,29 @@ Fig. 9b, Sec. IV-C):
 CLI equivalent: ``repro sweep --grid "payload_mib=64|256" --jobs 4
 --cache-dir .sweep-cache --out results.json``, or ``repro serve
 --jobs 4 --cache-dir .sweep-cache``.
+
+The names below resolve on first access, so ``import
+repro.campaign.serve`` (the daemon) loads neither the aggregate tables
+nor the simulator.
 """
 
-from repro.campaign.aggregate import (
-    campaign_rows,
-    campaign_summary,
-    campaign_table,
-    campaign_to_csv,
-    dump_campaign_json,
-    metric_series,
-    results_by_config,
-    varying_fields,
-)
-from repro.campaign.cache import (
-    CACHE_SCHEMA_VERSION,
-    RunCache,
-    code_fingerprint,
-    fingerprint_sources,
-)
-from repro.campaign.pool import (
-    WarmPool,
-    get_shared_pool,
-    pick_start_method,
-    plan_batches,
-    run_batch,
-    shared_pool_stats,
-    shutdown_shared_pool,
-    split_common_base,
-)
-from repro.campaign.runner import (
-    CAMPAIGN_SCHEMA_VERSION,
-    CampaignError,
-    CampaignResult,
-    CampaignRunner,
-    PointConfigError,
-    base_point_from_args,
-    canonical_campaign_json,
-    default_fields,
-    normalize_point,
-    run_point,
-)
-from repro.campaign.serve import (
-    ReproServer,
-    ServeConfig,
-    serve_forever,
-    serve_in_thread,
-)
-from repro.campaign.spec import SweepSpec, SweepSpecError, canonical_json
+from repro import _lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "CAMPAIGN_SCHEMA_VERSION",
-    "CampaignError",
-    "CampaignResult",
-    "CampaignRunner",
-    "PointConfigError",
-    "ReproServer",
-    "RunCache",
-    "ServeConfig",
-    "SweepSpec",
-    "SweepSpecError",
-    "WarmPool",
-    "base_point_from_args",
-    "campaign_rows",
-    "campaign_summary",
-    "campaign_table",
-    "campaign_to_csv",
-    "canonical_campaign_json",
-    "canonical_json",
-    "code_fingerprint",
-    "default_fields",
-    "dump_campaign_json",
-    "fingerprint_sources",
-    "get_shared_pool",
-    "metric_series",
-    "normalize_point",
-    "pick_start_method",
-    "plan_batches",
-    "results_by_config",
-    "run_batch",
-    "run_point",
-    "serve_forever",
-    "serve_in_thread",
-    "shared_pool_stats",
-    "shutdown_shared_pool",
-    "split_common_base",
-    "varying_fields",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.campaign.aggregate": "campaign_rows campaign_summary "
+                                "campaign_table campaign_to_csv "
+                                "dump_campaign_json metric_series "
+                                "results_by_config varying_fields",
+    "repro.campaign.cache": "CACHE_SCHEMA_VERSION RunCache code_fingerprint "
+                            "fingerprint_sources",
+    "repro.campaign.pool": "WarmPool get_shared_pool pick_start_method "
+                           "plan_batches run_batch shared_pool_stats "
+                           "shutdown_shared_pool split_common_base",
+    "repro.campaign.runner": "CAMPAIGN_SCHEMA_VERSION CampaignError "
+                             "CampaignResult CampaignRunner PointConfigError "
+                             "base_point_from_args canonical_campaign_json "
+                             "default_fields normalize_point run_point",
+    "repro.campaign.serve": "ReproServer ServeConfig serve_forever "
+                            "serve_in_thread",
+    "repro.campaign.spec": "SweepSpec SweepSpecError canonical_json",
+})

@@ -16,8 +16,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from repro.campaign.spec import canonical_json
-from repro.stats.report import format_table
-from repro.stats.summary import summary_stats
 
 
 def varying_fields(doc: Mapping[str, Any]) -> List[str]:
@@ -74,6 +72,8 @@ def _cell(value: Any) -> str:
 
 def campaign_table(doc: Mapping[str, Any]) -> str:
     """The per-point table as aligned text (CLI output)."""
+    from repro.stats.report import format_table
+
     headers, rows = campaign_rows(doc)
     return format_table(headers, rows)
 
@@ -95,6 +95,8 @@ def campaign_summary(doc: Mapping[str, Any]) -> Dict[str, Any]:
     summarised over the *successful* points; ``errors`` counts the
     failed ones.
     """
+    from repro.stats.summary import summary_stats
+
     ok = [p["result"] for p in doc["points"] if p.get("result") is not None]
     return {
         "points": len(doc["points"]),

@@ -9,7 +9,7 @@ cost model:
 
 - **Warm workers** — the pool prefers the ``forkserver`` start method
   and preloads :mod:`repro.campaign._preload` into the fork server, so
-  each worker forks already holding a fully-imported simulator; on
+  each worker forks already holding the imported simulate path; on
   platforms without ``forkserver`` the ``spawn`` fallback pays the
   import once per worker *lifetime* via the pool initializer.
 - **Persistent fleets** — :func:`get_shared_pool` hands out one
@@ -57,7 +57,7 @@ def pick_start_method() -> str:
 
 
 def warm_worker() -> None:
-    """Pool initializer: runs once per worker process, imports the world."""
+    """Pool initializer: once per worker process, import the simulate path."""
     import repro.campaign._preload  # noqa: F401
 
 

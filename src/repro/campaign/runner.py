@@ -4,7 +4,7 @@ A :class:`CampaignRunner` takes a :class:`~repro.campaign.spec.SweepSpec`,
 expands it, and executes every point through an *executor* — by default
 :func:`run_point`, which normalizes the point against the run-field
 table (:mod:`repro.runspec`, the same table ``repro run``'s flags are
-generated from) and hands it to :func:`repro.cli.simulate_from_args`,
+generated from) and hands it to :func:`repro.runsim.simulate_from_args`,
 so a sweep point runs exactly as the equivalent ``repro run`` would,
 without building or running an argument parser.
 
@@ -80,7 +80,7 @@ def run_point(point: Mapping[str, Any]) -> Dict[str, Any]:
     configuration raises :class:`PointConfigError`.  Runs in worker
     processes, so everything it touches must be importable there.
     """
-    from repro.cli import simulate_from_args
+    from repro.runsim import simulate_from_args
     from repro.stats.export import result_to_dict
 
     _topology, result, _resilience = simulate_from_args(run_namespace(point))

@@ -7,7 +7,7 @@ the run flags of ``repro run``/``sweep``/``validate`` and the subset
 campaign's :data:`FIELD_TYPES`, :func:`default_fields` and
 :func:`normalize_point` (whose output is the run-cache key and the
 merged document's ``config``); and the namespace the simulate path in
-:mod:`repro.cli` reads for a sweep or ``repro serve`` point
+:mod:`repro.runsim` reads for a sweep or ``repro serve`` point
 (:func:`run_namespace`), with its choice check (:func:`check_choices`).
 """
 

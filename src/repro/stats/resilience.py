@@ -21,10 +21,12 @@ Terminology:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.faults.spec import FaultSpec
 from repro.stats.report import format_table
+
+if TYPE_CHECKING:  # repro.faults imports this module: no runtime import back
+    from repro.faults.spec import FaultSpec
 
 
 @dataclass

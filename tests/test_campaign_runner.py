@@ -124,8 +124,9 @@ class TestSerialExecution:
         assert counters.get("points_failed", 0) == 0
 
     def test_default_executor_matches_cli_run(self):
-        from repro.cli import build_parser, simulate_from_args
+        from repro.cli import build_parser
         from repro.campaign import run_point
+        from repro.runsim import simulate_from_args
         from repro.stats import result_to_dict
 
         args = build_parser().parse_args([
