@@ -307,14 +307,13 @@ def bench_campaign(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
     bit-identical after canonical serialisation:
 
     - serial in-process (the reference);
-    - *cold spawn* — a private single-use ``spawn`` pool with one point
-      per task and no base broadcast, i.e. the pre-warm-pool fan-out
-      whose ``parallel_speedup`` regressed to ~0.4 on starved runners;
+    - *cold spawn* — a private single-use ``spawn`` pool, i.e. the
+      pre-warm-pool fan-out whose ``parallel_speedup`` regressed to ~0.4
+      on starved runners;
     - *warm fleet* — the shared pre-imported fleet
-      (:func:`repro.campaign.pool.get_shared_pool`) with batched
-      dispatch and base-config broadcast, measured after ``warm_up`` so
-      the number reflects steady state (what a second sweep or any
-      ``repro serve`` request pays);
+      (:func:`repro.campaign.pool.get_shared_pool`), measured after
+      ``warm_up`` so the number reflects steady state (what a second
+      sweep or any ``repro serve`` request pays);
     - cold and warm through the content-addressed run cache.
 
     ``cpus`` records the affinity-visible core count because pool
@@ -344,7 +343,7 @@ def bench_campaign(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
 
     serial, serial_wall = timed(CampaignRunner(jobs=0))
     cold_spawn, cold_spawn_wall = timed(CampaignRunner(
-        jobs=jobs, warm=False, start_method="spawn", batch_size=1))
+        jobs=jobs, warm=False, start_method="spawn"))
     shutdown_shared_pool()  # measure the warm fleet from a known state
     pool = get_shared_pool(jobs)
     pool.warm_up()

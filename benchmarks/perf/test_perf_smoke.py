@@ -232,7 +232,7 @@ def test_campaign_gates():
     assert report["warm_cache_counters"] == {
         "hits": report["points"], "misses": 0, "corrupted": 0}, report
     # Warm fleet beats the legacy cold-spawn pool everywhere (it skips
-    # worker start-up and per-point dispatch; core count is irrelevant).
+    # worker start-up; core count is irrelevant).
     # No absolute speedup floor at quick size: 4 points of ~0.1 s each
     # on a 1-CPU runner put fixed dispatch overhead in charge of the
     # ratio, which makes any absolute threshold a coin flip.

@@ -8,10 +8,9 @@ Fig. 9b, Sec. IV-C):
   that expands to an ordered list of fully-resolved configurations;
 - :class:`CampaignRunner` — executes a spec serially (``jobs=0``) or
   over a persistent **warm** worker fleet (:mod:`repro.campaign.pool`):
-  pre-imported workers reused across sweeps, batched point dispatch,
-  and base-config broadcast; results merge back in spec order so output
-  is bit-identical regardless of worker count, batch size, or worker
-  reuse;
+  pre-imported workers reused across sweeps, one point per task;
+  results merge back in spec order so output is bit-identical
+  regardless of worker count or worker reuse;
 - :class:`RunCache` — a content-addressed on-disk result cache keyed by
   canonical config JSON + code fingerprint, so re-running a sweep only
   simulates changed points;
@@ -40,8 +39,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.campaign.cache": "CACHE_SCHEMA_VERSION RunCache code_fingerprint "
                             "fingerprint_sources",
     "repro.campaign.pool": "WarmPool get_shared_pool pick_start_method "
-                           "plan_batches run_batch shared_pool_stats "
-                           "shutdown_shared_pool split_common_base",
+                           "run_one shared_pool_stats shutdown_shared_pool",
     "repro.campaign.runner": "CAMPAIGN_SCHEMA_VERSION CampaignError "
                              "CampaignResult CampaignRunner PointConfigError "
                              "base_point_from_args canonical_campaign_json "

@@ -1,11 +1,8 @@
 """Persistent warm worker pools for campaign fan-out.
 
-PR 4's process-pool fan-out lost to serial execution (BENCH_perf.json
-recorded ``parallel_speedup: 0.42`` at ``jobs=4``) for three reasons:
-every sweep built a fresh ``spawn`` pool whose workers re-imported the
-entire package, every point crossed the pipe as its own task, and every
-task shipped the fully-resolved ~30-field config.  This module fixes the
-cost model:
+A fresh ``spawn`` pool per sweep loses to serial execution: each of its
+workers re-imports the entire package before simulating anything.  This
+module removes that cost:
 
 - **Warm workers** — the pool prefers the ``forkserver`` start method
   and preloads :mod:`repro.campaign._preload` into the fork server, so
@@ -16,11 +13,12 @@ cost model:
   process-wide :class:`WarmPool` that survives across sweeps (and
   across HTTP requests in ``repro serve``), so steady-state fan-out
   never pays worker start-up again.
-- **Batched dispatch** — :func:`run_batch` executes a *chunk* of points
-  per task instead of one future per point.
-- **Base-config broadcast** — :func:`split_common_base` factors the
-  fields shared by every pending point into one base dict sent once per
-  task; each point ships only its per-point overrides.
+- **One point per task** — :func:`run_one` is the single worker entry
+  point: the campaign runner's serial and pool paths and the serve
+  daemon's ``/run`` all execute a point through it.
+- **No orphans** — every worker exits as soon as the process that owns
+  the fleet dies, even by SIGKILL, which in turn lets the fork server
+  exit.
 
 Crash containment: a worker death breaks the underlying
 :class:`~concurrent.futures.ProcessPoolExecutor`; :meth:`WarmPool.restart`
@@ -37,7 +35,8 @@ import threading
 import time
 import traceback as _traceback
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import wait as _wait_ready
+from typing import Any, Callable, Dict, Mapping, Optional, Set
 
 #: Modules imported into the forkserver parent before the first fork, so
 #: every forked worker starts warm (see repro/campaign/_preload.py).
@@ -57,8 +56,25 @@ def pick_start_method() -> str:
 
 
 def warm_worker() -> None:
-    """Pool initializer: once per worker process, import the simulate path."""
+    """Pool initializer: import the simulate path, die with the owner.
+
+    Runs once per worker process.  A worker holds pipes that keep the
+    fork server (and its sibling workers) alive, so a worker that
+    outlives a SIGKILL'd owner would never see EOF; a daemon thread
+    watching the owner's sentinel ends it instead.
+    """
     import repro.campaign._preload  # noqa: F401
+
+    owner = multiprocessing.parent_process()
+    if owner is not None:
+        threading.Thread(target=_exit_with, args=(owner.sentinel,),
+                         name="repro-owner-watch", daemon=True).start()
+
+
+def _exit_with(sentinel: int) -> None:
+    """Block until the owner process is gone, then exit this worker."""
+    _wait_ready([sentinel])
+    os._exit(0)
 
 
 def error_record(exc: BaseException) -> Dict[str, Any]:
@@ -71,53 +87,20 @@ def error_record(exc: BaseException) -> Dict[str, Any]:
     }
 
 
-def split_common_base(
-    points: Sequence[Mapping[str, Any]],
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Factor the fields identical across every point into a shared base.
-
-    Returns ``(base, overrides)`` where ``{**base, **overrides[i]}``
-    reconstructs ``points[i]`` exactly.  For a typical sweep (two or
-    three varying axes over a ~30-field resolved config) this shrinks
-    the per-task payload by an order of magnitude — the base crosses the
-    pipe once per *task*, not once per point.
-    """
-    from repro.campaign.spec import canonical_json
-
-    if not points:
-        return {}, []
-    base: Dict[str, Any] = {}
-    for key, value in points[0].items():
-        token = canonical_json(value)
-        if all(key in p and canonical_json(p[key]) == token
-               for p in points[1:]):
-            base[key] = value
-    overrides = [{k: v for k, v in p.items() if k not in base}
-                 for p in points]
-    return base, overrides
-
-
-def run_batch(
+def run_one(
     executor: Callable[[Mapping[str, Any]], Dict[str, Any]],
-    base: Mapping[str, Any],
-    items: Sequence[Tuple[int, Mapping[str, Any]]],
-) -> List[Tuple[int, Dict[str, Any]]]:
-    """Worker entry point: execute a chunk of ``(index, overrides)`` points.
+    point: Mapping[str, Any],
+) -> Dict[str, Any]:
+    """Worker entry point: run one point into an ``{"ok", ...}`` outcome.
 
-    Reconstructs each point from the broadcast base, runs it, and
-    returns ``(index, outcome)`` pairs.  Per-point simulation failures
-    become structured error outcomes; only process death escapes (and is
-    handled by the caller's broken-pool recovery).
+    Returns ``{"ok": True, "result": ...}`` or, when the point fails,
+    ``{"ok": False, "error": <error_record>}``; only process death
+    escapes (and is handled by the caller's broken-pool recovery).
     """
-    out: List[Tuple[int, Dict[str, Any]]] = []
-    for index, overrides in items:
-        point = dict(base)
-        point.update(overrides)
-        try:
-            out.append((index, {"ok": True, "result": executor(point)}))
-        except (Exception, SystemExit) as exc:  # noqa: BLE001 - error record
-            out.append((index, {"ok": False, "error": error_record(exc)}))
-    return out
+    try:
+        return {"ok": True, "result": executor(point)}
+    except (Exception, SystemExit) as exc:  # noqa: BLE001 - error record
+        return {"ok": False, "error": error_record(exc)}
 
 
 def _worker_ident(settle_s: float) -> int:
@@ -125,22 +108,6 @@ def _worker_ident(settle_s: float) -> int:
     if settle_s > 0:
         time.sleep(settle_s)
     return os.getpid()
-
-
-def plan_batches(pending: Sequence[int], workers: int,
-                 batch_size: int = 0) -> List[List[int]]:
-    """Chunk pending point indices into per-task batches.
-
-    ``batch_size=0`` (auto) targets about two tasks per worker: large
-    enough to amortise dispatch, small enough that a straggler batch
-    cannot idle the rest of the fleet.
-    """
-    if not pending:
-        return []
-    if batch_size <= 0:
-        batch_size = max(1, -(-len(pending) // (max(workers, 1) * 2)))
-    return [list(pending[i:i + batch_size])
-            for i in range(0, len(pending), batch_size)]
 
 
 class WarmPool:

@@ -12,12 +12,11 @@ Execution contract:
 
 - ``jobs=0`` runs serially in-process; ``jobs>=1`` fans out over a
   persistent **warm** worker fleet (:mod:`repro.campaign.pool`):
-  pre-imported workers reused across sweeps, points dispatched in
-  batches, and the fields common to every point broadcast once per task
-  instead of once per point.  Results are merged back **in spec
-  order**, and each point's payload is a schema-v2 ``result_to_dict``
-  document, so the merged output is bit-identical regardless of worker
-  count, batch size, worker reuse, or completion order.
+  pre-imported workers reused across sweeps, one point per task.
+  Results are merged back **in spec order**, and each point's payload
+  is a schema-v2 ``result_to_dict`` document, so the merged output is
+  bit-identical regardless of worker count, worker reuse, or
+  completion order.
 - :meth:`CampaignRunner.stream` yields merged point records
   *incrementally* in spec order as they complete — the backbone of the
   ``repro serve`` daemon's NDJSON sweep streaming; :meth:`CampaignRunner.run`
@@ -52,7 +51,7 @@ from typing import (
 )
 
 from repro.campaign.cache import RunCache
-from repro.campaign.pool import error_record as _error_record, run_batch
+from repro.campaign.pool import error_record as _error_record, run_one
 from repro.campaign.spec import SweepSpec, SweepSpecError, canonical_json
 from repro.runspec import (  # noqa: F401 - re-exported campaign API
     FIELD_TYPES,
@@ -136,13 +135,12 @@ def _resolve_executor(
 # -- the runner ------------------------------------------------------------------------
 
 
-#: Metrics describing *how* the campaign executed (batching, crash
-#: recovery) rather than what it computed.  Excluded from the merged
-#: document so identical sweeps dump byte-identical documents regardless
-#: of jobs count, batch size, or worker reuse; still readable on
-#: ``CampaignResult.telemetry`` for observability and tests.
-EXECUTION_METRICS = frozenset(
-    {"batches_dispatched", "worker_restarts", "points_retried"})
+#: Metrics describing *how* the campaign executed (crash recovery)
+#: rather than what it computed.  Excluded from the merged document so
+#: identical sweeps dump byte-identical documents regardless of jobs
+#: count or worker reuse; still readable on ``CampaignResult.telemetry``
+#: for observability and tests.
+EXECUTION_METRICS = frozenset({"worker_restarts", "points_retried"})
 
 
 @dataclass
@@ -221,14 +219,11 @@ class CampaignRunner:
         fail_fast: bool = False,
         executor: Union[None, str,
                         Callable[[Mapping[str, Any]], Dict[str, Any]]] = None,
-        batch_size: int = 0,
         warm: bool = True,
         start_method: Optional[str] = None,
         cache: Optional[RunCache] = None,
     ) -> None:
-        """``batch_size=0`` auto-sizes chunks (~2 tasks per worker).
-
-        ``warm=True`` (default) fans out over the process-wide shared
+        """``warm=True`` (default) fans out over the process-wide shared
         fleet from :func:`repro.campaign.pool.get_shared_pool`, reusing
         warm workers across sweeps; ``warm=False`` builds a private pool
         torn down when the campaign finishes (cold fan-out — mainly for
@@ -236,12 +231,9 @@ class CampaignRunner:
         """
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
-        if batch_size < 0:
-            raise ValueError(f"batch_size must be >= 0, got {batch_size}")
         self.jobs = jobs
         self.fail_fast = fail_fast
         self.executor = _resolve_executor(executor)
-        self.batch_size = batch_size
         self.warm = warm
         self.start_method = start_method
         if cache is not None:
@@ -349,7 +341,7 @@ class CampaignRunner:
         self, points: Sequence[Mapping[str, Any]], pending: Sequence[int],
     ) -> Iterator[Tuple[int, Dict[str, Any]]]:
         for index in pending:
-            yield from run_batch(self.executor, {}, [(index, points[index])])
+            yield index, run_one(self.executor, points[index])
 
     # -- warm-fleet path ---------------------------------------------------------
 
@@ -357,81 +349,74 @@ class CampaignRunner:
         self, points: Sequence[Mapping[str, Any]], pending: Sequence[int],
         metrics: MetricsRegistry,
     ) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        """Fan pending points out over the warm fleet in batches.
+        """Fan pending points out over the warm fleet, one per task.
 
         Yields ``(index, outcome)`` in completion order (the caller
-        re-orders).  A broken pool (worker crash) is restarted and the
-        affected points retried up to :data:`MAX_POINT_RETRIES` times as
-        singleton batches — isolating a crashing point from the innocent
-        points that shared its batch — before a structured error record
-        is emitted.  ``KeyboardInterrupt`` cancels outstanding batches
-        and tears the fleet down before re-raising.
+        re-orders).  A broken pool (worker crash) is restarted and each
+        affected point resubmitted up to :data:`MAX_POINT_RETRIES` times
+        before a structured error record is emitted.  Retries run one at
+        a time, so a crasher only ever breaks its own retries and the
+        innocent points that were in flight beside it survive.
+        ``KeyboardInterrupt`` cancels outstanding tasks and tears the
+        fleet down before re-raising.
         """
         from concurrent.futures.process import BrokenProcessPool
 
         from repro.campaign.pool import (
             WarmPool,
             get_shared_pool,
-            plan_batches,
             shutdown_shared_pool,
-            split_common_base,
         )
 
         if self.warm:
             pool = get_shared_pool(self.jobs, self.start_method)
         else:
             pool = WarmPool(min(self.jobs, len(pending)), self.start_method)
-        base, overrides = split_common_base([points[i] for i in pending])
-        by_index = dict(zip(pending, overrides))
-        batches = plan_batches(pending, min(pool.workers, len(pending)),
-                               self.batch_size)
-        metrics.counter("campaign", "batches_dispatched").inc(len(batches))
 
-        futures: Dict[Any, List[int]] = {}
+        futures: Dict[Any, int] = {}
         generation = pool.generation
 
-        def submit(indices: List[int]) -> None:
-            items = [(i, by_index[i]) for i in indices]
-            futures[pool.submit(run_batch, self.executor, base,
-                                items)] = indices
+        def submit(index: int) -> None:
+            futures[pool.submit(run_one, self.executor,
+                                points[index])] = index
 
         retries: Dict[int, int] = {}
+        to_retry: List[int] = []
         try:
-            for batch in batches:
-                submit(batch)
-            while futures:
+            for index in pending:
+                submit(index)
+            while futures or to_retry:
+                if not futures:
+                    submit(to_retry.pop(0))
                 for future in _wait_any(list(futures)):
-                    indices = futures.pop(future)
+                    index = futures.pop(future)
                     exc = future.exception()
                     if exc is None:
-                        for index, outcome in future.result():
-                            yield index, outcome
+                        yield index, future.result()
                         continue
                     if isinstance(exc, BrokenProcessPool):
                         # One worker death breaks every in-flight future.
                         # Restart the fleet once (the generation guard
-                        # makes latecomers no-ops) and retry the affected
-                        # points in isolation.
+                        # makes latecomers no-ops) and queue the point
+                        # for a retry on the fresh fleet.
                         if pool.restart(generation):
                             metrics.counter("campaign",
                                             "worker_restarts").inc()
                         generation = pool.generation
-                        for index in indices:
-                            attempts = retries.get(index, 0)
-                            if attempts >= MAX_POINT_RETRIES:
-                                yield index, {"ok": False,
-                                              "error": _error_record(exc)}
-                            else:
-                                retries[index] = attempts + 1
-                                metrics.counter("campaign",
-                                                "points_retried").inc()
-                                submit([index])
+                        attempts = retries.get(index, 0)
+                        if attempts >= MAX_POINT_RETRIES:
+                            yield index, {"ok": False,
+                                          "error": _error_record(exc)}
+                        else:
+                            retries[index] = attempts + 1
+                            metrics.counter("campaign",
+                                            "points_retried").inc()
+                            to_retry.append(index)
                     else:
                         # Pool-level failure that is not a crash (e.g. an
                         # unpicklable payload): record and move on.
-                        for index in indices:
-                            yield index, {"ok": False,
-                                          "error": _error_record(exc)}
+                        yield index, {"ok": False,
+                                      "error": _error_record(exc)}
         except KeyboardInterrupt:
             for future in futures:
                 future.cancel()

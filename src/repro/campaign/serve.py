@@ -17,11 +17,11 @@ Endpoints:
   run of the same config; ``X-Repro-Cache: hit|miss`` reports dedup.
 - ``POST /sweep`` — body: a :class:`~repro.campaign.spec.SweepSpec`
   document (``base``/``grid``/``zip``/``points``), optionally wrapped as
-  ``{"spec": {...}, "jobs": N, "batch_size": N, "fail_fast": bool}``.
-  Response: ``application/x-ndjson`` — one merged point record per
-  line, streamed **in spec order as points complete**, terminated by a
-  ``{"summary": ...}`` line (or ``{"aborted": ...}`` on a fail-fast
-  abort).
+  ``{"spec": {...}, "jobs": N, "fail_fast": bool}``; any other key in
+  a wrapped body is a ``400``.  Response: ``application/x-ndjson`` —
+  one merged point record per line, streamed **in spec order as points
+  complete**, terminated by a ``{"summary": ...}`` line (or
+  ``{"aborted": ...}`` on a fail-fast abort).
 - ``GET /healthz`` — liveness: ``{"status": "ok"}``.
 - ``GET /stats`` — telemetry counters (``campaign/*`` per-request
   counters), cache counters, fleet state, uptime.
@@ -54,7 +54,7 @@ from repro.telemetry import MetricsRegistry
 SERVE_SCHEMA_VERSION = 1
 
 #: Option keys accepted alongside ``spec`` in a wrapped /sweep body.
-_SWEEP_OPTIONS = ("jobs", "batch_size", "fail_fast")
+_SWEEP_OPTIONS = ("jobs", "fail_fast")
 
 
 @dataclass
@@ -66,7 +66,6 @@ class ServeConfig:
     jobs: int = 0
     cache_dir: Optional[str] = None
     queue_depth: int = 8
-    batch_size: int = 0
     max_body_bytes: int = 8 << 20
     quiet: bool = True
 
@@ -130,8 +129,6 @@ class ReproServer(ThreadingHTTPServer):
         try:
             return CampaignRunner(
                 jobs=int(options.get("jobs", self.config.jobs)),
-                batch_size=int(options.get("batch_size",
-                                           self.config.batch_size)),
                 fail_fast=bool(options.get("fail_fast", False)),
                 executor=self.executor,
                 cache=self.cache,
@@ -297,12 +294,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         """One point: on the fleet when jobs >= 1, else in this thread."""
         server = self.server
         if server.config.jobs >= 1:
-            from repro.campaign.pool import get_shared_pool, run_batch
+            from repro.campaign.pool import get_shared_pool, run_one
 
             pool = get_shared_pool(server.config.jobs)
-            outcomes = pool.submit(
-                run_batch, server.executor, {}, [(0, dict(point))]).result()
-            outcome = outcomes[0][1]
+            outcome = pool.submit(run_one, server.executor, point).result()
             if not outcome["ok"]:
                 error = outcome["error"]
                 raise PointConfigError(
@@ -318,8 +313,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 raise PointConfigError(
                     "POST /sweep expects a JSON sweep-spec document")
             if "spec" in doc:
-                spec_doc = doc["spec"]
-                options = {k: doc[k] for k in _SWEEP_OPTIONS if k in doc}
+                options = dict(doc)
+                spec_doc = options.pop("spec")
+                unknown = sorted(set(options) - set(_SWEEP_OPTIONS))
+                if unknown:
+                    raise PointConfigError(
+                        f"unknown sweep option(s) {', '.join(unknown)}; "
+                        f"a wrapped body takes only spec, "
+                        f"{', '.join(_SWEEP_OPTIONS)}")
             else:
                 spec_doc, options = doc, {}
             spec = SweepSpec.from_dict(spec_doc)
@@ -368,7 +369,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(_canon({"aborted": str(exc)}))
         except (BrokenPipeError, ConnectionResetError):
             # Client went away mid-stream; runner.stream's close() has
-            # already cancelled its outstanding batches.
+            # already cancelled its outstanding tasks.
             server.count("http_disconnects", endpoint="sweep")
         except Exception as exc:  # noqa: BLE001 - daemon must not die
             server.count("http_errors", endpoint="sweep")

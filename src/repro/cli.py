@@ -128,7 +128,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir or None,
         fail_fast=args.fail_fast,
-        batch_size=args.batch_size,
     )
     try:
         campaign = runner.run(spec)
@@ -177,7 +176,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir or None,
         queue_depth=args.queue_depth,
-        batch_size=args.batch_size,
         quiet=False,
     ))
 
@@ -423,10 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", default="", metavar="DIR",
                        help="content-addressed run cache: re-running a "
                             "sweep only simulates changed points")
-    sweep.add_argument("--batch-size", type=int, default=0, metavar="N",
-                       help="points per worker task (0 = auto, about two "
-                            "tasks per worker); merged output is "
-                            "bit-identical at any batch size")
     sweep.add_argument("--fail-fast", action="store_true",
                        help="abort the campaign on the first failed point "
                             "instead of recording a structured error")
@@ -456,9 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=int, default=8, metavar="N",
                        help="max requests in flight before the daemon "
                             "answers 429 (default: 8)")
-    serve.add_argument("--batch-size", type=int, default=0, metavar="N",
-                       help="default points per worker task for /sweep "
-                            "requests (0 = auto)")
     serve.set_defaults(func=_cmd_serve)
 
     validate = sub.add_parser(

@@ -2,13 +2,12 @@
 
 The campaign runner's core contract (and what makes the run cache
 sound): the merged document depends only on the spec — not on how many
-processes executed it, not on completion order, not on batch size, not
-on whether the workers were warm (the shared persistent fleet) or cold
-(a private single-use pool), not on cache temperature.  We run the same
-sweep across ``jobs`` x ``batch_size`` x warm/cold combinations and
-compare the canonical JSON byte-for-byte — including a
-telemetry-bearing point, whose per-run metrics are embedded in the
-result payloads.
+processes executed it, not on completion order, not on whether the
+workers were warm (the shared persistent fleet) or cold (a private
+single-use pool), not on cache temperature.  We run the same sweep
+across ``jobs`` x warm/cold combinations and compare the canonical JSON
+byte-for-byte — including a telemetry-bearing point, whose per-run
+metrics are embedded in the result payloads.
 """
 
 import pytest
@@ -53,26 +52,19 @@ def test_results_identical_across_jobs_counts(tmp_path):
     assert warm.canonical_results_json() == docs[0]
 
 
-def test_results_identical_across_batching_and_worker_reuse():
-    """jobs x batch_size x warm/cold worker reuse: one merged document.
+def test_results_identical_across_jobs_and_worker_reuse():
+    """jobs x warm/cold worker reuse: one merged document.
 
     The warm runs deliberately share one persistent fleet (that *is* the
     reuse under test: later runs hit workers already warmed by earlier
-    ones); the cold runs each build and tear down a private pool.  Batch
-    size changes how points pack into tasks — and therefore completion
-    order — which the spec-order merge must erase.
+    ones); the cold runs each build and tear down a private pool.  The
+    worker count changes completion order, which the spec-order merge
+    must erase.
     """
     reference = CampaignRunner(jobs=0).run(SPEC).canonical_results_json()
-    for jobs in (1, 2, 4):
-        for batch_size in (1, 4):
-            warm = CampaignRunner(jobs=jobs, batch_size=batch_size,
-                                  warm=True).run(SPEC)
-            assert not warm.errors, warm.errors
-            assert warm.canonical_results_json() == reference, (
-                f"warm jobs={jobs} batch_size={batch_size} diverged")
-    for batch_size in (1, 4):
-        cold = CampaignRunner(jobs=2, batch_size=batch_size,
-                              warm=False).run(SPEC)
-        assert not cold.errors, cold.errors
-        assert cold.canonical_results_json() == reference, (
-            f"cold jobs=2 batch_size={batch_size} diverged")
+    for warm in (True, False):
+        for jobs in (1, 2, 4):
+            campaign = CampaignRunner(jobs=jobs, warm=warm).run(SPEC)
+            assert not campaign.errors, campaign.errors
+            assert campaign.canonical_results_json() == reference, (
+                f"warm={warm} jobs={jobs} diverged")

@@ -1,17 +1,24 @@
 """Warm-pool unit tests and campaign failure-path tests.
 
-Covers the :mod:`repro.campaign.pool` primitives (base-config broadcast,
-batch planning, batched worker entry, pool lifecycle) and the runner's
-crash-containment contract: a worker dying mid-batch yields structured
-per-point error records — never a hung sweep — innocents sharing the
-crasher's batch survive via retry, ``fail_fast`` aborts promptly, and
-``KeyboardInterrupt`` tears the fleet down cleanly.
+Covers the :mod:`repro.campaign.pool` primitives (the one-point worker
+entry, pool lifecycle, workers exiting with a SIGKILL'd owner) and the
+runner's crash-containment contract: a worker dying mid-sweep yields a
+structured per-point error record — never a hung sweep — innocents in
+flight beside the crasher survive via retry, ``fail_fast`` aborts
+promptly, and ``KeyboardInterrupt`` tears the fleet down cleanly.
 """
 
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.campaign import (
     CampaignError,
     CampaignRunner,
@@ -19,11 +26,9 @@ from repro.campaign import (
     WarmPool,
     get_shared_pool,
     pick_start_method,
-    plan_batches,
-    run_batch,
+    run_one,
     shared_pool_stats,
     shutdown_shared_pool,
-    split_common_base,
 )
 
 SMALL_BASE = {
@@ -49,6 +54,27 @@ def crashing_executor(point):
     return {"total_time_ns": float(point["payload_mib"]) * 10.0}
 
 
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: A pool owner that warms a shared fleet, prints its worker pids, and
+#: waits to be killed.
+POOL_OWNER = """
+import time
+from repro.campaign import get_shared_pool
+print(*sorted(get_shared_pool(2).warm_up()), flush=True)
+time.sleep(600)
+"""
+
+
+def running(pid):
+    """Whether ``pid`` is a live process (a zombie awaiting reaping is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 @pytest.fixture(autouse=True)
 def _clean_shared_pool():
     """Every test starts and ends without a leaked shared fleet."""
@@ -57,60 +83,16 @@ def _clean_shared_pool():
     shutdown_shared_pool()
 
 
-class TestSplitCommonBase:
-    def test_common_fields_factor_into_base(self):
-        points = [dict(SMALL_BASE, chunks=c) for c in (8, 16)]
-        base, overrides = split_common_base(points)
-        assert base == SMALL_BASE
-        assert overrides == [{"chunks": 8}, {"chunks": 16}]
-        for point, override in zip(points, overrides):
-            assert {**base, **override} == point
-
-    def test_no_common_fields(self):
-        base, overrides = split_common_base([{"a": 1}, {"b": 2}])
-        assert base == {}
-        assert overrides == [{"a": 1}, {"b": 2}]
-
-    def test_unhashable_values_compare_canonically(self):
-        points = [{"faults": ["link:0"], "x": i} for i in range(2)]
-        base, overrides = split_common_base(points)
-        assert base == {"faults": ["link:0"]}
-        assert overrides == [{"x": 0}, {"x": 1}]
-
-    def test_empty(self):
-        assert split_common_base([]) == ({}, [])
-
-
-class TestPlanBatches:
-    def test_explicit_batch_size(self):
-        assert plan_batches([0, 1, 2, 3, 4], workers=2, batch_size=2) == [
-            [0, 1], [2, 3], [4]]
-
-    def test_auto_targets_two_tasks_per_worker(self):
-        batches = plan_batches(list(range(16)), workers=4)
-        assert len(batches) == 8
-        assert sorted(i for b in batches for i in b) == list(range(16))
-
-    def test_auto_never_empty_batches(self):
-        assert plan_batches([7], workers=4) == [[7]]
-        assert plan_batches([], workers=4) == []
-
-
-class TestRunBatch:
-    def test_reconstructs_points_from_base(self):
-        out = run_batch(echo_executor, SMALL_BASE,
-                        [(3, {"payload_mib": 2}), (5, {})])
-        assert out[0] == (3, {"ok": True,
-                              "result": {"total_time_ns": 20.0}})
-        assert out[1] == (5, {"ok": True,
-                              "result": {"total_time_ns": 10.0}})
+class TestRunOne:
+    def test_result_becomes_ok_outcome(self):
+        assert run_one(echo_executor, dict(SMALL_BASE, payload_mib=2)) == {
+            "ok": True, "result": {"total_time_ns": 20.0}}
 
     def test_failure_becomes_outcome_not_exception(self):
-        out = run_batch(failing_executor, SMALL_BASE,
-                        [(0, {}), (1, {"payload_mib": 2})])
-        assert out[0][1]["ok"] is True
-        assert out[1][1]["ok"] is False
-        assert out[1][1]["error"]["type"] == "RuntimeError"
+        outcome = run_one(failing_executor, dict(SMALL_BASE, payload_mib=2))
+        assert outcome["ok"] is False
+        assert outcome["error"]["type"] == "RuntimeError"
+        assert set(outcome["error"]) == {"type", "message", "traceback"}
 
 
 class TestWarmPoolLifecycle:
@@ -173,21 +155,42 @@ class TestSharedFleet:
         shutdown_shared_pool()
         assert shared_pool_stats() is None
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+    def test_workers_exit_when_owner_is_killed(self):
+        owner = subprocess.Popen(
+            [sys.executable, "-c", POOL_OWNER], stdout=subprocess.PIPE,
+            text=True, env=dict(os.environ, PYTHONPATH=SRC))
+        try:
+            ready, _, _ = select.select([owner.stdout], [], [], 60)
+            pids = ([int(pid) for pid in owner.stdout.readline().split()]
+                    if ready else [])
+        finally:
+            owner.send_signal(signal.SIGKILL)
+            owner.wait()
+            owner.stdout.close()
+        assert pids
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in pids if running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors
+
 
 class TestCrashContainment:
-    def test_worker_crash_mid_batch_yields_error_records(self):
+    def test_worker_crash_mid_sweep_yields_error_record(self):
         """A dying worker must not hang the sweep or take innocents down.
 
-        With batch_size=2, the crashing point shares a task with an
-        innocent one; both see the broken pool, both are retried as
-        singletons on a fresh fleet, the innocent succeeds, and the
-        deterministic crasher exhausts its retries into a structured
-        error record.
+        The crash breaks every point in flight beside the crasher; each
+        is resubmitted as itself on a fresh fleet, the innocents
+        succeed, and the deterministic crasher exhausts its retries into
+        a structured error record.
         """
         spec = SweepSpec(base=SMALL_BASE,
                          grid={"payload_mib": [1, 2, 3, 4]})
         campaign = CampaignRunner(jobs=2, executor=crashing_executor,
-                                  warm=False, batch_size=2).run(spec)
+                                  warm=False).run(spec)
         assert len(campaign.points) == 4
         errors = campaign.errors
         assert len(errors) == 1
@@ -206,7 +209,7 @@ class TestCrashContainment:
         spec = SweepSpec(base=SMALL_BASE,
                          grid={"payload_mib": [2, 1, 3, 4]})
         runner = CampaignRunner(jobs=2, executor=failing_executor,
-                                warm=False, batch_size=1, fail_fast=True)
+                                warm=False, fail_fast=True)
         with pytest.raises(CampaignError, match="failed"):
             runner.run(spec)
 

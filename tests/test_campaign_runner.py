@@ -190,10 +190,6 @@ class TestExecutorResolution:
         with pytest.raises(ValueError, match="jobs"):
             CampaignRunner(jobs=-1)
 
-    def test_negative_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            CampaignRunner(batch_size=-1)
-
 
 class TestStreaming:
     def test_stream_yields_records_in_spec_order(self):

@@ -150,7 +150,7 @@ class TestSweepEndpoint:
         with serving() as (base, _server):
             _status, _headers, body = post(
                 base + "/sweep",
-                {"spec": SWEEP, "jobs": 0, "batch_size": 2})
+                {"spec": SWEEP, "jobs": 0, "fail_fast": True})
         summary = json.loads(body.decode().splitlines()[-1])
         assert summary["summary"]["points"] == 3
 
@@ -167,7 +167,7 @@ class TestSweepEndpoint:
         {"spec": [1]},
         {"base": POINT, "grid": "x"},
         {"spec": SWEEP, "jobs": "abc"},
-        {"spec": SWEEP, "batch_size": -1},
+        {"spec": SWEEP, "batch_size": 2},
         {"spec": SWEEP, "jobs": -1},
         {"spec": SWEEP, "jobs": float("inf")},
         {"base": [1], "grid": {"payload_mib": [1]}},
@@ -175,7 +175,7 @@ class TestSweepEndpoint:
         {"base": dict(POINT, chunks=float("inf")),
          "grid": {"payload_mib": [1]}},
     ], ids=["spec-not-object", "grid-not-object", "jobs-not-int",
-            "negative-batch-size", "negative-jobs", "infinite-jobs",
+            "unknown-option", "negative-jobs", "infinite-jobs",
             "base-not-object", "point-not-object", "infinite-field"])
     def test_malformed_sweep_body_is_400(self, body):
         with serving() as (base, _server):
@@ -184,6 +184,15 @@ class TestSweepEndpoint:
             assert excinfo.value.code == 400
             error = json.loads(excinfo.value.read())["error"]
             assert set(error) == {"type", "message"}
+
+    def test_unknown_sweep_options_are_named(self):
+        body = {"spec": SWEEP, "jbos": 2, "batch_size": 2}
+        with serving() as (base, _server):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/sweep", body)
+            assert excinfo.value.code == 400
+            message = json.loads(excinfo.value.read())["error"]["message"]
+        assert "batch_size" in message and "jbos" in message
 
     def test_invalid_sweep_field_is_400_before_streaming(self):
         bad = {"base": POINT, "grid": {"no_such_field": [1, 2]}}
