@@ -76,8 +76,8 @@ _names, __getattr__, __dir__ = _lazy_exports(__name__, {
                        "TelemetryReport TraceLevel",
     "repro.trace": "CollectiveType ETNode ExecutionTrace NodeType "
                    "TensorLocation load_trace save_trace",
-    "repro.validate": "ConformanceReport InvariantChecker InvariantConfig "
-                      "InvariantError InvariantReport InvariantViolation "
+    "repro.validate": "InvariantChecker InvariantConfig InvariantError "
+                      "InvariantReport InvariantViolation SuiteReport "
                       "run_conformance_suite run_metamorphic_suite",
     "repro.workload": "ParallelismSpec dlrm_paper generate_data_parallel "
                       "generate_dlrm generate_fsdp generate_megatron_hybrid "

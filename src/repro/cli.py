@@ -27,7 +27,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.runspec import PointConfigError, add_run_flags
+from repro.runspec import FIELDS, PointConfigError, add_run_flags
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -184,8 +184,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     """Run the repro.validate suites (see docs/validation.md)."""
     import json
 
+    import repro.validate as validate
     from repro.runsim import simulate_from_args, workload_label
-    from repro.validate import run_conformance_suite, run_metamorphic_suite
 
     quick = not args.full
     suites = (("invariants", "metamorphic", "conformance", "adaptive",
@@ -196,11 +196,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     if "invariants" in suites:
         # An invariant-checked end-to-end run.  A user-supplied topology
-        # becomes the scenario; otherwise a hierarchical default is used.
+        # becomes the scenario; otherwise a hierarchical default is used,
+        # at 64 MiB unless --payload-mib was given.
+        payload_default = FIELDS["payload_mib"].default
         if not args.topology:
+            if args.bandwidths or args.latencies:
+                raise PointConfigError(
+                    "--bandwidths and --latencies need --topology (the "
+                    "default invariants scenario brings its own)")
             args.topology, args.bandwidths = "Ring(2)_Switch(4)", "200,50"
-            if args.payload_mib == 1024.0:
-                args.payload_mib = 64.0
+            payload_default = 64.0
+        if args.payload_mib is None:
+            args.payload_mib = payload_default
         args.check_invariants = True
         topology, result, _ = simulate_from_args(args)
         report = result.invariants
@@ -216,7 +223,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             failed += 1
 
     if "metamorphic" in suites:
-        results = run_metamorphic_suite(quick=quick)
+        results = validate.run_metamorphic_suite(quick=quick)
         bad = [r for r in results if not r.passed]
         doc["metamorphic"] = {
             "passed": not bad,
@@ -232,47 +239,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         if bad:
             failed += 1
 
-    if "conformance" in suites:
-        report = run_conformance_suite(quick=quick)
-        doc["conformance"] = report.to_dict()
-        total = (len(report.cases) + len(report.memory_cases)
-                 + len(report.folding_cases))
+    # The SuiteReport suites: (name, runner, case noun, failure label).
+    for name, run_suite, noun, label in (
+            ("conformance", validate.run_conformance_suite,
+             "scenario cases", lambda c: c.scenario),
+            ("adaptive", validate.run_adaptive_suite, "cases",
+             lambda c: f"{c.axis}/{c.scenario}/{c.algorithm}"),
+            ("frontend", validate.run_frontend_suite, "ingestion cases",
+             lambda c: f"{c.axis}/{c.case}")):
+        if name not in suites:
+            continue
+        report = run_suite(quick=quick)
+        doc[name] = report.to_dict()
+        detail = ""
+        if name == "adaptive":
+            reduction = min((c.event_reduction for c in report.cases
+                             if c.axis == "contended"), default=0.0)
+            detail = f"; contended event reduction {reduction:.1f}x"
         status = "ok" if report.passed else "FAIL"
-        print(f"conformance : {status}  ({total} scenario cases, "
-              f"{len(report.failures)} failed)")
+        print(f"{name:<11} : {status}  ({report.cases_total} {noun}, "
+              f"{len(report.failures)} failed{detail})")
         for case in report.failures[:10]:
-            print(f"  [{case.scenario}] {case.message}")
-        if not report.passed:
-            failed += 1
-
-    if "adaptive" in suites:
-        from repro.validate import run_adaptive_suite
-
-        report = run_adaptive_suite(quick=quick)
-        doc["adaptive"] = report.to_dict()
-        status = "ok" if report.passed else "FAIL"
-        contended = [c for c in report.cases if c.axis == "contended"]
-        reduction = min((c.event_reduction for c in contended),
-                        default=0.0)
-        print(f"adaptive    : {status}  ({len(report.cases)} cases, "
-              f"{len(report.failures)} failed; contended event "
-              f"reduction {reduction:.1f}x)")
-        for case in report.failures[:10]:
-            print(f"  [{case.axis}/{case.scenario}/{case.algorithm}] "
-                  f"{case.message}")
-        if not report.passed:
-            failed += 1
-
-    if "frontend" in suites:
-        from repro.validate import run_frontend_suite
-
-        report = run_frontend_suite(quick=quick)
-        doc["frontend"] = report.to_dict()
-        status = "ok" if report.passed else "FAIL"
-        print(f"frontend    : {status}  ({len(report.cases)} ingestion "
-              f"cases, {len(report.failures)} failed)")
-        for case in report.failures[:10]:
-            print(f"  [{case.axis}/{case.case}] {case.message}")
+            print(f"  [{label(case)}] {case.message}")
         if not report.passed:
             failed += 1
 
@@ -458,6 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
              "runtime invariants, metamorphic relations, and the "
              "cross-backend differential oracle")
     add_run_flags(validate)
+    # None marks --payload-mib as not given (the invariants suite's
+    # default scenario then picks its own payload).
+    validate.set_defaults(payload_mib=None)
     validate.add_argument("--suite",
                           choices=("invariants", "metamorphic",
                                    "conformance", "adaptive", "frontend",

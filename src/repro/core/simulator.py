@@ -21,7 +21,7 @@ from repro.core.engine import ExecutionEngine
 from repro.core.folding import plan_folding
 from repro.core.results import RunResult
 from repro.events import EventEngine
-from repro.network.analytical import AnalyticalNetwork
+from repro.network import make_network
 from repro.system.scheduler import make_scheduler
 from repro.trace.graph import ExecutionTrace
 
@@ -38,31 +38,12 @@ class Simulator:
         if self.folding.active:
             traces = self.folding.folded_traces
         self.engine = EventEngine()
-        backend = config.effective_backend()
-        if backend == "garnet":
-            from repro.network.garnetlite import (
-                DEFAULT_PACKET_BYTES,
-                GarnetLiteNetwork,
-            )
-
-            self.network = GarnetLiteNetwork(
-                self.engine, config.topology,
-                packet_bytes=config.packet_bytes or DEFAULT_PACKET_BYTES,
-                train_packets=config.train_packets)
-        elif backend == "adaptive":
-            from repro.network.adaptive import AdaptiveFlowNetwork
-
-            self.network = AdaptiveFlowNetwork(
-                self.engine, config.topology,
-                escalation_threshold=config.escalation_threshold,
-                deescalation_hysteresis=config.deescalation_hysteresis,
-                escalation_packet_bytes=config.packet_bytes or 4096)
-        elif backend == "flow":
-            from repro.network.flowlevel import FlowLevelNetwork
-
-            self.network = FlowLevelNetwork(self.engine, config.topology)
-        else:
-            self.network = AnalyticalNetwork(self.engine, config.topology)
+        self.network = make_network(
+            config.effective_backend(), self.engine, config.topology,
+            packet_bytes=config.packet_bytes,
+            train_packets=config.train_packets,
+            escalation_threshold=config.escalation_threshold,
+            deescalation_hysteresis=config.deescalation_hysteresis)
         self.scheduler = make_scheduler(config.scheduler)
         self.execution = ExecutionEngine(
             engine=self.engine,

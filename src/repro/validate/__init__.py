@@ -1,6 +1,6 @@
 """Cross-backend conformance and invariant checking (``repro.validate``).
 
-Three pillars (see ``docs/validation.md``):
+Five pillars (see ``docs/validation.md``):
 
 1. **Runtime invariants** — :class:`InvariantChecker` attaches to the
    event kernel, network backends, collective scheduler, and memory
@@ -12,8 +12,7 @@ Three pillars (see ``docs/validation.md``):
    additivity, fluid-limit convergence) with no golden numbers.
 3. **Differential oracle** — :func:`run_conformance_suite` sweeps a
    scenario matrix across backend pairs and memory models within
-   declared tolerance bands, emitting a versioned
-   :class:`ConformanceReport`.
+   declared tolerance bands.
 4. **Frontend gate** — :func:`run_frontend_suite` differentially checks
    the :mod:`repro.frontend` ingestion pipeline against the builtin
    analytic generators (the GPT-3 twin) and smoke-simulates the zoo.
@@ -22,27 +21,32 @@ Three pillars (see ``docs/validation.md``):
    bit-identical to fluid, threshold=0 equal to garnet-lite after the
    closed-form saf correction, and the contended reference scenario
    inside the garnet band at a fraction of the events.
+
+Pillars 3-5 each return a versioned :class:`SuiteReport`; all of them
+drive backends through the one :func:`run_algorithm` harness or the
+full :class:`~repro.core.simulator.Simulator`.
 """
 
 from repro.validate.adaptive import (
-    ADAPTIVE_SCHEMA_VERSION,
     EVENT_REDUCTION_FLOOR,
     AdaptiveCase,
-    AdaptiveReport,
     run_adaptive_suite,
 )
-
 from repro.validate.conformance import (
-    CONFORMANCE_SCHEMA_VERSION,
     REL_FLOW,
     REL_PACKET,
     REL_SAF,
     ConformanceCase,
-    ConformanceReport,
     FoldingCase,
     MemoryModelCase,
+    matrix_algorithms,
     run_conformance_suite,
     run_folding_matrix,
+)
+from repro.validate.harness import (
+    SUITE_SCHEMA_VERSION,
+    SuiteReport,
+    run_algorithm,
 )
 from repro.validate.invariants import (
     INVARIANTS_SCHEMA_VERSION,
@@ -54,10 +58,8 @@ from repro.validate.invariants import (
     expected_collective_traffic,
 )
 from repro.validate.frontend import (
-    FRONTEND_SCHEMA_VERSION,
     REL_FRONTEND,
     FrontendCase,
-    FrontendReport,
     run_frontend_suite,
 )
 from repro.validate.metamorphic import (
@@ -66,17 +68,11 @@ from repro.validate.metamorphic import (
 )
 
 __all__ = [
-    "ADAPTIVE_SCHEMA_VERSION",
     "AdaptiveCase",
-    "AdaptiveReport",
-    "CONFORMANCE_SCHEMA_VERSION",
-    "EVENT_REDUCTION_FLOOR",
     "ConformanceCase",
-    "ConformanceReport",
-    "FRONTEND_SCHEMA_VERSION",
+    "EVENT_REDUCTION_FLOOR",
     "FoldingCase",
     "FrontendCase",
-    "FrontendReport",
     "INVARIANTS_SCHEMA_VERSION",
     "InvariantChecker",
     "InvariantConfig",
@@ -89,8 +85,12 @@ __all__ = [
     "REL_PACKET",
     "REL_SAF",
     "RelationResult",
+    "SUITE_SCHEMA_VERSION",
+    "SuiteReport",
     "expected_collective_traffic",
+    "matrix_algorithms",
     "run_adaptive_suite",
+    "run_algorithm",
     "run_conformance_suite",
     "run_folding_matrix",
     "run_frontend_suite",

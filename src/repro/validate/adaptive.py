@@ -1,7 +1,7 @@
 """Adaptive-granularity conformance — the ``adaptive`` pillar.
 
 Gates the :class:`repro.network.adaptive.AdaptiveFlowNetwork` controller
-on three axes, reusing the PR 5 differential oracle's scenario matrix
+on three axes, reusing the differential oracle's scenario matrix
 and tolerance bands (:mod:`repro.validate.conformance`):
 
 1. **identity** — ``threshold=inf`` never escalates, so the controller
@@ -24,32 +24,22 @@ and tolerance bands (:mod:`repro.validate.conformance`):
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List
 
-from repro.events import EventEngine
-from repro.network import (
-    AdaptiveFlowNetwork,
-    FlowLevelNetwork,
-    GarnetLiteNetwork,
-    parse_topology,
-)
-from repro.system.executor import SendRecvCollectiveExecutor
+from repro.network import parse_topology
+from repro.network.garnetlite import DEFAULT_PACKET_BYTES
 from repro.validate.conformance import (
-    DEFAULT_PACKET_BYTES,
     KiB,
     MiB,
     REL_PACKET,
     REL_SAF,
     SCENARIO_TOPOLOGIES,
     _saf_allowance_ns,
+    matrix_algorithms,
 )
-from repro.validate.invariants import InvariantChecker, InvariantConfig
-
-#: Version of the :meth:`AdaptiveReport.to_dict` document layout.
-ADAPTIVE_SCHEMA_VERSION = 1
+from repro.validate.harness import SuiteReport, run_algorithm
 
 #: Adaptive mode must simulate the contended reference scenario in at
 #: most 1/3 of the pure-packet event count (ISSUE 10 acceptance).
@@ -91,124 +81,12 @@ class AdaptiveCase:
     passed: bool
     message: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "axis": self.axis,
-            "scenario": self.scenario,
-            "topology": self.topology,
-            "algorithm": self.algorithm,
-            "payload_bytes": self.payload_bytes,
-            "threshold": self.threshold,
-            "baseline_backend": self.baseline_backend,
-            "baseline_ns": self.baseline_ns,
-            "candidate_ns": self.candidate_ns,
-            "baseline_events": self.baseline_events,
-            "candidate_events": self.candidate_events,
-            "escalations": self.escalations,
-            "deescalations": self.deescalations,
-            "tolerance_rel": self.tolerance_rel,
-            "saf_allowance_ns": self.saf_allowance_ns,
-            "rel_error": self.rel_error,
-            "adjusted_rel_error": self.adjusted_rel_error,
-            "event_reduction": self.event_reduction,
-            "invariant_violations": self.invariant_violations,
-            "passed": self.passed,
-            "message": self.message,
-        }
-
-
-@dataclass
-class AdaptiveReport:
-    """Versioned outcome of one adaptive conformance sweep."""
-
-    cases: List[AdaptiveCase] = field(default_factory=list)
-    quick: bool = True
-    schema_version: int = ADAPTIVE_SCHEMA_VERSION
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-    @property
-    def failures(self) -> List[AdaptiveCase]:
-        return [c for c in self.cases if not c.passed]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "suite": "adaptive",
-            "quick": self.quick,
-            "passed": self.passed,
-            "cases_total": len(self.cases),
-            "cases_failed": len(self.failures),
-            "tolerances": {"rel_packet": REL_PACKET, "rel_saf": REL_SAF,
-                           "event_reduction_floor": EVENT_REDUCTION_FLOOR},
-            "cases": [c.to_dict() for c in self.cases],
-        }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _run_case(
-    backend: str,
-    notation: str,
-    bandwidths: Sequence[float],
-    latencies: Sequence[float],
-    algorithm: str,
-    payload_bytes: int,
-    packet_bytes: int,
-    check_invariants: bool,
-    threshold: float = 0.0,
-    hysteresis: float = 1.0,
-) -> Tuple[float, int, int, Optional[AdaptiveFlowNetwork]]:
-    """Returns (time_ns, events, violations, adaptive network or None)."""
-    topo = parse_topology(notation, list(bandwidths),
-                          latencies_ns=list(latencies))
-    engine = EventEngine()
-    net: Any
-    if backend == "flow":
-        net = FlowLevelNetwork(engine, topo)
-    elif backend == "garnet":
-        net = GarnetLiteNetwork(engine, topo, packet_bytes=packet_bytes)
-    elif backend == "adaptive":
-        net = AdaptiveFlowNetwork(
-            engine, topo, escalation_threshold=threshold,
-            deescalation_hysteresis=hysteresis,
-            escalation_packet_bytes=packet_bytes)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    checker = None
-    if check_invariants:
-        checker = InvariantChecker(InvariantConfig()).install(
-            engine, network=net)
-    executor = SendRecvCollectiveExecutor(engine, net)
-    out: Dict[str, float] = {}
-    getattr(executor, f"run_{algorithm}")(
-        list(range(topo.num_npus)), payload_bytes,
-        on_complete=lambda t: out.update(t=t))
-    engine.run()
-    violations = 0
-    if checker is not None:
-        violations = checker.finalize(engine.now).violations_total
-    adaptive = net if backend == "adaptive" else None
-    return out["t"], engine.events_processed, violations, adaptive
-
-
-def _matrix_algorithms(notation: str) -> List[str]:
-    algorithms = ["ring_allreduce", "ring_allgather"]
-    if notation.startswith("Switch"):
-        algorithms.append("halving_doubling_allreduce")
-    return algorithms
-
 
 def run_adaptive_suite(
     quick: bool = True,
     check_invariants: bool = True,
     packet_bytes: int = DEFAULT_PACKET_BYTES,
-) -> AdaptiveReport:
+) -> SuiteReport:
     """Sweep the three adaptive axes; returns a versioned report."""
     sizes = [64 * KiB, 1 * MiB] if quick else [64 * KiB, 1 * MiB, 4 * MiB]
     cases: List[AdaptiveCase] = []
@@ -216,16 +94,16 @@ def run_adaptive_suite(
     for scenario, (notation, bws, lats) in sorted(
             SCENARIO_TOPOLOGIES.items()):
         k = parse_topology(notation, list(bws)).num_npus
-        for algorithm in _matrix_algorithms(notation):
+        for algorithm in matrix_algorithms(notation):
             for payload in sizes:
                 # Axis 1: threshold=inf is bit-identical to pure fluid.
-                base_ns, base_ev, base_viol, _ = _run_case(
+                base_ns, base_ev, base_viol, _ = run_algorithm(
                     "flow", notation, bws, lats, algorithm, payload,
                     packet_bytes, check_invariants)
-                cand_ns, cand_ev, cand_viol, net = _run_case(
+                cand_ns, cand_ev, cand_viol, net = run_algorithm(
                     "adaptive", notation, bws, lats, algorithm, payload,
                     packet_bytes, check_invariants,
-                    threshold=math.inf)
+                    escalation_threshold=math.inf)
                 violations = base_viol + cand_viol
                 identical = (cand_ns == base_ns and cand_ev == base_ev
                              and net.escalations == 0)
@@ -255,12 +133,13 @@ def run_adaptive_suite(
 
                 # Axis 2: threshold=0 matches pure packet after the
                 # closed-form store-and-forward correction.
-                base_ns, base_ev, base_viol, _ = _run_case(
+                base_ns, base_ev, base_viol, _ = run_algorithm(
                     "garnet", notation, bws, lats, algorithm, payload,
                     packet_bytes, check_invariants)
-                cand_ns, cand_ev, cand_viol, net = _run_case(
+                cand_ns, cand_ev, cand_viol, net = run_algorithm(
                     "adaptive", notation, bws, lats, algorithm, payload,
-                    packet_bytes, check_invariants, threshold=0.0)
+                    packet_bytes, check_invariants,
+                    escalation_threshold=0.0)
                 violations = base_viol + cand_viol
                 saf = _saf_allowance_ns(notation, bws[0], k, algorithm,
                                         packet_bytes)
@@ -298,12 +177,13 @@ def run_adaptive_suite(
     scenario, notation, bws, lats = CONTENDED_SCENARIO
     contended_sizes = [2 * MiB] if quick else [2 * MiB, 4 * MiB]
     for payload in contended_sizes:
-        base_ns, base_ev, base_viol, _ = _run_case(
+        base_ns, base_ev, base_viol, _ = run_algorithm(
             "garnet", notation, bws, lats, CONTENDED_ALGORITHM, payload,
             packet_bytes, check_invariants)
-        cand_ns, cand_ev, cand_viol, net = _run_case(
+        cand_ns, cand_ev, cand_viol, net = run_algorithm(
             "adaptive", notation, bws, lats, CONTENDED_ALGORITHM, payload,
-            packet_bytes, check_invariants, threshold=1.0, hysteresis=1.0)
+            packet_bytes, check_invariants, escalation_threshold=1.0,
+            deescalation_hysteresis=1.0)
         violations = base_viol + cand_viol
         rel = abs(cand_ns - base_ns) / base_ns
         reduction = base_ev / max(1, cand_ev)
@@ -336,4 +216,8 @@ def run_adaptive_suite(
             invariant_violations=violations, passed=passed,
             message=message))
 
-    return AdaptiveReport(cases=cases, quick=quick)
+    return SuiteReport(
+        suite="adaptive",
+        tolerances={"rel_packet": REL_PACKET, "rel_saf": REL_SAF,
+                    "event_reduction_floor": EVENT_REDUCTION_FLOOR},
+        sections={"cases": cases}, quick=quick)

@@ -19,7 +19,8 @@ Every scenario additionally runs with an
 :class:`~repro.validate.invariants.InvariantChecker` installed, so a
 conformance pass certifies both cross-backend agreement *and* a
 violation-free run.  The outcome is persisted as a versioned
-:class:`ConformanceReport` JSON document (CI uploads it as an artifact).
+:class:`~repro.validate.harness.SuiteReport` JSON document (CI uploads
+it as an artifact).
 """
 
 from __future__ import annotations
@@ -27,27 +28,21 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.simulator import Simulator
-from repro.events import EventEngine
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
 from repro.memory.remote import HierarchicalRemoteMemory, HierMemConfig
 from repro.memory.zero_infinity import ZeroInfinityConfig, ZeroInfinityMemory
-from repro.network.analytical import AnalyticalNetwork
-from repro.network.flowlevel import FlowLevelNetwork
-from repro.network.garnetlite import GarnetLiteNetwork
+from repro.network.garnetlite import DEFAULT_PACKET_BYTES
 from repro.network.topology import parse_topology
 from repro.stats.export import result_to_dict
-from repro.system.executor import SendRecvCollectiveExecutor
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import CollectiveType, ETNode, NodeType, TensorLocation
-from repro.validate.invariants import InvariantChecker, InvariantConfig
-
-#: Version of the :meth:`ConformanceReport.to_dict` document layout.
-CONFORMANCE_SCHEMA_VERSION = 1
+from repro.validate.harness import SuiteReport, run_algorithm
+from repro.validate.invariants import InvariantConfig
 
 KiB = 1 << 10
 MiB = 1 << 20
@@ -75,7 +70,17 @@ ALGORITHM_STEPS = {
     "halving_doubling_allreduce": lambda k: 2 * int(math.log2(k)),
 }
 
-DEFAULT_PACKET_BYTES = 4096
+
+def matrix_algorithms(notation: str) -> List[str]:
+    """The scenario matrix's algorithms on topology ``notation``.
+
+    Halving-doubling partners sit multiple ring hops apart, so its saf
+    term is only closed-form through a single switch fabric.
+    """
+    algorithms = ["ring_allreduce", "ring_allgather"]
+    if notation.startswith("Switch"):
+        algorithms.append("halving_doubling_allreduce")
+    return algorithms
 
 
 @dataclass(frozen=True)
@@ -98,25 +103,6 @@ class ConformanceCase:
     passed: bool
     message: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "topology": self.topology,
-            "algorithm": self.algorithm,
-            "payload_bytes": self.payload_bytes,
-            "backend": self.backend,
-            "baseline_backend": self.baseline_backend,
-            "baseline_ns": self.baseline_ns,
-            "candidate_ns": self.candidate_ns,
-            "tolerance_rel": self.tolerance_rel,
-            "saf_allowance_ns": self.saf_allowance_ns,
-            "rel_error": self.rel_error,
-            "adjusted_rel_error": self.adjusted_rel_error,
-            "invariant_violations": self.invariant_violations,
-            "passed": self.passed,
-            "message": self.message,
-        }
-
 
 @dataclass(frozen=True)
 class MemoryModelCase:
@@ -129,17 +115,6 @@ class MemoryModelCase:
     invariant_violations: int
     passed: bool
     message: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "memory_model": self.memory_model,
-            "total_time_ns": self.total_time_ns,
-            "invariant_checks": self.invariant_checks,
-            "invariant_violations": self.invariant_violations,
-            "passed": self.passed,
-            "message": self.message,
-        }
 
 
 @dataclass(frozen=True)
@@ -161,104 +136,8 @@ class FoldingCase:
     passed: bool
     message: str = ""
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "backend": self.backend,
-            "collective": self.collective,
-            "traced_ranks": self.traced_ranks,
-            "simulated_ranks": self.simulated_ranks,
-            "fold_active": self.fold_active,
-            "expect_active": self.expect_active,
-            "identical": self.identical,
-            "passed": self.passed,
-            "message": self.message,
-        }
-
-
-@dataclass
-class ConformanceReport:
-    """Versioned outcome of one conformance sweep."""
-
-    cases: List[ConformanceCase] = field(default_factory=list)
-    memory_cases: List[MemoryModelCase] = field(default_factory=list)
-    folding_cases: List[FoldingCase] = field(default_factory=list)
-    quick: bool = True
-    schema_version: int = CONFORMANCE_SCHEMA_VERSION
-
-    @property
-    def passed(self) -> bool:
-        return (all(c.passed for c in self.cases)
-                and all(c.passed for c in self.memory_cases)
-                and all(c.passed for c in self.folding_cases))
-
-    @property
-    def failures(self) -> List[Any]:
-        return ([c for c in self.cases if not c.passed]
-                + [c for c in self.memory_cases if not c.passed]
-                + [c for c in self.folding_cases if not c.passed])
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "suite": "conformance",
-            "quick": self.quick,
-            "passed": self.passed,
-            "cases_total": (len(self.cases) + len(self.memory_cases)
-                            + len(self.folding_cases)),
-            "cases_failed": len(self.failures),
-            "tolerances": {"rel_flow": REL_FLOW, "rel_packet": REL_PACKET,
-                           "rel_saf": REL_SAF},
-            "cases": [c.to_dict() for c in self.cases],
-            "memory_cases": [c.to_dict() for c in self.memory_cases],
-            "folding_cases": [c.to_dict() for c in self.folding_cases],
-        }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 # -- backend-pair axis -----------------------------------------------------------------
-
-
-def _run_algorithm(
-    backend: str,
-    notation: str,
-    bandwidths: Sequence[float],
-    latencies: Sequence[float],
-    algorithm: str,
-    payload_bytes: int,
-    packet_bytes: int,
-    check_invariants: bool,
-) -> Tuple[float, int]:
-    """Returns (collective time ns, invariant violation count)."""
-    topo = parse_topology(notation, list(bandwidths),
-                          latencies_ns=list(latencies))
-    engine = EventEngine()
-    if backend == "analytical":
-        net = AnalyticalNetwork(engine, topo)
-    elif backend == "flow":
-        net = FlowLevelNetwork(engine, topo)
-    elif backend == "garnet":
-        net = GarnetLiteNetwork(engine, topo, packet_bytes=packet_bytes)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    checker = None
-    if check_invariants:
-        checker = InvariantChecker(InvariantConfig()).install(
-            engine, network=net)
-    executor = SendRecvCollectiveExecutor(engine, net)
-    out: Dict[str, float] = {}
-    getattr(executor, f"run_{algorithm}")(
-        list(range(topo.num_npus)), payload_bytes,
-        on_complete=lambda t: out.update(t=t))
-    engine.run()
-    violations = 0
-    if checker is not None:
-        violations = checker.finalize(engine.now).violations_total
-    return out["t"], violations
 
 
 def _saf_allowance_ns(notation: str, bandwidth_gbps: float, group_size: int,
@@ -279,18 +158,13 @@ def run_backend_pairs(
     cases: List[ConformanceCase] = []
     for scenario, (notation, bws, lats) in sorted(SCENARIO_TOPOLOGIES.items()):
         k = parse_topology(notation, list(bws)).num_npus
-        algorithms = ["ring_allreduce", "ring_allgather"]
-        # Halving-doubling partners sit multiple ring hops apart, so its
-        # saf term is only closed-form through a single switch fabric.
-        if notation.startswith("Switch"):
-            algorithms.append("halving_doubling_allreduce")
-        for algorithm in algorithms:
+        for algorithm in matrix_algorithms(notation):
             for payload in sizes:
-                base_ns, base_viol = _run_algorithm(
+                base_ns, _, base_viol, _ = run_algorithm(
                     "analytical", notation, bws, lats, algorithm, payload,
                     packet_bytes, check_invariants)
                 for backend in ("flow", "garnet"):
-                    cand_ns, cand_viol = _run_algorithm(
+                    cand_ns, _, cand_viol, _ = run_algorithm(
                         backend, notation, bws, lats, algorithm, payload,
                         packet_bytes, check_invariants)
                     rel_error = abs(cand_ns - base_ns) / base_ns
@@ -538,12 +412,17 @@ def run_folding_matrix(quick: bool = True) -> List[FoldingCase]:
 def run_conformance_suite(
     quick: bool = True,
     check_invariants: bool = True,
-) -> ConformanceReport:
+) -> SuiteReport:
     """Full matrix: backend pairs + memory models + folding -> report."""
-    return ConformanceReport(
-        cases=run_backend_pairs(quick=quick,
-                                check_invariants=check_invariants),
-        memory_cases=run_memory_matrix(quick=quick),
-        folding_cases=run_folding_matrix(quick=quick),
+    return SuiteReport(
+        suite="conformance",
+        tolerances={"rel_flow": REL_FLOW, "rel_packet": REL_PACKET,
+                    "rel_saf": REL_SAF},
+        sections={
+            "cases": run_backend_pairs(quick=quick,
+                                       check_invariants=check_invariants),
+            "memory_cases": run_memory_matrix(quick=quick),
+            "folding_cases": run_folding_matrix(quick=quick),
+        },
         quick=quick,
     )

@@ -22,23 +22,21 @@ door, not just the GPT-3 twin.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.simulator import Simulator
 from repro.network.topology import parse_topology
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import NodeType
+from repro.validate.harness import SuiteReport
 from repro.workload.generators import generate_megatron_hybrid
 from repro.workload.models import gpt3_175b
 from repro.workload.parallelism import ParallelismSpec
 
 #: Relative tolerance for frontend-vs-builtin trace agreement.
 REL_FRONTEND = 2e-2
-
-FRONTEND_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -53,52 +51,6 @@ class FrontendCase:
     rel_error: float
     passed: bool
     message: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "axis": self.axis,
-            "case": self.case,
-            "builtin_value": self.builtin_value,
-            "frontend_value": self.frontend_value,
-            "tolerance_rel": self.tolerance_rel,
-            "rel_error": self.rel_error,
-            "passed": self.passed,
-            "message": self.message,
-        }
-
-
-@dataclass
-class FrontendReport:
-    """Versioned outcome of one frontend-conformance sweep."""
-
-    cases: List[FrontendCase] = field(default_factory=list)
-    quick: bool = True
-    schema_version: int = FRONTEND_SCHEMA_VERSION
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
-
-    @property
-    def failures(self) -> List[FrontendCase]:
-        return [c for c in self.cases if not c.passed]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "suite": "frontend",
-            "quick": self.quick,
-            "passed": self.passed,
-            "cases_total": len(self.cases),
-            "cases_failed": len(self.failures),
-            "tolerances": {"rel_frontend": REL_FRONTEND},
-            "cases": [c.to_dict() for c in self.cases],
-        }
-
-    def dump(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 # -- trace aggregation ------------------------------------------------------------------
@@ -224,8 +176,10 @@ def run_zoo_smoke(quick: bool = True) -> List[FrontendCase]:
     return cases
 
 
-def run_frontend_suite(quick: bool = True) -> FrontendReport:
+def run_frontend_suite(quick: bool = True) -> SuiteReport:
     """Both axes: the GPT-3 differential twin and the zoo smoke sweep."""
-    return FrontendReport(
-        cases=run_gpt3_twin(quick=quick) + run_zoo_smoke(quick=quick),
+    return SuiteReport(
+        suite="frontend", tolerances={"rel_frontend": REL_FRONTEND},
+        sections={"cases": run_gpt3_twin(quick=quick)
+                  + run_zoo_smoke(quick=quick)},
         quick=quick)

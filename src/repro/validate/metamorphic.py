@@ -31,13 +31,9 @@ from typing import Any, Dict, List, Sequence
 
 from repro.core.config import SystemConfig
 from repro.core.simulator import simulate
-from repro.events import EventEngine
-from repro.network.analytical import AnalyticalNetwork
-from repro.network.flowlevel import FlowLevelNetwork
-from repro.network.garnetlite import GarnetLiteNetwork
 from repro.network.topology import parse_topology
-from repro.system.executor import SendRecvCollectiveExecutor
 from repro.trace.node import CollectiveType
+from repro.validate.harness import run_algorithm
 from repro.workload.generators import generate_single_collective
 
 MiB = 1 << 20
@@ -68,7 +64,7 @@ class RelationResult:
         }
 
 
-# -- harnesses -------------------------------------------------------------------------
+# -- harness ---------------------------------------------------------------------------
 
 
 def _simulate_collective(
@@ -85,36 +81,6 @@ def _simulate_collective(
                                         count=count)
     result = simulate(traces, SystemConfig(topology=topo, scheduler=scheduler))
     return result.total_time_ns
-
-
-def _executor_time(
-    backend: str,
-    notation: str,
-    bandwidths: Sequence[float],
-    latencies: Sequence[float],
-    algorithm: str,
-    group: Sequence[int],
-    payload_bytes: int,
-    packet_bytes: int = 4096,
-) -> float:
-    """One send/recv collective algorithm over an explicit backend."""
-    topo = parse_topology(notation, list(bandwidths),
-                          latencies_ns=list(latencies))
-    engine = EventEngine()
-    if backend == "analytical":
-        net = AnalyticalNetwork(engine, topo)
-    elif backend == "flow":
-        net = FlowLevelNetwork(engine, topo)
-    elif backend == "garnet":
-        net = GarnetLiteNetwork(engine, topo, packet_bytes=packet_bytes)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    executor = SendRecvCollectiveExecutor(engine, net)
-    out: Dict[str, float] = {}
-    getattr(executor, f"run_{algorithm}")(
-        list(group), payload_bytes, on_complete=lambda t: out.update(t=t))
-    engine.run()
-    return out["t"]
 
 
 # -- relations -------------------------------------------------------------------------
@@ -164,11 +130,12 @@ def check_npu_permutation_symmetry(quick: bool = True) -> List[RelationResult]:
         "analytical", "flow", "garnet"]
     results = []
     for backend in backends:
-        base = _executor_time(backend, notation, bws, lats,
-                              "ring_allreduce", identity, 1 * MiB)
+        base = run_algorithm(backend, notation, bws, lats,
+                             "ring_allreduce", 1 * MiB)[0]
         for perm_name, group in permutations.items():
-            permuted = _executor_time(backend, notation, bws, lats,
-                                      "ring_allreduce", group, 1 * MiB)
+            permuted = run_algorithm(backend, notation, bws, lats,
+                                     "ring_allreduce", 1 * MiB,
+                                     group=group)[0]
             passed = abs(permuted - base) <= REL_EXACT * max(base, 1.0)
             results.append(RelationResult(
                 relation="npu_permutation_symmetry",
@@ -194,11 +161,10 @@ def check_payload_additivity(quick: bool = True) -> List[RelationResult]:
     results = []
     # Executor path: exact closed-form behaviour on the analytical backend.
     notation, bws, lats = "Ring(8)", [100.0], [100.0]
-    group = list(range(8))
-    t_p = _executor_time("analytical", notation, bws, lats,
-                         "ring_allreduce", group, 1 * MiB)
-    t_2p = _executor_time("analytical", notation, bws, lats,
-                          "ring_allreduce", group, 2 * MiB)
+    t_p = run_algorithm("analytical", notation, bws, lats,
+                        "ring_allreduce", 1 * MiB)[0]
+    t_2p = run_algorithm("analytical", notation, bws, lats,
+                         "ring_allreduce", 2 * MiB)[0]
     monotone = t_p <= t_2p * (1.0 + REL_EXACT)
     latency_once = t_2p <= 2.0 * t_p * (1.0 + REL_EXACT)
     results.append(RelationResult(
@@ -239,18 +205,18 @@ def check_fluid_limit_convergence(quick: bool = True) -> List[RelationResult]:
     docs/validation.md.)
     """
     notation, bws, lats = "Switch(8)", [50.0], [500.0]
-    k, extra_links, steps = 8, 1, 2 * (8 - 1)
+    extra_links, steps = 1, 2 * (8 - 1)
     payload = 1 * MiB
     packet_sizes = [16384, 4096, 1024] if quick else [16384, 8192, 4096,
                                                       2048, 1024]
-    analytical = _executor_time("analytical", notation, bws, lats,
-                                "ring_allreduce", list(range(k)), payload)
+    analytical = run_algorithm("analytical", notation, bws, lats,
+                               "ring_allreduce", payload)[0]
     results = []
     prev_gap = None
     for packet_bytes in packet_sizes:
-        garnet = _executor_time("garnet", notation, bws, lats,
-                                "ring_allreduce", list(range(k)), payload,
-                                packet_bytes=packet_bytes)
+        garnet = run_algorithm("garnet", notation, bws, lats,
+                               "ring_allreduce", payload,
+                               packet_bytes=packet_bytes)[0]
         gap = abs(garnet - analytical) / analytical
         envelope = (steps * extra_links * packet_bytes / bws[0]) / analytical
         shrinking = prev_gap is None or gap <= prev_gap * (1.0 + REL_EXACT)

@@ -22,12 +22,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.events import EventEngine
 from repro.network import AdaptiveFlowNetwork, parse_topology
-from repro.validate.adaptive import _matrix_algorithms, _run_case
 from repro.validate.conformance import (
     REL_SAF,
     SCENARIO_TOPOLOGIES,
     _saf_allowance_ns,
+    matrix_algorithms,
 )
+from repro.validate.harness import run_algorithm
 
 KiB = 1 << 10
 
@@ -64,12 +65,12 @@ def _adaptive(threshold, hysteresis=1.0, packet=1024):
 def test_infinite_threshold_is_bit_identical_to_fluid(scenario, payload,
                                                       data):
     notation, bws, lats = SCENARIO_TOPOLOGIES[scenario]
-    algorithm = data.draw(st.sampled_from(_matrix_algorithms(notation)))
-    base_ns, base_ev, _, _ = _run_case(
+    algorithm = data.draw(st.sampled_from(matrix_algorithms(notation)))
+    base_ns, base_ev, _, _ = run_algorithm(
         "flow", notation, bws, lats, algorithm, payload, 4096, False)
-    cand_ns, cand_ev, _, net = _run_case(
+    cand_ns, cand_ev, _, net = run_algorithm(
         "adaptive", notation, bws, lats, algorithm, payload, 4096, False,
-        threshold=math.inf)
+        escalation_threshold=math.inf)
     assert cand_ns == base_ns          # exact, not approx: bit identity
     assert cand_ev == base_ev
     assert net.escalations == 0
@@ -88,13 +89,13 @@ def test_infinite_threshold_is_bit_identical_to_fluid(scenario, payload,
 def test_zero_threshold_matches_packet_within_saf_band(scenario, payload,
                                                        data):
     notation, bws, lats = SCENARIO_TOPOLOGIES[scenario]
-    algorithm = data.draw(st.sampled_from(_matrix_algorithms(notation)))
+    algorithm = data.draw(st.sampled_from(matrix_algorithms(notation)))
     k = parse_topology(notation, list(bws)).num_npus
-    base_ns, base_ev, _, _ = _run_case(
+    base_ns, base_ev, _, _ = run_algorithm(
         "garnet", notation, bws, lats, algorithm, payload, 4096, False)
-    cand_ns, cand_ev, _, net = _run_case(
+    cand_ns, cand_ev, _, net = run_algorithm(
         "adaptive", notation, bws, lats, algorithm, payload, 4096, False,
-        threshold=0.0)
+        escalation_threshold=0.0)
     saf = _saf_allowance_ns(notation, bws[0], k, algorithm, 4096)
     assert abs(cand_ns + saf - base_ns) / base_ns <= REL_SAF
     assert cand_ev < base_ev

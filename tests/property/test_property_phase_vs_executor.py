@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.events import EventEngine
 from repro.network import AnalyticalNetwork, parse_topology
-from repro.system import CollectiveOperation, SendRecvCollectiveExecutor, make_scheduler
+from repro.system import CollectiveOperation, make_scheduler
 from repro.trace import CollectiveType
+from repro.validate import run_algorithm
 
 
 def _phase_level_time(notation, bw, lat, payload, chunks=1):
@@ -28,18 +29,6 @@ def _phase_level_time(notation, bw, lat, payload, chunks=1):
     return op.duration_ns
 
 
-def _executor_time(method, notation, bw, lat, payload):
-    engine = EventEngine()
-    topo = parse_topology(notation, [bw], latencies_ns=[lat])
-    net = AnalyticalNetwork(engine, topo)
-    executor = SendRecvCollectiveExecutor(engine, net)
-    out = {}
-    getattr(executor, method)(list(range(topo.num_npus)), payload,
-                              on_complete=lambda t: out.update(t=t))
-    engine.run()
-    return out["t"]
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     k=st.sampled_from([2, 4, 8, 16]),
@@ -49,8 +38,8 @@ def _executor_time(method, notation, bw, lat, payload):
 def test_ring_phase_matches_ring_executor(k, payload_kib, bw):
     payload = payload_kib << 10
     phase = _phase_level_time(f"Ring({k})", bw, 0.0, payload)
-    executor = _executor_time("run_ring_allreduce", f"Ring({k})", bw, 0.0,
-                              payload)
+    executor = run_algorithm("analytical", f"Ring({k})", [bw], [0.0],
+                             "ring_allreduce", payload)[0]
     # The executor rounds the per-step chunk to payload // k.
     assert phase == pytest.approx(executor, rel=0.01)
 
@@ -64,8 +53,8 @@ def test_ring_phase_matches_ring_executor(k, payload_kib, bw):
 def test_direct_phase_matches_direct_executor(k, payload_kib, bw):
     payload = payload_kib << 10
     phase = _phase_level_time(f"FC({k})", bw, 0.0, payload)
-    executor = _executor_time("run_direct_allreduce", f"FC({k})", bw, 0.0,
-                              payload)
+    executor = run_algorithm("analytical", f"FC({k})", [bw], [0.0],
+                             "direct_allreduce", payload)[0]
     assert phase == pytest.approx(executor, rel=0.01)
 
 
@@ -78,8 +67,8 @@ def test_direct_phase_matches_direct_executor(k, payload_kib, bw):
 def test_hd_phase_matches_hd_executor(k, payload_kib, bw):
     payload = payload_kib << 10
     phase = _phase_level_time(f"Switch({k})", bw, 0.0, payload)
-    executor = _executor_time("run_halving_doubling_allreduce",
-                              f"Switch({k})", bw, 0.0, payload)
+    executor = run_algorithm("analytical", f"Switch({k})", [bw], [0.0],
+                             "halving_doubling_allreduce", payload)[0]
     assert phase == pytest.approx(executor, rel=0.02)
 
 

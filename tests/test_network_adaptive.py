@@ -317,6 +317,33 @@ class TestConfigWiring:
             topology=topo,
             network_backend="garnet").effective_backend() == "garnet"
 
+        # Every accepted (network_backend, granularity) pair builds the
+        # backend its effective name maps to.
+        from repro.core import Simulator
+        from repro.network import AnalyticalNetwork
+        from repro.trace import CollectiveType
+        from repro.workload import generate_single_collective
+
+        classes = {"analytical": AnalyticalNetwork, "flow": FlowLevelNetwork,
+                   "garnet": GarnetLiteNetwork,
+                   "adaptive": AdaptiveFlowNetwork}
+        traces = generate_single_collective(
+            topo, CollectiveType.ALL_REDUCE, 1 << 16)
+        accepted = []
+        for backend in ("analytical", "flow", "garnet"):
+            for granularity in ("", "fluid", "packet", "adaptive"):
+                try:
+                    config = SystemConfig(topology=topo,
+                                          network_backend=backend,
+                                          granularity=granularity)
+                except ValueError:
+                    continue
+                accepted.append((backend, granularity))
+                network = Simulator(traces, config).network
+                assert type(network) is classes[
+                    config.effective_backend()], (backend, granularity)
+        assert len(accepted) == 9  # 12 pairs less the three conflicts
+
     def test_conflicting_granularity_backend_rejected(self):
         from repro.core.config import SystemConfig
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.campaign.runner import run_point
 from repro.cli import main
 
@@ -52,6 +54,99 @@ class TestValidateCommand:
         assert doc["conformance"]["passed"] is True
         assert doc["adaptive"]["passed"] is True
         assert doc["passed"] is True
+        # The suite documents' layout, key for key: a case field added to
+        # or dropped from a dataclass must show up here.
+        common = {"schema_version", "suite", "quick", "passed",
+                  "cases_total", "cases_failed", "tolerances", "cases"}
+        sections = {
+            "conformance": {
+                "cases": {"scenario", "topology", "algorithm",
+                          "payload_bytes", "backend", "baseline_backend",
+                          "baseline_ns", "candidate_ns", "tolerance_rel",
+                          "saf_allowance_ns", "rel_error",
+                          "adjusted_rel_error", "invariant_violations",
+                          "passed", "message"},
+                "memory_cases": {"scenario", "memory_model",
+                                 "total_time_ns", "invariant_checks",
+                                 "invariant_violations", "passed",
+                                 "message"},
+                "folding_cases": {"scenario", "backend", "collective",
+                                  "traced_ranks", "simulated_ranks",
+                                  "fold_active", "expect_active",
+                                  "identical", "passed", "message"},
+            },
+            "adaptive": {
+                "cases": {"axis", "scenario", "topology", "algorithm",
+                          "payload_bytes", "threshold", "baseline_backend",
+                          "baseline_ns", "candidate_ns", "baseline_events",
+                          "candidate_events", "escalations",
+                          "deescalations", "tolerance_rel",
+                          "saf_allowance_ns", "rel_error",
+                          "adjusted_rel_error", "event_reduction",
+                          "invariant_violations", "passed", "message"},
+            },
+            "frontend": {
+                "cases": {"axis", "case", "builtin_value", "frontend_value",
+                          "tolerance_rel", "rel_error", "passed",
+                          "message"},
+            },
+        }
+        for suite, case_keys in sections.items():
+            suite_doc = doc[suite]
+            assert set(suite_doc) == common | set(case_keys), suite
+            assert suite_doc["suite"] == suite
+            assert suite_doc["cases_total"] == sum(
+                len(suite_doc[name]) for name in case_keys)
+            for name, keys in case_keys.items():
+                assert suite_doc[name], f"{suite}/{name} is empty"
+                for case in suite_doc[name]:
+                    assert set(case) == keys, f"{suite}/{name}"
+        assert set(doc["conformance"]["tolerances"]) == {
+            "rel_flow", "rel_packet", "rel_saf"}
+        assert set(doc["adaptive"]["tolerances"]) == {
+            "rel_packet", "rel_saf", "event_reduction_floor"}
+        assert set(doc["frontend"]["tolerances"]) == {"rel_frontend"}
+
+
+class TestInvariantsSuiteFlags:
+    """Explicit run flags reach the invariants suite's simulation."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        import repro.runsim as runsim
+
+        seen = []
+        real = runsim.simulate_from_args
+
+        def spy(args, *rest, **kwargs):
+            seen.append((args.topology, args.bandwidths, args.payload_mib))
+            return real(args, *rest, **kwargs)
+
+        monkeypatch.setattr(runsim, "simulate_from_args", spy)
+        return seen
+
+    def test_default_scenario_runs_at_64_mib(self, seen, capsys):
+        assert main(["validate", "--suite", "invariants"]) == 0
+        assert seen == [("Ring(2)_Switch(4)", "200,50", 64.0)]
+
+    def test_explicit_payload_kept_on_default_scenario(self, seen, capsys):
+        assert main(["validate", "--suite", "invariants",
+                     "--payload-mib", "1024"]) == 0
+        assert seen == [("Ring(2)_Switch(4)", "200,50", 1024.0)]
+
+    def test_user_topology_keeps_run_default_payload(self, seen, capsys):
+        assert main(["validate", "--suite", "invariants",
+                     "--topology", "Ring(4)", "--bandwidths", "100"]) == 0
+        assert seen == [("Ring(4)", "100", 1024.0)]
+
+    @pytest.mark.parametrize("flag, value", [("--bandwidths", "400,100"),
+                                             ("--latencies", "100,200")])
+    def test_dims_without_topology_is_an_error(self, seen, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--suite", "invariants", flag, value])
+        assert str(exc.value.code).startswith("error: ")
+        assert "--topology" in str(exc.value.code)
+        assert seen == []
 
 
 class TestRunCheckInvariants:

@@ -6,10 +6,10 @@ import math
 from repro.validate import run_conformance_suite, run_metamorphic_suite
 from repro.validate.conformance import (
     ALGORITHM_STEPS,
-    CONFORMANCE_SCHEMA_VERSION,
     REL_SAF,
     _saf_allowance_ns,
 )
+from repro.validate.harness import SUITE_SCHEMA_VERSION
 from repro.validate.metamorphic import RELATIONS, RelationResult
 
 
@@ -65,7 +65,7 @@ class TestConformanceSuite:
     def test_report_to_dict_and_dump(self, tmp_path):
         report = run_conformance_suite(quick=True, check_invariants=False)
         doc = report.to_dict()
-        assert doc["schema_version"] == CONFORMANCE_SCHEMA_VERSION
+        assert doc["schema_version"] == SUITE_SCHEMA_VERSION
         assert doc["passed"] is True
         assert "tolerances" in doc
         path = tmp_path / "conformance.json"
@@ -75,7 +75,7 @@ class TestConformanceSuite:
 
     def test_memory_matrix_cases_present(self):
         report = run_conformance_suite(quick=True, check_invariants=False)
-        names = {c.memory_model for c in report.memory_cases}
+        names = {c.memory_model for c in report.sections["memory_cases"]}
         assert {"local", "hiermem", "zero-infinity"} <= names
 
     def test_saf_allowance_math(self):
