@@ -307,9 +307,11 @@ def bench_campaign(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
     bit-identical after canonical serialisation:
 
     - serial in-process (the reference);
-    - *cold spawn* — a private single-use ``spawn`` pool, i.e. the
+    - *cold spawn* — the normalized points mapped through
+      :func:`repro.campaign.pool.run_one` on a plain single-use ``spawn``
+      :class:`~concurrent.futures.ProcessPoolExecutor`, i.e. the
       pre-warm-pool fan-out whose ``parallel_speedup`` regressed to ~0.4
-      on starved runners;
+      on starved runners (timed here, outside the campaign runner);
     - *warm fleet* — the shared pre-imported fleet
       (:func:`repro.campaign.pool.get_shared_pool`), measured after
       ``warm_up`` so the number reflects steady state (what a second
@@ -323,12 +325,19 @@ def bench_campaign(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
     match it bit-for-bit, and the warm fleet must beat cold spawn
     everywhere.
     """
+    import multiprocessing
     import tempfile
+    from concurrent.futures import ProcessPoolExecutor
 
     from repro.campaign import (
         CampaignRunner,
+        RunCache,
         canonical_campaign_json,
+        canonical_json,
         get_shared_pool,
+        normalize_point,
+        run_one,
+        run_point,
         shutdown_shared_pool,
     )
 
@@ -342,8 +351,14 @@ def bench_campaign(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
         return result, time.perf_counter() - start
 
     serial, serial_wall = timed(CampaignRunner(jobs=0))
-    cold_spawn, cold_spawn_wall = timed(CampaignRunner(
-        jobs=jobs, warm=False, start_method="spawn"))
+    start = time.perf_counter()
+    points = [normalize_point(p) for p in spec.expand()]
+    with ProcessPoolExecutor(
+            max_workers=min(jobs, len(points)),
+            mp_context=multiprocessing.get_context("spawn")) as cold_pool:
+        cold_spawn = list(cold_pool.map(
+            run_one, [run_point] * len(points), points))
+    cold_spawn_wall = time.perf_counter() - start
     shutdown_shared_pool()  # measure the warm fleet from a known state
     pool = get_shared_pool(jobs)
     pool.warm_up()
@@ -351,10 +366,15 @@ def bench_campaign(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
     start_method = pool.start_method
     shutdown_shared_pool()
     with tempfile.TemporaryDirectory() as cache_dir:
-        cold, cold_wall = timed(CampaignRunner(jobs=0, cache_dir=cache_dir))
-        warm, warm_wall = timed(CampaignRunner(jobs=0, cache_dir=cache_dir))
+        cold, cold_wall = timed(CampaignRunner(jobs=0,
+                                               cache=RunCache(cache_dir)))
+        warm, warm_wall = timed(CampaignRunner(jobs=0,
+                                               cache=RunCache(cache_dir)))
     docs = {canonical_campaign_json(r.to_dict())
-            for r in (serial, cold_spawn, warm_fleet, cold, warm)}
+            for r in (serial, warm_fleet, cold, warm)}
+    cold_spawn_identical = canonical_json(
+        [o.get("result") for o in cold_spawn]) == canonical_json(
+            serial.results)
     return {
         "scenario": "Conv-4D dp-gpt3 chunk-count sweep "
                     "(topology last dim x collective chunks)",
@@ -374,7 +394,7 @@ def bench_campaign(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
         "warm_cache_wall_s": round(warm_wall, 4),
         "warm_cache_speedup": round(cold_wall / max(warm_wall, 1e-12), 2),
         "warm_cache_counters": warm.cache_counters,
-        "bit_identical": len(docs) == 1,
+        "bit_identical": len(docs) == 1 and cold_spawn_identical,
     }
 
 

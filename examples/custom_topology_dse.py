@@ -19,7 +19,12 @@ Run:  python examples/custom_topology_dse.py [--jobs N] [--cache-dir D]
 import argparse
 
 import repro
-from repro.campaign import CampaignRunner, SweepSpec, results_by_config
+from repro.campaign import (
+    CampaignRunner,
+    RunCache,
+    SweepSpec,
+    results_by_config,
+)
 from repro.stats import format_table
 
 # (notation, bandwidths GB/s) — every design spends the same 600 GB/s/NPU.
@@ -57,7 +62,9 @@ def main() -> None:
             "workload": ["allreduce", "dlrm"],
         },
     )
-    runner = CampaignRunner(jobs=args.jobs, cache_dir=args.cache_dir)
+    runner = CampaignRunner(
+        jobs=args.jobs,
+        cache=RunCache(args.cache_dir) if args.cache_dir else None)
     campaign = runner.run(spec)
     assert not campaign.errors, campaign.errors
 

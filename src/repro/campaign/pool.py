@@ -14,8 +14,8 @@ module removes that cost:
   across HTTP requests in ``repro serve``), so steady-state fan-out
   never pays worker start-up again.
 - **One point per task** — :func:`run_one` is the single worker entry
-  point: the campaign runner's serial and pool paths and the serve
-  daemon's ``/run`` all execute a point through it.
+  point of the campaign runner's serial and pool paths, which is also
+  how both of the serve daemon's endpoints execute a point.
 - **No orphans** — every worker exits as soon as the process that owns
   the fleet dies, even by SIGKILL, which in turn lets the fork server
   exit.
@@ -24,7 +24,11 @@ Crash containment: a worker death breaks the underlying
 :class:`~concurrent.futures.ProcessPoolExecutor`; :meth:`WarmPool.restart`
 replaces it (idempotently per generation) so the campaign runner can
 retry the affected points on a fresh fleet instead of hanging or
-poisoning later sweeps.
+poisoning later sweeps.  A fleet that breaks while idle (a worker
+OOM-killed between requests) has no in-flight task to report it, so
+:meth:`WarmPool.submit` repairs it: a submit refused with
+:class:`~concurrent.futures.process.BrokenProcessPool` restarts the
+fleet once and submits again.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import threading
 import time
 import traceback as _traceback
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Callable, Dict, Mapping, Optional, Set
 
@@ -120,12 +125,11 @@ class WarmPool:
     object, so holders of a shared pool never see a stale handle.
     """
 
-    def __init__(self, workers: int,
-                 start_method: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.start_method = start_method or pick_start_method()
+        self.start_method = pick_start_method()
         self.generation = 0
         self.restarts = 0
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -159,7 +163,14 @@ class WarmPool:
                 raise RuntimeError("pool has been shut down")
             if self._executor is None:
                 self._executor = self._make_executor()
-            return self._executor.submit(fn, *args)
+            try:
+                return self._executor.submit(fn, *args)
+            except BrokenProcessPool:
+                # A worker died and no caller has restarted the fleet
+                # (it broke while idle, so no future reported it).
+                self.restart()
+                self._executor = self._make_executor()
+                return self._executor.submit(fn, *args)
 
     def restart(self, generation: Optional[int] = None) -> bool:
         """Replace the executor after a worker crash.
@@ -228,8 +239,7 @@ _shared: Optional[WarmPool] = None
 _shared_lock = threading.Lock()
 
 
-def get_shared_pool(workers: int,
-                    start_method: Optional[str] = None) -> WarmPool:
+def get_shared_pool(workers: int) -> WarmPool:
     """The process-wide warm fleet, grown to at least ``workers`` workers.
 
     Sweeps within one process (CLI invocations of several specs, every
@@ -239,7 +249,7 @@ def get_shared_pool(workers: int,
     global _shared
     with _shared_lock:
         if _shared is None or not _shared.alive:
-            _shared = WarmPool(workers, start_method)
+            _shared = WarmPool(workers)
         elif _shared.workers < workers:
             _shared.resize(workers)
         return _shared

@@ -10,26 +10,29 @@ without building or running an argument parser.
 
 Execution contract:
 
-- ``jobs=0`` runs serially in-process; ``jobs>=1`` fans out over a
-  persistent **warm** worker fleet (:mod:`repro.campaign.pool`):
+- ``jobs=0`` runs serially in-process; ``jobs>=1`` fans out over the
+  process-wide **warm** worker fleet (:mod:`repro.campaign.pool`):
   pre-imported workers reused across sweeps, one point per task.
   Results are merged back **in spec order**, and each point's payload
   is a schema-v2 ``result_to_dict`` document, so the merged output is
   bit-identical regardless of worker count, worker reuse, or
   completion order.
-- :meth:`CampaignRunner.stream` yields merged point records
-  *incrementally* in spec order as they complete — the backbone of the
-  ``repro serve`` daemon's NDJSON sweep streaming; :meth:`CampaignRunner.run`
-  is the drive-to-completion wrapper around it.
+- :meth:`CampaignRunner.stream` normalizes every point and looks each
+  up in the cache *at the call*, so an invalid field raises
+  :class:`PointConfigError` before anything runs; its generator then
+  yields merged point records incrementally in spec order as they
+  complete.  :meth:`CampaignRunner.run` drives it to completion, and
+  the ``repro serve`` daemon runs both of its endpoints through it
+  (``POST /run`` is a one-point campaign).
 - A failed point becomes a structured error record (exception type,
   message, traceback, config) in the merged output instead of poisoning
   the pool; a *crashed worker* restarts the fleet and retries the
   affected points before recording errors; ``fail_fast=True`` restores
   abort-on-first-error; ``KeyboardInterrupt`` tears the fleet down
   cleanly.
-- With a cache directory, results are looked up in (and written back
-  to) a content-addressed :class:`~repro.campaign.cache.RunCache` keyed
-  by canonical config JSON + code fingerprint; only cache misses are
+- With a :class:`~repro.campaign.cache.RunCache`, results are looked up
+  in (and written back to) the content-addressed cache keyed by
+  canonical config JSON + code fingerprint; only cache misses are
   simulated.  Hit/miss counters surface through a
   :class:`repro.telemetry.MetricsRegistry`.
 """
@@ -41,18 +44,18 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Generator,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.campaign.cache import RunCache
 from repro.campaign.pool import error_record as _error_record, run_one
-from repro.campaign.spec import SweepSpec, SweepSpecError, canonical_json
+from repro.campaign.spec import SweepSpec, canonical_json
 from repro.runspec import (  # noqa: F401 - re-exported campaign API
     FIELD_TYPES,
     PointConfigError,
@@ -109,27 +112,6 @@ def _wait_any(futures: Sequence) -> set:
 
     done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
     return done
-
-
-def _resolve_executor(
-    executor: Union[None, str, Callable[[Mapping[str, Any]], Dict[str, Any]]],
-) -> Callable[[Mapping[str, Any]], Dict[str, Any]]:
-    if executor is None:
-        return run_point
-    if callable(executor):
-        return executor
-    module_name, sep, attr = str(executor).partition(":")
-    if not sep:
-        raise SweepSpecError(
-            f"executor {executor!r} is not of the form 'module:function'")
-    import importlib
-
-    module = importlib.import_module(module_name)
-    fn = getattr(module, attr, None)
-    if not callable(fn):
-        raise SweepSpecError(
-            f"executor {executor!r} does not name a callable")
-    return fn
 
 
 # -- the runner ------------------------------------------------------------------------
@@ -210,36 +192,22 @@ MAX_POINT_RETRIES = 2
 
 
 class CampaignRunner:
-    """Executes a sweep spec over a warm worker fleet and a run cache."""
+    """Executes a sweep spec over the warm worker fleet and a run cache."""
 
     def __init__(
         self,
         jobs: int = 0,
-        cache_dir: Optional[str] = None,
         fail_fast: bool = False,
-        executor: Union[None, str,
-                        Callable[[Mapping[str, Any]], Dict[str, Any]]] = None,
-        warm: bool = True,
-        start_method: Optional[str] = None,
+        executor: Optional[Callable[[Mapping[str, Any]],
+                                    Dict[str, Any]]] = None,
         cache: Optional[RunCache] = None,
     ) -> None:
-        """``warm=True`` (default) fans out over the process-wide shared
-        fleet from :func:`repro.campaign.pool.get_shared_pool`, reusing
-        warm workers across sweeps; ``warm=False`` builds a private pool
-        torn down when the campaign finishes (cold fan-out — mainly for
-        benchmarking the difference and isolating crash tests).
-        """
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
         self.jobs = jobs
         self.fail_fast = fail_fast
-        self.executor = _resolve_executor(executor)
-        self.warm = warm
-        self.start_method = start_method
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = RunCache(cache_dir) if cache_dir else None
+        self.executor = executor if executor is not None else run_point
+        self.cache = cache
 
     # -- execution ---------------------------------------------------------------
 
@@ -252,24 +220,24 @@ class CampaignRunner:
             except StopIteration as stop:
                 return stop.value
 
-    def stream(self, spec: SweepSpec):
+    def stream(self, spec: SweepSpec) -> Generator[
+            Dict[str, Any], None, CampaignResult]:
         """Generator of merged point records, in spec order, as they finish.
 
-        Cached points stream immediately; executed points stream as soon
-        as every earlier-indexed point has streamed (the ordered merge
-        the campaign contract requires).  The generator's return value
+        Every point is normalized and looked up in the cache before the
+        generator is returned, so an invalid field raises
+        :class:`PointConfigError` here, before any point runs.  Cached
+        points stream immediately; executed points stream as soon as
+        every earlier-indexed point has streamed (the ordered merge the
+        campaign contract requires).  The generator's return value
         (``StopIteration.value``) is the complete :class:`CampaignResult`
-        — ``run()`` and the serve daemon's NDJSON endpoint are both thin
-        consumers of this.
+        — ``run()`` and both serve daemon endpoints are thin consumers
+        of this.
         """
         points = spec.expand()
         normalize = getattr(self.executor, "normalize", None)
         if normalize is not None:
             points = [normalize(p) for p in points]
-        result = CampaignResult(spec=spec, points=[], jobs=self.jobs)
-        metrics = result.telemetry
-        metrics.counter("campaign", "points_total").inc(len(points))
-
         merged: List[Optional[Dict[str, Any]]] = [None] * len(points)
         pending: List[int] = []
         for index, point in enumerate(points):
@@ -280,7 +248,15 @@ class CampaignRunner:
                                  "error": None}
             else:
                 pending.append(index)
+        return self._merge(spec, points, merged, pending)
 
+    def _merge(
+        self, spec: SweepSpec, points: List[Dict[str, Any]],
+        merged: List[Optional[Dict[str, Any]]], pending: List[int],
+    ) -> Generator[Dict[str, Any], None, CampaignResult]:
+        result = CampaignResult(spec=spec, points=[], jobs=self.jobs)
+        metrics = result.telemetry
+        metrics.counter("campaign", "points_total").inc(len(points))
         if self.jobs == 0 or not pending:
             outcome_iter = self._iter_serial(points, pending)
         else:
@@ -315,9 +291,7 @@ class CampaignRunner:
         finally:
             # Closing the stream mid-sweep (a disconnected HTTP client,
             # fail-fast abort) must release pool resources promptly.
-            close = getattr(outcome_iter, "close", None)
-            if close is not None:
-                close()
+            outcome_iter.close()
 
         metrics.counter("campaign", "points_executed").inc(len(pending))
         if self.cache is not None:
@@ -362,17 +336,9 @@ class CampaignRunner:
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.campaign.pool import (
-            WarmPool,
-            get_shared_pool,
-            shutdown_shared_pool,
-        )
+        from repro.campaign.pool import get_shared_pool, shutdown_shared_pool
 
-        if self.warm:
-            pool = get_shared_pool(self.jobs, self.start_method)
-        else:
-            pool = WarmPool(min(self.jobs, len(pending)), self.start_method)
-
+        pool = get_shared_pool(self.jobs)
         futures: Dict[Any, int] = {}
         generation = pool.generation
 
@@ -420,13 +386,8 @@ class CampaignRunner:
         except KeyboardInterrupt:
             for future in futures:
                 future.cancel()
-            if self.warm:
-                shutdown_shared_pool()
-            else:
-                pool.shutdown()
+            shutdown_shared_pool()
             raise
         finally:
             for future in futures:
                 future.cancel()
-            if not self.warm:
-                pool.shutdown()

@@ -12,13 +12,19 @@ Endpoints:
 - ``POST /run`` — body: a JSON object of run fields from the run-field
   table (:mod:`repro.runspec`; the fields ``repro run`` flags expose,
   e.g. ``{"topology": "Ring(4)", "bandwidths": "100", "workload":
-  "allreduce"}``).  Response: the
+  "allreduce"}``).  Runs as a one-point campaign through
+  :class:`~repro.campaign.runner.CampaignRunner`, so it gets the
+  runner's normalization, cache and crash containment.  Response: the
   schema-v2 ``result_to_dict`` document, bit-identical to an in-process
   run of the same config; ``X-Repro-Cache: hit|miss`` reports dedup.
+  A point that fails answers ``400`` if its error is a
+  :class:`~repro.runspec.PointConfigError`, else ``500``, with the same
+  error type at every ``--jobs``.
 - ``POST /sweep`` — body: a :class:`~repro.campaign.spec.SweepSpec`
   document (``base``/``grid``/``zip``/``points``), optionally wrapped as
-  ``{"spec": {...}, "jobs": N, "fail_fast": bool}``; any other key in
-  a wrapped body is a ``400``.  Response: ``application/x-ndjson`` —
+  ``{"spec": {...}, "fail_fast": bool}``; any other key in a wrapped
+  body is a ``400`` (the daemon's ``--jobs`` sizes the fleet, not the
+  client).  Response: ``application/x-ndjson`` —
   one merged point record per line, streamed **in spec order as points
   complete**, terminated by a ``{"summary": ...}`` line (or
   ``{"aborted": ...}`` on a fail-fast abort).
@@ -46,15 +52,11 @@ from repro.campaign.runner import (
     CampaignError,
     CampaignRunner,
     PointConfigError,
-    run_point,
 )
 from repro.campaign.spec import SweepSpec, SweepSpecError
 from repro.telemetry import MetricsRegistry
 
 SERVE_SCHEMA_VERSION = 1
-
-#: Option keys accepted alongside ``spec`` in a wrapped /sweep body.
-_SWEEP_OPTIONS = ("jobs", "fail_fast")
 
 
 @dataclass
@@ -115,7 +117,7 @@ class ReproServer(ThreadingHTTPServer):
         self.gate = _AdmissionGate(config.queue_depth)
         self.cache = (RunCache(config.cache_dir)
                       if config.cache_dir else None)
-        self.executor = executor if executor is not None else run_point
+        self.executor = executor
         self.started_at = time.time()
         super().__init__((config.host, config.port), _RequestHandler)
 
@@ -125,16 +127,14 @@ class ReproServer(ThreadingHTTPServer):
         with self.metrics_lock:
             self.metrics.counter("campaign", name, **labels).inc(amount)
 
-    def runner(self, options: Mapping[str, Any]) -> CampaignRunner:
-        try:
-            return CampaignRunner(
-                jobs=int(options.get("jobs", self.config.jobs)),
-                fail_fast=bool(options.get("fail_fast", False)),
-                executor=self.executor,
-                cache=self.cache,
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise PointConfigError(f"bad sweep option: {exc}") from exc
+    def runner(self, fail_fast: Any = False) -> CampaignRunner:
+        """A runner over the daemon's fleet size, executor and cache."""
+        if not isinstance(fail_fast, bool):
+            raise PointConfigError(
+                f"sweep option fail_fast must be a JSON boolean, "
+                f"got {fail_fast!r}")
+        return CampaignRunner(jobs=self.config.jobs, fail_fast=fail_fast,
+                              executor=self.executor, cache=self.cache)
 
     def warm_up(self) -> None:
         """Pre-start the fleet so the first request pays no worker boot."""
@@ -268,42 +268,25 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if not isinstance(point, dict):
                 raise PointConfigError(
                     "POST /run expects a JSON object of run-config fields")
-            normalize = getattr(server.executor, "normalize", None)
-            if normalize is not None:
-                point = normalize(point)
-            cached = (server.cache.get(point)
-                      if server.cache is not None else None)
-            if cached is not None:
-                server.count("cache_hits")
-                server.count("runs_served")
-                self._send_json(200, cached,
-                                headers={"X-Repro-Cache": "hit"})
-                return
-            result = self._execute_point(point)
-            if server.cache is not None:
-                server.cache.put(point, result)
-            server.count("runs_served")
-            server.count("points_executed")
-            self._send_json(200, result, headers={"X-Repro-Cache": "miss"})
+            record = server.runner().run(SweepSpec(points=[point])).points[0]
         except (PointConfigError, SweepSpecError) as exc:
             self._send_error(400, "run", exc)
+            return
         except Exception as exc:  # noqa: BLE001 - daemon must not die
             self._send_error(500, "run", exc)
-
-    def _execute_point(self, point: Mapping[str, Any]) -> Dict[str, Any]:
-        """One point: on the fleet when jobs >= 1, else in this thread."""
-        server = self.server
-        if server.config.jobs >= 1:
-            from repro.campaign.pool import get_shared_pool, run_one
-
-            pool = get_shared_pool(server.config.jobs)
-            outcome = pool.submit(run_one, server.executor, point).result()
-            if not outcome["ok"]:
-                error = outcome["error"]
-                raise PointConfigError(
-                    f"{error['type']}: {error['message']}")
-            return outcome["result"]
-        return server.executor(point)
+            return
+        error = record["error"]
+        if error is not None:
+            server.count("http_errors", endpoint="run")
+            self._send_json(
+                400 if error["type"] == "PointConfigError" else 500,
+                {"error": {"type": error["type"],
+                           "message": error["message"]}})
+            return
+        server.count("cache_hits" if record["cached"] else "points_executed")
+        server.count("runs_served")
+        self._send_json(200, record["result"], headers={
+            "X-Repro-Cache": "hit" if record["cached"] else "miss"})
 
     def _handle_sweep(self) -> None:
         server = self.server
@@ -315,22 +298,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if "spec" in doc:
                 options = dict(doc)
                 spec_doc = options.pop("spec")
-                unknown = sorted(set(options) - set(_SWEEP_OPTIONS))
+                unknown = sorted(set(options) - {"fail_fast"})
                 if unknown:
                     raise PointConfigError(
                         f"unknown sweep option(s) {', '.join(unknown)}; "
-                        f"a wrapped body takes only spec, "
-                        f"{', '.join(_SWEEP_OPTIONS)}")
+                        f"a wrapped body takes only spec and fail_fast")
             else:
                 spec_doc, options = doc, {}
-            spec = SweepSpec.from_dict(spec_doc)
-            runner = server.runner(options)
-            # Config errors must be a 400, not an in-band abort line —
-            # validate every point before committing response headers.
-            normalize = getattr(runner.executor, "normalize", None)
-            if normalize is not None:
-                for point in spec.expand():
-                    normalize(point)
+            # Config errors must be a 400, not an in-band abort line:
+            # stream() validates every point before it returns.
+            stream = server.runner(options.get("fail_fast", False)).stream(
+                SweepSpec.from_dict(spec_doc))
         except (PointConfigError, SweepSpecError) as exc:
             self._send_error(400, "sweep", exc)
             return
@@ -340,7 +318,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.end_headers()
-        stream = runner.stream(spec)
         points = errors = 0
         try:
             while True:

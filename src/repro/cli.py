@@ -106,6 +106,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.campaign import (
         CampaignError,
         CampaignRunner,
+        RunCache,
         SweepSpec,
         SweepSpecError,
         base_point_from_args,
@@ -126,8 +127,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "(use the run subcommand for a single point)")
     runner = CampaignRunner(
         jobs=args.jobs,
-        cache_dir=args.cache_dir or None,
         fail_fast=args.fail_fast,
+        cache=RunCache(args.cache_dir) if args.cache_dir else None,
     )
     try:
         campaign = runner.run(spec)

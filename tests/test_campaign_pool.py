@@ -155,6 +155,25 @@ class TestSharedFleet:
         shutdown_shared_pool()
         assert shared_pool_stats() is None
 
+    def test_fleet_broken_while_idle_is_repaired(self):
+        """A worker killed between sweeps (an OOM kill) breaks the fleet
+        with nothing in flight; the next sweep must still run."""
+        pool = get_shared_pool(2)
+        os.kill(min(pool.warm_up()), signal.SIGKILL)
+        # Wait until the executor has noticed the death, so the next
+        # submit is refused rather than racing the detection.
+        deadline = time.monotonic() + 10
+        while (not pool._executor._broken
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert pool._executor._broken
+        spec = SweepSpec(base=SMALL_BASE, grid={"payload_mib": [1, 3]})
+        campaign = CampaignRunner(jobs=2, executor=echo_executor).run(spec)
+        assert campaign.errors == []
+        assert campaign.results == [{"total_time_ns": 10.0},
+                                    {"total_time_ns": 30.0}]
+        assert pool.restarts == 1
+
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
     def test_workers_exit_when_owner_is_killed(self):
         owner = subprocess.Popen(
@@ -189,8 +208,8 @@ class TestCrashContainment:
         """
         spec = SweepSpec(base=SMALL_BASE,
                          grid={"payload_mib": [1, 2, 3, 4]})
-        campaign = CampaignRunner(jobs=2, executor=crashing_executor,
-                                  warm=False).run(spec)
+        campaign = CampaignRunner(jobs=2,
+                                  executor=crashing_executor).run(spec)
         assert len(campaign.points) == 4
         errors = campaign.errors
         assert len(errors) == 1
@@ -209,7 +228,7 @@ class TestCrashContainment:
         spec = SweepSpec(base=SMALL_BASE,
                          grid={"payload_mib": [2, 1, 3, 4]})
         runner = CampaignRunner(jobs=2, executor=failing_executor,
-                                warm=False, fail_fast=True)
+                                fail_fast=True)
         with pytest.raises(CampaignError, match="failed"):
             runner.run(spec)
 

@@ -8,6 +8,7 @@ from repro.campaign import (
     CampaignRunner,
     CampaignError,
     PointConfigError,
+    RunCache,
     SweepSpec,
     canonical_json,
     normalize_point,
@@ -175,17 +176,6 @@ class TestErrorRecords:
 
 
 class TestExecutorResolution:
-    def test_import_string_executor(self):
-        runner = CampaignRunner(
-            executor="repro.campaign.runner:run_point")
-        from repro.campaign import run_point
-
-        assert runner.executor is run_point
-
-    def test_malformed_import_string_rejected(self):
-        with pytest.raises(Exception, match="module:function"):
-            CampaignRunner(executor="no-colon-here")
-
     def test_negative_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             CampaignRunner(jobs=-1)
@@ -209,19 +199,24 @@ class TestStreaming:
         assert [r["total_time_ns"] for r in result.results] == [
             30.0, 10.0, 20.0]
 
+    def test_invalid_point_raises_at_the_call(self):
+        # Validation happens before the generator exists, so a caller
+        # can reject a bad spec before committing to stream anything.
+        spec = SweepSpec(base=SMALL_BASE, grid={"no_such_field": [1, 2]})
+        with pytest.raises(PointConfigError, match="no_such_field"):
+            CampaignRunner(jobs=0).stream(spec)
+
     def test_cached_points_stream_before_execution(self, tmp_path):
         spec = SweepSpec(base=SMALL_BASE, grid={"payload_mib": [1, 2]})
         CampaignRunner(jobs=0, executor=echo_executor,
-                       cache_dir=tmp_path).run(spec)
+                       cache=RunCache(tmp_path)).run(spec)
         warm = CampaignRunner(jobs=0, executor=echo_executor,
-                              cache_dir=tmp_path).stream(spec)
+                              cache=RunCache(tmp_path)).stream(spec)
         first = next(warm)
         assert first["cached"] is True and first["index"] == 0
         warm.close()
 
     def test_shared_cache_instance_dedups_across_runners(self, tmp_path):
-        from repro.campaign import RunCache
-
         cache = RunCache(tmp_path)
         spec = SweepSpec(base=SMALL_BASE, grid={"payload_mib": [1]})
         CampaignRunner(jobs=0, executor=echo_executor, cache=cache).run(spec)
@@ -234,8 +229,8 @@ class TestStreaming:
 class TestCacheIntegration:
     def test_second_run_is_fully_cached_and_identical(self, tmp_path):
         spec = SweepSpec(base=SMALL_BASE, grid={"payload_mib": [1, 2]})
-        cold = CampaignRunner(jobs=0, cache_dir=tmp_path).run(spec)
-        warm = CampaignRunner(jobs=0, cache_dir=tmp_path).run(spec)
+        cold = CampaignRunner(jobs=0, cache=RunCache(tmp_path)).run(spec)
+        warm = CampaignRunner(jobs=0, cache=RunCache(tmp_path)).run(spec)
         assert cold.cache_counters == {"hits": 0, "misses": 2,
                                        "corrupted": 0}
         assert warm.cache_counters == {"hits": 2, "misses": 0,
@@ -246,9 +241,9 @@ class TestCacheIntegration:
     def test_failed_points_are_not_cached(self, tmp_path):
         spec = SweepSpec(base=SMALL_BASE, grid={"payload_mib": [1, 2]})
         CampaignRunner(jobs=0, executor=failing_executor,
-                       cache_dir=tmp_path).run(spec)
+                       cache=RunCache(tmp_path)).run(spec)
         rerun = CampaignRunner(jobs=0, executor=failing_executor,
-                               cache_dir=tmp_path).run(spec)
+                               cache=RunCache(tmp_path)).run(spec)
         # the good point hits; the failed one is re-attempted every time
         assert rerun.cache_counters == {"hits": 1, "misses": 1,
                                         "corrupted": 0}
@@ -256,8 +251,8 @@ class TestCacheIntegration:
 
     def test_cache_counters_surface_in_telemetry(self, tmp_path):
         spec = SweepSpec(base=SMALL_BASE, grid={"payload_mib": [1]})
-        CampaignRunner(jobs=0, cache_dir=tmp_path).run(spec)
-        warm = CampaignRunner(jobs=0, cache_dir=tmp_path).run(spec)
+        CampaignRunner(jobs=0, cache=RunCache(tmp_path)).run(spec)
+        warm = CampaignRunner(jobs=0, cache=RunCache(tmp_path)).run(spec)
         counters = {m["name"]: m["value"] for m in warm.telemetry.to_list()}
         assert counters["cache_hits"] == 1
         assert counters["cache_misses"] == 0

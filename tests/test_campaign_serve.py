@@ -8,6 +8,7 @@ backpressure under a saturated queue, and error-path status codes.
 """
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -31,10 +32,10 @@ def canon(doc):
 @contextmanager
 def serving(**overrides):
     """A live daemon on an ephemeral port; yields its base URL + server."""
-    config = ServeConfig(host="127.0.0.1", port=0, jobs=0,
-                         **{k: v for k, v in overrides.items()
-                            if k != "executor"})
-    server = serve_in_thread(config, executor=overrides.get("executor"))
+    executor = overrides.pop("executor", None)
+    config = ServeConfig(**{"host": "127.0.0.1", "port": 0, "jobs": 0,
+                            **overrides})
+    server = serve_in_thread(config, executor=executor)
     host, port = server.server_address[:2]
     try:
         yield f"http://{host}:{port}", server
@@ -149,8 +150,7 @@ class TestSweepEndpoint:
     def test_wrapped_spec_with_options(self):
         with serving() as (base, _server):
             _status, _headers, body = post(
-                base + "/sweep",
-                {"spec": SWEEP, "jobs": 0, "fail_fast": True})
+                base + "/sweep", {"spec": SWEEP, "fail_fast": True})
         summary = json.loads(body.decode().splitlines()[-1])
         assert summary["summary"]["points"] == 3
 
@@ -194,6 +194,26 @@ class TestSweepEndpoint:
             message = json.loads(excinfo.value.read())["error"]["message"]
         assert "batch_size" in message and "jbos" in message
 
+    def test_fail_fast_must_be_a_json_boolean(self):
+        with serving() as (base, _server):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/sweep", {"spec": SWEEP, "fail_fast": "false"})
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == "PointConfigError"
+        assert "fail_fast" in error["message"]
+
+    def test_client_cannot_resize_the_fleet(self):
+        with serving(jobs=1) as (base, _server):
+            assert post(base + "/run", POINT)[0] == 200
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/sweep", {"spec": SWEEP, "jobs": 6})
+            assert excinfo.value.code == 400
+            message = json.loads(excinfo.value.read())["error"]["message"]
+            _status, _headers, body = get(base + "/stats")
+        assert "jobs" in message
+        assert json.loads(body)["pool"]["workers"] == 1
+
     def test_invalid_sweep_field_is_400_before_streaming(self):
         bad = {"base": POINT, "grid": {"no_such_field": [1, 2]}}
         with serving() as (base, _server):
@@ -202,6 +222,55 @@ class TestSweepEndpoint:
             assert excinfo.value.code == 400
             error = json.loads(excinfo.value.read())["error"]
             assert error["type"] == "PointConfigError"
+
+
+def raising_executor(point):
+    raise RuntimeError("executor blew up")
+
+
+def crash_on_request_executor(point):
+    """Kills its worker process when the point asks for it."""
+    if point.get("crash"):
+        os._exit(13)
+    return {"total_time_ns": 1.0}
+
+
+class TestErrorsAtEveryJobs:
+    """The same failing point answers the same status and body whether
+    it runs in the request thread (jobs 0) or on the fleet (jobs 1)."""
+
+    @pytest.mark.parametrize("jobs", [0, 1])
+    def test_executor_exception_is_500_with_its_type(self, jobs):
+        with serving(jobs=jobs, executor=raising_executor) as (base, _):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/run", POINT)
+            assert excinfo.value.code == 500
+            error = json.loads(excinfo.value.read())["error"]
+        assert error == {"type": "RuntimeError",
+                         "message": "executor blew up"}
+
+    def test_config_error_message_matches_across_jobs(self):
+        errors = {}
+        for jobs in (0, 1):
+            with serving(jobs=jobs) as (base, _server):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post(base + "/run", dict(POINT, chunks=0))
+                assert excinfo.value.code == 400
+                errors[jobs] = json.loads(excinfo.value.read())["error"]
+        assert errors[0]["type"] == "PointConfigError"
+        assert errors[0] == errors[1]
+
+    def test_crashed_worker_is_500_and_the_next_run_succeeds(self):
+        with serving(jobs=1,
+                     executor=crash_on_request_executor) as (base, _):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/run", dict(POINT, crash=True))
+            assert excinfo.value.code == 500
+            error = json.loads(excinfo.value.read())["error"]
+            assert error["type"] == "BrokenProcessPool"
+            status, _headers, body = post(base + "/run", POINT)
+        assert status == 200
+        assert json.loads(body) == {"total_time_ns": 1.0}
 
 
 def blocking_executor(point):
