@@ -26,6 +26,12 @@ if TYPE_CHECKING:  # repro.validate imports the core layer; keep it lazy here
 DEFAULT_PEAK_TFLOPS = 234.0  # A100 measurement the paper uses (Sec. V)
 DEFAULT_HBM_GBPS = 2039.0  # A100 80GB HBM2e
 
+NETWORK_BACKENDS = ("analytical", "garnet", "flow", "adaptive")
+
+#: ``granularity`` alias -> the ``network_backend`` it names.
+GRANULARITY_ALIASES = {"fluid": "flow", "packet": "garnet",
+                       "adaptive": "adaptive"}
+
 
 @dataclass
 class SystemConfig:
@@ -37,8 +43,12 @@ class SystemConfig:
             hierarchical order) or ``"themis"`` (greedy bandwidth-aware).
         collective_chunks: Pipelining degree of each collective.
         network_backend: ``"analytical"`` (default; phase-level
-            collectives), ``"garnet"`` (packet-level), or ``"flow"``
-            (max-min fair flow-level).  On the detailed backends
+            collectives), ``"garnet"`` (packet-level), ``"flow"``
+            (max-min fair flow-level), or ``"adaptive"`` (flow-level with
+            the HyGra-style runtime controller,
+            :class:`repro.network.adaptive.AdaptiveFlowNetwork`: per-link
+            fluid -> packet escalation under contention with
+            hysteresis-based de-escalation).  On the detailed backends
             collectives are lowered to explicit send/recv algorithms
             (:class:`repro.system.executor.SendRecvCollectiveExecutor`),
             so every workload runs on every backend and the backends
@@ -49,13 +59,14 @@ class SystemConfig:
             trades contention granularity for simulation speed on large
             payloads (see :class:`~repro.network.garnetlite.
             GarnetLiteNetwork`).
-        granularity: Simulation granularity policy — ``""`` (default;
-            ``network_backend`` picks the model directly), ``"fluid"``
-            (flow-level), ``"packet"`` (garnet-lite), or ``"adaptive"``
-            (the HyGra-style runtime controller,
-            :class:`repro.network.adaptive.AdaptiveFlowNetwork`:
-            per-link fluid -> packet escalation under contention with
-            hysteresis-based de-escalation).
+        granularity: Alias of ``network_backend``, resolved at
+            construction: ``"fluid"`` is ``"flow"``, ``"packet"`` is
+            ``"garnet"`` and ``"adaptive"`` is ``"adaptive"`` (``""``, the
+            default, leaves ``network_backend`` as given).  The alias may
+            refine the default ``"analytical"``, its own backend, or (for
+            ``"adaptive"`` only) ``"flow"``; it then overwrites
+            ``network_backend`` with the resolved name.  Any other pair
+            is a conflict.
         escalation_threshold: Adaptive mode only — a link escalates to
             packet granularity when it carries more than this many
             concurrent flows (``0`` escalates everything, ``inf`` never
@@ -124,30 +135,31 @@ class SystemConfig:
             raise ValueError(
                 f"collective_chunks must be >= 1, got {self.collective_chunks}"
             )
-        if self.network_backend not in ("analytical", "garnet", "flow"):
+        if self.network_backend not in NETWORK_BACKENDS:
             raise ValueError(
-                f"network_backend must be 'analytical', 'garnet', or "
-                f"'flow', got {self.network_backend!r}"
-            )
+                "network_backend must be one of "
+                + ", ".join(repr(b) for b in NETWORK_BACKENDS)
+                + f", got {self.network_backend!r}")
+        if self.granularity:
+            resolved = GRANULARITY_ALIASES.get(self.granularity)
+            if resolved is None:
+                raise ValueError(
+                    "granularity must be '' or one of "
+                    + ", ".join(repr(g) for g in GRANULARITY_ALIASES)
+                    + f", got {self.granularity!r}")
+            if self.network_backend not in ("analytical", resolved) and (
+                    resolved, self.network_backend) != ("adaptive", "flow"):
+                raise ValueError(
+                    f"granularity {self.granularity!r} conflicts with "
+                    f"network_backend {self.network_backend!r} (it selects "
+                    f"the {resolved!r} backend)")
+            self.network_backend = resolved
         if self.packet_bytes < 0:
             raise ValueError(
                 f"packet_bytes must be >= 0, got {self.packet_bytes}")
         if self.train_packets < 1:
             raise ValueError(
                 f"train_packets must be >= 1, got {self.train_packets}")
-        if self.granularity not in ("", "fluid", "packet", "adaptive"):
-            raise ValueError(
-                f"granularity must be '', 'fluid', 'packet', or "
-                f"'adaptive', got {self.granularity!r}")
-        if self.granularity in ("fluid", "adaptive") \
-                and self.network_backend == "garnet":
-            raise ValueError(
-                f"granularity {self.granularity!r} conflicts with "
-                "network_backend 'garnet' (it selects a flow-model base)")
-        if self.granularity == "packet" and self.network_backend == "flow":
-            raise ValueError(
-                "granularity 'packet' conflicts with network_backend "
-                "'flow' (it selects the garnet-lite backend)")
         threshold = self.escalation_threshold
         if threshold != threshold or threshold < 0:  # NaN or negative
             raise ValueError(
@@ -158,24 +170,11 @@ class SystemConfig:
             raise ValueError(
                 f"deescalation_hysteresis must be finite and >= 0, "
                 f"got {hysteresis}")
-        if self.faults and (self.network_backend != "analytical"
-                            or self.granularity):
+        if self.faults and self.network_backend != "analytical":
             raise ValueError(
                 "fault injection requires the analytical network backend, "
-                f"got backend {self.network_backend!r} / "
-                f"granularity {self.granularity!r}")
+                f"got {self.network_backend!r}")
         # Fail fast on bad scheduler names rather than at first collective.
         from repro.system.scheduler import make_scheduler
 
         make_scheduler(self.scheduler)
-
-    def effective_backend(self) -> str:
-        """The network model actually simulated, after the granularity
-        policy (if any) overrides the raw ``network_backend`` choice."""
-        if self.granularity == "fluid":
-            return "flow"
-        if self.granularity == "packet":
-            return "garnet"
-        if self.granularity == "adaptive":
-            return "adaptive"
-        return self.network_backend

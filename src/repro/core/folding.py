@@ -172,7 +172,7 @@ def plan_folding(
             active=False, reason=reason, traced_ranks=n,
             simulated_ranks=n, num_classes=n))
 
-    if getattr(config, "folding", "auto") == "off":
+    if config.folding == "off":
         return disabled("disabled by config")
     if n <= 1:
         return disabled("single trace")
@@ -182,7 +182,7 @@ def plan_folding(
         return disabled("telemetry observes per-rank state")
     if config.invariants is not None:
         return disabled("invariant checker observes per-rank state")
-    if getattr(config, "granularity", "") == "adaptive":
+    if config.network_backend == "adaptive":
         # Escalation is runtime per-link state: folding simulates one
         # rank per class, which changes which links see contention and
         # therefore which segments escalate — not fold-compatible.

@@ -103,12 +103,5 @@ class RunResult:
     def total_time_us(self) -> float:
         return self.total_time_ns * 1e-3
 
-    def collective_named(self, name: str) -> CollectiveRecord:
-        """Look up one collective record by its ET node name."""
-        for record in self.collectives:
-            if record.name == name:
-                return record
-        raise KeyError(f"no collective named {name!r}")
-
     def total_collective_time_ns(self) -> float:
         return sum(r.duration_ns for r in self.collectives)

@@ -39,7 +39,7 @@ class Simulator:
             traces = self.folding.folded_traces
         self.engine = EventEngine()
         self.network = make_network(
-            config.effective_backend(), self.engine, config.topology,
+            config.network_backend, self.engine, config.topology,
             packet_bytes=config.packet_bytes,
             train_packets=config.train_packets,
             escalation_threshold=config.escalation_threshold,

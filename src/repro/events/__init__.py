@@ -2,9 +2,7 @@
 
 This subpackage is the substrate every other layer of the simulator is
 built on.  It provides a deterministic, single-threaded event queue with a
-simulation clock (:class:`EventEngine`), lightweight one-shot timers, and a
-few reusable synchronization primitives (:class:`Barrier`,
-:class:`Semaphore`) used by the system and memory layers.
+simulation clock (:class:`EventEngine`) and lightweight one-shot timers.
 
 The kernel is callback-based rather than coroutine-based: ASTRA-sim's
 NetworkAPI is itself a callback protocol (``sim_send(..., callback)``), so a
@@ -13,13 +11,9 @@ the hot path.
 """
 
 from repro.events.engine import Event, EventEngine, SimulationError
-from repro.events.primitives import Barrier, CallbackList, Semaphore
 
 __all__ = [
-    "Barrier",
-    "CallbackList",
     "Event",
     "EventEngine",
-    "Semaphore",
     "SimulationError",
 ]

@@ -281,9 +281,6 @@ class OpGraph:
     def has_tensor_parallel_ops(self) -> bool:
         return any(op.tp != "none" for op in self.ops)
 
-    def has_routed_ops(self) -> bool:
-        return any(op.routed for op in self.ops)
-
     def summary(self) -> Dict[str, Any]:
         """Aggregate statistics for CLI / report output."""
         by_kind: Dict[str, int] = {}

@@ -292,7 +292,7 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
 
     def _transmit(self, message: Message,
                   on_sent: Optional[Callable[[], None]]) -> None:
-        links = self._link_path(message.src, message.dest)
+        links = self._links.path(message.src, message.dest)
         self._advance_to_now()
         if self._packet_links and any(
                 id(link) in self._packet_links for link in links):

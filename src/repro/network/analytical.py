@@ -113,8 +113,8 @@ class AnalyticalNetwork(NetworkBackend):
         self._fabric_of[(npu, dim)] = existing
         return existing
 
-    def reserve_port(self, npu: int, dim: int, busy_ns: float,
-                     symmetric: bool = False) -> Tuple[float, float]:
+    def reserve_port(self, npu: int, dim: int,
+                     busy_ns: float) -> Tuple[float, float]:
         """Occupy an egress port for ``busy_ns``; returns (start, end).
 
         Used by the system layer to model one collective phase as a single
@@ -122,13 +122,10 @@ class AnalyticalNetwork(NetworkBackend):
 
         On oversubscribed dimensions the transfer additionally occupies
         the group's shared fabric (the first-order congestion model);
-        completion is the later of port and fabric.  ``symmetric=True``
-        marks a collective phase in the representative-port model, where
-        every group member injects the same traffic simultaneously: the
-        fabric load is the whole group's (``busy * oversubscription``)
-        rather than one sender's share.  Non-oversubscribed dimensions
-        skip the fabric entirely and reduce to the paper's
-        congestion-free closed form.
+        completion is the later of port and fabric.  The fabric carries
+        this sender's share of the group load (``busy * oversubscription
+        / size``).  Non-oversubscribed dimensions skip the fabric entirely
+        and reduce to the paper's congestion-free closed form.
         """
         if busy_ns < 0:
             raise ValueError(f"negative busy time {busy_ns}")
@@ -143,12 +140,8 @@ class AnalyticalNetwork(NetworkBackend):
                 start, end, now, resource=f"port({npu},{dim})")
         spec = self.topology.dims[dim]
         if spec.oversubscription > 1.0 and spec.size > 1:
-            if symmetric:
-                fabric_busy = busy_ns * spec.oversubscription
-            else:
-                fabric_busy = busy_ns * spec.oversubscription / spec.size
             _, fabric_end = self.fabric(npu, dim).reserve(
-                self.engine.now, fabric_busy)
+                self.engine.now, busy_ns * spec.oversubscription / spec.size)
             end = max(end, fabric_end)
         return start, end
 
@@ -210,9 +203,6 @@ class AnalyticalNetwork(NetworkBackend):
     def propagation_time(self, src: int, dest: int) -> float:
         """Latency term: sum of per-dimension hop latencies, in ns."""
         return self._route(src, dest)[1]
-
-    def _differing_dims(self, src: int, dest: int) -> list:
-        return self._route(src, dest)[0]
 
     def transfer_time(self, src: int, dest: int, size_bytes: int) -> float:
         """Unloaded end-to-end transfer time (no queueing).

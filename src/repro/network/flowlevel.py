@@ -18,8 +18,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.events import EventEngine
 from repro.events.engine import Event
 from repro.network.api import Message, NetworkBackend
-from repro.network.linkgraph import LazyLinkGraph, dimension_order_route
-from repro.network.topology import MultiDimTopology, TopologyError
+from repro.network.linkgraph import LazyLinkGraph
+from repro.network.topology import MultiDimTopology
 
 
 class _FlowLink:
@@ -51,7 +51,7 @@ class _Flow:
                  "prop_latency_ns", "finish_threshold", "group")
 
     def __init__(self, message: Message, on_sent: Optional[Callable[[], None]],
-                 links: List[_FlowLink], size_bytes: Optional[int] = None,
+                 links: Tuple[_FlowLink, ...], size_bytes: Optional[int] = None,
                  group: Optional["_SubFlowGroup"] = None) -> None:
         self.message = message
         self.on_sent = on_sent
@@ -88,7 +88,7 @@ class _SubFlowGroup:
                  "prop_latency_ns")
 
     def __init__(self, message: Message, on_sent: Optional[Callable[[], None]],
-                 links: List[_FlowLink], sizes: List[int]) -> None:
+                 links: Tuple[_FlowLink, ...], sizes: List[int]) -> None:
         self.message = message
         self.on_sent = on_sent
         self.links = links
@@ -140,29 +140,11 @@ class FlowLevelNetwork(NetworkBackend):
         self._batch_depth = 0
         self._solve_pending = False
         self.granularity_escalations = 0
-        # (src, dest) -> per-hop links; routes are pure topology functions.
-        self._path_cache: Dict[Tuple[int, int], List[_FlowLink]] = {}
 
     # -- NetworkBackend -----------------------------------------------------------
 
-    def _link_path(self, src: int, dest: int) -> List[_FlowLink]:
-        cached = self._path_cache.get((src, dest))
-        if cached is not None:
-            return cached
-        path = dimension_order_route(self.topology, src, dest)
-        if len(path) < 2:
-            raise TopologyError(f"no route from {src} to {dest}")
-        links = []
-        for a, b in zip(path, path[1:]):
-            link = self._links.get((a, b))
-            if link is None:
-                raise TopologyError(f"missing link {a!r} -> {b!r}")
-            links.append(link)
-        self._path_cache[(src, dest)] = links
-        return links
-
     def _transmit(self, message: Message, on_sent: Optional[Callable[[], None]]) -> None:
-        links = self._link_path(message.src, message.dest)
+        links = self._links.path(message.src, message.dest)
         self._advance_to_now()
         flow = _Flow(message, on_sent, links)
         self._flows[flow] = None

@@ -17,7 +17,7 @@ traffic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.events import EventEngine
 from repro.network.api import Message, NetworkBackend
@@ -26,7 +26,7 @@ from repro.network.linkgraph import (
     NodeId,
     dimension_order_route,
 )
-from repro.network.topology import MultiDimTopology, TopologyError
+from repro.network.topology import MultiDimTopology
 
 DEFAULT_PACKET_BYTES = 4096
 
@@ -104,41 +104,21 @@ class GarnetLiteNetwork(NetworkBackend):
         self.packet_bytes = packet_bytes
         self.train_packets = train_packets
         # Links materialize on first touch (LazyLinkGraph), so topology
-        # size costs nothing until a route actually crosses a link.
+        # size costs nothing until a route actually crosses a link; each
+        # (src, dst) route resolves to its links once (LazyLinkGraph.path).
         self._links = LazyLinkGraph(
             topology, lambda bw, lat: _Link(bw, lat),
             on_create=lambda key, link: setattr(link, "key", key))
-        # Routes and their per-hop link objects are pure functions of the
-        # topology; collective traffic revisits the same (src, dst) pairs
-        # once per packet per chunk, so resolve each pair once.
-        self._path_cache: Dict[Tuple[int, int], Tuple[_Link, ...]] = {}
         self.packet_hops = 0
 
     def route(self, src: int, dst: int) -> List[NodeId]:
         """Dimension-order route from src to dst (inclusive of endpoints)."""
         return dimension_order_route(self.topology, src, dst)
 
-    def _link_path(self, src: int, dst: int) -> Tuple[_Link, ...]:
-        """Memoised per-hop link objects along the dimension-order route."""
-        cached = self._path_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        path = self.route(src, dst)
-        if len(path) < 2:
-            raise TopologyError(f"no route from {src} to {dst}")
-        links = []
-        for a, b in zip(path, path[1:]):
-            link = self._links.get((a, b))
-            if link is None:
-                raise TopologyError(f"missing link {a!r} -> {b!r}")
-            links.append(link)
-        resolved = self._path_cache[(src, dst)] = tuple(links)
-        return resolved
-
     # -- transmission ------------------------------------------------------------
 
     def _transmit(self, message: Message, on_sent: Optional[Callable[[], None]]) -> None:
-        links = self._link_path(message.src, message.dest)
+        links = self._links.path(message.src, message.dest)
         n_packets = max(1, -(-message.size_bytes // self.packet_bytes))
         unit = self.packet_bytes * self.train_packets
         n_segments = max(1, -(-message.size_bytes // unit))

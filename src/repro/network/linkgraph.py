@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.network.building_blocks import BuildingBlock
-from repro.network.topology import MultiDimTopology
+from repro.network.topology import MultiDimTopology, TopologyError
 
 NodeId = Hashable  # NPU ids are ints; switch fabrics are ("sw", dim, coords).
 LinkKey = Tuple[NodeId, NodeId]
@@ -159,7 +159,8 @@ class LazyLinkGraph:
     full physical count in closed form.
     """
 
-    __slots__ = ("_topology", "_make_link", "_on_create", "_materialized")
+    __slots__ = ("_topology", "_make_link", "_on_create", "_materialized",
+                 "_paths")
 
     def __init__(
         self,
@@ -171,6 +172,7 @@ class LazyLinkGraph:
         self._make_link = make_link
         self._on_create = on_create
         self._materialized: Dict[LinkKey, object] = {}
+        self._paths: Dict[Tuple[int, int], Tuple[object, ...]] = {}
 
     def get(self, key: LinkKey) -> Optional[object]:
         """The link for ``key``, created on first touch; None if no link."""
@@ -183,6 +185,28 @@ class LazyLinkGraph:
             if self._on_create is not None:
                 self._on_create(key, link)
         return link
+
+    def path(self, src: int, dst: int) -> Tuple[object, ...]:
+        """Memoised per-hop links along the dimension-order route.
+
+        Routes are pure functions of the topology, and collective traffic
+        revisits the same pairs once per chunk (or packet), so each pair
+        is resolved once.
+        """
+        cached = self._paths.get((src, dst))
+        if cached is not None:
+            return cached
+        route = dimension_order_route(self._topology, src, dst)
+        if len(route) < 2:
+            raise TopologyError(f"no route from {src} to {dst}")
+        links = []
+        for a, b in zip(route, route[1:]):
+            link = self.get((a, b))
+            if link is None:
+                raise TopologyError(f"missing link {a!r} -> {b!r}")
+            links.append(link)
+        resolved = self._paths[(src, dst)] = tuple(links)
+        return resolved
 
     def total_count(self) -> int:
         """Physical links in the topology (closed form, O(num_dims))."""

@@ -290,12 +290,6 @@ def _telemetry_config(args: argparse.Namespace, collect_metrics: bool):
         level = TraceLevel.parse(args.trace_level)
     except TelemetryError as exc:
         raise PointConfigError(str(exc))
-    if (level is TraceLevel.PACKET and args.backend == "analytical"
-            and not args.granularity):
-        raise PointConfigError(
-            "--trace-level packet requires --backend garnet or flow "
-            "(or a --granularity policy; the analytical backend does not "
-            "model individual packets)")
     if level is TraceLevel.OFF and not collect_metrics:
         return None
     return TelemetryConfig(trace_level=level)
@@ -348,12 +342,16 @@ def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
         )
     except ValueError as exc:  # PointConfigError included: same message
         raise PointConfigError(str(exc)) from exc
+    if args.trace_level == "packet" and config.network_backend == "analytical":
+        raise PointConfigError(
+            "--trace-level packet requires --backend garnet or flow (or "
+            "adaptive; the analytical backend does not model individual "
+            "packets)")
     resilience = None
     if args.faults or args.fault_seed is not None:
-        if args.backend != "analytical" or args.granularity:
+        if config.network_backend != "analytical":
             raise PointConfigError(
-                "--faults/--fault-seed require --backend analytical "
-                "(and no --granularity policy)")
+                "--faults/--fault-seed require --backend analytical")
         # Fault-free baseline: the exact time-lost reference, and the
         # horizon seeded schedules are drawn over.
         baseline = simulate(traces, config)
@@ -362,7 +360,6 @@ def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
             config = dataclasses.replace(
                 config, faults=schedule,
                 checkpoint=_checkpoint_config(args, topology))
-            traces = _build_traces(args, topology)  # fresh node state
             result = simulate(traces, config)
         except FaultSpecError as exc:
             raise PointConfigError(str(exc))

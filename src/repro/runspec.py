@@ -101,9 +101,11 @@ RUN_FIELDS: Tuple[RunField, ...] = (
     RunField("scheduler", str, "themis", "collective chunk scheduler",
              choices=("baseline", "themis")),
     RunField("backend", str, "analytical",
-             "network backend; on garnet/flow collectives are lowered to "
-             "explicit send/recv algorithms",
-             choices=("analytical", "garnet", "flow")),
+             "network backend; on garnet/flow/adaptive collectives are "
+             "lowered to explicit send/recv algorithms; 'adaptive' is flow "
+             "with runtime per-link fluid->packet escalation under "
+             "contention and hysteresis-based de-escalation",
+             choices=("analytical", "garnet", "flow", "adaptive")),
     RunField("packet_bytes", int, 0,
              "packet/segment size for the detailed backends (0 = backend "
              "default, 4096)"),
@@ -111,17 +113,17 @@ RUN_FIELDS: Tuple[RunField, ...] = (
              "garnet packet-train coalescing factor; > 1 trades contention "
              "granularity for simulation speed on large payloads"),
     RunField("granularity", str, "",
-             "simulation granularity policy: 'fluid' (flow-level), 'packet' "
-             "(garnet-lite), or 'adaptive' (runtime per-link fluid->packet "
-             "escalation under contention with hysteresis-based "
-             "de-escalation); default: --backend decides",
+             "alias of --backend: 'fluid' is flow, 'packet' is garnet, "
+             "'adaptive' is adaptive (it may refine the default analytical, "
+             "its own backend, or, for 'adaptive', flow); default: --backend "
+             "decides",
              choices=("", "fluid", "packet", "adaptive")),
     RunField("escalation_threshold", float, 4.0,
-             "adaptive granularity: escalate a link to packet simulation "
+             "adaptive backend: escalate a link to packet simulation "
              "when it carries more than this many concurrent flows "
              "(0 = always, inf = never)"),
     RunField("deescalation_hysteresis", float, 1.0,
-             "adaptive granularity: de-escalate a packet-mode link when its "
+             "adaptive backend: de-escalate a packet-mode link when its "
              "flow count drops to threshold minus this margin or below"),
     RunField("chunks", int, 16, "pipelining degree of each collective"),
     RunField("mp", int, 0, "tensor/model-parallel degree (0 = auto)"),

@@ -115,7 +115,7 @@ def test_counted_filling_is_bit_identical_to_plain_loop(case):
     checker = InvariantChecker().install(engine, network=net)
     flows = []
     for src, dst in pairs:
-        links = net._link_path(src, dst)
+        links = net._links.path(src, dst)
         flow = _Flow(Message(src, dst, 1 << 20), None, links)
         flows.append(flow)
         net._flows[flow] = None

@@ -1,0 +1,101 @@
+"""Property-based tests: a run never writes to its execution traces.
+
+Traces are read-only inputs.  The faulted path of
+:func:`repro.runsim.simulate_from_args` relies on that: it runs the
+fault-free baseline and the faulted run on the same trace objects, built
+once.  The digest is the serialized form of every trace
+(:func:`repro.trace.serialization.dumps_trace`), which covers every node
+field, so any backend, folding mode or fault hook that mutated a node
+would change it.
+"""
+
+import hashlib
+from unittest import mock
+
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from repro import runsim
+from repro.runspec import run_namespace
+from repro.trace.serialization import dumps_trace
+
+TOPOLOGIES = [("Ring(4)", "100"), ("Ring(2)_Switch(2)", "100,50"),
+              ("Ring(4)_FC(2)", "100,200")]
+
+WORKLOADS = {
+    "allreduce": {"workload": "allreduce"},
+    "alltoall": {"workload": "alltoall"},
+    "pp-gpt3": {"workload": "pp-gpt3", "pp": 4, "mp": 1, "microbatches": 2},
+}
+
+#: About a second per run: an explicit example only.
+GPT3 = {"workload": "gpt3", "mp": 4}
+
+
+def _digest(traces):
+    text = "\n".join(dumps_trace(traces[rank]) for rank in sorted(traces))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(point, **fixed):
+    """Run ``point``; return ``(digests, after)`` of each trace build:
+    the digest when built and the digest once the run finished."""
+    built = []
+    original = runsim._build_traces
+
+    def build(args, topology):
+        traces = original(args, topology)
+        built.append((traces, _digest(traces)))
+        return traces
+
+    args = run_namespace(point)
+    for name, value in fixed.items():
+        setattr(args, name, value)
+    with mock.patch.object(runsim, "_build_traces", build):
+        runsim.simulate_from_args(args)
+    return [digest for _, digest in built], [_digest(t) for t, _ in built]
+
+
+@pytest.mark.parametrize("folding", ["auto", "off"])
+@pytest.mark.parametrize("backend", ["analytical", "flow", "garnet",
+                                     "adaptive"])
+@settings(max_examples=8, deadline=None)
+@given(workload=st.sampled_from(sorted(WORKLOADS)),
+       shape=st.sampled_from(TOPOLOGIES),
+       payload_mib=st.sampled_from([0.25, 1.0]))
+def test_run_leaves_traces_unchanged(backend, folding, workload, shape,
+                                     payload_mib):
+    # GPT-3 activations take seconds per run on the packet backend.
+    assume(not (backend == "garnet" and workload == "pp-gpt3"))
+    topology, bandwidths = shape
+    point = dict(WORKLOADS[workload], topology=topology,
+                 bandwidths=bandwidths, payload_mib=payload_mib,
+                 backend=backend)
+    before, after = _run(point, folding=folding)
+    assert len(before) == 1
+    assert after == before
+
+
+@settings(max_examples=10, deadline=None)
+@given(workload=st.sampled_from(["allreduce", "pp-gpt3"]),
+       shape=st.sampled_from(TOPOLOGIES),
+       fault_seed=st.integers(0, 50))
+@example(workload="gpt3", shape=("Ring(4)_Switch(2)", "100,50"), fault_seed=3)
+def test_faulted_run_builds_traces_once(workload, shape, fault_seed):
+    """Baseline and faulted run share one trace build, left unchanged."""
+    topology, bandwidths = shape
+    point = dict(GPT3 if workload == "gpt3" else WORKLOADS[workload],
+                 topology=topology, bandwidths=bandwidths, payload_mib=1.0,
+                 fault_seed=fault_seed, checkpoint_interval_ms=1.0)
+    before, after = _run(point)
+    assert len(before) == 1
+    assert after == before
+
+
+def test_straggler_on_a_frontend_model_builds_traces_once():
+    point = {"topology": "Ring(4)_Switch(2)", "bandwidths": "100,50",
+             "model": "llama-70b", "seq_len": 256, "mp": 4, "dp": 2,
+             "faults": ["straggler@npu1:2x@t=0"]}
+    before, after = _run(point)
+    assert len(before) == 1
+    assert after == before

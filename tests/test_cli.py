@@ -165,6 +165,19 @@ class TestValidation:
         assert str(exc_info.value).startswith("error: ")
         assert message in str(exc_info.value)
 
+    @pytest.mark.parametrize("granularity, backend", [
+        ("fluid", "flow"), ("packet", "garnet"), ("adaptive", "adaptive")])
+    def test_granularity_is_an_alias_of_backend(self, tmp_path, capsys,
+                                                granularity, backend):
+        base = ["run", "--topology", "Ring(4)", "--bandwidths", "100",
+                "--workload", "alltoall", "--payload-mib", "1"]
+        alias, spelled = tmp_path / "alias.json", tmp_path / "backend.json"
+        assert main(base + ["--granularity", granularity,
+                            "--json-out", str(alias)]) == 0
+        assert main(base + ["--backend", backend,
+                            "--json-out", str(spelled)]) == 0
+        assert alias.read_bytes() == spelled.read_bytes()
+
     def test_dividing_mp_still_works(self, capsys):
         code = main(["run", "--topology", "Ring(4)_Switch(2)",
                      "--bandwidths", "100,50", "--workload", "gpt3",
@@ -222,6 +235,12 @@ class TestTelemetryFlags:
                   "--trace-level", "packet"])
         assert "garnet or flow" in str(exc_info.value)
 
+    def test_packet_level_with_adaptive_backend(self, capsys):
+        code = main(["run", "--topology", "Ring(4)", "--bandwidths", "100",
+                     "--workload", "alltoall", "--payload-mib", "1",
+                     "--backend", "adaptive", "--trace-level", "packet"])
+        assert code == 0
+
     def test_packet_level_with_garnet_backend(self, capsys):
         code = main(["run", "--topology", "Ring(8)", "--bandwidths", "100",
                      "--workload", "pp-gpt3", "--pp", "8", "--dp", "1",
@@ -273,6 +292,14 @@ class TestFaultFlags:
                   "--mp", "1", "--backend", "flow",
                   "--faults", "straggler@npu1:2x@t=0"])
         assert "analytical" in str(exc_info.value)
+
+    @pytest.mark.parametrize("selector", [
+        ["--backend", "adaptive"], ["--granularity", "fluid"]])
+    def test_faults_rejected_on_any_detailed_backend(self, selector):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "--topology", "Ring(8)", "--bandwidths", "100",
+                  "--payload-mib", "1", "--fault-seed", "3"] + selector)
+        assert "require --backend analytical" in str(exc_info.value)
 
 
 class TestSweep:

@@ -300,49 +300,53 @@ class TestFoldingInteraction:
 
 
 class TestConfigWiring:
-    def test_effective_backend_mapping(self):
-        from repro.core.config import SystemConfig
-
-        topo = parse_topology("Ring(4)", [100.0])
-        assert SystemConfig(topology=topo).effective_backend() == "analytical"
-        assert SystemConfig(
-            topology=topo, granularity="fluid").effective_backend() == "flow"
-        assert SystemConfig(
-            topology=topo,
-            granularity="packet").effective_backend() == "garnet"
-        assert SystemConfig(
-            topology=topo,
-            granularity="adaptive").effective_backend() == "adaptive"
-        assert SystemConfig(
-            topology=topo,
-            network_backend="garnet").effective_backend() == "garnet"
-
-        # Every accepted (network_backend, granularity) pair builds the
-        # backend its effective name maps to.
+    def test_backend_alias_pairs(self):
+        # All 16 (network_backend, granularity) pairs: the alias resolves
+        # into network_backend, which alone picks the backend class.
         from repro.core import Simulator
+        from repro.core.config import SystemConfig
         from repro.network import AnalyticalNetwork
         from repro.trace import CollectiveType
         from repro.workload import generate_single_collective
 
-        classes = {"analytical": AnalyticalNetwork, "flow": FlowLevelNetwork,
-                   "garnet": GarnetLiteNetwork,
-                   "adaptive": AdaptiveFlowNetwork}
+        builds = {
+            ("analytical", ""): AnalyticalNetwork,
+            ("analytical", "fluid"): FlowLevelNetwork,
+            ("analytical", "packet"): GarnetLiteNetwork,
+            ("analytical", "adaptive"): AdaptiveFlowNetwork,
+            ("flow", ""): FlowLevelNetwork,
+            ("flow", "fluid"): FlowLevelNetwork,
+            ("flow", "adaptive"): AdaptiveFlowNetwork,
+            ("garnet", ""): GarnetLiteNetwork,
+            ("garnet", "packet"): GarnetLiteNetwork,
+            ("adaptive", ""): AdaptiveFlowNetwork,
+            ("adaptive", "adaptive"): AdaptiveFlowNetwork,
+        }
+        topo = parse_topology("Ring(4)", [100.0])
         traces = generate_single_collective(
             topo, CollectiveType.ALL_REDUCE, 1 << 16)
-        accepted = []
-        for backend in ("analytical", "flow", "garnet"):
+        names = {AnalyticalNetwork: "analytical", FlowLevelNetwork: "flow",
+                 GarnetLiteNetwork: "garnet",
+                 AdaptiveFlowNetwork: "adaptive"}
+        rejected = 0
+        for backend in ("analytical", "flow", "garnet", "adaptive"):
             for granularity in ("", "fluid", "packet", "adaptive"):
-                try:
-                    config = SystemConfig(topology=topo,
-                                          network_backend=backend,
-                                          granularity=granularity)
-                except ValueError:
+                pair = (backend, granularity)
+                if pair not in builds:
+                    with pytest.raises(ValueError) as exc_info:
+                        SystemConfig(topology=topo, network_backend=backend,
+                                     granularity=granularity)
+                    assert (f"granularity {granularity!r} conflicts with "
+                            f"network_backend {backend!r}"
+                            in str(exc_info.value)), pair
+                    rejected += 1
                     continue
-                accepted.append((backend, granularity))
-                network = Simulator(traces, config).network
-                assert type(network) is classes[
-                    config.effective_backend()], (backend, granularity)
-        assert len(accepted) == 9  # 12 pairs less the three conflicts
+                config = SystemConfig(topology=topo, network_backend=backend,
+                                      granularity=granularity)
+                cls = builds[pair]
+                assert config.network_backend == names[cls], pair
+                assert type(Simulator(traces, config).network) is cls, pair
+        assert rejected == 5
 
     def test_conflicting_granularity_backend_rejected(self):
         from repro.core.config import SystemConfig

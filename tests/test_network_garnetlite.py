@@ -184,5 +184,6 @@ class TestLinkPathCache:
             net.sim_recv(3, 0, 2048, tag=tag, callback=lambda m: None)
             net.sim_send(0, 3, 2048, tag=tag)
         engine.run()
-        assert len(net._path_cache) == 1
-        assert len(net._path_cache[(0, 3)]) == 3
+        assert list(net._links._paths) == [(0, 3)]
+        assert net._links.path(0, 3) is net._links._paths[(0, 3)]
+        assert len(net._links.path(0, 3)) == 3

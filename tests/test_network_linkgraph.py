@@ -143,3 +143,25 @@ class TestLazyLinkGraph:
                 path = dimension_order_route(topo, src, dst)
                 for a, b in zip(path, path[1:]):
                     assert lazy.get((a, b)) is not None, (src, dst, a, b)
+
+    @pytest.mark.parametrize("notation,bws", TOPOLOGIES)
+    def test_path_is_the_memoised_route(self, notation, bws):
+        topo = _topo(notation, bws)
+        lazy = LazyLinkGraph(topo, lambda bw, lat: object())
+        for src in range(topo.num_npus):
+            for dst in range(topo.num_npus):
+                if src == dst:
+                    continue
+                route = dimension_order_route(topo, src, dst)
+                links = lazy.path(src, dst)
+                assert links == tuple(
+                    lazy.get(hop) for hop in zip(route, route[1:]))
+                assert lazy.path(src, dst) is links
+
+    def test_path_to_self_is_an_error(self):
+        from repro.network.topology import TopologyError
+
+        lazy = LazyLinkGraph(_topo("Ring(4)", [100.0]),
+                             lambda bw, lat: object())
+        with pytest.raises(TopologyError, match="no route"):
+            lazy.path(2, 2)
