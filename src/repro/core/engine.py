@@ -26,10 +26,21 @@ from repro.network.analytical import AnalyticalNetwork, DimPort
 from repro.network.topology import CommGroup
 from repro.stats.breakdown import Activity, ActivityLog
 from repro.system.collective_op import CollectiveOperation
+from repro.system.executor import SendRecvCollectiveExecutor
 from repro.system.scheduler import ChunkScheduler
 from repro.trace.graph import ExecutionTrace
-from repro.trace.node import ETNode, NodeType, TensorLocation
+from repro.trace.node import CollectiveType, ETNode, NodeType, TensorLocation
 from repro.workload.generators import VIA_FABRIC
+
+# The send/recv executor method each collective lowers to on a packet
+# backend.  Ring RS and ring AG move the same (k-1) chunks of size/k.
+_SENDRECV_LOWERING = {
+    CollectiveType.ALL_REDUCE: SendRecvCollectiveExecutor.run_ring_allreduce,
+    CollectiveType.ALL_GATHER: SendRecvCollectiveExecutor.run_ring_allgather,
+    CollectiveType.REDUCE_SCATTER:
+        SendRecvCollectiveExecutor.run_ring_allgather,
+    CollectiveType.ALL_TO_ALL: SendRecvCollectiveExecutor.run_alltoall,
+}
 
 
 class DeadlockError(RuntimeError):
@@ -397,7 +408,6 @@ class ExecutionEngine:
         rendezvous: _CollectiveRendezvous,
         group_shape: Optional[Dict[int, int]] = None,
     ) -> None:
-        group_size = len(group)
         op = CollectiveOperation(
             engine=self.engine,
             network=self.network,
@@ -410,34 +420,8 @@ class ExecutionEngine:
             group_shape=group_shape,
             group_members=group,
         )
-
-        def on_complete() -> None:
-            record = CollectiveRecord(
-                name=node.name,
-                collective=node.collective.value,
-                payload_bytes=node.tensor_bytes,
-                rep_npu=rep,
-                group_size=group_size,
-                start_ns=op.start_time,
-                finish_ns=self.engine.now,
-                traffic_by_dim=dict(op.traffic_by_dim),
-                members=tuple(sorted(rendezvous.arrived)),
-            )
-            self.collective_records.append(record)
-            self._inflight_collectives -= 1
-            if self.invariants is not None:
-                self.invariants.check_collective(record, op)
-            if self.telemetry is not None:
-                self.telemetry.record_collective(
-                    record, comm_key=(rep, dims, group))
-            for member, node_id in rendezvous.arrived.items():
-                self.activity.record(
-                    member, op.start_time, self.engine.now, Activity.COMM,
-                    node.name,
-                )
-                self._complete(member, self.traces[member].node(node_id))
-
-        op.on_complete = on_complete
+        op.on_complete = lambda: self._finish_collective(
+            node, (rep, dims, group), rendezvous, op.start_time, op)
         self._inflight_collectives += 1
         op.start()
 
@@ -462,53 +446,50 @@ class ExecutionEngine:
             group = group.members()
         executor = self._sendrecv_executor
         if executor is None:
-            from repro.system.executor import SendRecvCollectiveExecutor
-
             executor = self._sendrecv_executor = SendRecvCollectiveExecutor(
                 self.engine, self.network, tag_base=1 << 30)
-        from repro.trace.node import CollectiveType
-
-        start_time = self.engine.now
-        group_size = len(group)
-
-        def on_complete(_elapsed_ns: float) -> None:
-            record = CollectiveRecord(
-                name=node.name,
-                collective=node.collective.value,
-                payload_bytes=node.tensor_bytes,
-                rep_npu=rep,
-                group_size=group_size,
-                start_ns=start_time,
-                finish_ns=self.engine.now,
-                members=tuple(sorted(rendezvous.arrived)),
-            )
-            self.collective_records.append(record)
-            self._inflight_collectives -= 1
-            if self.telemetry is not None:
-                self.telemetry.record_collective(
-                    record, comm_key=(rep, dims, group))
-            for member, node_id in rendezvous.arrived.items():
-                self.activity.record(
-                    member, start_time, self.engine.now, Activity.COMM,
-                    node.name,
-                )
-                self._complete(member, self.traces[member].node(node_id))
-
+        start_ns = self.engine.now
         self._inflight_collectives += 1
-        if node.collective is CollectiveType.ALL_REDUCE:
-            executor.run_ring_allreduce(group, int(node.tensor_bytes),
-                                        on_complete=on_complete)
-        elif node.collective in (CollectiveType.ALL_GATHER,
-                                 CollectiveType.REDUCE_SCATTER):
-            # Ring RS and ring AG move the same (k-1) chunks of size/k.
-            executor.run_ring_allgather(group, int(node.tensor_bytes),
-                                        on_complete=on_complete)
-        elif node.collective is CollectiveType.ALL_TO_ALL:
-            executor.run_alltoall(group, int(node.tensor_bytes),
-                                  on_complete=on_complete)
-        else:  # pragma: no cover - enum is closed today
-            raise ValueError(
-                f"collective {node.collective!r} has no send/recv lowering")
+        _SENDRECV_LOWERING[node.collective](
+            executor, group, int(node.tensor_bytes),
+            on_complete=lambda _elapsed_ns: self._finish_collective(
+                node, (rep, dims, group), rendezvous, start_ns))
+
+    def _finish_collective(
+        self,
+        node: ETNode,
+        comm_key: Tuple,
+        rendezvous: _CollectiveRendezvous,
+        start_ns: float,
+        op: Optional[CollectiveOperation] = None,
+    ) -> None:
+        """Record a finished collective and complete every member's node.
+
+        ``op`` is the phase-level operation, when there is one: it
+        carries the per-dimension traffic the invariants check.
+        """
+        rep, _dims, group = comm_key
+        record = CollectiveRecord(
+            name=node.name,
+            collective=node.collective.value,
+            payload_bytes=node.tensor_bytes,
+            rep_npu=rep,
+            group_size=len(group),
+            start_ns=start_ns,
+            finish_ns=self.engine.now,
+            traffic_by_dim={} if op is None else dict(op.traffic_by_dim),
+            members=tuple(sorted(rendezvous.arrived)),
+        )
+        self.collective_records.append(record)
+        self._inflight_collectives -= 1
+        if self.invariants is not None and op is not None:
+            self.invariants.check_collective(record, op)
+        if self.telemetry is not None:
+            self.telemetry.record_collective(record, comm_key=comm_key)
+        for member, node_id in rendezvous.arrived.items():
+            self.activity.record(
+                member, start_ns, self.engine.now, Activity.COMM, node.name)
+            self._complete(member, self.traces[member].node(node_id))
 
     # -- telemetry ---------------------------------------------------------------------
 

@@ -297,10 +297,6 @@ class FlowLevelNetwork(NetworkBackend):
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def link_count(self) -> int:
-        """Physical links in the topology (closed form; lazy graph)."""
-        return self._links.total_count()
-
     # -- telemetry ----------------------------------------------------------------
 
     def _record_flow_span(self, message: Message) -> None:

@@ -164,18 +164,6 @@ class GarnetLiteNetwork(NetworkBackend):
 
     # -- statistics ----------------------------------------------------------------
 
-    def link_count(self) -> int:
-        """Physical links in the topology (closed form; lazy graph)."""
-        return self._links.total_count()
-
-    def max_link_bytes(self) -> int:
-        """Heaviest-loaded link — nonuniformity here indicates congestion.
-
-        Only materialized links are scanned; untouched links carried
-        zero bytes by construction.
-        """
-        return max((l.bytes_carried for l in self._links.values()), default=0)
-
     # -- telemetry ----------------------------------------------------------------
 
     def telemetry_sample(self, telemetry, now: float) -> None:

@@ -158,15 +158,21 @@ def _is_frontend(args: argparse.Namespace) -> bool:
 
 
 def workload_label(args: argparse.Namespace) -> str:
-    """The workload's display name: ``ingest:<model>`` on the frontend path."""
+    """The workload's display name: ``ingest:<model>`` on the frontend path.
+
+    Call it after :func:`simulate_from_args`, which names the ingested
+    graph on ``args``.
+    """
     if _is_frontend(args):
-        return f"ingest:{ingest_from_args(args).name}"
+        return f"ingest:{args.graph_name}"
     return args.workload
 
 
 def _build_traces(args: argparse.Namespace, topology):
     if _is_frontend(args):
-        return plan_from_args(args, ingest_from_args(args), topology).traces
+        graph = ingest_from_args(args)
+        args.graph_name = graph.name
+        return plan_from_args(args, graph, topology).traces
     payload = int(args.payload_mib * (1 << 20))
     if args.workload == "allreduce":
         return generate_single_collective(

@@ -7,18 +7,23 @@ apparatus behind the paper's validation (Fig. 4) and speedup (Sec. IV-C)
 experiments: the same algorithm is replayed over both backends and the
 resulting collective times / wall-clock costs are compared.
 
-All three Table I algorithms are implemented for 1-D groups:
+Each algorithm is a *step function* ``(rank index, step) -> (pairs,
+size)``: in every step a rank posts, for each ``(recv-from, send-to)``
+pair in order, one ``sim_recv`` and then one ``sim_send`` of ``size``
+bytes, and moves to the next step once all of them have completed.  One
+driver runs every algorithm.  The three Table I algorithms on 1-D groups:
 
 - **Ring** (for Ring dims): 2(k-1) neighbor steps of size/k messages;
 - **Direct** (for FullyConnected dims): one personalized exchange per
   half — every rank sends size/k to every other rank;
 - **Halving-Doubling** (for Switch dims): log2(k) recursive-halving
-  steps, then log2(k) recursive-doubling steps.
+  steps, then log2(k) recursive-doubling steps;
 
-Multi-dimensional collectives in production runs use the phase-level
+plus All-to-All, a single personalized exchange.  Multi-dimensional
+collectives in production runs use the phase-level
 :class:`~repro.system.collective_op.CollectiveOperation` instead.
 
-Each algorithm's opening fan-out runs inside the backend's
+The opening fan-out runs inside the backend's
 :meth:`~repro.network.api.NetworkBackend.batch` scope: every rank's
 first sends join at one instant on fresh tags, so no receive can fire
 inside the loop, and a flow backend solves its rates once for the lot.
@@ -26,25 +31,21 @@ inside the loop, and a flow backend solves its rates once for the lot.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.events import EventEngine
 from repro.network.api import NetworkBackend
 
-
-class _RingRank:
-    """Per-rank state for the ring algorithm."""
-
-    __slots__ = ("step", "send_done", "recv_done")
-
-    def __init__(self) -> None:
-        self.step = 0
-        self.send_done = False
-        self.recv_done = False
+#: ``(rank index, step) -> (((recv-from, send-to), ...), message bytes)``.
+StepFn = Callable[[int, int], Tuple[Sequence[Tuple[int, int]], int]]
 
 
 class SendRecvCollectiveExecutor:
-    """Executes ring collectives with explicit sim_send/sim_recv traffic."""
+    """Executes collectives with explicit sim_send/sim_recv traffic.
+
+    ``on_complete`` receives the collective's wall time in ns once every
+    rank has finished its last step.
+    """
 
     def __init__(self, engine: EventEngine, backend: NetworkBackend,
                  tag_base: int = 0) -> None:
@@ -55,24 +56,15 @@ class SendRecvCollectiveExecutor:
         # backend (the execution engine starts it at 2^30).
         self._tag_base = tag_base
 
-    def _next_tag_base(self, steps: int) -> int:
-        base = self._tag_base
-        self._tag_base += steps + 1
-        return base
-
     def run_ring_allreduce(
         self,
         group: Sequence[int],
         payload_bytes: int,
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> None:
-        """Ring All-Reduce: 2(k-1) steps of size ``payload/k`` messages.
-
-        ``on_complete`` receives the collective's wall time in ns once every
-        rank has finished the final step.
-        """
-        self._run_ring(group, payload_bytes, gather_only=False,
-                       on_complete=on_complete)
+        """Ring All-Reduce: 2(k-1) steps of size ``payload/k`` messages."""
+        self._drive(group, 2 * (len(group) - 1),
+                    _ring(group, payload_bytes), on_complete)
 
     def run_ring_allgather(
         self,
@@ -81,8 +73,8 @@ class SendRecvCollectiveExecutor:
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> None:
         """Ring All-Gather: (k-1) steps; ``payload_bytes`` is the gathered size."""
-        self._run_ring(group, payload_bytes, gather_only=True,
-                       on_complete=on_complete)
+        self._drive(group, len(group) - 1, _ring(group, payload_bytes),
+                    on_complete)
 
     def run_direct_allreduce(
         self,
@@ -96,54 +88,7 @@ class SendRecvCollectiveExecutor:
         ``payload/k`` shard destined to each peer) then All-Gather (every
         rank broadcasts its reduced shard).
         """
-        k = len(group)
-        if k < 2:
-            if on_complete is not None:
-                self.engine.schedule(0.0, on_complete, 0.0)
-            return
-        if len(set(group)) != k:
-            raise ValueError(f"group contains duplicate NPUs: {group}")
-        chunk = max(1, payload_bytes // k)
-        tag_base = self._next_tag_base(2)
-        start_time = self.engine.now
-        finished = {"count": 0}
-
-        def rank_finished() -> None:
-            finished["count"] += 1
-            if finished["count"] == k and on_complete is not None:
-                on_complete(self.engine.now - start_time)
-
-        def start_phase(idx: int, phase: int) -> None:
-            if phase == 2:
-                rank_finished()
-                return
-            npu = group[idx]
-            state = {"sent": 0, "received": 0}
-            tag = tag_base + phase
-
-            def maybe_advance() -> None:
-                if state["sent"] == k - 1 and state["received"] == k - 1:
-                    start_phase(idx, phase + 1)
-
-            def on_sent() -> None:
-                state["sent"] += 1
-                maybe_advance()
-
-            def on_received(_msg) -> None:
-                state["received"] += 1
-                maybe_advance()
-
-            for peer in group:
-                if peer == npu:
-                    continue
-                self.backend.sim_recv(npu, peer, chunk, tag=tag,
-                                      callback=on_received)
-                self.backend.sim_send(npu, peer, chunk, tag=tag,
-                                      callback=on_sent)
-
-        with self.backend.batch():
-            for idx in range(k):
-                start_phase(idx, 0)
+        self._drive(group, 2, _exchange(group, payload_bytes), on_complete)
 
     def run_alltoall(
         self,
@@ -151,53 +96,13 @@ class SendRecvCollectiveExecutor:
         payload_bytes: int,
         on_complete: Optional[Callable[[float], None]] = None,
     ) -> None:
-        """All-to-All: one personalized exchange phase.
+        """All-to-All: one personalized exchange step.
 
         ``payload_bytes`` is each rank's total exchange payload; every
         rank sends ``payload/k`` to each of the ``k - 1`` peers (the
         token-routing / embedding-exchange pattern of MoE and DLRM).
         """
-        k = len(group)
-        if k < 2:
-            if on_complete is not None:
-                self.engine.schedule(0.0, on_complete, 0.0)
-            return
-        if len(set(group)) != k:
-            raise ValueError(f"group contains duplicate NPUs: {group}")
-        chunk = max(1, payload_bytes // k)
-        tag = self._next_tag_base(1)
-        start_time = self.engine.now
-        finished = {"count": 0}
-
-        def start_rank(idx: int) -> None:
-            npu = group[idx]
-            state = {"sent": 0, "received": 0}
-
-            def maybe_finish() -> None:
-                if state["sent"] == k - 1 and state["received"] == k - 1:
-                    finished["count"] += 1
-                    if finished["count"] == k and on_complete is not None:
-                        on_complete(self.engine.now - start_time)
-
-            def on_sent() -> None:
-                state["sent"] += 1
-                maybe_finish()
-
-            def on_received(_msg) -> None:
-                state["received"] += 1
-                maybe_finish()
-
-            for peer in group:
-                if peer == npu:
-                    continue
-                self.backend.sim_recv(npu, peer, chunk, tag=tag,
-                                      callback=on_received)
-                self.backend.sim_send(npu, peer, chunk, tag=tag,
-                                      callback=on_sent)
-
-        with self.backend.batch():
-            for idx in range(k):
-                start_rank(idx)
+        self._drive(group, 1, _exchange(group, payload_bytes), on_complete)
 
     def run_halving_doubling_allreduce(
         self,
@@ -212,76 +117,35 @@ class SendRecvCollectiveExecutor:
         all-gathers back.
         """
         k = len(group)
-        if k < 2:
-            if on_complete is not None:
-                self.engine.schedule(0.0, on_complete, 0.0)
-            return
         if k & (k - 1):
             raise ValueError(f"halving-doubling needs a power-of-two group, got {k}")
-        if len(set(group)) != k:
-            raise ValueError(f"group contains duplicate NPUs: {group}")
-        import math
+        log_k = k.bit_length() - 1
+        steps = 2 * log_k
 
-        log_k = int(math.log2(k))
-        total_steps = 2 * log_k
-        tag_base = self._next_tag_base(total_steps)
-        start_time = self.engine.now
-        finished = {"count": 0}
+        def step_fn(idx: int, step: int):
+            # Halving: size/2 to the partner at distance 1, size/4 at 2,
+            # ...; doubling mirrors back up.
+            exponent = step + 1 if step < log_k else steps - step
+            partner = group[idx ^ (1 << (exponent - 1))]
+            return ((partner, partner),), max(1, payload_bytes >> exponent)
 
-        def rank_finished() -> None:
-            finished["count"] += 1
-            if finished["count"] == k and on_complete is not None:
-                on_complete(self.engine.now - start_time)
-
-        def message_bytes(step: int) -> int:
-            # Halving: size/2, size/4, ...; doubling mirrors back up.
-            if step < log_k:
-                exponent = step + 1
-            else:
-                exponent = total_steps - step
-            return max(1, payload_bytes >> exponent)
-
-        def start_step(idx: int, step: int) -> None:
-            if step == total_steps:
-                rank_finished()
-                return
-            npu = group[idx]
-            distance = 1 << (step if step < log_k else total_steps - 1 - step)
-            partner = group[idx ^ distance]
-            size = message_bytes(step)
-            tag = tag_base + step
-            state = {"sent": False, "received": False}
-
-            def maybe_advance() -> None:
-                if state["sent"] and state["received"]:
-                    start_step(idx, step + 1)
-
-            def on_sent() -> None:
-                state["sent"] = True
-                maybe_advance()
-
-            def on_received(_msg) -> None:
-                state["received"] = True
-                maybe_advance()
-
-            self.backend.sim_recv(npu, partner, size, tag=tag,
-                                  callback=on_received)
-            self.backend.sim_send(npu, partner, size, tag=tag,
-                                  callback=on_sent)
-
-        with self.backend.batch():
-            for idx in range(k):
-                start_step(idx, 0)
+        self._drive(group, steps, step_fn, on_complete)
 
     # -- internals -----------------------------------------------------------------
 
-    def _run_ring(
+    def _next_tag_base(self, steps: int) -> int:
+        base = self._tag_base
+        self._tag_base += steps + 1
+        return base
+
+    def _drive(
         self,
         group: Sequence[int],
-        payload_bytes: int,
-        gather_only: bool,
+        steps: int,
+        step_fn: StepFn,
         on_complete: Optional[Callable[[float], None]],
     ) -> None:
+        """Run ``steps`` steps of ``step_fn`` on every rank of ``group``."""
         k = len(group)
         if k < 2:
             if on_complete is not None:
@@ -289,47 +153,54 @@ class SendRecvCollectiveExecutor:
             return
         if len(set(group)) != k:
             raise ValueError(f"group contains duplicate NPUs: {group}")
-        total_steps = (k - 1) if gather_only else 2 * (k - 1)
-        chunk = max(1, payload_bytes // k)
-        tag_base = self._next_tag_base(total_steps)
+        tag_base = self._next_tag_base(steps)
         start_time = self.engine.now
-        ranks: Dict[int, _RingRank] = {npu: _RingRank() for npu in group}
-        finished = {"count": 0}
+        backend = self.backend
+        unfinished = k
 
-        def rank_finished() -> None:
-            finished["count"] += 1
-            if finished["count"] == k and on_complete is not None:
-                on_complete(self.engine.now - start_time)
-
-        def start_step(idx: int) -> None:
-            """Launch one rank's current step (send + recv in parallel)."""
-            npu = group[idx]
-            state = ranks[npu]
-            if state.step == total_steps:
-                rank_finished()
+        def start_step(idx: int, step: int) -> None:
+            nonlocal unfinished
+            if step == steps:
+                unfinished -= 1
+                if not unfinished and on_complete is not None:
+                    on_complete(self.engine.now - start_time)
                 return
-            state.send_done = False
-            state.recv_done = False
-            tag = tag_base + state.step
-            nxt = group[(idx + 1) % k]
-            prv = group[(idx - 1) % k]
+            npu = group[idx]
+            pairs, size = step_fn(idx, step)
+            tag = tag_base + step
+            pending = 2 * len(pairs)
 
-            def maybe_advance() -> None:
-                if state.send_done and state.recv_done:
-                    state.step += 1
-                    start_step(idx)
+            def done(*_message) -> None:
+                nonlocal pending
+                pending -= 1
+                if not pending:
+                    start_step(idx, step + 1)
 
-            def on_sent() -> None:
-                state.send_done = True
-                maybe_advance()
+            for recv_from, send_to in pairs:
+                backend.sim_recv(npu, recv_from, size, tag=tag, callback=done)
+                backend.sim_send(npu, send_to, size, tag=tag, callback=done)
 
-            def on_received(_msg) -> None:
-                state.recv_done = True
-                maybe_advance()
-
-            self.backend.sim_recv(npu, prv, chunk, tag=tag, callback=on_received)
-            self.backend.sim_send(npu, nxt, chunk, tag=tag, callback=on_sent)
-
-        with self.backend.batch():
+        with backend.batch():
             for idx in range(k):
-                start_step(idx)
+                start_step(idx, 0)
+
+
+def _ring(group: Sequence[int], payload_bytes: int) -> StepFn:
+    """Every step: receive from the previous rank, send to the next."""
+    k = len(group)
+
+    def step_fn(idx: int, step: int):
+        pair = (group[(idx - 1) % k], group[(idx + 1) % k])
+        return (pair,), max(1, payload_bytes // k)
+    return step_fn
+
+
+def _exchange(group: Sequence[int], payload_bytes: int) -> StepFn:
+    """Every step: a personalized ``payload/k`` exchange with every peer."""
+    k = len(group)
+
+    def step_fn(idx: int, step: int):
+        npu = group[idx]
+        pairs = [(peer, peer) for peer in group if peer != npu]
+        return pairs, max(1, payload_bytes // k)
+    return step_fn

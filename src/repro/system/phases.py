@@ -123,16 +123,6 @@ class CollectiveDecomposition:
             for p in self.phases
         )
 
-    def max_phase_duration_ns(self, topology: MultiDimTopology) -> float:
-        """Longest single phase — the pipelined lower bound per chunk."""
-        return max(
-            (
-                phase_duration_ns(topology.dims[p.dim], p.kind, p.payload_bytes)
-                for p in self.phases
-            ),
-            default=0.0,
-        )
-
     def traffic_by_dim(self, topology: MultiDimTopology) -> dict:
         """Per-dimension serialized bytes (reproduces paper Table IV rows)."""
         out: dict = {}

@@ -375,6 +375,29 @@ class TestCLIIngest:
         assert code == 0
         assert "ingest:llama3-8b" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,label", [
+        (["run"], "workload : ingest:llama3-8b "),
+        (["validate", "--suite", "invariants"],
+         "Ring(2)_Switch(2)/ingest:llama3-8b)"),
+    ], ids=["run", "validate"])
+    def test_model_is_ingested_once(self, argv, label, monkeypatch, capsys):
+        import repro.frontend
+        from repro.cli import main
+        real = repro.frontend.build_op_graph
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.frontend, "build_op_graph", counted)
+        assert main(argv + [
+            "--model", "llama3-8b", "--seq-len", "128",
+            "--topology", "Ring(2)_Switch(2)", "--bandwidths", "100,50",
+            "--mp", "2", "--dp", "2"]) == 0
+        assert len(calls) == 1
+        assert label in capsys.readouterr().out
+
     def test_run_rejects_model_and_model_json_together(self):
         from repro.cli import main
         with pytest.raises(SystemExit):

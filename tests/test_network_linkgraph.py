@@ -73,6 +73,14 @@ class TestTotalLinkCount:
         assert total_link_count(topo) == len(
             build_links(topo, lambda bw, lat: object()))
 
+    @pytest.mark.parametrize("notation,links", [
+        ("Ring(4)", 8),    # 4 NPUs x 2 directed neighbor links
+        ("Ring(2)", 2),    # one link each way
+        ("Switch(4)", 8),  # 4 uplinks + 4 downlinks via the fabric node
+    ])
+    def test_small_topologies_by_hand(self, notation, links):
+        assert total_link_count(_topo(notation, [100.0])) == links
+
     def test_closed_form_at_million_npus(self):
         topo = parse_topology("Ring(2)_FC(8)_Ring(8)_Switch(8192)",
                               [250.0, 200.0, 100.0, 50.0])

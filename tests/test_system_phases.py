@@ -133,10 +133,3 @@ class TestOtherCollectives:
         topo = parse_topology("Ring(1)_FC(4)", [100, 100])
         plan = decompose_collective(CollectiveType.ALL_REDUCE, topo, (0, 1), 800)
         assert [p.dim for p in plan.phases] == [1, 1]
-
-
-class TestDecompositionAggregates:
-    def test_sequential_vs_pipelined_bounds(self):
-        topo = parse_topology("Ring(4)_FC(4)", [100, 10])
-        plan = decompose_collective(CollectiveType.ALL_REDUCE, topo, (0, 1), GiB)
-        assert plan.max_phase_duration_ns(topo) < plan.total_duration_ns(topo)
