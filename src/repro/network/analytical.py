@@ -83,6 +83,9 @@ class AnalyticalNetwork(NetworkBackend):
         self._fabric_of: Dict[Tuple[int, int], DimPort] = {}
         self._dim_bw: Tuple[float, ...] = tuple(
             d.bandwidth_gbps for d in topology.dims)
+        # CollectiveOperation's per-communicator derivation (effective
+        # specs, active dims, group size), keyed on (dims, group shape).
+        self._comm_sig_cache: Dict[tuple, tuple] = {}
 
     # -- port management -----------------------------------------------------------
 

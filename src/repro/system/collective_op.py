@@ -10,7 +10,10 @@ every member of a communicator) over the analytical backend:
 3. otherwise each chunk asks the :class:`ChunkScheduler` for a full
    dimension order when it launches and commits to it — for All-Reduce the
    order is the Reduce-Scatter pass, and the All-Gather pass replays it
-   reversed — with each phase reserving the representative's egress port.
+   reversed.  The chunk then steps through that order's phase table
+   (:func:`repro.system.phases.phase_table`, memoised per run on the
+   scheduler), each phase reserving the representative's egress port for
+   the row's busy time and delaying the chunk by the row's latency.
 
 Communicators may span *parts* of dimensions (``group_shape``): an MP
 group of 16 NPUs inside a 512-wide wafer switch runs its phases with an
@@ -32,34 +35,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.events import EventEngine
 from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import CommGroup, DimSpec
-from repro.system.phases import (
-    PhaseKind,
-    phase_busy_ns,
-    phase_latency_ns,
-    phase_traffic_bytes,
-)
-from repro.system.scheduler import ChunkScheduler, chunk_work_vector
+from repro.system.phases import FIRST_PASS_KIND, PhaseRow
+from repro.system.scheduler import ChunkScheduler
 from repro.trace.node import CollectiveType
 
 DEFAULT_NUM_CHUNKS = 16
-
-_SINGLE_PASS_KIND = {
-    CollectiveType.ALL_GATHER: PhaseKind.ALL_GATHER,
-    CollectiveType.REDUCE_SCATTER: PhaseKind.REDUCE_SCATTER,
-    CollectiveType.ALL_TO_ALL: PhaseKind.ALL_TO_ALL,
-}
-
-
-class _Chunk:
-    """One chunk walking its committed phase plan."""
-
-    __slots__ = ("payload", "plan", "position", "ag_shards")
-
-    def __init__(self, payload: float, plan: Tuple[Tuple[int, PhaseKind], ...]) -> None:
-        self.payload = payload
-        self.plan = plan
-        self.position = 0
-        self.ag_shards: List[float] = []
 
 
 class CollectiveOperation:
@@ -125,9 +105,7 @@ class CollectiveOperation:
             tuple(sorted(set(comm_dims))),
             tuple(sorted(group_shape.items())) if group_shape else None,
         )
-        comm_cache = getattr(network, "_comm_sig_cache", None)
-        if comm_cache is None:
-            comm_cache = network._comm_sig_cache = {}
+        comm_cache = network._comm_sig_cache
         cached = comm_cache.get(sig)
         if cached is None:
             topo = network.topology
@@ -180,22 +158,18 @@ class CollectiveOperation:
             # Degenerate communicator: complete asynchronously with no cost.
             self.engine.schedule(0.0, self._finish)
             return
-        first_kind = (
-            PhaseKind.REDUCE_SCATTER
-            if self.collective is CollectiveType.ALL_REDUCE
-            else _SINGLE_PASS_KIND[self.collective]
-        )
+        first_kind = FIRST_PASS_KIND[self.collective]
         roundtrip = self.collective is CollectiveType.ALL_REDUCE
-        chunk_payload = self._initial_chunk_payload()
-        balanced = getattr(self.scheduler, "balanced_plan", None)
-        if balanced is not None and self.network.faults is not None:
-            # The fluid limit prices the whole collective against the
-            # bandwidths seen at start; with fault injection active the
-            # capacity is time-varying, so fall back to chunk-by-chunk
-            # execution, which re-prices every phase when it launches.
-            balanced = None
-        if balanced is not None:
-            plan = balanced(
+        chunk_payload = self.payload_bytes / self.num_chunks
+        if self.collective is CollectiveType.ALL_GATHER:
+            # payload_bytes is the gathered result; chunks start as shards.
+            chunk_payload /= self.group_size
+        # The fluid limit prices the whole collective against the
+        # bandwidths seen at start; with fault injection active the
+        # capacity is time-varying, so run chunk by chunk instead, which
+        # re-prices every phase when it launches.
+        if self.network.faults is None:
+            plan = self.scheduler.balanced_plan(
                 network=self.network,
                 dims=self.active_dims,
                 kind=first_kind,
@@ -207,11 +181,10 @@ class CollectiveOperation:
             if plan is not None:
                 self._start_fluid(plan)
                 return
-        launches: List[Tuple[float, int, _Chunk]] = []
-        # All chunks share specs/kind/payload, so the work vector and plan
-        # of a given order are computed once however many chunks pick it
-        # (with the baseline scheduler that is a single computation).
-        work_by_order: Dict[Tuple[int, ...], Tuple[Dict[int, float], float, tuple]] = {}
+        tables = self.scheduler.phase_tables(
+            self.dim_specs, self.active_dims, first_kind, chunk_payload,
+            roundtrip)
+        launches: List[Tuple[float, int, Tuple[PhaseRow, ...]]] = []
         for index in range(self.num_chunks):
             order = self.scheduler.plan_order(
                 network=self.network,
@@ -226,26 +199,16 @@ class CollectiveOperation:
                 roundtrip=roundtrip,
                 dim_specs=self.dim_specs,
             )
-            memo = work_by_order.get(order)
-            if memo is None:
-                work = chunk_work_vector(
-                    self.dim_specs, order, first_kind, chunk_payload, roundtrip
-                )
-                plan = tuple((d, first_kind) for d in order)
-                if roundtrip:
-                    plan += tuple(
-                        (d, PhaseKind.ALL_GATHER) for d in reversed(order))
-                memo = work_by_order[order] = (work, sum(work.values()), plan)
-            work, total_work, plan = memo
+            rows, work = tables[order]
             for dim, amount in work.items():
                 self.network.add_pending(self.rep_npu, dim, amount)
-            launches.append((total_work, index, _Chunk(chunk_payload, plan)))
+            launches.append((sum(work.values()), index, rows))
         # Launch heaviest plans first: their long phases queue early, so
         # their precedence-constrained tails overlap the steady state
         # instead of extending the makespan.
         launches.sort(key=lambda item: (-item[0], item[1]))
-        for _, _, chunk in launches:
-            self._advance(chunk)
+        for _, _, rows in launches:
+            self._advance(rows, 0)
 
     def _start_fluid(self, plan) -> None:
         """Fluid-limit execution: occupy each dim port for its balanced load.
@@ -272,39 +235,14 @@ class CollectiveOperation:
         self._chunks_done = self.num_chunks
         self.engine.schedule_at(finish_at, self._finish)
 
-    def _initial_chunk_payload(self) -> float:
-        per_chunk = self.payload_bytes / self.num_chunks
-        if self.collective is CollectiveType.ALL_GATHER:
-            # payload_bytes is the gathered result; chunks start as shards.
-            return per_chunk / self.group_size
-        return per_chunk
-
     # -- chunk stepping ------------------------------------------------------------
 
-    def _advance(self, chunk: _Chunk) -> None:
-        """Run the chunk's next phase, or retire it."""
-        if chunk.position == len(chunk.plan):
+    def _advance(self, rows: Tuple[PhaseRow, ...], i: int) -> None:
+        """Run the chunk's phase ``rows[i]``, or retire the chunk."""
+        if i == len(rows):
             self._chunk_done()
             return
-        dim, kind = chunk.plan[chunk.position]
-        chunk.position += 1
-        spec = self.dim_specs[dim]
-        if kind is PhaseKind.ALL_GATHER and self.collective is CollectiveType.ALL_REDUCE:
-            # AG half of All-Reduce: the entry shard is the matching RS
-            # phase's exit payload, popped in reverse order.
-            entry = chunk.ag_shards.pop()
-            busy = phase_busy_ns(spec, kind, entry)
-            traffic = phase_traffic_bytes(spec, kind, entry)
-            chunk.payload = entry * spec.size
-        else:
-            busy = phase_busy_ns(spec, kind, chunk.payload)
-            traffic = phase_traffic_bytes(spec, kind, chunk.payload)
-            if kind is PhaseKind.REDUCE_SCATTER:
-                chunk.payload /= spec.size
-                if self.collective is CollectiveType.ALL_REDUCE:
-                    chunk.ag_shards.append(chunk.payload)
-            elif kind is PhaseKind.ALL_GATHER:
-                chunk.payload *= spec.size
+        dim, _, _, busy, traffic, latency, label = rows[i]
         self.traffic_by_dim[dim] += traffic
         # A synchronous phase paces at its slowest member: active faults
         # (stragglers, sick links, degraded dims) stretch the port time of
@@ -318,10 +256,8 @@ class CollectiveOperation:
         start, end = self.network.reserve_port(self.rep_npu, dim, busy)
         telemetry = self.network.telemetry
         if telemetry is not None and telemetry.chunk_spans:
-            telemetry.record_phase(
-                self.rep_npu, dim, f"{self.collective.value}:{kind.value}",
-                start, end)
-        self.engine.schedule_at(end + phase_latency_ns(spec), self._advance, chunk)
+            telemetry.record_phase(self.rep_npu, dim, label, start, end)
+        self.engine.schedule_at(end + latency, self._advance, rows, i + 1)
 
     def _chunk_done(self) -> None:
         self._chunks_done += 1

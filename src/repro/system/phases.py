@@ -28,13 +28,20 @@ the block type contributes the latency-step count.
 
 Phase wall time is ``steps(block, k) * link_latency + traffic / bandwidth``
 — the same closed form the analytical backend uses for single transfers.
+
+:func:`phase_table` is the one walk of a payload through a dimension
+order: it returns one row per phase with the phase's entry payload,
+port-busy time, traffic, latency and span label.  The chunk schedulers
+(memoised per run on :class:`~repro.system.scheduler.ChunkScheduler`),
+the chunk stepper of :class:`~repro.system.collective_op.CollectiveOperation`
+and :func:`decompose_collective` all read their phases from it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple, Union
 
 from repro.network.building_blocks import (
     alltoall_traffic_fraction,
@@ -51,6 +58,24 @@ class PhaseKind(enum.Enum):
     REDUCE_SCATTER = "rs"
     ALL_GATHER = "ag"
     ALL_TO_ALL = "a2a"
+
+
+#: Kind of the first (for All-Reduce: the Reduce-Scatter) pass.
+FIRST_PASS_KIND = {
+    CollectiveType.ALL_REDUCE: PhaseKind.REDUCE_SCATTER,
+    CollectiveType.ALL_GATHER: PhaseKind.ALL_GATHER,
+    CollectiveType.REDUCE_SCATTER: PhaseKind.REDUCE_SCATTER,
+    CollectiveType.ALL_TO_ALL: PhaseKind.ALL_TO_ALL,
+}
+
+_COLLECTIVE_OF_PASS = {
+    kind: collective for collective, kind in FIRST_PASS_KIND.items()
+    if collective is not CollectiveType.ALL_REDUCE
+}
+
+#: ``(dim, kind, entry payload, busy_ns, traffic_bytes, latency_ns,
+#: span label)`` of one phase; see :func:`phase_table`.
+PhaseRow = Tuple[int, PhaseKind, float, float, float, float, str]
 
 
 @dataclass(frozen=True)
@@ -83,19 +108,6 @@ def phase_traffic_bytes(spec: DimSpec, kind: PhaseKind, payload_bytes: float) ->
     return payload_bytes * alltoall_traffic_fraction(spec.block, k)
 
 
-def phase_busy_ns(spec: DimSpec, kind: PhaseKind, payload_bytes: float) -> float:
-    """Port-serialization time of one phase (the bandwidth term).
-
-    This is how long the phase occupies the NPU's egress port; link
-    latency overlaps with the next pipelined chunk's serialization and is
-    charged to the chunk's completion, not the port.
-    """
-    if spec.size <= 1:
-        return 0.0
-    traffic = phase_traffic_bytes(spec, kind, payload_bytes)
-    return traffic / spec.bandwidth_gbps
-
-
 def phase_latency_ns(spec: DimSpec) -> float:
     """Propagation term of one phase: algorithm steps x link latency."""
     if spec.size <= 1:
@@ -107,7 +119,57 @@ def phase_duration_ns(spec: DimSpec, kind: PhaseKind, payload_bytes: float) -> f
     """Wall time of one phase: latency steps + serialization."""
     if spec.size <= 1:
         return 0.0
-    return phase_latency_ns(spec) + phase_busy_ns(spec, kind, payload_bytes)
+    return (phase_latency_ns(spec)
+            + phase_traffic_bytes(spec, kind, payload_bytes) / spec.bandwidth_gbps)
+
+
+def phase_table(
+    specs: Union[Mapping[int, DimSpec], Sequence[DimSpec]],
+    order: Sequence[int],
+    kind: PhaseKind,
+    payload_bytes: float,
+    roundtrip: bool,
+) -> Tuple[PhaseRow, ...]:
+    """Walk one chunk's payload through ``order``: one row per phase.
+
+    Args:
+        specs: Per-dimension specs, indexed by dimension (the effective
+            specs of a communicator, or a topology's ``dims``).
+        order: Dimension indices of the first pass, in traversal order.
+        kind: Phase kind of the first pass.
+        payload_bytes: Per-NPU payload entering the first phase.
+        roundtrip: True for All-Reduce: the first pass is its
+            Reduce-Scatter, and All-Gather rows replay it reversed, each
+            entering with its matching Reduce-Scatter phase's exit payload.
+
+    A row's ``busy_ns`` (traffic / bandwidth) is how long the phase
+    occupies the NPU's egress port.  Its ``latency_ns``
+    (:func:`phase_latency_ns`) overlaps the next pipelined chunk's
+    serialization, so it delays only this chunk.  The label names the
+    collective and the phase kind (``"all_reduce:rs"``).
+    """
+    collective = (CollectiveType.ALL_REDUCE if roundtrip
+                  else _COLLECTIVE_OF_PASS[kind])
+    steps = []
+    mirror = []
+    payload = payload_bytes
+    for d in order:
+        steps.append((d, kind, payload))
+        if kind is PhaseKind.REDUCE_SCATTER:
+            payload /= specs[d].size
+        elif kind is PhaseKind.ALL_GATHER:
+            payload *= specs[d].size
+        if roundtrip:
+            mirror.append((d, PhaseKind.ALL_GATHER, payload))
+    steps.extend(reversed(mirror))
+    rows = []
+    for d, step_kind, entry in steps:
+        spec = specs[d]
+        traffic = phase_traffic_bytes(spec, step_kind, entry)
+        rows.append((d, step_kind, entry, traffic / spec.bandwidth_gbps,
+                     traffic, phase_latency_ns(spec),
+                     f"{collective.value}:{step_kind.value}"))
+    return tuple(rows)
 
 
 @dataclass
@@ -154,38 +216,18 @@ def decompose_collective(
     """
     if payload_bytes < 0:
         raise ValueError(f"negative payload {payload_bytes}")
+    kind = FIRST_PASS_KIND.get(collective)
+    if kind is None:
+        raise ValueError(f"unsupported collective {collective!r}")
     active = [d for d in dims_order if topology.dims[d].size > 1]
-    phases: List[Phase] = []
-
-    if collective is CollectiveType.ALL_REDUCE:
-        size = float(payload_bytes)
-        sizes_at_entry = []
-        for d in active:
-            sizes_at_entry.append(size)
-            phases.append(Phase(d, PhaseKind.REDUCE_SCATTER, size))
-            size /= topology.dims[d].size
-        # All-Gather replays the RS order in reverse; an AG phase's entry
-        # shard equals the corresponding RS phase's exit payload.
-        for d, entry in zip(reversed(active), reversed(sizes_at_entry)):
-            size_after_rs = entry / topology.dims[d].size
-            phases.append(Phase(d, PhaseKind.ALL_GATHER, size_after_rs))
-    elif collective is CollectiveType.REDUCE_SCATTER:
-        size = float(payload_bytes)
-        for d in active:
-            phases.append(Phase(d, PhaseKind.REDUCE_SCATTER, size))
-            size /= topology.dims[d].size
-    elif collective is CollectiveType.ALL_GATHER:
+    payload = float(payload_bytes)
+    if collective is CollectiveType.ALL_GATHER:
+        # The walk starts from each NPU's contributed shard.
         group = 1
         for d in active:
             group *= topology.dims[d].size
-        shard = float(payload_bytes) / group
-        for d in active:
-            phases.append(Phase(d, PhaseKind.ALL_GATHER, shard))
-            shard *= topology.dims[d].size
-    elif collective is CollectiveType.ALL_TO_ALL:
-        for d in active:
-            phases.append(Phase(d, PhaseKind.ALL_TO_ALL, float(payload_bytes)))
-    else:
-        raise ValueError(f"unsupported collective {collective!r}")
-
-    return CollectiveDecomposition(phases=tuple(phases))
+        payload /= group
+    rows = phase_table(topology.dims, active, kind, payload,
+                       collective is CollectiveType.ALL_REDUCE)
+    return CollectiveDecomposition(
+        phases=tuple(Phase(d, k, entry) for d, k, entry, *_ in rows))

@@ -18,6 +18,13 @@ decision, fixed per chunk when the chunk launches:
   few percent of the W-1D-600 wafer-scale time, the headline observation
   of Fig. 9(a).
 
+Every scheduler memoises, per run, the phase table of each chunk plan it
+sees (:meth:`ChunkScheduler.phase_tables`): the rows of
+:func:`repro.system.phases.phase_table` and the work vector summed from
+them.  The greedy order, the LP mix, the balanced plan and the chunk
+stepper of :class:`~repro.system.collective_op.CollectiveOperation` all
+read the same tables.
+
 Schedulers see the communicator as a mapping ``dim index -> DimSpec``
 whose sizes are the *effective* per-dimension group sizes — for
 sub-dimension communicators (e.g. an MP group of 16 inside a 512-NPU
@@ -32,86 +39,55 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import DimSpec
-from repro.system.phases import (
-    PhaseKind,
-    phase_busy_ns,
-    phase_duration_ns,
-    phase_traffic_bytes,
-)
+from repro.system.phases import PhaseKind, PhaseRow, phase_table
 
 # Above this many dimensions, evaluating every permutation is replaced by a
 # first-dim sweep with shrink-optimal (largest-first) tails.
 _EXHAUSTIVE_PERMUTATION_LIMIT = 5
 
 DimSpecs = Mapping[int, DimSpec]
+PhaseRows = Tuple[PhaseRow, ...]
 
 
-def chunk_work_vector(
-    dim_specs: DimSpecs,
-    order: Sequence[int],
-    kind: PhaseKind,
-    payload_bytes: float,
-    roundtrip: bool,
-) -> Dict[int, float]:
-    """Per-dimension port time one chunk adds when traversing ``order``.
+def chunk_work_vector(rows: PhaseRows, roundtrip: bool) -> Dict[int, float]:
+    """Per-dimension port time one chunk adds, from its phase table.
 
-    ``roundtrip`` doubles each dim's contribution — the All-Gather half of
-    an All-Reduce replays the Reduce-Scatter order reversed with identical
-    per-dimension durations.
+    Sums the first pass's busy times.  ``roundtrip`` doubles each dim's
+    contribution instead of reading the All-Gather rows: the All-Gather
+    half of an All-Reduce replays the Reduce-Scatter order reversed with
+    (to rounding) identical per-dimension durations.
     """
-    payload = payload_bytes
+    first_pass = rows[:len(rows) // 2] if roundtrip else rows
     work: Dict[int, float] = {}
-    for d in order:
-        spec = dim_specs[d]
-        busy = phase_busy_ns(spec, kind, payload)
+    for d, _, _, busy, *_ in first_pass:
         work[d] = work.get(d, 0.0) + (2 * busy if roundtrip else busy)
-        if kind is PhaseKind.REDUCE_SCATTER:
-            payload /= spec.size
-        elif kind is PhaseKind.ALL_GATHER:
-            payload *= spec.size
     return work
 
 
-def chunk_wall_vector(
-    dim_specs: DimSpecs,
-    order: Sequence[int],
-    kind: PhaseKind,
-    payload_bytes: float,
-    roundtrip: bool,
-) -> Dict[int, float]:
-    """Per-dimension wall time (serialization + latency) of one chunk."""
-    payload = payload_bytes
-    wall: Dict[int, float] = {}
-    for d in order:
-        spec = dim_specs[d]
-        duration = phase_duration_ns(spec, kind, payload)
-        wall[d] = wall.get(d, 0.0) + (2 * duration if roundtrip else duration)
-        if kind is PhaseKind.REDUCE_SCATTER:
-            payload /= spec.size
-        elif kind is PhaseKind.ALL_GATHER:
-            payload *= spec.size
-    return wall
+class PhaseTables(dict):
+    """``order -> (phase rows, work vector)`` for one chunk signature.
 
+    Filled on first lookup of each order with
+    :func:`~repro.system.phases.phase_table` and :func:`chunk_work_vector`;
+    callers only read what it returns.
+    """
 
-def chunk_traffic_vector(
-    dim_specs: DimSpecs,
-    order: Sequence[int],
-    kind: PhaseKind,
-    payload_bytes: float,
-    roundtrip: bool,
-) -> Dict[int, float]:
-    """Per-dimension serialized bytes of one chunk traversing ``order``."""
-    payload = payload_bytes
-    traffic: Dict[int, float] = {}
-    for d in order:
-        spec = dim_specs[d]
-        amount = phase_traffic_bytes(spec, kind, payload)
-        traffic[d] = traffic.get(d, 0.0) + (2 * amount if roundtrip else amount)
-        if kind is PhaseKind.REDUCE_SCATTER:
-            payload /= spec.size
-        elif kind is PhaseKind.ALL_GATHER:
-            payload *= spec.size
-    return traffic
+    __slots__ = ("specs", "kind", "payload_bytes", "roundtrip")
+
+    def __init__(self, specs: DimSpecs, kind: PhaseKind,
+                 payload_bytes: float, roundtrip: bool) -> None:
+        super().__init__()
+        self.specs = specs
+        self.kind = kind
+        self.payload_bytes = payload_bytes
+        self.roundtrip = roundtrip
+
+    def __missing__(self, order: Tuple[int, ...]
+                    ) -> Tuple[PhaseRows, Dict[int, float]]:
+        rows = phase_table(self.specs, order, self.kind, self.payload_bytes,
+                           self.roundtrip)
+        table = self[order] = (rows, chunk_work_vector(rows, self.roundtrip))
+        return table
 
 
 class BalancedPlan:
@@ -138,6 +114,46 @@ class ChunkScheduler(abc.ABC):
     """Strategy interface: choose a chunk's full dimension order."""
 
     name: str = "abstract"
+
+    def __init__(self) -> None:
+        self._tables: Dict[tuple, PhaseTables] = {}
+
+    def phase_tables(
+        self,
+        dim_specs: DimSpecs,
+        dims: Sequence[int],
+        kind: PhaseKind,
+        payload_bytes: float,
+        roundtrip: bool,
+    ) -> PhaseTables:
+        """The phase tables of every order over ``dims``, memoised per run.
+
+        Keyed on the exact signature (payload as the exact float,
+        effective specs as the ``DimSpec``s themselves), so every chunk of
+        every collective on one communicator shares one table per order.
+        """
+        dims = tuple(sorted(dims))
+        specs = tuple(dim_specs[d] for d in dims)
+        key = (dims, kind, payload_bytes, roundtrip, specs)
+        tables = self._tables.get(key)
+        if tables is None:
+            tables = self._tables[key] = PhaseTables(
+                dict(zip(dims, specs)), kind, payload_bytes, roundtrip)
+        return tables
+
+    def balanced_plan(
+        self,
+        network: AnalyticalNetwork,
+        dims: Sequence[int],
+        kind: PhaseKind,
+        payload_bytes: float,
+        num_chunks: int,
+        roundtrip: bool = False,
+        dim_specs: DimSpecs = None,
+    ) -> Optional[BalancedPlan]:
+        """Fluid-limit plan for a whole collective; ``None`` runs it chunk
+        by chunk with :meth:`plan_order`."""
+        return None
 
     @abc.abstractmethod
     def plan_order(
@@ -211,13 +227,8 @@ class ThemisScheduler(ChunkScheduler):
     name = "themis"
 
     def __init__(self) -> None:
+        super().__init__()
         self._mix_cache: Dict[tuple, List[Tuple[Tuple[int, ...], float]]] = {}
-        # chunk_work_vector is pure in (specs, order, kind, payload,
-        # roundtrip); the greedy fallback re-evaluates every candidate
-        # order for every chunk of every collective, so memoise the work
-        # vectors per exact signature (payload kept as the exact float —
-        # unlike the LP mix there is no rounding, results stay bit-exact).
-        self._work_cache: Dict[tuple, Dict[Tuple[int, ...], Dict[int, float]]] = {}
         # balanced_plan is pure in its exact signature (payload as the
         # exact float, effective specs as the DimSpecs themselves).
         self._plan_cache: Dict[tuple, Optional[BalancedPlan]] = {}
@@ -268,22 +279,23 @@ class ThemisScheduler(ChunkScheduler):
         loads: Dict[int, float] = {d: 0.0 for d in dims}
         traffic: Dict[int, float] = {d: 0.0 for d in dims}
         fill = float("inf")
+        tables = self.phase_tables(specs, dims, kind, chunk_payload, roundtrip)
         for order, fraction in mix:
-            work = chunk_work_vector(specs, order, kind, chunk_payload, roundtrip)
-            bytes_moved = chunk_traffic_vector(
-                specs, order, kind, chunk_payload, roundtrip
-            )
-            for d in order:
+            rows, work = tables[order]
+            walls = []
+            for d, _, _, busy, moved, latency, _ in rows[:len(order)]:
                 loads[d] += fraction * num_chunks * work[d]
-                traffic[d] += fraction * num_chunks * bytes_moved[d]
+                traffic[d] += fraction * num_chunks * (
+                    2 * moved if roundtrip else moved)
+                wall = latency + busy
+                walls.append(2 * wall if roundtrip else wall)
             # Pipeline ramp of one chunk on this order: its wall-time path
             # (serialization + propagation latency per dim) minus the
             # heaviest per-dim share, which packs inside that dim's port
             # load; in particular a 1-D collective has zero ramp.  With
             # heaviest plans launched first, the draining chunk is the
             # lightest order, so the collective-level fill is the minimum.
-            walls = chunk_wall_vector(specs, order, kind, chunk_payload, roundtrip)
-            ramp = sum(walls.values()) - max(walls.values()) if walls else 0.0
+            ramp = sum(walls) - max(walls) if walls else 0.0
             fill = min(fill, ramp)
         if fill == float("inf"):
             fill = 0.0
@@ -345,10 +357,8 @@ class ThemisScheduler(ChunkScheduler):
         except ImportError:  # pragma: no cover - scipy is an optional path
             return []
         orders = self._candidate_orders(specs, dims)
-        vectors = [
-            chunk_work_vector(specs, order, kind, payload_bytes, roundtrip)
-            for order in orders
-        ]
+        tables = self.phase_tables(specs, dims, kind, payload_bytes, roundtrip)
+        vectors = [tables[order][1] for order in orders]
         n = len(orders)
         # Variables: x_0..x_{n-1} (order fractions), T (bottleneck).
         c = [0.0] * n + [1.0]
@@ -388,24 +398,11 @@ class ThemisScheduler(ChunkScheduler):
             d: network.port_backlog(rep_npu, d) + pending_load.get(d, 0.0)
             for d in dims
         }
-        dims = sorted(dims)
-        signature = (
-            tuple(dims), kind, roundtrip, payload_bytes,
-            tuple(
-                (specs[d].size, specs[d].bandwidth_gbps, specs[d].latency_ns)
-                for d in dims
-            ),
-        )
-        per_order = self._work_cache.get(signature)
-        if per_order is None:
-            per_order = self._work_cache[signature] = {}
+        tables = self.phase_tables(specs, dims, kind, payload_bytes, roundtrip)
         best_order: Tuple[int, ...] = ()
         best_key = None
         for order in self._candidate_orders(specs, dims):
-            work = per_order.get(order)
-            if work is None:
-                work = per_order[order] = chunk_work_vector(
-                    specs, order, kind, payload_bytes, roundtrip)
+            work = tables[order][1]
             bottleneck = max(horizon[d] + work[d] for d in order)
             key = (bottleneck, sum(work.values()), order)
             if best_key is None or key < best_key:

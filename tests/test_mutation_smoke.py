@@ -17,8 +17,7 @@ import repro.network.adaptive as adaptive_mod
 import repro.network.analytical as analytical_mod
 import repro.network.flowlevel as flowlevel_mod
 import repro.network.garnetlite as garnetlite_mod
-import repro.system.collective_op as collective_op_mod
-import repro.system.scheduler as scheduler_mod
+import repro.system.phases as phases_mod
 from repro.core import SystemConfig, simulate
 from repro.memory import HierMemConfig, HierarchicalRemoteMemory
 from repro.network import parse_topology
@@ -130,42 +129,38 @@ class TestPortMutations:
 class TestTrafficMutations:
     def test_reduce_scatter_drops_fraction_caught(self, monkeypatch):
         # Bug: RS phases "forget" the (k-1)/k telescoping fraction.
-        original = collective_op_mod.phase_traffic_bytes
+        original = phases_mod.phase_traffic_bytes
 
         def mutated(spec, kind, payload_bytes):
-            if kind is collective_op_mod.PhaseKind.REDUCE_SCATTER:
+            if kind is phases_mod.PhaseKind.REDUCE_SCATTER:
                 return float(payload_bytes)
             return original(spec, kind, payload_bytes)
 
-        monkeypatch.setattr(collective_op_mod, "phase_traffic_bytes", mutated)
-        monkeypatch.setattr(scheduler_mod, "phase_traffic_bytes", mutated)
+        monkeypatch.setattr(phases_mod, "phase_traffic_bytes", mutated)
         assert _caught_by_invariants()
 
     def test_all_gather_overcounts_caught(self, monkeypatch):
         # Bug: AG serializes payload*k instead of payload*(k-1).
-        original = collective_op_mod.phase_traffic_bytes
+        original = phases_mod.phase_traffic_bytes
 
         def mutated(spec, kind, payload_bytes):
-            if kind is collective_op_mod.PhaseKind.ALL_GATHER:
+            if kind is phases_mod.PhaseKind.ALL_GATHER:
                 return float(payload_bytes) * spec.size
             return original(spec, kind, payload_bytes)
 
-        monkeypatch.setattr(collective_op_mod, "phase_traffic_bytes", mutated)
-        monkeypatch.setattr(scheduler_mod, "phase_traffic_bytes", mutated)
+        monkeypatch.setattr(phases_mod, "phase_traffic_bytes", mutated)
         assert _caught_by_invariants()
 
     def test_traffic_fraction_off_by_one_caught(self, monkeypatch):
         # Bug: the classic k/(k-1) slip — every NPU sends the full
         # payload in every phase.
-        import repro.system.phases as phases_mod
-
         monkeypatch.setattr(phases_mod, "collective_traffic_fraction",
                             lambda k: 1.0)
         assert _caught_by_invariants()
 
     def test_nan_latency_caught(self, monkeypatch):
         # Bug: a 0/0 in the latency model poisons event timestamps.
-        monkeypatch.setattr(collective_op_mod, "phase_latency_ns",
+        monkeypatch.setattr(phases_mod, "phase_latency_ns",
                             lambda spec: math.nan)
         assert _caught_by_invariants()
 

@@ -9,9 +9,22 @@ from repro.events import EventEngine
 from repro.faults.spec import FaultSchedule
 from repro.network import AnalyticalNetwork, parse_topology
 from repro.system import BaselineScheduler, PhaseKind, ThemisScheduler, make_scheduler
-from repro.system.scheduler import chunk_traffic_vector, chunk_work_vector
+from repro.system.phases import phase_table
+from repro.system.scheduler import chunk_work_vector
 from repro.trace import CollectiveType
 from repro.workload.generators import generate_single_collective
+
+try:
+    import scipy.optimize  # noqa: F401
+except ImportError:
+    _HAVE_LP = False
+else:
+    _HAVE_LP = True
+
+#: Balanced plans come from the LP, which needs scipy (the optional
+#: ``balancing`` extra); without it ``balanced_plan`` returns None.
+requires_lp = pytest.mark.skipif(
+    not _HAVE_LP, reason="needs scipy (the optional balancing extra)")
 
 
 def _network(bws=(100, 100, 100), sizes=None):
@@ -25,24 +38,29 @@ def _network(bws=(100, 100, 100), sizes=None):
 class TestWorkVectors:
     def test_single_pass_vector(self):
         _, net = _network(bws=(100, 100), sizes=(4, 4))
-        work = chunk_work_vector(net.topology.dims, (0, 1), PhaseKind.REDUCE_SCATTER,
-                                 1000, roundtrip=False)
+        rows = phase_table(net.topology.dims, (0, 1), PhaseKind.REDUCE_SCATTER,
+                           1000, roundtrip=False)
+        work = chunk_work_vector(rows, roundtrip=False)
         assert work[0] == pytest.approx(750 / 100)
         assert work[1] == pytest.approx(250 * 0.75 / 100)
 
     def test_roundtrip_doubles(self):
         _, net = _network(bws=(100,), sizes=(4,))
-        single = chunk_work_vector(net.topology.dims, (0,), PhaseKind.REDUCE_SCATTER,
-                                   1000, roundtrip=False)
-        double = chunk_work_vector(net.topology.dims, (0,), PhaseKind.REDUCE_SCATTER,
-                                   1000, roundtrip=True)
+        single = chunk_work_vector(
+            phase_table(net.topology.dims, (0,), PhaseKind.REDUCE_SCATTER,
+                        1000, roundtrip=False), roundtrip=False)
+        double = chunk_work_vector(
+            phase_table(net.topology.dims, (0,), PhaseKind.REDUCE_SCATTER,
+                        1000, roundtrip=True), roundtrip=True)
         assert double[0] == pytest.approx(2 * single[0])
 
     def test_traffic_vector_matches_table_iv_structure(self):
         _, net = _network(bws=(100, 100), sizes=(2, 8))
-        traffic = chunk_traffic_vector(net.topology.dims, (0, 1),
-                                       PhaseKind.REDUCE_SCATTER, 1024,
-                                       roundtrip=True)
+        rows = phase_table(net.topology.dims, (0, 1),
+                           PhaseKind.REDUCE_SCATTER, 1024, roundtrip=True)
+        traffic = {}
+        for dim, _, _, _, moved, _, _ in rows:
+            traffic[dim] = traffic.get(dim, 0.0) + moved
         assert traffic[0] == pytest.approx(1024)       # 2 * 1024 * 1/2
         assert traffic[1] == pytest.approx(896)        # 2 * 512 * 7/8
 
@@ -100,6 +118,7 @@ class TestThemisGreedy:
                                          1, {})
 
 
+@requires_lp
 class TestThemisBalancedPlan:
     def test_loads_balanced_on_heterogeneous_topology(self):
         engine = EventEngine()
@@ -164,6 +183,7 @@ class TestPlanMemo:
             dim_specs=specs) is first
         assert len(scheduler._plan_cache) == 1
 
+    @requires_lp
     def test_payload_chunks_and_specs_each_get_their_own_plan(self):
         net, scheduler = _conv4d_net(), ThemisScheduler()
         base = _plan(scheduler, net)
@@ -182,6 +202,7 @@ class TestPlanMemo:
         assert len(scheduler._plan_cache) == len(plans)
         assert len(scheduler._mix_cache) == len(plans) - 1
 
+    @requires_lp
     def test_memoized_plan_equals_a_fresh_schedulers_plan(self):
         net, warm = _conv4d_net(), ThemisScheduler()
         signatures = [(1 << 30, 32), (12345.0, 4), (1 << 30, 32),
@@ -234,6 +255,31 @@ class TestPlanMemo:
         Simulator(planned.traces, SystemConfig(
             topology=topo, scheduler="themis", collective_chunks=32)).run()
         assert calls == {"balanced_plan": 1369, "_build_plan": 3}
+
+    def test_chunk_path_walks_each_plan_once(self, monkeypatch):
+        """A 32-chunk baseline All-Reduce on Conv-4D prices every phase
+        once per phase-table row, not once per chunk per phase."""
+        from repro.system import phases
+
+        calls = []
+        original = phases.phase_traffic_bytes
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(phases, "phase_traffic_bytes", counting)
+        topo = _conv4d_net().topology
+        traces = generate_single_collective(topo, CollectiveType.ALL_REDUCE,
+                                            1 << 30)
+        sim = Simulator(traces, SystemConfig(
+            topology=topo, scheduler="baseline", collective_chunks=32))
+        sim.run()
+        # One table: the baseline order, 4 Reduce-Scatter + 4 All-Gather rows.
+        assert len(calls) == 8
+        (tables,) = sim.scheduler._tables.values()
+        (rows, _), = tables.values()
+        assert len(rows) == len(calls)
 
 
 class TestFactory:

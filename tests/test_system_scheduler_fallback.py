@@ -6,6 +6,13 @@ import repro
 from repro.system.scheduler import ThemisScheduler
 from repro.workload import generate_single_collective
 
+try:
+    import scipy.optimize  # noqa: F401
+except ImportError:
+    _HAVE_LP = False
+else:
+    _HAVE_LP = True
+
 GiB = 1 << 30
 
 
@@ -48,6 +55,8 @@ def test_fallback_matches_baseline_on_1d(no_lp):
     assert greedy == pytest.approx(base, rel=1e-6)
 
 
+@pytest.mark.skipif(not _HAVE_LP,
+                    reason="needs scipy (the optional balancing extra)")
 def test_fluid_path_engages_when_lp_available():
     """Sanity: without the monkeypatch, the LP/fluid path is used and its
     result differs from the greedy fallback on a heterogeneous shape."""
