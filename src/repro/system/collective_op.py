@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.events import EventEngine
 from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import CommGroup, DimSpec
-from repro.system.phases import FIRST_PASS_KIND, PhaseRow
+from repro.system.phases import FIRST_PASS_KIND, PhaseRows
 from repro.system.scheduler import ChunkScheduler
 from repro.trace.node import CollectiveType
 
@@ -184,7 +184,7 @@ class CollectiveOperation:
         tables = self.scheduler.phase_tables(
             self.dim_specs, self.active_dims, first_kind, chunk_payload,
             roundtrip)
-        launches: List[Tuple[float, int, Tuple[PhaseRow, ...]]] = []
+        launches: List[Tuple[float, int, PhaseRows]] = []
         for index in range(self.num_chunks):
             order = self.scheduler.plan_order(
                 network=self.network,
@@ -237,7 +237,7 @@ class CollectiveOperation:
 
     # -- chunk stepping ------------------------------------------------------------
 
-    def _advance(self, rows: Tuple[PhaseRow, ...], i: int) -> None:
+    def _advance(self, rows: PhaseRows, i: int) -> None:
         """Run the chunk's phase ``rows[i]``, or retire the chunk."""
         if i == len(rows):
             self._chunk_done()

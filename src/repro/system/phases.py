@@ -76,6 +76,7 @@ _COLLECTIVE_OF_PASS = {
 #: ``(dim, kind, entry payload, busy_ns, traffic_bytes, latency_ns,
 #: span label)`` of one phase; see :func:`phase_table`.
 PhaseRow = Tuple[int, PhaseKind, float, float, float, float, str]
+PhaseRows = Tuple[PhaseRow, ...]
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def phase_table(
     kind: PhaseKind,
     payload_bytes: float,
     roundtrip: bool,
-) -> Tuple[PhaseRow, ...]:
+) -> PhaseRows:
     """Walk one chunk's payload through ``order``: one row per phase.
 
     Args:

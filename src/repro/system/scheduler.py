@@ -39,14 +39,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import DimSpec
-from repro.system.phases import PhaseKind, PhaseRow, phase_table
+from repro.system.phases import PhaseKind, PhaseRows, phase_table
 
 # Above this many dimensions, evaluating every permutation is replaced by a
 # first-dim sweep with shrink-optimal (largest-first) tails.
 _EXHAUSTIVE_PERMUTATION_LIMIT = 5
 
 DimSpecs = Mapping[int, DimSpec]
-PhaseRows = Tuple[PhaseRow, ...]
 
 
 def chunk_work_vector(rows: PhaseRows, roundtrip: bool) -> Dict[int, float]:
