@@ -27,9 +27,10 @@ All-to-Alls over the expert-parallel dimensions.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+
+from repro.trace.graph import kahn_order
 
 
 class FrontendError(ValueError):
@@ -205,21 +206,8 @@ class OpGraph:
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        indegree = {op.op_id: len(op.deps) for op in self.ops}
-        children: Dict[int, List[int]] = {}
-        for op in self.ops:
-            for dep in op.deps:
-                children.setdefault(dep, []).append(op.op_id)
-        queue = deque(oid for oid, deg in indegree.items() if deg == 0)
-        visited = 0
-        while queue:
-            oid = queue.popleft()
-            visited += 1
-            for child in children.get(oid, ()):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    queue.append(child)
-        if visited != len(self.ops):
+        order, indegree = self._walk()
+        if len(order) != len(self.ops):
             cyclic = sorted(oid for oid, deg in indegree.items() if deg > 0)
             raise FrontendError(
                 f"graph {self.name!r} contains a cycle involving ops "
@@ -227,24 +215,16 @@ class OpGraph:
 
     def topological_order(self) -> List[OpNode]:
         """Deterministic topological order (ties broken by op id)."""
-        import heapq
+        return [self._by_id[oid] for oid in self._walk()[0]]
 
+    def _walk(self) -> Tuple[List[int], Dict[int, int]]:
+        """:func:`kahn_order` over the ops, with its consumed indegrees."""
         indegree = {op.op_id: len(op.deps) for op in self.ops}
         children: Dict[int, List[int]] = {}
         for op in self.ops:
             for dep in op.deps:
                 children.setdefault(dep, []).append(op.op_id)
-        ready = [oid for oid, deg in indegree.items() if deg == 0]
-        heapq.heapify(ready)
-        order: List[OpNode] = []
-        while ready:
-            oid = heapq.heappop(ready)
-            order.append(self._by_id[oid])
-            for child in children.get(oid, ()):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    heapq.heappush(ready, child)
-        return order
+        return kahn_order(indegree, children), indegree
 
     # -- aggregate queries ---------------------------------------------------------
 

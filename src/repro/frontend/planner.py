@@ -2,9 +2,12 @@
 
 The planner maps an ingested :class:`~repro.frontend.ir.OpGraph` onto a
 :class:`~repro.network.topology.MultiDimTopology` through the same
-dimension-assignment machinery the builtin generators use
-(:func:`repro.workload.parallelism.assign_dims` /
-:func:`~repro.workload.parallelism.fit_hybrid`), then lowers it into
+layout helpers the builtin generators use, from
+:mod:`repro.workload.parallelism`: ``assign_dims_or_flat`` (dimension
+runs, or flat MP/DP groups when the degrees do not align),
+``stage_representatives`` (the traced NPU of each pipeline stage) and
+``p2p_tag`` (stage-boundary send/recv tags).  It then lowers every op of
+every microbatch, forward and backward alike, through one step into
 per-NPU Chakra-style execution traces that run unmodified on all three
 network backends.
 
@@ -39,11 +42,17 @@ from repro.frontend.ir import FrontendError, OpGraph, OpNode
 from repro.network.topology import MultiDimTopology
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import CollectiveType
-from repro.workload.generators import TraceBuilder, _stage_op_sequence
+from repro.workload.generators import (
+    PIPELINE_SCHEDULES,
+    TraceBuilder,
+    _stage_op_sequence,
+)
 from repro.workload.parallelism import (
     DimAssignmentError,
     ParallelismSpec,
-    assign_dims,
+    assign_dims_or_flat,
+    p2p_tag,
+    stage_representatives,
 )
 
 
@@ -76,6 +85,10 @@ class PlanConfig:
         if self.dtype_bytes < 1:
             raise FrontendError(
                 f"dtype_bytes must be >= 1, got {self.dtype_bytes}")
+        if self.schedule not in PIPELINE_SCHEDULES:
+            raise FrontendError(
+                f"unknown pipeline schedule {self.schedule!r}; expected "
+                "'gpipe' or '1f1b'")
 
 
 @dataclass
@@ -157,9 +170,6 @@ def _split_stages(graph: OpGraph, pp: int) -> List[List[Optional[int]]]:
                 and stages[stage]):
             stage += 1
             acc = 0
-        # Never strand a stage without groups.
-        if remaining_groups == remaining_stages and not stages[stage]:
-            pass
         stages[stage].append(key)
         acc += flops[i]
     # Guarantee every stage is non-empty (tiny graphs, skewed FLOPs).
@@ -182,49 +192,30 @@ def plan(
     """Annotate and lower an op graph into per-NPU execution traces."""
     graph.validate()
     spec = resolve_parallelism(graph, topology, config)
-    tp, dp, pp, ep = spec.mp, spec.dp, spec.pp, spec.ep
+    tp, pp, ep = spec.mp, spec.pp, spec.ep
 
-    mp_group = dp_group = None
     try:
-        assignment = assign_dims(topology, spec)
+        assignment, mp_group, dp_group = assign_dims_or_flat(topology, spec)
     except DimAssignmentError as exc:
-        if pp == 1 and ep == 1 and tp * dp == topology.num_npus:
-            # Flat-group fallback (sub-dimension communicators sharing a
-            # wafer's bandwidth, paper Sec. V-A) — mirrors
-            # generate_megatron_hybrid.
-            assignment = {"mp": (), "dp": (), "pp": (), "ep": ()}
-            if tp > 1:
-                mp_group = tuple(range(tp))
-            if dp > 1:
-                dp_group = tuple(range(0, tp * dp, tp))
-        else:
-            raise FrontendError(
-                f"parallelism {spec} does not align with topology "
-                f"dimension boundaries: {exc}") from exc
-    mp_dims = tuple(assignment["mp"]) or None
-    dp_dims = tuple(assignment["dp"]) or None
-    pp_dims, ep_dims = assignment["pp"], assignment["ep"]
-    has_mp = (mp_dims is not None and len(mp_dims) > 0) or mp_group is not None
-    has_dp = (dp_dims is not None and len(dp_dims) > 0) or dp_group is not None
+        raise FrontendError(
+            f"parallelism {spec} does not align with topology "
+            f"dimension boundaries: {exc}") from exc
+    mp_dims = assignment["mp"] or None
+    dp_dims = assignment["dp"] or None
+    has_mp = mp_dims is not None or mp_group is not None
+    has_dp = dp_dims is not None or dp_group is not None
     # Routed ops exchange over the EP dims, falling back to the DP dims
     # (DLRM: tables sharded across the data-parallel ranks).
     if ep > 1:
-        route_dims: Optional[Tuple[int, ...]] = ep_dims
-        route_group = None
-    elif has_dp:
-        route_dims, route_group = dp_dims, dp_group
+        route_dims, route_group = assignment["ep"], None
     else:
-        route_dims, route_group = None, None
+        route_dims, route_group = dp_dims, dp_group
     has_route = route_dims is not None or route_group is not None
 
     stage_layers = _split_stages(graph, pp)
-    stage_of: Dict[Optional[int], int] = {}
-    for s, keys in enumerate(stage_layers):
-        for key in keys:
-            stage_of[key] = s
-    order = graph.topological_order()
+    stage_of = {key: s for s, keys in enumerate(stage_layers) for key in keys}
     stage_ops: List[List[OpNode]] = [[] for _ in range(pp)]
-    for op in order:
+    for op in graph.topological_order():
         stage_ops[stage_of[op.layer]].append(op)
     for s, ops in enumerate(stage_ops):
         if not ops:
@@ -232,22 +223,7 @@ def plan(
                 f"pipeline stage {s} received no ops; reduce pp")
 
     microbatches = config.microbatches if pp > 1 else 1
-    _stage_op_sequence(config.schedule, 2, 0, 1)  # validate schedule name
-    dt = config.dtype_bytes
-
-    # Representative NPU per stage (PP coords encode the stage index).
-    def stage_rep(s: int) -> int:
-        coords = [0] * topology.num_dims
-        rest = s
-        for d in pp_dims:
-            coords[d] = rest % topology.dims[d].size
-            rest //= topology.dims[d].size
-        return topology.npu_id(coords)
-
-    reps = [stage_rep(s) for s in range(pp)]
-    if len(set(reps)) != pp:
-        raise FrontendError("pipeline stages collapsed onto one NPU")
-    builders = {reps[s]: TraceBuilder(reps[s]) for s in range(pp)}
+    reps = stage_representatives(topology, assignment["pp"], pp)
 
     consumers: Dict[int, List[int]] = {op.op_id: [] for op in graph}
     for op in graph:
@@ -262,183 +238,138 @@ def plan(
     def mb_scale(value: int) -> int:
         return max(1, value // microbatches) if value else 0
 
-    def producers_replicated(op: OpNode) -> bool:
-        return all(graph.op(d).tp == "none" for d in op.deps)
+    def lower(b: TraceBuilder, op: OpNode, deps: List[int], forward: bool,
+              it: int, mb: int) -> int:
+        """One op of one microbatch in one pass; returns its last node.
 
-    def tag(it: int, kind: str, s: int, mb: int) -> int:
-        base = {"f": 0, "b": 1}[kind]
-        return ((it * 2 + base) * pp + s) * microbatches + mb + 1
+        Routed ops run between a dispatch and a combine All-to-All.
+        Otherwise a ``row`` op All-Reduces its partial-sum output in the
+        forward, and a ``col`` op whose input was replicated All-Reduces
+        its input gradient's partial sums in the backward.
+        """
+        compute, dispatch, combine, all_reduce = _NODE_NAMES[forward]
+        routed = op.routed and has_route
+        if routed:
+            deps = [b.collective(
+                f"it{it}.{op.name}.{dispatch}.mb{mb}",
+                CollectiveType.ALL_TO_ALL, mb_scale(op.route_bytes),
+                route_dims, deps=deps, involved=route_group)]
+        flops = mb_scale(sharded(op, op.flops))
+        out_bytes = mb_scale(op.output_bytes // tp if op.tp == "col"
+                             and tp > 1 else op.output_bytes)
+        node = b.compute(f"it{it}.{compute}.{op.name}.mb{mb}",
+                         flops if forward else 2 * flops, out_bytes,
+                         deps=deps)
+        if routed:
+            return b.collective(
+                f"it{it}.{op.name}.{combine}.mb{mb}",
+                CollectiveType.ALL_TO_ALL, mb_scale(op.route_bytes),
+                route_dims, deps=(node,), involved=route_group)
+        if not has_mp:
+            return node
+        if forward and op.tp == "row":
+            ar_bytes = op.output_bytes
+        elif (not forward and op.tp == "col"
+              and all(graph.op(d).tp == "none" for d in op.deps)):
+            ar_bytes = op.input_bytes or op.output_bytes
+        else:
+            return node
+        return b.collective(
+            f"it{it}.{all_reduce}.{op.name}.mb{mb}",
+            CollectiveType.ALL_REDUCE, mb_scale(ar_bytes), mp_dims,
+            deps=(node,), involved=mp_group)
 
-    prev_end: Dict[int, Tuple[int, ...]] = {s: () for s in range(pp)}
-    for it in range(iterations := config.iterations):
-        grad_deps: Dict[int, Dict[Any, List[int]]] = {
-            s: {} for s in range(pp)}
-        stage_tail: Dict[int, Tuple[int, ...]] = dict(prev_end)
-        for s in range(pp):
-            b = builders[reps[s]]
-            ops = stage_ops[s]
-            in_stage = {op.op_id for op in ops}
-            boundary_in = mb_scale(ops[0].input_bytes or ops[0].output_bytes)
-            boundary_out = mb_scale(ops[-1].output_bytes
-                                    or ops[-1].input_bytes)
-            # Per-microbatch forward node map, kept for the backward.
-            fwd_nodes: Dict[int, Dict[int, int]] = {}
+    # Each stage is traced on its own representative: its forward and
+    # backward microbatches in schedule order, then the DP weight-gradient
+    # All-Reduces (per layer group, overlapping) and the optimizer step.
+    traces: Dict[int, ExecutionTrace] = {}
+    for s, ops in enumerate(stage_ops):
+        b = TraceBuilder(reps[s])
+        in_stage = {op.op_id for op in ops}
+        boundary_in = mb_scale(ops[0].input_bytes or ops[0].output_bytes)
+        boundary_out = mb_scale(ops[-1].output_bytes or ops[-1].input_bytes)
+        # Weight-gradient bytes per layer group; routed parameters are
+        # model-parallel and excluded.
+        group_bytes: Dict[Any, int] = {}
+        for op in ops:
+            if op.param_bytes and not op.routed:
+                key = _group_key(op)
+                group_bytes[key] = (group_bytes.get(key, 0)
+                                    + sharded(op, op.param_bytes))
+        opt_params = (sum(sharded(op, op.param_bytes) for op in ops)
+                      // config.dtype_bytes)
+        sequence = _stage_op_sequence(config.schedule, pp, s, microbatches)
+        prev: Tuple[int, ...] = ()
+        for it in range(config.iterations):
+            grad_deps: Dict[Any, List[int]] = {}
             fwd_out: Dict[int, int] = {}
-            prev: Tuple[int, ...] = stage_tail[s]
-            for kind, mb in _stage_op_sequence(config.schedule, pp, s,
-                                               microbatches):
-                if kind == "f":
-                    nodes: Dict[int, int] = {}
-                    recv_id = None
-                    if s > 0:
-                        recv_id = b.recv(
-                            f"it{it}.recvF.s{s}.mb{mb}", reps[s - 1],
-                            boundary_in, tag(it, "f", s, mb), deps=prev)
-                    for op in ops:
-                        deps = [nodes[d] for d in op.deps if d in nodes]
-                        if not deps:
-                            # Stage/graph root: chain on the stage's
-                            # previous activity (serializes microbatches,
-                            # as the builtin pipeline generator does) and
-                            # on the boundary activation, if any.
-                            deps = list(prev)
-                            if recv_id is not None:
-                                deps.append(recv_id)
-                        elif recv_id is not None and any(
-                                d not in in_stage for d in op.deps):
+            for kind, mb in sequence:
+                # The forward walks the stage along deps from the
+                # previous stage; the backward walks it in reverse,
+                # along consumers, from the next stage.
+                forward = kind == "f"
+                if forward:
+                    walk: List[OpNode] = ops
+                    src, dst = s - 1, s + 1
+                    recv_bytes, send_bytes = boundary_in, boundary_out
+                else:
+                    walk = ops[::-1]
+                    src, dst = s + 1, s - 1
+                    recv_bytes, send_bytes = boundary_out, boundary_in
+                recv_id = None
+                if 0 <= src < pp:
+                    recv_id = b.recv(
+                        f"it{it}.recv{kind.upper()}.s{s}.mb{mb}", reps[src],
+                        recv_bytes, p2p_tag(it, kind, s, mb, pp, microbatches),
+                        deps=prev)
+                nodes: Dict[int, int] = {}
+                for op in walk:
+                    edges = op.deps if forward else consumers[op.op_id]
+                    deps = [nodes[e] for e in edges if e in nodes]
+                    if not deps:
+                        # Stage/graph root: chain on the stage's previous
+                        # activity (serializes microbatches, as the
+                        # builtin pipeline generator does); a backward
+                        # also starts from this microbatch's forward
+                        # output (the loss).  Plus the boundary transfer.
+                        deps = list(prev)
+                        if not forward and fwd_out[mb] not in deps:
+                            deps.append(fwd_out[mb])
+                        if recv_id is not None:
                             deps.append(recv_id)
-                        flops = mb_scale(sharded(op, op.flops))
-                        out_bytes = mb_scale(
-                            op.output_bytes // tp if op.tp == "col"
-                            and tp > 1 else op.output_bytes)
-                        if op.routed and has_route:
-                            dispatch = b.collective(
-                                f"it{it}.{op.name}.dispatchA2A.mb{mb}",
-                                CollectiveType.ALL_TO_ALL,
-                                mb_scale(op.route_bytes), route_dims,
-                                deps=deps, involved=route_group)
-                            deps = [dispatch]
-                        node = b.compute(
-                            f"it{it}.fwd.{op.name}.mb{mb}", flops,
-                            out_bytes, deps=deps)
-                        if op.routed and has_route:
-                            node = b.collective(
-                                f"it{it}.{op.name}.combineA2A.mb{mb}",
-                                CollectiveType.ALL_TO_ALL,
-                                mb_scale(op.route_bytes), route_dims,
-                                deps=(node,), involved=route_group)
-                        elif op.tp == "row" and has_mp:
-                            node = b.collective(
-                                f"it{it}.fwdAR.{op.name}.mb{mb}",
-                                CollectiveType.ALL_REDUCE,
-                                mb_scale(op.output_bytes), mp_dims,
-                                deps=(node,), involved=mp_group)
-                        nodes[op.op_id] = node
-                    fwd_nodes[mb] = nodes
-                    fwd_out[mb] = nodes[ops[-1].op_id]
-                    prev = (fwd_out[mb],)
-                    if s < pp - 1:
-                        b.send(f"it{it}.sendF.s{s}.mb{mb}", reps[s + 1],
-                               boundary_out, tag(it, "f", s + 1, mb),
-                               deps=prev)
-                else:  # backward microbatch
-                    bwd_nodes: Dict[int, int] = {}
-                    recv_id = None
-                    if s < pp - 1:
-                        recv_id = b.recv(
-                            f"it{it}.recvB.s{s}.mb{mb}", reps[s + 1],
-                            boundary_out, tag(it, "b", s, mb), deps=prev)
-                    nodes = fwd_nodes[mb]
-                    for op in reversed(ops):
-                        deps = [bwd_nodes[c] for c in consumers[op.op_id]
-                                if c in bwd_nodes]
-                        if not deps:
-                            # Graph/stage sink: its backward starts from
-                            # the stage's last activity plus this
-                            # microbatch's own forward output (the loss).
-                            deps = list(prev)
-                            if fwd_out[mb] not in deps:
-                                deps.append(fwd_out[mb])
-                            if recv_id is not None:
-                                deps.append(recv_id)
-                        elif recv_id is not None and any(
-                                c not in in_stage
-                                for c in consumers[op.op_id]):
-                            deps.append(recv_id)
-                        flops = 2 * mb_scale(sharded(op, op.flops))
-                        out_bytes = mb_scale(
-                            op.output_bytes // tp if op.tp == "col"
-                            and tp > 1 else op.output_bytes)
-                        if op.routed and has_route:
-                            dispatch = b.collective(
-                                f"it{it}.{op.name}.bwdDispatchA2A.mb{mb}",
-                                CollectiveType.ALL_TO_ALL,
-                                mb_scale(op.route_bytes), route_dims,
-                                deps=deps, involved=route_group)
-                            deps = [dispatch]
-                        node = b.compute(
-                            f"it{it}.bwd.{op.name}.mb{mb}", flops,
-                            out_bytes, deps=deps)
-                        if op.routed and has_route:
-                            node = b.collective(
-                                f"it{it}.{op.name}.bwdCombineA2A.mb{mb}",
-                                CollectiveType.ALL_TO_ALL,
-                                mb_scale(op.route_bytes), route_dims,
-                                deps=(node,), involved=route_group)
-                        elif (op.tp == "col" and has_mp
-                              and producers_replicated(op)):
-                            # Input was replicated: the input gradient's
-                            # partial sums reduce across the TP ranks.
-                            node = b.collective(
-                                f"it{it}.bwdAR.{op.name}.mb{mb}",
-                                CollectiveType.ALL_REDUCE,
-                                mb_scale(op.input_bytes
-                                         or op.output_bytes),
-                                mp_dims, deps=(node,), involved=mp_group)
-                        bwd_nodes[op.op_id] = node
-                        if op.param_bytes and not op.routed:
-                            grad_deps[s].setdefault(
-                                _group_key(op), []).append(node)
-                    prev = (bwd_nodes[ops[0].op_id],)
-                    if s > 0:
-                        b.send(f"it{it}.sendB.s{s}.mb{mb}", reps[s - 1],
-                               boundary_in, tag(it, "b", s - 1, mb),
-                               deps=prev)
-            stage_tail[s] = prev
+                    elif recv_id is not None and any(
+                            e not in in_stage for e in edges):
+                        deps.append(recv_id)
+                    node = nodes[op.op_id] = lower(b, op, deps, forward,
+                                                   it, mb)
+                    if not forward and op.param_bytes and not op.routed:
+                        grad_deps.setdefault(_group_key(op), []).append(node)
+                prev = (nodes[walk[-1].op_id],)
+                if forward:
+                    fwd_out[mb] = prev[0]
+                if 0 <= dst < pp:
+                    b.send(f"it{it}.send{kind.upper()}.s{s}.mb{mb}",
+                           reps[dst], send_bytes,
+                           p2p_tag(it, kind, dst, mb, pp, microbatches),
+                           deps=prev)
+            grad_ars = [
+                b.collective(f"it{it}.gradAR.s{s}.{key}",
+                             CollectiveType.ALL_REDUCE, group_bytes[key],
+                             dp_dims, deps=tuple(deps), involved=dp_group)
+                for key, deps in grad_deps.items()] if has_dp else []
+            prev = (b.compute(f"it{it}.optimizer.s{s}", max(1, opt_params),
+                              deps=tuple(grad_ars) + prev),)
+        traces[reps[s]] = b.build()
 
-        # DP weight-gradient All-Reduces (per layer group, overlapping)
-        # and the optimizer step, per stage.
-        for s in range(pp):
-            b = builders[reps[s]]
-            grad_ars: List[int] = []
-            group_bytes: Dict[Any, int] = {}
-            for op in stage_ops[s]:
-                if op.param_bytes and not op.routed:
-                    shard = tp if op.tp != "none" else 1
-                    group_bytes[_group_key(op)] = (
-                        group_bytes.get(_group_key(op), 0)
-                        + max(1, op.param_bytes // shard))
-            if has_dp:
-                for key, deps in grad_deps[s].items():
-                    grad_ars.append(b.collective(
-                        f"it{it}.gradAR.s{s}.{key}",
-                        CollectiveType.ALL_REDUCE,
-                        group_bytes.get(key, 1), dp_dims,
-                        deps=tuple(deps), involved=dp_group))
-            opt_params = sum(
-                max(1, op.param_bytes
-                    // ((tp if op.tp != "none" else 1)
-                        * (ep if op.routed and ep > 1 else 1)))
-                for op in stage_ops[s] if op.param_bytes) // dt
-            step = b.compute(
-                f"it{it}.optimizer.s{s}", max(1, opt_params),
-                deps=tuple(grad_ars) + stage_tail[s])
-            prev_end[s] = (step,)
-
-    traces = {rep: builder.build() for rep, builder in builders.items()}
     return Plan(graph=graph, topology=topology, spec=spec,
-                assignment={k: tuple(v) for k, v in assignment.items()},
-                traces=traces, stage_layers=stage_layers)
+                assignment=assignment, traces=traces,
+                stage_layers=stage_layers)
+
+
+# Node-name stems per pass (forward?): compute, routed dispatch and
+# combine All-to-Alls, tensor-parallel All-Reduce.
+_NODE_NAMES = {True: ("fwd", "dispatchA2A", "combineA2A", "fwdAR"),
+               False: ("bwd", "bwdDispatchA2A", "bwdCombineA2A", "bwdAR")}
 
 
 def _group_key(op: OpNode) -> Any:

@@ -8,14 +8,35 @@ aggregate statistics used for reporting.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+import heapq
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.trace.node import ETNode, NodeType
 
 
 class TraceValidationError(ValueError):
     """Raised when a trace is structurally invalid (dup ids, cycles, ...)."""
+
+
+def kahn_order(indegree: Dict[int, int],
+               children: Mapping[int, Sequence[int]]) -> List[int]:
+    """Kahn's topological walk over ids, ties broken by the smallest id.
+
+    ``indegree`` maps every id to its dependency count and is consumed:
+    when the walk returns fewer ids than it holds, the ids still above
+    zero sit on or behind a cycle.
+    """
+    ready = [nid for nid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    order: List[int] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for child in children.get(nid, ()):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heapq.heappush(ready, child)
+    return order
 
 
 class ExecutionTrace:
@@ -67,18 +88,8 @@ class ExecutionTrace:
                     )
 
     def _check_acyclic(self) -> None:
-        # Kahn's algorithm; anything left over sits on a cycle.
         indegree = {nid: len(n.deps) for nid, n in self._nodes.items()}
-        queue = deque(nid for nid, deg in indegree.items() if deg == 0)
-        visited = 0
-        while queue:
-            nid = queue.popleft()
-            visited += 1
-            for child in self._children.get(nid, ()):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    queue.append(child)
-        if visited != len(self._nodes):
+        if len(kahn_order(indegree, self._children)) != len(self._nodes):
             cyclic = sorted(nid for nid, deg in indegree.items() if deg > 0)
             raise TraceValidationError(
                 f"trace for NPU {self.npu_id} contains a cycle involving nodes {cyclic[:10]}"
@@ -117,19 +128,8 @@ class ExecutionTrace:
     def topological_order(self) -> List[ETNode]:
         """Deterministic topological order (Kahn, ties broken by node id)."""
         indegree = {nid: len(n.deps) for nid, n in self._nodes.items()}
-        ready = sorted(nid for nid, deg in indegree.items() if deg == 0)
-        order: List[ETNode] = []
-        import heapq
-
-        heapq.heapify(ready)
-        while ready:
-            nid = heapq.heappop(ready)
-            order.append(self._nodes[nid])
-            for child in self._children.get(nid, ()):
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    heapq.heappush(ready, child)
-        return order
+        return [self._nodes[nid]
+                for nid in kahn_order(indegree, self._children)]
 
     def critical_path_length(self) -> int:
         """Longest chain of dependent nodes (in node count)."""

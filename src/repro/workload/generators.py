@@ -19,7 +19,13 @@ from repro.network.topology import MultiDimTopology
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import CollectiveType, ETNode, NodeType, TensorLocation
 from repro.workload.models import DLRMSpec, MoESpec, TransformerSpec
-from repro.workload.parallelism import ParallelismSpec, assign_dims
+from repro.workload.parallelism import (
+    ParallelismSpec,
+    assign_dims,
+    assign_dims_or_flat,
+    p2p_tag,
+    stage_representatives,
+)
 
 VIA_FABRIC = "fabric"  # attrs["via"] value routing a collective through the memory fabric
 
@@ -177,25 +183,10 @@ def generate_megatron_hybrid(
 
     When the degrees do not align with dimension boundaries (e.g. MP=16
     on a 512-NPU wafer switch), communicators fall back to *flat groups*
-    over consecutive/strided NPU ids (``involved_npus``), and the
-    simulator derives the effective per-dimension shape from the member
-    coordinates — this is how sub-dimension MP/DP groups share a wafer's
-    full on-chip bandwidth (paper Sec. V-A).
+    (:func:`~repro.workload.parallelism.assign_dims_or_flat`).
     """
-    from repro.workload.parallelism import DimAssignmentError
-
-    mp_group = dp_group = None
-    try:
-        assignment = assign_dims(topology, spec)
-        mp_dims, dp_dims = assignment["mp"], assignment["dp"]
-    except DimAssignmentError:
-        if spec.mp * spec.dp != topology.num_npus:
-            raise
-        mp_dims = dp_dims = None
-        if spec.mp > 1:
-            mp_group = tuple(range(spec.mp))
-        if spec.dp > 1:
-            dp_group = tuple(range(0, spec.mp * spec.dp, spec.mp))
+    assignment, mp_group, dp_group = assign_dims_or_flat(topology, spec)
+    mp_dims, dp_dims = assignment["mp"] or None, assignment["dp"] or None
     builder = TraceBuilder(0)
     act = model.activation_bytes()
     half_fwd = model.fwd_flops_per_layer() // (2 * spec.mp)
@@ -311,6 +302,9 @@ def generate_fsdp(
 # -- pipeline parallelism (GPipe schedule) ------------------------------------------------
 
 
+PIPELINE_SCHEDULES = ("gpipe", "1f1b")
+
+
 def _stage_op_sequence(schedule: str, num_stages: int, stage: int,
                        microbatches: int) -> List[Tuple[str, int]]:
     """Per-stage (kind, microbatch) issue order for a pipeline schedule.
@@ -364,7 +358,6 @@ def generate_pipeline_parallel(
     """
     if microbatches < 1:
         raise ValueError(f"microbatches must be >= 1, got {microbatches}")
-    _stage_op_sequence(schedule, 2, 0, 1)  # validate the schedule name
     assignment = assign_dims(topology, spec)
     pp_dims, dp_dims, mp_dims = assignment["pp"], assignment["dp"], assignment["mp"]
     if not pp_dims:
@@ -378,22 +371,13 @@ def generate_pipeline_parallel(
         layers_per_stage * model.layer_grad_bytes() // max(1, spec.mp)
     )
 
-    # Representative NPU of each stage: PP coords encode the stage index,
-    # all other coordinates zero.
-    def stage_rep(stage: int) -> int:
-        coords = [0] * topology.num_dims
-        rest = stage
-        for d in pp_dims:
-            coords[d] = rest % topology.dims[d].size
-            rest //= topology.dims[d].size
-        return topology.npu_id(coords)
-
-    reps = [stage_rep(s) for s in range(num_stages)]
-    builders = {reps[s]: TraceBuilder(reps[s]) for s in range(num_stages)}
+    reps = stage_representatives(topology, pp_dims, num_stages)
+    builders = {rep: TraceBuilder(rep) for rep in reps}
+    sequences = [_stage_op_sequence(schedule, num_stages, s, microbatches)
+                 for s in range(num_stages)]
 
     def tag(it: int, kind: str, stage: int, mb: int) -> int:
-        base = {"f": 0, "b": 1}[kind]
-        return ((it * 2 + base) * num_stages + stage) * microbatches + mb + 1
+        return p2p_tag(it, kind, stage, mb, num_stages, microbatches)
 
     prev_end: Dict[int, Tuple[int, ...]] = {s: () for s in range(num_stages)}
     for it in range(iterations):
@@ -401,8 +385,7 @@ def generate_pipeline_parallel(
             b = builders[reps[s]]
             prev: Tuple[int, ...] = prev_end[s]
             bwd_done: List[int] = []
-            for kind, mb in _stage_op_sequence(schedule, num_stages, s,
-                                               microbatches):
+            for kind, mb in sequences[s]:
                 deps = list(prev)
                 if kind == "f" and s > 0:
                     deps.append(b.recv(

@@ -29,7 +29,7 @@ from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.network.topology import MultiDimTopology
-from repro.trace.graph import ExecutionTrace
+from repro.trace.graph import ExecutionTrace, kahn_order
 from repro.trace.node import NodeType
 
 if TYPE_CHECKING:  # avoid a workload <-> frontend import cycle at runtime
@@ -144,7 +144,7 @@ def lint_op_graph(graph: "OpGraph") -> List[str]:
                 f"{label}: {op.kind.value} ops are replicated, not "
                 f"tensor-parallel (tp={op.tp!r})")
 
-    # Cycle check over the well-formed subset (Kahn's algorithm).
+    # Cycle check over the well-formed subset.
     indegree = {op.op_id: sum(1 for d in op.deps if d in ids and d != op.op_id)
                 for op in graph.ops}
     children: Dict[int, List[int]] = {}
@@ -152,16 +152,7 @@ def lint_op_graph(graph: "OpGraph") -> List[str]:
         for dep in op.deps:
             if dep in ids and dep != op.op_id:
                 children.setdefault(dep, []).append(op.op_id)
-    queue = [oid for oid, deg in indegree.items() if deg == 0]
-    visited = 0
-    while queue:
-        oid = queue.pop()
-        visited += 1
-        for child in children.get(oid, ()):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                queue.append(child)
-    if visited != len(ids):
+    if len(kahn_order(indegree, children)) != len(ids):
         cyclic = sorted(oid for oid, deg in indegree.items() if deg > 0)
         findings.append(
             f"graph {graph.name!r} contains a cycle involving ops "

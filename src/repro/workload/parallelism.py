@@ -6,12 +6,18 @@ dimensions*, innermost first — MP on the fastest dims, then PP, then DP —
 matching how real systems place communicators (tensor parallelism on
 NVLink, data parallelism over the NIC; paper Sec. V-A: "MP and DP span
 over some (and not every) dimensions and utilize only those BW").
+
+The pipeline layout shared by the builtin generators and the frontend
+planner is defined here too: :func:`assign_dims_or_flat` (the flat-group
+fallback for unaligned MP x DP), :func:`stage_representatives` (one
+traced NPU per pipeline stage) and :func:`p2p_tag` (the send/recv tag of
+a stage-boundary transfer).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.topology import MultiDimTopology
 
@@ -102,3 +108,62 @@ def fit_hybrid(topology: MultiDimTopology, mp: int) -> ParallelismSpec:
             f"MP={mp} does not divide system size {topology.num_npus}"
         )
     return ParallelismSpec(mp=mp, dp=topology.num_npus // mp)
+
+
+Group = Optional[Tuple[int, ...]]
+
+
+def assign_dims_or_flat(
+    topology: MultiDimTopology, spec: ParallelismSpec
+) -> Tuple[Dict[str, Tuple[int, ...]], Group, Group]:
+    """:func:`assign_dims`, falling back to flat MP and DP groups.
+
+    When MP x DP fills the system but the degrees do not align with
+    dimension boundaries (e.g. MP=16 on a 512-NPU wafer switch), the
+    communicators become flat groups over consecutive (MP) and strided
+    (DP) NPU ids, for ``involved_npus``; the simulator derives each
+    group's effective per-dimension shape from the member coordinates.
+    This is how sub-dimension MP/DP groups share a wafer's full on-chip
+    bandwidth (paper Sec. V-A).
+
+    Returns ``(assignment, mp_group, dp_group)``.  The groups are None
+    when the degrees align (or are 1); on the fallback every axis of the
+    assignment is empty.  Re-raises :class:`DimAssignmentError` when MP x
+    DP does not fill the system.
+    """
+    try:
+        return assign_dims(topology, spec), None, None
+    except DimAssignmentError:
+        if spec.mp * spec.dp != topology.num_npus:
+            raise
+    mp_group = tuple(range(spec.mp)) if spec.mp > 1 else None
+    dp_group = (tuple(range(0, spec.mp * spec.dp, spec.mp))
+                if spec.dp > 1 else None)
+    return {"mp": (), "dp": (), "pp": (), "ep": ()}, mp_group, dp_group
+
+
+def stage_representatives(
+    topology: MultiDimTopology, pp_dims: Sequence[int], stages: int
+) -> List[int]:
+    """The traced NPU of each pipeline stage.
+
+    Its PP coordinates encode the stage index; every other coordinate is
+    zero, so it stands for the stage's DP/MP-symmetric group.
+    """
+    reps = []
+    for stage in range(stages):
+        coords = [0] * topology.num_dims
+        rest = stage
+        for d in pp_dims:
+            coords[d] = rest % topology.dims[d].size
+            rest //= topology.dims[d].size
+        reps.append(topology.npu_id(coords))
+    return reps
+
+
+def p2p_tag(it: int, kind: str, stage: int, mb: int, stages: int,
+            microbatches: int) -> int:
+    """Tag of a stage-boundary send/recv, unique per iteration, pass
+    (``"f"``/``"b"``), receiving stage and microbatch."""
+    base = {"f": 0, "b": 1}[kind]
+    return ((it * 2 + base) * stages + stage) * microbatches + mb + 1

@@ -261,6 +261,10 @@ class TestPlanner:
         with pytest.raises(FrontendError):
             plan(self._graph(), topo, PlanConfig(tp=4, dp=4))
 
+    def test_unknown_schedule_rejected_at_construction(self):
+        with pytest.raises(FrontendError, match="unknown pipeline schedule"):
+            PlanConfig(schedule="interleaved")
+
 
 class TestZoo:
     def test_names_and_entries_agree(self):
