@@ -277,7 +277,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     """Ingest a model spec: inspect, lint, export, or emit traces."""
     from repro.frontend import zoo_entries, zoo_names
-    from repro.runsim import build_topology, ingest_from_args, plan_from_args
+    from repro.runsim import (
+        build_topology,
+        ingest_from_args,
+        ingest_ops_from_args,
+        plan_from_args,
+    )
 
     if args.list_models:
         print(f"{'model':<14} description")
@@ -292,13 +297,16 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         args.model, args.model_json = args.spec, ""
     else:
         args.model, args.model_json = "", args.spec
-    graph = ingest_from_args(args)
 
     status = 0
     if args.lint:
+        from repro.frontend import FrontendError, OpGraph
         from repro.workload import lint_op_graph
 
-        findings = lint_op_graph(graph)
+        # Lint the op list before it becomes a graph: construction stops
+        # at the first structural fault, the linter reports them all.
+        name, ops = ingest_ops_from_args(args)
+        findings = lint_op_graph(ops, name)
         if findings:
             print(f"lint     : {len(findings)} finding(s)")
             for finding in findings:
@@ -306,6 +314,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             status = 1
         else:
             print("lint     : clean")
+        try:
+            graph = OpGraph(name, ops)
+        except FrontendError:
+            return 1
+    else:
+        graph = ingest_from_args(args)
 
     summary = graph.summary()
     print(f"model    : {summary['name']}  ({summary['ops']} ops, "

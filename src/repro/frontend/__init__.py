@@ -27,7 +27,6 @@ from repro.frontend.hf_config import (
     build_op_graph,
     default_options_for,
     detect_family,
-    ingest_hf_config,
     load_config,
 )
 from repro.frontend.ir import (
@@ -42,6 +41,7 @@ from repro.frontend.opgraph_json import (
     load_opgraph,
     loads_opgraph,
     opgraph_from_dict,
+    parse_opgraph,
     save_opgraph,
     to_opgraph_json,
 )
@@ -49,7 +49,6 @@ from repro.frontend.planner import (
     Plan,
     PlanConfig,
     plan,
-    plan_traces,
     resolve_parallelism,
 )
 from repro.frontend.zoo import (
@@ -76,13 +75,12 @@ __all__ = [
     "default_options_for",
     "detect_family",
     "ingest",
-    "ingest_hf_config",
     "load_config",
     "load_opgraph",
     "loads_opgraph",
     "opgraph_from_dict",
+    "parse_opgraph",
     "plan",
-    "plan_traces",
     "resolve_parallelism",
     "save_opgraph",
     "to_opgraph_json",

@@ -152,14 +152,6 @@ def build_op_graph(
     return _build_dlrm(config, options)
 
 
-def ingest_hf_config(
-    source: Union[str, Path, Dict[str, Any]],
-    options: IngestOptions = IngestOptions(),
-) -> OpGraph:
-    """Parse + lower in one step (the ``repro ingest`` entry point)."""
-    return build_op_graph(load_config(source), options)
-
-
 # -- decoder family ----------------------------------------------------------------
 
 

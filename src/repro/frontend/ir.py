@@ -1,9 +1,9 @@
 """Normalized operator-graph IR — the frontend's internal model form.
 
 Every ingestion path (HF ``config.json``, operator-graph JSON, the zoo)
-lowers into an :class:`OpGraph`: a validated DAG of :class:`OpNode`
-records carrying *analytic* per-op costs — forward FLOPs, parameter
-bytes, and activation output bytes — derived from tensor shapes with the
+lowers into an :class:`OpGraph`: a DAG, checked once at construction, of
+:class:`OpNode` records carrying *analytic* per-op costs — forward FLOPs,
+parameter bytes, and activation output bytes — derived from shapes with the
 same accounting idioms as :mod:`repro.workload.models` (2 FLOPs per
 multiply-accumulate, backward = 2x forward).
 
@@ -156,26 +156,61 @@ class OpNode:
         return out
 
 
-class OpGraph:
-    """A validated model dataflow DAG with aggregate-cost queries.
+def walk_ops(name: str, ops: Sequence[OpNode]
+             ) -> Tuple[List[str], List[int], Dict[int, List[int]]]:
+    """The op-graph rules, in one pass that reports instead of raising.
 
-    ``validate=False`` defers structural checks so :func:`repro.workload.
-    lint.lint_op_graph` can *report* problems (dangling deps, cycles)
-    instead of raising; a deferred graph must not be planned.
+    Returns the structural findings (per-op :meth:`OpNode.validate`
+    faults and duplicate ids, then unknown deps, then a cycle among the
+    remaining edges), the topological order (ties broken by op id), and
+    each op's consumers in op order.
+    """
+    findings: List[str] = []
+    ids: set = set()
+    for op in ops:
+        try:
+            op.validate()
+        except FrontendError as exc:
+            findings.append(str(exc))
+        if op.op_id in ids:
+            findings.append(f"duplicate op id {op.op_id} in graph {name!r}")
+        ids.add(op.op_id)
+    indegree: Dict[int, int] = {}
+    consumers: Dict[int, List[int]] = {}
+    for op in ops:
+        indegree[op.op_id] = 0
+        for dep in op.deps:
+            if dep not in ids:
+                findings.append(f"op {op.op_id} ({op.name!r}) depends on "
+                                f"unknown op {dep}")
+            elif dep != op.op_id:
+                consumers.setdefault(dep, []).append(op.op_id)
+                indegree[op.op_id] += 1
+    order = kahn_order(indegree, consumers)
+    if len(order) != len(indegree):
+        cyclic = sorted(oid for oid, deg in indegree.items() if deg > 0)
+        findings.append(f"graph {name!r} contains a cycle involving ops "
+                        f"{cyclic[:10]}")
+    return findings, order, consumers
+
+
+class OpGraph:
+    """A model dataflow DAG, valid by construction, with cost queries.
+
+    Construction runs :func:`walk_ops` once, raises its first finding as
+    a :class:`FrontendError`, and keeps its order and consumer lists.
+    Lint a broken op list (:func:`repro.workload.lint.lint_op_graph`)
+    to see every fault.
     """
 
-    def __init__(self, name: str, ops: Sequence[OpNode] = (), *,
-                 validate: bool = True) -> None:
+    def __init__(self, name: str, ops: Sequence[OpNode] = ()) -> None:
         self.name = name
         self.ops: List[OpNode] = list(ops)
-        self._by_id: Dict[int, OpNode] = {}
-        for op in self.ops:
-            if op.op_id in self._by_id and validate:
-                raise FrontendError(
-                    f"duplicate op id {op.op_id} in graph {name!r}")
-            self._by_id[op.op_id] = op
-        if validate:
-            self.validate()
+        findings, order, self._consumers = walk_ops(name, self.ops)
+        if findings:
+            raise FrontendError(findings[0])
+        self._by_id: Dict[int, OpNode] = {op.op_id: op for op in self.ops}
+        self._order = [self._by_id[oid] for oid in order]
 
     # -- structure ---------------------------------------------------------------
 
@@ -188,43 +223,13 @@ class OpGraph:
     def op(self, op_id: int) -> OpNode:
         return self._by_id[op_id]
 
-    def validate(self) -> None:
-        """Full structural validation; raises :class:`FrontendError`."""
-        seen: set = set()
-        for op in self.ops:
-            op.validate()
-            if op.op_id in seen:
-                raise FrontendError(
-                    f"duplicate op id {op.op_id} in graph {self.name!r}")
-            seen.add(op.op_id)
-        for op in self.ops:
-            for dep in op.deps:
-                if dep not in self._by_id:
-                    raise FrontendError(
-                        f"op {op.op_id} ({op.name!r}) depends on unknown "
-                        f"op {dep}")
-        self._check_acyclic()
-
-    def _check_acyclic(self) -> None:
-        order, indegree = self._walk()
-        if len(order) != len(self.ops):
-            cyclic = sorted(oid for oid, deg in indegree.items() if deg > 0)
-            raise FrontendError(
-                f"graph {self.name!r} contains a cycle involving ops "
-                f"{cyclic[:10]}")
-
     def topological_order(self) -> List[OpNode]:
         """Deterministic topological order (ties broken by op id)."""
-        return [self._by_id[oid] for oid in self._walk()[0]]
+        return list(self._order)
 
-    def _walk(self) -> Tuple[List[int], Dict[int, int]]:
-        """:func:`kahn_order` over the ops, with its consumed indegrees."""
-        indegree = {op.op_id: len(op.deps) for op in self.ops}
-        children: Dict[int, List[int]] = {}
-        for op in self.ops:
-            for dep in op.deps:
-                children.setdefault(dep, []).append(op.op_id)
-        return kahn_order(indegree, children), indegree
+    def consumers(self, op_id: int) -> Sequence[int]:
+        """Ids of the ops that depend on ``op_id``, in op order."""
+        return self._consumers.get(op_id, ())
 
     # -- aggregate queries ---------------------------------------------------------
 

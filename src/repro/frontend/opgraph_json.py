@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.frontend.ir import (
     FrontendError,
@@ -50,6 +50,13 @@ OPGRAPH_FORMAT = "repro-opgraph"
 OPGRAPH_VERSION = 1
 
 
+def _int_value(value: Any, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise FrontendError(f"{what} is not an integer: {value!r}") from exc
+
+
 def _int_field(raw: Dict[str, Any], op_id: Any, name: str,
                default: Any = None) -> int:
     if name not in raw:
@@ -57,12 +64,7 @@ def _int_field(raw: Dict[str, Any], op_id: Any, name: str,
             raise FrontendError(
                 f"op {op_id}: kind {raw.get('kind')!r} needs field {name!r}")
         return default
-    try:
-        return int(raw[name])
-    except (TypeError, ValueError) as exc:
-        raise FrontendError(
-            f"op {op_id}: field {name!r} is not an integer: "
-            f"{raw[name]!r}") from exc
+    return _int_value(raw[name], f"op {op_id}: field {name!r}")
 
 
 def _op_from_dict(raw: Dict[str, Any], dtype_bytes: int) -> OpNode:
@@ -129,38 +131,44 @@ def _op_from_dict(raw: Dict[str, Any], dtype_bytes: int) -> OpNode:
             f"op {op_id}: no cost derivable — give shape fields for kind "
             f"{kind.value!r} or explicit flops/output_bytes")
 
-    deps = raw.get("deps", ())
-    if not isinstance(deps, (list, tuple)):
-        raise FrontendError(f"op {op_id}: 'deps' must be a list")
-    layer = raw.get("layer")
+    deps, attrs, routed = (raw.get("deps", ()), raw.get("attrs", {}),
+                           raw.get("routed", False))
+    for field, value, types, what in (
+            ("deps", deps, (list, tuple), "a list"),
+            ("attrs", attrs, dict, "an object"),
+            ("routed", routed, bool, "true or false")):
+        if not isinstance(value, types):
+            raise FrontendError(
+                f"op {op_id}: field {field!r} must be {what}, got {value!r}")
     return OpNode(
         op_id=_int_field(raw, op_id, "id"),
         name=str(raw.get("name", f"op{op_id}")),
         kind=kind,
-        deps=tuple(int(d) for d in deps),
+        deps=tuple(_int_value(d, f"op {op_id}: field 'deps'") for d in deps),
         flops=flops,
         param_bytes=param_bytes,
         output_bytes=output_bytes,
         input_bytes=input_bytes,
-        layer=None if layer is None else int(layer),
+        layer=(None if raw.get("layer") is None
+               else _int_field(raw, op_id, "layer")),
         tp=str(raw.get("tp", "none")),
-        routed=bool(raw.get("routed", False)),
+        routed=routed,
         route_bytes=_int_field(raw, op_id, "route_bytes", 0),
-        attrs=dict(raw.get("attrs", {})),
+        attrs=dict(attrs),
     )
 
 
-def loads_opgraph(text: str, *, validate: bool = True) -> OpGraph:
+def loads_opgraph(text: str) -> OpGraph:
     """Parse an operator-graph JSON string."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FrontendError(f"opgraph is not valid JSON: {exc}") from exc
-    return opgraph_from_dict(payload, validate=validate)
+    return opgraph_from_dict(payload)
 
 
-def opgraph_from_dict(payload: Any, *, validate: bool = True) -> OpGraph:
-    """Build an :class:`OpGraph` from a parsed opgraph document."""
+def parse_opgraph(payload: Any) -> Tuple[str, List[OpNode]]:
+    """A parsed opgraph document's name and ops, not yet checked as a graph."""
     if not isinstance(payload, dict):
         raise FrontendError(
             f"opgraph document must be a JSON object, got "
@@ -175,18 +183,23 @@ def opgraph_from_dict(payload: Any, *, validate: bool = True) -> OpGraph:
     raw_ops = payload.get("ops", ())
     if not isinstance(raw_ops, list):
         raise FrontendError("'ops' must be a list")
-    dtype_bytes = int(payload.get("dtype_bytes", 2))
-    ops = [_op_from_dict(raw, dtype_bytes) for raw in raw_ops]
-    return OpGraph(str(payload.get("name", "opgraph")), ops,
-                   validate=validate)
+    dtype_bytes = _int_value(payload.get("dtype_bytes", 2),
+                             "opgraph field 'dtype_bytes'")
+    return (str(payload.get("name", "opgraph")),
+            [_op_from_dict(raw, dtype_bytes) for raw in raw_ops])
 
 
-def load_opgraph(path: Union[str, Path], *, validate: bool = True) -> OpGraph:
+def opgraph_from_dict(payload: Any) -> OpGraph:
+    """Build an :class:`OpGraph` from a parsed opgraph document."""
+    return OpGraph(*parse_opgraph(payload))
+
+
+def load_opgraph(path: Union[str, Path]) -> OpGraph:
     """Read an operator-graph JSON file."""
     p = Path(path)
     if not p.exists():
         raise FrontendError(f"opgraph file not found: {p}")
-    return loads_opgraph(p.read_text(), validate=validate)
+    return loads_opgraph(p.read_text())
 
 
 def to_opgraph_json(graph: OpGraph, indent: int = 0) -> str:

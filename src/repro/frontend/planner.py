@@ -190,7 +190,6 @@ def plan(
     config: PlanConfig = PlanConfig(),
 ) -> Plan:
     """Annotate and lower an op graph into per-NPU execution traces."""
-    graph.validate()
     spec = resolve_parallelism(graph, topology, config)
     tp, pp, ep = spec.mp, spec.pp, spec.ep
 
@@ -224,11 +223,6 @@ def plan(
 
     microbatches = config.microbatches if pp > 1 else 1
     reps = stage_representatives(topology, assignment["pp"], pp)
-
-    consumers: Dict[int, List[int]] = {op.op_id: [] for op in graph}
-    for op in graph:
-        for dep in op.deps:
-            consumers[dep].append(op.op_id)
 
     def sharded(op: OpNode, value: int) -> int:
         shard = tp if op.tp != "none" else 1
@@ -324,7 +318,7 @@ def plan(
                         deps=prev)
                 nodes: Dict[int, int] = {}
                 for op in walk:
-                    edges = op.deps if forward else consumers[op.op_id]
+                    edges = op.deps if forward else graph.consumers(op.op_id)
                     deps = [nodes[e] for e in edges if e in nodes]
                     if not deps:
                         # Stage/graph root: chain on the stage's previous
@@ -375,12 +369,3 @@ _NODE_NAMES = {True: ("fwd", "dispatchA2A", "combineA2A", "fwdAR"),
 def _group_key(op: OpNode) -> Any:
     """Gradient-bucket key: the op's layer, or 'stem' for stack-external ops."""
     return op.layer if op.layer is not None else "stem"
-
-
-def plan_traces(
-    graph: OpGraph,
-    topology: MultiDimTopology,
-    config: PlanConfig = PlanConfig(),
-) -> Dict[int, ExecutionTrace]:
-    """Convenience: plan and return just the trace set."""
-    return plan(graph, topology, config).traces

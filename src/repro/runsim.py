@@ -141,6 +141,25 @@ def ingest_from_args(args: argparse.Namespace):
         raise PointConfigError(str(exc))
 
 
+def ingest_ops_from_args(args: argparse.Namespace):
+    """The ``(name, ops)`` of :func:`ingest_from_args`, before any check.
+
+    An opgraph document's ops come back as parsed, so a linter can report
+    every fault; the parsers build other specs, whose graphs are valid.
+    """
+    from repro.frontend import OPGRAPH_FORMAT, FrontendError, load_config, parse_opgraph
+
+    if args.model_json and not args.model:
+        try:
+            payload = load_config(args.model_json)
+            if payload.get("format") == OPGRAPH_FORMAT:
+                return parse_opgraph(payload)
+        except FrontendError as exc:
+            raise PointConfigError(str(exc))
+    graph = ingest_from_args(args)
+    return graph.name, graph.ops
+
+
 def plan_from_args(args: argparse.Namespace, graph, topology):
     """Plan an ingested op graph onto the topology with the run's degrees."""
     from repro.frontend import FrontendError, PlanConfig, plan

@@ -42,9 +42,8 @@ def kahn_order(indegree: Dict[int, int],
 class ExecutionTrace:
     """A validated DAG of :class:`ETNode` for one NPU.
 
-    Construction validates the graph eagerly so the execution engine can
-    assume a well-formed DAG.  The trace is immutable after construction
-    except through :meth:`add_node` (which re-validates incrementally).
+    Construction validates the graph once, eagerly, so the execution
+    engine can assume a well-formed DAG; the trace never changes after.
     """
 
     def __init__(self, npu_id: int, nodes: Iterable[ETNode] = ()) -> None:
@@ -54,30 +53,18 @@ class ExecutionTrace:
         self._nodes: Dict[int, ETNode] = {}
         self._children: Dict[int, List[int]] = {}
         for node in nodes:
-            self._insert(node)
+            if node.node_id in self._nodes:
+                raise TraceValidationError(
+                    f"duplicate node id {node.node_id} in trace for NPU {npu_id}"
+                )
+            self._nodes[node.node_id] = node
+            self._children.setdefault(node.node_id, [])
+            for dep in node.deps:
+                self._children.setdefault(dep, []).append(node.node_id)
         self._check_deps_resolvable()
         self._check_acyclic()
 
-    # -- construction ------------------------------------------------------------
-
-    def _insert(self, node: ETNode) -> None:
-        if node.node_id in self._nodes:
-            raise TraceValidationError(
-                f"duplicate node id {node.node_id} in trace for NPU {self.npu_id}"
-            )
-        self._nodes[node.node_id] = node
-        self._children.setdefault(node.node_id, [])
-        for dep in node.deps:
-            self._children.setdefault(dep, []).append(node.node_id)
-
-    def add_node(self, node: ETNode) -> None:
-        """Append a node; its deps must already exist (keeps the DAG acyclic)."""
-        for dep in node.deps:
-            if dep not in self._nodes:
-                raise TraceValidationError(
-                    f"node {node.node_id} depends on unknown node {dep}"
-                )
-        self._insert(node)
+    # -- construction checks -----------------------------------------------------
 
     def _check_deps_resolvable(self) -> None:
         for node in self._nodes.values():

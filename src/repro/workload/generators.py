@@ -183,8 +183,15 @@ def generate_megatron_hybrid(
 
     When the degrees do not align with dimension boundaries (e.g. MP=16
     on a 512-NPU wafer switch), communicators fall back to *flat groups*
-    (:func:`~repro.workload.parallelism.assign_dims_or_flat`).
+    (:func:`~repro.workload.parallelism.assign_dims_or_flat`).  PP and EP
+    degrees are rejected, not ignored.
     """
+    if spec.pp > 1 or spec.ep > 1:
+        raise ValueError(
+            f"generate_megatron_hybrid models MP x DP only, got pp={spec.pp} "
+            f"ep={spec.ep}; use generate_pipeline_parallel for pipeline "
+            "stages, or repro.frontend.plan for pipeline and expert "
+            "parallelism")
     assignment, mp_group, dp_group = assign_dims_or_flat(topology, spec)
     mp_dims, dp_dims = assignment["mp"] or None, assignment["dp"] or None
     builder = TraceBuilder(0)

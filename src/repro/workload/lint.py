@@ -14,10 +14,11 @@ and reports:
   communicator (rendezvous would hang).
 
 :func:`lint_op_graph` applies the same philosophy one layer up, to
-frontend-produced operator graphs (:mod:`repro.frontend`): dangling or
-self dependencies, duplicate ids, cycles, cost-free ops, shape/cost
-mismatches, and routed ops without an exchange payload — reported as
-findings instead of raised, so ``repro ingest --lint`` can show them
+frontend op lists (:mod:`repro.frontend`): the structural faults that
+:class:`~repro.frontend.ir.OpGraph` construction raises one at a time
+(its one rule set, :func:`~repro.frontend.ir.walk_ops`), cost-free ops,
+shape/cost mismatches, and TP annotations on replicated kinds — reported
+as findings instead of raised, so ``repro ingest --lint`` can show them
 all at once.
 
 Both return a list of human-readable findings; empty means clean.
@@ -26,14 +27,14 @@ Both return a list of human-readable findings; empty means clean.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
 
 from repro.network.topology import MultiDimTopology
-from repro.trace.graph import ExecutionTrace, kahn_order
+from repro.trace.graph import ExecutionTrace
 from repro.trace.node import NodeType
 
 if TYPE_CHECKING:  # avoid a workload <-> frontend import cycle at runtime
-    from repro.frontend.ir import OpGraph
+    from repro.frontend.ir import OpNode
 
 
 def lint_traces(
@@ -95,31 +96,20 @@ def lint_traces(
     return findings
 
 
-def lint_op_graph(graph: "OpGraph") -> List[str]:
-    """Check a frontend op graph for structural and costing hazards.
+def lint_op_graph(ops: Iterable["OpNode"], name: str = "opgraph") -> List[str]:
+    """Check a frontend op list (or graph) for structural and costing hazards.
 
-    Works on deferred graphs (``OpGraph(..., validate=False)``) so every
-    problem is reported, not just the first one an exception would hit.
+    Takes ops, which unlike an :class:`~repro.frontend.ir.OpGraph` may be
+    broken, so every problem is reported: the structural findings of
+    :func:`~repro.frontend.ir.walk_ops`, then per-op cost, shape and
+    tensor-parallel findings.
     """
-    from repro.frontend.ir import FrontendError, OpKind, attention_flops, matmul_flops
+    from repro.frontend.ir import OpKind, attention_flops, matmul_flops, walk_ops
 
-    findings: List[str] = []
-    seen: set = set()
-    ids = {op.op_id for op in graph.ops}
-
-    for op in graph.ops:
+    ops = list(ops)
+    findings = walk_ops(name, ops)[0]
+    for op in ops:
         label = f"op {op.op_id} ({op.name!r})"
-        try:
-            op.validate()
-        except FrontendError as exc:
-            findings.append(str(exc))
-        if op.op_id in seen:
-            findings.append(f"duplicate op id {op.op_id} in graph "
-                            f"{graph.name!r}")
-        seen.add(op.op_id)
-        for dep in op.deps:
-            if dep not in ids:
-                findings.append(f"{label} depends on unknown op {dep}")
         if (op.flops <= 0 and op.param_bytes <= 0 and op.output_bytes <= 0
                 and not op.routed):
             findings.append(f"{label} contributes no cost (zero flops, "
@@ -143,21 +133,6 @@ def lint_op_graph(graph: "OpGraph") -> List[str]:
             findings.append(
                 f"{label}: {op.kind.value} ops are replicated, not "
                 f"tensor-parallel (tp={op.tp!r})")
-
-    # Cycle check over the well-formed subset.
-    indegree = {op.op_id: sum(1 for d in op.deps if d in ids and d != op.op_id)
-                for op in graph.ops}
-    children: Dict[int, List[int]] = {}
-    for op in graph.ops:
-        for dep in op.deps:
-            if dep in ids and dep != op.op_id:
-                children.setdefault(dep, []).append(op.op_id)
-    if len(kahn_order(indegree, children)) != len(ids):
-        cyclic = sorted(oid for oid, deg in indegree.items() if deg > 0)
-        findings.append(
-            f"graph {graph.name!r} contains a cycle involving ops "
-            f"{cyclic[:10]}")
-
     return findings
 
 

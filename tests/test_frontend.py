@@ -91,6 +91,28 @@ class TestIR:
             OpNode(0, "a", OpKind.MATMUL, flops=1)])
         assert [op.op_id for op in graph.topological_order()] == [0, 1, 2]
 
+    def test_build_walks_once_and_plan_never(self, monkeypatch):
+        import repro.frontend.ir as ir
+        real, calls = ir.kahn_order, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ir, "kahn_order", counted)
+        graph = zoo_graph("llama3-8b", seq_len=256)
+        assert len(calls) == 1
+        plan(graph, parse_topology("Ring(2)_Switch(2)", [100, 50]))
+        assert len(calls) == 1
+
+    def test_consumers_follow_op_order(self):
+        graph = OpGraph("g", [
+            OpNode(0, "a", OpKind.MATMUL, flops=1),
+            OpNode(2, "c", OpKind.MATMUL, deps=(0,), flops=1),
+            OpNode(1, "b", OpKind.MATMUL, deps=(0,), flops=1)])
+        assert list(graph.consumers(0)) == [2, 1]
+        assert list(graph.consumers(1)) == []
+
     def test_summary_and_layer_groups(self):
         graph = build_op_graph(LLAMA_TINY, IngestOptions(batch=1, seq_len=64))
         summary = graph.summary()
@@ -205,6 +227,24 @@ class TestOpgraphJSON:
         with pytest.raises(FrontendError, match="version"):
             opgraph_from_dict({"format": "repro-opgraph", "version": 99,
                                "ops": []})
+
+    @pytest.mark.parametrize("op_fields,doc_fields,match", [
+        ({"deps": ["a"]}, {}, "op 1: field 'deps' is not an integer"),
+        ({"layer": "x"}, {}, "op 1: field 'layer' is not an integer"),
+        ({"attrs": [1, 2]}, {}, "op 1: field 'attrs' must be an object"),
+        ({"routed": "false", "route_bytes": 8}, {},
+         "op 1: field 'routed' must be true or false"),
+        ({}, {"dtype_bytes": "two"},
+         "opgraph field 'dtype_bytes' is not an integer"),
+    ], ids=["deps", "layer", "attrs", "routed", "dtype_bytes"])
+    def test_malformed_fields_are_frontend_errors(self, op_fields,
+                                                  doc_fields, match):
+        doc = {"format": "repro-opgraph", "version": 1, **doc_fields,
+               "ops": [{"id": 0, "kind": "matmul", "m": 4, "k": 4, "n": 4},
+                       {"id": 1, "kind": "matmul", "m": 4, "k": 4, "n": 4,
+                        **op_fields}]}
+        with pytest.raises(FrontendError, match=match):
+            opgraph_from_dict(doc)
 
     def test_costless_op_rejected(self):
         with pytest.raises(FrontendError, match="no cost derivable"):
@@ -348,6 +388,22 @@ class TestCLIIngest:
         out = capsys.readouterr().out
         assert "llama3-8b" in out
         assert "lint" in out.lower()
+
+    def test_lint_reports_every_structural_fault(self, tmp_path, capsys):
+        from repro.cli import main
+        path = tmp_path / "dirty.json"
+        path.write_text(json.dumps({
+            "format": "repro-opgraph", "version": 1, "name": "dirty",
+            "ops": [
+                {"id": 0, "kind": "matmul", "flops": 8, "deps": [7]},
+                {"id": 1, "kind": "matmul", "flops": 8, "deps": [2]},
+                {"id": 2, "kind": "matmul", "flops": 8, "deps": [1]}]}))
+        assert main(["ingest", str(path), "--lint"]) == 1
+        out = capsys.readouterr().out
+        assert "lint     : 2 finding(s)" in out
+        assert "op 0 ('op0') depends on unknown op 7" in out
+        assert "graph 'dirty' contains a cycle involving ops [1, 2]" in out
+        assert "model    :" not in out
 
     def test_ingest_export_and_reingest(self, tmp_path, capsys):
         from repro.cli import main

@@ -108,6 +108,15 @@ class TestMegatronHybrid:
             _small_transformer(), topo, ParallelismSpec(mp=16))
         assert not [n for n in traces[0] if "gradAR" in n.name]
 
+    @pytest.mark.parametrize("spec", [
+        ParallelismSpec(mp=16, dp=32, pp=2),
+        ParallelismSpec(mp=16, dp=32, ep=4)], ids=["pp", "ep"])
+    def test_pipeline_and_expert_degrees_rejected(self, spec):
+        topo = parse_topology("Switch(512)", [100])
+        with pytest.raises(ValueError, match="generate_pipeline_parallel"
+                           ".*repro.frontend.plan"):
+            generate_megatron_hybrid(_small_transformer(), topo, spec)
+
     def test_runs_end_to_end(self):
         traces = generate_megatron_hybrid(
             _small_transformer(), _topo(), ParallelismSpec(mp=16, dp=32))

@@ -15,7 +15,7 @@ from repro.workload import (
     moe_1t,
 )
 from repro.frontend import zoo_graph, zoo_names
-from repro.frontend.ir import OpGraph, OpKind, OpNode, matmul_flops
+from repro.frontend.ir import FrontendError, OpGraph, OpKind, OpNode, matmul_flops
 from repro.workload.lint import lint_op_graph, lint_traces
 from repro.workload.models import TransformerSpec
 
@@ -105,9 +105,9 @@ class TestFindings:
         assert any("does not exist" in f for f in findings)
 
 
-def _dirty_graph(ops):
-    """Build an op graph without validation so the linter sees the mess."""
-    return OpGraph("dirty", ops, validate=False)
+def _lint(ops):
+    """Lint a bare op list, which an OpGraph would refuse if it is broken."""
+    return lint_op_graph(ops, "dirty")
 
 
 class TestOpGraphLint:
@@ -116,60 +116,71 @@ class TestOpGraphLint:
         assert lint_op_graph(zoo_graph(name)) == []
 
     def test_dangling_dep(self):
-        findings = lint_op_graph(_dirty_graph([
-            OpNode(0, "a", OpKind.MATMUL, deps=(7,), flops=10)]))
+        findings = _lint([
+            OpNode(0, "a", OpKind.MATMUL, deps=(7,), flops=10)])
         assert any("unknown op 7" in f for f in findings)
 
     def test_duplicate_ids(self):
-        findings = lint_op_graph(_dirty_graph([
+        findings = _lint([
             OpNode(0, "a", OpKind.MATMUL, flops=10),
-            OpNode(0, "b", OpKind.MATMUL, flops=10)]))
+            OpNode(0, "b", OpKind.MATMUL, flops=10)])
         assert any("duplicate op id 0" in f for f in findings)
 
     def test_zero_cost_op(self):
-        findings = lint_op_graph(_dirty_graph([
-            OpNode(0, "noop", OpKind.ELEMENTWISE)]))
+        findings = _lint([
+            OpNode(0, "noop", OpKind.ELEMENTWISE)])
         assert any("contributes no cost" in f for f in findings)
 
     def test_routed_op_with_payload_is_not_zero_cost(self):
-        graph = _dirty_graph([
+        assert _lint([
             OpNode(0, "expert", OpKind.MATMUL, routed=True,
-                   route_bytes=1024)])
-        assert lint_op_graph(graph) == []
+                   route_bytes=1024)]) == []
 
     def test_matmul_shape_mismatch(self):
-        findings = lint_op_graph(_dirty_graph([
+        findings = _lint([
             OpNode(0, "mm", OpKind.MATMUL, flops=999,
-                   attrs={"m": 4, "k": 8, "n": 16})]))
-        assert any("does not match its m/k/n" in f for f in findings)
-        clean = _dirty_graph([
-            OpNode(0, "mm", OpKind.MATMUL, flops=matmul_flops(4, 8, 16),
                    attrs={"m": 4, "k": 8, "n": 16})])
-        assert lint_op_graph(clean) == []
+        assert any("does not match its m/k/n" in f for f in findings)
+        assert _lint([
+            OpNode(0, "mm", OpKind.MATMUL, flops=matmul_flops(4, 8, 16),
+                   attrs={"m": 4, "k": 8, "n": 16})]) == []
 
     def test_attention_shape_mismatch(self):
-        findings = lint_op_graph(_dirty_graph([
+        findings = _lint([
             OpNode(0, "attn", OpKind.ATTENTION, flops=5,
-                   attrs={"batch": 2, "seq": 16, "hidden": 64})]))
+                   attrs={"batch": 2, "seq": 16, "hidden": 64})])
         assert any("batch/seq/hidden" in f for f in findings)
 
     def test_tp_on_replicated_kind(self):
-        findings = lint_op_graph(_dirty_graph([
-            OpNode(0, "ln", OpKind.NORM, param_bytes=8, tp="col")]))
+        findings = _lint([
+            OpNode(0, "ln", OpKind.NORM, param_bytes=8, tp="col")])
         assert any("replicated, not" in f for f in findings)
 
     def test_cycle_reported(self):
-        findings = lint_op_graph(_dirty_graph([
+        findings = _lint([
             OpNode(0, "a", OpKind.MATMUL, deps=(1,), flops=10),
-            OpNode(1, "b", OpKind.MATMUL, deps=(0,), flops=10)]))
+            OpNode(1, "b", OpKind.MATMUL, deps=(0,), flops=10)])
         assert any("cycle" in f for f in findings)
 
     def test_per_op_validate_errors_are_findings(self):
         # self-dep + negative flops + routed without payload, all reported
-        findings = lint_op_graph(_dirty_graph([
+        findings = _lint([
             OpNode(0, "self", OpKind.MATMUL, deps=(0,), flops=10),
             OpNode(1, "neg", OpKind.MATMUL, flops=-5),
-            OpNode(2, "router", OpKind.MATMUL, flops=10, routed=True)]))
+            OpNode(2, "router", OpKind.MATMUL, flops=10, routed=True)])
         assert any("depends on itself" in f for f in findings)
         assert any("must be >= 0" in f for f in findings)
         assert any("no route_bytes" in f for f in findings)
+
+    def test_every_structural_fault_is_reported(self):
+        ops = [OpNode(0, "a", OpKind.MATMUL, deps=(7,), flops=10),
+               OpNode(1, "b", OpKind.MATMUL, deps=(2,), flops=10),
+               OpNode(2, "c", OpKind.MATMUL, deps=(1,), flops=10)]
+        findings = _lint(ops)
+        assert findings == [
+            "op 0 ('a') depends on unknown op 7",
+            "graph 'dirty' contains a cycle involving ops [1, 2]"]
+        # One rule set: building a graph raises the linter's first finding.
+        with pytest.raises(FrontendError) as exc:
+            OpGraph("dirty", ops)
+        assert str(exc.value) == findings[0]
