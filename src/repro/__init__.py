@@ -59,6 +59,7 @@ def _lazy_exports(package, table):
 _names, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.core": "CollectiveRecord DeadlockError ExecutionEngine RunResult "
                   "Simulator SystemConfig simulate",
+    "repro.errors": "InputError",
     "repro.events": "EventEngine",
     "repro.faults": "CheckpointConfig FaultKind FaultSchedule FaultSpec "
                     "parse_faults",

@@ -53,7 +53,8 @@ from repro.campaign.runner import (
     CampaignRunner,
     PointConfigError,
 )
-from repro.campaign.spec import SweepSpec, SweepSpecError
+from repro.campaign.spec import SweepSpec
+from repro.errors import InputError
 from repro.telemetry import MetricsRegistry
 
 SERVE_SCHEMA_VERSION = 1
@@ -269,7 +270,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 raise PointConfigError(
                     "POST /run expects a JSON object of run-config fields")
             record = server.runner().run(SweepSpec(points=[point])).points[0]
-        except (PointConfigError, SweepSpecError) as exc:
+        except InputError as exc:
             self._send_error(400, "run", exc)
             return
         except Exception as exc:  # noqa: BLE001 - daemon must not die
@@ -309,7 +310,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # stream() validates every point before it returns.
             stream = server.runner(options.get("fail_fast", False)).stream(
                 SweepSpec.from_dict(spec_doc))
-        except (PointConfigError, SweepSpecError) as exc:
+        except InputError as exc:
             self._send_error(400, "sweep", exc)
             return
 

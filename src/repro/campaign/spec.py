@@ -25,8 +25,10 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import InputError
 
-class SweepSpecError(ValueError):
+
+class SweepSpecError(InputError):
     """A malformed sweep specification."""
 
 

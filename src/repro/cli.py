@@ -27,12 +27,14 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import InputError
 from repro.runspec import FIELDS, PointConfigError, add_run_flags
 
 
 def run_from_args(args: argparse.Namespace) -> int:
     from repro.runsim import simulate_from_args, workload_label
     from repro.stats import format_breakdown_table
+    from repro.system.scheduler import LP_FALLBACK_NOTICE, lp_fallback_taken
 
     topology, result, resilience = simulate_from_args(
         args, collect_metrics=bool(args.metrics_out))
@@ -48,6 +50,8 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"folding  : {fold.num_classes} classes simulated for "
               f"{fold.traced_ranks} ranks "
               f"({fold.folded_ranks} folded away)")
+    if lp_fallback_taken():
+        print(f"note     : {LP_FALLBACK_NOTICE}")
     if args.sim_rate and result.simulation_rate_eps is not None:
         # Opt-in: wall-clock dependent, so off by default to keep the
         # CLI output deterministic across runs.
@@ -108,7 +112,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         CampaignRunner,
         RunCache,
         SweepSpec,
-        SweepSpecError,
         base_point_from_args,
         campaign_summary,
         campaign_to_csv,
@@ -116,11 +119,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         dump_campaign_json,
     )
 
-    try:
-        spec = SweepSpec.from_cli(base_point_from_args(args),
-                                  args.grid or (), args.zip or ())
-    except SweepSpecError as exc:
-        raise SystemExit(f"error: {exc}")
+    spec = SweepSpec.from_cli(base_point_from_args(args),
+                              args.grid or (), args.zip or ())
     if not args.grid and not args.zip:
         raise SystemExit(
             "error: a sweep needs at least one --grid or --zip axis "
@@ -132,7 +132,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     try:
         campaign = runner.run(spec)
-    except (SweepSpecError, CampaignError) as exc:
+    except CampaignError as exc:
         raise SystemExit(f"error: {exc}")
     doc = campaign.to_dict()
     print(f"sweep    : {len(campaign.points)} points, jobs={args.jobs}")
@@ -520,7 +520,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PointConfigError as exc:
+    except InputError as exc:
         raise SystemExit(f"error: {exc}")
 
 

@@ -61,11 +61,7 @@ def zero_infinity_table5() -> SystemConfig:
     """ZeRO-Infinity column: dedicated 100 GB/s slow path per GPU."""
     config = _base_config(moe_npu_network())
     config.remote_memory = ZeroInfinityMemory(
-        ZeroInfinityConfig(
-            path_bandwidth_gbps=100.0,
-            num_gpus=NUM_NODES * GPUS_PER_NODE,
-        )
-    )
+        ZeroInfinityConfig(path_bandwidth_gbps=100.0))
     return config
 
 

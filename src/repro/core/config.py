@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.errors import InputError
 from repro.faults.checkpoint import CheckpointConfig
 from repro.faults.spec import FaultSchedule
 from repro.memory.api import MemoryModel
@@ -129,49 +130,49 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         if self.folding not in ("auto", "off"):
-            raise ValueError(
+            raise InputError(
                 f"folding must be 'auto' or 'off', got {self.folding!r}")
         if self.collective_chunks < 1:
-            raise ValueError(
+            raise InputError(
                 f"collective_chunks must be >= 1, got {self.collective_chunks}"
             )
         if self.network_backend not in NETWORK_BACKENDS:
-            raise ValueError(
+            raise InputError(
                 "network_backend must be one of "
                 + ", ".join(repr(b) for b in NETWORK_BACKENDS)
                 + f", got {self.network_backend!r}")
         if self.granularity:
             resolved = GRANULARITY_ALIASES.get(self.granularity)
             if resolved is None:
-                raise ValueError(
+                raise InputError(
                     "granularity must be '' or one of "
                     + ", ".join(repr(g) for g in GRANULARITY_ALIASES)
                     + f", got {self.granularity!r}")
             if self.network_backend not in ("analytical", resolved) and (
                     resolved, self.network_backend) != ("adaptive", "flow"):
-                raise ValueError(
+                raise InputError(
                     f"granularity {self.granularity!r} conflicts with "
                     f"network_backend {self.network_backend!r} (it selects "
                     f"the {resolved!r} backend)")
             self.network_backend = resolved
         if self.packet_bytes < 0:
-            raise ValueError(
+            raise InputError(
                 f"packet_bytes must be >= 0, got {self.packet_bytes}")
         if self.train_packets < 1:
-            raise ValueError(
+            raise InputError(
                 f"train_packets must be >= 1, got {self.train_packets}")
         threshold = self.escalation_threshold
         if threshold != threshold or threshold < 0:  # NaN or negative
-            raise ValueError(
+            raise InputError(
                 f"escalation_threshold must be >= 0 (inf allowed), "
                 f"got {threshold}")
         hysteresis = self.deescalation_hysteresis
         if not (0 <= hysteresis < float("inf")):
-            raise ValueError(
+            raise InputError(
                 f"deescalation_hysteresis must be finite and >= 0, "
                 f"got {hysteresis}")
         if self.faults and self.network_backend != "analytical":
-            raise ValueError(
+            raise InputError(
                 "fault injection requires the analytical network backend, "
                 f"got {self.network_backend!r}")
         # Fail fast on bad scheduler names rather than at first collective.

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro.errors import InputError
+
 GiB = 1 << 30
 
 DEFAULT_WRITE_BANDWIDTH_GBPS = 25.0  # parallel FS / burst-buffer per NPU
@@ -53,17 +55,17 @@ class CheckpointConfig:
 
     def __post_init__(self) -> None:
         if self.interval_ns is not None and self.interval_ns <= 0:
-            raise ValueError(
+            raise InputError(
                 f"interval_ns must be positive, got {self.interval_ns}")
         if self.snapshot_bytes < 0:
-            raise ValueError(
+            raise InputError(
                 f"snapshot_bytes must be >= 0, got {self.snapshot_bytes}")
         if self.write_bandwidth_gbps <= 0:
-            raise ValueError(
+            raise InputError(
                 f"write_bandwidth_gbps must be positive, "
                 f"got {self.write_bandwidth_gbps}")
         if self.restart_overhead_ns < 0:
-            raise ValueError(
+            raise InputError(
                 f"restart_overhead_ns must be >= 0, "
                 f"got {self.restart_overhead_ns}")
 

@@ -32,8 +32,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+from repro.errors import InputError
 
-class FaultSpecError(ValueError):
+
+class FaultSpecError(InputError):
     """Raised for malformed fault spec strings or invalid field values."""
 
 

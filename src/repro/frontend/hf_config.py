@@ -28,8 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
+from repro.errors import strict_int
 from repro.frontend.ir import (
     FrontendError,
     OpGraph,
@@ -117,24 +118,31 @@ def detect_family(config: Dict[str, Any]) -> str:
 
 
 def _require_int(config: Dict[str, Any], *names: str,
-                 default: Optional[int] = None) -> int:
-    """First present key among aliases, as a positive int."""
+                 default: Optional[int] = None, minimum: int = 1) -> int:
+    """First present key among aliases, as an int of at least ``minimum``."""
     for name in names:
         if name in config and config[name] is not None:
-            try:
-                value = int(config[name])
-            except (TypeError, ValueError) as exc:
+            value = strict_int(config[name], f"config key {name!r}",
+                               FrontendError)
+            if value < minimum:
                 raise FrontendError(
-                    f"config key {name!r} is not an integer: "
-                    f"{config[name]!r}") from exc
-            if value < 1:
-                raise FrontendError(
-                    f"config key {name!r} must be >= 1, got {value}")
+                    f"config key {name!r} must be >= {minimum}, got {value}")
             return value
     if default is not None:
         return default
     raise FrontendError(
         f"config is missing required key (any of): {names}")
+
+
+def _int_list(config: Dict[str, Any], name: str, default: List[int]
+              ) -> List[int]:
+    """A list of ints (default when absent), each checked by the number rule."""
+    values = config.get(name, default)
+    if not isinstance(values, (list, tuple)):
+        raise FrontendError(
+            f"config key {name!r} must be a list, got {values!r}")
+    return [strict_int(v, f"config key {name!r}", FrontendError)
+            for v in values]
 
 
 def build_op_graph(
@@ -164,13 +172,13 @@ def _build_decoder(config: Dict[str, Any], options: IngestOptions) -> OpGraph:
     vocab = _require_int(config, "vocab_size", default=32000)
     max_pos = _require_int(config, "max_position_embeddings", "n_positions",
                            default=2048)
-    inner = config.get("intermediate_size", config.get("n_inner"))
-    intermediate = int(inner) if inner else 4 * hidden
+    intermediate = _require_int(config, "intermediate_size", "n_inner",
+                                default=4 * hidden)
     gated = "intermediate_size" in config and str(
         config.get("hidden_act", "")).lower() in ("silu", "swiglu", "geglu")
-    num_experts = int(config.get("num_local_experts",
-                                 config.get("num_experts", 0)) or 0)
-    top_k = int(config.get("num_experts_per_tok", 1) or 1)
+    num_experts = _require_int(config, "num_local_experts", "num_experts",
+                               default=0, minimum=0)
+    top_k = _require_int(config, "num_experts_per_tok", default=1)
     if hidden % heads:
         raise FrontendError(
             f"hidden_size {hidden} is not divisible by "
@@ -331,11 +339,10 @@ def _build_vit(config: Dict[str, Any], options: IngestOptions) -> OpGraph:
 
 
 def _build_unet(config: Dict[str, Any], options: IngestOptions) -> OpGraph:
-    channels = list(config.get("block_out_channels", (320, 640, 1280, 1280)))
-    if not channels or any(int(c) < 1 for c in channels):
+    channels = _int_list(config, "block_out_channels", [320, 640, 1280, 1280])
+    if not channels or any(c < 1 for c in channels):
         raise FrontendError(
             f"block_out_channels must be positive ints, got {channels}")
-    channels = [int(c) for c in channels]
     layers_per_block = _require_int(config, "layers_per_block", default=2)
     sample = options.image_size or _require_int(config, "sample_size",
                                                 default=64)
@@ -345,6 +352,9 @@ def _build_unet(config: Dict[str, Any], options: IngestOptions) -> OpGraph:
     down_types = config.get(
         "down_block_types",
         ["CrossAttnDownBlock2D"] * (len(channels) - 1) + ["DownBlock2D"])
+    if not isinstance(down_types, (list, tuple)):
+        raise FrontendError(
+            f"config key 'down_block_types' must be a list, got {down_types!r}")
     if len(down_types) != len(channels):
         raise FrontendError(
             f"down_block_types lists {len(down_types)} blocks but "
@@ -447,10 +457,13 @@ def _build_dlrm(config: Dict[str, Any], options: IngestOptions) -> OpGraph:
     tables = _require_int(config, "num_embedding_tables", "num_tables")
     emb_dim = _require_int(config, "embedding_dim", default=128)
     rows = _require_int(config, "rows_per_table", default=1_000_000)
-    bottom = [int(x) for x in config.get("bottom_mlp", (13, 512, 256, 128))]
-    top = [int(x) for x in config.get("top_mlp", (479, 1024, 1024, 256, 1))]
+    bottom = _int_list(config, "bottom_mlp", [13, 512, 256, 128])
+    top = _int_list(config, "top_mlp", [479, 1024, 1024, 256, 1])
     if len(bottom) < 2 or len(top) < 2:
         raise FrontendError("bottom_mlp/top_mlp need at least two widths")
+    if min(bottom + top) < 1:
+        raise FrontendError(
+            f"bottom_mlp/top_mlp widths must be >= 1, got {bottom} and {top}")
     batch, dt = options.batch, 4  # DLRM trains in fp32 (paper Table III)
 
     b = OpGraphBuilder(str(config.get("_name_or_path", "dlrm")))

@@ -30,10 +30,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import InputError
 from repro.trace.graph import kahn_order
 
 
-class FrontendError(ValueError):
+class FrontendError(InputError):
     """Raised for malformed model specs or un-plannable op graphs."""
 
 

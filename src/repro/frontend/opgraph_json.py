@@ -36,6 +36,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
+from repro.errors import strict_int
 from repro.frontend.ir import (
     FrontendError,
     OpGraph,
@@ -50,13 +51,6 @@ OPGRAPH_FORMAT = "repro-opgraph"
 OPGRAPH_VERSION = 1
 
 
-def _int_value(value: Any, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise FrontendError(f"{what} is not an integer: {value!r}") from exc
-
-
 def _int_field(raw: Dict[str, Any], op_id: Any, name: str,
                default: Any = None) -> int:
     if name not in raw:
@@ -64,7 +58,7 @@ def _int_field(raw: Dict[str, Any], op_id: Any, name: str,
             raise FrontendError(
                 f"op {op_id}: kind {raw.get('kind')!r} needs field {name!r}")
         return default
-    return _int_value(raw[name], f"op {op_id}: field {name!r}")
+    return strict_int(raw[name], f"op {op_id}: field {name!r}", FrontendError)
 
 
 def _op_from_dict(raw: Dict[str, Any], dtype_bytes: int) -> OpNode:
@@ -103,7 +97,7 @@ def _op_from_dict(raw: Dict[str, Any], dtype_bytes: int) -> OpNode:
         c_out = _int_field(raw, op_id, "c_out")
         kernel = _int_field(raw, op_id, "kernel", 3)
         h = _int_field(raw, op_id, "h")
-        w = _int_field(raw, op_id, "w", raw.get("h"))
+        w = _int_field(raw, op_id, "w", h)
         flops = conv2d_flops(batch, c_in, c_out, kernel, h, w)
         param_bytes = c_in * c_out * kernel * kernel * dt
         output_bytes = batch * c_out * h * w * dt
@@ -142,9 +136,10 @@ def _op_from_dict(raw: Dict[str, Any], dtype_bytes: int) -> OpNode:
                 f"op {op_id}: field {field!r} must be {what}, got {value!r}")
     return OpNode(
         op_id=_int_field(raw, op_id, "id"),
-        name=str(raw.get("name", f"op{op_id}")),
+        name=str(raw.get("name") or f"op{op_id}"),
         kind=kind,
-        deps=tuple(_int_value(d, f"op {op_id}: field 'deps'") for d in deps),
+        deps=tuple(strict_int(d, f"op {op_id}: field 'deps'", FrontendError)
+                   for d in deps),
         flops=flops,
         param_bytes=param_bytes,
         output_bytes=output_bytes,
@@ -183,8 +178,8 @@ def parse_opgraph(payload: Any) -> Tuple[str, List[OpNode]]:
     raw_ops = payload.get("ops", ())
     if not isinstance(raw_ops, list):
         raise FrontendError("'ops' must be a list")
-    dtype_bytes = _int_value(payload.get("dtype_bytes", 2),
-                             "opgraph field 'dtype_bytes'")
+    dtype_bytes = strict_int(payload.get("dtype_bytes", 2),
+                             "opgraph field 'dtype_bytes'", FrontendError)
     return (str(payload.get("name", "opgraph")),
             [_op_from_dict(raw, dtype_bytes) for raw in raw_ops])
 

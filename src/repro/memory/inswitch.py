@@ -29,24 +29,20 @@ what replaces the explicit network All-Gather in ZeRO-style training.
 
 from __future__ import annotations
 
-import math
 from typing import Dict
 
-from repro.memory.api import MemoryModel, MemoryRequest
-from repro.memory.remote import HierMemConfig
-from repro.trace.node import TensorLocation
+from repro.memory.remote import ChunkPipelineMemory
 
 
-class InSwitchCollectiveMemory(MemoryModel):
+class InSwitchCollectiveMemory(ChunkPipelineMemory):
     """Hierarchical pool with in-switch All-Gather / Reduce-Scatter.
 
     ``access_time_ns`` interprets ``request.size_bytes`` as the **per-GPU
     shard**; the GPU-visible result of a load is the gathered tensor of
     ``size_bytes * num_gpus`` bytes (and symmetrically a store reduces).
+    The chunk count is the plain remote model's: the memory-side links
+    still carry each shard exactly once.
     """
-
-    def __init__(self, config: HierMemConfig) -> None:
-        self.config = config
 
     def stage_times_ns(self, chunk_bytes: int) -> Dict[str, float]:
         """Per-chunk stage times with in-switch gather/scatter (Fig. 8).
@@ -62,40 +58,6 @@ class InSwitchCollectiveMemory(MemoryModel):
             "inSW2GPU": (c.num_remote_groups * c.num_out_switches * chunk_bytes)
             / c.in_node_bw_gbps,
         }
-
-    def effective_chunk_bytes(self, shard_bytes_per_gpu: int) -> int:
-        """Transfer unit, shrunk for requests below one full pipeline beat."""
-        c = self.config
-        per_link = (shard_bytes_per_gpu * c.num_gpus) / (
-            c.num_remote_groups * c.num_out_switches
-        )
-        return max(1, min(c.chunk_bytes, math.ceil(per_link)))
-
-    def num_pipeline_stages(self, shard_bytes_per_gpu: int) -> int:
-        """Chunk count down each remote-group->out-switch link.
-
-        Identical to the plain remote model: the memory-side links still
-        carry each shard exactly once.
-        """
-        c = self.config
-        total = shard_bytes_per_gpu * c.num_gpus
-        per_link = total / (c.num_remote_groups * c.num_out_switches)
-        return max(1, math.ceil(per_link / self.effective_chunk_bytes(
-            shard_bytes_per_gpu)))
-
-    def access_time_ns(self, request: MemoryRequest) -> float:
-        if request.location is TensorLocation.LOCAL:
-            raise ValueError(
-                "InSwitchCollectiveMemory models remote tensors; got LOCAL"
-            )
-        if request.size_bytes == 0:
-            return self.config.access_latency_ns
-        c = self.config
-        n = self.num_pipeline_stages(request.size_bytes)
-        stages = self.stage_times_ns(self.effective_chunk_bytes(request.size_bytes))
-        fill = sum(stages.values())
-        steady = (n - 1) * max(stages.values())
-        return c.access_latency_ns + fill + steady
 
     def gathered_bytes(self, shard_bytes: int) -> int:
         """Size of the tensor a GPU holds after an in-switch gather-load."""

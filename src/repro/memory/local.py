@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import InputError
 from repro.memory.api import MemoryModel, MemoryRequest
 
 
@@ -26,11 +27,11 @@ class LocalMemory(MemoryModel):
 
     def __post_init__(self) -> None:
         if self.bandwidth_gbps <= 0:
-            raise ValueError(
+            raise InputError(
                 f"bandwidth_gbps must be positive, got {self.bandwidth_gbps}"
             )
         if self.latency_ns < 0:
-            raise ValueError(f"latency_ns must be >= 0, got {self.latency_ns}")
+            raise InputError(f"latency_ns must be >= 0, got {self.latency_ns}")
 
     def access_time_ns(self, request: MemoryRequest) -> float:
         return self.latency_ns + request.size_bytes / self.bandwidth_gbps

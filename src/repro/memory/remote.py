@@ -30,10 +30,12 @@ Total transfer time is the pipeline critical path:
 
 from __future__ import annotations
 
+import abc
 import math
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.errors import InputError
 from repro.memory.api import MemoryModel, MemoryRequest
 from repro.trace.node import TensorLocation
 
@@ -75,12 +77,12 @@ class HierMemConfig:
         for name in ("num_nodes", "gpus_per_node", "num_out_switches",
                      "num_remote_groups", "chunk_bytes"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("mem_side_bw_gbps", "gpu_side_out_bw_gbps", "in_node_bw_gbps"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
         if self.access_latency_ns < 0:
-            raise ValueError(
+            raise InputError(
                 f"access_latency_ns must be >= 0, got {self.access_latency_ns}"
             )
 
@@ -89,11 +91,64 @@ class HierMemConfig:
         return self.num_nodes * self.gpus_per_node
 
 
-class HierarchicalRemoteMemory(MemoryModel):
-    """Remote memory model over a hierarchical pool (no in-switch compute)."""
+class ChunkPipelineMemory(MemoryModel):
+    """The chunk pipeline of a hierarchical pool, minus its stage loads.
+
+    Shared by :class:`HierarchicalRemoteMemory` and
+    :class:`~repro.memory.inswitch.InSwitchCollectiveMemory`: both move
+    each per-GPU request down the remote-group -> out-switch links
+    exactly once, so they share the transfer unit, the chunk count and
+    the critical-path time; each gives its own per-chunk
+    :meth:`stage_times_ns`.
+    """
 
     def __init__(self, config: HierMemConfig) -> None:
         self.config = config
+
+    @abc.abstractmethod
+    def stage_times_ns(self, chunk_bytes: int) -> Dict[str, float]:
+        """Per-chunk transfer time of each pipeline stage."""
+
+    def effective_chunk_bytes(self, tensor_bytes_per_gpu: int) -> int:
+        """Transfer unit, shrunk for requests below one full pipeline beat."""
+        c = self.config
+        per_link = (tensor_bytes_per_gpu * c.num_gpus) / (
+            c.num_remote_groups * c.num_out_switches
+        )
+        return max(1, min(c.chunk_bytes, math.ceil(per_link)))
+
+    def num_pipeline_stages(self, tensor_bytes_per_gpu: int) -> int:
+        """Chunk count flowing down each remote-group->out-switch link."""
+        c = self.config
+        total = tensor_bytes_per_gpu * c.num_gpus
+        per_link = total / (c.num_remote_groups * c.num_out_switches)
+        return max(1, math.ceil(per_link / self.effective_chunk_bytes(
+            tensor_bytes_per_gpu)))
+
+    def access_time_ns(self, request: MemoryRequest) -> float:
+        """Pipelined critical-path time for a synchronous pool access.
+
+        Loads and stores are symmetric in this model (same links traversed
+        in opposite directions).
+        """
+        if request.location is TensorLocation.LOCAL:
+            raise ValueError(
+                f"{type(self).__name__} models remote tensors; got LOCAL"
+            )
+        if request.size_bytes == 0:
+            return self.config.access_latency_ns
+        c = self.config
+        n = self.num_pipeline_stages(request.size_bytes)
+        # The final (possibly partial) chunk only shortens the tail; we
+        # follow the paper and treat all chunks as full-size.
+        stages = self.stage_times_ns(self.effective_chunk_bytes(request.size_bytes))
+        fill = sum(stages.values())
+        steady = (n - 1) * max(stages.values())
+        return c.access_latency_ns + fill + steady
+
+
+class HierarchicalRemoteMemory(ChunkPipelineMemory):
+    """Remote memory model over a hierarchical pool (no in-switch compute)."""
 
     # -- stage equations -------------------------------------------------------------
 
@@ -112,44 +167,7 @@ class HierarchicalRemoteMemory(MemoryModel):
             / (c.num_gpus * c.in_node_bw_gbps),
         }
 
-    def effective_chunk_bytes(self, tensor_bytes_per_gpu: int) -> int:
-        """Transfer unit, shrunk for requests below one full pipeline beat."""
-        c = self.config
-        per_link = (tensor_bytes_per_gpu * c.num_gpus) / (
-            c.num_remote_groups * c.num_out_switches
-        )
-        return max(1, min(c.chunk_bytes, math.ceil(per_link)))
-
-    def num_pipeline_stages(self, tensor_bytes_per_gpu: int) -> int:
-        """Chunk count flowing down each remote-group->out-switch link."""
-        c = self.config
-        total = tensor_bytes_per_gpu * c.num_gpus
-        per_link = total / (c.num_remote_groups * c.num_out_switches)
-        return max(1, math.ceil(per_link / self.effective_chunk_bytes(
-            tensor_bytes_per_gpu)))
-
     # -- MemoryModel -------------------------------------------------------------------
-
-    def access_time_ns(self, request: MemoryRequest) -> float:
-        """Pipelined critical-path time for a synchronous pool access.
-
-        Loads and stores are symmetric in this model (same links traversed
-        in opposite directions).
-        """
-        if request.location is TensorLocation.LOCAL:
-            raise ValueError(
-                "HierarchicalRemoteMemory models remote tensors; got LOCAL"
-            )
-        if request.size_bytes == 0:
-            return self.config.access_latency_ns
-        c = self.config
-        n = self.num_pipeline_stages(request.size_bytes)
-        # The final (possibly partial) chunk only shortens the tail; we
-        # follow the paper and treat all chunks as full-size.
-        stages = self.stage_times_ns(self.effective_chunk_bytes(request.size_bytes))
-        fill = sum(stages.values())
-        steady = (n - 1) * max(stages.values())
-        return c.access_latency_ns + fill + steady
 
     def telemetry_access(self, telemetry, request: MemoryRequest) -> None:
         """Transfer count and pipeline depth of one non-empty access."""

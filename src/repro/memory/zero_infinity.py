@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import InputError
 from repro.memory.api import MemoryModel, MemoryRequest
 from repro.trace.node import TensorLocation
 
@@ -31,24 +32,20 @@ class ZeroInfinityConfig:
         path_bandwidth_gbps: Dedicated GPU <-> CPU-mem/NVMe bandwidth
             ("Remote Mem Group BW" row of Table V).
         access_latency_ns: Fixed latency per request (PCIe + software).
-        num_gpus: System size, kept for parity checks with HierMem configs.
     """
 
     path_bandwidth_gbps: float = 100.0
     access_latency_ns: float = 2000.0
-    num_gpus: int = 256
 
     def __post_init__(self) -> None:
         if self.path_bandwidth_gbps <= 0:
-            raise ValueError(
+            raise InputError(
                 f"path_bandwidth_gbps must be positive, got {self.path_bandwidth_gbps}"
             )
         if self.access_latency_ns < 0:
-            raise ValueError(
+            raise InputError(
                 f"access_latency_ns must be >= 0, got {self.access_latency_ns}"
             )
-        if self.num_gpus < 1:
-            raise ValueError(f"num_gpus must be >= 1, got {self.num_gpus}")
 
 
 class ZeroInfinityMemory(MemoryModel):

@@ -22,6 +22,12 @@ from __future__ import annotations
 import enum
 import math
 
+from repro.errors import InputError
+
+
+class TopologyError(InputError):
+    """Raised for malformed topology descriptions or invalid NPU ids."""
+
 
 class BuildingBlock(enum.Enum):
     """The three block types of the topology taxonomy."""
@@ -57,7 +63,7 @@ def block_from_name(name: str) -> BuildingBlock:
     try:
         return _ALIASES[name.strip().lower()]
     except KeyError:
-        raise ValueError(
+        raise TopologyError(
             f"unknown building block {name!r}; expected one of "
             f"{sorted(set(_ALIASES))}"
         ) from None

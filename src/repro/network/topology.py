@@ -17,16 +17,14 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
+from repro.errors import strict_float
 from repro.network.building_blocks import (
     BuildingBlock,
+    TopologyError,
     block_from_name,
     hops_between,
     links_per_npu,
 )
-
-
-class TopologyError(ValueError):
-    """Raised for malformed topology descriptions or invalid NPU ids."""
 
 
 class CoordinateError(TopologyError):
@@ -78,11 +76,11 @@ class DimSpec:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise TopologyError(f"dimension size must be >= 1, got {self.size}")
-        if self.bandwidth_gbps <= 0:
+        if strict_float(self.bandwidth_gbps, "bandwidth", TopologyError) <= 0:
             raise TopologyError(
                 f"bandwidth must be positive, got {self.bandwidth_gbps}"
             )
-        if self.latency_ns < 0:
+        if strict_float(self.latency_ns, "latency", TopologyError) < 0:
             raise TopologyError(f"latency must be >= 0, got {self.latency_ns}")
         if self.oversubscription < 1.0:
             raise TopologyError(
@@ -393,6 +391,8 @@ def parse_topology(
     parts = [p for p in notation.split("_") if p.strip()]
     if not parts:
         raise TopologyError(f"empty topology notation {notation!r}")
+    if len(parts) != notation.count("_") + 1:
+        raise TopologyError(f"empty dimension in {notation!r}")
     if len(bandwidths_gbps) != len(parts):
         raise TopologyError(
             f"{len(parts)} dimensions in {notation!r} but "
@@ -415,7 +415,9 @@ def parse_topology(
             DimSpec(
                 block=block,
                 size=size,
-                bandwidth_gbps=float(bandwidths_gbps[i]),
+                bandwidth_gbps=strict_float(
+                    bandwidths_gbps[i], f"bandwidth of dimension {i}",
+                    TopologyError),
                 latency_ns=latency,
             )
         )

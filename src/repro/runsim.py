@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 from pathlib import Path
 from typing import List, Tuple
 
 from repro.core import SystemConfig, simulate
-from repro.faults import CheckpointConfig, FaultSchedule, FaultSpecError
+from repro.errors import InputError
+from repro.faults import CheckpointConfig, FaultSchedule
 from repro.memory import (
     HierarchicalRemoteMemory,
     HierMemConfig,
@@ -26,10 +28,10 @@ from repro.memory import (
     ZeroInfinityConfig,
     ZeroInfinityMemory,
 )
-from repro.network import TopologyError, parse_topology
+from repro.network import parse_topology
 from repro.runspec import PointConfigError, check_choices
 from repro.system import RooflineCompute
-from repro.telemetry import TelemetryConfig, TelemetryError, TraceLevel
+from repro.telemetry import TelemetryConfig, TraceLevel
 from repro.trace import CollectiveType
 from repro.workload import (
     ParallelismSpec,
@@ -47,6 +49,20 @@ from repro.workload import (
 )
 
 
+def point_errors(entry):
+    """Re-raise an :class:`~repro.errors.InputError` out of ``entry`` as the
+    ``PointConfigError`` campaign records and ``repro serve`` expect."""
+    @functools.wraps(entry)
+    def translated(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        except PointConfigError:
+            raise
+        except InputError as exc:
+            raise PointConfigError(str(exc)) from exc
+    return translated
+
+
 def _parse_floats(text: str) -> List[float]:
     try:
         return [float(x) for x in text.split(",") if x.strip()]
@@ -54,6 +70,7 @@ def _parse_floats(text: str) -> List[float]:
         raise PointConfigError(f"not a comma-separated float list: {text!r}")
 
 
+@point_errors
 def build_topology(args: argparse.Namespace):
     """Parse --topology with one bandwidth (and latency) per dimension."""
     if not args.topology or not args.bandwidths:
@@ -72,11 +89,8 @@ def build_topology(args: argparse.Namespace):
         raise PointConfigError(
             f"--latencies lists {len(latencies)} value(s) but "
             f"topology {args.topology!r} has {num_dims} dimension(s)")
-    try:
-        return parse_topology(args.topology, bandwidths,
-                              latencies_ns=list(latencies))
-    except TopologyError as exc:
-        raise PointConfigError(str(exc))
+    return parse_topology(args.topology, bandwidths,
+                          latencies_ns=list(latencies))
 
 
 def _parallel_degrees(args: argparse.Namespace, topology, mp: int, pp: int = 1):
@@ -96,11 +110,11 @@ def _parallel_degrees(args: argparse.Namespace, topology, mp: int, pp: int = 1):
     return dp
 
 
+@point_errors
 def ingest_from_args(args: argparse.Namespace):
     """Resolve --model / --model-json (+ shape overrides) into an op graph."""
     from repro.frontend import (
         OPGRAPH_FORMAT,
-        FrontendError,
         build_op_graph,
         default_options_for,
         load_config,
@@ -116,60 +130,53 @@ def ingest_from_args(args: argparse.Namespace):
     if not model and not model_json:
         raise PointConfigError(
             "no model spec; give --model NAME or --model-json PATH")
-    try:
-        if model:
-            entry = zoo_entry(model)
-            payload, options = entry.config, entry.options
-        else:
-            payload = load_config(model_json)
-            if payload.get("format") == OPGRAPH_FORMAT:
-                # Explicit op graphs carry their own shapes/costs; the
-                # batch/seq knobs only apply to architecture configs.
-                return opgraph_from_dict(payload)
-            options = default_options_for(payload)
-        overrides = {}
-        if args.batch:
-            overrides["batch"] = args.batch
-        if args.seq_len:
-            overrides["seq_len"] = args.seq_len
-        if overrides:
-            options = dataclasses.replace(options, **overrides)
-        graph = build_op_graph(payload, options)
-        graph.name = model or (graph.name or Path(model_json).stem)
-        return graph
-    except FrontendError as exc:
-        raise PointConfigError(str(exc))
+    if model:
+        entry = zoo_entry(model)
+        payload, options = entry.config, entry.options
+    else:
+        payload = load_config(model_json)
+        if payload.get("format") == OPGRAPH_FORMAT:
+            # Explicit op graphs carry their own shapes/costs; the
+            # batch/seq knobs only apply to architecture configs.
+            return opgraph_from_dict(payload)
+        options = default_options_for(payload)
+    overrides = {}
+    if args.batch:
+        overrides["batch"] = args.batch
+    if args.seq_len:
+        overrides["seq_len"] = args.seq_len
+    if overrides:
+        options = dataclasses.replace(options, **overrides)
+    graph = build_op_graph(payload, options)
+    graph.name = model or (graph.name or Path(model_json).stem)
+    return graph
 
 
+@point_errors
 def ingest_ops_from_args(args: argparse.Namespace):
     """The ``(name, ops)`` of :func:`ingest_from_args`, before any check.
 
     An opgraph document's ops come back as parsed, so a linter can report
     every fault; the parsers build other specs, whose graphs are valid.
     """
-    from repro.frontend import OPGRAPH_FORMAT, FrontendError, load_config, parse_opgraph
+    from repro.frontend import OPGRAPH_FORMAT, load_config, parse_opgraph
 
     if args.model_json and not args.model:
-        try:
-            payload = load_config(args.model_json)
-            if payload.get("format") == OPGRAPH_FORMAT:
-                return parse_opgraph(payload)
-        except FrontendError as exc:
-            raise PointConfigError(str(exc))
+        payload = load_config(args.model_json)
+        if payload.get("format") == OPGRAPH_FORMAT:
+            return parse_opgraph(payload)
     graph = ingest_from_args(args)
     return graph.name, graph.ops
 
 
+@point_errors
 def plan_from_args(args: argparse.Namespace, graph, topology):
     """Plan an ingested op graph onto the topology with the run's degrees."""
-    from repro.frontend import FrontendError, PlanConfig, plan
+    from repro.frontend import PlanConfig, plan
 
-    try:
-        return plan(graph, topology, PlanConfig(
-            tp=args.mp, dp=args.dp, pp=args.pp, ep=args.ep,
-            microbatches=args.microbatches))
-    except FrontendError as exc:
-        raise PointConfigError(str(exc))
+    return plan(graph, topology, PlanConfig(
+        tp=args.mp, dp=args.dp, pp=args.pp, ep=args.ep,
+        microbatches=args.microbatches))
 
 
 def _is_frontend(args: argparse.Namespace) -> bool:
@@ -242,9 +249,7 @@ def _memory_models(args: argparse.Namespace, topology):
         return local, None, None
     if args.memory_model == "zero-infinity":
         remote = ZeroInfinityMemory(ZeroInfinityConfig(
-            path_bandwidth_gbps=args.remote_path_gbps,
-            num_gpus=topology.num_npus,
-        ))
+            path_bandwidth_gbps=args.remote_path_gbps))
         return local, remote, None
     gpus_per_node = topology.dims[0].size
     num_nodes = topology.num_npus // gpus_per_node
@@ -280,12 +285,7 @@ def _checkpoint_config(args: argparse.Namespace, topology):
 
 def _fault_schedule(args: argparse.Namespace, topology, horizon_ns: float):
     """Assemble the schedule from --faults specs and/or --fault-seed."""
-    schedules = []
-    try:
-        for text in args.faults or ():
-            schedules.append(FaultSchedule.parse(text))
-    except FaultSpecError as exc:
-        raise PointConfigError(str(exc))
+    schedules = [FaultSchedule.parse(text) for text in args.faults or ()]
     if args.fault_seed is not None:
         schedules.append(FaultSchedule.generate(
             seed=args.fault_seed,
@@ -311,10 +311,7 @@ def _telemetry_config(args: argparse.Namespace, collect_metrics: bool):
     above ``off``); otherwise the run stays on the un-instrumented fast
     path.
     """
-    try:
-        level = TraceLevel.parse(args.trace_level)
-    except TelemetryError as exc:
-        raise PointConfigError(str(exc))
+    level = TraceLevel.parse(args.trace_level)
     if level is TraceLevel.OFF and not collect_metrics:
         return None
     return TelemetryConfig(trace_level=level)
@@ -329,6 +326,7 @@ def _invariants_config(args: argparse.Namespace):
     return InvariantConfig(strict=args.strict_invariants)
 
 
+@point_errors
 def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
                        ) -> Tuple[object, object, object]:
     """Build and run one simulation from run fields.
@@ -342,31 +340,28 @@ def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
     check_choices(args)
     topology = build_topology(args)
     traces = _build_traces(args, topology)
-    try:
-        local_memory, remote_memory, fabric = _memory_models(args, topology)
-        config = SystemConfig(
-            topology=topology,
-            scheduler=args.scheduler,
-            collective_chunks=args.chunks,
-            network_backend=args.backend,
-            packet_bytes=args.packet_bytes,
-            train_packets=args.train_packets,
-            granularity=args.granularity,
-            escalation_threshold=args.escalation_threshold,
-            deescalation_hysteresis=args.deescalation_hysteresis,
-            compute=RooflineCompute(
-                peak_tflops=args.peak_tflops,
-                mem_bandwidth_gbps=args.hbm_gbps,
-            ),
-            local_memory=local_memory,
-            remote_memory=remote_memory,
-            fabric_collectives=fabric,
-            telemetry=_telemetry_config(args, collect_metrics),
-            invariants=_invariants_config(args),
-            folding=args.folding,
-        )
-    except ValueError as exc:  # PointConfigError included: same message
-        raise PointConfigError(str(exc)) from exc
+    local_memory, remote_memory, fabric = _memory_models(args, topology)
+    config = SystemConfig(
+        topology=topology,
+        scheduler=args.scheduler,
+        collective_chunks=args.chunks,
+        network_backend=args.backend,
+        packet_bytes=args.packet_bytes,
+        train_packets=args.train_packets,
+        granularity=args.granularity,
+        escalation_threshold=args.escalation_threshold,
+        deescalation_hysteresis=args.deescalation_hysteresis,
+        compute=RooflineCompute(
+            peak_tflops=args.peak_tflops,
+            mem_bandwidth_gbps=args.hbm_gbps,
+        ),
+        local_memory=local_memory,
+        remote_memory=remote_memory,
+        fabric_collectives=fabric,
+        telemetry=_telemetry_config(args, collect_metrics),
+        invariants=_invariants_config(args),
+        folding=args.folding,
+    )
     if args.trace_level == "packet" and config.network_backend == "analytical":
         raise PointConfigError(
             "--trace-level packet requires --backend garnet or flow (or "
@@ -381,13 +376,10 @@ def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
         # horizon seeded schedules are drawn over.
         baseline = simulate(traces, config)
         schedule = _fault_schedule(args, topology, baseline.total_time_ns)
-        try:
-            config = dataclasses.replace(
-                config, faults=schedule,
-                checkpoint=_checkpoint_config(args, topology))
-            result = simulate(traces, config)
-        except FaultSpecError as exc:
-            raise PointConfigError(str(exc))
+        config = dataclasses.replace(
+            config, faults=schedule,
+            checkpoint=_checkpoint_config(args, topology))
+        result = simulate(traces, config)
         if result.resilience is not None:
             result.resilience.baseline_ns = baseline.total_time_ns
             resilience = result.resilience

@@ -17,13 +17,15 @@ import argparse
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.errors import InputError
+
 WORKLOADS = ("allreduce", "alltoall", "gpt3", "transformer1t", "dlrm",
              "fsdp-gpt3", "dp-gpt3", "pp-gpt3", "moe1t")
 
 MEMORY_MODELS = ("local", "hiermem", "zero-infinity")
 
 
-class PointConfigError(ValueError):
+class PointConfigError(InputError):
     """A point (or a set of run flags) does not form a valid run configuration."""
 
 
@@ -207,6 +209,10 @@ def normalize_point(point: Mapping[str, Any]) -> Dict[str, Any]:
     Python API hash identically in the run cache), and rejects unknown
     fields, uncoercible values and a missing topology or bandwidths.
     """
+    if not isinstance(point, Mapping):
+        raise PointConfigError(
+            f"a point must be an object of run fields, got "
+            f"{type(point).__name__}")
     unknown = sorted(set(point) - set(FIELD_TYPES))
     if unknown:
         raise PointConfigError(

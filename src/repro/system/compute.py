@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import InputError
+
 
 @dataclass(frozen=True)
 class RooflineCompute:
@@ -29,13 +31,13 @@ class RooflineCompute:
 
     def __post_init__(self) -> None:
         if self.peak_tflops <= 0:
-            raise ValueError(f"peak_tflops must be positive, got {self.peak_tflops}")
+            raise InputError(f"peak_tflops must be positive, got {self.peak_tflops}")
         if self.mem_bandwidth_gbps < 0:
-            raise ValueError(
+            raise InputError(
                 f"mem_bandwidth_gbps must be >= 0, got {self.mem_bandwidth_gbps}"
             )
         if self.kernel_overhead_ns < 0:
-            raise ValueError(
+            raise InputError(
                 f"kernel_overhead_ns must be >= 0, got {self.kernel_overhead_ns}"
             )
 

@@ -35,8 +35,10 @@ from __future__ import annotations
 
 import abc
 import itertools
+import sys
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.errors import InputError
 from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import DimSpec
 from repro.system.phases import PhaseKind, PhaseRows, phase_table
@@ -46,6 +48,19 @@ from repro.system.phases import PhaseKind, PhaseRows, phase_table
 _EXHAUSTIVE_PERMUTATION_LIMIT = 5
 
 DimSpecs = Mapping[int, DimSpec]
+
+#: What a process says, once, when Themis loses its LP plan.
+LP_FALLBACK_NOTICE = (
+    "scipy is not installed: Themis orders chunks with its greedy fallback, "
+    "not the LP fluid plan (install the 'balancing' extra)")
+
+# Module state on purpose: a missing scipy is a fact about the process.
+_lp_fallback_noted = False
+
+
+def lp_fallback_taken() -> bool:
+    """Whether this process ran Themis without its LP (scipy missing)."""
+    return _lp_fallback_noted
 
 
 def chunk_work_vector(rows: PhaseRows, roundtrip: bool) -> Dict[int, float]:
@@ -220,7 +235,8 @@ class ThemisScheduler(ChunkScheduler):
     training loop's thousands of collectives build only a handful.
     Without scipy it returns ``None`` and execution falls back to
     chunk-by-chunk traversal with :meth:`plan_order`'s greedy bottleneck
-    minimization.
+    minimization; the process says so once on stderr
+    (:data:`LP_FALLBACK_NOTICE`), and ``repro run`` in its summary.
     """
 
     name = "themis"
@@ -354,6 +370,10 @@ class ThemisScheduler(ChunkScheduler):
         try:
             from scipy.optimize import linprog
         except ImportError:  # pragma: no cover - scipy is an optional path
+            global _lp_fallback_noted
+            if not _lp_fallback_noted:
+                _lp_fallback_noted = True
+                print(f"note: {LP_FALLBACK_NOTICE}", file=sys.stderr)
             return []
         orders = self._candidate_orders(specs, dims)
         tables = self.phase_tables(specs, dims, kind, payload_bytes, roundtrip)
@@ -439,6 +459,6 @@ def make_scheduler(name: str) -> ChunkScheduler:
     try:
         return _SCHEDULERS[name.lower()]()
     except KeyError:
-        raise ValueError(
+        raise InputError(
             f"unknown scheduler {name!r}; expected one of {sorted(_SCHEDULERS)}"
         ) from None

@@ -14,8 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from repro.errors import InputError
 
-class TelemetryError(ValueError):
+
+class TelemetryError(InputError):
     """Raised for invalid telemetry configuration."""
 
 

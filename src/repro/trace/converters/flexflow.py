@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Sequence
 
 from repro.trace.graph import ExecutionTrace, TraceValidationError
 from repro.trace.node import CollectiveType, ETNode, NodeType, TensorLocation
+from repro.trace.serialization import MUST_BE_INT, int_field, int_list
 
 _COLLECTIVE_KINDS = {
     "allreduce": CollectiveType.ALL_REDUCE,
@@ -35,7 +36,8 @@ def convert_flexflow_taskgraph(payload: Dict[str, Any]) -> ExecutionTrace:
 
     Raises :class:`TraceValidationError` on schema problems — including
     malformed task records (missing ids, send/recv without a peer, bad
-    locations) and truncated documents with unresolvable dependencies.
+    locations, numbers that break :func:`repro.errors.strict_int`) and
+    truncated documents with unresolvable dependencies.
     """
     if not isinstance(payload, dict):
         raise TraceValidationError(
@@ -44,11 +46,7 @@ def convert_flexflow_taskgraph(payload: Dict[str, Any]) -> ExecutionTrace:
         raise TraceValidationError(
             f"expected schema 'flexflow-taskgraph', got {payload.get('schema')!r}"
         )
-    try:
-        device = int(payload.get("device", 0))
-    except (TypeError, ValueError):
-        raise TraceValidationError(
-            f"'device' must be an integer, got {payload.get('device')!r}")
+    device = int_field(payload.get("device", 0), "'device'", template=MUST_BE_INT)
     tasks: Sequence[Dict[str, Any]] = payload.get("tasks", ())
     if not isinstance(tasks, (list, tuple)):
         raise TraceValidationError(
@@ -60,58 +58,43 @@ def convert_flexflow_taskgraph(payload: Dict[str, Any]) -> ExecutionTrace:
             raise TraceValidationError(
                 f"tasks[{index}] is not an object: {task!r}")
         kind = task.get("kind", "task")
-        raw_deps = task.get("deps", ())
-        if not isinstance(raw_deps, (list, tuple)):
-            raise TraceValidationError(
-                f"tasks[{index}]: 'deps' must be a list, got {raw_deps!r}")
-        deps = tuple(raw_deps)
+        deps = int_list(task, "deps", f"tasks[{index}]") or ()
         if "task_id" not in task:
             raise TraceValidationError(
                 f"tasks[{index}] ({task.get('name', kind)!r}) has no "
                 "'task_id' field")
-        tid = task["task_id"]
-        if not isinstance(tid, int) or isinstance(tid, bool):
-            raise TraceValidationError(
-                f"tasks[{index}]: task_id must be an integer, got {tid!r}")
+        tid = int_field(task["task_id"], f"tasks[{index}]: task_id",
+                        template=MUST_BE_INT)
         name = task.get("name", kind)
-        size = task.get("bytes", 0)
+        if not isinstance(name, str):
+            raise TraceValidationError(
+                f"task {tid}: 'name' must be a string, got {name!r}")
+        common = dict(
+            node_id=tid, name=name, deps=deps,
+            tensor_bytes=int_field(task.get("bytes", 0),
+                                   f"task {tid}: field 'bytes'"))
+        if not isinstance(kind, str):
+            raise TraceValidationError(f"unknown FlexFlow task kind {kind!r}")
         if kind in _COLLECTIVE_KINDS:
-            comm_dims = (
-                tuple(task["comm_dims"]) if "comm_dims" in task else None
-            )
-            nodes.append(
-                ETNode(
-                    node_id=tid,
-                    node_type=NodeType.COMM_COLLECTIVE,
-                    name=name,
-                    deps=deps,
-                    tensor_bytes=size,
-                    collective=_COLLECTIVE_KINDS[kind],
-                    comm_dims=comm_dims,
-                )
-            )
+            nodes.append(ETNode(
+                node_type=NodeType.COMM_COLLECTIVE,
+                collective=_COLLECTIVE_KINDS[kind],
+                comm_dims=int_list(task, "comm_dims", f"task {tid}"),
+                **common))
         elif kind in ("send", "recv"):
             if "peer" not in task:
                 raise TraceValidationError(
                     f"task {tid} ({name!r}): {kind} requires a 'peer' field")
-            peer = task["peer"]
-            if not isinstance(peer, int) or isinstance(peer, bool):
-                raise TraceValidationError(
-                    f"task {tid} ({name!r}): peer must be an integer "
-                    f"device id, got {peer!r}")
-            nodes.append(
-                ETNode(
-                    node_id=tid,
-                    node_type=(
-                        NodeType.COMM_SEND if kind == "send" else NodeType.COMM_RECV
-                    ),
-                    name=name,
-                    deps=deps,
-                    tensor_bytes=size,
-                    peer=peer,
-                    tag=task.get("tag", 0),
-                )
-            )
+            peer = int_field(
+                task["peer"], f"task {tid} ({name!r}): peer",
+                template="{what} must be an integer device id, got {value!r}")
+            nodes.append(ETNode(
+                node_type=(
+                    NodeType.COMM_SEND if kind == "send" else NodeType.COMM_RECV
+                ),
+                peer=peer,
+                tag=int_field(task.get("tag", 0), f"task {tid}: field 'tag'"),
+                **common))
         elif kind in ("load", "store"):
             try:
                 location = TensorLocation(task.get("location", "local"))
@@ -119,29 +102,18 @@ def convert_flexflow_taskgraph(payload: Dict[str, Any]) -> ExecutionTrace:
                 raise TraceValidationError(
                     f"task {tid} ({name!r}): unknown tensor location "
                     f"{task.get('location')!r}")
-            nodes.append(
-                ETNode(
-                    node_id=tid,
-                    node_type=(
-                        NodeType.MEMORY_LOAD if kind == "load" else NodeType.MEMORY_STORE
-                    ),
-                    name=name,
-                    deps=deps,
-                    tensor_bytes=size,
-                    location=location,
-                )
-            )
+            nodes.append(ETNode(
+                node_type=(
+                    NodeType.MEMORY_LOAD if kind == "load" else NodeType.MEMORY_STORE
+                ),
+                location=location,
+                **common))
         elif kind == "task":
-            nodes.append(
-                ETNode(
-                    node_id=tid,
-                    node_type=NodeType.COMPUTE,
-                    name=name,
-                    deps=deps,
-                    tensor_bytes=size,
-                    flops=task.get("flops", 0),
-                )
-            )
+            nodes.append(ETNode(
+                node_type=NodeType.COMPUTE,
+                flops=int_field(task.get("flops", 0),
+                                f"task {tid}: field 'flops'"),
+                **common))
         else:
             raise TraceValidationError(f"unknown FlexFlow task kind {kind!r}")
 

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.trace.graph import ExecutionTrace, TraceValidationError
 from repro.trace.node import CollectiveType, ETNode, NodeType, TensorLocation
+from repro.trace.serialization import MUST_BE_INT, int_field, int_list
 
 _COMM_PREFIXES = ("nccl:", "c10d::", "oneccl:")
 _MEMORY_NAMES = ("aten::copy_", "aten::to", "Memcpy", "memcpy", "aten::load")
@@ -66,7 +67,7 @@ def _collective_for(name: str) -> CollectiveType:
     raise TraceValidationError(f"unrecognized collective operator {name!r}")
 
 
-def _node_id(raw: Dict[str, Any], index: int) -> int:
+def _node_id(raw: Any, index: int) -> int:
     """The node's required integer id, with a structured error."""
     if not isinstance(raw, dict):
         raise TraceValidationError(
@@ -74,11 +75,7 @@ def _node_id(raw: Dict[str, Any], index: int) -> int:
     if "id" not in raw:
         raise TraceValidationError(
             f"nodes[{index}] ({raw.get('name', '?')!r}) has no 'id' field")
-    node_id = raw["id"]
-    if not isinstance(node_id, int) or isinstance(node_id, bool):
-        raise TraceValidationError(
-            f"nodes[{index}]: id must be an integer, got {node_id!r}")
-    return node_id
+    return int_field(raw["id"], f"nodes[{index}]: id", template=MUST_BE_INT)
 
 
 def convert_pytorch_eg(payload: Dict[str, Any]) -> ExecutionTrace:
@@ -86,8 +83,9 @@ def convert_pytorch_eg(payload: Dict[str, Any]) -> ExecutionTrace:
 
     Raises :class:`TraceValidationError` on schema problems — including
     malformed node records (missing/non-integer ids, bad peer or
-    location fields) and truncated documents whose surviving nodes
-    depend on nodes that were cut off.
+    location fields, numbers that break :func:`repro.errors.strict_int`)
+    and truncated documents whose surviving nodes depend on nodes that
+    were cut off.
     """
     if not isinstance(payload, dict):
         raise TraceValidationError(
@@ -100,53 +98,38 @@ def convert_pytorch_eg(payload: Dict[str, Any]) -> ExecutionTrace:
     if not isinstance(raw_nodes, (list, tuple)):
         raise TraceValidationError(
             f"'nodes' must be a list, got {type(raw_nodes).__name__}")
-    try:
-        rank = int(payload.get("rank", 0))
-    except (TypeError, ValueError):
-        raise TraceValidationError(
-            f"'rank' must be an integer, got {payload.get('rank')!r}")
+    rank = int_field(payload.get("rank", 0), "'rank'", template=MUST_BE_INT)
 
     # Pass 1: map each tensor id to its (last) producer node id.
     producer: Dict[int, int] = {}
+    records: List[Tuple[int, str, Dict[str, Any]]] = []
     for index, raw in enumerate(raw_nodes):
         node_id = _node_id(raw, index)
-        outputs = raw.get("outputs", ())
-        if not isinstance(outputs, (list, tuple)):
+        name = raw.get("name", "")
+        if not isinstance(name, str):
             raise TraceValidationError(
-                f"node {node_id}: 'outputs' must be a list, got {outputs!r}")
-        for tensor_id in outputs:
+                f"node {node_id}: 'name' must be a string, got {name!r}")
+        records.append((node_id, name, raw))
+        for tensor_id in int_list(raw, "outputs", f"node {node_id}") or ():
             producer[tensor_id] = node_id
 
     # Pass 2: compute raw data-flow deps.
     raw_deps: Dict[int, List[int]] = {}
-    for raw in raw_nodes:
+    for node_id, _name, raw in records:
         deps = []
-        inputs = raw.get("inputs", ())
-        if not isinstance(inputs, (list, tuple)):
-            raise TraceValidationError(
-                f"node {raw['id']}: 'inputs' must be a list, got {inputs!r}")
-        for tensor_id in inputs:
+        for tensor_id in int_list(raw, "inputs", f"node {node_id}") or ():
             src = producer.get(tensor_id)
-            if src is not None and src != raw["id"]:
+            if src is not None and src != node_id:
                 deps.append(src)
-        ctrl_deps = raw.get("ctrl_deps", ())
-        if not isinstance(ctrl_deps, (list, tuple)):
-            raise TraceValidationError(
-                f"node {raw['id']}: 'ctrl_deps' must be a list, "
-                f"got {ctrl_deps!r}")
-        for ctrl in ctrl_deps:
-            deps.append(ctrl)
-        raw_deps[raw["id"]] = sorted(set(deps))
+        deps.extend(int_list(raw, "ctrl_deps", f"node {node_id}") or ())
+        raw_deps[node_id] = sorted(set(deps))
 
     # Pass 3: identify control-only nodes to elide.
-    def is_control_only(raw: Dict[str, Any]) -> bool:
-        return (
-            _classify(raw.get("name", "")) == "compute"
-            and not raw.get("flops")
-            and not raw.get("tensor_bytes")
-        )
-
-    elided = {raw["id"] for raw in raw_nodes if is_control_only(raw)}
+    elided = {
+        node_id for node_id, name, raw in records
+        if _classify(name) == "compute"
+        and not raw.get("flops") and not raw.get("tensor_bytes")
+    }
 
     def resolve(dep: int, seen: Optional[frozenset] = None) -> Tuple[int, ...]:
         """Splice dependencies through elided nodes (transitively)."""
@@ -161,84 +144,57 @@ def convert_pytorch_eg(payload: Dict[str, Any]) -> ExecutionTrace:
         return tuple(out)
 
     nodes: List[ETNode] = []
-    for raw in raw_nodes:
-        if raw["id"] in elided:
+    for node_id, name, raw in records:
+        if node_id in elided:
             continue
-        name = raw.get("name", "")
+        where = f"node {node_id}"
         kind = _classify(name)
         deps: List[int] = []
-        for dep in raw_deps[raw["id"]]:
+        for dep in raw_deps[node_id]:
             deps.extend(resolve(dep))
-        deps = sorted(set(deps))
+        common = dict(
+            node_id=node_id, name=name, deps=tuple(sorted(set(deps))),
+            tensor_bytes=int_field(raw.get("tensor_bytes", 0),
+                                   f"{where}: field 'tensor_bytes'"))
 
         if kind == "comm":
-            comm_dims = tuple(raw["comm_dims"]) if "comm_dims" in raw else None
             if "peer" in raw:
-                peer = raw["peer"]
-                if not isinstance(peer, int) or isinstance(peer, bool):
-                    raise TraceValidationError(
-                        f"node {raw['id']} ({name!r}): peer must be an "
-                        f"integer NPU id, got {peer!r}")
+                peer = int_field(
+                    raw["peer"], f"{where} ({name!r}): peer",
+                    template="{what} must be an integer NPU id, got {value!r}")
                 node_type = (
                     NodeType.COMM_SEND
                     if "send" in name.lower()
                     else NodeType.COMM_RECV
                 )
-                nodes.append(
-                    ETNode(
-                        node_id=raw["id"],
-                        node_type=node_type,
-                        name=name,
-                        deps=tuple(deps),
-                        tensor_bytes=raw.get("tensor_bytes", 0),
-                        peer=peer,
-                        tag=raw.get("tag", 0),
-                    )
-                )
+                nodes.append(ETNode(
+                    node_type=node_type, peer=peer,
+                    tag=int_field(raw.get("tag", 0), f"{where}: field 'tag'"),
+                    **common))
             else:
-                nodes.append(
-                    ETNode(
-                        node_id=raw["id"],
-                        node_type=NodeType.COMM_COLLECTIVE,
-                        name=name,
-                        deps=tuple(deps),
-                        tensor_bytes=raw.get("tensor_bytes", 0),
-                        collective=_collective_for(name),
-                        comm_dims=comm_dims,
-                    )
-                )
+                nodes.append(ETNode(
+                    node_type=NodeType.COMM_COLLECTIVE,
+                    collective=_collective_for(name),
+                    comm_dims=int_list(raw, "comm_dims", where),
+                    **common))
         elif kind == "memory":
             try:
                 location = TensorLocation(raw.get("location", "local"))
             except ValueError:
                 raise TraceValidationError(
-                    f"node {raw['id']} ({name!r}): unknown tensor location "
+                    f"{where} ({name!r}): unknown tensor location "
                     f"{raw.get('location')!r}")
             node_type = (
                 NodeType.MEMORY_STORE
                 if raw.get("direction") == "store"
                 else NodeType.MEMORY_LOAD
             )
-            nodes.append(
-                ETNode(
-                    node_id=raw["id"],
-                    node_type=node_type,
-                    name=name,
-                    deps=tuple(deps),
-                    tensor_bytes=raw.get("tensor_bytes", 0),
-                    location=location,
-                )
-            )
+            nodes.append(ETNode(node_type=node_type, location=location,
+                                **common))
         else:
-            nodes.append(
-                ETNode(
-                    node_id=raw["id"],
-                    node_type=NodeType.COMPUTE,
-                    name=name,
-                    deps=tuple(deps),
-                    tensor_bytes=raw.get("tensor_bytes", 0),
-                    flops=raw.get("flops", 0),
-                )
-            )
+            nodes.append(ETNode(
+                node_type=NodeType.COMPUTE,
+                flops=int_field(raw.get("flops", 0), f"{where}: field 'flops'"),
+                **common))
 
     return ExecutionTrace(npu_id=rank, nodes=nodes)

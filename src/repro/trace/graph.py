@@ -11,11 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.trace.node import ETNode, NodeType
-
-
-class TraceValidationError(ValueError):
-    """Raised when a trace is structurally invalid (dup ids, cycles, ...)."""
+from repro.trace.node import ETNode, NodeType, TraceValidationError
 
 
 def kahn_order(indegree: Dict[int, int],

@@ -17,6 +17,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.errors import InputError
+
+
+class TraceValidationError(InputError):
+    """Raised when a trace or one of its nodes is invalid (dup ids, cycles, ...)."""
+
 
 class NodeType(enum.Enum):
     """Operation class of an ET node."""
@@ -122,21 +128,21 @@ class ETNode:
     # -- validation --------------------------------------------------------------
 
     def validate(self) -> None:
-        """Check per-type metadata consistency; raises ValueError."""
+        """Check per-type metadata consistency; raises TraceValidationError."""
         if self.node_id < 0:
-            raise ValueError(f"node_id must be non-negative, got {self.node_id}")
+            raise TraceValidationError(f"node_id must be non-negative, got {self.node_id}")
         if self.tensor_bytes < 0:
-            raise ValueError(f"tensor_bytes must be >= 0, got {self.tensor_bytes}")
+            raise TraceValidationError(f"tensor_bytes must be >= 0, got {self.tensor_bytes}")
         if self.flops < 0:
-            raise ValueError(f"flops must be >= 0, got {self.flops}")
+            raise TraceValidationError(f"flops must be >= 0, got {self.flops}")
         if self.node_id in self.deps:
-            raise ValueError(f"node {self.node_id} depends on itself")
+            raise TraceValidationError(f"node {self.node_id} depends on itself")
         if self.node_type is NodeType.COMM_COLLECTIVE and self.collective is None:
-            raise ValueError(f"collective node {self.node_id} lacks a collective type")
+            raise TraceValidationError(f"collective node {self.node_id} lacks a collective type")
         if self.node_type in (NodeType.COMM_SEND, NodeType.COMM_RECV):
             if self.peer is None:
-                raise ValueError(f"p2p node {self.node_id} lacks a peer")
+                raise TraceValidationError(f"p2p node {self.node_id} lacks a peer")
             if self.peer < 0:
-                raise ValueError(f"p2p node {self.node_id} has negative peer {self.peer}")
+                raise TraceValidationError(f"p2p node {self.node_id} has negative peer {self.peer}")
         if self.node_type is NodeType.COMPUTE and self.flops == 0 and self.tensor_bytes == 0:
-            raise ValueError(f"compute node {self.node_id} has neither flops nor bytes")
+            raise TraceValidationError(f"compute node {self.node_id} has neither flops nor bytes")

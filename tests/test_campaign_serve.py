@@ -104,6 +104,21 @@ class TestRunEndpoint:
             assert error["type"] == "PointConfigError"
             assert "collective_chunks" in error["message"]
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"topology": "Foo(4)"},
+         "unknown building block 'Foo'; expected one of ['fc', "
+         "'fullyconnected', 'r', 'ring', 'sw', 'switch']"),
+        ({"bandwidths": "nan", "scheduler": "themis"},
+         "bandwidth of dimension 0 is not a finite number: nan"),
+    ], ids=["unknown-block", "nan-bandwidth-themis"])
+    def test_bad_topology_input_is_400(self, fields, message):
+        with serving() as (base, _server):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/run", dict(POINT, **fields))
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+        assert error == {"type": "PointConfigError", "message": message}
+
     def test_non_numeric_content_length_is_400(self):
         with serving() as (base, _server):
             request = urllib.request.Request(

@@ -1,10 +1,13 @@
 """Unit tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestRun:
@@ -184,6 +187,104 @@ class TestValidation:
                      "--mp", "8"])
         assert code == 0
         assert "gpt3" in capsys.readouterr().out
+
+
+class TestBadInputs:
+    """Every loader's bad input is one ``error:`` line (an InputError)."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--topology", "Ring(4)", "--bandwidths", "nan",
+          "--scheduler", "baseline"],
+         "bandwidth of dimension 0 is not a finite number: nan"),
+        (["run", "--topology", "Ring(4)_Switch(2)", "--bandwidths", "nan,1",
+          "--scheduler", "themis"],
+         "bandwidth of dimension 0 is not a finite number: nan"),
+        (["run", "--topology", "Ring(4)", "--bandwidths", "100",
+          "--latencies", "nan"], "latency is not a finite number: nan"),
+        (["topology-info", "Foo(4)", "--bandwidths", "100"],
+         "unknown building block 'Foo'"),
+        (["topology-info", "Ring(4)_", "--bandwidths", "100"],
+         "empty dimension in 'Ring(4)_'"),
+        (["topology-info", "Ring(4)", "--bandwidths=-1"],
+         "bandwidth must be positive, got -1.0"),
+        (["topology-info", "Ring(4)", "--bandwidths", "inf"],
+         "bandwidth of dimension 0 is not a finite number: inf"),
+    ], ids=["nan-baseline", "nan-themis", "nan-latency", "unknown-block",
+            "trailing-underscore", "negative-bandwidth", "inf-bandwidth"])
+    def test_topology_inputs(self, argv, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert str(exc_info.value).startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "an ET document must be a JSON object, got list"),
+        ({"nodes": "abc"}, "'nodes' must be a list, got str"),
+        ({"nodes": [{"id": "x", "type": "compute", "flops": 1}]},
+         "nodes[0]: field 'id' is not an integer: 'x'"),
+        ({"nodes": [{"id": 0, "type": "compute", "flops": 1},
+                    {"id": 1.7, "type": "compute", "flops": 1,
+                     "deps": [0]}]},
+         "nodes[1]: field 'id' is not an integer: 1.7"),
+        ({"nodes": [{"id": 0, "type": "compute", "flops": 1.7}]},
+         "node 0: field 'flops' is not an integer: 1.7"),
+        ({"nodes": [{"id": 0, "type": "compute", "tensor_bytes": True}]},
+         "node 0: field 'tensor_bytes' is not an integer: True"),
+        ({"nodes": [{"id": 0, "type": "compute", "flops": 1, "deps": [0.5]}]},
+         "node 0: field 'deps' is not an integer: 0.5"),
+        ({"nodes": [{"id": 0, "type": "comm_send", "tensor_bytes": 8,
+                     "peer": "1"}]},
+         "node 0: field 'peer' is not an integer: '1'"),
+        ({"nodes": [{"id": 0, "type": "comm_send", "tensor_bytes": 8,
+                     "peer": 1, "tag": 2.5}]},
+         "node 0: field 'tag' is not an integer: 2.5"),
+    ], ids=["list-document", "nodes-string", "id-string", "id-float",
+            "flops-float", "bytes-bool", "deps-float", "peer-string",
+            "tag-float"])
+    def test_trace_info_inputs(self, tmp_path, doc, message):
+        if isinstance(doc, dict):
+            doc = {"format": "astra-sim-et", "version": 1, **doc}
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["trace-info", str(path)])
+        assert str(exc_info.value) == f"error: {message}"
+
+    def test_trace_info_on_text_that_is_not_json(self, tmp_path):
+        path = tmp_path / "trace.json"
+        path.write_text('{"format": ')
+        with pytest.raises(SystemExit) as exc_info:
+            main(["trace-info", str(path)])
+        assert str(exc_info.value).startswith("error: ET is not valid JSON")
+
+    def test_ingest_rejects_a_fractional_shape(self, tmp_path):
+        path = tmp_path / "og.json"
+        path.write_text(json.dumps({
+            "format": "repro-opgraph", "version": 1,
+            "ops": [{"id": 0, "kind": "matmul", "m": 4.7, "k": 4, "n": 4}]}))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ingest", str(path)])
+        assert str(exc_info.value) == (
+            "error: op 0: field 'm' is not an integer: 4.7")
+
+    @pytest.mark.parametrize("layers", [2.7, True, "2"])
+    def test_ingest_rejects_a_non_integer_layer_count(self, tmp_path,
+                                                      layers):
+        config = json.loads((EXAMPLES / "llama_70b_config.json").read_text())
+        config["num_hidden_layers"] = layers
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["ingest", str(path), "--seq-len", "128"])
+        assert str(exc_info.value) == (
+            "error: config key 'num_hidden_layers' is not an integer: "
+            f"{layers!r}")
+
+    def test_sweep_spec_error_is_one_line(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "--topology", "Ring(4)", "--bandwidths", "100",
+                  "--grid", "payload_mib"])
+        assert str(exc_info.value).startswith("error: ")
+
 
 
 class TestTelemetryFlags:

@@ -236,7 +236,10 @@ class TestOpgraphJSON:
          "op 1: field 'routed' must be true or false"),
         ({}, {"dtype_bytes": "two"},
          "opgraph field 'dtype_bytes' is not an integer"),
-    ], ids=["deps", "layer", "attrs", "routed", "dtype_bytes"])
+        ({"m": 4.7}, {}, "op 1: field 'm' is not an integer: 4.7"),
+        ({"layer": True}, {}, "op 1: field 'layer' is not an integer: True"),
+    ], ids=["deps", "layer", "attrs", "routed", "dtype_bytes",
+            "fractional-shape", "boolean-layer"])
     def test_malformed_fields_are_frontend_errors(self, op_fields,
                                                   doc_fields, match):
         doc = {"format": "repro-opgraph", "version": 1, **doc_fields,

@@ -1,5 +1,7 @@
 """Unit tests for the multi-dimensional topology representation."""
 
+import re
+
 import pytest
 
 from repro.network import (
@@ -53,6 +55,27 @@ class TestParser:
             parse_topology("Ring[4]", [10])
         with pytest.raises(TopologyError):
             parse_topology("", [])
+
+    @pytest.mark.parametrize("notation, bandwidths, latencies, message", [
+        ("Foo(4)", [10], [], "unknown building block 'Foo'"),
+        ("Ring(4)_", [10], [], "empty dimension in 'Ring(4)_'"),
+        ("Ring(4)", [float("nan")], [],
+         "bandwidth of dimension 0 is not a finite number: nan"),
+        ("Ring(4)", [float("inf")], [],
+         "bandwidth of dimension 0 is not a finite number: inf"),
+        ("Ring(4)", [True], [], "bandwidth of dimension 0 is not a finite"),
+        ("Ring(4)", ["10"], [], "bandwidth of dimension 0 is not a finite"),
+        ("Ring(4)", [-1.0], [], "bandwidth must be positive"),
+        ("Ring(4)", [10], [float("nan")],
+         "latency is not a finite number: nan"),
+        ("Ring(4)", [10], [-1.0], "latency must be >= 0"),
+    ], ids=["unknown-block", "trailing-underscore", "nan-bandwidth",
+            "inf-bandwidth", "bool-bandwidth", "string-bandwidth",
+            "negative-bandwidth", "nan-latency", "negative-latency"])
+    def test_bad_input_is_a_topology_error(self, notation, bandwidths,
+                                           latencies, message):
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            parse_topology(notation, bandwidths, latencies_ns=latencies)
 
     def test_custom_latencies(self):
         topo = parse_topology("Ring(4)_Switch(2)", [10, 10],

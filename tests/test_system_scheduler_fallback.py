@@ -1,5 +1,7 @@
 """Unit tests for the Themis greedy fallback (no-scipy path)."""
 
+import sys
+
 import pytest
 
 import repro
@@ -65,3 +67,20 @@ def test_fluid_path_engages_when_lp_available():
     fluid = _allreduce(topo, "themis").total_time_ns
     base = _allreduce(topo, "baseline").total_time_ns
     assert fluid < base
+
+
+def test_missing_scipy_is_said_once_per_run(monkeypatch, capsys):
+    """Without scipy the run says it took the greedy path: one stderr
+    notice, and a line in the ``repro run`` summary."""
+    from repro.cli import main
+    from repro.system import scheduler
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    monkeypatch.setattr(scheduler, "_lp_fallback_noted", False)
+    argv = ["run", "--topology", "Ring(2)_FC(8)_Ring(8)_Switch(4)",
+            "--bandwidths", "250,200,100,50", "--workload", "allreduce",
+            "--payload-mib", "64", "--scheduler", "themis"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"note: {scheduler.LP_FALLBACK_NOTICE}\n"
+    assert f"note     : {scheduler.LP_FALLBACK_NOTICE}" in captured.out

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.events import EventEngine
+from repro.memory.inswitch import InSwitchCollectiveMemory
 from repro.memory.pools import MultiLevelSwitchPool
 from repro.memory.remote import HierarchicalRemoteMemory, HierMemConfig
 from repro.memory.zero_infinity import ZeroInfinityConfig, ZeroInfinityMemory
@@ -392,6 +393,20 @@ class TestMemoryMetrics:
                                 config).telemetry
         for name, labels, value in expected:
             assert report.metric_value("memory", name, **labels) == value
+
+    def test_inswitch_model_records_no_hiermem_counters(self):
+        # It shares the hiermem chunk pipeline, not its telemetry.
+        topo = repro.parse_topology("Ring(4)", [100])
+        config = repro.SystemConfig(
+            topology=topo,
+            remote_memory=InSwitchCollectiveMemory(HierMemConfig()),
+            telemetry=TelemetryConfig())
+        report = repro.simulate(_remote_io_traces((1 << 26, False)),
+                                config).telemetry
+        names = json.dumps(report.to_dict(include_profile=False))
+        assert report.metric_value("memory", "accesses",
+                                   location="remote") == 1.0
+        assert "hiermem_" not in names
 
     def test_simulate_never_mutates_memory_models(self):
         from repro.workload import generate_moe, moe_1t
