@@ -56,6 +56,7 @@ from typing import (
 from repro.campaign.cache import RunCache
 from repro.campaign.pool import error_record as _error_record, run_one
 from repro.campaign.spec import SweepSpec, canonical_json
+from repro.errors import InputError
 from repro.runspec import (  # noqa: F401 - re-exported campaign API
     FIELD_TYPES,
     PointConfigError,
@@ -203,7 +204,7 @@ class CampaignRunner:
         cache: Optional[RunCache] = None,
     ) -> None:
         if jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {jobs}")
+            raise InputError(f"jobs must be >= 0, got {jobs}")
         self.jobs = jobs
         self.fail_fast = fail_fast
         self.executor = executor if executor is not None else run_point

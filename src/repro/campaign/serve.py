@@ -72,6 +72,13 @@ class ServeConfig:
     max_body_bytes: int = 8 << 20
     quiet: bool = True
 
+    def __post_init__(self) -> None:
+        if self.jobs < 0:
+            raise InputError(f"jobs must be >= 0, got {self.jobs}")
+        if self.queue_depth < 1:
+            raise InputError(
+                f"queue_depth must be >= 1, got {self.queue_depth}")
+
 
 class _AdmissionGate:
     """Bounded in-flight request counter: admit or reject, never queue."""

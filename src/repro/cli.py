@@ -166,11 +166,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.campaign.serve import ServeConfig, serve_forever
 
-    if args.jobs < 0:
-        raise SystemExit(f"error: --jobs must be >= 0, got {args.jobs}")
-    if args.queue_depth < 1:
-        raise SystemExit(
-            f"error: --queue-depth must be >= 1, got {args.queue_depth}")
     return serve_forever(ServeConfig(
         host=args.host,
         port=args.port,
@@ -383,9 +378,16 @@ def _cmd_topology_info(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag like any bad input: as one ``error:`` line."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro", description="ASTRA-sim 2.0 reproduction CLI")
+    parser = _Parser(prog="repro", description="ASTRA-sim 2.0 reproduction CLI")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate a workload on a topology")

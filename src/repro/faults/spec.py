@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from repro.errors import InputError
+from repro.errors import InputError, strict_float
 
 
 class FaultSpecError(InputError):
@@ -95,12 +95,15 @@ class FaultSpec:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        # Coerce to builtin floats so describe()'s repr-based canonical
-        # form stays clean when callers pass numpy scalars.
-        object.__setattr__(self, "start_ns", float(self.start_ns))
+        # Finite builtin floats (the number rule), so describe()'s
+        # repr-based canonical form stays clean for numpy scalars too.
+        object.__setattr__(self, "start_ns", strict_float(
+            self.start_ns, "fault start", FaultSpecError))
         if self.duration_ns is not None:
-            object.__setattr__(self, "duration_ns", float(self.duration_ns))
-        object.__setattr__(self, "factor", float(self.factor))
+            object.__setattr__(self, "duration_ns", strict_float(
+                self.duration_ns, "fault duration", FaultSpecError))
+        object.__setattr__(self, "factor", strict_float(
+            self.factor, "fault factor", FaultSpecError))
         if self.start_ns < 0:
             raise FaultSpecError(f"fault start must be >= 0, got {self.start_ns}")
         if self.duration_ns is not None and self.duration_ns <= 0:
@@ -174,7 +177,7 @@ def _parse_factor(token: str, context: str) -> float:
 
 
 def _parse_index(token: str, prefix: str, context: str) -> int:
-    if not token.startswith(prefix) or not token[len(prefix):].isdigit():
+    if not token.startswith(prefix) or not token[len(prefix):].isdecimal():
         raise FaultSpecError(
             f"bad target {token!r} in {context!r} (expected '{prefix}<N>')")
     return int(token[len(prefix):])

@@ -172,9 +172,10 @@ def parse_opgraph(payload: Any) -> Tuple[str, List[OpNode]]:
         raise FrontendError(
             f"not a repro opgraph (format={payload.get('format')!r}; "
             f"expected {OPGRAPH_FORMAT!r})")
-    if payload.get("version") != OPGRAPH_VERSION:
-        raise FrontendError(
-            f"unsupported opgraph version {payload.get('version')!r}")
+    version = strict_int(payload.get("version"), "opgraph field 'version'",
+                         FrontendError)
+    if version != OPGRAPH_VERSION:
+        raise FrontendError(f"unsupported opgraph version {version!r}")
     raw_ops = payload.get("ops", ())
     if not isinstance(raw_ops, list):
         raise FrontendError("'ops' must be a list")

@@ -395,14 +395,13 @@ def parse_topology(
         raise TopologyError(f"empty dimension in {notation!r}")
     if len(bandwidths_gbps) != len(parts):
         raise TopologyError(
-            f"{len(parts)} dimensions in {notation!r} but "
-            f"{len(bandwidths_gbps)} bandwidths given"
-        )
+            f"bandwidths list {len(bandwidths_gbps)} value(s) but topology "
+            f"{notation!r} has {len(parts)} dimension(s); give one "
+            "bandwidth per dimension")
     if latencies_ns and len(latencies_ns) != len(parts):
         raise TopologyError(
-            f"{len(parts)} dimensions in {notation!r} but "
-            f"{len(latencies_ns)} latencies given"
-        )
+            f"latencies list {len(latencies_ns)} value(s) but topology "
+            f"{notation!r} has {len(parts)} dimension(s)")
     dims = []
     for i, part in enumerate(parts):
         match = _DIM_RE.match(part)

@@ -15,7 +15,7 @@ import argparse
 import dataclasses
 import functools
 from pathlib import Path
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core import SystemConfig, simulate
 from repro.errors import InputError
@@ -63,34 +63,17 @@ def point_errors(entry):
     return translated
 
 
-def _parse_floats(text: str) -> List[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise PointConfigError(f"not a comma-separated float list: {text!r}")
-
-
 @point_errors
 def build_topology(args: argparse.Namespace):
-    """Parse --topology with one bandwidth (and latency) per dimension."""
+    """Parse --topology with its canonical --bandwidths/--latencies text."""
     if not args.topology or not args.bandwidths:
         raise PointConfigError(
             "--topology and --bandwidths are required (directly or "
             "via a sweep axis)")
-    latencies = _parse_floats(args.latencies) if args.latencies else ()
-    bandwidths = _parse_floats(args.bandwidths)
-    num_dims = len([s for s in args.topology.split("_") if s.strip()])
-    if len(bandwidths) != num_dims:
-        raise PointConfigError(
-            f"--bandwidths lists {len(bandwidths)} value(s) but "
-            f"topology {args.topology!r} has {num_dims} dimension(s); "
-            "give one bandwidth per dimension")
-    if latencies and len(latencies) != num_dims:
-        raise PointConfigError(
-            f"--latencies lists {len(latencies)} value(s) but "
-            f"topology {args.topology!r} has {num_dims} dimension(s)")
-    return parse_topology(args.topology, bandwidths,
-                          latencies_ns=list(latencies))
+    latencies = args.latencies.split(",") if args.latencies else ()
+    return parse_topology(args.topology,
+                          [float(x) for x in args.bandwidths.split(",")],
+                          latencies_ns=[float(x) for x in latencies])
 
 
 def _parallel_degrees(args: argparse.Namespace, topology, mp: int, pp: int = 1):

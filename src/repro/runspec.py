@@ -14,10 +14,11 @@ merged document's ``config``); and the namespace the simulate path in
 from __future__ import annotations
 
 import argparse
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import InputError
+from repro.errors import InputError, strict_float, strict_int
 
 WORKLOADS = ("allreduce", "alltoall", "gpt3", "transformer1t", "dlrm",
              "fsdp-gpt3", "dp-gpt3", "pp-gpt3", "moe1t")
@@ -29,7 +30,25 @@ class PointConfigError(InputError):
     """A point (or a set of run flags) does not form a valid run configuration."""
 
 
-def _dims_csv(value: Any) -> str:
+def _parsed(value: Any, kind: type) -> Any:
+    # A flag, a --grid value or a JSON "4" arrives as text.
+    return kind(value) if isinstance(value, str) else value
+
+
+def integer(value: Any) -> int:
+    return strict_int(_parsed(value, int), "", template="not an integer")
+
+
+def number(value: Any) -> float:
+    return strict_float(_parsed(value, float), "",
+                        template="not a finite number")
+
+
+def number_or_inf(value: Any) -> float:
+    return math.inf if _parsed(value, float) == math.inf else number(value)
+
+
+def number_list(value: Any) -> str:
     """Canonical comma-list form for bandwidths/latencies fields."""
     if isinstance(value, (list, tuple)):
         return ",".join(format(float(v), "g") for v in value)
@@ -59,8 +78,8 @@ def _faults_list(value: Any) -> Optional[List[str]]:
     return [str(v) for v in value]
 
 
-def _opt_int(value: Any) -> Optional[int]:
-    return None if value is None else int(value)
+def integer_or_none(value: Any) -> Optional[int]:
+    return None if value is None else integer(value)
 
 
 @dataclass(frozen=True)
@@ -82,8 +101,8 @@ class RunField:
 
 RUN_FIELDS: Tuple[RunField, ...] = (
     RunField("topology", str, "", 'shape notation, e.g. "Ring(4)_Switch(8)"'),
-    RunField("bandwidths", _dims_csv, "", "per-dim GB/s, comma separated"),
-    RunField("latencies", _dims_csv, "",
+    RunField("bandwidths", number_list, "", "per-dim GB/s, comma separated"),
+    RunField("latencies", number_list, "",
              "per-dim ns/hop, comma separated (default 500)"),
     RunField("workload", str, "allreduce", "builtin workload",
              choices=WORKLOADS),
@@ -93,12 +112,12 @@ RUN_FIELDS: Tuple[RunField, ...] = (
     RunField("model_json", str, "",
              "ingest an HF-style config.json or repro-opgraph JSON through "
              "the frontend and simulate it", metavar="PATH"),
-    RunField("batch", int, 0,
+    RunField("batch", integer, 0,
              "frontend batch size override (0 = the model family's default)"),
-    RunField("seq_len", int, 0,
+    RunField("seq_len", integer, 0,
              "frontend sequence length override (0 = the model family's "
              "default)"),
-    RunField("payload_mib", float, 1024.0,
+    RunField("payload_mib", number, 1024.0,
              "collective payload for allreduce/alltoall"),
     RunField("scheduler", str, "themis", "collective chunk scheduler",
              choices=("baseline", "themis")),
@@ -108,10 +127,10 @@ RUN_FIELDS: Tuple[RunField, ...] = (
              "with runtime per-link fluid->packet escalation under "
              "contention and hysteresis-based de-escalation",
              choices=("analytical", "garnet", "flow", "adaptive")),
-    RunField("packet_bytes", int, 0,
+    RunField("packet_bytes", integer, 0,
              "packet/segment size for the detailed backends (0 = backend "
              "default, 4096)"),
-    RunField("train_packets", int, 1,
+    RunField("train_packets", integer, 1,
              "garnet packet-train coalescing factor; > 1 trades contention "
              "granularity for simulation speed on large payloads"),
     RunField("granularity", str, "",
@@ -120,33 +139,33 @@ RUN_FIELDS: Tuple[RunField, ...] = (
              "its own backend, or, for 'adaptive', flow); default: --backend "
              "decides",
              choices=("", "fluid", "packet", "adaptive")),
-    RunField("escalation_threshold", float, 4.0,
+    RunField("escalation_threshold", number_or_inf, 4.0,
              "adaptive backend: escalate a link to packet simulation "
              "when it carries more than this many concurrent flows "
              "(0 = always, inf = never)"),
-    RunField("deescalation_hysteresis", float, 1.0,
+    RunField("deescalation_hysteresis", number, 1.0,
              "adaptive backend: de-escalate a packet-mode link when its "
              "flow count drops to threshold minus this margin or below"),
-    RunField("chunks", int, 16, "pipelining degree of each collective"),
-    RunField("mp", int, 0, "tensor/model-parallel degree (0 = auto)"),
-    RunField("dp", int, 0, "data-parallel degree (0 = auto)"),
-    RunField("pp", int, 0, "pipeline-parallel degree (0 = auto)"),
-    RunField("ep", int, 0,
+    RunField("chunks", integer, 16, "pipelining degree of each collective"),
+    RunField("mp", integer, 0, "tensor/model-parallel degree (0 = auto)"),
+    RunField("dp", integer, 0, "data-parallel degree (0 = auto)"),
+    RunField("pp", integer, 0, "pipeline-parallel degree (0 = auto)"),
+    RunField("ep", integer, 0,
              "expert-parallel degree for frontend models with routed ops "
              "(0 = auto)"),
-    RunField("microbatches", int, 4, "pipeline microbatches per iteration"),
-    RunField("peak_tflops", float, 234.0, "NPU roofline peak TFLOP/s"),
-    RunField("hbm_gbps", float, 2039.0,
+    RunField("microbatches", integer, 4, "pipeline microbatches per iteration"),
+    RunField("peak_tflops", number, 234.0, "NPU roofline peak TFLOP/s"),
+    RunField("hbm_gbps", number, 2039.0,
              "local HBM bandwidth (roofline + local memory model)"),
     RunField("memory_model", str, "local",
              "remote-memory organisation: hiermem pools groups behind "
              "switches (Table V), zero-infinity gives each GPU a private "
              "slow path", choices=MEMORY_MODELS),
-    RunField("fabric_bw_gbps", float, 256.0,
+    RunField("fabric_bw_gbps", number, 256.0,
              "hiermem in-node pooled fabric bandwidth (Table V row 3)"),
-    RunField("group_bw_gbps", float, 100.0,
+    RunField("group_bw_gbps", number, 100.0,
              "hiermem remote memory group bandwidth (Table V row 6)"),
-    RunField("remote_path_gbps", float, 100.0,
+    RunField("remote_path_gbps", number, 100.0,
              "zero-infinity per-GPU slow-path bandwidth"),
     RunField("inswitch", _bool, False,
              "fuse collectives into the pooled memory fabric (moe1t "
@@ -155,13 +174,13 @@ RUN_FIELDS: Tuple[RunField, ...] = (
              "inject faults, e.g. 'straggler@npu3:1.5x@t=2ms' (repeatable; "
              "';' separates specs; see repro.faults for the grammar)",
              metavar="SPEC"),
-    RunField("fault_seed", _opt_int, None,
+    RunField("fault_seed", integer_or_none, None,
              "also draw a seeded random fault schedule over the run's "
              "fault-free duration (deterministic per seed)", metavar="SEED"),
-    RunField("checkpoint_interval_ms", float, 0.0,
+    RunField("checkpoint_interval_ms", number, 0.0,
              "checkpoint period for the resilience report's restart/replay "
              "accounting (0 = no checkpoints)"),
-    RunField("checkpoint_gib", float, 16.0,
+    RunField("checkpoint_gib", number, 16.0,
              "per-NPU snapshot size for non-transformer workloads "
              "(transformer workloads derive it from the model-state "
              "footprint)"),
@@ -192,7 +211,6 @@ FIELD_TYPES: Dict[str, Callable[[Any], Any]] = {
 
 _FIXED_DEFAULTS = {f.name: f.default for f in RUN_FIELDS if not f.sweepable}
 _CHOICE_FIELDS = tuple(f for f in RUN_FIELDS if f.choices is not None)
-_FLAG_TYPES = {int: int, float: float, _opt_int: int}
 _FLAG_ACTIONS = {_bool: "store_true", _faults_list: "append"}
 
 
@@ -257,7 +275,7 @@ def add_run_flags(parser: Any, names: Optional[Iterable[str]] = None,
         if f.normalize in _FLAG_ACTIONS:
             kwargs["action"] = _FLAG_ACTIONS[f.normalize]
         else:
-            kwargs["type"] = _FLAG_TYPES.get(f.normalize)
+            kwargs["type"] = f.normalize
         if f.choices is not None:
             kwargs["choices"] = f.choices
         if f.metavar is not None:

@@ -146,10 +146,9 @@ def loads_trace(text: str) -> ExecutionTrace:
         raise TraceValidationError(
             f"not an ASTRA-sim ET (format={payload.get('format')!r})"
         )
-    if payload.get("version") != FORMAT_VERSION:
-        raise TraceValidationError(
-            f"unsupported ET version {payload.get('version')!r}"
-        )
+    version = int_field(payload.get("version"), "ET field 'version'")
+    if version != FORMAT_VERSION:
+        raise TraceValidationError(f"unsupported ET version {version!r}")
     raw_nodes = payload.get("nodes", [])
     if not isinstance(raw_nodes, list):
         raise TraceValidationError(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import InputError
 from repro.network.topology import MultiDimTopology
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import CollectiveType, ETNode, NodeType, TensorLocation
@@ -187,7 +188,7 @@ def generate_megatron_hybrid(
     degrees are rejected, not ignored.
     """
     if spec.pp > 1 or spec.ep > 1:
-        raise ValueError(
+        raise InputError(
             f"generate_megatron_hybrid models MP x DP only, got pp={spec.pp} "
             f"ep={spec.ep}; use generate_pipeline_parallel for pipeline "
             "stages, or repro.frontend.plan for pipeline and expert "
@@ -339,7 +340,7 @@ def _stage_op_sequence(schedule: str, num_stages: int, stage: int,
             ops.append(("b", bwd))
             bwd += 1
         return ops
-    raise ValueError(f"unknown pipeline schedule {schedule!r}; "
+    raise InputError(f"unknown pipeline schedule {schedule!r}; "
                      "expected 'gpipe' or '1f1b'")
 
 
@@ -364,11 +365,11 @@ def generate_pipeline_parallel(
     forwards then all backwards) or ``"1f1b"`` (PipeDream-flush).
     """
     if microbatches < 1:
-        raise ValueError(f"microbatches must be >= 1, got {microbatches}")
+        raise InputError(f"microbatches must be >= 1, got {microbatches}")
     assignment = assign_dims(topology, spec)
     pp_dims, dp_dims, mp_dims = assignment["pp"], assignment["dp"], assignment["mp"]
     if not pp_dims:
-        raise ValueError("pipeline generator needs pp > 1")
+        raise InputError("pipeline generator needs pp > 1")
     num_stages = spec.pp
     layers_per_stage = max(1, model.num_layers // num_stages)
     act = model.activation_bytes()

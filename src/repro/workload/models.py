@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import InputError
+
 
 @dataclass(frozen=True)
 class TransformerSpec:
@@ -39,7 +41,7 @@ class TransformerSpec:
         for field_name in ("num_layers", "hidden", "seq_len",
                            "batch_per_replica", "dtype_bytes"):
             if getattr(self, field_name) < 1:
-                raise ValueError(
+                raise InputError(
                     f"{field_name} must be >= 1, got {getattr(self, field_name)}"
                 )
 
@@ -100,7 +102,7 @@ class DLRMSpec:
         for field_name in ("mlp_params", "num_tables", "emb_dim",
                            "batch_per_npu", "dtype_bytes"):
             if getattr(self, field_name) < 1:
-                raise ValueError(
+                raise InputError(
                     f"{field_name} must be >= 1, got {getattr(self, field_name)}"
                 )
 
@@ -142,7 +144,7 @@ class MoESpec:
         for field_name in ("num_layers", "hidden", "seq_len", "num_experts",
                            "moe_every", "batch_per_gpu", "top_k", "dtype_bytes"):
             if getattr(self, field_name) < 1:
-                raise ValueError(
+                raise InputError(
                     f"{field_name} must be >= 1, got {getattr(self, field_name)}"
                 )
 
@@ -184,7 +186,7 @@ class MoESpec:
     def expert_params_per_gpu(self, num_gpus: int) -> int:
         """Expert parameters hosted per GPU under expert parallelism."""
         if num_gpus < 1:
-            raise ValueError(f"num_gpus must be >= 1, got {num_gpus}")
+            raise InputError(f"num_gpus must be >= 1, got {num_gpus}")
         experts_per_gpu = max(1.0, self.num_experts / num_gpus)
         return int(experts_per_gpu * self.expert_params)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import InputError
 from repro.network.topology import MultiDimTopology
 
 
@@ -38,14 +39,14 @@ class ParallelismSpec:
     def __post_init__(self) -> None:
         for name in ("mp", "dp", "pp", "ep"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} degree must be >= 1, got {getattr(self, name)}")
+                raise InputError(f"{name} degree must be >= 1, got {getattr(self, name)}")
 
     @property
     def total(self) -> int:
         return self.mp * self.dp * self.pp * self.ep
 
 
-class DimAssignmentError(ValueError):
+class DimAssignmentError(InputError):
     """Raised when degrees cannot be aligned to topology dimensions."""
 
 

@@ -7,17 +7,27 @@ replace, delete or add values at random places with values drawn from
 that round-trips through its writer, or raise
 :class:`~repro.errors.InputError`.  Nothing else (``TypeError``,
 ``KeyError``, ``AttributeError``, a bare ``ValueError``) may escape.
+
+The run fields are also parsed alike on every entry point: a flag, a
+``--grid`` value and a JSON value go through the same normalizer.
 """
 
+import argparse
 import copy
 import json
 import math
+import urllib.error
+import urllib.request
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.campaign.spec import canonical_json
+from repro.campaign import ServeConfig, serve_in_thread
+from repro.campaign.runner import CampaignRunner
+from repro.campaign.spec import SweepSpec, canonical_json
 from repro.errors import InputError
+from repro.faults import FaultSchedule
 from repro.frontend import (
     build_op_graph,
     load_config,
@@ -27,7 +37,17 @@ from repro.frontend import (
 from repro.frontend.hf_config import IngestOptions
 from repro.frontend.opgraph_json import to_opgraph_json
 from repro.network import parse_topology
-from repro.runspec import normalize_point
+from repro.runspec import (
+    RUN_FIELDS,
+    PointConfigError,
+    add_run_flags,
+    integer,
+    integer_or_none,
+    normalize_point,
+    number,
+    number_list,
+    number_or_inf,
+)
 from repro.trace import dumps_trace, loads_trace
 from repro.trace.converters import (
     convert_flexflow_taskgraph,
@@ -264,9 +284,135 @@ POINT = {"topology": "Ring(4)_Switch(2)", "bandwidths": [100, 50],
          "faults": ["straggler@npu1:1.5x@t=1ms"], "fault_seed": None}
 
 
+NUMBER_FIELDS = {f.name for f in RUN_FIELDS
+                 if f.normalize in (integer, integer_or_none, number,
+                                    number_or_inf)}
+
+
 @SETTINGS
 @given(mutated(POINT))
 def test_run_body(body):
     point = _loads_or_input_error(normalize_point, body)
     if point is not None:
         assert canonical_json(normalize_point(point)) == canonical_json(point)
+        for name, value in body.items():
+            # A number is kept as given: never truncated, never a boolean.
+            if name in NUMBER_FIELDS and not isinstance(value, str):
+                assert not isinstance(value, bool) and point[name] == value
+
+
+# -- run flags and JSON/grid values: one parser ---------------------------------------
+
+FLAG_TEXTS = ["4", "4.0", "4.7", "nan", "inf", "true", ""]
+REJECTED = "<rejected>"
+
+
+def _via_flag(name, text):
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    add_run_flags(parser, [name])
+    try:
+        args = parser.parse_args([f"--{name.replace('_', '-')}={text}"])
+    except argparse.ArgumentError:
+        return REJECTED
+    if name == "bandwidths" and args.bandwidths == "":
+        return REJECTED  # no bandwidths: a run rejects it, as a point does
+    return getattr(args, name)
+
+
+def _via_point(name, text):
+    try:
+        return normalize_point(
+            {"topology": "Ring(4)", "bandwidths": "100", name: text})[name]
+    except PointConfigError:
+        return REJECTED
+
+
+@pytest.mark.parametrize("name, text", [
+    (f.name, text) for f in RUN_FIELDS
+    if f.name in NUMBER_FIELDS or f.normalize is number_list
+    for text in FLAG_TEXTS + ["100,25,"] * (f.normalize is number_list)])
+def test_flag_and_point_parse_alike(name, text):
+    assert _via_flag(name, text) == _via_point(name, text)
+
+
+# -- fault-spec text -------------------------------------------------------------------
+
+FAULT_TEXT = st.one_of(
+    st.builds(
+        lambda kind, target, clauses: "@".join([kind, target] + clauses),
+        st.sampled_from(["straggler", "stall", "fail", "degrade",
+                         "linkdown", "STALL", "bogus", ""]),
+        st.sampled_from(["npu3:1.5x", "npu0", "dim0:0.5x", "dim1:link2",
+                         "dim0:link1:0.25x", "npu1:1e400x", "dim0:0x",
+                         "npu-1", "npu\u00b3", "dimx", "npu1:nanx", ""]),
+        st.lists(st.sampled_from([
+            "t=2ms", "t=0", "t=1e400ns", "t=1e300s", "t=nan", "t=-1",
+            "for=1.5us", "for=0", "for=1e400", "for=", "x=1"]),
+            max_size=3)),
+    st.text(alphabet="@:;=.-xnpudimlktsfor0123456789e\u00b3", max_size=40))
+
+
+@SETTINGS
+@given(st.lists(FAULT_TEXT, min_size=1, max_size=3).map(";".join))
+def test_fault_spec_text(text):
+    schedule = _loads_or_input_error(FaultSchedule.parse, text)
+    if schedule is not None:
+        assert FaultSchedule.parse(schedule.describe()) == schedule
+
+
+# -- sweep-spec documents and POST /sweep bodies -------------------------------------
+
+SWEEP_DOCS = [
+    {"base": {"topology": "Ring(4)", "bandwidths": "100", "payload_mib": 1},
+     "grid": {"chunks": [2, 4], "scheduler": ["baseline", "themis"]},
+     "zip": {"workload": ["allreduce", "alltoall"], "microbatches": [1, 2]}},
+    {"base": {"topology": "Ring(4)_Switch(2)", "bandwidths": [100, 50]},
+     "points": [{"chunks": 2}, {"payload_mib": "2", "fault_seed": 3}]},
+]
+
+
+def _stream_validated(doc):
+    """The spec of ``doc``, once ``CampaignRunner.stream`` has normalized
+    every point (the stream itself is never run)."""
+    spec = SweepSpec.from_dict(doc)
+    CampaignRunner().stream(spec).close()
+    return spec
+
+
+@SETTINGS
+@given(st.sampled_from(SWEEP_DOCS).flatmap(mutated))
+def test_sweep_spec(doc):
+    spec = _loads_or_input_error(_stream_validated, doc)
+    if spec is not None:
+        assert SweepSpec.from_dict(spec.to_dict()).expand() == spec.expand()
+
+
+def _stub_executor(point):
+    return {"total_time_ns": 0.0}
+
+
+_stub_executor.normalize = normalize_point
+
+
+@pytest.fixture(scope="module")
+def sweep_url():
+    server = serve_in_thread(ServeConfig(port=0), executor=_stub_executor)
+    host, port = server.server_address[:2]
+    yield f"http://{host}:{port}/sweep"
+    server.shutdown()
+    server.server_close()
+
+
+@SETTINGS
+@given(st.sampled_from(SWEEP_DOCS + [{"spec": SWEEP_DOCS[0],
+                                      "fail_fast": False}]).flatmap(mutated))
+def test_sweep_body(sweep_url, body):
+    request = urllib.request.Request(sweep_url, data=json.dumps(body).encode())
+    try:
+        with urllib.request.urlopen(request, timeout=60) as resp:
+            lines = resp.read().decode().splitlines()
+        assert "summary" in json.loads(lines[-1])
+    except urllib.error.HTTPError as exc:
+        assert exc.code == 400
+        error_type = json.loads(exc.read())["error"]["type"]
+        assert error_type in {"PointConfigError", "SweepSpecError"}

@@ -19,6 +19,7 @@ import pytest
 from repro.campaign import ServeConfig, serve_in_thread, shutdown_shared_pool
 from repro.campaign.runner import CampaignRunner, normalize_point, run_point
 from repro.campaign.spec import SweepSpec
+from repro.errors import InputError
 
 POINT = {"topology": "Ring(4)", "bandwidths": "100",
          "workload": "allreduce", "trace_level": "collective"}
@@ -141,6 +142,33 @@ class TestRunEndpoint:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post(base + "/nope", {})
             assert excinfo.value.code == 404
+
+
+class TestRunFieldNumbers:
+    """JSON run fields follow the number rule; bad input is a 400."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"chunks": 4.7}, "field 'chunks': cannot interpret 4.7 "
+                          "(not an integer)"),
+        ({"mp": True}, "field 'mp': cannot interpret True (not an integer)"),
+        ({"workload": "pp-gpt3", "pp": 4, "microbatches": 0},
+         "microbatches must be >= 1, got 0"),
+    ], ids=["fractional-chunks", "boolean-mp", "zero-microbatches"])
+    def test_bad_field_is_400(self, fields, message):
+        with serving() as (base, _server):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base + "/run", dict(POINT, **fields))
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+        assert error == {"type": "PointConfigError", "message": message}
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"jobs": -1}, "jobs must be >= 0, got -1"),
+        ({"queue_depth": 0}, "queue_depth must be >= 1, got 0"),
+    ])
+    def test_config_checks_its_ranges(self, fields, message):
+        with pytest.raises(InputError, match=message):
+            ServeConfig(port=0, **fields)
 
 
 class TestSweepEndpoint:

@@ -286,6 +286,57 @@ class TestBadInputs:
         assert str(exc_info.value).startswith("error: ")
 
 
+class TestRunFieldNumbers:
+    """Run flags follow the number rule; workload checks are input errors."""
+
+    RING8 = ["--topology", "Ring(8)", "--bandwidths", "100"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--peak-tflops", "nan"],
+         "error: argument --peak-tflops: invalid number value: 'nan'"),
+        (["--payload-mib", "nan"],
+         "error: argument --payload-mib: invalid number value: 'nan'"),
+        (["--chunks", "4.7"],
+         "error: argument --chunks: invalid integer value: '4.7'"),
+        (["--bandwidths", "100,25,"],
+         "error: argument --bandwidths: invalid number_list value: "
+         "'100,25,'"),
+    ], ids=["nan-peak-tflops", "nan-payload", "fractional-chunks",
+            "trailing-comma"])
+    def test_bad_number_is_a_usage_error(self, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run"] + self.RING8 + flags)
+        assert exc_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
+    def test_sweep_rejects_the_flag_run_rejects(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep"] + self.RING8[:2] + ["--bandwidths", "100,25,",
+                                               "--grid", "chunks=2|4"])
+        assert "invalid number_list value" in capsys.readouterr().err
+
+    def test_escalation_threshold_takes_inf(self, capsys):
+        assert main(["run"] + self.RING8 + [
+            "--payload-mib", "1", "--escalation-threshold", "inf"]) == 0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--workload", "pp-gpt3", "--microbatches", "0"],
+         "error: microbatches must be >= 1, got 0"),
+        (["run", "--workload", "pp-gpt3", "--pp", "1"],
+         "error: pipeline generator needs pp > 1"),
+        (["run", "--workload", "gpt3", "--mp", "4", "--dp", "-2"],
+         "error: dp degree must be >= 1, got -2"),
+        (["sweep", "--grid", "chunks=2|4", "--jobs", "-1"],
+         "error: jobs must be >= 0, got -1"),
+        (["run", "--faults", "degrade@dim0:0.5x@t=1e400ns"],
+         "error: fault start is not a finite number: inf"),
+    ], ids=["microbatches", "pp-1", "negative-dp", "negative-jobs",
+            "infinite-fault-time"])
+    def test_bad_value_is_one_error_line(self, argv, message):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + self.RING8)
+        assert str(exc_info.value) == message
+
 
 class TestTelemetryFlags:
     def test_metrics_out_writes_versioned_json(self, tmp_path, capsys):

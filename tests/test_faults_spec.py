@@ -196,6 +196,16 @@ class TestGenerate:
 
 
 class TestFaultSpecValidation:
+    @pytest.mark.parametrize("text, message", [
+        ("degrade@dim0:0.5x@t=1e400ns", "fault start is not a finite"),
+        ("stall@npu0@t=1ms@for=1e400s", "fault duration is not a finite"),
+        ("straggler@npu0:1e400x@t=1ms", "fault factor is not a finite"),
+        ("stall@npu\u00b3@t=1ms@for=1ms", "bad target"),
+    ], ids=["start", "duration", "factor", "superscript-index"])
+    def test_bad_numbers_rejected(self, text, message):
+        with pytest.raises(FaultSpecError, match=message):
+            FaultSchedule.parse(text)
+
     def test_negative_start_rejected(self):
         with pytest.raises(FaultSpecError):
             FaultSpec(kind=FaultKind.NPU_FAIL, start_ns=-1.0, npu=0)

@@ -228,6 +228,11 @@ class TestOpgraphJSON:
             opgraph_from_dict({"format": "repro-opgraph", "version": 99,
                                "ops": []})
 
+    def test_boolean_version_rejected(self):
+        with pytest.raises(FrontendError, match="'version' is not an integer"):
+            opgraph_from_dict({"format": "repro-opgraph", "version": True,
+                               "ops": []})
+
     @pytest.mark.parametrize("op_fields,doc_fields,match", [
         ({"deps": ["a"]}, {}, "op 1: field 'deps' is not an integer"),
         ({"layer": "x"}, {}, "op 1: field 'layer' is not an integer"),

@@ -76,6 +76,13 @@ def test_wrong_version_rejected():
         loads_trace(json.dumps({"format": "astra-sim-et", "version": 99}))
 
 
+@pytest.mark.parametrize("version", [True, "1", 1.5, None])
+def test_non_integer_version_rejected(version):
+    with pytest.raises(TraceValidationError, match="'version' is not an"):
+        loads_trace(json.dumps({"format": "astra-sim-et",
+                                "version": version}))
+
+
 def test_bad_node_type_rejected():
     payload = {
         "format": "astra-sim-et", "version": 1, "npu_id": 0,

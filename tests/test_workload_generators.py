@@ -1,8 +1,11 @@
 """Unit tests for the workload -> execution-trace generators."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import Simulator, SystemConfig
+from repro.errors import InputError
 from repro.network import parse_topology
 from repro.system import RooflineCompute
 from repro.memory import LocalMemory, ZeroInfinityConfig, ZeroInfinityMemory
@@ -280,3 +283,37 @@ class TestMoE:
         traces = generate_moe(self._model(), topo, inswitch_collectives=True)
         result = Simulator(traces, config).run()
         assert result.total_time_ns > 0
+
+
+class TestInputErrors:
+    """Bad workload arguments are input errors, still ``ValueError``s."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ParallelismSpec(mp=4, dp=-2), "dp degree must be >= 1"),
+        (lambda: dataclasses.replace(gpt3_175b(), num_layers=0),
+         "num_layers must be >= 1"),
+        (lambda: dataclasses.replace(dlrm_paper(), num_tables=0),
+         "num_tables must be >= 1"),
+        (lambda: dataclasses.replace(moe_1t(), top_k=0),
+         "top_k must be >= 1"),
+        (lambda: generate_pipeline_parallel(
+            _small_transformer(), parse_topology("Ring(8)", [100]),
+            ParallelismSpec(pp=8), microbatches=0),
+         "microbatches must be >= 1"),
+        (lambda: generate_pipeline_parallel(
+            _small_transformer(), parse_topology("Ring(8)", [100]),
+            ParallelismSpec(dp=8)),
+         "needs pp > 1"),
+        (lambda: generate_pipeline_parallel(
+            _small_transformer(), parse_topology("Ring(8)", [100]),
+            ParallelismSpec(pp=8), schedule="zigzag"),
+         "unknown pipeline schedule"),
+        (lambda: generate_megatron_hybrid(
+            _small_transformer(), parse_topology("Ring(8)", [100]),
+            ParallelismSpec(mp=4, pp=2)),
+         "models MP x DP only"),
+    ], ids=["parallelism", "transformer", "dlrm", "moe", "microbatches",
+            "pp-1", "schedule", "megatron-pp"])
+    def test_bad_argument_is_an_input_error(self, build, message):
+        with pytest.raises(InputError, match=message):
+            build()
