@@ -162,6 +162,11 @@ class SweepSpec:
         if not isinstance(doc, Mapping):
             raise SweepSpecError(
                 f"a sweep spec must be an object, got {type(doc).__name__}")
+        unknown = sorted(map(str, set(doc) - {"base", "grid", "zip", "points"}))
+        if unknown:
+            raise SweepSpecError(
+                f"unknown sweep spec key(s) {', '.join(unknown)}; "
+                "valid keys: base, grid, zip, points")
         base, points = doc.get("base") or {}, doc.get("points") or []
         if not isinstance(base, Mapping) or not isinstance(points, list) \
                 or not all(isinstance(p, Mapping) for p in points):

@@ -8,9 +8,10 @@ breakdowns (paper Fig. 1).
 """
 
 from repro.core.config import SystemConfig
-from repro.core.engine import CollectiveGroupError, DeadlockError, ExecutionEngine
+from repro.core.engine import DeadlockError, ExecutionEngine
 from repro.core.results import CollectiveRecord, RunResult
 from repro.core.simulator import Simulator, simulate
+from repro.network.topology import CollectiveGroupError
 
 __all__ = [
     "CollectiveGroupError",

@@ -23,7 +23,7 @@ from repro.core.results import CollectiveRecord
 from repro.events import EventEngine
 from repro.memory.api import MemoryRequest
 from repro.network.analytical import AnalyticalNetwork, DimPort
-from repro.network.topology import CommGroup
+from repro.network.topology import CommGroup, communicator
 from repro.stats.breakdown import Activity, ActivityLog
 from repro.system.collective_op import CollectiveOperation
 from repro.system.executor import SendRecvCollectiveExecutor
@@ -45,19 +45,6 @@ _SENDRECV_LOWERING = {
 
 class DeadlockError(RuntimeError):
     """The event queue drained while trace nodes were still incomplete."""
-
-
-class CollectiveGroupError(ValueError):
-    """A collective's explicit member list leaves out the NPU issuing it."""
-
-    def __init__(self, npu: int, node: ETNode,
-                 group: Tuple[int, ...]) -> None:
-        self.npu = npu
-        self.node_id = node.node_id
-        self.group = group
-        super().__init__(
-            f"npu {npu} node {node.node_id} ({node.name!r}) issues a "
-            f"collective whose involved_npus {list(group)} exclude it")
 
 
 class _Communicator:
@@ -137,7 +124,6 @@ class ExecutionEngine:
 
         self._rendezvous: Dict[Tuple, _CollectiveRendezvous] = {}
         self._communicators: Dict[Tuple, _Communicator] = {}
-        self._all_dims = tuple(range(config.topology.num_dims))
         # Lazily-built send/recv collective lowering for packet backends.
         self._sendrecv_executor = None
 
@@ -316,14 +302,13 @@ class ExecutionEngine:
     # -- collectives -----------------------------------------------------------------
 
     def _issue_collective(self, npu: int, node: ETNode) -> None:
-        dims = node.comm_dims
-        if dims is None:
-            dims = self._all_dims
-        comm_id = (npu, dims, node.involved_npus)
+        comm_id = (npu, node.comm_dims, node.involved_npus)
         comm = self._communicators.get(comm_id)
         if comm is None:
-            comm = self._communicators[comm_id] = self._communicator(
-                npu, dims, node)
+            # Derived once per NPU and communicator: valid for the
+            # engine's lifetime because the trace set is fixed.
+            comm = self._communicators[comm_id] = _Communicator(
+                *communicator(self.config.topology, npu, node, self.traces))
         seq = comm.issued
         comm.issued = seq + 1
         instance_key = comm.key + (seq,)
@@ -351,53 +336,6 @@ class ExecutionEngine:
                 # the same traces execute unmodified on every backend.
                 self._start_collective_sendrecv(node, dims, rep, group,
                                                 rendezvous)
-
-    def _communicator(
-        self, npu: int, dims: Tuple[int, ...], node: ETNode
-    ) -> _Communicator:
-        """Derive (once per NPU and communicator) what every issue needs.
-
-        Valid for the engine's lifetime because the trace set is fixed.
-        """
-        group = node.involved_npus
-        if group is not None:
-            if npu not in group:
-                raise CollectiveGroupError(npu, node, group)
-            group_shape = self._shape_of(group, dims, node)
-            rep = min(group)
-            participants = set(group) & set(self.traces)
-        else:
-            # Symbolic communicator: O(num_dims) to build, hash, and test
-            # membership against, independent of how many NPUs it spans —
-            # the analytical hot path never materializes the member list.
-            group = self.config.topology.comm_group(npu, dims)
-            group_shape = None
-            rep = group.rep
-            participants = group.intersection(self.traces)
-        return _Communicator((rep, dims, group), group_shape, participants)
-
-    def _shape_of(
-        self, group: Tuple[int, ...], dims: Tuple[int, ...], node: ETNode
-    ) -> Dict[int, int]:
-        """Effective per-dimension size of an explicit member list.
-
-        The group must be a cartesian product of per-dimension coordinate
-        sets (that is what a hierarchical multi-rail collective requires);
-        anything else is rejected with a diagnostic.
-        """
-        topo = self.config.topology
-        coords = [topo.coords(member) for member in group]
-        shape: Dict[int, int] = {}
-        product = 1
-        for d in dims:
-            shape[d] = len({c[d] for c in coords})
-            product *= shape[d]
-        if product != len(set(group)):
-            raise ValueError(
-                f"collective {node.name!r}: involved_npus is not a cartesian "
-                f"product over dims {dims} (shape {shape} vs {len(group)} members)"
-            )
-        return shape
 
     def _start_collective(
         self,

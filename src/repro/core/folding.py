@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.network.topology import TopologyError, normalize_dims
 from repro.trace.node import ETNode, NodeType
 from repro.workload.generators import VIA_FABRIC
 
@@ -213,13 +214,16 @@ def plan_folding(
         dimsets = sig_dimsets.get(sig)
         if dimsets is None:
             dimsets = sig_dimsets[sig] = tuple(sorted({
-                (tuple(sorted(set(node.comm_dims)))
+                (normalize_dims(node.comm_dims)
                  if node.comm_dims is not None else all_dims)
                 for node in trace if node.node_type is NodeType.COMM_COLLECTIVE
             }))
         # Same signature + same communicator for every dim-set the trace
         # uses => the ranks are interchangeable replicas.
-        key = (sig, tuple(topo.group_rep(rank, d) for d in dimsets))
+        try:
+            key = (sig, tuple(topo.group_rep(rank, d) for d in dimsets))
+        except TopologyError:  # the engine's communicator rule reports it
+            return disabled("comm_dims outside the topology")
         classes.setdefault(key, []).append(rank)
 
     if len(classes) == n:

@@ -13,11 +13,12 @@ or inline via :func:`parse_topology`'s ``bandwidths_gbps`` argument.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import strict_float
+from repro.errors import InputError, strict_float
 from repro.network.building_blocks import (
     BuildingBlock,
     TopologyError,
@@ -25,6 +26,9 @@ from repro.network.building_blocks import (
     hops_between,
     links_per_npu,
 )
+
+if TYPE_CHECKING:
+    from repro.trace.node import ETNode
 
 
 class CoordinateError(TopologyError):
@@ -210,14 +214,14 @@ class MultiDimTopology:
     def comm_group(self, npu_id: int, dims: Iterable[int]) -> "CommGroup":
         """Symbolic communicator of ``npu_id`` across ``dims``.
 
-        Unlike :meth:`group_across_dims` this never materializes the
-        member list: representative, size, and membership tests are all
-        closed-form stride arithmetic, so issuing a collective over a
-        million-NPU dimension costs O(num_dims), not O(num_npus).
+        This never materializes the member list: representative, size,
+        and membership tests are all closed-form stride arithmetic, so
+        issuing a collective over a million-NPU dimension costs
+        O(num_dims), not O(num_npus).
         ``members()`` still materializes on demand for consumers that
         genuinely need every id (the packet backends' send/recv lowering).
         """
-        dim_list = tuple(sorted(set(dims)))
+        dim_list = normalize_dims(dims)
         for d in dim_list:
             self._check_dim(d)
         return CommGroup(self, dim_list, self.group_rep(npu_id, dim_list))
@@ -231,16 +235,6 @@ class MultiDimTopology:
             base[dim] = i
             group.append(self.npu_id(base))
         return tuple(group)
-
-    def group_across_dims(self, npu_id: int, dims: Iterable[int]) -> Tuple[int, ...]:
-        """All NPUs reachable from ``npu_id`` by varying the given dims.
-
-        This is the communicator of a collective spanning those dimensions
-        (e.g. an MP group spanning dims (0, 1)), fully materialized.  The
-        simulation hot path uses the symbolic :meth:`comm_group` instead;
-        this remains for callers that genuinely need every member id.
-        """
-        return self.comm_group(npu_id, dims).members()
 
     def hops(self, src: int, dst: int) -> int:
         """Total hop count between two NPUs (dimension-order routing)."""
@@ -295,14 +289,13 @@ class CommGroup:
     membership tests are all closed-form stride arithmetic, so building
     and comparing communicators is O(num_dims) regardless of how many
     NPUs the group spans.  :meth:`members` materializes the sorted member
-    tuple on demand (identical to
-    :meth:`MultiDimTopology.group_across_dims`) for the few consumers
-    that need explicit ids, e.g. the packet backends' send/recv lowering.
+    tuple on demand for the few consumers that need explicit ids, e.g.
+    the packet backends' send/recv lowering.
 
     Instances hash and compare by ``(rep, dims, size)`` — two groups over
     the same topology are equal iff they contain the same NPUs.  They do
-    NOT compare equal to plain member tuples; code mixing symbolic and
-    explicit groups for the *same* rendezvous must normalize first.
+    NOT compare equal to plain member tuples, so :func:`communicator`
+    keys a symbolic group and an explicit list of the same NPUs apart.
     """
 
     __slots__ = ("topology", "dims", "rep", "size", "_members", "_hash")
@@ -369,6 +362,71 @@ class CommGroup:
 
     def __repr__(self) -> str:
         return f"CommGroup(rep={self.rep}, dims={self.dims}, size={self.size})"
+
+
+def normalize_dims(dims: Iterable[int]) -> Tuple[int, ...]:
+    """A communicator's dims in canonical form: ascending, each once."""
+    return tuple(sorted(set(dims)))
+
+
+class CollectiveGroupError(InputError):
+    """A collective's explicit member list leaves out the NPU issuing it."""
+
+    def __init__(self, npu: int, node: "ETNode",
+                 group: Tuple[int, ...]) -> None:
+        self.npu = npu
+        self.node_id = node.node_id
+        self.group = group
+        super().__init__(
+            f"npu {npu} node {node.node_id} ({node.name!r}) issues a "
+            f"collective whose involved_npus {list(group)} exclude it")
+
+
+def communicator(
+    topology: MultiDimTopology, npu: int, node: "ETNode",
+    traced: Collection[int],
+) -> Tuple[Tuple, Optional[Dict[int, int]], "set[int]"]:
+    """The communicator rule: which rendezvous ``npu``'s collective joins.
+
+    Returns ``(key, group_shape, participants)``.  Issues with equal keys
+    ``(rep, dims, group)`` rendezvous together; ``comm_dims`` (all dims
+    when ``None``) and ``involved_npus`` are sorted and deduplicated
+    first, so their order never matters.  Without a member list,
+    ``group`` is a symbolic :class:`CommGroup` (O(num_dims), never
+    materialized) and ``group_shape`` is ``None``.  ``participants`` are
+    the members in ``traced``.  Raises :class:`TopologyError` for dims or
+    members outside the topology or a list that is not a cartesian
+    product over the dims (agreeing on every other dim), and
+    :class:`CollectiveGroupError` for a list without ``npu``.
+    """
+    dims = (tuple(range(topology.num_dims)) if node.comm_dims is None
+            else normalize_dims(node.comm_dims))
+    bad = [d for d in dims if not 0 <= d < topology.num_dims]
+    if bad:
+        raise TopologyError(
+            f"npu {npu} node {node.node_id} ({node.name!r}): comm_dims "
+            f"{bad} out of range for {topology.num_dims}-D topology")
+    if node.involved_npus is None:
+        group = topology.comm_group(npu, dims)
+        return (group.rep, dims, group), None, group.intersection(traced)
+    group = tuple(sorted(set(node.involved_npus)))
+    outside = [m for m in group if not 0 <= m < topology.num_npus]
+    if outside:
+        raise TopologyError(
+            f"npu {npu} node {node.node_id} ({node.name!r}): involved "
+            f"NPUs {outside} do not exist")
+    if npu not in group:
+        raise CollectiveGroupError(npu, node, node.involved_npus)
+    coords = [topology.coords(member) for member in group]
+    shape = {d: len({c[d] for c in coords}) for d in dims}
+    fixed = [d for d in range(topology.num_dims) if d not in shape]
+    if math.prod(shape.values()) != len(group) or any(
+            c[d] != coords[0][d] for c in coords for d in fixed):
+        raise TopologyError(
+            f"collective {node.name!r}: involved_npus is not a cartesian "
+            f"product over dims {dims} (shape {shape} vs {len(group)} members)"
+        )
+    return (group[0], dims, group), shape, {m for m in group if m in traced}
 
 
 _DIM_RE = re.compile(r"^\s*([A-Za-z]+)\s*\(\s*(\d+)\s*\)\s*$")

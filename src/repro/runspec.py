@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -48,10 +49,18 @@ def number_or_inf(value: Any) -> float:
     return math.inf if _parsed(value, float) == math.inf else number(value)
 
 
+def _list_entry(value: Any) -> str:
+    # A number or text keeps float(): parse_topology's finite/positive
+    # rule names the dimension.  Anything else fails the number rule.
+    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+        number(value)
+    return format(float(value), "g")
+
+
 def number_list(value: Any) -> str:
     """Canonical comma-list form for bandwidths/latencies fields."""
     if isinstance(value, (list, tuple)):
-        return ",".join(format(float(v), "g") for v in value)
+        return ",".join(map(_list_entry, value))
     if value in ("", None):
         return ""
     return ",".join(format(float(v), "g") for v in str(value).split(","))

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.events import EventEngine
 from repro.network.analytical import AnalyticalNetwork
-from repro.network.topology import CommGroup, DimSpec
+from repro.network.topology import CommGroup, DimSpec, normalize_dims
 from repro.system.phases import FIRST_PASS_KIND, PhaseRows
 from repro.system.scheduler import ChunkScheduler
 from repro.trace.node import CollectiveType
@@ -102,7 +102,7 @@ class CollectiveOperation:
         # memoise the derivation on the network.  The cached dim_specs
         # mapping is shared (DimSpec is frozen; this class only reads it).
         sig = (
-            tuple(sorted(set(comm_dims))),
+            normalize_dims(comm_dims),
             tuple(sorted(group_shape.items())) if group_shape else None,
         )
         comm_cache = network._comm_sig_cache

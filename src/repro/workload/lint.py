@@ -7,11 +7,15 @@ and reports:
 - send/recv mismatches: a send with no matching posted receive on the
   destination (or vice versa), per ``(src, dst, tag)`` channel;
 - sends or receives naming peers outside the topology;
-- collective communicators whose ``involved_npus`` is not a cartesian
-  product over dimensions (the hierarchical multi-rail requirement);
-- ``comm_dims`` indices outside the topology;
-- collective count mismatches between simulated members of the same
-  communicator (rendezvous would hang).
+- every collective the engine would reject, by the engine's own
+  communicator rule (:func:`~repro.network.topology.communicator`):
+  ``comm_dims`` or ``involved_npus`` outside the topology, a member list
+  without its issuer, or one that is not a cartesian product over the
+  dims (the hierarchical multi-rail requirement);
+- collective count mismatches between the traced members of the same
+  rendezvous, keyed as the engine keys them (rendezvous would hang).
+  In-switch (``via: fabric``) collectives never rendezvous, so neither
+  check applies to them.
 
 :func:`lint_op_graph` applies the same philosophy one layer up, to
 frontend op lists (:mod:`repro.frontend`): the structural faults that
@@ -26,12 +30,14 @@ Both return a list of human-readable findings; empty means clean.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Set, Tuple
 
-from repro.network.topology import MultiDimTopology
+from repro.errors import InputError
+from repro.network.topology import MultiDimTopology, communicator
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import NodeType
+from repro.workload.generators import VIA_FABRIC
 
 if TYPE_CHECKING:  # avoid a workload <-> frontend import cycle at runtime
     from repro.frontend.ir import OpNode
@@ -45,7 +51,8 @@ def lint_traces(
     findings: List[str] = []
     sends: Counter = Counter()
     recvs: Counter = Counter()
-    collective_counts: Dict[Tuple, Counter] = defaultdict(Counter)
+    rendezvous: Dict[Tuple, Tuple[Set[int], Counter]] = {}
+    communicators: Dict[Tuple, Tuple] = {}
 
     for npu, trace in traces.items():
         if npu != trace.npu_id:
@@ -71,11 +78,20 @@ def lint_traces(
                         f"nonexistent NPU {node.peer}")
                 else:
                     recvs[(node.peer, npu, node.tag)] += 1
-            elif node.is_collective:
-                findings.extend(_check_collective(topology, npu, node))
-                key = _communicator_key(topology, npu, node)
-                if key is not None:
-                    collective_counts[key][npu] += 1
+            elif node.is_collective and node.attrs.get("via") != VIA_FABRIC:
+                # In-switch collectives never rendezvous.  The rest are
+                # cached per NPU and communicator, as the engine does.
+                comm_id = (npu, node.comm_dims, node.involved_npus)
+                comm = communicators.get(comm_id)
+                if comm is None:
+                    try:
+                        comm = communicators[comm_id] = communicator(
+                            topology, npu, node, traces)
+                    except InputError as exc:
+                        findings.append(str(exc))
+                        continue
+                key, _shape, members = comm
+                rendezvous.setdefault(key, (members, Counter()))[1][npu] += 1
 
     for channel in sorted(set(sends) | set(recvs)):
         n_send, n_recv = sends[channel], recvs[channel]
@@ -85,9 +101,8 @@ def lint_traces(
                 f"channel {src}->{dst} tag {tag}: {n_send} sends vs "
                 f"{n_recv} receives")
 
-    for key, per_npu in collective_counts.items():
-        simulated = [npu for npu in key[1] if npu in traces]
-        counts = {npu: per_npu.get(npu, 0) for npu in simulated}
+    for key, (members, issued) in rendezvous.items():
+        counts = {npu: issued[npu] for npu in sorted(members)}
         if len(set(counts.values())) > 1:
             findings.append(
                 f"communicator rep {key[0]}: members issue unequal "
@@ -133,44 +148,4 @@ def lint_op_graph(ops: Iterable["OpNode"], name: str = "opgraph") -> List[str]:
             findings.append(
                 f"{label}: {op.kind.value} ops are replicated, not "
                 f"tensor-parallel (tp={op.tp!r})")
-    return findings
-
-
-def _communicator_key(topology, npu, node):
-    if node.involved_npus is not None:
-        return (min(node.involved_npus), tuple(sorted(node.involved_npus)))
-    dims = node.comm_dims if node.comm_dims is not None else tuple(
-        range(topology.num_dims))
-    if any(not 0 <= d < topology.num_dims for d in dims):
-        return None
-    group = topology.group_across_dims(npu, dims)
-    return (min(group), group)
-
-
-def _check_collective(topology, npu, node) -> List[str]:
-    findings: List[str] = []
-    if node.comm_dims is not None:
-        bad = [d for d in node.comm_dims
-               if not 0 <= d < topology.num_dims]
-        if bad:
-            findings.append(
-                f"npu {npu} node {node.node_id} ({node.name!r}): comm_dims "
-                f"{bad} out of range for {topology.num_dims}-D topology")
-            return findings
-    if node.involved_npus is not None:
-        members = node.involved_npus
-        outside = [m for m in members if not 0 <= m < topology.num_npus]
-        if outside:
-            findings.append(
-                f"npu {npu} node {node.node_id} ({node.name!r}): involved "
-                f"NPUs {outside} do not exist")
-            return findings
-        coords = [topology.coords(m) for m in members]
-        product = 1
-        for d in range(topology.num_dims):
-            product *= len({c[d] for c in coords})
-        if product != len(set(members)):
-            findings.append(
-                f"npu {npu} node {node.node_id} ({node.name!r}): "
-                f"involved_npus is not a cartesian product over dimensions")
     return findings

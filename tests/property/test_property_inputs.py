@@ -299,6 +299,8 @@ def test_run_body(body):
             # A number is kept as given: never truncated, never a boolean.
             if name in NUMBER_FIELDS and not isinstance(value, str):
                 assert not isinstance(value, bool) and point[name] == value
+            if name in ("bandwidths", "latencies") and isinstance(value, list):
+                assert not any(isinstance(v, bool) for v in value)
 
 
 # -- run flags and JSON/grid values: one parser ---------------------------------------

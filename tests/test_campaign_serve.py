@@ -153,7 +153,10 @@ class TestRunFieldNumbers:
         ({"mp": True}, "field 'mp': cannot interpret True (not an integer)"),
         ({"workload": "pp-gpt3", "pp": 4, "microbatches": 0},
          "microbatches must be >= 1, got 0"),
-    ], ids=["fractional-chunks", "boolean-mp", "zero-microbatches"])
+        ({"bandwidths": [True]}, "field 'bandwidths': cannot interpret "
+                                 "[True] (not a finite number)"),
+    ], ids=["fractional-chunks", "boolean-mp", "zero-microbatches",
+            "boolean-bandwidth"])
     def test_bad_field_is_400(self, fields, message):
         with serving() as (base, _server):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -217,9 +220,11 @@ class TestSweepEndpoint:
         {"points": [1]},
         {"base": dict(POINT, chunks=float("inf")),
          "grid": {"payload_mib": [1]}},
+        {"base": POINT, "grids": {"chunks": [2, 4]}},
     ], ids=["spec-not-object", "grid-not-object", "jobs-not-int",
             "unknown-option", "negative-jobs", "infinite-jobs",
-            "base-not-object", "point-not-object", "infinite-field"])
+            "base-not-object", "point-not-object", "infinite-field",
+            "unknown-spec-key"])
     def test_malformed_sweep_body_is_400(self, body):
         with serving() as (base, _server):
             with pytest.raises(urllib.error.HTTPError) as excinfo:

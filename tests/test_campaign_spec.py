@@ -83,6 +83,15 @@ class TestValidation:
         with pytest.raises(SweepSpecError, match="empty"):
             SweepSpec(grid={"a": []})
 
+    def test_unknown_top_level_key_rejected(self):
+        # A typo must not shrink the campaign to its base point.
+        doc = {"base": {"topology": "Ring(4)", "bandwidths": "100"},
+               "grids": {"chunks": [2, 4]}}
+        with pytest.raises(SweepSpecError) as exc:
+            SweepSpec.from_dict(doc)
+        assert str(exc.value) == ("unknown sweep spec key(s) grids; valid "
+                                  "keys: base, grid, zip, points")
+
 
 class TestSerialization:
     def test_round_trip_through_dict(self):

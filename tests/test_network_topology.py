@@ -163,13 +163,6 @@ class TestCoordinateError:
 
 
 class TestCommGroup:
-    def test_matches_group_across_dims(self):
-        topo = _conv4d()
-        for npu in (0, 5, 311, 511):
-            for dims in [(0,), (1,), (3,), (0, 1), (1, 3), (0, 2, 3)]:
-                group = topo.comm_group(npu, dims)
-                assert group.members() == topo.group_across_dims(npu, dims)
-
     def test_closed_form_rep_and_size(self):
         topo = _conv4d()
         for npu in (0, 17, 442):
@@ -181,7 +174,7 @@ class TestCommGroup:
     def test_membership_without_materialization(self):
         topo = _conv4d()
         group = topo.comm_group(7, (1, 2))
-        expected = set(topo.group_across_dims(7, (1, 2)))
+        expected = set(topo.comm_group(7, (1, 2)).members())
         for npu in range(topo.num_npus):
             assert (npu in group) == (npu in expected)
         # Membership tests above must not have materialized the list.
@@ -246,22 +239,22 @@ class TestGroups:
         group1 = topo.dim_group(0, 1)
         assert group1 == tuple(2 * i for i in range(8))
 
-    def test_group_across_dims_is_product(self):
+    def test_comm_group_members_are_product(self):
         topo = _conv4d()
-        group = topo.group_across_dims(0, (0, 1))
+        group = topo.comm_group(0, (0, 1)).members()
         assert len(group) == 16
         assert group == tuple(range(16))
 
     def test_group_across_outer_dims(self):
         topo = _conv4d()
-        group = topo.group_across_dims(0, (2, 3))
+        group = topo.comm_group(0, (2, 3)).members()
         assert len(group) == 32
         assert 0 in group
 
     def test_group_contains_origin(self):
         topo = _conv4d()
         for dims in [(0,), (1, 2), (0, 3)]:
-            assert 5 in topo.group_across_dims(5, dims)
+            assert 5 in topo.comm_group(5, dims).members()
 
     def test_bad_dim_rejected(self):
         topo = _conv4d()
