@@ -305,10 +305,14 @@ class ExecutionEngine:
         comm_id = (npu, node.comm_dims, node.involved_npus)
         comm = self._communicators.get(comm_id)
         if comm is None:
-            # Derived once per NPU and communicator: valid for the
-            # engine's lifetime because the trace set is fixed.
-            comm = self._communicators[comm_id] = _Communicator(
-                *communicator(self.config.topology, npu, node, self.traces))
+            # Derived once per NPU and listing: valid for the engine's
+            # lifetime because the trace set is fixed.  Listings that
+            # normalize alike share one issue counter, kept under
+            # (npu, key) in the same map.
+            key, shape, participants = communicator(
+                self.config.topology, npu, node, self.traces)
+            comm = self._communicators[comm_id] = self._communicators.setdefault(
+                (npu, key), _Communicator(key, shape, participants))
         seq = comm.issued
         comm.issued = seq + 1
         instance_key = comm.key + (seq,)

@@ -1,5 +1,7 @@
 """The one communicator rule, as the engine and the trace linter apply it."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import CollectiveGroupError, DeadlockError, SystemConfig, simulate
@@ -101,6 +103,25 @@ class TestLintMatchesEngine:
     ], ids=["comm-dims", "involved-npus"])
     def test_listing_order_does_not_matter(self, notation, listed, canonical):
         topo = _topo(notation)
+        assert lint_traces(listed, topo) == []
+        config = SystemConfig(topology=topo)
+        assert (simulate(listed, config).total_time_ns
+                == simulate(canonical, config).total_time_ns)
+
+    @pytest.mark.parametrize("first, second", [
+        (None, (0, 1)), ((0, 1), (1, 0))], ids=["none-then-all", "reordered"])
+    def test_one_rank_may_list_a_communicator_two_ways(self, first, second):
+        # Both listings are one communicator, so they share one issue
+        # sequence: the second issue meets rank 1's second issue.
+        topo = _topo("Ring(2)_Ring(2)")
+
+        def trace(rank, dims):
+            return ExecutionTrace(rank, [
+                _collective(dims[0]),
+                dataclasses.replace(_collective(dims[1]), node_id=1, deps=(0,))])
+
+        listed = {0: trace(0, (first, second)), 1: trace(1, ((0, 1), (0, 1)))}
+        canonical = {0: trace(0, ((0, 1), (0, 1))), 1: trace(1, ((0, 1), (0, 1)))}
         assert lint_traces(listed, topo) == []
         config = SystemConfig(topology=topo)
         assert (simulate(listed, config).total_time_ns
