@@ -25,7 +25,7 @@ from repro.events import EventEngine
 from repro.network import AnalyticalNetwork, GarnetLiteNetwork
 from repro.stats import format_table
 from repro.system import SendRecvCollectiveExecutor
-from repro.system.phases import decompose_collective
+from repro.system.phases import PhaseKind, phase_table
 from repro.workload import generate_moe, generate_single_collective, moe_1t
 
 from conftest import write_result
@@ -49,9 +49,10 @@ def test_ablation_chunk_count(benchmark, results_dir):
         return times
 
     times = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    plan = decompose_collective(
-        repro.CollectiveType.ALL_REDUCE, CONV_4D, range(4), GiB)
-    sequential = plan.total_duration_ns(CONV_4D) / 1e3
+    rows = phase_table(CONV_4D.dims, range(4), PhaseKind.REDUCE_SCATTER, GiB,
+                       roundtrip=True)
+    sequential = sum(latency + busy
+                     for _, _, _, busy, _, latency, _ in rows) / 1e3
     rows = [[c, f"{t:.0f}", f"{t / times[1]:.3f}"] for c, t in times.items()]
     text = format_table(["chunks", "time (us)", "vs chunks=1"], rows) + (
         f"\n\nclosed-form sequential sum: {sequential:.0f} us"

@@ -12,7 +12,8 @@ consult:
 - :class:`~repro.system.collective_op.CollectiveOperation` stretches each
   phase's port time (``stretch_collective``) by the *worst* member — the
   straggler-amplification effect where one slow rank paces the whole
-  ring step;
+  ring step.  It keeps Themis's fluid plan when no fault is active and
+  none activates (``next_activation_ns``) before the plan would finish;
 - :class:`~repro.core.engine.ExecutionEngine` stretches compute on
   straggler NPUs (``stretch_compute``) and freezes stalled NPUs.
 
@@ -28,6 +29,7 @@ contribute), producing the per-fault column of the
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.faults.checkpoint import CheckpointConfig, resilience_overheads
@@ -59,6 +61,10 @@ class FaultInjector:
             id(r.fault): r for r in self.records
         }
         self.failure_times: List[float] = []
+        # Activation times still ahead, latest first: faults activate in
+        # time order, so each activation pops the last entry.
+        self._starts_ahead = sorted((f.start_ns for f in schedule),
+                                    reverse=True)
         self.engine = None
         self._execution = None
         # Active state, all sparse: only faulted targets have entries.
@@ -83,9 +89,15 @@ class FaultInjector:
             engine.schedule_at(fault.start_ns, self._activate, fault,
                                priority=FAULT_EVENT_PRIORITY)
 
+    @property
+    def next_activation_ns(self) -> float:
+        """When the next fault activates; ``inf`` once every one has."""
+        return self._starts_ahead[-1] if self._starts_ahead else math.inf
+
     # -- lifecycle events --------------------------------------------------------
 
     def _activate(self, fault: FaultSpec) -> None:
+        self._starts_ahead.pop()
         record = self._record_of[id(fault)]
         record.activated_ns = self.engine.now
         kind = fault.kind

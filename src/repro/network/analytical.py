@@ -83,9 +83,6 @@ class AnalyticalNetwork(NetworkBackend):
         self._fabric_of: Dict[Tuple[int, int], DimPort] = {}
         self._dim_bw: Tuple[float, ...] = tuple(
             d.bandwidth_gbps for d in topology.dims)
-        # CollectiveOperation's per-communicator derivation (effective
-        # specs, active dims, group size), keyed on (dims, group shape).
-        self._comm_sig_cache: Dict[tuple, tuple] = {}
 
     # -- port management -----------------------------------------------------------
 
@@ -147,6 +144,21 @@ class AnalyticalNetwork(NetworkBackend):
                 self.engine.now, busy_ns * spec.oversubscription / spec.size)
             end = max(end, fabric_end)
         return start, end
+
+    def reservation_end(self, npu: int, dim: int, busy_ns: float) -> float:
+        """When :meth:`reserve_port` would end a reservation made now.
+
+        Reserves nothing.
+        """
+        now = self.engine.now
+        port = self._ports.get((npu, dim))
+        end = (max(now, port.free_at) if port else now) + busy_ns
+        spec = self.topology.dims[dim]
+        if spec.oversubscription > 1.0 and spec.size > 1:
+            fabric = self.fabric(npu, dim)
+            end = max(end, max(now, fabric.free_at)
+                      + busy_ns * spec.oversubscription / spec.size)
+        return end
 
     # -- planned (not yet reserved) load ---------------------------------------------
 

@@ -4,18 +4,12 @@ This layer sits between the workload's execution traces and the network
 backend (paper Fig. 1c).  It decomposes collectives into per-dimension
 phases (multi-rail hierarchical algorithm, Sec. II-B), splits them into
 pipelined chunks, schedules the chunks over topology dimensions — either
-in fixed hierarchical order or with the Themis greedy policy — and costs
-compute nodes with a roofline model.
+in fixed hierarchical order or with Themis's bandwidth-balanced LP plan
+(its greedy chunk order without scipy) — and costs compute nodes with a
+roofline model.
 """
 
-from repro.system.phases import (
-    CollectiveDecomposition,
-    Phase,
-    PhaseKind,
-    decompose_collective,
-    phase_duration_ns,
-    phase_traffic_bytes,
-)
+from repro.system.phases import PhaseKind, phase_table, phase_traffic_bytes
 from repro.system.scheduler import (
     BaselineScheduler,
     ChunkScheduler,
@@ -29,15 +23,12 @@ from repro.system.executor import SendRecvCollectiveExecutor
 __all__ = [
     "BaselineScheduler",
     "ChunkScheduler",
-    "CollectiveDecomposition",
     "CollectiveOperation",
-    "Phase",
     "PhaseKind",
     "RooflineCompute",
     "SendRecvCollectiveExecutor",
     "ThemisScheduler",
-    "decompose_collective",
     "make_scheduler",
-    "phase_duration_ns",
+    "phase_table",
     "phase_traffic_bytes",
 ]

@@ -6,7 +6,8 @@ every member of a communicator) over the analytical backend:
 1. the payload is split into ``num_chunks`` equal chunks;
 2. with the Themis scheduler the whole collective executes in the **fluid
    limit**: the balanced per-dimension loads occupy the representative's
-   ports directly, plus a pipeline-fill term;
+   ports directly, plus a pipeline-fill term (not without scipy, nor
+   when a fault is active or activates before the plan would finish);
 3. otherwise each chunk asks the :class:`ChunkScheduler` for a full
    dimension order when it launches and commits to it — for All-Reduce the
    order is the Reduce-Scatter pass, and the All-Gather pass replays it
@@ -29,14 +30,13 @@ Sec. IV-C).
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.events import EventEngine
 from repro.network.analytical import AnalyticalNetwork
-from repro.network.topology import CommGroup, DimSpec, normalize_dims
+from repro.network.topology import CommGroup, DimSpec
 from repro.system.phases import FIRST_PASS_KIND, PhaseRows
-from repro.system.scheduler import ChunkScheduler
+from repro.system.scheduler import BalancedPlan, ChunkScheduler, PhaseTables
 from repro.trace.node import CollectiveType
 
 DEFAULT_NUM_CHUNKS = 16
@@ -52,8 +52,9 @@ class CollectiveOperation:
         collective: Pattern (All-Reduce / All-Gather / RS / All-to-All).
         comm_dims: Topology dimension indices the communicator spans.
         rep_npu: Canonical representative NPU (lowest id in the group).
-        payload_bytes: Per-NPU payload (see
-            :func:`repro.system.phases.decompose_collective` for semantics).
+        payload_bytes: Per-NPU payload: the bytes each member holds at
+            the start, except for All-Gather, where it is the gathered
+            result (each member contributes ``payload / group_size``).
         num_chunks: Pipelining degree.
         group_shape: Effective group size per dimension for sub-dimension
             communicators; defaults to the physical dimension sizes.
@@ -96,50 +97,13 @@ class CollectiveOperation:
             self.group_members = group_members
         else:
             self.group_members = frozenset(group_members)
-        # Every collective on the same communicator signature derives the
-        # same effective specs / active dims / group size, and training
-        # loops issue thousands of ops over a handful of communicators —
-        # memoise the derivation on the network.  The cached dim_specs
-        # mapping is shared (DimSpec is frozen; this class only reads it).
-        sig = (
-            normalize_dims(comm_dims),
-            tuple(sorted(group_shape.items())) if group_shape else None,
-        )
-        comm_cache = network._comm_sig_cache
-        cached = comm_cache.get(sig)
-        if cached is None:
-            topo = network.topology
-            dim_specs: Dict[int, DimSpec] = {}
-            for d in sig[0]:
-                physical = topo.dims[d]
-                size = group_shape.get(d, physical.size) if group_shape else physical.size
-                if size > physical.size:
-                    raise ValueError(
-                        f"group size {size} exceeds dimension {d} size {physical.size}"
-                    )
-                # A collective loads the dimension symmetrically (every member
-                # injects at once), so an oversubscribed fabric caps each
-                # member at bandwidth/oversubscription — folded into the
-                # effective spec so the phase math and the Themis balancer
-                # both see it and route load away from the constrained dim.
-                bandwidth = physical.bandwidth_gbps / physical.oversubscription
-                if size == physical.size and bandwidth == physical.bandwidth_gbps:
-                    dim_specs[d] = physical
-                else:
-                    dim_specs[d] = dataclasses.replace(
-                        physical, size=size, bandwidth_gbps=bandwidth,
-                        oversubscription=1.0,
-                    )
-            active_dims = tuple(
-                d for d, spec in dim_specs.items() if spec.size > 1
-            )
-            group_size = 1
-            for d in active_dims:
-                group_size *= dim_specs[d].size
-            cached = comm_cache[sig] = (dim_specs, active_dims, group_size)
-        self.dim_specs: Dict[int, DimSpec] = cached[0]
-        self.active_dims: Tuple[int, ...] = cached[1]
-        self.group_size: int = cached[2]
+        # Training loops issue thousands of collectives over a handful of
+        # communicators: the scheduler derives each effective view once.
+        comm = self.comm = scheduler.effective_comm(
+            network.topology.dims, comm_dims, group_shape)
+        self.dim_specs: Dict[int, DimSpec] = comm.specs
+        self.active_dims: Tuple[int, ...] = comm.active_dims
+        self.group_size: int = comm.group_size
         self.start_time: Optional[float] = None
         self.finish_time: Optional[float] = None
         self.traffic_by_dim: Dict[int, float] = {d: 0.0 for d in self.active_dims}
@@ -158,50 +122,27 @@ class CollectiveOperation:
             # Degenerate communicator: complete asynchronously with no cost.
             self.engine.schedule(0.0, self._finish)
             return
-        first_kind = FIRST_PASS_KIND[self.collective]
-        roundtrip = self.collective is CollectiveType.ALL_REDUCE
         chunk_payload = self.payload_bytes / self.num_chunks
         if self.collective is CollectiveType.ALL_GATHER:
             # payload_bytes is the gathered result; chunks start as shards.
             chunk_payload /= self.group_size
-        # The fluid limit prices the whole collective against the
-        # bandwidths seen at start; with fault injection active the
-        # capacity is time-varying, so run chunk by chunk instead, which
-        # re-prices every phase when it launches.
-        if self.network.faults is None:
-            plan = self.scheduler.balanced_plan(
-                network=self.network,
-                dims=self.active_dims,
-                kind=first_kind,
-                payload_bytes=chunk_payload * self.num_chunks,
-                num_chunks=self.num_chunks,
-                roundtrip=roundtrip,
-                dim_specs=self.dim_specs,
-            )
-            if plan is not None:
-                self._start_fluid(plan)
-                return
         tables = self.scheduler.phase_tables(
-            self.dim_specs, self.active_dims, first_kind, chunk_payload,
-            roundtrip)
+            self.comm, FIRST_PASS_KIND[self.collective], chunk_payload,
+            self.collective is CollectiveType.ALL_REDUCE)
+        plan = self._fluid_plan(tables)
+        if plan is not None:
+            self._start_fluid(plan)
+            return
+        network, rep = self.network, self.rep_npu
         launches: List[Tuple[float, int, PhaseRows]] = []
         for index in range(self.num_chunks):
-            order = self.scheduler.plan_order(
-                network=self.network,
-                rep_npu=self.rep_npu,
-                dims=self.active_dims,
-                kind=first_kind,
-                payload_bytes=chunk_payload,
-                pending_load={
-                    d: self.network.pending_load(self.rep_npu, d)
-                    for d in self.active_dims
-                },
-                roundtrip=roundtrip,
-                dim_specs=self.dim_specs,
-            )
-            rows, work = tables[order]
+            horizon = {
+                d: network.port_backlog(rep, d) + network.pending_load(rep, d)
+                for d in self.active_dims
+            }
+            rows, work = tables[self.scheduler.plan_order(tables, horizon)]
             for dim, amount in work.items():
-                self.network.add_pending(self.rep_npu, dim, amount)
+                network.add_pending(rep, dim, amount)
             launches.append((sum(work.values()), index, rows))
         # Launch heaviest plans first: their long phases queue early, so
         # their precedence-constrained tails overlap the steady state
@@ -210,20 +151,40 @@ class CollectiveOperation:
         for _, _, rows in launches:
             self._advance(rows, 0)
 
-    def _start_fluid(self, plan) -> None:
+    def _fluid_plan(self, tables: PhaseTables) -> Optional[BalancedPlan]:
+        """The scheduler's balanced plan, if the fluid limit may run it.
+
+        The plan prices the whole collective against the bandwidths seen
+        at start.  While a fault is active, or when one activates before
+        the plan would finish, capacity varies under it: the collective
+        then runs chunk by chunk, which re-prices every phase when it
+        launches.  A fault schedule that never acts on a collective
+        leaves it on the fault-free path.
+        """
+        faults = self.network.faults
+        if faults is not None and not faults.idle:
+            return None
+        plan = self.scheduler.balanced_plan(tables, self.num_chunks)
+        if plan is None or faults is None:
+            return plan
+        finish = self.engine.now + plan.fill_ns
+        for dim, load in plan.loads_ns.items():
+            if load > 0.0:
+                finish = max(finish, self.network.reservation_end(
+                    self.rep_npu, dim, load) + plan.fill_ns)
+        return plan if faults.next_activation_ns >= finish else None
+
+    def _start_fluid(self, plan: BalancedPlan) -> None:
         """Fluid-limit execution: occupy each dim port for its balanced load.
 
         The collective completes when the last port finishes its share plus
         the pipeline-fill ramp a chunked schedule pays.
         """
         finish_at = self.engine.now + plan.fill_ns
-        faults = self.network.faults
         telemetry = self.network.telemetry
         for dim, load in plan.loads_ns.items():
             if load <= 0.0:
                 continue
-            if faults is not None and not faults.idle:
-                load = faults.stretch_collective(dim, self.group_members, load)
             start, end = self.network.reserve_port(self.rep_npu, dim, load)
             finish_at = max(finish_at, end + plan.fill_ns)
             traffic = plan.traffic_bytes.get(dim, 0.0)

@@ -32,15 +32,14 @@ Phase wall time is ``steps(block, k) * link_latency + traffic / bandwidth``
 :func:`phase_table` is the one walk of a payload through a dimension
 order: it returns one row per phase with the phase's entry payload,
 port-busy time, traffic, latency and span label.  The chunk schedulers
-(memoised per run on :class:`~repro.system.scheduler.ChunkScheduler`),
-the chunk stepper of :class:`~repro.system.collective_op.CollectiveOperation`
-and :func:`decompose_collective` all read their phases from it.
+and the chunk stepper of
+:class:`~repro.system.collective_op.CollectiveOperation` read their phases
+from it, memoised per run on :class:`~repro.system.scheduler.ChunkScheduler`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Tuple, Union
 
 from repro.network.building_blocks import (
@@ -48,7 +47,7 @@ from repro.network.building_blocks import (
     collective_traffic_fraction,
     latency_steps,
 )
-from repro.network.topology import DimSpec, MultiDimTopology
+from repro.network.topology import DimSpec
 from repro.trace.node import CollectiveType
 
 
@@ -79,22 +78,6 @@ PhaseRow = Tuple[int, PhaseKind, float, float, float, float, str]
 PhaseRows = Tuple[PhaseRow, ...]
 
 
-@dataclass(frozen=True)
-class Phase:
-    """One per-dimension step of a decomposed collective.
-
-    Attributes:
-        dim: Topology dimension index the phase runs on.
-        kind: RS / AG / A2A.
-        payload_bytes: Per-NPU payload entering the phase (for AG this is
-            the *pre-gather* shard; traffic is ``payload * (k-1)``).
-    """
-
-    dim: int
-    kind: PhaseKind
-    payload_bytes: float
-
-
 def phase_traffic_bytes(spec: DimSpec, kind: PhaseKind, payload_bytes: float) -> float:
     """Bytes each NPU serializes into the dimension for this phase."""
     if payload_bytes < 0:
@@ -114,14 +97,6 @@ def phase_latency_ns(spec: DimSpec) -> float:
     if spec.size <= 1:
         return 0.0
     return latency_steps(spec.block, spec.size) * spec.latency_ns
-
-
-def phase_duration_ns(spec: DimSpec, kind: PhaseKind, payload_bytes: float) -> float:
-    """Wall time of one phase: latency steps + serialization."""
-    if spec.size <= 1:
-        return 0.0
-    return (phase_latency_ns(spec)
-            + phase_traffic_bytes(spec, kind, payload_bytes) / spec.bandwidth_gbps)
 
 
 def phase_table(
@@ -171,64 +146,3 @@ def phase_table(
                      traffic, phase_latency_ns(spec),
                      f"{collective.value}:{step_kind.value}"))
     return tuple(rows)
-
-
-@dataclass
-class CollectiveDecomposition:
-    """A fully-ordered phase plan for one chunk of a collective."""
-
-    phases: Tuple[Phase, ...]
-
-    def total_duration_ns(self, topology: MultiDimTopology) -> float:
-        """Sum of phase durations — the *sequential* (unpipelined) time."""
-        return sum(
-            phase_duration_ns(topology.dims[p.dim], p.kind, p.payload_bytes)
-            for p in self.phases
-        )
-
-    def traffic_by_dim(self, topology: MultiDimTopology) -> dict:
-        """Per-dimension serialized bytes (reproduces paper Table IV rows)."""
-        out: dict = {}
-        for p in self.phases:
-            traffic = phase_traffic_bytes(
-                topology.dims[p.dim], p.kind, p.payload_bytes
-            )
-            out[p.dim] = out.get(p.dim, 0.0) + traffic
-        return out
-
-
-def decompose_collective(
-    collective: CollectiveType,
-    topology: MultiDimTopology,
-    dims_order: Sequence[int],
-    payload_bytes: float,
-) -> CollectiveDecomposition:
-    """Build the static phase plan for a collective chunk.
-
-    Args:
-        collective: The collective pattern.
-        topology: Physical topology (supplies dim sizes/blocks).
-        dims_order: Dimension indices in traversal order (the Reduce-Scatter
-            order for All-Reduce; the All-Gather half replays it reversed).
-        payload_bytes: Per-NPU payload of the chunk.  Semantics by type:
-            ALL_REDUCE / REDUCE_SCATTER / ALL_TO_ALL — bytes each NPU holds
-            at the start; ALL_GATHER — bytes of the *gathered result* (each
-            NPU contributes ``payload / group_size``).
-    """
-    if payload_bytes < 0:
-        raise ValueError(f"negative payload {payload_bytes}")
-    kind = FIRST_PASS_KIND.get(collective)
-    if kind is None:
-        raise ValueError(f"unsupported collective {collective!r}")
-    active = [d for d in dims_order if topology.dims[d].size > 1]
-    payload = float(payload_bytes)
-    if collective is CollectiveType.ALL_GATHER:
-        # The walk starts from each NPU's contributed shard.
-        group = 1
-        for d in active:
-            group *= topology.dims[d].size
-        payload /= group
-    rows = phase_table(topology.dims, active, kind, payload,
-                       collective is CollectiveType.ALL_REDUCE)
-    return CollectiveDecomposition(
-        phases=tuple(Phase(d, k, entry) for d, k, entry, *_ in rows))

@@ -18,14 +18,16 @@ decision, fixed per chunk when the chunk launches:
   few percent of the W-1D-600 wafer-scale time, the headline observation
   of Fig. 9(a).
 
-Every scheduler memoises, per run, the phase table of each chunk plan it
-sees (:meth:`ChunkScheduler.phase_tables`): the rows of
-:func:`repro.system.phases.phase_table` and the work vector summed from
-them.  The greedy order, the LP mix, the balanced plan and the chunk
-stepper of :class:`~repro.system.collective_op.CollectiveOperation` all
-read the same tables.
+Every scheduler memoises, per run, the effective view of each
+communicator (:meth:`ChunkScheduler.effective_comm`) and the phase tables
+of each chunk signature on it (:meth:`ChunkScheduler.phase_tables`): the
+rows of :func:`repro.system.phases.phase_table` and the work vector
+summed from them, per order.  A scheduler plans from those tables alone,
+and the greedy order, the LP mix, the balanced plan and the chunk stepper
+of :class:`~repro.system.collective_op.CollectiveOperation` all read the
+same ones.
 
-Schedulers see the communicator as a mapping ``dim index -> DimSpec``
+The tables see the communicator as a mapping ``dim index -> DimSpec``
 whose sizes are the *effective* per-dimension group sizes — for
 sub-dimension communicators (e.g. an MP group of 16 inside a 512-NPU
 wafer switch) the effective size is smaller than the physical dimension.
@@ -34,13 +36,13 @@ wafer switch) the effective size is smaller than the physical dimension.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import itertools
 import sys
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InputError
-from repro.network.analytical import AnalyticalNetwork
-from repro.network.topology import DimSpec
+from repro.network.topology import DimSpec, normalize_dims
 from repro.system.phases import PhaseKind, PhaseRows, phase_table
 
 # Above this many dimensions, evaluating every permutation is replaced by a
@@ -81,17 +83,24 @@ def chunk_work_vector(rows: PhaseRows, roundtrip: bool) -> Dict[int, float]:
 class PhaseTables(dict):
     """``order -> (phase rows, work vector)`` for one chunk signature.
 
+    Everything a scheduler plans from: the effective ``specs`` of the
+    communicator's active ``dims`` (ascending), the first pass's ``kind``,
+    the chunk's entry ``payload_bytes`` and ``roundtrip`` (All-Reduce).
     Filled on first lookup of each order with
     :func:`~repro.system.phases.phase_table` and :func:`chunk_work_vector`;
-    callers only read what it returns.
+    callers only read what it returns.  Tables hash by identity: the
+    per-run memo hands out one instance per signature.
     """
 
-    __slots__ = ("specs", "kind", "payload_bytes", "roundtrip")
+    __slots__ = ("specs", "dims", "kind", "payload_bytes", "roundtrip")
+
+    __hash__ = object.__hash__
 
     def __init__(self, specs: DimSpecs, kind: PhaseKind,
                  payload_bytes: float, roundtrip: bool) -> None:
         super().__init__()
         self.specs = specs
+        self.dims = tuple(specs)
         self.kind = kind
         self.payload_bytes = payload_bytes
         self.roundtrip = roundtrip
@@ -102,6 +111,50 @@ class PhaseTables(dict):
                            self.roundtrip)
         table = self[order] = (rows, chunk_work_vector(rows, self.roundtrip))
         return table
+
+
+class EffectiveComm:
+    """A communicator as the phase math sees it, shared by its collectives.
+
+    ``specs`` maps each dim of ``dims`` to its effective :class:`DimSpec`:
+    ``group_shape`` gives the group's size on each dim it spans only in
+    part (an MP group of 16 inside a 512-wide switch), other dims keep
+    their physical size.  A collective loads a dimension symmetrically
+    (every member injects at once), so an oversubscribed fabric caps each
+    member at ``bandwidth / oversubscription``: folded in here, the phase
+    math and the Themis balancer both see it and route load away from the
+    constrained dim.  ``active_dims`` are the dims of size > 1 and
+    ``group_size`` is their product.  ``tables`` maps ``(kind, chunk
+    payload, roundtrip)`` to that chunk signature's :class:`PhaseTables`,
+    one mapping per distinct set of active specs in ``registry``.
+    """
+
+    __slots__ = ("specs", "active_dims", "group_size", "tables")
+
+    def __init__(self, physical: Sequence[DimSpec], dims: Tuple[int, ...],
+                 group_shape: Optional[Mapping[int, int]],
+                 registry: Dict[tuple, Dict[tuple, PhaseTables]]) -> None:
+        self.specs: Dict[int, DimSpec] = {}
+        for d in dims:
+            spec = physical[d]
+            size = group_shape.get(d, spec.size) if group_shape else spec.size
+            if size > spec.size:
+                raise ValueError(
+                    f"group size {size} exceeds dimension {d} size "
+                    f"{spec.size}")
+            bandwidth = spec.bandwidth_gbps / spec.oversubscription
+            if size != spec.size or bandwidth != spec.bandwidth_gbps:
+                spec = dataclasses.replace(spec, size=size,
+                                           bandwidth_gbps=bandwidth,
+                                           oversubscription=1.0)
+            self.specs[d] = spec
+        self.active_dims = tuple(d for d in dims if self.specs[d].size > 1)
+        self.group_size = 1
+        for d in self.active_dims:
+            self.group_size *= self.specs[d].size
+        self.tables = registry.setdefault(
+            (self.active_dims,
+             tuple(self.specs[d] for d in self.active_dims)), {})
 
 
 class BalancedPlan:
@@ -125,82 +178,75 @@ class BalancedPlan:
 
 
 class ChunkScheduler(abc.ABC):
-    """Strategy interface: choose a chunk's full dimension order."""
+    """Strategy interface: choose a chunk's full dimension order.
+
+    Schedulers plan from a :class:`PhaseTables` alone; the memo that
+    hands those out (:meth:`effective_comm`, :meth:`phase_tables`) lives
+    here, one per run.
+    """
 
     name: str = "abstract"
 
     def __init__(self) -> None:
-        self._tables: Dict[tuple, PhaseTables] = {}
+        self._comms: Dict[tuple, EffectiveComm] = {}
+        self._tables: Dict[tuple, Dict[tuple, PhaseTables]] = {}
 
-    def phase_tables(
-        self,
-        dim_specs: DimSpecs,
-        dims: Sequence[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        roundtrip: bool,
-    ) -> PhaseTables:
-        """The phase tables of every order over ``dims``, memoised per run.
+    def effective_comm(self, physical: Sequence[DimSpec],
+                       comm_dims: Sequence[int],
+                       group_shape: Optional[Mapping[int, int]] = None
+                       ) -> EffectiveComm:
+        """The effective view of a communicator, memoised per run.
 
-        Keyed on the exact signature (payload as the exact float,
-        effective specs as the ``DimSpec``s themselves), so every chunk of
-        every collective on one communicator shares one table per order.
+        Keyed on the normalized dims, the group shape and the physical
+        ``DimSpec``s (``physical`` is a topology's ``dims``), so training
+        loops that issue thousands of collectives over a handful of
+        communicators derive each view once.
         """
-        dims = tuple(sorted(dims))
-        specs = tuple(dim_specs[d] for d in dims)
-        key = (dims, kind, payload_bytes, roundtrip, specs)
-        tables = self._tables.get(key)
+        dims = normalize_dims(comm_dims)
+        key = (dims,
+               tuple(sorted(group_shape.items())) if group_shape else None,
+               tuple(physical))
+        comm = self._comms.get(key)
+        if comm is None:
+            comm = self._comms[key] = EffectiveComm(
+                physical, dims, group_shape, self._tables)
+        return comm
+
+    def phase_tables(self, comm: EffectiveComm, kind: PhaseKind,
+                     payload_bytes: float, roundtrip: bool) -> PhaseTables:
+        """The phase tables of every order over ``comm``'s active dims.
+
+        Keyed on the exact signature (payload as the exact float), so
+        every chunk of every collective on communicators with the same
+        effective specs shares one table per order.
+        """
+        key = (kind, payload_bytes, roundtrip)
+        tables = comm.tables.get(key)
         if tables is None:
-            tables = self._tables[key] = PhaseTables(
-                dict(zip(dims, specs)), kind, payload_bytes, roundtrip)
+            tables = comm.tables[key] = PhaseTables(
+                {d: comm.specs[d] for d in comm.active_dims}, kind,
+                payload_bytes, roundtrip)
         return tables
 
-    def balanced_plan(
-        self,
-        network: AnalyticalNetwork,
-        dims: Sequence[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        num_chunks: int,
-        roundtrip: bool = False,
-        dim_specs: DimSpecs = None,
-    ) -> Optional[BalancedPlan]:
-        """Fluid-limit plan for a whole collective; ``None`` runs it chunk
-        by chunk with :meth:`plan_order`."""
+    def balanced_plan(self, tables: PhaseTables,
+                      num_chunks: int) -> Optional[BalancedPlan]:
+        """Fluid-limit plan for a collective of ``num_chunks`` chunks of
+        ``tables``' signature; ``None`` runs it chunk by chunk with
+        :meth:`plan_order`."""
         return None
 
     @abc.abstractmethod
-    def plan_order(
-        self,
-        network: AnalyticalNetwork,
-        rep_npu: int,
-        dims: Sequence[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        pending_load: Mapping[int, float],
-        roundtrip: bool = False,
-        dim_specs: DimSpecs = None,
-    ) -> Tuple[int, ...]:
+    def plan_order(self, tables: PhaseTables,
+                   horizon: Mapping[int, float]) -> Tuple[int, ...]:
         """Return the dimension order the chunk will traverse.
 
         Args:
-            network: Analytical backend (for port backlogs).
-            rep_npu: Canonical representative NPU whose ports this
-                collective occupies.
-            dims: Active dimension indices (never empty).
-            kind: Phase kind of the (first) traversal pass.
-            payload_bytes: Chunk payload entering the first phase.
-            pending_load: Per-dim port time already planned by earlier
-                chunks of in-flight collectives but not yet reserved.
-            roundtrip: True when the traversal is the RS half of an
-                All-Reduce (the AG half will mirror it).
-            dim_specs: Effective per-dim specs of the communicator;
-                defaults to the physical topology's.
+            tables: The chunk's phase tables (never over empty dims).
+            horizon: Per active dim, the port time already queued or
+                planned ahead of this chunk: the representative's port
+                backlog plus load planned by earlier chunks of in-flight
+                collectives but not yet reserved.
         """
-
-
-def _resolve_specs(network: AnalyticalNetwork, dim_specs: DimSpecs) -> DimSpecs:
-    return dim_specs if dim_specs is not None else network.topology.dims
 
 
 class BaselineScheduler(ChunkScheduler):
@@ -208,20 +254,11 @@ class BaselineScheduler(ChunkScheduler):
 
     name = "baseline"
 
-    def plan_order(
-        self,
-        network: AnalyticalNetwork,
-        rep_npu: int,
-        dims: Sequence[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        pending_load: Mapping[int, float],
-        roundtrip: bool = False,
-        dim_specs: DimSpecs = None,
-    ) -> Tuple[int, ...]:
-        if not dims:
+    def plan_order(self, tables: PhaseTables,
+                   horizon: Mapping[int, float]) -> Tuple[int, ...]:
+        if not tables.dims:
             raise ValueError("no dimensions to order")
-        return tuple(sorted(dims))
+        return tables.dims
 
 
 class ThemisScheduler(ChunkScheduler):
@@ -231,11 +268,11 @@ class ThemisScheduler(ChunkScheduler):
     signature, a small linear program over candidate dimension orders —
     exactly the load-balancing problem Themis's greedy chunk placement
     approximates — and returns balanced per-dimension loads for fluid
-    execution.  The plan itself is memoized per exact signature, so a
-    training loop's thousands of collectives build only a handful.
-    Without scipy it returns ``None`` and execution falls back to
-    chunk-by-chunk traversal with :meth:`plan_order`'s greedy bottleneck
-    minimization; the process says so once on stderr
+    execution.  The plan itself is memoized per phase tables and chunk
+    count, so a training loop's thousands of collectives build only a
+    handful.  Without scipy it returns ``None`` and execution falls back
+    to chunk-by-chunk traversal with :meth:`plan_order`'s greedy
+    bottleneck minimization; the process says so once on stderr
     (:data:`LP_FALLBACK_NOTICE`), and ``repro run`` in its summary.
     """
 
@@ -244,57 +281,36 @@ class ThemisScheduler(ChunkScheduler):
     def __init__(self) -> None:
         super().__init__()
         self._mix_cache: Dict[tuple, List[Tuple[Tuple[int, ...], float]]] = {}
-        # balanced_plan is pure in its exact signature (payload as the
-        # exact float, effective specs as the DimSpecs themselves).
-        self._plan_cache: Dict[tuple, Optional[BalancedPlan]] = {}
+        # balanced_plan is pure in its tables and chunk count.
+        self._plan_cache: Dict[Tuple[PhaseTables, int],
+                               Optional[BalancedPlan]] = {}
 
-    def balanced_plan(
-        self,
-        network: AnalyticalNetwork,
-        dims: Sequence[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        num_chunks: int,
-        roundtrip: bool = False,
-        dim_specs: DimSpecs = None,
-    ) -> Optional[BalancedPlan]:
+    def balanced_plan(self, tables: PhaseTables,
+                      num_chunks: int) -> Optional[BalancedPlan]:
         """Balanced per-dim loads for the whole collective, or ``None``.
 
         Latency steps are charged per chunk (each of the ``num_chunks``
         pipelined chunks pays its phase latencies), matching what the
         chunk-level execution would enqueue in total.  The returned plan
-        is shared by every call with the same signature.
+        is shared by every call with the same tables and chunk count.
         """
-        specs = _resolve_specs(network, dim_specs)
-        dims = tuple(dims)
-        signature = (dims, kind, payload_bytes, num_chunks, roundtrip,
-                     tuple(specs[d] for d in dims))
+        key = (tables, num_chunks)
         try:
-            return self._plan_cache[signature]
+            return self._plan_cache[key]
         except KeyError:
             pass
-        plan = self._plan_cache[signature] = self._build_plan(
-            specs, dims, kind, payload_bytes, num_chunks, roundtrip)
+        plan = self._plan_cache[key] = self._build_plan(tables, num_chunks)
         return plan
 
-    def _build_plan(
-        self,
-        specs: DimSpecs,
-        dims: Tuple[int, ...],
-        kind: PhaseKind,
-        payload_bytes: float,
-        num_chunks: int,
-        roundtrip: bool,
-    ) -> Optional[BalancedPlan]:
-        mix = self._mix(specs, sorted(dims), kind,
-                        payload_bytes / num_chunks, roundtrip)
+    def _build_plan(self, tables: PhaseTables,
+                    num_chunks: int) -> Optional[BalancedPlan]:
+        mix = self._mix(tables)
         if not mix:
             return None
-        chunk_payload = payload_bytes / num_chunks
-        loads: Dict[int, float] = {d: 0.0 for d in dims}
-        traffic: Dict[int, float] = {d: 0.0 for d in dims}
+        roundtrip = tables.roundtrip
+        loads: Dict[int, float] = {d: 0.0 for d in tables.dims}
+        traffic: Dict[int, float] = {d: 0.0 for d in tables.dims}
         fill = float("inf")
-        tables = self.phase_tables(specs, dims, kind, chunk_payload, roundtrip)
         for order, fraction in mix:
             rows, work = tables[order]
             walls = []
@@ -316,56 +332,42 @@ class ThemisScheduler(ChunkScheduler):
             fill = 0.0
         return BalancedPlan(loads_ns=loads, fill_ns=fill, traffic_bytes=traffic)
 
-    def plan_order(
-        self,
-        network: AnalyticalNetwork,
-        rep_npu: int,
-        dims: Sequence[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        pending_load: Mapping[int, float],
-        roundtrip: bool = False,
-        dim_specs: DimSpecs = None,
-    ) -> Tuple[int, ...]:
-        if not dims:
+    def plan_order(self, tables: PhaseTables,
+                   horizon: Mapping[int, float]) -> Tuple[int, ...]:
+        """Greedy fallback: the order whose worst dim finishes first."""
+        if not tables.dims:
             raise ValueError("no dimensions to order")
-        specs = _resolve_specs(network, dim_specs)
-        return self._greedy_order(
-            network, rep_npu, dims, kind, payload_bytes, pending_load,
-            roundtrip, specs,
-        )
+        best_order: Tuple[int, ...] = ()
+        best_key = None
+        for order in self._candidate_orders(tables):
+            work = tables[order][1]
+            bottleneck = max(horizon[d] + work[d] for d in order)
+            key = (bottleneck, sum(work.values()), order)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_order = order
+        return best_order
 
     # -- LP mix -------------------------------------------------------------------
 
-    def _mix(
-        self,
-        specs: DimSpecs,
-        dims: List[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        roundtrip: bool,
-    ) -> List[Tuple[Tuple[int, ...], float]]:
+    def _mix(self, tables: PhaseTables
+             ) -> List[Tuple[Tuple[int, ...], float]]:
+        specs = tables.specs
         signature = (
-            tuple(dims), kind, roundtrip, round(payload_bytes, 3),
+            tables.dims, tables.kind, tables.roundtrip,
+            round(tables.payload_bytes, 3),
             tuple(
                 (specs[d].size, specs[d].bandwidth_gbps, specs[d].latency_ns)
-                for d in dims
+                for d in tables.dims
             ),
         )
         mix = self._mix_cache.get(signature)
         if mix is None:
-            mix = self._solve_mix(specs, dims, kind, payload_bytes, roundtrip)
-            self._mix_cache[signature] = mix
+            mix = self._mix_cache[signature] = self._solve_mix(tables)
         return mix
 
-    def _solve_mix(
-        self,
-        specs: DimSpecs,
-        dims: List[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        roundtrip: bool,
-    ) -> List[Tuple[Tuple[int, ...], float]]:
+    def _solve_mix(self, tables: PhaseTables
+                   ) -> List[Tuple[Tuple[int, ...], float]]:
         """Minimize the worst per-dim load over order fractions; [] if no LP."""
         try:
             from scipy.optimize import linprog
@@ -375,16 +377,15 @@ class ThemisScheduler(ChunkScheduler):
                 _lp_fallback_noted = True
                 print(f"note: {LP_FALLBACK_NOTICE}", file=sys.stderr)
             return []
-        orders = self._candidate_orders(specs, dims)
-        tables = self.phase_tables(specs, dims, kind, payload_bytes, roundtrip)
+        orders = self._candidate_orders(tables)
         vectors = [tables[order][1] for order in orders]
         n = len(orders)
         # Variables: x_0..x_{n-1} (order fractions), T (bottleneck).
         c = [0.0] * n + [1.0]
         a_ub = []
-        for d in dims:
+        for d in tables.dims:
             a_ub.append([vec.get(d, 0.0) for vec in vectors] + [-1.0])
-        b_ub = [0.0] * len(dims)
+        b_ub = [0.0] * len(tables.dims)
         a_eq = [[1.0] * n + [0.0]]
         result = linprog(
             c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
@@ -400,40 +401,9 @@ class ThemisScheduler(ChunkScheduler):
         mix.sort(key=lambda item: (-item[1], item[0]))
         return mix
 
-    # -- greedy fallback -------------------------------------------------------------
-
-    def _greedy_order(
-        self,
-        network: AnalyticalNetwork,
-        rep_npu: int,
-        dims: Sequence[int],
-        kind: PhaseKind,
-        payload_bytes: float,
-        pending_load: Mapping[int, float],
-        roundtrip: bool,
-        specs: DimSpecs,
-    ) -> Tuple[int, ...]:
-        horizon = {
-            d: network.port_backlog(rep_npu, d) + pending_load.get(d, 0.0)
-            for d in dims
-        }
-        tables = self.phase_tables(specs, dims, kind, payload_bytes, roundtrip)
-        best_order: Tuple[int, ...] = ()
-        best_key = None
-        for order in self._candidate_orders(specs, dims):
-            work = tables[order][1]
-            bottleneck = max(horizon[d] + work[d] for d in order)
-            key = (bottleneck, sum(work.values()), order)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_order = order
-        return best_order
-
     @staticmethod
-    def _candidate_orders(
-        specs: DimSpecs, dims: Sequence[int]
-    ) -> List[Tuple[int, ...]]:
-        dims = sorted(dims)
+    def _candidate_orders(tables: PhaseTables) -> List[Tuple[int, ...]]:
+        dims = tables.dims
         if len(dims) <= _EXHAUSTIVE_PERMUTATION_LIMIT:
             return [tuple(p) for p in itertools.permutations(dims)]
         # High-dimensional fallback: sweep the first dim, finish
@@ -442,7 +412,7 @@ class ThemisScheduler(ChunkScheduler):
         for first in dims:
             rest = sorted(
                 (d for d in dims if d != first),
-                key=lambda d: (-specs[d].size, d),
+                key=lambda d: (-tables.specs[d].size, d),
             )
             orders.append((first, *rest))
         return orders

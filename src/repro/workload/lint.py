@@ -13,7 +13,9 @@ and reports:
   without its issuer, or one that is not a cartesian product over the
   dims (the hierarchical multi-rail requirement);
 - collective count mismatches between the traced members of the same
-  rendezvous, keyed as the engine keys them (rendezvous would hang).
+  rendezvous, keyed as the engine keys them (rendezvous would hang); each
+  finding names its key's dims and group, symbolic or listed, since one
+  set of NPUs named both ways is two rendezvous.
   In-switch (``via: fabric``) collectives never rendezvous, so neither
   check applies to them.
 
@@ -34,7 +36,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.errors import InputError
-from repro.network.topology import MultiDimTopology, communicator
+from repro.network.topology import CommGroup, MultiDimTopology, communicator
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import NodeType
 from repro.workload.generators import VIA_FABRIC
@@ -101,12 +103,18 @@ def lint_traces(
                 f"channel {src}->{dst} tag {tag}: {n_send} sends vs "
                 f"{n_recv} receives")
 
-    for key, (members, issued) in rendezvous.items():
+    for (rep, dims, group), (members, issued) in rendezvous.items():
         counts = {npu: issued[npu] for npu in sorted(members)}
         if len(set(counts.values())) > 1:
+            # Name the key in full: one set of NPUs listed two ways is two
+            # communicators, and only the dims and group tell them apart.
+            named = (f"symbolic group of {len(group)}"
+                     if isinstance(group, CommGroup)
+                     else f"listed group {list(group)}")
             findings.append(
-                f"communicator rep {key[0]}: members issue unequal "
-                f"collective counts {counts} (rendezvous would hang)")
+                f"communicator rep {rep} dims {list(dims)} ({named}): "
+                f"members issue unequal collective counts {counts} "
+                "(rendezvous would hang)")
 
     return findings
 

@@ -414,6 +414,21 @@ class TestFaultFlags:
         assert "goodput" in out
         assert "straggler@npu3:1.5x@t=0.0ns" in out
 
+    def test_fault_that_never_acts_loses_no_time(self):
+        """A fault activating after the run leaves Themis on its fluid
+        plan: the faulted run is the fault-free baseline run."""
+        from repro.cli import build_parser
+        from repro.runsim import simulate_from_args
+
+        argv = ["run", "--topology", "Ring(8)_Switch(4)",
+                "--bandwidths", "100,50", "--payload-mib", "64"]
+        _, clean, _ = simulate_from_args(build_parser().parse_args(argv))
+        _, result, resilience = simulate_from_args(build_parser().parse_args(
+            argv + ["--faults", "degrade@dim0:0.5x@t=1s"]))
+        assert result.total_time_ns == clean.total_time_ns
+        assert resilience.time_lost_ns == 0
+        assert resilience.goodput == 1.0
+
     def test_bad_fault_spec_rejected(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["run", "--topology", "Ring(8)", "--bandwidths", "100",

@@ -5,7 +5,7 @@ import pytest
 from repro.events import EventEngine
 from repro.network import AnalyticalNetwork, parse_topology
 from repro.system import CollectiveOperation, make_scheduler
-from repro.system.phases import PhaseKind, phase_duration_ns
+from repro.system.phases import PhaseKind, phase_table
 from repro.trace import CollectiveType
 
 MiB = 1 << 20
@@ -57,13 +57,12 @@ class TestSingleDimension:
 
 class TestChunking:
     def test_single_chunk_is_sequential_sum(self):
-        engine = EventEngine()
         topo = parse_topology("Ring(4)_FC(4)", [100, 50], latencies_ns=[0, 0])
-        from repro.system.phases import decompose_collective
-
-        plan = decompose_collective(CollectiveType.ALL_REDUCE, topo, (0, 1), GiB)
+        rows = phase_table(topo.dims, (0, 1), PhaseKind.REDUCE_SCATTER, GiB,
+                           roundtrip=True)
+        sequential = sum(latency + busy for _, _, _, busy, _, latency, _ in rows)
         op = _run_collective("Ring(4)_FC(4)", [100, 50], GiB, chunks=1)
-        assert op.duration_ns == pytest.approx(plan.total_duration_ns(topo))
+        assert op.duration_ns == pytest.approx(sequential)
 
     def test_more_chunks_pipeline_toward_max_dim(self):
         times = {

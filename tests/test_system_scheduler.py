@@ -7,10 +7,16 @@ import pytest
 from repro.core import Simulator, SystemConfig
 from repro.events import EventEngine
 from repro.faults.spec import FaultSchedule
-from repro.network import AnalyticalNetwork, parse_topology
-from repro.system import BaselineScheduler, PhaseKind, ThemisScheduler, make_scheduler
+from repro.network import AnalyticalNetwork, MultiDimTopology, parse_topology
+from repro.system import (
+    BaselineScheduler,
+    CollectiveOperation,
+    PhaseKind,
+    ThemisScheduler,
+    make_scheduler,
+)
 from repro.system.phases import phase_table
-from repro.system.scheduler import chunk_work_vector
+from repro.system.scheduler import PhaseTables, chunk_work_vector
 from repro.trace import CollectiveType
 from repro.workload.generators import generate_single_collective
 
@@ -33,6 +39,36 @@ def _network(bws=(100, 100, 100), sizes=None):
     notation = "_".join(f"Ring({k})" for k in sizes)
     topo = parse_topology(notation, list(bws), latencies_ns=[0] * len(bws))
     return engine, AnalyticalNetwork(engine, topo)
+
+
+def _tables(scheduler, topology, dims, payload, roundtrip=False,
+            kind=PhaseKind.REDUCE_SCATTER, group_shape=None):
+    comm = scheduler.effective_comm(topology.dims, dims, group_shape)
+    return scheduler.phase_tables(comm, kind, payload, roundtrip)
+
+
+def _idle(dims):
+    return {d: 0.0 for d in dims}
+
+
+def _first_chunk_order(net, monkeypatch):
+    """The order Themis's greedy fallback gives a lone 1-chunk
+    Reduce-Scatter over every dim of ``net``, from its current ports."""
+    orders = []
+    original = ThemisScheduler.plan_order
+
+    def recording(self, tables, horizon):
+        orders.append(original(self, tables, horizon))
+        return orders[-1]
+
+    monkeypatch.setattr(ThemisScheduler, "_solve_mix",
+                        lambda self, *args, **kwargs: [])
+    monkeypatch.setattr(ThemisScheduler, "plan_order", recording)
+    CollectiveOperation(
+        net.engine, net, ThemisScheduler(), CollectiveType.REDUCE_SCATTER,
+        range(net.topology.num_dims), 0, 1000, num_chunks=1).start()
+    (order,) = orders
+    return order
 
 
 class TestWorkVectors:
@@ -69,15 +105,13 @@ class TestBaseline:
     def test_ascending_order(self):
         _, net = _network()
         sched = BaselineScheduler()
-        order = sched.plan_order(net, 0, [2, 0, 1], PhaseKind.REDUCE_SCATTER,
-                                 100, {})
-        assert order == (0, 1, 2)
+        tables = _tables(sched, net.topology, [2, 0, 1], 100)
+        assert sched.plan_order(tables, _idle(range(3))) == (0, 1, 2)
 
     def test_empty_dims_rejected(self):
-        _, net = _network()
         with pytest.raises(ValueError):
-            BaselineScheduler().plan_order(net, 0, [], PhaseKind.REDUCE_SCATTER,
-                                           1, {})
+            BaselineScheduler().plan_order(
+                PhaseTables({}, PhaseKind.REDUCE_SCATTER, 1, False), {})
 
 
 class TestThemisGreedy:
@@ -85,49 +119,46 @@ class TestThemisGreedy:
         # dim 1 is 4x faster: greedy should shrink payload there first.
         _, net = _network(bws=(50, 400, 100))
         sched = ThemisScheduler()
-        order = sched.plan_order(net, 0, [0, 1, 2], PhaseKind.REDUCE_SCATTER,
-                                 100000, {})
-        assert order[0] == 1
+        tables = _tables(sched, net.topology, [0, 1, 2], 100000)
+        assert sched.plan_order(tables, _idle(range(3)))[0] == 1
 
-    def test_backlog_steers_away(self):
+    def test_backlog_steers_away(self, monkeypatch):
         _, net = _network(bws=(100, 100), sizes=(4, 4))
         net.reserve_port(0, 0, 1e9)
-        sched = ThemisScheduler()
-        order = sched.plan_order(net, 0, [0, 1], PhaseKind.REDUCE_SCATTER,
-                                 1000, {})
-        assert order[0] == 1
+        assert _first_chunk_order(net, monkeypatch)[0] == 1
 
-    def test_pending_load_counts_like_backlog(self):
+    def test_pending_load_counts_like_backlog(self, monkeypatch):
         _, net = _network(bws=(100, 100), sizes=(4, 4))
-        sched = ThemisScheduler()
-        order = sched.plan_order(net, 0, [0, 1], PhaseKind.REDUCE_SCATTER,
-                                 1000, {0: 1e9})
-        assert order[0] == 1
+        net.add_pending(0, 0, 1e9)
+        assert _first_chunk_order(net, monkeypatch)[0] == 1
 
     def test_deterministic(self):
         _, net = _network()
         sched = ThemisScheduler()
-        a = sched.plan_order(net, 0, [0, 1, 2], PhaseKind.REDUCE_SCATTER, 500, {})
-        b = sched.plan_order(net, 0, [0, 1, 2], PhaseKind.REDUCE_SCATTER, 500, {})
+        tables = _tables(sched, net.topology, [0, 1, 2], 500)
+        a = sched.plan_order(tables, _idle(range(3)))
+        b = sched.plan_order(tables, _idle(range(3)))
         assert a == b
 
     def test_empty_dims_rejected(self):
-        _, net = _network()
         with pytest.raises(ValueError):
-            ThemisScheduler().plan_order(net, 0, [], PhaseKind.REDUCE_SCATTER,
-                                         1, {})
+            ThemisScheduler().plan_order(
+                PhaseTables({}, PhaseKind.REDUCE_SCATTER, 1, False), {})
+
+
+def _plan(scheduler, topology, payload=1 << 30, num_chunks=32,
+          dims=(0, 1, 2, 3), group_shape=None):
+    tables = _tables(scheduler, topology, dims, payload / num_chunks,
+                     roundtrip=True, group_shape=group_shape)
+    return scheduler.balanced_plan(tables, num_chunks)
 
 
 @requires_lp
 class TestThemisBalancedPlan:
     def test_loads_balanced_on_heterogeneous_topology(self):
-        engine = EventEngine()
         topo = parse_topology("Ring(2)_FC(8)_Ring(8)_Switch(4)",
                               [250, 200, 100, 50], latencies_ns=[0, 0, 0, 0])
-        net = AnalyticalNetwork(engine, topo)
-        plan = ThemisScheduler().balanced_plan(
-            network=net, dims=(0, 1, 2, 3), kind=PhaseKind.REDUCE_SCATTER,
-            payload_bytes=1 << 30, num_chunks=32, roundtrip=True)
+        plan = _plan(ThemisScheduler(), topo)
         assert plan is not None
         loads = list(plan.loads_ns.values())
         assert max(loads) == pytest.approx(min(loads), rel=0.01)
@@ -135,81 +166,101 @@ class TestThemisBalancedPlan:
         assert max(loads) == pytest.approx(2 * (1 << 30) / 600, rel=0.05)
 
     def test_traffic_conserved(self):
-        engine = EventEngine()
         topo = parse_topology("Ring(2)_FC(8)", [100, 100],
                               latencies_ns=[0, 0])
-        net = AnalyticalNetwork(engine, topo)
-        plan = ThemisScheduler().balanced_plan(
-            network=net, dims=(0, 1), kind=PhaseKind.REDUCE_SCATTER,
-            payload_bytes=1 << 20, num_chunks=8, roundtrip=True)
+        plan = _plan(ThemisScheduler(), topo, payload=1 << 20, num_chunks=8,
+                     dims=(0, 1))
         # Total traffic is order-independent: 2 * S * (1 - 1/16).
         assert sum(plan.traffic_bytes.values()) == pytest.approx(
             2 * (1 << 20) * (1 - 1 / 16), rel=1e-6)
 
     def test_fill_smaller_than_loads(self):
-        engine = EventEngine()
         topo = parse_topology("Ring(4)_Ring(4)", [100, 100])
-        net = AnalyticalNetwork(engine, topo)
-        plan = ThemisScheduler().balanced_plan(
-            network=net, dims=(0, 1), kind=PhaseKind.REDUCE_SCATTER,
-            payload_bytes=1 << 30, num_chunks=32, roundtrip=True)
+        plan = _plan(ThemisScheduler(), topo, dims=(0, 1))
         assert 0 <= plan.fill_ns < max(plan.loads_ns.values())
 
 
-def _conv4d_net():
-    topo = parse_topology("Ring(2)_FC(8)_Ring(8)_Switch(4)",
+def _conv4d():
+    return parse_topology("Ring(2)_FC(8)_Ring(8)_Switch(4)",
                           [250, 200, 100, 50], latencies_ns=[50, 250, 250, 500])
-    return AnalyticalNetwork(EventEngine(), topo)
 
 
-def _plan(scheduler, net, payload=1 << 30, num_chunks=32, dims=(0, 1, 2, 3)):
-    return scheduler.balanced_plan(
-        network=net, dims=dims, kind=PhaseKind.REDUCE_SCATTER,
-        payload_bytes=payload, num_chunks=num_chunks, roundtrip=True)
+class TestEffectiveComm:
+    """The per-run memo of each communicator's effective view."""
+
+    def test_one_view_per_communicator(self):
+        topo, scheduler = _conv4d(), BaselineScheduler()
+        comm = scheduler.effective_comm(topo.dims, (3, 1, 0, 2))
+        assert scheduler.effective_comm(topo.dims, range(4)) is comm
+        assert comm.active_dims == (0, 1, 2, 3)
+        assert comm.group_size == 512
+        assert all(comm.specs[d] is topo.dims[d] for d in range(4))
+
+    def test_sub_dimension_and_oversubscription_fold_in(self):
+        topo = _conv4d()
+        dims = list(topo.dims)
+        dims[3] = dataclasses.replace(dims[3], oversubscription=4.0)
+        comm = BaselineScheduler().effective_comm(
+            MultiDimTopology(dims).dims, (0, 1, 3), {1: 4, 3: 1})
+        assert comm.active_dims == (0, 1)
+        assert comm.group_size == 8
+        assert comm.specs[1].size == 4
+        assert comm.specs[3].size == 1
+        assert comm.specs[3].bandwidth_gbps == 50 / 4.0
+        assert comm.specs[3].oversubscription == 1.0
+
+    def test_physical_specs_are_part_of_the_key(self):
+        scheduler = BaselineScheduler()
+        fast = scheduler.effective_comm(_conv4d().dims, range(4))
+        slow_topo = parse_topology("Ring(2)_FC(8)_Ring(8)_Switch(4)",
+                                   [25, 20, 10, 5],
+                                   latencies_ns=[50, 250, 250, 500])
+        slow = scheduler.effective_comm(slow_topo.dims, range(4))
+        assert slow is not fast
+        assert slow.specs[0].bandwidth_gbps == 25
+
+    def test_group_larger_than_dimension_rejected(self):
+        with pytest.raises(ValueError, match="exceeds dimension 0"):
+            BaselineScheduler().effective_comm(_conv4d().dims, (0,), {0: 3})
 
 
 class TestPlanMemo:
-    """balanced_plan builds one plan per exact signature and shares it."""
+    """balanced_plan builds one plan per tables and chunk count, shared."""
 
     def test_same_signature_shares_one_plan(self):
-        net, scheduler = _conv4d_net(), ThemisScheduler()
-        first = _plan(scheduler, net)
-        assert _plan(scheduler, net) is first
-        # Equal effective specs passed explicitly are the same signature.
-        specs = {d: net.topology.dims[d] for d in range(4)}
-        assert scheduler.balanced_plan(
-            network=net, dims=(0, 1, 2, 3), kind=PhaseKind.REDUCE_SCATTER,
-            payload_bytes=1 << 30, num_chunks=32, roundtrip=True,
-            dim_specs=specs) is first
+        topo, scheduler = _conv4d(), ThemisScheduler()
+        first = _plan(scheduler, topo)
+        assert _plan(scheduler, topo) is first
+        # A group shape equal to the physical sizes is the same
+        # effective communicator, so it reads the same tables.
+        assert _plan(scheduler, topo, group_shape={0: 2, 1: 8}) is first
         assert len(scheduler._plan_cache) == 1
 
     @requires_lp
     def test_payload_chunks_and_specs_each_get_their_own_plan(self):
-        net, scheduler = _conv4d_net(), ThemisScheduler()
-        base = _plan(scheduler, net)
+        topo, scheduler = _conv4d(), ThemisScheduler()
+        base = _plan(scheduler, topo)
         # A payload this close shares base's (rounded) LP mix key, but
         # the plan is keyed on the exact float.
-        plans = [base, _plan(scheduler, net, payload=(1 << 30) + 0.001),
-                 _plan(scheduler, net, num_chunks=16),
-                 _plan(scheduler, net, dims=(0, 1))]
-        slower = {d: dataclasses.replace(spec, bandwidth_gbps=10.0)
-                  for d, spec in enumerate(net.topology.dims)}
-        plans.append(scheduler.balanced_plan(
-            network=net, dims=(0, 1, 2, 3), kind=PhaseKind.REDUCE_SCATTER,
-            payload_bytes=1 << 30, num_chunks=32, roundtrip=True,
-            dim_specs=slower))
+        plans = [base, _plan(scheduler, topo, payload=(1 << 30) + 0.001),
+                 _plan(scheduler, topo, num_chunks=16),
+                 _plan(scheduler, topo, dims=(0, 1))]
+        slower = MultiDimTopology([
+            dataclasses.replace(spec, bandwidth_gbps=10.0)
+            for spec in topo.dims])
+        plans.append(_plan(scheduler, slower))
         assert len({id(p) for p in plans}) == len(plans)
         assert len(scheduler._plan_cache) == len(plans)
         assert len(scheduler._mix_cache) == len(plans) - 1
 
     @requires_lp
     def test_memoized_plan_equals_a_fresh_schedulers_plan(self):
-        net, warm = _conv4d_net(), ThemisScheduler()
+        topo, warm = _conv4d(), ThemisScheduler()
         signatures = [(1 << 30, 32), (12345.0, 4), (1 << 30, 32),
                       (3.5e8, 8), (12345.0, 4)]
         for payload, chunks in signatures:
-            memoized = _plan(warm, net, payload=payload, num_chunks=chunks)
-            fresh = _plan(ThemisScheduler(), net, payload=payload,
+            memoized = _plan(warm, topo, payload=payload, num_chunks=chunks)
+            fresh = _plan(ThemisScheduler(), topo, payload=payload,
                           num_chunks=chunks)
             assert memoized.loads_ns == fresh.loads_ns
             assert list(memoized.loads_ns) == list(fresh.loads_ns)
@@ -236,6 +287,35 @@ class TestPlanMemo:
         assert sim.scheduler._plan_cache == {}
         assert len(orders) == 4
 
+    @pytest.mark.parametrize("start, lands", [
+        ("1s", False),   # activates long after the collective ends
+        ("1us", True),   # activates while the plan would still run
+    ])
+    def test_fluid_plan_unless_a_fault_lands_before_it_finishes(
+            self, start, lands, monkeypatch):
+        topo = parse_topology("Ring(4)_Ring(2)", [100, 50])
+        traces = generate_single_collective(topo, CollectiveType.ALL_REDUCE,
+                                            1 << 20)
+        config = SystemConfig(topology=topo, scheduler="themis",
+                              collective_chunks=4)
+        clean = Simulator(traces, config).run()
+        orders = []
+        original = ThemisScheduler.plan_order
+
+        def counting(self, *args, **kwargs):
+            orders.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThemisScheduler, "plan_order", counting)
+        faulted = Simulator(traces, dataclasses.replace(
+            config, faults=FaultSchedule.parse(
+                f"straggler@npu0:2x@t={start}"))).run()
+        # Without scipy there is no plan: every run goes chunk by chunk.
+        assert len(orders) == (4 if lands or not _HAVE_LP else 0)
+        assert (faulted.total_time_ns > clean.total_time_ns) == lands
+        if not lands:
+            assert faulted.total_time_ns == clean.total_time_ns
+
     def test_llama70b_conv4d_builds_three_plans_per_point(self, monkeypatch):
         from repro import frontend
 
@@ -249,7 +329,7 @@ class TestPlanMemo:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(ThemisScheduler, name, counting)
-        topo = _conv4d_net().topology
+        topo = _conv4d()
         planned = frontend.plan(frontend.zoo_graph("llama-70b"), topo,
                                 frontend.PlanConfig(tp=16, pp=8, dp=4))
         Simulator(planned.traces, SystemConfig(
@@ -269,7 +349,7 @@ class TestPlanMemo:
             return original(*args)
 
         monkeypatch.setattr(phases, "phase_traffic_bytes", counting)
-        topo = _conv4d_net().topology
+        topo = _conv4d()
         traces = generate_single_collective(topo, CollectiveType.ALL_REDUCE,
                                             1 << 30)
         sim = Simulator(traces, SystemConfig(
@@ -277,7 +357,8 @@ class TestPlanMemo:
         sim.run()
         # One table: the baseline order, 4 Reduce-Scatter + 4 All-Gather rows.
         assert len(calls) == 8
-        (tables,) = sim.scheduler._tables.values()
+        (signatures,) = sim.scheduler._tables.values()
+        (tables,) = signatures.values()
         (rows, _), = tables.values()
         assert len(rows) == len(calls)
 

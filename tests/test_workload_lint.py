@@ -93,6 +93,29 @@ class TestFindings:
         findings = lint_traces({0: t0, 1: t1}, _topo())
         assert any("unequal collective counts" in f for f in findings)
 
+    @pytest.mark.parametrize("listings, names", [
+        # rank 0 names the group symbolically, rank 1 lists it
+        ([dict(comm_dims=(0,)), dict(comm_dims=(0,), involved_npus=(0, 1))],
+         ["dims [0] (symbolic group of 2)", "dims [0] (listed group [0, 1])"]),
+        # both list it, over dims (0,) and over every dim
+        ([dict(comm_dims=(0,), involved_npus=(0, 1)),
+          dict(comm_dims=None, involved_npus=(0, 1))],
+         ["dims [0] (listed group [0, 1])",
+          "dims [0, 1] (listed group [0, 1])"]),
+    ])
+    def test_split_rendezvous_names_both_communicators(self, listings, names):
+        topo = parse_topology("Ring(2)_Ring(2)", [100, 100])
+        traces = {
+            npu: ExecutionTrace(npu, [ETNode(
+                0, NodeType.COMM_COLLECTIVE, tensor_bytes=8,
+                collective=CollectiveType.ALL_REDUCE, **listing)])
+            for npu, listing in enumerate(listings)}
+        counts = ["{0: 1, 1: 0}", "{0: 0, 1: 1}"]
+        assert lint_traces(traces, topo) == [
+            f"communicator rep 0 {name}: members issue unequal collective "
+            f"counts {count} (rendezvous would hang)"
+            for name, count in zip(names, counts)]
+
     def test_trace_key_mismatch(self):
         t0 = ExecutionTrace(0, [
             ETNode(0, NodeType.COMPUTE, flops=1)])
