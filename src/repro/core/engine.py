@@ -12,6 +12,12 @@ Collective nodes rendezvous: the i-th collective a trace issues on a given
 communicator matches the i-th issue of every other *simulated* member of
 that communicator (MPI ordering semantics).  Members without a trace are
 symmetric replicas of a representative and need not arrive.
+
+The engine drains each trace's compiled form
+(:class:`~repro.trace.graph.ExecutionTrace`): a node is addressed by its
+``(npu, position)`` and a run keeps only its own copy of each trace's
+indegree list.  Cost fields are read from the :class:`ETNode` when it
+issues.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro.network.topology import CommGroup, communicator
 from repro.stats.breakdown import Activity, ActivityLog
 from repro.system.collective_op import CollectiveOperation
 from repro.system.executor import SendRecvCollectiveExecutor
-from repro.system.scheduler import ChunkScheduler
+from repro.system.scheduler import ChunkScheduler, EffectiveComm
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import CollectiveType, ETNode, NodeType, TensorLocation
 from repro.workload.generators import VIA_FABRIC
@@ -50,7 +56,7 @@ class DeadlockError(RuntimeError):
 class _Communicator:
     """One NPU's view of a communicator, derived on its first collective."""
 
-    __slots__ = ("key", "group_shape", "participants", "issued")
+    __slots__ = ("key", "group_shape", "participants", "issued", "effective")
 
     def __init__(self, key: Tuple, group_shape: Optional[Dict[int, int]],
                  participants: Set[int]) -> None:
@@ -58,6 +64,9 @@ class _Communicator:
         self.group_shape = group_shape
         self.participants = participants
         self.issued = 0  # collectives this NPU has issued on it
+        # The scheduler's effective view, resolved on the first phase-level
+        # collective (packet backends never need it).
+        self.effective: Optional[EffectiveComm] = None
 
 
 class _CollectiveRendezvous:
@@ -67,7 +76,7 @@ class _CollectiveRendezvous:
 
     def __init__(self, participants: Set[int]) -> None:
         self.participants = participants
-        self.arrived: Dict[int, int] = {}  # npu -> node_id
+        self.arrived: Dict[int, int] = {}  # npu -> node position
 
 
 class ExecutionEngine:
@@ -109,18 +118,28 @@ class ExecutionEngine:
         self.finish_time = 0.0
         self.nodes_executed = 0
 
-        self._indegree: Dict[Tuple[int, int], int] = {}
-        self._remaining = 0
-        for npu_id, trace in self.traces.items():
-            for node in trace:
-                self._indegree[(npu_id, node.node_id)] = len(node.deps)
-                self._remaining += 1
+        # Per-run copies of each trace's compiled indegree list: a count
+        # drops as the node's parents complete and is -1 once it completed.
+        self._indegree: Dict[int, List[int]] = {
+            npu_id: list(trace.indegree)
+            for npu_id, trace in self.traces.items()}
+        self._remaining = sum(map(len, self.traces.values()))
+        # An issue event calls its node kind's handler directly, with the
+        # node's (npu, position) and the node itself.
+        self._issuers = {
+            NodeType.COMPUTE: self._issue_compute,
+            NodeType.MEMORY_LOAD: self._issue_memory,
+            NodeType.MEMORY_STORE: self._issue_memory,
+            NodeType.COMM_COLLECTIVE: self._issue_collective,
+            NodeType.COMM_SEND: self._issue_send,
+            NodeType.COMM_RECV: self._issue_recv,
+        }
 
-        # Serializing resources per NPU.
-        self._compute_unit: Dict[int, DimPort] = {}
-        self._local_channel: Dict[int, DimPort] = {}
-        self._remote_channel: Dict[int, DimPort] = {}
-        self._fabric_port: Dict[int, DimPort] = {}
+        # Serializing resources per traced NPU.
+        self._compute_unit = {npu: DimPort() for npu in self.traces}
+        self._local_channel = {npu: DimPort() for npu in self.traces}
+        self._remote_channel = {npu: DimPort() for npu in self.traces}
+        self._fabric_port = {npu: DimPort() for npu in self.traces}
 
         self._rendezvous: Dict[Tuple, _CollectiveRendezvous] = {}
         self._communicators: Dict[Tuple, _Communicator] = {}
@@ -131,9 +150,13 @@ class ExecutionEngine:
 
     def start(self) -> None:
         """Schedule every trace's root nodes at the current time."""
+        issuers = self._issuers
         for npu_id, trace in self.traces.items():
-            for node in trace.roots():
-                self.engine.schedule(0.0, self._issue, npu_id, node)
+            nodes = trace.nodes
+            for pos in trace.root_positions:
+                node = nodes[pos]
+                self.engine.schedule(0.0, issuers[node.node_type], npu_id,
+                                     pos, node)
 
     def run(self) -> float:
         """Start and drain the simulation; returns the finish time.
@@ -157,21 +180,25 @@ class ExecutionEngine:
         lines = [f"{self._remaining} nodes never completed:"]
         blocked = []
         issued_stuck = []
-        for (npu, node_id), deg in sorted(self._indegree.items()):
-            if deg < 0:
-                continue
-            node = self.traces[npu].node(node_id)
-            label = f"npu {npu} node {node_id} {node.node_type.value}"
-            if node.name:
-                label += f" ({node.name!r})"
-            if deg > 0:
-                blocked.append(f"  {label}: waiting on {deg} dependencies")
-            elif node.node_type is NodeType.COMM_RECV:
-                issued_stuck.append(
-                    f"  {label}: no matching send from npu {node.peer} "
-                    f"tag {node.tag}")
-            else:
-                issued_stuck.append(f"  {label}: issued but never completed")
+        for npu in sorted(self.traces):
+            trace, indegree = self.traces[npu], self._indegree[npu]
+            for node_id, pos in sorted(trace.position.items()):
+                deg = indegree[pos]
+                if deg < 0:
+                    continue
+                node = trace.nodes[pos]
+                label = f"npu {npu} node {node_id} {node.node_type.value}"
+                if node.name:
+                    label += f" ({node.name!r})"
+                if deg > 0:
+                    blocked.append(f"  {label}: waiting on {deg} dependencies")
+                elif node.node_type is NodeType.COMM_RECV:
+                    issued_stuck.append(
+                        f"  {label}: no matching send from npu {node.peer} "
+                        f"tag {node.tag}")
+                else:
+                    issued_stuck.append(
+                        f"  {label}: issued but never completed")
         lines.extend(issued_stuck[:10])
         if self._rendezvous:
             lines.append("incomplete collective rendezvous:")
@@ -191,12 +218,6 @@ class ExecutionEngine:
 
     # -- resources ------------------------------------------------------------------
 
-    def _resource(self, table: Dict[int, DimPort], npu: int) -> DimPort:
-        port = table.get(npu)
-        if port is None:
-            port = table[npu] = DimPort()
-        return port
-
     def stall_npu(self, npu: int, duration_ns: float) -> float:
         """Freeze an NPU's compute unit for ``duration_ns`` (fault hook).
 
@@ -207,40 +228,20 @@ class ExecutionEngine:
         """
         if npu not in self.traces:
             return 0.0
-        self._resource(self._compute_unit, npu).reserve(
-            self.engine.now, duration_ns)
+        self._compute_unit[npu].reserve(self.engine.now, duration_ns)
         return duration_ns
 
     # -- node dispatch -----------------------------------------------------------------
 
-    def _issue(self, npu: int, node: ETNode) -> None:
-        if node.node_type is NodeType.COMPUTE:
-            self._issue_compute(npu, node)
-        elif node.is_memory:
-            self._issue_memory(npu, node)
-        elif node.node_type is NodeType.COMM_COLLECTIVE:
-            if node.attrs.get("via") == VIA_FABRIC:
-                self._issue_fabric_collective(npu, node)
-            else:
-                self._issue_collective(npu, node)
-        elif node.node_type is NodeType.COMM_SEND:
-            self._issue_send(npu, node)
-        elif node.node_type is NodeType.COMM_RECV:
-            self._issue_recv(npu, node)
-        else:  # pragma: no cover - schema is closed
-            raise ValueError(f"unhandled node type {node.node_type}")
-
-    def _issue_compute(self, npu: int, node: ETNode) -> None:
+    def _issue_compute(self, npu: int, pos: int, node: ETNode) -> None:
         duration = self.config.compute.compute_time_ns(node.flops, node.tensor_bytes)
         if self.faults is not None and not self.faults.idle:
             duration = self.faults.stretch_compute(npu, duration)
-        start, end = self._resource(self._compute_unit, npu).reserve(
-            self.engine.now, duration
-        )
+        start, end = self._compute_unit[npu].reserve(self.engine.now, duration)
         self.activity.record(npu, start, end, Activity.COMPUTE, node.name)
-        self.engine.schedule_at(end, self._complete, npu, node)
+        self.engine.schedule_at(end, self._complete, npu, pos)
 
-    def _issue_memory(self, npu: int, node: ETNode) -> None:
+    def _issue_memory(self, npu: int, pos: int, node: ETNode) -> None:
         request = MemoryRequest(
             size_bytes=node.tensor_bytes,
             is_store=node.node_type is NodeType.MEMORY_STORE,
@@ -264,11 +265,11 @@ class ExecutionEngine:
                         f"node {node.name!r} accesses remote memory but no "
                         "remote_memory model is configured"
                     )
-            channel = self._resource(self._remote_channel, npu)
+            channel = self._remote_channel[npu]
             activity = Activity.MEM_REMOTE
         else:
             model = self.config.local_memory
-            channel = self._resource(self._local_channel, npu)
+            channel = self._local_channel[npu]
             activity = Activity.MEM_LOCAL
         duration = model.access_time_ns(request)
         # Memory models are shared, run-independent timing functions: the
@@ -283,9 +284,10 @@ class ExecutionEngine:
                 "remote" if activity is Activity.MEM_REMOTE else "local",
                 node.tensor_bytes, duration,
                 fabric=node.attrs.get("via") == VIA_FABRIC)
-        self.engine.schedule_at(end, self._complete, npu, node)
+        self.engine.schedule_at(end, self._complete, npu, pos)
 
-    def _issue_fabric_collective(self, npu: int, node: ETNode) -> None:
+    def _issue_fabric_collective(self, npu: int, pos: int,
+                                 node: ETNode) -> None:
         fabric = self.config.fabric_collectives
         if fabric is None:
             raise ValueError(
@@ -293,15 +295,16 @@ class ExecutionEngine:
                 "fabric_collectives model is configured"
             )
         duration = fabric.collective_time_ns(node.collective, node.tensor_bytes)
-        start, end = self._resource(self._fabric_port, npu).reserve(
-            self.engine.now, duration
-        )
+        start, end = self._fabric_port[npu].reserve(self.engine.now, duration)
         self.activity.record(npu, start, end, Activity.COMM, node.name)
-        self.engine.schedule_at(end, self._complete, npu, node)
+        self.engine.schedule_at(end, self._complete, npu, pos)
 
     # -- collectives -----------------------------------------------------------------
 
-    def _issue_collective(self, npu: int, node: ETNode) -> None:
+    def _issue_collective(self, npu: int, pos: int, node: ETNode) -> None:
+        if node.attrs.get("via") == VIA_FABRIC:
+            self._issue_fabric_collective(npu, pos, node)
+            return
         comm_id = (npu, node.comm_dims, node.involved_npus)
         comm = self._communicators.get(comm_id)
         if comm is None:
@@ -322,34 +325,30 @@ class ExecutionEngine:
             rendezvous = _CollectiveRendezvous(comm.participants)
             self._rendezvous[instance_key] = rendezvous
         arrived = rendezvous.arrived
-        arrived[npu] = node.node_id
+        arrived[npu] = pos
 
         # The issuer is always a participant and arrives once per
         # instance, so a full count means every participant is in.
         if len(arrived) == len(rendezvous.participants):
             del self._rendezvous[instance_key]
-            rep, dims, group = comm.key
             if isinstance(self.network, AnalyticalNetwork):
-                self._start_collective(
-                    node, dims, rep, group, rendezvous, comm.group_shape
-                )
+                self._start_collective(node, comm, rendezvous)
             else:
                 # Packet-modeling backends have no phase-level collective
                 # abstraction: run the collective as explicit send/recv
                 # traffic (paper Sec. IV-C's validation apparatus), so
                 # the same traces execute unmodified on every backend.
+                rep, dims, group = comm.key
                 self._start_collective_sendrecv(node, dims, rep, group,
                                                 rendezvous)
 
-    def _start_collective(
-        self,
-        node: ETNode,
-        dims: Tuple[int, ...],
-        rep: int,
-        group: Tuple[int, ...],
-        rendezvous: _CollectiveRendezvous,
-        group_shape: Optional[Dict[int, int]] = None,
-    ) -> None:
+    def _start_collective(self, node: ETNode, comm: _Communicator,
+                          rendezvous: _CollectiveRendezvous) -> None:
+        rep, dims, group = comm.key
+        effective = comm.effective
+        if effective is None:
+            effective = comm.effective = self.scheduler.effective_comm(
+                self.network.topology.dims, dims, comm.group_shape)
         op = CollectiveOperation(
             engine=self.engine,
             network=self.network,
@@ -359,11 +358,12 @@ class ExecutionEngine:
             rep_npu=rep,
             payload_bytes=node.tensor_bytes,
             num_chunks=self.config.collective_chunks,
-            group_shape=group_shape,
+            group_shape=comm.group_shape,
             group_members=group,
+            comm=effective,
         )
         op.on_complete = lambda: self._finish_collective(
-            node, (rep, dims, group), rendezvous, op.start_time, op)
+            node, comm.key, rendezvous, op.start_time, op)
         self._inflight_collectives += 1
         op.start()
 
@@ -428,10 +428,10 @@ class ExecutionEngine:
             self.invariants.check_collective(record, op)
         if self.telemetry is not None:
             self.telemetry.record_collective(record, comm_key=comm_key)
-        for member, node_id in rendezvous.arrived.items():
+        for member, pos in rendezvous.arrived.items():
             self.activity.record(
                 member, start_ns, self.engine.now, Activity.COMM, node.name)
-            self._complete(member, self.traces[member].node(node_id))
+            self._complete(member, pos)
 
     # -- telemetry ---------------------------------------------------------------------
 
@@ -447,21 +447,21 @@ class ExecutionEngine:
 
     # -- point-to-point ---------------------------------------------------------------
 
-    def _issue_send(self, npu: int, node: ETNode) -> None:
+    def _issue_send(self, npu: int, pos: int, node: ETNode) -> None:
         issue_time = self.engine.now
 
         def on_sent() -> None:
             self.activity.record(npu, issue_time, self.engine.now,
                                  Activity.COMM, node.name)
-            self._complete(npu, node)
+            self._complete(npu, pos)
 
         self.network.sim_send(
             npu, node.peer, node.tensor_bytes, tag=node.tag, callback=on_sent
         )
 
-    def _issue_recv(self, npu: int, node: ETNode) -> None:
+    def _issue_recv(self, npu: int, pos: int, node: ETNode) -> None:
         def on_received(_message) -> None:
-            self._complete(npu, node)
+            self._complete(npu, pos)
 
         self.network.sim_recv(
             npu, node.peer, node.tensor_bytes, tag=node.tag, callback=on_received
@@ -469,18 +469,20 @@ class ExecutionEngine:
 
     # -- completion --------------------------------------------------------------------
 
-    def _complete(self, npu: int, node: ETNode) -> None:
-        indegree = self._indegree
-        key = (npu, node.node_id)
-        if indegree.get(key, -1) < 0:
-            raise RuntimeError(f"node {key} completed twice")
-        indegree[key] = -1
+    def _complete(self, npu: int, pos: int) -> None:
+        indegree = self._indegree[npu]
+        if indegree[pos] < 0:
+            node_id = self.traces[npu].nodes[pos].node_id
+            raise RuntimeError(f"node {(npu, node_id)} completed twice")
+        indegree[pos] = -1
         self._remaining -= 1
         self.nodes_executed += 1
         self.finish_time = max(self.finish_time, self.engine.now)
         trace = self.traces[npu]
-        for child_id in trace.children_of(node.node_id):
-            child_key = (npu, child_id)
-            indegree[child_key] -= 1
-            if indegree[child_key] == 0:
-                self.engine.schedule(0.0, self._issue, npu, trace.node(child_id))
+        for child in trace.child_positions[pos]:
+            deg = indegree[child] - 1
+            indegree[child] = deg
+            if deg == 0:
+                node = trace.nodes[child]
+                self.engine.schedule(0.0, self._issuers[node.node_type], npu,
+                                     child, node)

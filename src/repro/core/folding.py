@@ -145,7 +145,7 @@ def _node_signature(node: ETNode) -> Optional[tuple]:
 def _events_of(node: ETNode) -> int:
     """Events one extra rank adds for this node in an unfolded run.
 
-    Every node costs one ``_issue`` event.  Compute, memory, and
+    Every node costs one issue event.  Compute, memory, and
     in-switch (fabric) collective nodes additionally schedule their own
     completion event; network collectives complete synchronously inside
     the shared operation's finish event, so extra members add none.

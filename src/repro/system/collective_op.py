@@ -36,7 +36,8 @@ from repro.events import EventEngine
 from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import CommGroup, DimSpec
 from repro.system.phases import FIRST_PASS_KIND, PhaseRows
-from repro.system.scheduler import BalancedPlan, ChunkScheduler, PhaseTables
+from repro.system.scheduler import (BalancedPlan, ChunkScheduler,
+                                    EffectiveComm, PhaseTables)
 from repro.trace.node import CollectiveType
 
 DEFAULT_NUM_CHUNKS = 16
@@ -62,6 +63,10 @@ class CollectiveOperation:
             straggler stretches only the collectives it participates in;
             ``None`` conservatively means "any NPU may be a member".
         on_complete: Fired once, when the last chunk finishes.
+        comm: The scheduler's effective view of this communicator when
+            the caller already holds it (the execution engine resolves
+            one per communicator); otherwise looked up from
+            ``comm_dims`` and ``group_shape``.
     """
 
     def __init__(
@@ -77,6 +82,7 @@ class CollectiveOperation:
         group_shape: Optional[Mapping[int, int]] = None,
         group_members: Optional[Sequence[int]] = None,
         on_complete: Optional[Callable[[], None]] = None,
+        comm: Optional[EffectiveComm] = None,
     ) -> None:
         if num_chunks < 1:
             raise ValueError(f"num_chunks must be >= 1, got {num_chunks}")
@@ -99,8 +105,10 @@ class CollectiveOperation:
             self.group_members = frozenset(group_members)
         # Training loops issue thousands of collectives over a handful of
         # communicators: the scheduler derives each effective view once.
-        comm = self.comm = scheduler.effective_comm(
-            network.topology.dims, comm_dims, group_shape)
+        if comm is None:
+            comm = scheduler.effective_comm(
+                network.topology.dims, comm_dims, group_shape)
+        self.comm = comm
         self.dim_specs: Dict[int, DimSpec] = comm.specs
         self.active_dims: Tuple[int, ...] = comm.active_dims
         self.group_size: int = comm.group_size

@@ -1,9 +1,9 @@
 """Per-NPU execution-trace DAG.
 
 :class:`ExecutionTrace` owns the node set for a single NPU, validates it
-(unique ids, resolvable dependencies, acyclicity), and offers the queries
-the execution engine needs: roots, children, topological iteration, and
-aggregate statistics used for reporting.
+(unique ids, resolvable dependencies, acyclicity) while compiling it into
+the position-indexed lists the execution engine drains, and offers roots,
+children, topological iteration, and aggregate statistics for reporting.
 """
 
 from __future__ import annotations
@@ -36,44 +36,75 @@ def kahn_order(indegree: Dict[int, int],
 
 
 class ExecutionTrace:
-    """A validated DAG of :class:`ETNode` for one NPU.
+    """A validated DAG of :class:`ETNode` for one NPU, compiled for the engine.
 
-    Construction validates the graph once, eagerly, so the execution
-    engine can assume a well-formed DAG; the trace never changes after.
+    Construction validates the graph and compiles it in one pass over the
+    nodes; ids and deps never change after.  The compiled form indexes
+    nodes by *position*, their insertion order:
+
+    - ``nodes``: the nodes, by position;
+    - ``position``: node id -> position;
+    - ``child_positions``: per position, the positions of the nodes that
+      list it as a dependency, in insertion order (once per listing);
+    - ``indegree``: per position, the node's dependency count;
+    - ``root_positions``: the positions with no dependencies, ascending.
+
+    The execution engine issues and completes by position and keeps only
+    a per-run copy of ``indegree``; callers only read these lists.  When
+    every dep names an earlier node, insertion order is a topological
+    order, so the acyclicity walk runs only for traces with a dep on a
+    later node.
     """
 
     def __init__(self, npu_id: int, nodes: Iterable[ETNode] = ()) -> None:
         if npu_id < 0:
             raise TraceValidationError(f"npu_id must be >= 0, got {npu_id}")
         self.npu_id = npu_id
-        self._nodes: Dict[int, ETNode] = {}
-        self._children: Dict[int, List[int]] = {}
-        for node in nodes:
-            if node.node_id in self._nodes:
-                raise TraceValidationError(
-                    f"duplicate node id {node.node_id} in trace for NPU {npu_id}"
-                )
-            self._nodes[node.node_id] = node
-            self._children.setdefault(node.node_id, [])
+        nodes = self.nodes = tuple(nodes)
+        position = self.position = {
+            node.node_id: pos for pos, node in enumerate(nodes)}
+        if len(position) != len(nodes):
+            seen = set()
+            for node in nodes:
+                if node.node_id in seen:
+                    raise TraceValidationError(
+                        f"duplicate node id {node.node_id} in trace for NPU {npu_id}"
+                    )
+                seen.add(node.node_id)
+        # Children are appended in ascending position, so each list stays
+        # in insertion order whether its parent comes before or after.
+        children = self.child_positions = [[] for _ in nodes]
+        self.indegree = [len(node.deps) for node in nodes]
+        self.root_positions = [
+            pos for pos, deg in enumerate(self.indegree) if deg == 0]
+        forward = False
+        for pos, node in enumerate(nodes):
             for dep in node.deps:
-                self._children.setdefault(dep, []).append(node.node_id)
-        self._check_deps_resolvable()
-        self._check_acyclic()
-
-    # -- construction checks -----------------------------------------------------
-
-    def _check_deps_resolvable(self) -> None:
-        for node in self._nodes.values():
-            for dep in node.deps:
-                if dep not in self._nodes:
+                parent = position.get(dep)
+                if parent is None:
                     raise TraceValidationError(
                         f"node {node.node_id} depends on unknown node {dep}"
                     )
+                if parent > pos:
+                    forward = True
+                children[parent].append(pos)
+        if forward:
+            self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        indegree = {nid: len(n.deps) for nid, n in self._nodes.items()}
-        if len(kahn_order(indegree, self._children)) != len(self._nodes):
-            cyclic = sorted(nid for nid, deg in indegree.items() if deg > 0)
+        """Kahn's walk over positions; what it never reaches is on or
+        behind a cycle."""
+        children = self.child_positions
+        indegree = list(self.indegree)
+        ready = list(self.root_positions)
+        while ready:
+            for child in children[ready.pop()]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    ready.append(child)
+        cyclic = sorted(node.node_id
+                        for node, deg in zip(self.nodes, indegree) if deg > 0)
+        if cyclic:
             raise TraceValidationError(
                 f"trace for NPU {self.npu_id} contains a cycle involving nodes {cyclic[:10]}"
             )
@@ -81,38 +112,44 @@ class ExecutionTrace:
     # -- queries -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
+        return node_id in self.position
 
     def __iter__(self) -> Iterator[ETNode]:
-        return iter(self._nodes.values())
+        return iter(self.nodes)
 
     def node(self, node_id: int) -> ETNode:
-        return self._nodes[node_id]
-
-    @property
-    def nodes(self) -> Tuple[ETNode, ...]:
-        return tuple(self._nodes.values())
+        return self.nodes[self.position[node_id]]
 
     def roots(self) -> List[ETNode]:
         """Nodes with no dependencies — the initially-issuable frontier."""
-        return [n for n in self._nodes.values() if not n.deps]
+        return [self.nodes[pos] for pos in self.root_positions]
 
-    def children_of(self, node_id: int) -> Sequence[int]:
-        """Ids of nodes that list ``node_id`` as a dependency.
-
-        The trace's own sequence, not a copy (the engine walks it on every
-        completion): callers only read it.
-        """
-        return self._children.get(node_id, ())
+    def children_of(self, node_id: int) -> List[int]:
+        """Ids of nodes that list ``node_id`` as a dependency."""
+        pos = self.position.get(node_id)
+        if pos is None:
+            return []
+        nodes = self.nodes
+        return [nodes[child].node_id for child in self.child_positions[pos]]
 
     def topological_order(self) -> List[ETNode]:
         """Deterministic topological order (Kahn, ties broken by node id)."""
-        indegree = {nid: len(n.deps) for nid, n in self._nodes.items()}
-        return [self._nodes[nid]
-                for nid in kahn_order(indegree, self._children)]
+        nodes, children = self.nodes, self.child_positions
+        indegree = list(self.indegree)
+        ready = [(nodes[pos].node_id, pos) for pos in self.root_positions]
+        heapq.heapify(ready)
+        order: List[ETNode] = []
+        while ready:
+            _, pos = heapq.heappop(ready)
+            order.append(nodes[pos])
+            for child in children[pos]:
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    heapq.heappush(ready, (nodes[child].node_id, child))
+        return order
 
     def critical_path_length(self) -> int:
         """Longest chain of dependent nodes (in node count)."""
@@ -127,15 +164,15 @@ class ExecutionTrace:
 
     def count_by_type(self) -> Dict[NodeType, int]:
         counts: Dict[NodeType, int] = {}
-        for node in self._nodes.values():
+        for node in self.nodes:
             counts[node.node_type] = counts.get(node.node_type, 0) + 1
         return counts
 
     def total_flops(self) -> int:
-        return sum(n.flops for n in self._nodes.values() if n.is_compute)
+        return sum(n.flops for n in self.nodes if n.is_compute)
 
     def total_comm_bytes(self) -> int:
-        return sum(n.tensor_bytes for n in self._nodes.values() if n.is_comm)
+        return sum(n.tensor_bytes for n in self.nodes if n.is_comm)
 
     def total_memory_bytes(self) -> int:
-        return sum(n.tensor_bytes for n in self._nodes.values() if n.is_memory)
+        return sum(n.tensor_bytes for n in self.nodes if n.is_memory)

@@ -6,10 +6,13 @@ fault-free baseline and the faulted run on the same trace objects, built
 once.  The digest is the serialized form of every trace
 (:func:`repro.trace.serialization.dumps_trace`), which covers every node
 field, so any backend, folding mode or fault hook that mutated a node
-would change it.
+would change it.  A planned trace set simulated twice must also export
+the same document twice.
 """
 
+import copy
 import hashlib
+import json
 from unittest import mock
 
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro import runsim
 from repro.runspec import run_namespace
+from repro.stats.export import result_to_dict
 from repro.trace.serialization import dumps_trace
 
 TOPOLOGIES = [("Ring(4)", "100"), ("Ring(2)_Switch(2)", "100,50"),
@@ -99,3 +103,28 @@ def test_straggler_on_a_frontend_model_builds_traces_once():
     before, after = _run(point)
     assert len(before) == 1
     assert after == before
+
+
+def _compiled(traces):
+    return {rank: (trace.position, trace.child_positions, trace.indegree,
+                   trace.root_positions)
+            for rank, trace in traces.items()}
+
+
+def test_planned_traces_simulate_twice_identically():
+    """Two runs on one planned trace set export the same bytes: no
+    per-run state (indegree counts) leaks into the compiled traces."""
+    point = {"topology": "Ring(2)_Switch(2)", "bandwidths": "100,50",
+             "model": "llama3-8b", "seq_len": 256, "pp": 2,
+             "microbatches": 2}
+    args = run_namespace(point)
+    traces = runsim._build_traces(args, runsim.build_topology(args))
+    compiled = copy.deepcopy(_compiled(traces))
+    documents = []
+    for _ in range(2):
+        with mock.patch.object(runsim, "_build_traces",
+                               lambda _args, _topology: traces):
+            _, result, _ = runsim.simulate_from_args(run_namespace(point))
+        documents.append(json.dumps(result_to_dict(result), sort_keys=True))
+    assert documents[0] == documents[1]
+    assert _compiled(traces) == compiled
