@@ -38,8 +38,8 @@ def kahn_order(indegree: Dict[int, int],
 class ExecutionTrace:
     """A validated DAG of :class:`ETNode` for one NPU, compiled for the engine.
 
-    Construction validates the graph and compiles it in one pass over the
-    nodes; ids and deps never change after.  The compiled form indexes
+    Construction validates the graph while it compiles it; ids and deps
+    never change after.  The compiled form indexes
     nodes by *position*, their insertion order:
 
     - ``nodes``: the nodes, by position;
@@ -92,22 +92,20 @@ class ExecutionTrace:
             self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        """Kahn's walk over positions; what it never reaches is on or
-        behind a cycle."""
-        children = self.child_positions
-        indegree = list(self.indegree)
-        ready = list(self.root_positions)
-        while ready:
-            for child in children[ready.pop()]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-        cyclic = sorted(node.node_id
-                        for node, deg in zip(self.nodes, indegree) if deg > 0)
-        if cyclic:
+        order, indegree = self._kahn()
+        if len(order) != len(self.nodes):
+            cyclic = sorted(nid for nid, deg in indegree.items() if deg > 0)
             raise TraceValidationError(
                 f"trace for NPU {self.npu_id} contains a cycle involving nodes {cyclic[:10]}"
             )
+
+    def _kahn(self) -> Tuple[List[int], Dict[int, int]]:
+        """:func:`kahn_order` over ids; returns the order and the
+        indegrees it left."""
+        indegree = {node.node_id: len(node.deps) for node in self.nodes}
+        children = {node.node_id: self.children_of(node.node_id)
+                    for node in self.nodes}
+        return kahn_order(indegree, children), indegree
 
     # -- queries -----------------------------------------------------------------
 
@@ -137,19 +135,7 @@ class ExecutionTrace:
 
     def topological_order(self) -> List[ETNode]:
         """Deterministic topological order (Kahn, ties broken by node id)."""
-        nodes, children = self.nodes, self.child_positions
-        indegree = list(self.indegree)
-        ready = [(nodes[pos].node_id, pos) for pos in self.root_positions]
-        heapq.heapify(ready)
-        order: List[ETNode] = []
-        while ready:
-            _, pos = heapq.heappop(ready)
-            order.append(nodes[pos])
-            for child in children[pos]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    heapq.heappush(ready, (nodes[child].node_id, child))
-        return order
+        return [self.node(nid) for nid in self._kahn()[0]]
 
     def critical_path_length(self) -> int:
         """Longest chain of dependent nodes (in node count)."""
