@@ -150,13 +150,11 @@ class ExecutionEngine:
 
     def start(self) -> None:
         """Schedule every trace's root nodes at the current time."""
-        issuers = self._issuers
         for npu_id, trace in self.traces.items():
-            nodes = trace.nodes
             for pos in trace.root_positions:
-                node = nodes[pos]
-                self.engine.schedule(0.0, issuers[node.node_type], npu_id,
-                                     pos, node)
+                node = trace.nodes[pos]
+                self.engine.schedule(0.0, self._issuers[node.node_type],
+                                     npu_id, pos, node)
 
     def run(self) -> float:
         """Start and drain the simulation; returns the finish time.
