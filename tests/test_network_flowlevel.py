@@ -1,5 +1,7 @@
 """Unit tests for the flow-level (max-min fair) network backend."""
 
+import json
+
 import pytest
 
 from repro.events import EventEngine
@@ -161,3 +163,34 @@ class TestPureFluidContract:
             net.sim_send(0, 1, 64 * 1024, tag=tag)
         engine.run()
         assert net.granularity_escalations == 0
+
+
+class TestKernelCounterPins:
+    """Characterization: a flow-backend run re-plans its single pending
+    completion event on every rate change, so its telemetry pins how the
+    event kernel counts fired events, cancellations and compactions."""
+
+    @pytest.mark.parametrize("workload, processed, cancels", [
+        ("alltoall", 76, 0),
+        ("allreduce", 154, 91),
+    ])
+    def test_ring8_flow_event_counters(self, tmp_path, capsys, workload,
+                                       processed, cancels):
+        from repro.cli import main
+
+        path = tmp_path / "metrics.json"
+        assert main(["run", "--topology", "Ring(8)", "--bandwidths", "100",
+                     "--workload", workload, "--payload-mib", "1",
+                     "--backend", "flow", "--scheduler", "baseline",
+                     "--trace-level", "collective",
+                     "--metrics-out", str(path)]) == 0
+        assert f"(1 nodes, {processed} events)" in capsys.readouterr().out
+        counters = {m["name"]: m["value"]
+                    for m in json.loads(path.read_text())["metrics"]
+                    if m["layer"] == "events" and m["type"] == "counter"}
+        assert counters == {
+            "events_processed": processed,
+            "events_scheduled": processed + cancels,
+            "cancels": cancels,
+            "compactions": 0,
+        }
