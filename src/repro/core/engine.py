@@ -474,6 +474,8 @@ class ExecutionEngine:
             raise RuntimeError(f"node {(npu, node_id)} completed twice")
         indegree[pos] = -1
         self._remaining -= 1
+        if self._remaining == 0 and self.faults is not None:
+            self.faults.cancel_unfired()
         self.nodes_executed += 1
         self.finish_time = max(self.finish_time, self.engine.now)
         trace = self.traces[npu]

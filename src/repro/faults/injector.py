@@ -67,6 +67,7 @@ class FaultInjector:
                                     reverse=True)
         self.engine = None
         self._execution = None
+        self._activations: List[list] = []  # engine handles, one per fault
         # Active state, all sparse: only faulted targets have entries.
         self._stragglers: Dict[int, List[FaultSpec]] = {}
         self._dim_faults: Dict[int, List[FaultSpec]] = {}
@@ -85,9 +86,16 @@ class FaultInjector:
         self._execution = execution
         if execution is not None:
             execution.faults = self
-        for fault in self.schedule:
+        self._activations = [
             engine.schedule_at(fault.start_ns, self._activate, fault,
                                priority=FAULT_EVENT_PRIORITY)
+            for fault in self.schedule]
+
+    def cancel_unfired(self) -> None:
+        """Cancel every activation still ahead: a fault that would start
+        after the last node completed never acts on the run."""
+        for handle in self._activations:
+            self.engine.cancel(handle)
 
     @property
     def next_activation_ns(self) -> float:

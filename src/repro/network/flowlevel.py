@@ -16,7 +16,6 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.events import EventEngine
-from repro.events.engine import Event
 from repro.network.api import Message, NetworkBackend
 from repro.network.linkgraph import LazyLinkGraph
 from repro.network.topology import MultiDimTopology
@@ -133,7 +132,7 @@ class FlowLevelNetwork(NetworkBackend):
         # Insertion-ordered for deterministic drain order (see _FlowLink).
         self._flows: Dict[_Flow, None] = {}
         self._last_update = 0.0
-        self._completion_event: Optional[Event] = None
+        self._completion_event: Optional[list] = None
         self.rate_recomputations = 0
         # Open batch() scopes, and whether a change inside them still
         # awaits its solve.
@@ -243,7 +242,7 @@ class FlowLevelNetwork(NetworkBackend):
 
     def _schedule_next_completion(self) -> None:
         if self._completion_event is not None:
-            self._completion_event.cancel()
+            self.engine.cancel(self._completion_event)
             self._completion_event = None
         soonest = None
         for flow in self._flows:

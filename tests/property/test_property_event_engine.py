@@ -1,8 +1,11 @@
 """Observational equivalence of the optimised event kernel vs the seed.
 
-Random schedule/cancel/step/run(until)/run(max_events) programs are
-replayed on the frozen seed engine (:mod:`repro.events._seed_reference`)
-and the production :class:`~repro.events.EventEngine`.  The two must
+Random schedule/batch/cancel/step/run(until)/run(max_events) programs
+are replayed on the frozen seed engine
+(:mod:`repro.events._seed_reference`) and the production
+:class:`~repro.events.EventEngine`.  A batch is one ``schedule_many``
+call on the production engine and the same ``schedule`` calls, in
+order, on the seed, which has no batch API.  The two must
 produce identical ``(time, event-id)`` firing sequences and identical
 ``(now, pending, events_processed)`` observations after every operation
 — the seed's ``(time, priority, seq)`` FIFO contract, bit for bit.
@@ -30,12 +33,23 @@ _nested = st.one_of(
 
 _op = st.one_of(
     st.tuples(st.just("schedule"), _delays, _priorities, _nested),
+    st.tuples(st.just("batch"), _priorities,
+              st.lists(st.tuples(_delays, _nested), max_size=6)),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("run_until"), _delays),
     st.tuples(st.just("step")),
     st.tuples(st.just("run_max"), st.integers(min_value=1, max_value=4)),
 )
 _programs = st.lists(_op, min_size=1, max_size=40)
+
+
+def _cancel(engine, handle):
+    """The production engine cancels through itself, the seed through
+    the handle."""
+    if isinstance(engine, SeedEventEngine):
+        handle.cancel()
+    else:
+        engine.cancel(handle)
 
 
 def _replay(engine, program):
@@ -60,9 +74,20 @@ def _replay(engine, program):
             counter[0] += 1
             handles.append(engine.schedule(
                 delay, fire, event_id, nested, priority=priority))
+        elif kind == "batch":
+            _, priority, entries = op
+            items = []
+            for delay, nested in entries:
+                items.append((delay, fire, (counter[0], nested)))
+                counter[0] += 1
+            if isinstance(engine, SeedEventEngine):
+                for delay, fn, args in items:
+                    engine.schedule(delay, fn, *args, priority=priority)
+            else:
+                engine.schedule_many(items, priority=priority)
         elif kind == "cancel":
             if handles:
-                handles[op[1] % len(handles)].cancel()
+                _cancel(engine, handles[op[1] % len(handles)])
         elif kind == "run_until":
             engine.run(until=engine.now + op[1])
         elif kind == "step":
@@ -104,8 +129,8 @@ def test_pending_counts_exact_under_mass_cancellation(n_cancel, n_keep):
         for i in range(n_keep):
             engine.schedule(100.0 + i, lambda: None)
         for event in cancels:
-            event.cancel()
-            event.cancel()  # double-cancel must not double-count
+            _cancel(engine, event)
+            _cancel(engine, event)  # double-cancel must not double-count
     assert new.pending == seed.pending == n_keep
     assert new.step() == seed.step()
     assert new.pending == seed.pending

@@ -416,7 +416,8 @@ class TestFaultFlags:
 
     def test_fault_that_never_acts_loses_no_time(self):
         """A fault activating after the run leaves Themis on its fluid
-        plan: the faulted run is the fault-free baseline run."""
+        plan: the faulted run is the fault-free baseline run, and its
+        activation is cancelled when the last node completes."""
         from repro.cli import build_parser
         from repro.runsim import simulate_from_args
 
@@ -426,8 +427,10 @@ class TestFaultFlags:
         _, result, resilience = simulate_from_args(build_parser().parse_args(
             argv + ["--faults", "degrade@dim0:0.5x@t=1s"]))
         assert result.total_time_ns == clean.total_time_ns
+        assert result.events_processed == clean.events_processed
         assert resilience.time_lost_ns == 0
         assert resilience.goodput == 1.0
+        assert resilience.records[0].activated_ns is None
 
     def test_bad_fault_spec_rejected(self):
         with pytest.raises(SystemExit) as exc_info:

@@ -74,7 +74,7 @@ def test_cancelled_event_does_not_fire():
     fired = []
     event = engine.schedule(1.0, fired.append, "a")
     engine.schedule(2.0, fired.append, "b")
-    event.cancel()
+    engine.cancel(event)
     engine.run()
     assert fired == ["b"]
 
@@ -125,7 +125,7 @@ def test_peek_time_skips_cancelled():
     engine = EventEngine()
     e1 = engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
-    e1.cancel()
+    engine.cancel(e1)
     assert engine.peek_time() == 2.0
 
 
@@ -181,7 +181,7 @@ class TestRunUntilClockSemantics:
 
     def test_only_cancelled_events_advances_to_until(self):
         engine = EventEngine()
-        engine.schedule(3.0, lambda: None).cancel()
+        engine.cancel(engine.schedule(3.0, lambda: None))
         assert engine.run(until=5.0) == 5.0
 
     def test_run_until_after_stop_advances(self):
@@ -230,13 +230,13 @@ class TestCountedPendingAndCompaction:
         b = engine.schedule(2.0, lambda: None)
         engine.schedule(3.0, lambda: None)
         assert engine.pending == 3
-        a.cancel()
+        engine.cancel(a)
         assert engine.pending == 2
-        a.cancel()  # idempotent
+        engine.cancel(a)  # idempotent
         assert engine.pending == 2
         assert engine.step() is True  # skips cancelled a, fires b (t=2)
         assert engine.pending == 1
-        b.cancel()  # already fired: must not affect the count
+        engine.cancel(b)  # already fired: must not affect the count
         assert engine.pending == 1
         engine.run()
         assert engine.pending == 0
@@ -247,22 +247,23 @@ class TestCountedPendingAndCompaction:
         event = engine.schedule(1.0, lambda: None)
         engine.run()
         assert engine.pending == 0
-        event.cancel()
+        engine.cancel(event)
         assert engine.pending == 0
 
     def test_mass_cancellation_compacts_heap(self):
         engine = EventEngine()
         events = [engine.schedule(float(i), lambda: None) for i in range(500)]
-        keep = engine.schedule(1000.0, lambda: None)
+        fired = []
+        engine.schedule(1000.0, fired.append, "keep")
         for event in events:
-            event.cancel()
+            engine.cancel(event)
         # More than half the heap was cancelled: it must have been swept.
         assert len(engine._queue) < 250
         assert engine.pending == 1
         assert engine.peek_time() == 1000.0
         engine.run()
         assert engine.events_processed == 1
-        assert not keep.cancelled
+        assert fired == ["keep"]  # the kept event was not swept away
 
     def test_compaction_preserves_order(self):
         engine = EventEngine()
@@ -272,9 +273,30 @@ class TestCountedPendingAndCompaction:
         for i in range(10):
             engine.schedule(300.0, order.append, i)  # same time: FIFO
         for event in cancels:
-            event.cancel()
+            engine.cancel(event)
         engine.run()
         assert order == list(range(10))
+
+    def test_cancel_from_own_callback_is_noop(self):
+        engine = EventEngine()
+        handle = []
+        handle.append(engine.schedule(
+            1.0, lambda: engine.cancel(handle[0])))
+        engine.schedule(2.0, lambda: None)
+        engine.run()
+        assert engine.events_processed == 2
+        assert engine.cancels == 0
+        assert engine.pending == 0
+
+    def test_cancel_of_handle_discarded_by_reset_is_noop(self):
+        engine = EventEngine()
+        stale = engine.schedule(1.0, lambda: None)
+        engine.reset()
+        engine.cancel(stale)
+        assert engine.pending == 0
+        assert engine.cancels == 0
+        engine.schedule(1.0, lambda: None)
+        assert engine.pending == 1
 
 
 class TestScheduleMany:
