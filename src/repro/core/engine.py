@@ -103,8 +103,10 @@ class ExecutionEngine:
         self.network = network
         self.scheduler = scheduler
         # Fault-injection state; attached by the Simulator only when a
-        # non-empty schedule is configured (None = zero-cost no-op path).
+        # non-empty schedule is configured, with the time its first fault
+        # starts to slow anything (compute ending by then is not re-priced).
         self.faults = None
+        self.fault_onset = float("inf")
         # Telemetry collector (repro.telemetry.Telemetry); same contract:
         # None keeps every hook on the exact un-instrumented path.
         self.telemetry = None
@@ -214,28 +216,18 @@ class ExecutionEngine:
                 "(check send/recv tags)")
         return "\n".join(lines)
 
-    # -- resources ------------------------------------------------------------------
-
-    def stall_npu(self, npu: int, duration_ns: float) -> float:
-        """Freeze an NPU's compute unit for ``duration_ns`` (fault hook).
-
-        The stall occupies the compute resource, so every compute node
-        issued during the window queues behind it; the time surfaces as
-        idle in the breakdown.  Returns the time actually reserved (0.0
-        for NPUs that are symmetric replicas without a trace).
-        """
-        if npu not in self.traces:
-            return 0.0
-        self._compute_unit[npu].reserve(self.engine.now, duration_ns)
-        return duration_ns
-
     # -- node dispatch -----------------------------------------------------------------
 
     def _issue_compute(self, npu: int, pos: int, node: ETNode) -> None:
         duration = self.config.compute.compute_time_ns(node.flops, node.tensor_bytes)
-        if self.faults is not None and not self.faults.idle:
-            duration = self.faults.stretch_compute(npu, duration)
-        start, end = self._compute_unit[npu].reserve(self.engine.now, duration)
+        unit = self._compute_unit[npu]
+        start, end = unit.reserve(self.engine.now, duration)
+        if end > self.fault_onset:
+            # Stragglers and stalls price the op from when the unit
+            # actually starts it.
+            timeline = self.faults.compute_timeline(npu)
+            if timeline is not None:
+                end, _ = unit.reprice(start, duration, timeline)
         self.activity.record(npu, start, end, Activity.COMPUTE, node.name)
         self.engine.schedule_at(end, self._complete, npu, pos)
 
@@ -474,8 +466,6 @@ class ExecutionEngine:
             raise RuntimeError(f"node {(npu, node_id)} completed twice")
         indegree[pos] = -1
         self._remaining -= 1
-        if self._remaining == 0 and self.faults is not None:
-            self.faults.cancel_unfired()
         self.nodes_executed += 1
         self.finish_time = max(self.finish_time, self.engine.now)
         trace = self.traces[npu]

@@ -60,7 +60,7 @@ class Simulator:
             from repro.faults.injector import FaultInjector
 
             self.injector = FaultInjector(config.faults, config.topology)
-            self.injector.install(self.engine, self.network, self.execution)
+            self.injector.install(self.network, self.execution)
         # Same contract as faults: no config installs no instrumentation
         # and leaves every telemetry hook on its None fast path.
         self.telemetry = None

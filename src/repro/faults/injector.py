@@ -1,48 +1,137 @@
-"""Runtime fault injection: timed activation and hot-path stretch hooks.
+"""Runtime fault injection: capacity timelines priced by integration.
 
-The :class:`FaultInjector` turns a :class:`~repro.faults.spec.FaultSchedule`
-into engine events (activation and clearing, fired ahead of same-time
-work) and maintains the *active* fault state the simulation layers
-consult:
+A :class:`~repro.faults.spec.FaultSchedule` is fixed before the run
+starts, so the :class:`FaultInjector` turns it, once, into
+piecewise-constant :class:`CapacityTimeline`\\ s, each a slowdown over
+time for one resource:
 
-- :class:`~repro.network.analytical.AnalyticalNetwork` scales per-dim
-  serialization bandwidth (``bandwidth_scale``) and a sender's injection
-  time (``stretch_p2p``) — degraded links slow in-flight traffic and
-  every phase planned after the fault activates;
-- :class:`~repro.system.collective_op.CollectiveOperation` stretches each
-  phase's port time (``stretch_collective``) by the *worst* member — the
-  straggler-amplification effect where one slow rank paces the whole
-  ring step.  It keeps Themis's fluid plan when no fault is active and
-  none activates (``next_activation_ns``) before the plan would finish;
-- :class:`~repro.core.engine.ExecutionEngine` stretches compute on
-  straggler NPUs (``stretch_compute``) and freezes stalled NPUs.
+- per NPU for compute (:meth:`FaultInjector.compute_timeline`): the
+  product of its active stragglers, and zero capacity while it stalls;
+- per dimension and member set for ports
+  (:meth:`FaultInjector.port_timeline`): the worst member straggler over
+  the weakest member link times the dimension's degrade.  A synchronous
+  ring step finishes when its slowest participant does — the straggler
+  amplification effect.  A collective's members are its group, a
+  point-to-point injection's member is its sender, and a relay hop has
+  no members (only its dimension's degrade).
 
-Every layer guards its hook behind ``if faults is not None``; an absent
-(or empty) schedule never installs an injector, so fault-free runs take
-exactly the pre-fault code path and stay bit-identical.
+Each resource that prices work — the compute unit
+(:class:`~repro.core.engine.ExecutionEngine`), a dimension port
+(:meth:`~repro.network.analytical.AnalyticalNetwork.reserve_port`, used
+by collective phases, Themis's fluid loads and p2p sends) and a relay
+hop — turns the work's nominal duration into an end time by integrating
+over the timeline from the moment it actually starts the work.  A fault
+thus costs what its window takes away, whatever was issued when.  The
+injector schedules no events.
 
-Stretch hooks also *attribute*: the extra nanoseconds they inject are
-charged to the active faults that caused them (split evenly when several
+Each site reserves the nominal work first and re-prices it only when it
+ends after the injector's ``onset``, the first time any fault slows
+anything (``inf`` without an injector).  An absent or empty schedule
+never installs an injector, and factor-1.0 faults slow nothing, so such
+work takes exactly the fault-free code path and stays bit-identical.
+
+Integration also *attributes*: the extra nanoseconds a segment adds are
+charged to the faults acting in it (split evenly when several
 contribute), producing the per-fault column of the
 :class:`~repro.stats.resilience.ResilienceReport`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.faults.checkpoint import CheckpointConfig, resilience_overheads
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec, FaultSpecError
 from repro.stats.resilience import FaultRecord, ResilienceReport
 
-#: Activation/clearing events outrank same-time workload events so a
-#: fault scheduled at t affects everything issued at t.
-FAULT_EVENT_PRIORITY = -100
+_INF = float("inf")
+
+
+class CapacityTimeline:
+    """A resource's piecewise-constant slowdown over simulated time.
+
+    Segment ``i`` spans ``[bounds[i], bounds[i + 1])`` (the last one runs
+    forever) and stretches work by ``scales[i]`` (``inf`` while the
+    resource makes no progress), charging the extra time to the records
+    in ``causes[i]``.
+    """
+
+    __slots__ = ("bounds", "scales", "causes")
+
+    def __init__(self, bounds: List[float], scales: List[float],
+                 causes: List[Tuple[FaultRecord, ...]]) -> None:
+        self.bounds = bounds
+        self.scales = scales
+        self.causes = causes
+
+    def stretch(self, start: float, work: float) -> float:
+        """Time from ``start`` until ``work`` ns of nominal work is done.
+
+        One constant segment gives exactly ``work * scale``.
+        """
+        bounds, scales, causes = self.bounds, self.scales, self.causes
+        last = len(bounds) - 1
+        i = bisect_right(bounds, start) - 1
+        t = start
+        elapsed = 0.0
+        while True:
+            scale = scales[i]
+            need = work * scale
+            if i == last or t + need <= bounds[i + 1]:
+                _charge(causes[i], need - work)
+                return elapsed + need
+            span = bounds[i + 1] - t
+            done = span / scale
+            _charge(causes[i], span - done)
+            work -= done
+            elapsed += span
+            t = bounds[i + 1]
+            i += 1
+
+
+def _charge(causes: Tuple[FaultRecord, ...], extra_ns: float) -> None:
+    if extra_ns <= 0.0 or not causes:
+        return
+    share = extra_ns / len(causes)
+    for record in causes:
+        record.extra_ns += share
+
+
+def _product(faults: Iterable[FaultSpec]) -> float:
+    value = 1.0
+    for fault in faults:
+        value *= fault.factor
+    return value
+
+
+def _compute_rate(active: List[FaultSpec]):
+    """Stragglers multiply; a stall stops progress altogether."""
+    if any(f.kind is FaultKind.STALL for f in active):
+        return _INF, tuple(active)
+    return _product(active), tuple(active)
+
+
+def _port_rate(active: List[FaultSpec]):
+    """Worst member straggler over weakest member link times degrade."""
+    by_target: Dict[Tuple[FaultKind, Optional[int]], List[FaultSpec]] = {}
+    for fault in active:
+        by_target.setdefault((fault.kind, fault.npu), []).append(fault)
+    worst, slow = 1.0, []
+    weakest, weak = 1.0, []
+    for (kind, _), faults in by_target.items():
+        factor = _product(faults)
+        if kind is FaultKind.STRAGGLER and factor > worst:
+            worst, slow = factor, faults
+        elif kind is FaultKind.LINK_DOWN and factor < weakest:
+            weakest, weak = factor, faults
+    degraded = by_target.get((FaultKind.DEGRADE, None), [])
+    return (worst / (weakest * _product(degraded)),
+            (*slow, *weak, *degraded))
 
 
 class FaultInjector:
-    """Injects a schedule into one simulation and tracks its impact."""
+    """Prices a fault schedule into one simulation and tracks its impact."""
 
     def __init__(self, schedule: FaultSchedule, topology) -> None:
         self.schedule = schedule
@@ -58,224 +147,87 @@ class FaultInjector:
                     f"the topology has {topology.num_dims} dimensions")
         self.records: List[FaultRecord] = [FaultRecord(f) for f in schedule]
         self._record_of: Dict[int, FaultRecord] = {
-            id(r.fault): r for r in self.records
-        }
-        self.failure_times: List[float] = []
-        # Activation times still ahead, latest first: faults activate in
-        # time order, so each activation pops the last entry.
-        self._starts_ahead = sorted((f.start_ns for f in schedule),
-                                    reverse=True)
-        self.engine = None
-        self._execution = None
-        self._activations: List[list] = []  # engine handles, one per fault
-        # Active state, all sparse: only faulted targets have entries.
-        self._stragglers: Dict[int, List[FaultSpec]] = {}
-        self._dim_faults: Dict[int, List[FaultSpec]] = {}
-        self._link_faults: Dict[Tuple[int, int], List[FaultSpec]] = {}
-        # O(1) fast path: outside every fault's active window the stretch
-        # hooks are identities, and the flag check keeps their cost
-        # unmeasurable (benchmarks/test_fault_overhead.py).
-        self.idle = True
+            id(r.fault): r for r in self.records}
+        compute_faults: Dict[int, List[FaultSpec]] = {}
+        for fault in schedule:
+            if fault.kind is FaultKind.STRAGGLER or fault.kind is FaultKind.STALL:
+                compute_faults.setdefault(fault.npu, []).append(fault)
+        self._compute: Dict[int, Optional[CapacityTimeline]] = {
+            npu: self._timeline(faults, _compute_rate)
+            for npu, faults in compute_faults.items()}
+        # Per dim, the faults that can slow its ports, in schedule order.
+        self._port_faults: List[List[FaultSpec]] = [
+            [f for f in schedule if f.kind is FaultKind.STRAGGLER or (
+                f.dim == dim and f.kind in (FaultKind.DEGRADE,
+                                            FaultKind.LINK_DOWN))]
+            for dim in range(topology.num_dims)]
+        self._ports: Dict[tuple, Optional[CapacityTimeline]] = {}
+        # Before this no fault slows anything, so work that ends by then
+        # is never re-priced.
+        self.onset = min((f.start_ns for f in schedule
+                          if f.kind is FaultKind.STALL or (
+                              f.kind is not FaultKind.NPU_FAIL
+                              and f.factor != 1.0)), default=_INF)
 
     # -- installation ------------------------------------------------------------
 
-    def install(self, engine, network, execution=None) -> None:
-        """Attach to a run: register hooks and schedule fault events."""
-        self.engine = engine
-        network.faults = self
-        self._execution = execution
-        if execution is not None:
-            execution.faults = self
-        self._activations = [
-            engine.schedule_at(fault.start_ns, self._activate, fault,
-                               priority=FAULT_EVENT_PRIORITY)
-            for fault in self.schedule]
+    def install(self, network, execution=None) -> None:
+        """Attach to a run: the priced layers consult this injector."""
+        for layer in (network, execution):
+            if layer is not None:
+                layer.faults = self
+                layer.fault_onset = self.onset
 
-    def cancel_unfired(self) -> None:
-        """Cancel every activation still ahead: a fault that would start
-        after the last node completed never acts on the run."""
-        for handle in self._activations:
-            self.engine.cancel(handle)
+    # -- timelines (only reachable when installed) --------------------------------
 
-    @property
-    def next_activation_ns(self) -> float:
-        """When the next fault activates; ``inf`` once every one has."""
-        return self._starts_ahead[-1] if self._starts_ahead else math.inf
+    def _timeline(self, faults: List[FaultSpec],
+                  rate) -> Optional[CapacityTimeline]:
+        """The timeline of ``rate(active faults) -> (scale, causes)``.
 
-    # -- lifecycle events --------------------------------------------------------
-
-    def _activate(self, fault: FaultSpec) -> None:
-        self._starts_ahead.pop()
-        record = self._record_of[id(fault)]
-        record.activated_ns = self.engine.now
-        kind = fault.kind
-        if kind is FaultKind.STRAGGLER:
-            self._stragglers.setdefault(fault.npu, []).append(fault)
-        elif kind is FaultKind.DEGRADE:
-            self._dim_faults.setdefault(fault.dim, []).append(fault)
-        elif kind is FaultKind.LINK_DOWN:
-            self._link_faults.setdefault((fault.dim, fault.npu), []).append(fault)
-        elif kind is FaultKind.STALL:
-            if self._execution is not None:
-                stalled = self._execution.stall_npu(fault.npu, fault.duration_ns)
-                record.extra_ns += stalled
-        elif kind is FaultKind.NPU_FAIL:
-            self.failure_times.append(self.engine.now)
-        self._update_idle()
-        if fault.duration_ns is not None and kind is not FaultKind.STALL:
-            self.engine.schedule_at(fault.end_ns, self._clear, fault,
-                                    priority=FAULT_EVENT_PRIORITY)
-        elif kind is FaultKind.STALL:
-            # The stall itself already reserved the NPU; close the record.
-            self.engine.schedule_at(fault.end_ns, self._mark_cleared, fault,
-                                    priority=FAULT_EVENT_PRIORITY)
-
-    def _clear(self, fault: FaultSpec) -> None:
-        kind = fault.kind
-        if kind is FaultKind.STRAGGLER:
-            self._discard(self._stragglers, fault.npu, fault)
-        elif kind is FaultKind.DEGRADE:
-            self._discard(self._dim_faults, fault.dim, fault)
-        elif kind is FaultKind.LINK_DOWN:
-            self._discard(self._link_faults, (fault.dim, fault.npu), fault)
-        self._update_idle()
-        self._mark_cleared(fault)
-
-    def _mark_cleared(self, fault: FaultSpec) -> None:
-        self._record_of[id(fault)].cleared_ns = self.engine.now
-
-    def _update_idle(self) -> None:
-        self.idle = not (self._stragglers or self._dim_faults
-                          or self._link_faults)
-
-    @staticmethod
-    def _discard(table: Dict, key, fault: FaultSpec) -> None:
-        entries = table.get(key)
-        if entries is None:
-            return
-        entries = [f for f in entries if f is not fault]
-        if entries:
-            table[key] = entries
-        else:
-            del table[key]
-
-    # -- attribution -------------------------------------------------------------
-
-    def _charge(self, faults: List[FaultSpec], extra_ns: float) -> None:
-        if extra_ns <= 0.0 or not faults:
-            return
-        share = extra_ns / len(faults)
-        for fault in faults:
-            self._record_of[id(fault)].extra_ns += share
-
-    # -- hot-path state queries (only reachable when installed) -------------------
-
-    def compute_factor(self, npu: int) -> float:
-        """Combined slowdown of active stragglers on ``npu`` (>= 1)."""
-        if self.idle:
-            return 1.0
-        factor = 1.0
-        for fault in self._stragglers.get(npu, ()):
-            factor *= fault.factor
-        return factor
-
-    def bandwidth_scale(self, dim: int) -> float:
-        """Remaining-bandwidth fraction of dimension ``dim`` (<= 1)."""
-        if self.idle:
-            return 1.0
-        scale = 1.0
-        for fault in self._dim_faults.get(dim, ()):
-            scale *= fault.factor
-        return scale
-
-    def link_scale(self, dim: int, npu: int) -> float:
-        """Remaining fraction of one NPU's egress link into ``dim``."""
-        scale = 1.0
-        for fault in self._link_faults.get((dim, npu), ()):
-            scale *= fault.factor
-        return scale
-
-    def stretch_compute(self, npu: int, duration_ns: float) -> float:
-        """Stretch one compute node on a (possibly) straggling NPU."""
-        if self.idle:
-            return duration_ns
-        contributors = self._stragglers.get(npu)
-        if not contributors:
-            return duration_ns
-        stretched = duration_ns * self.compute_factor(npu)
-        self._charge(list(contributors), stretched - duration_ns)
-        return stretched
-
-    def stretch_p2p(self, src: int, dim: int, inject_ns: float) -> float:
-        """Stretch a point-to-point injection from ``src`` into ``dim``.
-
-        Covers the sender's straggler slowdown and its egress-link health;
-        whole-dimension degradation is already folded into
-        ``serialization_time`` via :meth:`bandwidth_scale`.
+        ``None`` when no segment slows the resource.  A fault acts on
+        ``[start_ns, end_ns)``: it affects work at its start, not at its
+        end.
         """
-        if self.idle:
-            return inject_ns
-        contributors = list(self._stragglers.get(src, ()))
-        contributors += self._link_faults.get((dim, src), ())
-        if not contributors:
-            return inject_ns
-        scale = self.compute_factor(src) / self.link_scale(dim, src)
-        stretched = inject_ns * scale
-        self._charge(contributors, stretched - inject_ns)
-        return stretched
+        cuts = sorted({0.0, *(f.start_ns for f in faults),
+                       *(f.end_ns for f in faults if f.end_ns < _INF)})
+        bounds: List[float] = []
+        scales: List[float] = []
+        causes: List[Tuple[FaultRecord, ...]] = []
+        last_why: Tuple[FaultSpec, ...] = ()
+        for cut in cuts:
+            scale, why = rate([f for f in faults
+                               if f.start_ns <= cut < f.end_ns])
+            if scale == 1.0:
+                why = ()
+            if scales and scales[-1] == scale and last_why == why:
+                continue
+            bounds.append(cut)
+            scales.append(scale)
+            causes.append(tuple(self._record_of[id(f)] for f in why))
+            last_why = why
+        if scales == [1.0]:
+            return None
+        return CapacityTimeline(bounds, scales, causes)
 
-    def stretch_collective(
-        self, dim: int, members: Optional[FrozenSet[int]], busy_ns: float
-    ) -> float:
-        """Stretch one collective phase on ``dim`` by its worst member.
+    def compute_timeline(self, npu: int) -> Optional[CapacityTimeline]:
+        """Compute slowdown of ``npu``: its stragglers' product, and no
+        progress while it stalls."""
+        return self._compute.get(npu)
 
-        A synchronous ring/tree step finishes when its slowest participant
-        does, so the *maximum* straggler slowdown and the *minimum* link
-        health among the members pace every member — the straggler
-        amplification effect.  ``members`` of ``None`` means the whole
+    def port_timeline(self, dim: int,
+                      members=None) -> Optional[CapacityTimeline]:
+        """Slowdown of a synchronous step on ``dim`` among ``members``.
+
+        The worst member straggler over the weakest member link times
+        the dimension's degrade.  ``members`` of ``None`` means the whole
         machine (conservative for directly-constructed operations).
         """
-        if self.idle:
-            return busy_ns
-        worst = 1.0
-        contributors: List[FaultSpec] = []
-
-        for npu, faults in self._stragglers.items():
-            if members is not None and npu not in members:
-                continue
-            factor = 1.0
-            for fault in faults:
-                factor *= fault.factor
-            if factor > worst:
-                worst = factor
-                contributors = list(faults)
-
-        weakest_link = 1.0
-        link_contributors: List[FaultSpec] = []
-        for (fault_dim, npu), faults in self._link_faults.items():
-            if fault_dim != dim:
-                continue
-            if members is not None and npu not in members:
-                continue
-            scale = 1.0
-            for fault in faults:
-                scale *= fault.factor
-            if scale < weakest_link:
-                weakest_link = scale
-                link_contributors = list(faults)
-
-        dim_scale = 1.0
-        dim_contributors = self._dim_faults.get(dim, ())
-        for fault in dim_contributors:
-            dim_scale *= fault.factor
-
-        scale = worst / (weakest_link * dim_scale)
-        if scale == 1.0:
-            return busy_ns
-        stretched = busy_ns * scale
-        self._charge(contributors + link_contributors + list(dim_contributors),
-                     stretched - busy_ns)
-        return stretched
+        key = (dim, members)
+        if key not in self._ports:
+            self._ports[key] = self._timeline(
+                [f for f in self._port_faults[dim] if f.npu is None
+                 or members is None or f.npu in members], _port_rate)
+        return self._ports[key]
 
     # -- reporting ----------------------------------------------------------------
 
@@ -285,9 +237,23 @@ class FaultInjector:
         checkpoint: Optional[CheckpointConfig] = None,
         baseline_ns: Optional[float] = None,
     ) -> ResilienceReport:
-        """Summarize the finished run into a :class:`ResilienceReport`."""
+        """Summarize the finished run into a :class:`ResilienceReport`.
+
+        Windows come from the schedule: a fault is active iff it starts
+        by the run's end (a fault at ``t`` acts on work at ``t``), and
+        its clearing shows only if that too falls by the end.
+        """
+        failure_times = []
+        for record in self.records:
+            fault = record.fault
+            fired = fault.start_ns <= total_ns
+            record.activated_ns = fault.start_ns if fired else None
+            record.cleared_ns = (fault.end_ns if fired
+                                 and fault.end_ns <= total_ns else None)
+            if fired and fault.kind is FaultKind.NPU_FAIL:
+                failure_times.append(fault.start_ns)
         ckpts, ckpt_ns, restart_ns = resilience_overheads(
-            checkpoint, total_ns, self.failure_times)
+            checkpoint, total_ns, failure_times)
         return ResilienceReport(
             total_ns=total_ns,
             records=list(self.records),
@@ -297,5 +263,5 @@ class FaultInjector:
             num_checkpoints=ckpts,
             checkpoint_overhead_ns=ckpt_ns,
             restart_lost_ns=restart_ns,
-            num_failures=len(self.failure_times),
+            num_failures=len(failure_times),
         )

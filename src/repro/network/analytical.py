@@ -54,6 +54,15 @@ class DimPort:
         self.reservations += 1
         return start, end
 
+    def reprice(self, start: float, work: float,
+                timeline) -> Tuple[float, float]:
+        """Re-price the reservation just made at ``start`` for ``work`` ns
+        over a fault ``timeline``; returns its (end, duration)."""
+        duration = timeline.stretch(start, work)
+        self.free_at = end = start + duration
+        self.busy_ns += duration - work
+        return end, duration
+
     def backlog(self, now: float) -> float:
         """Nanoseconds of queued work ahead of a request made now."""
         return max(0.0, self.free_at - now)
@@ -65,9 +74,11 @@ class AnalyticalNetwork(NetworkBackend):
     def __init__(self, engine: EventEngine, topology: MultiDimTopology) -> None:
         super().__init__(engine, topology)
         # Fault-injection state (repro.faults.FaultInjector), attached only
-        # when a non-empty schedule is configured; None keeps every hook on
-        # the exact pre-fault code path (bit-identical results).
+        # when a non-empty schedule is configured, and the time its first
+        # fault starts to slow anything: work that ends by then keeps the
+        # exact fault-free path (bit-identical results).
         self.faults = None
+        self.fault_onset = _INF
         self._ports: Dict[Tuple[int, int], DimPort] = {}
         # Port time planned by chunk schedulers but not yet reserved —
         # lets concurrent collectives see each other's commitments.
@@ -77,8 +88,7 @@ class AnalyticalNetwork(NetworkBackend):
         self._fabrics: Dict[Tuple[int, Tuple[int, ...]], DimPort] = {}
         # Pure-function memos for repeated (src, dest) traffic: the
         # differing-dims list + propagation latency of a pair never
-        # change, and neither does a dimension's base bandwidth (fault
-        # scaling is applied on top per call).
+        # change, and neither does a dimension's bandwidth.
         self._route_cache: Dict[Tuple[int, int], Tuple[List[int], float]] = {}
         self._fabric_of: Dict[Tuple[int, int], DimPort] = {}
         self._dim_bw: Tuple[float, ...] = tuple(
@@ -113,12 +123,15 @@ class AnalyticalNetwork(NetworkBackend):
         self._fabric_of[(npu, dim)] = existing
         return existing
 
-    def reserve_port(self, npu: int, dim: int,
-                     busy_ns: float) -> Tuple[float, float]:
+    def reserve_port(self, npu: int, dim: int, busy_ns: float,
+                     members=None) -> Tuple[float, float]:
         """Occupy an egress port for ``busy_ns``; returns (start, end).
 
         Used by the system layer to model one collective phase as a single
-        port occupation rather than individual sends.
+        port occupation rather than individual sends.  Under fault
+        injection the nominal ``busy_ns`` is integrated, from when the
+        port starts it, over the capacity timeline of a synchronous step
+        among ``members`` on ``dim`` (``None``: the whole machine).
 
         On oversubscribed dimensions the transfer additionally occupies
         the group's shared fabric (the first-order congestion model);
@@ -130,7 +143,12 @@ class AnalyticalNetwork(NetworkBackend):
         if busy_ns < 0:
             raise ValueError(f"negative busy time {busy_ns}")
         now = self.engine.now
-        start, end = self.port(npu, dim).reserve(now, busy_ns)
+        port = self.port(npu, dim)
+        start, end = port.reserve(now, busy_ns)
+        if end > self.fault_onset:
+            timeline = self.faults.port_timeline(dim, members)
+            if timeline is not None:
+                end, busy_ns = port.reprice(start, busy_ns, timeline)
         # Inlined invariant guard (see InvariantChecker.check_reservation):
         # the resource label and the checker call are only built when the
         # chained comparison actually fails.
@@ -144,21 +162,6 @@ class AnalyticalNetwork(NetworkBackend):
                 self.engine.now, busy_ns * spec.oversubscription / spec.size)
             end = max(end, fabric_end)
         return start, end
-
-    def reservation_end(self, npu: int, dim: int, busy_ns: float) -> float:
-        """When :meth:`reserve_port` would end a reservation made now.
-
-        Reserves nothing.
-        """
-        now = self.engine.now
-        port = self._ports.get((npu, dim))
-        end = (max(now, port.free_at) if port else now) + busy_ns
-        spec = self.topology.dims[dim]
-        if spec.oversubscription > 1.0 and spec.size > 1:
-            fabric = self.fabric(npu, dim)
-            end = max(end, max(now, fabric.free_at)
-                      + busy_ns * spec.oversubscription / spec.size)
-        return end
 
     # -- planned (not yet reserved) load ---------------------------------------------
 
@@ -183,16 +186,8 @@ class AnalyticalNetwork(NetworkBackend):
     # -- point-to-point -------------------------------------------------------------
 
     def serialization_time(self, size_bytes: int, dim: int) -> float:
-        """Bandwidth term: size / per-dim injection bandwidth, in ns.
-
-        Active whole-dimension degradation faults scale the bandwidth, so
-        transfers priced after a fault activates — including later phases
-        of an in-flight operation — see the degraded rate.
-        """
-        bw = self._dim_bw[dim]  # GB/s == bytes/ns
-        if self.faults is not None and not self.faults.idle:
-            bw *= self.faults.bandwidth_scale(dim)
-        return size_bytes / bw
+        """Bandwidth term: size / per-dim injection bandwidth, in ns."""
+        return size_bytes / self._dim_bw[dim]  # GB/s == bytes/ns
 
     def _route(self, src: int, dest: int) -> Tuple[List[int], float]:
         """Memoised ``(differing_dims, propagation_ns)`` for a pair.
@@ -238,14 +233,21 @@ class AnalyticalNetwork(NetworkBackend):
                 f"no route: NPUs {message.src} and {message.dest} coincide"
             )
         # The sender's port on the first crossed dimension is the
-        # contended injection point; the remaining dimensions relay at
-        # line rate (store-and-forward) without modeled contention.
-        inject = self.serialization_time(message.size_bytes, dims[0])
-        if self.faults is not None and not self.faults.idle:
-            inject = self.faults.stretch_p2p(message.src, dims[0], inject)
-        _, sent_at = self.reserve_port(message.src, dims[0], inject)
-        relay = sum(self.serialization_time(message.size_bytes, d)
-                    for d in dims[1:])
+        # contended injection point (its stragglers and link pace it); the
+        # remaining dimensions relay at line rate (store-and-forward)
+        # without modeled contention.
+        src, size = message.src, message.size_bytes
+        _, sent_at = self.reserve_port(
+            src, dims[0], self.serialization_time(size, dims[0]), (src,))
+        relay = sum(self.serialization_time(size, d) for d in dims[1:])
+        if sent_at + relay > self.fault_onset:
+            # Each relay hop is another node's: only its dim's degrade acts.
+            relay = 0.0
+            for d in dims[1:]:
+                hop = self.serialization_time(size, d)
+                timeline = self.faults.port_timeline(d, ())
+                relay += hop if timeline is None else timeline.stretch(
+                    sent_at + relay, hop)
         if self.telemetry is not None:
             # Store-and-forward: the message serializes once per crossed
             # dimension, so each one carries the full payload.

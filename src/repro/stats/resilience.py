@@ -33,9 +33,9 @@ if TYPE_CHECKING:  # repro.faults imports this module: no runtime import back
 class FaultRecord:
     """One fault's observed lifecycle in a run.
 
-    ``extra_ns`` is the delay the fault *injected* — extra port
-    serialization and compute time charged by the hooks while it was
-    active (split evenly when several faults stretch the same operation).
+    ``extra_ns`` is the delay the fault *injected* — the extra port
+    serialization and compute time of the work done inside its window
+    (split evenly when several faults slow the same segment).
     It is a lower bound on the wall-clock impact: queueing and dependency
     chains can amplify it further, which is exactly what the
     baseline-vs-faulted comparison measures.
@@ -71,7 +71,7 @@ class ResilienceReport:
 
     @property
     def injected_ns(self) -> float:
-        """Total delay the hooks charged to faults (attribution sum)."""
+        """Total delay charged to faults (attribution sum)."""
         return sum(r.extra_ns for r in self.records)
 
     @property

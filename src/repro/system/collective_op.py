@@ -6,8 +6,7 @@ every member of a communicator) over the analytical backend:
 1. the payload is split into ``num_chunks`` equal chunks;
 2. with the Themis scheduler the whole collective executes in the **fluid
    limit**: the balanced per-dimension loads occupy the representative's
-   ports directly, plus a pipeline-fill term (not without scipy, nor
-   when a fault is active or activates before the plan would finish);
+   ports directly, plus a pipeline-fill term (not without scipy);
 3. otherwise each chunk asks the :class:`ChunkScheduler` for a full
    dimension order when it launches and commits to it — for All-Reduce the
    order is the Reduce-Scatter pass, and the All-Gather pass replays it
@@ -37,7 +36,7 @@ from repro.network.analytical import AnalyticalNetwork
 from repro.network.topology import CommGroup, DimSpec
 from repro.system.phases import FIRST_PASS_KIND, PhaseRows
 from repro.system.scheduler import (BalancedPlan, ChunkScheduler,
-                                    EffectiveComm, PhaseTables)
+                                    EffectiveComm)
 from repro.trace.node import CollectiveType
 
 DEFAULT_NUM_CHUNKS = 16
@@ -60,7 +59,7 @@ class CollectiveOperation:
         group_shape: Effective group size per dimension for sub-dimension
             communicators; defaults to the physical dimension sizes.
         group_members: Member NPU ids, consulted by fault injection so a
-            straggler stretches only the collectives it participates in;
+            straggler slows only the collectives it participates in;
             ``None`` conservatively means "any NPU may be a member".
         on_complete: Fired once, when the last chunk finishes.
         comm: The scheduler's effective view of this communicator when
@@ -137,7 +136,7 @@ class CollectiveOperation:
         tables = self.scheduler.phase_tables(
             self.comm, FIRST_PASS_KIND[self.collective], chunk_payload,
             self.collective is CollectiveType.ALL_REDUCE)
-        plan = self._fluid_plan(tables)
+        plan = self.scheduler.balanced_plan(tables, self.num_chunks)
         if plan is not None:
             self._start_fluid(plan)
             return
@@ -159,41 +158,21 @@ class CollectiveOperation:
         for _, _, rows in launches:
             self._advance(rows, 0)
 
-    def _fluid_plan(self, tables: PhaseTables) -> Optional[BalancedPlan]:
-        """The scheduler's balanced plan, if the fluid limit may run it.
-
-        The plan prices the whole collective against the bandwidths seen
-        at start.  While a fault is active, or when one activates before
-        the plan would finish, capacity varies under it: the collective
-        then runs chunk by chunk, which re-prices every phase when it
-        launches.  A fault schedule that never acts on a collective
-        leaves it on the fault-free path.
-        """
-        faults = self.network.faults
-        if faults is not None and not faults.idle:
-            return None
-        plan = self.scheduler.balanced_plan(tables, self.num_chunks)
-        if plan is None or faults is None:
-            return plan
-        finish = self.engine.now + plan.fill_ns
-        for dim, load in plan.loads_ns.items():
-            if load > 0.0:
-                finish = max(finish, self.network.reservation_end(
-                    self.rep_npu, dim, load) + plan.fill_ns)
-        return plan if faults.next_activation_ns >= finish else None
-
     def _start_fluid(self, plan: BalancedPlan) -> None:
         """Fluid-limit execution: occupy each dim port for its balanced load.
 
         The collective completes when the last port finishes its share plus
-        the pipeline-fill ramp a chunked schedule pays.
+        the pipeline-fill ramp a chunked schedule pays.  The mix is solved
+        on nominal bandwidths; faults stretch each dim's load as its port
+        runs it.
         """
         finish_at = self.engine.now + plan.fill_ns
         telemetry = self.network.telemetry
         for dim, load in plan.loads_ns.items():
             if load <= 0.0:
                 continue
-            start, end = self.network.reserve_port(self.rep_npu, dim, load)
+            start, end = self.network.reserve_port(
+                self.rep_npu, dim, load, self.group_members)
             finish_at = max(finish_at, end + plan.fill_ns)
             traffic = plan.traffic_bytes.get(dim, 0.0)
             self.traffic_by_dim[dim] += traffic
@@ -213,16 +192,13 @@ class CollectiveOperation:
             return
         dim, _, _, busy, traffic, latency, label = rows[i]
         self.traffic_by_dim[dim] += traffic
-        # A synchronous phase paces at its slowest member: active faults
-        # (stragglers, sick links, degraded dims) stretch the port time of
-        # every phase that starts while they are active.
-        faults = self.network.faults
-        if faults is not None and not faults.idle:
-            busy = faults.stretch_collective(dim, self.group_members, busy)
         # The port serializes the traffic; the propagation latency delays
-        # only this chunk (the next chunk's serialization overlaps it).
+        # only this chunk (the next chunk's serialization overlaps it).  A
+        # synchronous phase paces at its slowest member: faults stretch
+        # the part of its port time that falls in their windows.
         self.network.consume_pending(self.rep_npu, dim, busy)
-        start, end = self.network.reserve_port(self.rep_npu, dim, busy)
+        start, end = self.network.reserve_port(
+            self.rep_npu, dim, busy, self.group_members)
         telemetry = self.network.telemetry
         if telemetry is not None and telemetry.chunk_spans:
             telemetry.record_phase(self.rep_npu, dim, label, start, end)

@@ -117,8 +117,8 @@ class Telemetry:
         """One traced chunk phase on its port lane.
 
         Span-only: callers gate on ``telemetry.chunk_spans`` *before* the
-        call (the faults ``idle`` pattern), so untraced runs pay one
-        attribute test per phase and nothing else.  Traffic accounting
+        call, so untraced runs pay one attribute test per phase and
+        nothing else.  Traffic accounting
         happens once per collective in :meth:`record_collective`.
         """
         self._phase_counter.value += 1

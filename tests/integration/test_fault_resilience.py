@@ -44,9 +44,9 @@ class TestStragglerAmplification:
         ratio = faulted.total_time_ns / baseline.total_time_ns
         # The serialization term dominates at 256 MiB (per-hop latency is
         # negligible), so amplification lands essentially on the straggler
-        # factor despite only 1 of 16 ranks being slow.
-        # (Themis lands a hair above 1.5: the fault fallback to chunked
-        # execution forgoes the fluid limit's slightly tighter pipelining.)
+        # factor despite only 1 of 16 ranks being slow.  Themis keeps its
+        # fluid plan and integrates the loads over the fault, so it
+        # stretches by the factor too.
         assert ratio == pytest.approx(1.5, rel=0.05)
         assert ratio > 1.0
 
@@ -83,6 +83,36 @@ class TestStragglerAmplification:
         assert record.fired
         assert record.extra_ns > 0
         assert report.injected_ns == pytest.approx(record.extra_ns)
+
+
+class TestStall:
+    """A stall is a zero-capacity window on its NPU's compute unit."""
+
+    def test_in_flight_op_pauses_inside_the_window(self):
+        topology = repro.parse_topology("Ring(8)", [100])
+
+        def run(faults=None):
+            traces = repro.generate_data_parallel(repro.gpt3_175b(), topology)
+            return repro.simulate(traces, repro.SystemConfig(
+                topology=topology, scheduler="baseline", faults=faults))
+
+        clean = run()
+        stalled = run(FaultSchedule.parse("stall@npu0@t=10ms@for=1ms"))
+        # NPU 0's first op (0-65.195 ms) is in flight at 10 ms: it makes
+        # no progress for 1 ms and finishes 1 ms late; the next op
+        # follows it with no gap.
+        (_, clean_end, _), _ = clean.activity.intervals(0)[:2]
+        (start, end, _), (next_start, _, _) = stalled.activity.intervals(0)[:2]
+        assert start == 0.0 and clean_end == pytest.approx(65.195e6, abs=1e3)
+        assert end == clean_end + 1e6 == next_start
+        assert stalled.total_time_ns == clean.total_time_ns + 1e6
+        # The frozen time lands in the compute bucket, not idle.
+        assert stalled.breakdown.compute_ns == \
+            pytest.approx(clean.breakdown.compute_ns + 1e6)
+        assert stalled.breakdown.idle_ns == clean.breakdown.idle_ns
+        (record,) = stalled.resilience.records
+        assert (record.activated_ns, record.cleared_ns) == (10e6, 11e6)
+        assert record.extra_ns == 1e6
 
 
 class TestEmptyScheduleBitIdentical:

@@ -113,3 +113,137 @@ def test_simulation_deterministic_under_schedule(seed):
     if schedule:
         assert r1.resilience is not None
         assert len(r1.resilience.records) == len(schedule)
+
+
+# -- pricing: a fault costs what its window takes away -------------------------------
+
+RING4_SWITCH2 = repro.parse_topology("Ring(4)_Switch(2)", [100, 50])
+_RATE_KINDS = (FaultKind.STRAGGLER, FaultKind.DEGRADE, FaultKind.LINK_DOWN)
+
+
+def _mixed_traces():
+    """Compute, a whole-system All-Reduce, a dim-1 All-Gather, and a
+    send/recv ring whose every message crosses both dimensions."""
+    from repro.trace import ETNode, ExecutionTrace, NodeType
+
+    def trace(rank):
+        return ExecutionTrace(rank, [
+            ETNode(0, NodeType.COMPUTE, flops=20_000_000),
+            ETNode(1, NodeType.COMM_COLLECTIVE, deps=(0,),
+                   collective=repro.CollectiveType.ALL_REDUCE,
+                   tensor_bytes=4 * MiB),
+            ETNode(2, NodeType.COMPUTE, flops=10_000_000, deps=(1,)),
+            ETNode(3, NodeType.COMM_COLLECTIVE, deps=(2,),
+                   collective=repro.CollectiveType.ALL_GATHER,
+                   tensor_bytes=2 * MiB, comm_dims=(1,)),
+            ETNode(4, NodeType.COMM_SEND, deps=(3,), peer=(rank + 5) % 8,
+                   tensor_bytes=1 * MiB),
+            ETNode(5, NodeType.COMM_RECV, deps=(3,), peer=(rank + 3) % 8,
+                   tensor_bytes=1 * MiB),
+            ETNode(6, NodeType.COMPUTE, flops=5_000_000, deps=(4, 5)),
+        ])
+
+    return {rank: trace(rank) for rank in range(8)}
+
+
+def _run_mixed(scheduler, faults=None):
+    config = repro.SystemConfig(
+        topology=RING4_SWITCH2, scheduler=scheduler, faults=faults,
+        compute=repro.RooflineCompute(peak_tflops=100.0))
+    return repro.simulate(_mixed_traces(), config)
+
+
+@given(kind=st.sampled_from(_RATE_KINDS),
+       scheduler=st.sampled_from(["baseline", "themis"]),
+       npu=st.integers(min_value=0, max_value=7),
+       dim=st.integers(min_value=0, max_value=1),
+       start=st.floats(min_value=0.0, max_value=400e3),
+       duration=st.one_of(st.none(), st.floats(min_value=1.0,
+                                               max_value=400e3)))
+@settings(max_examples=30, deadline=None)
+def test_unit_factor_fault_changes_nothing(kind, scheduler, npu, dim,
+                                           start, duration):
+    """A factor-1.0 fault of any rate kind leaves the run bit-identical."""
+    fault = FaultSpec(kind=kind, start_ns=start, duration_ns=duration,
+                      npu=None if kind is FaultKind.DEGRADE else npu,
+                      dim=None if kind is FaultKind.STRAGGLER else dim,
+                      factor=1.0)
+    clean = _run_mixed(scheduler)
+    faulted = _run_mixed(scheduler, FaultSchedule((fault,)))
+    assert faulted.total_time_ns == clean.total_time_ns
+    assert faulted.collectives == clean.collectives
+    assert faulted.breakdown == clean.breakdown
+    assert faulted.events_processed == clean.events_processed
+    assert faulted.resilience.injected_ns == 0.0
+
+
+def _lost_on_collective(scheduler, kind, factor, start, window):
+    """Time one Ring(8) All-Reduce loses to one fault on its only dim."""
+    def total(faults):
+        traces = repro.generate_single_collective(
+            RING8, repro.CollectiveType.ALL_REDUCE, 16 * MiB)
+        config = repro.SystemConfig(topology=RING8, scheduler=scheduler,
+                                    faults=faults)
+        return repro.simulate(traces, config).total_time_ns
+
+    fault = FaultSpec(kind=kind, start_ns=start, duration_ns=window,
+                      dim=0, npu=3 if kind is FaultKind.LINK_DOWN else None,
+                      factor=factor)
+    return total(FaultSchedule((fault,))) - total(None)
+
+
+def _lost_on_compute(kind, factor, start, window):
+    """Time one 1 ms compute op loses to one fault on its NPU."""
+    from repro.trace import ETNode, ExecutionTrace, NodeType
+
+    def total(faults):
+        traces = {0: ExecutionTrace(0, [
+            ETNode(0, NodeType.COMPUTE, flops=1_000_000_000)])}
+        config = repro.SystemConfig(
+            topology=RING8, faults=faults,
+            compute=repro.RooflineCompute(peak_tflops=1.0))
+        return repro.simulate(traces, config).total_time_ns
+
+    fault = FaultSpec(kind=kind, start_ns=start, duration_ns=window, npu=0,
+                      factor=factor)
+    return total(FaultSchedule((fault,))) - total(None)
+
+
+#: The totals below are ~1e5-1e6 ns, so each carries float rounding of
+#: ~1e-10 ns per reservation; a mispriced window costs whole nanoseconds.
+ROUNDING_NS = 1e-6
+
+windows = st.lists(st.floats(min_value=1.0, max_value=2e6), min_size=2,
+                   max_size=2).map(sorted)
+
+
+@given(scheduler=st.sampled_from(["baseline", "themis"]),
+       kind=st.sampled_from([FaultKind.DEGRADE, FaultKind.LINK_DOWN]),
+       factor=st.floats(min_value=0.1, max_value=1.0),
+       start=st.floats(min_value=0.0, max_value=300e3),
+       windows=windows)
+@settings(max_examples=30, deadline=None)
+def test_collective_loses_at_most_its_window(scheduler, kind, factor, start,
+                                             windows):
+    """Lost time grows with the window and is at most what the window
+    takes away from the one dim: ``window * (1/factor - 1)``."""
+    short, long = (_lost_on_collective(scheduler, kind, factor, start, w)
+                   for w in windows)
+    assert -ROUNDING_NS <= short <= long + ROUNDING_NS
+    assert long <= windows[1] * (1.0 / factor - 1.0) + ROUNDING_NS
+
+
+@given(kind=st.sampled_from([FaultKind.STRAGGLER, FaultKind.STALL]),
+       factor=st.floats(min_value=1.0, max_value=4.0),
+       start=st.floats(min_value=0.0, max_value=1.5e6),
+       windows=windows)
+@settings(max_examples=30, deadline=None)
+def test_compute_op_loses_at_most_its_window(kind, factor, start, windows):
+    """A straggler costs one compute op at most ``window * (factor - 1)``;
+    a stall (no progress) at most its window."""
+    if kind is FaultKind.STALL:
+        factor = 1.0
+    short, long = (_lost_on_compute(kind, factor, start, w) for w in windows)
+    assert -ROUNDING_NS <= short <= long + ROUNDING_NS
+    bound = windows[1] if kind is FaultKind.STALL else windows[1] * (factor - 1.0)
+    assert long <= bound + ROUNDING_NS

@@ -194,8 +194,8 @@ def _chunk_path(ops, scheduler="baseline", faults=None):
     log = []
     reserve, add, consume = net.reserve_port, net.add_pending, net.consume_pending
 
-    def logged_reserve(npu, dim, busy):
-        start, end = reserve(npu, dim, busy)
+    def logged_reserve(npu, dim, busy, members=None):
+        start, end = reserve(npu, dim, busy, members)
         log.append(f"reserve {npu} {dim} {busy!r} -> {start!r} {end!r}")
         return start, end
 
@@ -212,7 +212,7 @@ def _chunk_path(ops, scheduler="baseline", faults=None):
     net.consume_pending = logged_consume
     net.telemetry = _SpanLog(log)
     if faults is not None:
-        FaultInjector(FaultSchedule.parse(faults), topo).install(engine, net)
+        FaultInjector(FaultSchedule.parse(faults), topo).install(net)
     sched = make_scheduler(scheduler)
     for collective, chunks, dims, shape in ops:
         CollectiveOperation(
@@ -240,8 +240,13 @@ _CHUNK_PATH_CASES = {
     "themis-nolp-concurrent": (
         [(_AR, 16, _ALL_DIMS, None), (_RS, 3, (0, 2), None),
          (_AG, 3, (1, 2, 3), {1: 3})], "themis", True, None),
+    # Faults no longer force Themis off its fluid plan: its faulted chunk
+    # path runs only without the LP, like the other no-LP cases.
     "themis-faults": (
         [(_AR, 16, _ALL_DIMS, None), (_A2A, 3, (1, 3), None)], "themis",
+        True, _PIN_FAULTS),
+    "baseline-faults": (
+        [(_AR, 16, _ALL_DIMS, None), (_A2A, 3, (1, 3), None)], "baseline",
         False, _PIN_FAULTS),
 }
 
@@ -282,12 +287,15 @@ _CHUNK_PATH_PINS = {
     "baseline-reduce_scatter-3": (
         "0d0f8a4dd1861f724060f327fbf491ba87260ff5f5d8957962c5edf143516ee6",
         (32540.749962962967, 12)),
+    "baseline-faults": (
+        "6ee17e8388daa1f6ae07988911e451597d17e7adf486811bc0746a35a7822d36",
+        (212671.58500173598, 134)),
     "baseline-subdim": (
         "7d458de87bd80e9b754f402e8f7ac719f7af5f0b44924f901fccc92970d7fb49",
         (89888.91555555558, 12)),
     "themis-faults": (
-        "d113abaaea2c0fb2c4f43809f858161c2e30c09f9c3f9e1e9f83b8d8fdae4cd3",
-        (351001.49327430566, 138)),
+        "eaa304baf710f11a2d7216fce638eec46315feba0567d1632a07f73b47278a3f",
+        (220876.44827430559, 134)),
     "themis-nolp-ar": (
         "a38992b1c581c5308e918eff0ef5763ad73b74ac70113299f1a058f58fdfe1bf",
         (48515.81276085072, 128)),
@@ -308,3 +316,19 @@ def test_chunk_path_is_pinned(name, monkeypatch):
         monkeypatch.setattr(ThemisScheduler, "_solve_mix",
                             lambda self, *args, **kwargs: [])
     assert _chunk_path(ops, scheduler, faults) == _CHUNK_PATH_PINS[name]
+
+
+def test_faulted_themis_keeps_its_fluid_plan():
+    """Faults stretch the fluid loads as the ports run them, so Themis
+    keeps its plan: the same two events as the fault-free run."""
+    try:
+        import scipy.optimize  # noqa: F401
+    except ImportError:
+        pytest.skip("needs scipy (the optional balancing extra)")
+    ops = _CHUNK_PATH_CASES["themis-faults"][0]
+    _, (clean_ns, clean_events) = _chunk_path(ops, "themis")
+    _, (faulted_ns, events) = _chunk_path(ops, "themis", _PIN_FAULTS)
+    assert events == clean_events == 2
+    # The 2x straggler on rep 0 halves each of its ports for 40 us, so
+    # the bottleneck port loses 20 us.
+    assert faulted_ns - clean_ns == pytest.approx(20e3)

@@ -268,30 +268,12 @@ class TestPlanMemo:
             assert memoized.traffic_bytes == fresh.traffic_bytes
         assert len(warm._plan_cache) == 3
 
-    def test_faulted_run_still_goes_chunk_by_chunk(self, monkeypatch):
-        orders = []
-        original = ThemisScheduler.plan_order
-
-        def counting(self, *args, **kwargs):
-            orders.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ThemisScheduler, "plan_order", counting)
-        topo = parse_topology("Ring(4)_Ring(2)", [100, 50])
-        traces = generate_single_collective(topo, CollectiveType.ALL_REDUCE,
-                                            1 << 20)
-        sim = Simulator(traces, SystemConfig(
-            topology=topo, scheduler="themis", collective_chunks=4,
-            faults=FaultSchedule.parse("straggler@npu0:2x@t=0")))
-        sim.run()
-        assert sim.scheduler._plan_cache == {}
-        assert len(orders) == 4
-
     @pytest.mark.parametrize("start, lands", [
+        ("0", True),     # acts from the collective's start
+        ("1us", True),   # activates while the plan runs
         ("1s", False),   # activates long after the collective ends
-        ("1us", True),   # activates while the plan would still run
     ])
-    def test_fluid_plan_unless_a_fault_lands_before_it_finishes(
+    def test_faulted_collective_keeps_the_fluid_plan(
             self, start, lands, monkeypatch):
         topo = parse_topology("Ring(4)_Ring(2)", [100, 50])
         traces = generate_single_collective(topo, CollectiveType.ALL_REDUCE,
@@ -310,11 +292,14 @@ class TestPlanMemo:
         faulted = Simulator(traces, dataclasses.replace(
             config, faults=FaultSchedule.parse(
                 f"straggler@npu0:2x@t={start}"))).run()
-        # Without scipy there is no plan: every run goes chunk by chunk.
-        assert len(orders) == (4 if lands or not _HAVE_LP else 0)
+        # The plan's loads are integrated over the fault: only a missing
+        # LP (no scipy) sends the collective chunk by chunk.
+        assert len(orders) == (0 if _HAVE_LP else 4)
         assert (faulted.total_time_ns > clean.total_time_ns) == lands
         if not lands:
             assert faulted.total_time_ns == clean.total_time_ns
+        if _HAVE_LP:
+            assert faulted.events_processed == clean.events_processed
 
     def test_llama70b_conv4d_builds_three_plans_per_point(self, monkeypatch):
         from repro import frontend
