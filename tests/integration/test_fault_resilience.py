@@ -84,6 +84,24 @@ class TestStragglerAmplification:
         assert record.extra_ns > 0
         assert report.injected_ns == pytest.approx(record.extra_ns)
 
+    def test_injected_is_an_attribution_not_a_bound(self):
+        # A whole-run straggler on NPU 0 slows its compute ops and the
+        # port time it spends in gradient all-reduces that overlap them.
+        # Both stretches are charged to the fault, but only the critical
+        # path's share lengthens the run: injected exceeds the exact
+        # loss, faulted minus baseline.
+        topology = repro.parse_topology("Ring(2)", [100])
+
+        def run(faults=None):
+            traces = repro.generate_data_parallel(repro.gpt3_175b(), topology)
+            return repro.simulate(traces, repro.SystemConfig(
+                topology=topology, collective_chunks=4, faults=faults))
+
+        faulted = run(FaultSchedule.parse("straggler@npu0:2x@t=0"))
+        lost = faulted.total_time_ns - run().total_time_ns
+        assert lost > 0
+        assert faulted.resilience.injected_ns > 1.1 * lost
+
 
 class TestStall:
     """A stall is a zero-capacity window on its NPU's compute unit."""
