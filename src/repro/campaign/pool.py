@@ -43,6 +43,8 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Callable, Dict, Mapping, Optional, Set
 
+from repro.runspec import TRACE_MEMO
+
 #: Modules imported into the forkserver parent before the first fork, so
 #: every forked worker starts warm (see repro/campaign/_preload.py).
 PRELOAD_MODULES = ("repro.campaign._preload",)
@@ -100,12 +102,19 @@ def run_one(
 
     Returns ``{"ok": True, "result": ...}`` or, when the point fails,
     ``{"ok": False, "error": <error_record>}``; only process death
-    escapes (and is handled by the caller's broken-pool recovery).
+    escapes (and is handled by the caller's broken-pool recovery).  A
+    point that looked its traces up in this process's trace memo also
+    carries ``"trace_memo": (hits, misses)``.
     """
+    TRACE_MEMO.take_counts()
     try:
-        return {"ok": True, "result": executor(point)}
+        outcome = {"ok": True, "result": executor(point)}
     except (Exception, SystemExit) as exc:  # noqa: BLE001 - error record
-        return {"ok": False, "error": error_record(exc)}
+        outcome = {"ok": False, "error": error_record(exc)}
+    counts = TRACE_MEMO.take_counts()
+    if any(counts):
+        outcome["trace_memo"] = counts
+    return outcome
 
 
 def _worker_ident(settle_s: float) -> int:

@@ -118,12 +118,14 @@ def _wait_any(futures: Sequence) -> set:
 # -- the runner ------------------------------------------------------------------------
 
 
-#: Metrics describing *how* the campaign executed (crash recovery)
-#: rather than what it computed.  Excluded from the merged document so
-#: identical sweeps dump byte-identical documents regardless of jobs
-#: count or worker reuse; still readable on ``CampaignResult.telemetry``
-#: for observability and tests.
-EXECUTION_METRICS = frozenset({"worker_restarts", "points_retried"})
+#: Metrics describing *how* the campaign executed (crash recovery, the
+#: workers' trace memo) rather than what it computed.  Excluded from the
+#: merged document so identical sweeps dump byte-identical documents
+#: regardless of jobs count or worker reuse; still readable on
+#: ``CampaignResult.telemetry`` for observability and tests.
+TRACE_MEMO_METRICS = ("trace_memo_hits", "trace_memo_misses")
+EXECUTION_METRICS = frozenset(
+    {"worker_restarts", "points_retried", *TRACE_MEMO_METRICS})
 
 
 @dataclass
@@ -264,6 +266,7 @@ class CampaignRunner:
             outcome_iter = self._iter_pool(points, pending, metrics)
 
         emitted = 0
+        memo_hits = memo_misses = 0
         try:
             # Leading cached points stream before any execution happens.
             while emitted < len(points) and merged[emitted] is not None:
@@ -283,6 +286,9 @@ class CampaignRunner:
                     record["error"] = outcome["error"]
                     metrics.counter("campaign", "points_failed").inc()
                 merged[index] = record
+                hits, misses = outcome.get("trace_memo", (0, 0))
+                memo_hits += hits
+                memo_misses += misses
                 if self.fail_fast and not outcome["ok"]:
                     self._abort(index, outcome["error"], points[index])
                 while emitted < len(points) and merged[emitted] is not None:
@@ -295,6 +301,8 @@ class CampaignRunner:
             outcome_iter.close()
 
         metrics.counter("campaign", "points_executed").inc(len(pending))
+        metrics.counter("campaign", "trace_memo_hits").inc(memo_hits)
+        metrics.counter("campaign", "trace_memo_misses").inc(memo_misses)
         if self.cache is not None:
             counters = self.cache.counters()
             result.cache_counters = counters

@@ -30,7 +30,9 @@ Endpoints:
   ``{"aborted": ...}`` on a fail-fast abort).
 - ``GET /healthz`` — liveness: ``{"status": "ok"}``.
 - ``GET /stats`` — telemetry counters (``campaign/*`` per-request
-  counters), cache counters, fleet state, uptime.
+  counters, and the trace memo's ``trace_memo_hits`` and
+  ``trace_memo_misses`` summed over the points run), cache counters,
+  fleet state, uptime.
 
 Backpressure: a bounded admission gate caps requests in flight; beyond
 ``queue_depth`` the daemon answers ``429 Too Many Requests`` with a
@@ -49,6 +51,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro.campaign.cache import RunCache
 from repro.campaign.runner import (
+    TRACE_MEMO_METRICS,
     CampaignError,
     CampaignRunner,
     PointConfigError,
@@ -134,6 +137,11 @@ class ReproServer(ThreadingHTTPServer):
     def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         with self.metrics_lock:
             self.metrics.counter("campaign", name, **labels).inc(amount)
+
+    def count_trace_memo(self, telemetry: MetricsRegistry) -> None:
+        """Add a campaign's trace memo hits and misses to the totals."""
+        for name in TRACE_MEMO_METRICS:
+            self.count(name, telemetry.value("campaign", name))
 
     def runner(self, fail_fast: Any = False) -> CampaignRunner:
         """A runner over the daemon's fleet size, executor and cache."""
@@ -276,13 +284,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
             if not isinstance(point, dict):
                 raise PointConfigError(
                     "POST /run expects a JSON object of run-config fields")
-            record = server.runner().run(SweepSpec(points=[point])).points[0]
+            campaign = server.runner().run(SweepSpec(points=[point]))
         except InputError as exc:
             self._send_error(400, "run", exc)
             return
         except Exception as exc:  # noqa: BLE001 - daemon must not die
             self._send_error(500, "run", exc)
             return
+        server.count_trace_memo(campaign.telemetry)
+        record = campaign.points[0]
         error = record["error"]
         if error is not None:
             server.count("http_errors", endpoint="run")
@@ -342,6 +352,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             server.count("points_executed",
                          result.telemetry.value("campaign",
                                                 "points_executed"))
+            server.count_trace_memo(result.telemetry)
             summary: Dict[str, Any] = {"summary": {
                 "points": points,
                 "errors": errors,

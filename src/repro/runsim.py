@@ -29,7 +29,7 @@ from repro.memory import (
     ZeroInfinityMemory,
 )
 from repro.network import parse_topology
-from repro.runspec import PointConfigError, check_choices
+from repro.runspec import TRACE_MEMO, PointConfigError, check_choices, trace_key
 from repro.system import RooflineCompute
 from repro.telemetry import TelemetryConfig, TraceLevel
 from repro.trace import CollectiveType
@@ -178,10 +178,32 @@ def workload_label(args: argparse.Namespace) -> str:
 
 
 def _build_traces(args: argparse.Namespace, topology):
+    """The run's trace set, built once per process for each trace key.
+
+    The key is the run's :data:`~repro.runspec.TRACE_FIELDS`; a later
+    run with the same key gets the same trace objects (runs only read
+    their traces) and the same ``args.graph_name``.
+    """
+    key = trace_key(args)
+    if key is None:
+        traces, graph_name = _trace_set(args, topology)
+    else:
+        traces, graph_name = TRACE_MEMO.lookup(
+            key, lambda: _trace_set(args, topology))
+    if graph_name is not None:
+        args.graph_name = graph_name
+    return traces
+
+
+def _trace_set(args: argparse.Namespace, topology):
+    """Build ``(traces, graph_name)``; the name is None off the frontend."""
     if _is_frontend(args):
         graph = ingest_from_args(args)
-        args.graph_name = graph.name
-        return plan_from_args(args, graph, topology).traces
+        return plan_from_args(args, graph, topology).traces, graph.name
+    return _generate_traces(args, topology), None
+
+
+def _generate_traces(args: argparse.Namespace, topology):
     payload = int(args.payload_mib * (1 << 20))
     if args.workload == "allreduce":
         return generate_single_collective(

@@ -9,14 +9,20 @@ campaign's :data:`FIELD_TYPES`, :func:`default_fields` and
 merged document's ``config``); and the namespace the simulate path in
 :mod:`repro.runsim` reads for a sweep or ``repro serve`` point
 (:func:`run_namespace`), with its choice check (:func:`check_choices`).
+Next to it, :data:`TRACE_FIELDS` declares the fields the trace builders
+read, which key the process's trace memo (:data:`TRACE_MEMO`).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import InputError, strict_float, strict_int
@@ -221,6 +227,125 @@ FIELD_TYPES: Dict[str, Callable[[Any], Any]] = {
 _FIXED_DEFAULTS = {f.name: f.default for f in RUN_FIELDS if not f.sweepable}
 _CHOICE_FIELDS = tuple(f for f in RUN_FIELDS if f.choices is not None)
 _FLAG_ACTIONS = {_bool: "store_true", _faults_list: "append"}
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+def _remote_parameters(memory_model: str) -> bool:
+    return memory_model != "local"
+
+
+def _model_file(spec: str) -> Any:
+    # The builder reads the file's content, and its stem names a graph
+    # whose config gives no name; inline JSON is its own content.  An
+    # unreadable file raises OSError: the run bypasses the memo and the
+    # builder reports it.
+    if not spec or spec.lstrip().startswith("{"):
+        return spec
+    path = Path(spec)
+    return hashlib.sha256(path.read_bytes()).hexdigest(), path.stem
+
+
+#: The run fields the trace builders (``repro.runsim._build_traces``)
+#: read, each with the part of its value they read; the trace memo keys
+#: a build on exactly this projection of a run (:func:`trace_key`).
+#: ``topology`` is the shape notation alone: no builder reads bandwidths
+#: or latencies.  ``memory_model`` enters as whether parameters live in
+#: remote memory, ``model_json`` as the file's content.  Every other
+#: field is left out (the inverse property in tests/test_trace_memo.py
+#: changes each one alone and checks the memoised traces against a
+#: fresh build).
+TRACE_FIELDS: Dict[str, Callable[[Any], Any]] = {
+    "topology": _same,
+    "workload": _same,
+    "model": _same,
+    "model_json": _model_file,
+    "batch": _same,
+    "seq_len": _same,
+    "payload_mib": _same,
+    "mp": _same,
+    "dp": _same,
+    "pp": _same,
+    "ep": _same,
+    "microbatches": _same,
+    "memory_model": _remote_parameters,
+    "inswitch": _same,
+}
+
+
+def trace_key(args: Any) -> Optional[Tuple[Any, ...]]:
+    """The trace memo key of a run, or None when its ``--model-json``
+    file cannot be read."""
+    try:
+        return tuple(project(getattr(args, name))
+                     for name, project in TRACE_FIELDS.items())
+    except OSError:
+        return None
+
+
+class TraceMemo:
+    """A bounded LRU of built trace sets, shared by a process's threads.
+
+    Entries are shared, never copied, so a caller must not edit what
+    :meth:`lookup` returns.  Each thread counts its own hits and misses,
+    so a worker can report them with the point it ran
+    (:meth:`take_counts`).
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._local = threading.local()
+
+    def lookup(self, key: Any, build: Callable[[], Any]) -> Any:
+        """The entry under ``key``; on a miss, ``build()``'s, now kept."""
+        counts = self._counts()
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is not None:
+            counts[0] += 1
+            return entry
+        counts[1] += 1
+        entry = build()
+        with self._lock:
+            self._entries[key] = entry
+            if len(self._entries) > self.size:
+                self._entries.popitem(last=False)
+        return entry
+
+    def take_counts(self) -> Tuple[int, int]:
+        """This thread's ``(hits, misses)`` since its last call."""
+        counts = self._counts()
+        taken = (counts[0], counts[1])
+        counts[:] = [0, 0]
+        return taken
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _counts(self) -> List[int]:
+        counts = getattr(self._local, "counts", None)
+        if counts is None:
+            counts = self._local.counts = [0, 0]
+        return counts
+
+
+#: Trace sets kept per process.  A Table V sweep needs one; a sweep over
+#: shapes or parallelism degrees cycles through a few.
+TRACE_MEMO_SIZE = 8
+
+#: The process's trace memo (``repro run``, campaign workers and
+#: ``repro serve`` handler threads alike).
+TRACE_MEMO = TraceMemo(TRACE_MEMO_SIZE)
 
 
 def default_fields() -> Dict[str, Any]:

@@ -23,6 +23,10 @@ from typing import Dict, List, Tuple
 class Activity(enum.Enum):
     """What an NPU is doing; declaration order is the exposure priority."""
 
+    # Identity hash (C-level, no Python frame) for the per-interval
+    # PRIORITY lookup; members compare by identity anyway.
+    __hash__ = object.__hash__
+
     COMPUTE = "compute"
     MEM_LOCAL = "mem_local"
     MEM_REMOTE = "mem_remote"

@@ -36,9 +36,13 @@ class FaultRecord:
     ``extra_ns`` is the delay the fault *injected* — the extra port
     serialization and compute time of the work done inside its window
     (split evenly when several faults slow the same segment).
-    It is a lower bound on the wall-clock impact: queueing and dependency
-    chains can amplify it further, which is exactly what the
-    baseline-vs-faulted comparison measures.
+    It is an attribution sum, not a bound on the wall-clock impact: it
+    adds up the stretch of every reservation the fault slows, even
+    reservations that overlap in time or lie off the critical path
+    (a straggler charges both its compute and its concurrent port time),
+    while queueing and dependency chains can amplify a stretch instead.
+    The exact loss is faulted minus baseline
+    (:attr:`ResilienceReport.degradation_ns` with a baseline).
     """
 
     fault: FaultSpec
@@ -79,7 +83,8 @@ class ResilienceReport:
         """Wall-clock stretch from degradation faults.
 
         Exact (faulted minus baseline) when a baseline is known; else the
-        attributed injected delay, a lower bound.
+        attributed injected delay, an estimate that may lie above or
+        below the exact loss (see :class:`FaultRecord`).
         """
         if self.baseline_ns is not None:
             return self.total_ns - self.baseline_ns

@@ -54,6 +54,8 @@ from repro.trace.node import CollectiveType
 class PhaseKind(enum.Enum):
     """What a single per-dimension phase does."""
 
+    __hash__ = object.__hash__  # see repro.trace.node.NodeType
+
     REDUCE_SCATTER = "rs"
     ALL_GATHER = "ag"
     ALL_TO_ALL = "a2a"

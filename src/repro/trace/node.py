@@ -27,6 +27,11 @@ class TraceValidationError(InputError):
 class NodeType(enum.Enum):
     """Operation class of an ET node."""
 
+    # Members are singletons compared by identity, so hash them by
+    # identity too: the C-level hash spares the engine's per-node handler
+    # lookup ``Enum.__hash__``'s Python frame.
+    __hash__ = object.__hash__
+
     COMPUTE = "compute"
     MEMORY_LOAD = "memory_load"
     MEMORY_STORE = "memory_store"
@@ -37,6 +42,8 @@ class NodeType(enum.Enum):
 
 class CollectiveType(enum.Enum):
     """Collective communication patterns (paper Fig. 2)."""
+
+    __hash__ = object.__hash__  # see NodeType
 
     ALL_REDUCE = "all_reduce"
     ALL_GATHER = "all_gather"

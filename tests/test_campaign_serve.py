@@ -394,6 +394,31 @@ class TestIntrospection:
         assert stats["cache"]["misses"] >= 1
         assert stats["pool"] is None  # jobs=0: no fleet was started
 
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_stats_sum_trace_memo_hits_and_misses(self, jobs):
+        # Five points that differ only in memory bandwidths share one
+        # trace set.
+        hiermem = {"topology": "Switch(4)_Switch(2)",
+                   "bandwidths": "256,12.5", "workload": "moe1t",
+                   "memory_model": "hiermem"}
+        with serving(jobs=jobs) as (base, _server):
+            for fabric in (128, 256, 512):
+                post(base + "/run", dict(hiermem, fabric_bw_gbps=fabric))
+            _status, _headers, body = post(base + "/sweep", {
+                "base": hiermem, "grid": {"group_bw_gbps": [50, 150]}})
+            _status, _headers, stats = get(base + "/stats")
+        summary = json.loads(body.splitlines()[-1])["summary"]
+        swept = {m["name"]: m["value"]
+                 for m in summary["telemetry"]["metrics"]}
+        counters = {m["name"]: m["value"]
+                    for m in json.loads(stats)["counters"]}
+        hits, misses = (counters["trace_memo_hits"],
+                        counters["trace_memo_misses"])
+        assert hits + misses == 5
+        assert swept["trace_memo_hits"] + swept["trace_memo_misses"] == 2
+        # Each process builds the one trace set at most once.
+        assert misses <= max(jobs, 1)
+
     def test_unknown_get_is_404(self):
         with serving() as (base, _server):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
