@@ -127,14 +127,18 @@ class ExecutionEngine:
             for npu_id, trace in self.traces.items()}
         self._remaining = sum(map(len, self.traces.values()))
         # An issue event calls its node kind's handler directly, with the
-        # node's (npu, position) and the node itself.
+        # engine, the node's (npu, position) and the node itself.  The
+        # table holds the class's functions: bound methods would tie the
+        # engine into a reference cycle that keeps a finished run's state
+        # alive until the next full garbage collection.
+        cls = type(self)
         self._issuers = {
-            NodeType.COMPUTE: self._issue_compute,
-            NodeType.MEMORY_LOAD: self._issue_memory,
-            NodeType.MEMORY_STORE: self._issue_memory,
-            NodeType.COMM_COLLECTIVE: self._issue_collective,
-            NodeType.COMM_SEND: self._issue_send,
-            NodeType.COMM_RECV: self._issue_recv,
+            NodeType.COMPUTE: cls._issue_compute,
+            NodeType.MEMORY_LOAD: cls._issue_memory,
+            NodeType.MEMORY_STORE: cls._issue_memory,
+            NodeType.COMM_COLLECTIVE: cls._issue_collective,
+            NodeType.COMM_SEND: cls._issue_send,
+            NodeType.COMM_RECV: cls._issue_recv,
         }
 
         # Serializing resources per traced NPU.
@@ -156,7 +160,7 @@ class ExecutionEngine:
             for pos in trace.root_positions:
                 node = trace.nodes[pos]
                 self.engine.schedule(0.0, self._issuers[node.node_type],
-                                     npu_id, pos, node)
+                                     self, npu_id, pos, node)
 
     def run(self) -> float:
         """Start and drain the simulation; returns the finish time.
@@ -474,5 +478,5 @@ class ExecutionEngine:
             indegree[child] = deg
             if deg == 0:
                 node = trace.nodes[child]
-                self.engine.schedule(0.0, self._issuers[node.node_type], npu,
-                                     child, node)
+                self.engine.schedule(0.0, self._issuers[node.node_type],
+                                     self, npu, child, node)
