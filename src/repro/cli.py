@@ -152,10 +152,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{counters['misses']} misses"
               + (f", {counters['corrupted']} corrupted entries recovered"
                  if counters["corrupted"] else ""))
-    memo = campaign.telemetry
+    telemetry = campaign.telemetry
     print(f"traces   : "
-          f"{memo.value('campaign', 'trace_memo_hits'):.0f} memo hits, "
-          f"{memo.value('campaign', 'trace_memo_misses'):.0f} misses")
+          f"{telemetry.value('campaign', 'trace_memo_hits'):.0f} memo hits, "
+          f"{telemetry.value('campaign', 'trace_memo_misses'):.0f} misses")
     if args.out:
         dump_campaign_json(doc, args.out)
         print(f"\nmerged results written to {args.out}")

@@ -154,10 +154,6 @@ def test_a_trace_field_change_rebuilds_through_the_simulate_path():
 # -- the inverse property --------------------------------------------------------
 
 
-def _numbers(*choices):
-    return st.sampled_from(choices)
-
-
 #: Alternative values for every run field the key leaves out.
 OTHER_FIELDS = {
     "bandwidths": st.lists(st.sampled_from([12.5, 50.0, 100.0, 400.0]),
@@ -166,21 +162,21 @@ OTHER_FIELDS = {
                           min_size=2, max_size=2),
     "scheduler": st.just("baseline"),
     "backend": st.sampled_from(["garnet", "flow", "adaptive"]),
-    "packet_bytes": _numbers(512, 8192),
-    "train_packets": _numbers(2, 16),
+    "packet_bytes": st.sampled_from([512, 8192]),
+    "train_packets": st.sampled_from([2, 16]),
     "granularity": st.sampled_from(["fluid", "packet", "adaptive"]),
-    "escalation_threshold": _numbers(0.0, 2.0, math.inf),
-    "deescalation_hysteresis": _numbers(0.5, 2.0),
-    "chunks": _numbers(1, 4, 64),
-    "peak_tflops": _numbers(10.0, 1000.0),
-    "hbm_gbps": _numbers(100.0, 8000.0),
-    "fabric_bw_gbps": _numbers(64.0, 2048.0),
-    "group_bw_gbps": _numbers(50.0, 500.0),
-    "remote_path_gbps": _numbers(10.0, 400.0),
+    "escalation_threshold": st.sampled_from([0.0, 2.0, math.inf]),
+    "deescalation_hysteresis": st.sampled_from([0.5, 2.0]),
+    "chunks": st.sampled_from([1, 4, 64]),
+    "peak_tflops": st.sampled_from([10.0, 1000.0]),
+    "hbm_gbps": st.sampled_from([100.0, 8000.0]),
+    "fabric_bw_gbps": st.sampled_from([64.0, 2048.0]),
+    "group_bw_gbps": st.sampled_from([50.0, 500.0]),
+    "remote_path_gbps": st.sampled_from([10.0, 400.0]),
     "faults": st.just(["straggler@npu0:2x@t=0"]),
-    "fault_seed": _numbers(1, 7),
-    "checkpoint_interval_ms": _numbers(5.0),
-    "checkpoint_gib": _numbers(1.0),
+    "fault_seed": st.sampled_from([1, 7]),
+    "checkpoint_interval_ms": st.just(5.0),
+    "checkpoint_gib": st.just(1.0),
     "trace_level": st.sampled_from(["phase", "collective", "chunk",
                                     "packet"]),
     "check_invariants": st.just(True),
@@ -191,7 +187,6 @@ OTHER_FIELDS = {
 
 def test_every_run_field_is_in_the_key_or_the_inverse_property():
     assert set(OTHER_FIELDS) == set(FIELDS) - set(TRACE_FIELDS)
-    assert not set(OTHER_FIELDS) & set(TRACE_FIELDS)
 
 
 def _with(point, field, value):
@@ -223,12 +218,11 @@ def test_changing_any_other_field_is_a_hit(build, field, data):
         base_args, "graph_name", None)
 
 
-@pytest.mark.parametrize("other", ["zero-infinity", "hiermem"])
-def test_remote_memory_models_share_a_trace_set(other):
+def test_remote_memory_models_share_a_trace_set():
     # Only whether parameters are remote reaches the builder.
-    point = dict(_point("moe1t"), memory_model="hiermem")
+    point = _point("moe1t")
     first, _ = _memoised(run_namespace(point))
-    args = run_namespace(dict(point, memory_model=other))
+    args = run_namespace(dict(point, memory_model="zero-infinity"))
     second, counts = _memoised(args)
     assert counts == (1, 0) and second is first
     assert _digest(second) == _digest(_fresh(args))
@@ -275,6 +269,25 @@ def test_counts_are_per_thread():
     thread.join()
     assert seen == [(1, 1)]
     assert memo.take_counts() == (0, 1)
+
+
+def test_concurrent_lookups_stay_bounded_and_counted():
+    memo = TraceMemo(8)
+    seen = []
+
+    def worker(offset):
+        for i in range(300):
+            key = (i * 7 + offset) % 12
+            assert memo.lookup(key, lambda: ("built", key)) == ("built", key)
+        seen.append(memo.take_counts())
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(memo) == 8
+    assert sum(hits + misses for hits, misses in seen) == 4 * 300
 
 
 def test_editing_a_model_json_file_is_a_miss(tmp_path):
