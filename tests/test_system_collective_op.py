@@ -179,7 +179,7 @@ class _SpanLog:
 
 
 def _chunk_path(ops, scheduler="baseline", faults=None):
-    """Run ``ops`` concurrently; log every port, pending and span call.
+    """Run ``ops`` concurrently; log every port reservation and span.
 
     Each op is ``(collective, chunks, comm_dims, group_shape)``.  Returns
     the sha256 of the log and ``(total_time_ns, events_processed)``.
@@ -192,24 +192,14 @@ def _chunk_path(ops, scheduler="baseline", faults=None):
     topo = parse_topology(_PIN_TOPO[0], _PIN_TOPO[1], latencies_ns=_PIN_TOPO[2])
     net = AnalyticalNetwork(engine, topo)
     log = []
-    reserve, add, consume = net.reserve_port, net.add_pending, net.consume_pending
+    reserve = net.reserve_port
 
     def logged_reserve(npu, dim, busy, members=None):
         start, end = reserve(npu, dim, busy, members)
         log.append(f"reserve {npu} {dim} {busy!r} -> {start!r} {end!r}")
         return start, end
 
-    def logged_add(npu, dim, amount):
-        log.append(f"add {npu} {dim} {amount!r}")
-        add(npu, dim, amount)
-
-    def logged_consume(npu, dim, amount):
-        log.append(f"consume {npu} {dim} {amount!r}")
-        consume(npu, dim, amount)
-
     net.reserve_port = logged_reserve
-    net.add_pending = logged_add
-    net.consume_pending = logged_consume
     net.telemetry = _SpanLog(log)
     if faults is not None:
         FaultInjector(FaultSchedule.parse(faults), topo).install(net)
@@ -252,62 +242,62 @@ _CHUNK_PATH_CASES = {
 
 _CHUNK_PATH_PINS = {
     "baseline-all_gather-1": (
-        "1cd8caf54c51d4b8fca1e2ca00743c0b41609ced63ccebe4c549ad8da59a48ef",
+        "ffd6ce608145eafb55683ccb637eb13e19162955045ddf6e56260bcb41d05870",
         (172216.71779166668, 4)),
     "baseline-all_gather-16": (
-        "7925222d24e315c89c22b6c0a9de5516a07c354b078dc3a999433dfbfa917dfe",
+        "859010841435df0c3034caf0b27351d9f4efb3bcd69daad78ad5e4752148c963",
         (153076.08704947913, 64)),
     "baseline-all_gather-3": (
-        "412dfa625af662269e19a009e3debcb6bff9e875e7096ec5b404d6ed31b1f1dc",
+        "4c765fc19ba3e0ddb9425be2c07590c741a853a30456aca58e4926e77c56a40b",
         (158605.6025972222, 12)),
     "baseline-all_reduce-1": (
-        "d292764343e8171d3b438b1c51803807ad1f0eecec20b605c29cda7c67b4c252",
+        "eac3dd2284fc6544668de16e2b505d7f9356b23b7bb4708959745bd762a8c89a",
         (104711.14144444445, 8)),
     "baseline-all_reduce-16": (
-        "2e53576541c91bd2889b9b4350459493d3e068406468b8700bb45fd8bc842fb2",
+        "4872312a7137e292642d7c74f26a043ba760c26b30d3fa0b9c7ae3e6a46faacb",
         (44516.6799166667, 128)),
     "baseline-all_reduce-3": (
-        "395cffd26e5d7b61f36ea51346a845b77b20f6195ac01a4a7a9dda24db139b22",
+        "0bde2fcb92a506dcdc22af853a8e08a81878e9600e2d364d448f33e63b0ce2bd",
         (55350.0165, 24)),
     "baseline-all_to_all-1": (
-        "979f80bbcc80cff4dfdbafa59ecad1d9d545bf92eba44534b5645466eba9653b",
+        "bd5742e8d604813a70371a86322570d9a41411d60d462439f586849d193f8d81",
         (250966.7414166667, 4)),
     "baseline-all_to_all-16": (
-        "4bec17cd504a04b7ef1a041c7255f0211045bcf033c23c9f464d0e2acd975214",
+        "3018a96bcb0b16fe6fd9598843df80ac3ba5d5ef557068f10d631d8db7816d50",
         (157997.96352604165, 64)),
     "baseline-all_to_all-3": (
-        "e84b88682a39a3a22a105cd5f193ccbd4ab0db28138ad0e84e7e05359c72c97b",
+        "d6f0227cea1a188b7c04b168d46c92a8f04712cfd26e6edbaad047de085a783c",
         (184855.6104722222, 12)),
     "baseline-reduce_scatter-1": (
-        "82ebe27a59ac1ef58d7996a6ca1d78e112007cd1e05b2497553513f4cfed8013",
+        "a811438e8b53ec81c6c64aed1c6d093cee2e35f425ba8055699634805826ef3b",
         (52355.570722222226, 4)),
     "baseline-reduce_scatter-16": (
-        "f3bab045c911646fc133a39dc1303982ed0ba183037b6ecd8de6b41a68e4f8d1",
+        "cd771c10043efb7bd834782ae5605c4b7a3bb0c888597869d2253e23c8e89597",
         (24490.9790295139, 64)),
     "baseline-reduce_scatter-3": (
-        "0d0f8a4dd1861f724060f327fbf491ba87260ff5f5d8957962c5edf143516ee6",
+        "a84a2970dfbd09476481f28213d9b34448f2e81d121cd11d2561d99d67e54c87",
         (32540.749962962967, 12)),
     "baseline-faults": (
-        "6ee17e8388daa1f6ae07988911e451597d17e7adf486811bc0746a35a7822d36",
+        "cd2342ee3ed165a10ff0ae6271426247f49250ad546b850cc7457e311ae37877",
         (212671.58500173598, 134)),
     "baseline-subdim": (
-        "7d458de87bd80e9b754f402e8f7ac719f7af5f0b44924f901fccc92970d7fb49",
+        "28c6e529b90386701719e1885fb5d1b0e604e7914fd02857601cb5fc048a5314",
         (89888.91555555558, 12)),
     "themis-faults": (
-        "eaa304baf710f11a2d7216fce638eec46315feba0567d1632a07f73b47278a3f",
+        "23e25f15692a8eb796d55be7a5a72531c660f63a2703668f7414e0a36457c0a6",
         (220876.44827430559, 134)),
     "themis-nolp-ar": (
-        "a38992b1c581c5308e918eff0ef5763ad73b74ac70113299f1a058f58fdfe1bf",
+        "b93cb7e07a516b9bea3be215f770b5ad9ce1c561bac25f68e1df343516c81215",
         (48515.81276085072, 128)),
     "themis-nolp-concurrent": (
-        "34c235a414600fd7007f8638e02bf5f6c2585b41e282598efa9cc887e1c7e490",
+        "f5eff7629b6aa5f43afa0e9307c5d0a19918f667bfac8dedc4b31abd68cf82e5",
         (90320.85973958338, 143)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CHUNK_PATH_CASES))
 def test_chunk_path_is_pinned(name, monkeypatch):
-    """Every port reservation, pending-load change and chunk span of the
+    """Every port reservation and chunk span of the
     chunk-by-chunk path, bit for bit, on a heterogeneous topology."""
     from repro.system.scheduler import ThemisScheduler
 
