@@ -248,7 +248,7 @@ def bench_scaling(quick: bool = False, repeats: int = 3) -> Dict[str, object]:
     """
     scales = ((1, 2, MILLION_NPU_SCALE) if quick
               else (1, 2, 8, 16, 64, MILLION_NPU_SCALE))
-    _run_scaling_scenario(1)  # warm-up: first-use imports (scipy LP) etc.
+    _run_scaling_scenario(1)  # warm-up: first-use imports etc.
     rows: List[Dict[str, float]] = [_run_scaling_scenario(s) for s in scales]
     walls = [r["wall_s"] for r in rows]
     out: Dict[str, object] = {

@@ -4,7 +4,7 @@ Regenerates the normalized training-time breakdown for the Table II
 512-NPU systems (W-1D-{350,500,600}, W-2D-250_250, Conv-3D, Conv-4D)
 running the paper's four workloads: a single 1 GB All-Reduce, DLRM,
 GPT-3, and Transformer-1T (Table III), under the baseline hierarchical
-collective schedule and the Themis greedy schedule.
+collective schedule and the Themis balanced (LP) schedule.
 
 Shape assertions (the paper's reading of the figure):
 

@@ -7,7 +7,7 @@ A discrete-event simulator for distributed DNN training platforms with:
 - a multi-dimensional hierarchical network taxonomy
   (``Ring(4)_FC(2)_Switch(8)``) with an analytical backend and a
   packet-level Garnet-lite backend;
-- collective scheduling (baseline hierarchical and Themis greedy);
+- collective scheduling (baseline hierarchical and Themis balanced);
 - memory models: local HBM, disaggregated hierarchical pools, in-switch
   collectives, and a ZeRO-Infinity baseline.
 

@@ -34,7 +34,6 @@ from repro.runspec import FIELDS, PointConfigError, add_run_flags
 def run_from_args(args: argparse.Namespace) -> int:
     from repro.runsim import simulate_from_args, workload_label
     from repro.stats import format_breakdown_table
-    from repro.system.scheduler import LP_FALLBACK_NOTICE, lp_fallback_taken
 
     topology, result, resilience = simulate_from_args(
         args, collect_metrics=bool(args.metrics_out))
@@ -50,8 +49,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"folding  : {fold.num_classes} classes simulated for "
               f"{fold.traced_ranks} ranks "
               f"({fold.folded_ranks} folded away)")
-    if lp_fallback_taken():
-        print(f"note     : {LP_FALLBACK_NOTICE}")
     if args.sim_rate and result.simulation_rate_eps is not None:
         # Opt-in: wall-clock dependent, so off by default to keep the
         # CLI output deterministic across runs.

@@ -42,10 +42,8 @@ class SystemConfig:
         topology: Physical multi-dimensional topology.
         scheduler: Collective chunk scheduler — ``"baseline"`` (fixed
             hierarchical order) or ``"themis"`` (the LP-balanced fluid
-            plan; its greedy bandwidth-aware chunk order when scipy is
-            missing or a fault acts during the collective).  The default
-            here is ``"baseline"``; ``repro run`` defaults to
-            ``"themis"``.
+            plan, solved exactly in-repo).  The default here is
+            ``"baseline"``; ``repro run`` defaults to ``"themis"``.
         collective_chunks: Pipelining degree of each collective.
         network_backend: ``"analytical"`` (default; phase-level
             collectives), ``"garnet"`` (packet-level), ``"flow"``

@@ -56,14 +56,19 @@ class DeadlockError(RuntimeError):
 class _Communicator:
     """One NPU's view of a communicator, derived on its first collective."""
 
-    __slots__ = ("key", "group_shape", "participants", "issued", "effective")
+    __slots__ = ("key", "group_shape", "participants", "issued", "effective",
+                 "rendezvous")
 
     def __init__(self, key: Tuple, group_shape: Optional[Dict[int, int]],
-                 participants: Set[int]) -> None:
+                 participants: Set[int],
+                 rendezvous: Dict[int, "_CollectiveRendezvous"]) -> None:
         self.key = key  # (rep, dims, group)
         self.group_shape = group_shape
         self.participants = participants
         self.issued = 0  # collectives this NPU has issued on it
+        # Open instances by issue number, one table shared by every NPU's
+        # view of this key: an issue looks up an int, never the key.
+        self.rendezvous = rendezvous
         # The scheduler's effective view, resolved on the first phase-level
         # collective (packet backends never need it).
         self.effective: Optional[EffectiveComm] = None
@@ -147,7 +152,8 @@ class ExecutionEngine:
         self._remote_channel = {npu: DimPort() for npu in self.traces}
         self._fabric_port = {npu: DimPort() for npu in self.traces}
 
-        self._rendezvous: Dict[Tuple, _CollectiveRendezvous] = {}
+        # Per communicator key, its open instances by issue number.
+        self._rendezvous: Dict[Tuple, Dict[int, _CollectiveRendezvous]] = {}
         self._communicators: Dict[Tuple, _Communicator] = {}
         # Lazily-built send/recv collective lowering for packet backends.
         self._sendrecv_executor = None
@@ -204,9 +210,10 @@ class ExecutionEngine:
                     issued_stuck.append(
                         f"  {label}: issued but never completed")
         lines.extend(issued_stuck[:10])
-        if self._rendezvous:
+        waiting = self.open_rendezvous()
+        if waiting:
             lines.append("incomplete collective rendezvous:")
-            for key, rendezvous in list(self._rendezvous.items())[:5]:
+            for key, rendezvous in waiting[:5]:
                 missing = sorted(rendezvous.participants
                                  - set(rendezvous.arrived))
                 lines.append(
@@ -219,6 +226,13 @@ class ExecutionEngine:
                 f"{self.network.undelivered_arrivals()} arrivals unclaimed "
                 "(check send/recv tags)")
         return "\n".join(lines)
+
+    def open_rendezvous(self) -> List[Tuple[Tuple, _CollectiveRendezvous]]:
+        """``(communicator key, rendezvous)`` of every collective instance
+        that some participant has issued and another has not."""
+        return [(key, rendezvous)
+                for key, table in self._rendezvous.items()
+                for rendezvous in table.values()]
 
     # -- node dispatch -----------------------------------------------------------------
 
@@ -308,23 +322,26 @@ class ExecutionEngine:
             # (npu, key) in the same map.
             key, shape, participants = communicator(
                 self.config.topology, npu, node, self.traces)
-            comm = self._communicators[comm_id] = self._communicators.setdefault(
-                (npu, key), _Communicator(key, shape, participants))
+            comm = self._communicators.get((npu, key))
+            if comm is None:
+                comm = self._communicators[npu, key] = _Communicator(
+                    key, shape, participants,
+                    self._rendezvous.setdefault(key, {}))
+            self._communicators[comm_id] = comm
         seq = comm.issued
         comm.issued = seq + 1
-        instance_key = comm.key + (seq,)
 
-        rendezvous = self._rendezvous.get(instance_key)
+        table = comm.rendezvous
+        rendezvous = table.get(seq)
         if rendezvous is None:
-            rendezvous = _CollectiveRendezvous(comm.participants)
-            self._rendezvous[instance_key] = rendezvous
+            rendezvous = table[seq] = _CollectiveRendezvous(comm.participants)
         arrived = rendezvous.arrived
         arrived[npu] = pos
 
         # The issuer is always a participant and arrives once per
         # instance, so a full count means every participant is in.
         if len(arrived) == len(rendezvous.participants):
-            del self._rendezvous[instance_key]
+            del table[seq]
             if isinstance(self.network, AnalyticalNetwork):
                 self._start_collective(node, comm, rendezvous)
             else:
@@ -435,7 +452,7 @@ class ExecutionEngine:
         metrics.gauge("system", "scheduler_occupancy").sample(
             now, self._inflight_collectives)
         metrics.gauge("system", "rendezvous_waiting").sample(
-            now, len(self._rendezvous))
+            now, len(self.open_rendezvous()))
         metrics.gauge("system", "nodes_remaining").sample(
             now, self._remaining)
 

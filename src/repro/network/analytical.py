@@ -80,9 +80,6 @@ class AnalyticalNetwork(NetworkBackend):
         self.faults = None
         self.fault_onset = _INF
         self._ports: Dict[Tuple[int, int], DimPort] = {}
-        # Port time planned by chunk schedulers but not yet reserved —
-        # lets concurrent collectives see each other's commitments.
-        self._pending: Dict[Tuple[int, int], float] = {}
         # Shared fabric capacity per dimension group, engaged only for
         # oversubscribed dimensions (first-order congestion model).
         self._fabrics: Dict[Tuple[int, Tuple[int, ...]], DimPort] = {}
@@ -162,26 +159,6 @@ class AnalyticalNetwork(NetworkBackend):
                 self.engine.now, busy_ns * spec.oversubscription / spec.size)
             end = max(end, fabric_end)
         return start, end
-
-    # -- planned (not yet reserved) load ---------------------------------------------
-
-    def pending_load(self, npu: int, dim: int) -> float:
-        """Port time planned by chunk schedulers but not yet reserved."""
-        return self._pending.get((npu, dim), 0.0)
-
-    def add_pending(self, npu: int, dim: int, amount_ns: float) -> None:
-        """Register planned future port time (chunk committed to a plan)."""
-        key = (npu, dim)
-        self._pending[key] = self._pending.get(key, 0.0) + amount_ns
-
-    def consume_pending(self, npu: int, dim: int, amount_ns: float) -> None:
-        """Convert planned time into a reservation (clamped at zero)."""
-        key = (npu, dim)
-        remaining = self._pending.get(key, 0.0) - amount_ns
-        if remaining <= 1e-9:
-            self._pending.pop(key, None)
-        else:
-            self._pending[key] = remaining
 
     # -- point-to-point -------------------------------------------------------------
 

@@ -4,9 +4,8 @@ This layer sits between the workload's execution traces and the network
 backend (paper Fig. 1c).  It decomposes collectives into per-dimension
 phases (multi-rail hierarchical algorithm, Sec. II-B), splits them into
 pipelined chunks, schedules the chunks over topology dimensions — either
-in fixed hierarchical order or with Themis's bandwidth-balanced LP plan
-(its greedy chunk order without scipy) — and costs compute nodes with a
-roofline model.
+in fixed hierarchical order or with Themis's bandwidth-balanced LP plan,
+solved exactly in-repo — and costs compute nodes with a roofline model.
 """
 
 from repro.system.phases import PhaseKind, phase_table, phase_traffic_bytes

@@ -6,14 +6,14 @@ every member of a communicator) over the analytical backend:
 1. the payload is split into ``num_chunks`` equal chunks;
 2. with the Themis scheduler the whole collective executes in the **fluid
    limit**: the balanced per-dimension loads occupy the representative's
-   ports directly, plus a pipeline-fill term (not without scipy);
-3. otherwise each chunk asks the :class:`ChunkScheduler` for a full
-   dimension order when it launches and commits to it — for All-Reduce the
-   order is the Reduce-Scatter pass, and the All-Gather pass replays it
-   reversed.  The chunk then steps through that order's phase table
-   (:func:`repro.system.phases.phase_table`, memoised per run on the
-   scheduler), each phase reserving the representative's egress port for
-   the row's busy time and delaying the chunk by the row's latency.
+   ports directly, plus a pipeline-fill term;
+3. with the baseline scheduler every chunk walks the active dimensions in
+   ascending order — for All-Reduce that is the Reduce-Scatter pass, and
+   the All-Gather pass replays it reversed.  The chunk steps through that
+   order's phase table (:func:`repro.system.phases.phase_table`, memoised
+   per run on the scheduler), each phase reserving the representative's
+   egress port for the row's busy time and delaying the chunk by the
+   row's latency.
 
 Communicators may span *parts* of dimensions (``group_shape``): an MP
 group of 16 NPUs inside a 512-wide wafer switch runs its phases with an
@@ -29,7 +29,7 @@ Sec. IV-C).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.events import EventEngine
 from repro.network.analytical import AnalyticalNetwork
@@ -48,7 +48,7 @@ class CollectiveOperation:
     Args:
         engine: Shared event engine.
         network: Analytical backend whose ports the phases occupy.
-        scheduler: Chunk order-planning policy.
+        scheduler: Planning policy: a fluid plan, or the chunk path.
         collective: Pattern (All-Reduce / All-Gather / RS / All-to-All).
         comm_dims: Topology dimension indices the communicator spans.
         rep_npu: Canonical representative NPU (lowest id in the group).
@@ -140,22 +140,9 @@ class CollectiveOperation:
         if plan is not None:
             self._start_fluid(plan)
             return
-        network, rep = self.network, self.rep_npu
-        launches: List[Tuple[float, int, PhaseRows]] = []
-        for index in range(self.num_chunks):
-            horizon = {
-                d: network.port_backlog(rep, d) + network.pending_load(rep, d)
-                for d in self.active_dims
-            }
-            rows, work = tables[self.scheduler.plan_order(tables, horizon)]
-            for dim, amount in work.items():
-                network.add_pending(rep, dim, amount)
-            launches.append((sum(work.values()), index, rows))
-        # Launch heaviest plans first: their long phases queue early, so
-        # their precedence-constrained tails overlap the steady state
-        # instead of extending the makespan.
-        launches.sort(key=lambda item: (-item[0], item[1]))
-        for _, _, rows in launches:
+        # Chunk path: every chunk walks the active dims in ascending order.
+        rows = tables[tables.dims][0]
+        for _ in range(self.num_chunks):
             self._advance(rows, 0)
 
     def _start_fluid(self, plan: BalancedPlan) -> None:
@@ -196,7 +183,6 @@ class CollectiveOperation:
         # only this chunk (the next chunk's serialization overlaps it).  A
         # synchronous phase paces at its slowest member: faults stretch
         # the part of its port time that falls in their windows.
-        self.network.consume_pending(self.rep_npu, dim, busy)
         start, end = self.network.reserve_port(
             self.rep_npu, dim, busy, self.group_members)
         telemetry = self.network.telemetry

@@ -2,7 +2,7 @@
 
 Collectives are split into chunks, and each chunk must visit every active
 dimension of its communicator.  *In which order* is the scheduling
-decision, fixed per chunk when the chunk launches:
+decision:
 
 - :class:`BaselineScheduler` — the paper's baseline multi-rail hierarchical
   order: every chunk traverses dims in ascending index order (Dim 1 -> Dim
@@ -11,8 +11,8 @@ decision, fixed per chunk when the chunk launches:
   (Rashidi et al., ISCA'22; paper Sec. V-A).  It solves the order-mix
   balancing problem — what fraction of the payload should traverse the
   dimensions in each candidate order so the worst per-dimension load is
-  minimized — and executes the collective in the fluid limit an ideal
-  chunked schedule converges to.  Mixing orders across chunks balances
+  minimized — exactly, with an in-repo integer simplex, and executes the
+  collective in the fluid limit an ideal chunked schedule converges to.  Mixing orders across chunks balances
   per-dimension load toward the aggregate-bandwidth bound: a 1 GB
   All-Reduce on the paper's Conv-4D (250+200+100+50 GB/s) lands within a
   few percent of the W-1D-600 wafer-scale time, the headline observation
@@ -23,8 +23,8 @@ communicator (:meth:`ChunkScheduler.effective_comm`) and the phase tables
 of each chunk signature on it (:meth:`ChunkScheduler.phase_tables`): the
 rows of :func:`repro.system.phases.phase_table` and the work vector
 summed from them, per order.  A scheduler plans from those tables alone,
-and the greedy order, the LP mix, the balanced plan and the chunk stepper
-of :class:`~repro.system.collective_op.CollectiveOperation` all read the
+and the LP mix, the balanced plan and the chunk stepper of
+:class:`~repro.system.collective_op.CollectiveOperation` all read the
 same ones.
 
 The tables see the communicator as a mapping ``dim index -> DimSpec``
@@ -35,10 +35,8 @@ wafer switch) the effective size is smaller than the physical dimension.
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import itertools
-import sys
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InputError
@@ -51,18 +49,8 @@ _EXHAUSTIVE_PERMUTATION_LIMIT = 5
 
 DimSpecs = Mapping[int, DimSpec]
 
-#: What a process says, once, when Themis loses its LP plan.
-LP_FALLBACK_NOTICE = (
-    "scipy is not installed: Themis orders chunks with its greedy fallback, "
-    "not the LP fluid plan (install the 'balancing' extra)")
-
-# Module state on purpose: a missing scipy is a fact about the process.
-_lp_fallback_noted = False
-
-
-def lp_fallback_taken() -> bool:
-    """Whether this process ran Themis without its LP (scipy missing)."""
-    return _lp_fallback_noted
+#: An order mix: ``(order, fraction)`` pairs, largest fraction first.
+Mix = List[Tuple[Tuple[int, ...], float]]
 
 
 def chunk_work_vector(rows: PhaseRows, roundtrip: bool) -> Dict[int, float]:
@@ -177,8 +165,8 @@ class BalancedPlan:
         self.traffic_bytes = traffic_bytes
 
 
-class ChunkScheduler(abc.ABC):
-    """Strategy interface: choose a chunk's full dimension order.
+class ChunkScheduler:
+    """Strategy interface: plan a collective from its phase tables.
 
     Schedulers plan from a :class:`PhaseTables` alone; the memo that
     hands those out (:meth:`effective_comm`, :meth:`phase_tables`) lives
@@ -231,82 +219,58 @@ class ChunkScheduler(abc.ABC):
     def balanced_plan(self, tables: PhaseTables,
                       num_chunks: int) -> Optional[BalancedPlan]:
         """Fluid-limit plan for a collective of ``num_chunks`` chunks of
-        ``tables``' signature; ``None`` runs it chunk by chunk with
-        :meth:`plan_order`."""
+        ``tables``' signature; ``None`` runs it chunk by chunk, every
+        chunk walking ``tables[tables.dims]`` (ascending dims)."""
         return None
-
-    @abc.abstractmethod
-    def plan_order(self, tables: PhaseTables,
-                   horizon: Mapping[int, float]) -> Tuple[int, ...]:
-        """Return the dimension order the chunk will traverse.
-
-        Args:
-            tables: The chunk's phase tables (never over empty dims).
-            horizon: Per active dim, the port time already queued or
-                planned ahead of this chunk: the representative's port
-                backlog plus load planned by earlier chunks of in-flight
-                collectives but not yet reserved.
-        """
 
 
 class BaselineScheduler(ChunkScheduler):
-    """Fixed hierarchical order: ascending dimension index, every chunk."""
+    """Fixed hierarchical order: every chunk walks the dims ascending."""
 
     name = "baseline"
-
-    def plan_order(self, tables: PhaseTables,
-                   horizon: Mapping[int, float]) -> Tuple[int, ...]:
-        if not tables.dims:
-            raise ValueError("no dimensions to order")
-        return tables.dims
 
 
 class ThemisScheduler(ChunkScheduler):
     """Bandwidth-balanced order assignment (fluid limit).
 
-    :meth:`balanced_plan` solves, once per (communicator, payload)
-    signature, a small linear program over candidate dimension orders —
-    exactly the load-balancing problem Themis's greedy chunk placement
-    approximates — and returns balanced per-dimension loads for fluid
-    execution.  The plan itself is memoized per phase tables and chunk
-    count, so a training loop's thousands of collectives build only a
-    handful.  Without scipy it returns ``None`` and execution falls back
-    to chunk-by-chunk traversal with :meth:`plan_order`'s greedy
-    bottleneck minimization; the process says so once on stderr
-    (:data:`LP_FALLBACK_NOTICE`), and ``repro run`` in its summary.
+    :meth:`balanced_plan` solves, once per phase tables, a small linear
+    program over candidate dimension orders — the load-balancing problem
+    Themis's chunk placement approximates — exactly and in-repo
+    (:meth:`_solve_mix`), and returns balanced per-dimension loads for
+    fluid execution.  The mix is memoised with the plans built from it,
+    one per chunk count, so a training loop's thousands of collectives
+    solve and build only a handful.
     """
 
     name = "themis"
 
     def __init__(self) -> None:
         super().__init__()
-        self._mix_cache: Dict[tuple, List[Tuple[Tuple[int, ...], float]]] = {}
-        # balanced_plan is pure in its tables and chunk count.
-        self._plan_cache: Dict[Tuple[PhaseTables, int],
-                               Optional[BalancedPlan]] = {}
+        # Per phase tables: the order mix solved from them, and the plan
+        # built from it per chunk count.
+        self._plans: Dict[PhaseTables, Tuple[Mix, Dict[int, BalancedPlan]]] = {}
 
     def balanced_plan(self, tables: PhaseTables,
-                      num_chunks: int) -> Optional[BalancedPlan]:
-        """Balanced per-dim loads for the whole collective, or ``None``.
+                      num_chunks: int) -> BalancedPlan:
+        """Balanced per-dim loads for the whole collective.
 
         Latency steps are charged per chunk (each of the ``num_chunks``
         pipelined chunks pays its phase latencies), matching what the
         chunk-level execution would enqueue in total.  The returned plan
         is shared by every call with the same tables and chunk count.
         """
-        key = (tables, num_chunks)
         try:
-            return self._plan_cache[key]
+            mix, plans = self._plans[tables]
         except KeyError:
-            pass
-        plan = self._plan_cache[key] = self._build_plan(tables, num_chunks)
+            mix, plans = self._plans[tables] = self._solve_mix(tables), {}
+        plan = plans.get(num_chunks)
+        if plan is None:
+            plan = plans[num_chunks] = self._build_plan(tables, mix,
+                                                        num_chunks)
         return plan
 
-    def _build_plan(self, tables: PhaseTables,
-                    num_chunks: int) -> Optional[BalancedPlan]:
-        mix = self._mix(tables)
-        if not mix:
-            return None
+    def _build_plan(self, tables: PhaseTables, mix: Mix,
+                    num_chunks: int) -> BalancedPlan:
         roundtrip = tables.roundtrip
         loads: Dict[int, float] = {d: 0.0 for d in tables.dims}
         traffic: Dict[int, float] = {d: 0.0 for d in tables.dims}
@@ -326,78 +290,80 @@ class ThemisScheduler(ChunkScheduler):
             # load; in particular a 1-D collective has zero ramp.  With
             # heaviest plans launched first, the draining chunk is the
             # lightest order, so the collective-level fill is the minimum.
-            ramp = sum(walls) - max(walls) if walls else 0.0
-            fill = min(fill, ramp)
-        if fill == float("inf"):
-            fill = 0.0
+            fill = min(fill, sum(walls) - max(walls))
         return BalancedPlan(loads_ns=loads, fill_ns=fill, traffic_bytes=traffic)
-
-    def plan_order(self, tables: PhaseTables,
-                   horizon: Mapping[int, float]) -> Tuple[int, ...]:
-        """Greedy fallback: the order whose worst dim finishes first."""
-        if not tables.dims:
-            raise ValueError("no dimensions to order")
-        best_order: Tuple[int, ...] = ()
-        best_key = None
-        for order in self._candidate_orders(tables):
-            work = tables[order][1]
-            bottleneck = max(horizon[d] + work[d] for d in order)
-            key = (bottleneck, sum(work.values()), order)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_order = order
-        return best_order
 
     # -- LP mix -------------------------------------------------------------------
 
-    def _mix(self, tables: PhaseTables
-             ) -> List[Tuple[Tuple[int, ...], float]]:
-        specs = tables.specs
-        signature = (
-            tables.dims, tables.kind, tables.roundtrip,
-            round(tables.payload_bytes, 3),
-            tuple(
-                (specs[d].size, specs[d].bandwidth_gbps, specs[d].latency_ns)
-                for d in tables.dims
-            ),
-        )
-        mix = self._mix_cache.get(signature)
-        if mix is None:
-            mix = self._mix_cache[signature] = self._solve_mix(tables)
-        return mix
+    def _solve_mix(self, tables: PhaseTables) -> Mix:
+        """The order fractions minimizing the worst per-dim load, exactly.
 
-    def _solve_mix(self, tables: PhaseTables
-                   ) -> List[Tuple[Tuple[int, ...], float]]:
-        """Minimize the worst per-dim load over order fractions; [] if no LP."""
-        try:
-            from scipy.optimize import linprog
-        except ImportError:  # pragma: no cover - scipy is an optional path
-            global _lp_fallback_noted
-            if not _lp_fallback_noted:
-                _lp_fallback_noted = True
-                print(f"note: {LP_FALLBACK_NOTICE}", file=sys.stderr)
-            return []
+        With ``w[d][j]`` the work order ``j`` puts on dim ``d``, the LP
+        ``min T s.t. sum_j w[d][j] x[j] <= T, sum_j x[j] = 1, x >= 0``
+        is solved as ``max sum(u) s.t. sum_j w[d][j] u[j] <= 1, u >= 0``
+        (``x = u / sum(u)``, ``T = 1 / sum(u)``), whose slack basis is
+        feasible.  The work floats are dyadic, so scaling them by their
+        largest denominator makes the tableau integer, and fraction-free
+        (Bareiss) pivoting keeps it integer over one common denominator:
+        every step is exact.  Pivot rule: the entering column has the
+        most negative reduced cost (lowest index on ties); the leaving
+        row wins the ratio test (lowest basic variable on ties).  After a
+        degenerate pivot, Bland's rule (lowest-index improving column)
+        picks the entering column until the objective improves again, so
+        the method cannot cycle.  Each fraction is the exact optimum
+        rounded once to float; the mix lists the orders in use, largest
+        fraction first (then by order).
+        """
         orders = self._candidate_orders(tables)
-        vectors = [tables[order][1] for order in orders]
-        n = len(orders)
-        # Variables: x_0..x_{n-1} (order fractions), T (bottleneck).
-        c = [0.0] * n + [1.0]
-        a_ub = []
-        for d in tables.dims:
-            a_ub.append([vec.get(d, 0.0) for vec in vectors] + [-1.0])
-        b_ub = [0.0] * len(tables.dims)
-        a_eq = [[1.0] * n + [0.0]]
-        result = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-            bounds=[(0, None)] * n + [(0, None)], method="highs",
-        )
-        if not result.success:  # pragma: no cover - LP is always feasible
-            return []
-        mix = [
-            (order, x)
-            for order, x in zip(orders, result.x[:n])
-            if x > 1e-9
-        ]
+        columns = [tables[order][1] for order in orders]
+        for order, work in zip(orders, columns):
+            if not any(work.values()):
+                return [(order, 1.0)]  # underflowed to zero work: free
+        n, m = len(orders), len(tables.dims)
+        ratios = [[work[d].as_integer_ratio() for work in columns]
+                  for d in tables.dims]
+        scale = max(q for row in ratios for _, q in row)
+        # Row i: dim i's scaled work, its slack column, right-hand side 1;
+        # row m: the reduced costs of max sum(u), then the objective.
+        rows = [[p * (scale // q) for p, q in row]
+                + [int(i == k) for k in range(m)] + [1]
+                for i, row in enumerate(ratios)]
+        rows.append([-1] * n + [0] * (m + 1))
+        basis = list(range(n, n + m))
+        denom = 1  # the common denominator: the last pivot
+        bland = False
+        while True:
+            costs = rows[m][:-1]
+            if bland:
+                c = next((k for k, v in enumerate(costs) if v < 0), -1)
+            else:
+                c = min(range(n + m), key=costs.__getitem__)
+            if c < 0 or costs[c] >= 0:
+                break
+            r = -1
+            for i in range(m):
+                a = rows[i][c]
+                if a > 0:
+                    if r < 0:
+                        r = i
+                        continue
+                    left, right = rows[i][-1] * rows[r][c], rows[r][-1] * a
+                    if left < right or (left == right and basis[i] < basis[r]):
+                        r = i
+            pivot_row = rows[r]
+            p = pivot_row[c]
+            for i, row in enumerate(rows):
+                if i != r:
+                    f = row[c]
+                    rows[i] = [(p * a - f * b) // denom
+                               for a, b in zip(row, pivot_row)]
+            denom = p
+            basis[r] = c
+            bland = pivot_row[-1] == 0
+        support = [(basis[i], rows[i][-1]) for i in range(m)
+                   if basis[i] < n and rows[i][-1] > 0]
+        total = sum(value for _, value in support)
+        mix = [(orders[j], value / total) for j, value in support]
         mix.sort(key=lambda item: (-item[1], item[0]))
         return mix
 

@@ -145,7 +145,7 @@ def expected_collective_traffic(
     ``G = prod(k_i)`` regardless of order, an All-Gather pass from shard
     ``p/G`` back to ``p`` serializes the same, and All-to-All phases run
     at constant payload.  This makes the law a *conservation* check: any
-    scheduler (baseline order, Themis greedy, Themis fluid-limit LP mix)
+    scheduler (baseline order, Themis fluid-limit LP mix)
     must land on the same total.
     """
     if group_size <= 1 or payload_bytes <= 0:
@@ -437,14 +437,6 @@ class InvariantChecker:
                         "ns reservation span (double-booked)",
                         time_ns=total_ns, busy_ns=port.busy_ns,
                         free_at=port.free_at)
-            pending = getattr(network, "_pending", {})
-            stale = sum(v for v in pending.values() if v > 1e-6)
-            if stale > 1e-6:
-                self.checks += 1
-                self.record(
-                    "network", "leak",
-                    f"{stale:.6g} ns of planned port load never reserved",
-                    time_ns=total_ns, pending_ns=stale)
         links = getattr(network, "_links", None)
         if links is not None:
             for key, link in links.items():
@@ -516,12 +508,12 @@ class InvariantChecker:
 
     def _finalize_execution(self, execution, total_ns: float) -> None:
         self.checks += 1
-        if execution._rendezvous:
+        waiting = len(execution.open_rendezvous())
+        if waiting:
             self.record(
                 "system", "leak",
-                f"{len(execution._rendezvous)} collective rendezvous "
-                "never completed", time_ns=total_ns,
-                rendezvous=len(execution._rendezvous))
+                f"{waiting} collective rendezvous never completed",
+                time_ns=total_ns, rendezvous=waiting)
         self.checks += 1
         if not math.isfinite(total_ns) or total_ns < 0:
             self.record(

@@ -91,6 +91,20 @@ class TestProcessImports:
         layers = {m.split(".")[1] for m in loaded if m.startswith("repro.")}
         assert not layers & set(SIMULATOR_LAYERS), sorted(layers)
 
+    def test_themis_run_imports_no_scipy(self):
+        """Themis solves its order mix in-repo: a Themis ``repro run``
+        on Conv-4D leaves scipy unimported."""
+        loaded = fresh_interpreter(
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(\n"
+            "    m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n",
+            "run", "--topology", "Ring(2)_FC(8)_Ring(8)_Switch(4)",
+            "--bandwidths", "250,200,100,50", "--workload", "allreduce",
+            "--payload-mib", "64", "--scheduler", "themis")
+        assert loaded == [0, []]
+
     def test_preloaded_worker_runs_every_point_kind_warm(self):
         collective = {"topology": "Ring(4)_Switch(2)",
                       "bandwidths": "200,50", "workload": "allreduce",

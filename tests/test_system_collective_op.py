@@ -218,26 +218,14 @@ _AR, _AG = CollectiveType.ALL_REDUCE, CollectiveType.ALL_GATHER
 _RS, _A2A = CollectiveType.REDUCE_SCATTER, CollectiveType.ALL_TO_ALL
 
 _CHUNK_PATH_CASES = {
-    # name: (ops, scheduler, no_lp, faults)
+    # name: (ops, faults)
     **{
-        f"baseline-{c.value}-{n}": ([(c, n, _ALL_DIMS, None)], "baseline",
-                                    False, None)
+        f"baseline-{c.value}-{n}": ([(c, n, _ALL_DIMS, None)], None)
         for c in (_AR, _AG, _RS, _A2A) for n in (1, 3, 16)
     },
-    "baseline-subdim": ([(_AR, 3, (1, 3), {1: 3, 3: 2})], "baseline",
-                        False, None),
-    "themis-nolp-ar": ([(_AR, 16, _ALL_DIMS, None)], "themis", True, None),
-    "themis-nolp-concurrent": (
-        [(_AR, 16, _ALL_DIMS, None), (_RS, 3, (0, 2), None),
-         (_AG, 3, (1, 2, 3), {1: 3})], "themis", True, None),
-    # Faults no longer force Themis off its fluid plan: its faulted chunk
-    # path runs only without the LP, like the other no-LP cases.
-    "themis-faults": (
-        [(_AR, 16, _ALL_DIMS, None), (_A2A, 3, (1, 3), None)], "themis",
-        True, _PIN_FAULTS),
+    "baseline-subdim": ([(_AR, 3, (1, 3), {1: 3, 3: 2})], None),
     "baseline-faults": (
-        [(_AR, 16, _ALL_DIMS, None), (_A2A, 3, (1, 3), None)], "baseline",
-        False, _PIN_FAULTS),
+        [(_AR, 16, _ALL_DIMS, None), (_A2A, 3, (1, 3), None)], _PIN_FAULTS),
 }
 
 _CHUNK_PATH_PINS = {
@@ -283,39 +271,21 @@ _CHUNK_PATH_PINS = {
     "baseline-subdim": (
         "28c6e529b90386701719e1885fb5d1b0e604e7914fd02857601cb5fc048a5314",
         (89888.91555555558, 12)),
-    "themis-faults": (
-        "23e25f15692a8eb796d55be7a5a72531c660f63a2703668f7414e0a36457c0a6",
-        (220876.44827430559, 134)),
-    "themis-nolp-ar": (
-        "b93cb7e07a516b9bea3be215f770b5ad9ce1c561bac25f68e1df343516c81215",
-        (48515.81276085072, 128)),
-    "themis-nolp-concurrent": (
-        "f5eff7629b6aa5f43afa0e9307c5d0a19918f667bfac8dedc4b31abd68cf82e5",
-        (90320.85973958338, 143)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_CHUNK_PATH_CASES))
-def test_chunk_path_is_pinned(name, monkeypatch):
+def test_chunk_path_is_pinned(name):
     """Every port reservation and chunk span of the
     chunk-by-chunk path, bit for bit, on a heterogeneous topology."""
-    from repro.system.scheduler import ThemisScheduler
-
-    ops, scheduler, no_lp, faults = _CHUNK_PATH_CASES[name]
-    if no_lp:
-        monkeypatch.setattr(ThemisScheduler, "_solve_mix",
-                            lambda self, *args, **kwargs: [])
-    assert _chunk_path(ops, scheduler, faults) == _CHUNK_PATH_PINS[name]
+    ops, faults = _CHUNK_PATH_CASES[name]
+    assert _chunk_path(ops, "baseline", faults) == _CHUNK_PATH_PINS[name]
 
 
 def test_faulted_themis_keeps_its_fluid_plan():
     """Faults stretch the fluid loads as the ports run them, so Themis
     keeps its plan: the same two events as the fault-free run."""
-    try:
-        import scipy.optimize  # noqa: F401
-    except ImportError:
-        pytest.skip("needs scipy (the optional balancing extra)")
-    ops = _CHUNK_PATH_CASES["themis-faults"][0]
+    ops = [(_AR, 16, _ALL_DIMS, None), (_A2A, 3, (1, 3), None)]
     _, (clean_ns, clean_events) = _chunk_path(ops, "themis")
     _, (faulted_ns, events) = _chunk_path(ops, "themis", _PIN_FAULTS)
     assert events == clean_events == 2

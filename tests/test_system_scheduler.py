@@ -10,28 +10,14 @@ from repro.faults.spec import FaultSchedule
 from repro.network import AnalyticalNetwork, MultiDimTopology, parse_topology
 from repro.system import (
     BaselineScheduler,
-    CollectiveOperation,
     PhaseKind,
     ThemisScheduler,
     make_scheduler,
 )
 from repro.system.phases import phase_table
-from repro.system.scheduler import PhaseTables, chunk_work_vector
+from repro.system.scheduler import chunk_work_vector
 from repro.trace import CollectiveType
 from repro.workload.generators import generate_single_collective
-
-try:
-    import scipy.optimize  # noqa: F401
-except ImportError:
-    _HAVE_LP = False
-else:
-    _HAVE_LP = True
-
-#: Balanced plans come from the LP, which needs scipy (the optional
-#: ``balancing`` extra); without it ``balanced_plan`` returns None.
-requires_lp = pytest.mark.skipif(
-    not _HAVE_LP, reason="needs scipy (the optional balancing extra)")
-
 
 def _network(bws=(100, 100, 100), sizes=None):
     engine = EventEngine()
@@ -45,30 +31,6 @@ def _tables(scheduler, topology, dims, payload, roundtrip=False,
             kind=PhaseKind.REDUCE_SCATTER, group_shape=None):
     comm = scheduler.effective_comm(topology.dims, dims, group_shape)
     return scheduler.phase_tables(comm, kind, payload, roundtrip)
-
-
-def _idle(dims):
-    return {d: 0.0 for d in dims}
-
-
-def _first_chunk_order(net, monkeypatch):
-    """The order Themis's greedy fallback gives a lone 1-chunk
-    Reduce-Scatter over every dim of ``net``, from its current ports."""
-    orders = []
-    original = ThemisScheduler.plan_order
-
-    def recording(self, tables, horizon):
-        orders.append(original(self, tables, horizon))
-        return orders[-1]
-
-    monkeypatch.setattr(ThemisScheduler, "_solve_mix",
-                        lambda self, *args, **kwargs: [])
-    monkeypatch.setattr(ThemisScheduler, "plan_order", recording)
-    CollectiveOperation(
-        net.engine, net, ThemisScheduler(), CollectiveType.REDUCE_SCATTER,
-        range(net.topology.num_dims), 0, 1000, num_chunks=1).start()
-    (order,) = orders
-    return order
 
 
 class TestWorkVectors:
@@ -103,47 +65,12 @@ class TestWorkVectors:
 
 class TestBaseline:
     def test_ascending_order(self):
+        # The chunk path walks the tables' dims, which are ascending.
         _, net = _network()
         sched = BaselineScheduler()
         tables = _tables(sched, net.topology, [2, 0, 1], 100)
-        assert sched.plan_order(tables, _idle(range(3))) == (0, 1, 2)
-
-    def test_empty_dims_rejected(self):
-        with pytest.raises(ValueError):
-            BaselineScheduler().plan_order(
-                PhaseTables({}, PhaseKind.REDUCE_SCATTER, 1, False), {})
-
-
-class TestThemisGreedy:
-    def test_plan_starts_on_best_dim_when_idle(self):
-        # dim 1 is 4x faster: greedy should shrink payload there first.
-        _, net = _network(bws=(50, 400, 100))
-        sched = ThemisScheduler()
-        tables = _tables(sched, net.topology, [0, 1, 2], 100000)
-        assert sched.plan_order(tables, _idle(range(3)))[0] == 1
-
-    def test_backlog_steers_away(self, monkeypatch):
-        _, net = _network(bws=(100, 100), sizes=(4, 4))
-        net.reserve_port(0, 0, 1e9)
-        assert _first_chunk_order(net, monkeypatch)[0] == 1
-
-    def test_pending_load_counts_like_backlog(self, monkeypatch):
-        _, net = _network(bws=(100, 100), sizes=(4, 4))
-        net.add_pending(0, 0, 1e9)
-        assert _first_chunk_order(net, monkeypatch)[0] == 1
-
-    def test_deterministic(self):
-        _, net = _network()
-        sched = ThemisScheduler()
-        tables = _tables(sched, net.topology, [0, 1, 2], 500)
-        a = sched.plan_order(tables, _idle(range(3)))
-        b = sched.plan_order(tables, _idle(range(3)))
-        assert a == b
-
-    def test_empty_dims_rejected(self):
-        with pytest.raises(ValueError):
-            ThemisScheduler().plan_order(
-                PhaseTables({}, PhaseKind.REDUCE_SCATTER, 1, False), {})
+        assert tables.dims == (0, 1, 2)
+        assert sched.balanced_plan(tables, 4) is None
 
 
 def _plan(scheduler, topology, payload=1 << 30, num_chunks=32,
@@ -153,7 +80,6 @@ def _plan(scheduler, topology, payload=1 << 30, num_chunks=32,
     return scheduler.balanced_plan(tables, num_chunks)
 
 
-@requires_lp
 class TestThemisBalancedPlan:
     def test_loads_balanced_on_heterogeneous_topology(self):
         topo = parse_topology("Ring(2)_FC(8)_Ring(8)_Switch(4)",
@@ -234,14 +160,12 @@ class TestPlanMemo:
         # A group shape equal to the physical sizes is the same
         # effective communicator, so it reads the same tables.
         assert _plan(scheduler, topo, group_shape={0: 2, 1: 8}) is first
-        assert len(scheduler._plan_cache) == 1
+        assert len(scheduler._plans) == 1
 
-    @requires_lp
     def test_payload_chunks_and_specs_each_get_their_own_plan(self):
         topo, scheduler = _conv4d(), ThemisScheduler()
         base = _plan(scheduler, topo)
-        # A payload this close shares base's (rounded) LP mix key, but
-        # the plan is keyed on the exact float.
+        # Tables, and so mixes and plans, are keyed on the exact payload.
         plans = [base, _plan(scheduler, topo, payload=(1 << 30) + 0.001),
                  _plan(scheduler, topo, num_chunks=16),
                  _plan(scheduler, topo, dims=(0, 1))]
@@ -250,10 +174,8 @@ class TestPlanMemo:
             for spec in topo.dims])
         plans.append(_plan(scheduler, slower))
         assert len({id(p) for p in plans}) == len(plans)
-        assert len(scheduler._plan_cache) == len(plans)
-        assert len(scheduler._mix_cache) == len(plans) - 1
+        assert len(scheduler._plans) == len(plans)
 
-    @requires_lp
     def test_memoized_plan_equals_a_fresh_schedulers_plan(self):
         topo, warm = _conv4d(), ThemisScheduler()
         signatures = [(1 << 30, 32), (12345.0, 4), (1 << 30, 32),
@@ -266,40 +188,28 @@ class TestPlanMemo:
             assert list(memoized.loads_ns) == list(fresh.loads_ns)
             assert memoized.fill_ns == fresh.fill_ns
             assert memoized.traffic_bytes == fresh.traffic_bytes
-        assert len(warm._plan_cache) == 3
+        assert len(warm._plans) == 3
 
     @pytest.mark.parametrize("start, lands", [
         ("0", True),     # acts from the collective's start
         ("1us", True),   # activates while the plan runs
         ("1s", False),   # activates long after the collective ends
     ])
-    def test_faulted_collective_keeps_the_fluid_plan(
-            self, start, lands, monkeypatch):
+    def test_faulted_collective_keeps_the_fluid_plan(self, start, lands):
         topo = parse_topology("Ring(4)_Ring(2)", [100, 50])
         traces = generate_single_collective(topo, CollectiveType.ALL_REDUCE,
                                             1 << 20)
         config = SystemConfig(topology=topo, scheduler="themis",
                               collective_chunks=4)
         clean = Simulator(traces, config).run()
-        orders = []
-        original = ThemisScheduler.plan_order
-
-        def counting(self, *args, **kwargs):
-            orders.append(1)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(ThemisScheduler, "plan_order", counting)
         faulted = Simulator(traces, dataclasses.replace(
             config, faults=FaultSchedule.parse(
                 f"straggler@npu0:2x@t={start}"))).run()
-        # The plan's loads are integrated over the fault: only a missing
-        # LP (no scipy) sends the collective chunk by chunk.
-        assert len(orders) == (0 if _HAVE_LP else 4)
+        # The plan's loads are integrated over the fault: no chunk events.
+        assert faulted.events_processed == clean.events_processed
         assert (faulted.total_time_ns > clean.total_time_ns) == lands
         if not lands:
             assert faulted.total_time_ns == clean.total_time_ns
-        if _HAVE_LP:
-            assert faulted.events_processed == clean.events_processed
 
     def test_llama70b_conv4d_builds_three_plans_per_point(self, monkeypatch):
         from repro import frontend
