@@ -24,7 +24,7 @@ Time is a ``float`` in an arbitrary unit; the rest of the library uses
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 # Pre-bound C functions: saves a module-attribute load per schedule call
 # on the hottest paths.
@@ -55,7 +55,8 @@ class EventEngine:
     so far) are plain attributes; treat them as read-only.
 
     The engine is *not* re-entrant across threads.  Callbacks may freely
-    schedule further events, including at the current time.
+    schedule further events, including at the current time, and register
+    end-of-instant callbacks (:meth:`at_instant_end`).
     """
 
     def __init__(self) -> None:
@@ -80,12 +81,16 @@ class EventEngine:
         # infinite timestamps compare False against every bound and
         # would corrupt heap ordering silently.
         self.invariants = None
+        # Callbacks of the pending end-of-instant step (a dict: a repeated
+        # registration runs once), or None while no step is pending.
+        self._instant_end: Optional[Dict[Callable[[], None], None]] = None
 
     @property
     def pending(self) -> int:
         """Number of live events still in the queue — O(1), counted:
-        every heap entry is live unless it was cancelled."""
-        return len(self._queue) - self._cancelled
+        every heap entry is live unless it was cancelled or is the
+        end-of-instant step."""
+        return len(self._queue) - self._cancelled - (self._instant_end is not None)
 
     # -- scheduling --------------------------------------------------------------
 
@@ -181,6 +186,29 @@ class EventEngine:
                 push(queue, entry)
         return len(batch)
 
+    def at_instant_end(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` once after every event at the current timestamp.
+
+        That includes events of any priority and zero-delay events
+        scheduled during the instant; events ``fn`` schedules now fire
+        after it.  The step is one heap entry ``[now, inf, -1, ...]``
+        that the run loops fire like an event and that uncounts itself:
+        ``events_processed``, ``pending``, ``max_events`` and the
+        sequence numbers never see it.  A step left pending by
+        :meth:`step` or ``run(max_events=...)`` runs first in the next
+        call; :meth:`reset` discards it.
+        """
+        if self._instant_end is None:
+            self._instant_end = {}
+            _heappush(self._queue, [self.now, _INF, -1, self._end_instant, ()])
+        self._instant_end[fn] = None
+
+    def _end_instant(self) -> None:
+        self.events_processed -= 1  # counted by the run loop; not an event
+        callbacks, self._instant_end = self._instant_end, None
+        for fn in callbacks:
+            fn()
+
     # -- cancellation --------------------------------------------------------------
 
     def cancel(self, handle: list) -> None:
@@ -268,7 +296,8 @@ class EventEngine:
         """General path with until/max_events bounds (seed semantics)."""
         queue = self._queue
         pop = heapq.heappop
-        fired = 0
+        # On events_processed, which an end-of-instant step leaves as is.
+        last = None if max_events is None else self.events_processed + max_events
         truncated = False  # stop() or max_events left events unfired
         while queue:
             if self._stopped:
@@ -283,14 +312,13 @@ class EventEngine:
             if until is not None and entry[0] > until:
                 self.now = until
                 break
-            if max_events is not None and fired >= max_events:
+            if last is not None and self.events_processed >= last:
                 truncated = True
                 break
             pop(queue)
             entry[3] = None
             self.now = entry[0]
             self.events_processed += 1
-            fired += 1
             fn(*entry[4])
         if (until is not None and not truncated and not self._stopped
                 and self.now < until):
@@ -312,6 +340,9 @@ class EventEngine:
         while queue and queue[0][3] is None:
             heapq.heappop(queue)
             self._cancelled -= 1
+        if queue and queue[0][2] < 0:  # the end-of-instant step: not an event
+            return min((e[0] for e in queue if e[3] is not None and e[2] >= 0),
+                       default=None)
         return queue[0][0] if queue else None
 
     def reset(self) -> None:
@@ -329,3 +360,4 @@ class EventEngine:
         self._cancelled = 0
         self.cancels = 0
         self.compactions = 0
+        self._instant_end = None

@@ -186,10 +186,10 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
         # have drained (or grown) by now.
         if state.mode == "fluid" and self._should_escalate(n):
             self._escalate(link, state)
-            self._reallocate()
+            self._resolve()
         elif state.mode == "packet" and self._should_deescalate(n):
             self._deescalate(link, state)
-            self._reallocate()
+            self._resolve()
 
     def _flip_mode(self, state: _LinkGranState, mode: str) -> None:
         now = self.engine.now

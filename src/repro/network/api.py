@@ -16,9 +16,8 @@ semantics.
 from __future__ import annotations
 
 import abc
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.events import EventEngine
 from repro.network.topology import MultiDimTopology
@@ -112,17 +111,6 @@ class NetworkBackend(abc.ABC):
             return
         if callback is not None:
             self._waiting.setdefault(key, []).append(callback)
-
-    def batch(self) -> ContextManager[None]:
-        """Scope over which sends may share one network solve.
-
-        A backend that re-solves a global allocation on every change
-        (the flow backends' max-min rates) defers that solve to the exit
-        of the outermost scope.  No simulated time passes inside, so the
-        outcome equals sending one at a time as long as nothing in the
-        scope schedules an event after its last send.  A no-op here.
-        """
-        return nullcontext()
 
     # -- backend duties -----------------------------------------------------------
 

@@ -12,8 +12,7 @@ it leaves — at one event per rate change instead of one per packet-hop.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.events import EventEngine
 from repro.network.api import Message, NetworkBackend
@@ -105,15 +104,10 @@ class FlowLevelNetwork(NetworkBackend):
     at that rate, and continue.  Between events every flow progresses
     linearly at its rate, so only the earliest completion needs an event.
 
-    A solve runs once per change set, not once per change: joins inside
-    :meth:`batch` (and every change made while completions drain) share
-    one solve at the scope's exit, and a packet segment handing off to
-    its successor on the same route keeps every rate as it is.
-
-    Granularity escalation (the static opt-in that used to live here as
-    ``escalation_threshold``) moved to the runtime controller in
-    :class:`repro.network.adaptive.AdaptiveFlowNetwork`, which subclasses
-    this backend and shares its :class:`_SubFlowGroup` handoff protocol.
+    A solve runs once per instant, not once per change: every change
+    registers the solve at the event engine's end-of-instant step, and a
+    packet segment handing off to its successor on the same route keeps
+    every rate as it is.
 
     Args:
         engine: The shared event engine.
@@ -134,10 +128,6 @@ class FlowLevelNetwork(NetworkBackend):
         self._last_update = 0.0
         self._completion_event: Optional[list] = None
         self.rate_recomputations = 0
-        # Open batch() scopes, and whether a change inside them still
-        # awaits its solve.
-        self._batch_depth = 0
-        self._solve_pending = False
         self.granularity_escalations = 0
 
     # -- NetworkBackend -----------------------------------------------------------
@@ -151,26 +141,10 @@ class FlowLevelNetwork(NetworkBackend):
             link.flows[flow] = None
         self._resolve()
 
-    @contextmanager
-    def batch(self) -> Iterator[None]:
-        # Max-min rates depend only on the set of flows, and no simulated
-        # time passes inside the scope, so intermediate solves could never
-        # advance a flow: only the solve at the outermost exit is used.
-        self._batch_depth += 1
-        try:
-            yield
-        finally:
-            self._batch_depth -= 1
-            if not self._batch_depth and self._solve_pending:
-                self._solve_pending = False
-                self._reallocate()
-
     def _resolve(self) -> None:
-        """Re-solve now, or at the exit of the open :meth:`batch`."""
-        if self._batch_depth:
-            self._solve_pending = True
-        else:
-            self._reallocate()
+        # Rates depend only on the set of flows, and no time passes within
+        # an instant, so one solve after its last change is all it needs.
+        self.engine.at_instant_end(self._reallocate)
 
     def _launch_next_subflow(self, group: _SubFlowGroup) -> _Flow:
         size = group.sizes[group.next_idx]
@@ -258,8 +232,8 @@ class FlowLevelNetwork(NetworkBackend):
     def _complete_due_flows(self) -> Tuple[List[_Flow], bool]:
         """Retire finished flows; return them, and whether any departed.
 
-        Sends issued from ``on_sent`` join inside one :meth:`batch`, so
-        the drain costs one solve.  When nothing departed (every finished
+        A departure, and every send issued from ``on_sent``, registers
+        the instant's one solve.  When nothing departed (every finished
         flow was a packet segment whose successor took its place on the
         same route) the flow set is unchanged as a multiset of routes,
         which is all progressive filling reads, so each successor takes
@@ -269,23 +243,22 @@ class FlowLevelNetwork(NetworkBackend):
         self._advance_to_now()
         finished = [f for f in self._flows if f.finished]
         departed = False
-        with self.batch():
-            for flow in finished:
-                self._flows.pop(flow, None)
-                for link in flow.links:
-                    link.flows.pop(flow, None)
-                group = flow.group
-                if group is not None and group.next_idx < len(group.sizes):
-                    self._launch_next_subflow(group).rate = flow.rate
-                    continue
-                departed = True
-                self._resolve()
-                on_sent = flow.on_sent if group is None else group.on_sent
-                if on_sent is not None:
-                    on_sent()
-                self._record_flow_span(flow.message)
-                self.engine.schedule(flow.prop_latency_ns, self._deliver,
-                                     flow.message)
+        for flow in finished:
+            self._flows.pop(flow, None)
+            for link in flow.links:
+                link.flows.pop(flow, None)
+            group = flow.group
+            if group is not None and group.next_idx < len(group.sizes):
+                self._launch_next_subflow(group).rate = flow.rate
+                continue
+            departed = True
+            self._resolve()
+            on_sent = flow.on_sent if group is None else group.on_sent
+            if on_sent is not None:
+                on_sent()
+            self._record_flow_span(flow.message)
+            self.engine.schedule(flow.prop_latency_ns, self._deliver,
+                                 flow.message)
         if not departed:
             self._schedule_next_completion()
         return finished, departed

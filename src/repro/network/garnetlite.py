@@ -83,10 +83,14 @@ class GarnetLiteNetwork(NetworkBackend):
             *train*).  At the default of 1 every packet hop is its own
             event — the exact reference behaviour.  Larger values trade
             granularity for speed: a train serializes as one burst, so
-            interleaving with competing traffic is resolved at train
-            rather than packet granularity (event count drops by ~the
-            train length; per-message completion times shift by at most
-            one train's serialization per hop).
+            from the second hop on, interleaving with competing traffic
+            is resolved at train rather than packet granularity (event
+            count drops by ~the train length; per-message completion
+            times shift by at most one train's serialization per hop).
+            The first hop interleaves nothing at any train length:
+            ``_transmit`` reserves all of a message's segments on hop 0
+            at send time, so a source's messages leave it whole, in send
+            order.
     """
 
     def __init__(

@@ -23,10 +23,9 @@ plus All-to-All, a single personalized exchange.  Multi-dimensional
 collectives in production runs use the phase-level
 :class:`~repro.system.collective_op.CollectiveOperation` instead.
 
-The opening fan-out runs inside the backend's
-:meth:`~repro.network.api.NetworkBackend.batch` scope: every rank's
-first sends join at one instant on fresh tags, so no receive can fire
-inside the loop, and a flow backend solves its rates once for the lot.
+Every rank's first sends join at one instant, so a flow backend
+solves its rates once for the lot, at the event engine's end-of-instant
+step (:meth:`~repro.events.EventEngine.at_instant_end`).
 """
 
 from __future__ import annotations
@@ -180,9 +179,8 @@ class SendRecvCollectiveExecutor:
                 backend.sim_recv(npu, recv_from, size, tag=tag, callback=done)
                 backend.sim_send(npu, send_to, size, tag=tag, callback=done)
 
-        with backend.batch():
-            for idx in range(k):
-                start_step(idx, 0)
+        for idx in range(k):
+            start_step(idx, 0)
 
 
 def _ring(group: Sequence[int], payload_bytes: int) -> StepFn:

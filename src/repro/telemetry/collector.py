@@ -35,7 +35,8 @@ from repro.telemetry.spans import SpanRecorder
 METRICS_SCHEMA_VERSION = 1
 
 #: The sampler fires after all same-time workload events (large positive
-#: priority), so sampled levels reflect the state *between* timestamps.
+#: priority) and samples at the instant's end, after any flow solve, so
+#: sampled levels reflect the state *between* timestamps.
 SAMPLER_PRIORITY = 1_000_000
 
 
@@ -82,6 +83,9 @@ class Telemetry:
     # -- sampling ----------------------------------------------------------------
 
     def _sample(self) -> None:
+        self._engine.at_instant_end(self._take_sample)
+
+    def _take_sample(self) -> None:
         engine = self._engine
         now = engine.now
         self._heap_gauge.sample(now, engine.pending)

@@ -10,6 +10,12 @@ produce identical ``(time, event-id)`` firing sequences and identical
 ``(now, pending, events_processed)`` observations after every operation
 — the seed's ``(time, priority, seq)`` FIFO contract, bit for bit.
 
+Events on the production engine may also register end-of-instant
+callbacks (:meth:`~repro.events.EventEngine.at_instant_end`).  With those
+registrations dropped the log must still equal the seed's, and each
+callback must run exactly once, at its event's timestamp, after every
+event of that instant and before any later one.
+
 Also pins end-to-end determinism: two simulations of the same workload
 yield byte-identical serialized :class:`RunResult`\\ s.
 """
@@ -41,6 +47,10 @@ _op = st.one_of(
     st.tuples(st.just("run_max"), st.integers(min_value=1, max_value=4)),
 )
 _programs = st.lists(_op, min_size=1, max_size=40)
+# Ids of the events that register an end-of-instant callback: top-level
+# events and the children they schedule.
+_instant_ends = st.sets(st.sampled_from(
+    [f"{i}{suffix}" for i in range(40) for suffix in ("", ".n")]))
 
 
 def _cancel(engine, handle):
@@ -52,17 +62,28 @@ def _cancel(engine, handle):
         engine.cancel(handle)
 
 
-def _replay(engine, program):
-    """Run a program; return the full observation log."""
+def _replay(engine, program, instant_ends=frozenset(), scheduled=None):
+    """Run a program; return the full observation log.
+
+    Events whose id is in ``instant_ends`` register a callback that logs
+    ``("instant_end", now, event id)``; ``scheduled`` (if given) maps every event
+    id to the log length when it was scheduled.
+    """
     log = []
     handles = []
     counter = [0]
+    if scheduled is None:
+        scheduled = {}
 
     def fire(event_id, nested):
         log.append(("fire", engine.now, event_id))
+        if str(event_id) in instant_ends:
+            engine.at_instant_end(
+                lambda: log.append(("instant_end", engine.now, event_id)))
         if nested is not None:
             delay, priority = nested
             child_id = f"{event_id}.n"
+            scheduled[child_id] = len(log)
             handles.append(engine.schedule(
                 delay, fire, child_id, None, priority=priority))
 
@@ -72,6 +93,7 @@ def _replay(engine, program):
             _, delay, priority, nested = op
             event_id = counter[0]
             counter[0] += 1
+            scheduled[event_id] = len(log)
             handles.append(engine.schedule(
                 delay, fire, event_id, nested, priority=priority))
         elif kind == "batch":
@@ -79,6 +101,7 @@ def _replay(engine, program):
             items = []
             for delay, nested in entries:
                 items.append((delay, fire, (counter[0], nested)))
+                scheduled[counter[0]] = len(log)
                 counter[0] += 1
             if isinstance(engine, SeedEventEngine):
                 for delay, fn, args in items:
@@ -106,6 +129,35 @@ def _replay(engine, program):
 def test_engine_observationally_equivalent_to_seed(program):
     assert _replay(EventEngine(), program) == \
         _replay(SeedEventEngine(), program)
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=_programs, instant_ends=_instant_ends)
+def test_instant_end_callbacks_run_once_at_the_end_of_their_instant(
+        program, instant_ends):
+    scheduled = {}
+    log = _replay(EventEngine(), program, instant_ends, scheduled)
+    # Dropping the callbacks leaves exactly the seed's log.
+    assert [entry for entry in log if entry[0] != "instant_end"] == \
+        _replay(SeedEventEngine(), program)
+    registered = {entry[2]: at for at, entry in enumerate(log)
+                  if entry[0] == "fire" and str(entry[2]) in instant_ends}
+    ends = [(at, entry) for at, entry in enumerate(log)
+            if entry[0] == "instant_end"]
+    assert sorted(map(str, registered)) == sorted(
+        str(entry[2]) for _, entry in ends)
+    for at, (_, now, event_id) in ends:
+        start = registered[event_id]
+        assert now == log[start][1]
+        for entry_at, entry in enumerate(log):
+            if entry[0] != "fire":
+                continue
+            if start < entry_at < at:
+                # Nothing of a later instant fires before the callback.
+                assert entry[1] == now
+            elif entry_at > at and entry[1] == now:
+                # Later events of the instant were scheduled after it ran.
+                assert scheduled[entry[2]] > at
 
 
 @settings(max_examples=100, deadline=None)

@@ -3,11 +3,13 @@
 Two shortcuts keep the solve count down without moving a single bit of
 output:
 
-1. Joins inside ``NetworkBackend.batch()`` share one solve at the
-   scope's exit.  Issuing the same fan-out inside one scope or one send
-   at a time must give ``==`` arrival times, total time, event counts,
-   escalations and handoffs, and the batched fan-out must cost exactly
-   one solve.
+1. Every change registers the solve at the event engine's end-of-instant
+   step, so the joins of one instant share one solve.  Issuing the same
+   wave of sends from one callback or from one event per send at the
+   same timestamp must give ``==`` arrival times, total time, event
+   counts (net of the events that issue the sends), escalations and
+   handoffs, and each wave's instant must cost exactly one solve either
+   way.
 2. A completion in which every finished flow is a packet segment
    handing off to its successor skips the solve.  At every such skip
    the plain progressive-filling loop (the oracle from
@@ -15,8 +17,6 @@ output:
    flow, and the adaptive de-escalation scan it skips could not have
    pended a transition.
 """
-
-from contextlib import nullcontext
 
 from hypothesis import given, settings, strategies as st
 
@@ -70,12 +70,21 @@ def _network(case):
     return engine, AdaptiveFlowNetwork(engine, topo, **adaptive)
 
 
-def _run(case, batched):
-    """Fire every wave's fan-out; return what the run observably did."""
+def _run(case, per_send):
+    """Fire every wave from one callback, or from one event per send;
+    return what the run observably did."""
     engine, net = _network(case)
     waves = case[3]
     arrivals = {}
-    solves = [None] * len(waves)
+    solve_times = []
+    reallocate = net._reallocate
+
+    def counted_reallocate():
+        solve_times.append(engine.now)
+        reallocate()
+
+    # The solve is registered through the instance, so this counts each.
+    net._reallocate = counted_reallocate
 
     def record(tag):
         return lambda message: arrivals.__setitem__(tag, message.arrival_time)
@@ -86,45 +95,50 @@ def _run(case, batched):
             net.sim_send(dst, src, size, tag=tag)
         return on_sent
 
-    def fan_out(wave, first_tag, sends):
-        before = net.rate_recomputations
-        with net.batch() if batched else nullcontext():
-            for offset, (src, dst, size, follow) in enumerate(sends):
-                tag = first_tag + offset
-                net.sim_recv(dst, src, size, tag=tag, callback=record(tag))
-                net.sim_send(src, dst, size, tag=tag, callback=follow_up(
-                    src, dst, size // 2 + 1, FOLLOW_UP_TAG + tag)
-                    if follow else None)
-        solves[wave] = net.rate_recomputations - before
+    def send(tag, src, dst, size, follow):
+        net.sim_recv(dst, src, size, tag=tag, callback=record(tag))
+        net.sim_send(src, dst, size, tag=tag, callback=follow_up(
+            src, dst, size // 2 + 1, FOLLOW_UP_TAG + tag)
+            if follow else None)
 
+    def fan_out(calls):
+        for call in calls:
+            send(*call)
+
+    issuing_events = 0
     first_tag = 0
-    for wave, (delay, sends) in enumerate(waves):
-        engine.schedule(delay, fan_out, wave, first_tag, sends)
+    for delay, sends in waves:
+        calls = [(first_tag + offset, *s) for offset, s in enumerate(sends)]
+        if per_send:
+            for call in calls:
+                engine.schedule(delay, send, *call)
+        else:
+            engine.schedule(delay, fan_out, calls)
+        issuing_events += len(calls) if per_send else 1
         first_tag += len(sends)
     engine.run()
     return {
         "arrivals": arrivals,
         "total_ns": engine.now,
-        "events": engine.events_processed,
+        "events": engine.events_processed - issuing_events,
         "escalations": getattr(net, "escalations", 0),
         "handoffs": getattr(net, "handoffs", 0),
-        "solves": solves,
+        "solves": [solve_times.count(delay)
+                   for delay in sorted({delay for delay, _ in waves})],
     }
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=scenarios())
-def test_batched_fan_out_equals_one_send_at_a_time(case):
-    batched = _run(case, batched=True)
-    single = _run(case, batched=False)
+def test_a_wave_costs_one_solve_from_one_callback_or_one_event_per_send(case):
+    together = _run(case, per_send=False)
+    apart = _run(case, per_send=True)
     waves = case[3]
-    assert batched["solves"] == [1] * len(waves)
-    assert single["solves"] == [len(sends) for _, sends in waves]
+    assert together["solves"] == [1] * len({delay for delay, _ in waves})
     # Every message and every follow-up arrived.
-    assert len(batched["arrivals"]) == sum(
+    assert len(together["arrivals"]) == sum(
         1 + follow for _, sends in waves for *_, follow in sends)
-    del batched["solves"], single["solves"]
-    assert batched == single
+    assert together == apart
 
 
 def _audit_skipped_solves(net):
@@ -176,9 +190,8 @@ def test_segment_handoffs_skip_the_solve():
     net = AdaptiveFlowNetwork(engine, topo, escalation_threshold=1.0,
                               escalation_packet_bytes=1 * KiB)
     skipped = _audit_skipped_solves(net)
-    with net.batch():
-        for tag in (0, 1):
-            net.sim_send(0, 1, 16 * KiB, tag=tag)
+    for tag in (0, 1):
+        net.sim_send(0, 1, 16 * KiB, tag=tag)
     engine.run()
     assert net.escalations == 1
     # The two groups' 16 segments finish in lockstep: 15 completions

@@ -351,3 +351,77 @@ class TestScheduleMany:
         engine.run()
         assert fired == [0, 1, 2, 3, 4, 5]
         assert engine.pending == 0
+
+
+class TestInstantEnd:
+    """The end-of-instant step: not an event, run once per instant."""
+
+    def test_runs_once_after_every_event_of_the_instant(self):
+        engine = EventEngine()
+        order = []
+
+        def change(name):
+            order.append(name)
+            engine.at_instant_end(solve)
+            engine.at_instant_end(solve)  # a repeat registration is a no-op
+
+        def solve():
+            order.append(("solve", engine.now))
+
+        def late():
+            change("late")
+            engine.schedule(0.0, change, "zero")
+
+        engine.schedule(1.0, change, "a")
+        engine.schedule(1.0, late, priority=9)
+        engine.schedule(2.0, change, "b")
+        engine.run()
+        assert order == ["a", "late", "zero", ("solve", 1.0),
+                         "b", ("solve", 2.0)]
+        assert engine.events_processed == 4
+        assert engine._seq == 4
+
+    def test_events_a_callback_schedules_now_fire_after_it(self):
+        engine = EventEngine()
+        order = []
+        engine.schedule(1.0, engine.at_instant_end, lambda: (
+            order.append("step"),
+            engine.schedule(0.0, order.append, "after")))
+        engine.run()
+        assert order == ["step", "after"]
+        assert engine.now == 1.0
+
+    def test_step_leaves_the_closing_instants_step_pending(self):
+        engine = EventEngine()
+        ran = []
+        engine.schedule(1.0, engine.at_instant_end, lambda: ran.append(1))
+        engine.schedule(3.0, lambda: None)
+        assert engine.step() is True
+        assert ran == [] and engine.pending == 1
+        assert engine.peek_time() == 3.0
+        # The pending step runs first, and does not use up the event.
+        assert engine.step() is True
+        assert ran == [1] and engine.now == 3.0
+        assert engine.events_processed == 2
+        assert engine.step() is False
+
+    def test_step_runs_a_lone_pending_step_and_reports_no_event(self):
+        engine = EventEngine()
+        ran = []
+        engine.schedule(1.0, engine.at_instant_end, lambda: ran.append(1))
+        assert engine.step() is True
+        assert engine.pending == 0 and engine.peek_time() is None
+        assert engine.step() is False
+        assert ran == [1]
+
+    def test_reset_discards_a_pending_step(self):
+        engine = EventEngine()
+        ran = []
+        engine.schedule(1.0, engine.at_instant_end, lambda: ran.append(1))
+        engine.step()
+        engine.reset()
+        engine.run()
+        assert ran == []
+        engine.at_instant_end(lambda: ran.append(engine.now))
+        engine.run()
+        assert ran == [0.0]

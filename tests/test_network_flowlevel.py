@@ -166,18 +166,29 @@ class TestPureFluidContract:
 
 
 class TestKernelCounterPins:
-    """Characterization: a flow-backend run re-plans its single pending
-    completion event on every rate change, so its telemetry pins how the
-    event kernel counts fired events, cancellations and compactions."""
+    """Characterization: a flow-backend run solves max-min once per
+    instant and re-plans its single pending completion event there, so
+    its telemetry pins how the event kernel counts fired events,
+    cancellations and compactions, and how often the solver runs."""
+
+    SOLVES = {"alltoall": 3, "allreduce": 28}
 
     @pytest.mark.parametrize("workload, processed, cancels", [
         ("alltoall", 76, 0),
-        ("allreduce", 154, 91),
+        ("allreduce", 154, 0),
     ])
-    def test_ring8_flow_event_counters(self, tmp_path, capsys, workload,
-                                       processed, cancels):
+    def test_ring8_flow_event_counters(self, tmp_path, capsys, monkeypatch,
+                                       workload, processed, cancels):
         from repro.cli import main
 
+        instants = []
+        reallocate = FlowLevelNetwork._reallocate
+
+        def recorded(net):
+            instants.append(net.engine.now)
+            reallocate(net)
+
+        monkeypatch.setattr(FlowLevelNetwork, "_reallocate", recorded)
         path = tmp_path / "metrics.json"
         assert main(["run", "--topology", "Ring(8)", "--bandwidths", "100",
                      "--workload", workload, "--payload-mib", "1",
@@ -185,8 +196,8 @@ class TestKernelCounterPins:
                      "--trace-level", "collective",
                      "--metrics-out", str(path)]) == 0
         assert f"(1 nodes, {processed} events)" in capsys.readouterr().out
-        counters = {m["name"]: m["value"]
-                    for m in json.loads(path.read_text())["metrics"]
+        metrics = json.loads(path.read_text())["metrics"]
+        counters = {m["name"]: m["value"] for m in metrics
                     if m["layer"] == "events" and m["type"] == "counter"}
         assert counters == {
             "events_processed": processed,
@@ -194,3 +205,9 @@ class TestKernelCounterPins:
             "cancels": cancels,
             "compactions": 0,
         }
+        solves = next(m["value"] for m in metrics
+                      if (m["layer"], m["name"])
+                      == ("network", "solver_iterations"))
+        assert solves == len(instants) == self.SOLVES[workload]
+        # One solve per instant: no instant solves twice.
+        assert len(set(instants)) == len(instants)
