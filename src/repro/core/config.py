@@ -90,11 +90,11 @@ class SystemConfig:
         checkpoint: Checkpoint/restart cost model used by the resilience
             report to price permanent failures.
         telemetry: Telemetry configuration (metrics registry + span
-            tracing); ``None`` (the default) installs no instrumentation
+            tracing); ``None`` (the default) builds no instrumentation
             and keeps every hook on the exact un-instrumented fast path,
             mirroring the ``faults`` contract.
         invariants: Runtime invariant-checking configuration
-            (:mod:`repro.validate`); ``None`` (the default) installs no
+            (:mod:`repro.validate`); ``None`` (the default) builds no
             checker and keeps every hook on the exact un-instrumented
             fast path — the same zero-cost contract as ``telemetry``.
         folding: Symmetry folding of per-rank traces

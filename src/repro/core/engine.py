@@ -94,6 +94,10 @@ class ExecutionEngine:
         network: AnalyticalNetwork,
         scheduler: ChunkScheduler,
         traces: Dict[int, ExecutionTrace],
+        *,
+        faults=None,
+        telemetry=None,
+        invariants=None,
     ) -> None:
         if not traces:
             raise ValueError("no traces to execute")
@@ -107,17 +111,14 @@ class ExecutionEngine:
         self.config = config
         self.network = network
         self.scheduler = scheduler
-        # Fault-injection state; attached by the Simulator only when a
-        # non-empty schedule is configured, with the time its first fault
-        # starts to slow anything (compute ending by then is not re-priced).
-        self.faults = None
-        self.fault_onset = float("inf")
-        # Telemetry collector (repro.telemetry.Telemetry); same contract:
-        # None keeps every hook on the exact un-instrumented path.
-        self.telemetry = None
-        # Invariant checker (repro.validate.InvariantChecker); same
-        # contract again — None is the zero-cost fast path.
-        self.invariants = None
+        # The run's instruments; None keeps every hook on the exact
+        # un-instrumented path.  Compute ending before the injector's
+        # onset, when its first fault starts to slow anything, is not
+        # re-priced.
+        self.faults = faults  # repro.faults.FaultInjector
+        self.fault_onset = float("inf") if faults is None else faults.onset
+        self.telemetry = telemetry  # repro.telemetry.Telemetry
+        self.invariants = invariants  # repro.validate.InvariantChecker
         self._inflight_collectives = 0
         self.traces = dict(traces)
         self.activity = ActivityLog()

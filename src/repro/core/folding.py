@@ -28,7 +28,7 @@ state could diverge or be observed per rank:
 
 - ``config.folding == "off"`` — explicit opt-out;
 - a fault schedule is configured (faults break rank symmetry);
-- telemetry or invariant checking is installed (both observe the
+- telemetry or invariant checking is on (both observe the
   physical per-rank port set, which folding deliberately shrinks);
 - the trace dict is not in ascending rank order (record ordering at
   equal timestamps follows trace order, so only the canonical order is

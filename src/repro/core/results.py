@@ -57,14 +57,14 @@ class RunResult:
         resilience: Fault/checkpoint accounting; present only when a
             fault schedule was injected.
         telemetry: Finalised :class:`repro.telemetry.TelemetryReport`;
-            present only when a telemetry config was installed.  Its
+            present only when a telemetry config was given.  Its
             metrics and spans are simulated-time quantities (and hence
             reproducible); its wall-clock profile is host-dependent and
             is therefore excluded from ``result_to_dict`` exports, like
             ``wall_time_s``.
         invariants: :class:`repro.validate.InvariantReport` from the
             runtime invariant checker; present only when an invariant
-            config was installed (``--check-invariants``).
+            config was given (``--check-invariants``).
         wall_time_s: Host wall-clock seconds the simulation took.  A cost
             metric only — deliberately excluded from
             :func:`repro.stats.export.result_to_dict` so exported results

@@ -20,7 +20,7 @@ from repro.core.config import SystemConfig
 from repro.core.engine import ExecutionEngine
 from repro.core.folding import plan_folding
 from repro.core.results import RunResult
-from repro.events import EventEngine
+from repro.events import EventEngine, SimulationError
 from repro.network import make_network
 from repro.system.scheduler import make_scheduler
 from repro.trace.graph import ExecutionTrace
@@ -37,13 +37,40 @@ class Simulator:
         self.folding = plan_folding(traces, config)
         if self.folding.active:
             traces = self.folding.folded_traces
-        self.engine = EventEngine()
+        # Instruments first, so each layer receives them in its
+        # constructor; an absent config leaves the slot None, on the
+        # bit-identical fast path.
+        self.injector = None
+        if config.faults:
+            from repro.faults.injector import FaultInjector
+
+            self.injector = FaultInjector(config.faults, config.topology)
+        self.telemetry = None
+        if config.telemetry is not None:
+            from repro.telemetry import Telemetry
+
+            self.telemetry = Telemetry(config.telemetry)
+            # Folding never coexists with telemetry (per-rank observation
+            # disables it); the counter records that — and why — so
+            # instrumented runs can see the fold state they forfeited.
+            self.telemetry.metrics.counter(
+                "system", "folding_disabled",
+                reason=self.folding.report.reason).value = 1.0
+        self.invariants = None
+        if config.invariants is not None:
+            from repro.validate.invariants import InvariantChecker
+
+            self.invariants = InvariantChecker(config.invariants)
+        instruments = dict(telemetry=self.telemetry,
+                           invariants=self.invariants)
+        self.engine = EventEngine(invariants=self.invariants)
         self.network = make_network(
             config.network_backend, self.engine, config.topology,
             packet_bytes=config.packet_bytes,
             train_packets=config.train_packets,
             escalation_threshold=config.escalation_threshold,
-            deescalation_hysteresis=config.deescalation_hysteresis)
+            deescalation_hysteresis=config.deescalation_hysteresis,
+            faults=self.injector, **instruments)
         self.scheduler = make_scheduler(config.scheduler)
         self.execution = ExecutionEngine(
             engine=self.engine,
@@ -51,43 +78,19 @@ class Simulator:
             network=self.network,
             scheduler=self.scheduler,
             traces=traces,
+            faults=self.injector,
+            **instruments,
         )
-        # An empty/absent schedule installs nothing: every fault hook then
-        # stays on its None fast path and results are bit-identical to a
-        # build without the faults subsystem.
-        self.injector = None
-        if config.faults:
-            from repro.faults.injector import FaultInjector
-
-            self.injector = FaultInjector(config.faults, config.topology)
-            self.injector.install(self.network, self.execution)
-        # Same contract as faults: no config installs no instrumentation
-        # and leaves every telemetry hook on its None fast path.
-        self.telemetry = None
-        if config.telemetry is not None:
-            from repro.telemetry import Telemetry
-
-            self.telemetry = Telemetry(config.telemetry)
-            self.telemetry.install(
-                self.engine, network=self.network, execution=self.execution)
-            # Folding never coexists with telemetry (per-rank observation
-            # disables it); the counter records that — and why — so
-            # instrumented runs can see the fold state they forfeited.
-            self.telemetry.metrics.counter(
-                "system", "folding_disabled",
-                reason=self.folding.report.reason).value = 1.0
-        # Runtime invariant checking (repro.validate): same opt-in
-        # contract — no config leaves every ``invariants`` slot at None.
-        self.invariants = None
-        if config.invariants is not None:
-            from repro.validate.invariants import InvariantChecker
-
-            self.invariants = InvariantChecker(config.invariants)
-            self.invariants.install(
-                self.engine, network=self.network, execution=self.execution)
+        if self.telemetry is not None:
+            self.telemetry.start_sampler(
+                self.engine, self.network, self.execution)
+        self._ran = False
 
     def run(self) -> RunResult:
-        """Run to completion and collect results."""
+        """Run to completion and collect results (once per simulator)."""
+        if self._ran:
+            raise SimulationError("Simulator.run() was already called")
+        self._ran = True
         wall_start = time.perf_counter()
         if self.telemetry is not None:
             with self.telemetry.profile.section("run"):
@@ -127,11 +130,14 @@ class Simulator:
             # Before telemetry finalizes, so the violation counters land
             # in the same metrics registry snapshot.
             invariant_report = self.invariants.finalize(
-                total, telemetry=self.telemetry)
+                total, engine=self.engine, network=self.network,
+                execution=self.execution, telemetry=self.telemetry)
         report = None
         if self.telemetry is not None:
             with self.telemetry.profile.section("finalize"):
-                report = self.telemetry.finalize(total, breakdown=breakdown)
+                report = self.telemetry.finalize(
+                    total, engine=self.engine, network=self.network,
+                    breakdown=breakdown)
         return RunResult(
             total_time_ns=total,
             breakdown=breakdown,

@@ -59,7 +59,7 @@ class EventEngine:
     end-of-instant callbacks (:meth:`at_instant_end`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, invariants=None) -> None:
         # Heap of [time, priority, seq, fn, args].  NOTE: the list
         # object's identity is stable for the engine's lifetime
         # (compaction mutates it in place) so hot loops may alias it.
@@ -75,12 +75,12 @@ class EventEngine:
         # the drain path stays untouched).
         self.cancels: int = 0
         self.compactions: int = 0
-        # Invariant checker slot (repro.validate.InvariantChecker);
-        # None keeps every schedule path un-instrumented.  The guards
-        # below catch what the delay/time raises cannot: NaN and
-        # infinite timestamps compare False against every bound and
+        # Invariant checker (repro.validate.InvariantChecker), given at
+        # construction; None keeps every schedule path un-instrumented.
+        # The guards below catch what the delay/time raises cannot: NaN
+        # and infinite timestamps compare False against every bound and
         # would corrupt heap ordering silently.
-        self.invariants = None
+        self.invariants = invariants
         # Callbacks of the pending end-of-instant step (a dict: a repeated
         # registration runs once), or None while no step is pending.
         self._instant_end: Optional[Dict[Callable[[], None], None]] = None

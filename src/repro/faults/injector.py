@@ -24,11 +24,13 @@ over the timeline from the moment it actually starts the work.  A fault
 thus costs what its window takes away, whatever was issued when.  The
 injector schedules no events.
 
-Each site reserves the nominal work first and re-prices it only when it
-ends after the injector's ``onset``, the first time any fault slows
-anything (``inf`` without an injector).  An absent or empty schedule
-never installs an injector, and factor-1.0 faults slow nothing, so such
-work takes exactly the fault-free code path and stays bit-identical.
+The priced layers (the analytical network and the execution engine)
+receive the injector in their constructors; it holds no layer.  Each
+site reserves the nominal work first and re-prices it only when it ends
+after the injector's ``onset``, the first time any fault slows anything
+(``inf`` without an injector).  An absent or empty schedule builds no
+injector, and factor-1.0 faults slow nothing, so such work takes
+exactly the fault-free code path and stays bit-identical.
 
 Integration also *attributes*: the extra nanoseconds a segment adds are
 charged to the faults acting in it (split evenly when several
@@ -169,16 +171,7 @@ class FaultInjector:
                               f.kind is not FaultKind.NPU_FAIL
                               and f.factor != 1.0)), default=_INF)
 
-    # -- installation ------------------------------------------------------------
-
-    def install(self, network, execution=None) -> None:
-        """Attach to a run: the priced layers consult this injector."""
-        for layer in (network, execution):
-            if layer is not None:
-                layer.faults = self
-                layer.fault_onset = self.onset
-
-    # -- timelines (only reachable when installed) --------------------------------
+    # -- timelines ---------------------------------------------------------------
 
     def _timeline(self, faults: List[FaultSpec],
                   rate) -> Optional[CapacityTimeline]:

@@ -42,23 +42,27 @@ def make_network(
     train_packets: int = 1,
     escalation_threshold: float = 4.0,
     deescalation_hysteresis: float = 1.0,
+    faults=None,
+    **instruments,
 ) -> NetworkBackend:
     """Build the backend ``name`` (``analytical``, ``flow``, ``garnet`` or
-    ``adaptive``) on ``engine``.  ``packet_bytes=0`` means the default
-    packet size; options a backend does not model are ignored."""
+    ``adaptive``) on ``engine`` with the run's ``telemetry`` and
+    ``invariants`` instruments (absent or ``None``: off).
+    ``packet_bytes=0`` means the default packet size; options a backend
+    does not model (``faults`` outside ``analytical``) are ignored."""
     packet_bytes = packet_bytes or DEFAULT_PACKET_BYTES
     if name == "analytical":
-        return AnalyticalNetwork(engine, topology)
+        return AnalyticalNetwork(engine, topology, faults=faults, **instruments)
     if name == "flow":
-        return FlowLevelNetwork(engine, topology)
+        return FlowLevelNetwork(engine, topology, **instruments)
     if name == "garnet":
         return GarnetLiteNetwork(engine, topology, packet_bytes=packet_bytes,
-                                 train_packets=train_packets)
+                                 train_packets=train_packets, **instruments)
     if name == "adaptive":
         return AdaptiveFlowNetwork(
             engine, topology, escalation_threshold=escalation_threshold,
             deescalation_hysteresis=deescalation_hysteresis,
-            escalation_packet_bytes=packet_bytes)
+            escalation_packet_bytes=packet_bytes, **instruments)
     raise ValueError(f"unknown network backend {name!r}")
 
 

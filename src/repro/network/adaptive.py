@@ -98,6 +98,7 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
         escalation_threshold: float = 4.0,
         deescalation_hysteresis: float = 1.0,
         escalation_packet_bytes: int = 4096,
+        **instruments,
     ) -> None:
         if math.isnan(escalation_threshold) or escalation_threshold < 0:
             raise ValueError(
@@ -112,7 +113,7 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
             raise ValueError(
                 f"escalation_packet_bytes must be positive, "
                 f"got {escalation_packet_bytes}")
-        super().__init__(engine, topology)
+        super().__init__(engine, topology, **instruments)
         self.escalation_threshold = float(escalation_threshold)
         self.deescalation_hysteresis = float(deescalation_hysteresis)
         self.escalation_packet_bytes = int(escalation_packet_bytes)
@@ -340,7 +341,7 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
             self._flush_transitions()
         return finished, departed
 
-    # -- telemetry ------------------------------------------------------------------
+    # -- telemetry and invariants ---------------------------------------------------
 
     def telemetry_finalize(self, telemetry, total_ns: float) -> None:
         super().telemetry_finalize(telemetry, total_ns)
@@ -378,3 +379,40 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
             ).value = packet_ns
         metrics.counter("network", "links_escalated_now").value = float(
             len(self._packet_links))
+
+    def invariants_finalize(self, checker, total_ns: float) -> None:
+        """Handoffs conserved bytes and no link stayed escalated."""
+        super().invariants_finalize(checker, total_ns)
+        # Every byte a message delivered was attributed to exactly one
+        # granularity, so fluid + escalated must equal the delivered
+        # total (slack: <= 1 B per message for the size-floor/segment
+        # rounding, <= 1 B per handoff for the ceil at conversion).
+        checker.checks += 1
+        accounted = self.fluid_bytes + self.escalated_bytes
+        delivered = float(self.bytes_delivered)
+        slack = (2.0 * (self.messages_delivered + self.handoffs)
+                 + checker.config.rel_tolerance * max(1.0, delivered))
+        if abs(accounted - delivered) > slack:
+            checker.record(
+                "network", "conservation",
+                f"granularity byte attribution {accounted:.6g} B "
+                f"(fluid {self.fluid_bytes:.6g} + escalated "
+                f"{self.escalated_bytes:.6g}) does not conserve "
+                f"the {delivered:.6g} B delivered",
+                time_ns=total_ns, fluid_bytes=self.fluid_bytes,
+                escalated_bytes=self.escalated_bytes,
+                delivered_bytes=delivered)
+        # No stuck escalations: once traffic drains, any link whose
+        # de-escalation point is reachable (threshold - hysteresis >= 0)
+        # must have flipped back to fluid.
+        if self.escalation_threshold - self.deescalation_hysteresis < 0:
+            return
+        for state in self._gran.values():
+            checker.checks += 1
+            if (state.mode == "packet" and not state.link.flows
+                    and not state.pending):
+                checker.record(
+                    "network", "leak",
+                    f"link {state.link.key!r} still escalated at end of "
+                    "run with no flows (missed de-escalation)",
+                    time_ns=total_ns)

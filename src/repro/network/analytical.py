@@ -71,14 +71,15 @@ class DimPort:
 class AnalyticalNetwork(NetworkBackend):
     """Closed-form latency/bandwidth backend with port serialization."""
 
-    def __init__(self, engine: EventEngine, topology: MultiDimTopology) -> None:
-        super().__init__(engine, topology)
-        # Fault-injection state (repro.faults.FaultInjector), attached only
-        # when a non-empty schedule is configured, and the time its first
-        # fault starts to slow anything: work that ends by then keeps the
-        # exact fault-free path (bit-identical results).
-        self.faults = None
-        self.fault_onset = _INF
+    def __init__(self, engine: EventEngine, topology: MultiDimTopology, *,
+                 faults=None, **instruments) -> None:
+        super().__init__(engine, topology, **instruments)
+        # Fault injector (repro.faults.FaultInjector), given only when a
+        # non-empty schedule is configured, and the time its first fault
+        # starts to slow anything: work that ends by then keeps the exact
+        # fault-free path (bit-identical results).
+        self.faults = faults
+        self.fault_onset = _INF if faults is None else faults.onset
         self._ports: Dict[Tuple[int, int], DimPort] = {}
         # Shared fabric capacity per dimension group, engaged only for
         # oversubscribed dimensions (first-order congestion model).
@@ -243,7 +244,7 @@ class AnalyticalNetwork(NetworkBackend):
             return 0.0
         return min(1.0, port.busy_ns / self.engine.now)
 
-    # -- telemetry ------------------------------------------------------------------
+    # -- telemetry and invariants ---------------------------------------------------
 
     def telemetry_sample(self, telemetry, now: float) -> None:
         """Sample the deepest egress-port backlog (queueing pressure)."""
@@ -275,3 +276,20 @@ class AnalyticalNetwork(NetworkBackend):
             len(self._ports))
         metrics.counter("network", "ports_dropped").value = float(
             max(0, len(self._ports) - cap))
+
+    def invariants_finalize(self, checker, total_ns: float) -> None:
+        """No port or shared fabric was double-booked."""
+        super().invariants_finalize(checker, total_ns)
+        # Each port reservation passed the inlined guard in reserve_port;
+        # account for those checks in bulk.
+        checker.checks += sum(p.reservations for p in self._ports.values())
+        for key, port in [*self._ports.items(), *self._fabrics.items()]:
+            checker.checks += 1
+            if port.busy_ns > port.free_at + 1e-6 or port.busy_ns < 0:
+                checker.record(
+                    "network", "capacity",
+                    f"port {key!r} accumulated {port.busy_ns:.6g} ns "
+                    f"of busy time inside a [0, {port.free_at:.6g}] "
+                    "ns reservation span (double-booked)",
+                    time_ns=total_ns, busy_ns=port.busy_ns,
+                    free_at=port.free_at)

@@ -44,7 +44,8 @@ class NetworkBackend(abc.ABC):
     subclass :class:`~repro.network.adaptive.AdaptiveFlowNetwork`.
     """
 
-    def __init__(self, engine: EventEngine, topology: MultiDimTopology) -> None:
+    def __init__(self, engine: EventEngine, topology: MultiDimTopology, *,
+                 telemetry=None, invariants=None) -> None:
         self.engine = engine
         self.topology = topology
         # Rendezvous tables keyed by (src, dest, tag); FIFO per key.
@@ -52,13 +53,12 @@ class NetworkBackend(abc.ABC):
         self._waiting: Dict[Tuple[int, int, int], List[Callable[[Message], None]]] = {}
         self.messages_delivered = 0
         self.bytes_delivered = 0
-        # Telemetry collector (repro.telemetry.Telemetry), attached only
-        # when a TelemetryConfig is configured; None keeps every hook on
-        # the exact un-instrumented code path.
-        self.telemetry = None
-        # Invariant checker (repro.validate.InvariantChecker); same
-        # contract — None is the zero-cost fast path.
-        self.invariants = None
+        # Telemetry collector (repro.telemetry.Telemetry) and invariant
+        # checker (repro.validate.InvariantChecker), given at construction
+        # only when configured; None keeps every hook on the exact
+        # un-instrumented code path.
+        self.telemetry = telemetry
+        self.invariants = invariants
 
     # -- NetworkAPI --------------------------------------------------------------
 
@@ -141,12 +141,12 @@ class NetworkBackend(abc.ABC):
     def undelivered_arrivals(self) -> int:
         return sum(len(v) for v in self._arrived.values())
 
-    # -- telemetry ----------------------------------------------------------------
+    # -- telemetry and invariants -------------------------------------------------
 
     def telemetry_sample(self, telemetry, now: float) -> None:
         """Periodic gauge sampling hook; backends override to add their
-        own time series (queue depths, active flows).  Called only while
-        a collector is installed."""
+        own time series (queue depths, active flows).  Called only on a
+        run with a collector."""
         telemetry.metrics.gauge("network", "posted_receives").sample(
             now, self.pending_receives())
 
@@ -157,3 +157,20 @@ class NetworkBackend(abc.ABC):
                 self.messages_delivered)
         telemetry.metrics.counter("network", "bytes_delivered").value = float(
             self.bytes_delivered)
+
+    def invariants_finalize(self, checker, total_ns: float) -> None:
+        """End-of-run invariant sweep: nothing left posted or unclaimed.
+        Backends extend it with their own end-of-run state."""
+        posted = self.pending_receives()
+        unclaimed = self.undelivered_arrivals()
+        if posted:
+            checker.record(
+                "network", "leak",
+                f"{posted} receives still posted at end of run",
+                time_ns=total_ns, posted=posted)
+        if unclaimed:
+            checker.record(
+                "network", "leak",
+                f"{unclaimed} delivered messages never claimed by a "
+                "receive", time_ns=total_ns, unclaimed=unclaimed)
+        checker.checks += 2

@@ -118,8 +118,9 @@ class FlowLevelNetwork(NetworkBackend):
         self,
         engine: EventEngine,
         topology: MultiDimTopology,
+        **instruments,
     ) -> None:
-        super().__init__(engine, topology)
+        super().__init__(engine, topology, **instruments)
         # Links materialize on first touch (LazyLinkGraph); construction
         # cost is independent of topology size.
         self._links = LazyLinkGraph(topology, lambda bw, lat: _FlowLink(bw, lat))
@@ -269,7 +270,7 @@ class FlowLevelNetwork(NetworkBackend):
     def active_flows(self) -> int:
         return len(self._flows)
 
-    # -- telemetry ----------------------------------------------------------------
+    # -- telemetry and invariants -------------------------------------------------
 
     def _record_flow_span(self, message: Message) -> None:
         """One span per fully-serialized message on a shared flow track."""
@@ -296,3 +297,20 @@ class FlowLevelNetwork(NetworkBackend):
             self.granularity_escalations)
         metrics.counter("network", "links_total").value = float(
             self._links.total_count())
+
+    def invariants_finalize(self, checker, total_ns: float) -> None:
+        """Every flow drained: no link carries one, none is in flight."""
+        super().invariants_finalize(checker, total_ns)
+        for key, link in self._links.items():
+            checker.checks += 1
+            if link.flows:
+                checker.record(
+                    "network", "leak",
+                    f"link {key!r} still carries {len(link.flows)} flows "
+                    "at end of run", time_ns=total_ns, flows=len(link.flows))
+        if self._flows:
+            checker.checks += 1
+            checker.record(
+                "network", "leak",
+                f"{len(self._flows)} flows still in flight at end of run",
+                time_ns=total_ns, flows=len(self._flows))

@@ -17,6 +17,7 @@ traffic.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Optional, Tuple
 
 from repro.events import EventEngine
@@ -99,8 +100,9 @@ class GarnetLiteNetwork(NetworkBackend):
         topology: MultiDimTopology,
         packet_bytes: int = DEFAULT_PACKET_BYTES,
         train_packets: int = 1,
+        **instruments,
     ) -> None:
-        super().__init__(engine, topology)
+        super().__init__(engine, topology, **instruments)
         if packet_bytes <= 0:
             raise ValueError(f"packet_bytes must be positive, got {packet_bytes}")
         if train_packets < 1:
@@ -166,9 +168,7 @@ class GarnetLiteNetwork(NetworkBackend):
         if flow.packets_arrived == flow.packets_total:
             self._deliver(flow.message)
 
-    # -- statistics ----------------------------------------------------------------
-
-    # -- telemetry ----------------------------------------------------------------
+    # -- telemetry and invariants ------------------------------------------------
 
     def telemetry_sample(self, telemetry, now: float) -> None:
         """Sample router-queue pressure: per-link serialization backlog."""
@@ -204,3 +204,18 @@ class GarnetLiteNetwork(NetworkBackend):
         metrics.counter("network", "links_total").value = float(total)
         metrics.counter("network", "links_dropped").value = float(
             max(0, total - min(cap, len(links))))
+
+    def invariants_finalize(self, checker, total_ns: float) -> None:
+        """No link serialized more traffic than its busy span holds."""
+        super().invariants_finalize(checker, total_ns)
+        for key, link in self._links.items():
+            checker.checks += 1
+            serialized = link.bytes_carried / link.bandwidth
+            if (link.bytes_carried < 0 or not math.isfinite(link.free_at)
+                    or serialized > link.free_at + 1e-6):
+                checker.record(
+                    "network", "capacity",
+                    f"link {key!r} serialized {serialized:.6g} ns of "
+                    f"traffic in a [0, {link.free_at:.6g}] ns busy span",
+                    time_ns=total_ns, bytes_carried=link.bytes_carried,
+                    free_at=link.free_at)

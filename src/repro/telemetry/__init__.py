@@ -14,7 +14,7 @@ The observability layer of the simulator (see ``docs/observability.md``):
   surfaced in ``RunResult.telemetry`` and the ``--metrics-out`` export.
 
 Telemetry is zero-cost when disabled: a :class:`~repro.core.config.
-SystemConfig` without a :class:`TelemetryConfig` installs nothing and
+SystemConfig` without a :class:`TelemetryConfig` builds no collector and
 every instrumentation hook stays on its ``if telemetry is None`` fast
 path (same contract as :mod:`repro.faults`).
 

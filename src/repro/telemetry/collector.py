@@ -1,21 +1,23 @@
-"""The telemetry collector: installation, sampling, and finalization.
+"""The telemetry collector: sampling and finalization.
 
 One :class:`Telemetry` instance serves one simulation run, mirroring the
 :class:`~repro.faults.injector.FaultInjector` contract:
 
-- :meth:`Telemetry.install` attaches the collector to the run's own
-  objects — the network backend and the execution engine — and schedules
-  the adaptive simulated-time sampler on the event engine.  Memory models
-  outlive a run and may be shared between runs, so they hold no
-  collector: the execution engine takes their counters where it issues
-  each memory node (:meth:`~repro.memory.api.MemoryModel.telemetry_access`);
+- the :class:`~repro.core.simulator.Simulator` builds it before the
+  layers and passes it to the constructors of the network backend and
+  the execution engine; the collector holds no layer.  Memory models
+  outlive a run, so the execution engine takes their counters where it
+  issues each memory node
+  (:meth:`~repro.memory.api.MemoryModel.telemetry_access`);
+- the simulated-time sampler (:meth:`Telemetry.start_sampler`) gets the
+  layers as event arguments and is not counted in ``events_processed``;
 - during the run, layers feed it through small guarded hooks
   (``if telemetry is not None``) — an absent collector keeps every hook
   on its zero-cost fast path;
-- :meth:`Telemetry.finalize` sweeps the end-of-run state (engine
-  counters, per-link/port statistics, exposed-time breakdown) into the
-  metrics registry and returns the :class:`TelemetryReport` that lands in
-  ``RunResult.telemetry`` and ``--metrics-out``.
+- :meth:`Telemetry.finalize` sweeps the given layers' end-of-run state
+  (engine counters, per-link/port statistics, exposed-time breakdown)
+  into the metrics registry and returns the :class:`TelemetryReport`
+  that lands in ``RunResult.telemetry`` and ``--metrics-out``.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ METRICS_SCHEMA_VERSION = 1
 
 #: The sampler fires after all same-time workload events (large positive
 #: priority) and samples at the instant's end, after any flow solve, so
-#: sampled levels reflect the state *between* timestamps.
+#: sampled levels reflect the state *between* timestamps.  Like the
+#: end-of-instant step, it is not counted in ``events_processed``.
 SAMPLER_PRIORITY = 1_000_000
 
 
@@ -54,9 +57,6 @@ class Telemetry:
         self.collective_spans = level >= TraceLevel.COLLECTIVE
         self.chunk_spans = level >= TraceLevel.CHUNK
         self.packet_spans = level >= TraceLevel.PACKET
-        self._engine = None
-        self._network = None
-        self._execution = None
         self._sample_interval = self.config.sample_interval_ns
         self._samples_taken = 0
         self._finalized = False
@@ -66,35 +66,24 @@ class Telemetry:
         self._heap_gauge = self.metrics.gauge("events", "heap_size")
         self._last_collective: Dict[Any, float] = {}
 
-    # -- installation ------------------------------------------------------------
-
-    def install(self, engine, network=None, execution=None) -> None:
-        """Attach to a run's layers and start the simulated-time sampler."""
-        self._engine = engine
-        if network is not None:
-            self._network = network
-            network.telemetry = self
-        if execution is not None:
-            self._execution = execution
-            execution.telemetry = self
-        if self._sample_interval > 0:
-            engine.schedule(0.0, self._sample, priority=SAMPLER_PRIORITY)
-
     # -- sampling ----------------------------------------------------------------
 
-    def _sample(self) -> None:
-        self._engine.at_instant_end(self._take_sample)
+    def start_sampler(self, engine, network, execution) -> None:
+        """Schedule the simulated-time sampler over a run's layers."""
+        if self._sample_interval > 0:
+            engine.schedule(0.0, self._sample, engine, network, execution,
+                            priority=SAMPLER_PRIORITY)
 
-    def _take_sample(self) -> None:
-        engine = self._engine
+    def _sample(self, engine, network, execution) -> None:
+        engine.events_processed -= 1  # counted by the run loop; not an event
+        engine.at_instant_end(
+            lambda: self._take_sample(engine, network, execution))
+
+    def _take_sample(self, engine, network, execution) -> None:
         now = engine.now
         self._heap_gauge.sample(now, engine.pending)
-        network = self._network
-        if network is not None:
-            network.telemetry_sample(self, now)
-        execution = self._execution
-        if execution is not None:
-            execution.telemetry_sample(self, now)
+        network.telemetry_sample(self, now)
+        execution.telemetry_sample(self, now)
         self._samples_taken += 1
         if self._samples_taken % self.config.samples_per_doubling == 0:
             # Adaptive cadence: burst budget exhausted, halve the rate, so
@@ -103,8 +92,8 @@ class Telemetry:
         if engine.pending > 0:
             # Only reschedule while real work remains, so the sampler
             # never keeps the event queue alive on its own.
-            engine.schedule(self._sample_interval, self._sample,
-                            priority=SAMPLER_PRIORITY)
+            engine.schedule(self._sample_interval, self._sample, engine,
+                            network, execution, priority=SAMPLER_PRIORITY)
 
     # -- hot-path hooks ----------------------------------------------------------
 
@@ -164,24 +153,22 @@ class Telemetry:
 
     # -- finalization ------------------------------------------------------------
 
-    def finalize(self, total_ns: float, breakdown=None) -> "TelemetryReport":
-        """Sweep end-of-run state into the registry and build the report."""
+    def finalize(self, total_ns: float, engine, network,
+                 breakdown=None) -> "TelemetryReport":
+        """Sweep the layers' end-of-run state into the registry and build
+        the report."""
         if self._finalized:
             raise RuntimeError("telemetry finalized twice")
         self._finalized = True
-        engine = self._engine
-        if engine is not None:
-            self.metrics.counter("events", "events_processed").value = float(
-                engine.events_processed)
-            self.metrics.counter("events", "events_scheduled").value = float(
-                engine._seq)
-            self.metrics.counter("events", "cancels").value = float(
-                getattr(engine, "cancels", 0))
-            self.metrics.counter("events", "compactions").value = float(
-                getattr(engine, "compactions", 0))
-        network = self._network
-        if network is not None:
-            network.telemetry_finalize(self, total_ns)
+        metrics = self.metrics
+        metrics.counter("events", "events_processed").value = float(
+            engine.events_processed)
+        metrics.counter("events", "events_scheduled").value = float(
+            engine._seq)
+        metrics.counter("events", "cancels").value = float(engine.cancels)
+        metrics.counter("events", "compactions").value = float(
+            engine.compactions)
+        network.telemetry_finalize(self, total_ns)
         if breakdown is not None:
             for activity, exposed in breakdown.exposed_ns.items():
                 self.metrics.gauge(

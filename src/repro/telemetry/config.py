@@ -2,10 +2,10 @@
 
 Telemetry follows the same activation contract as the fault subsystem
 (:mod:`repro.faults`): a :class:`~repro.core.config.SystemConfig` without
-a :class:`TelemetryConfig` installs nothing, every instrumentation hook
+a :class:`TelemetryConfig` builds no collector, every instrumentation hook
 stays on its ``if telemetry is None`` fast path, and results are
 bit-identical to a build without the telemetry subsystem.  The overhead
-budget of the installed-but-idle state is enforced by
+budget of the enabled-but-idle state is enforced by
 ``benchmarks/perf/test_perf_smoke.py``.
 """
 

@@ -2,9 +2,10 @@
 
 Five pillars (see ``docs/validation.md``):
 
-1. **Runtime invariants** — :class:`InvariantChecker` attaches to the
-   event kernel, network backends, collective scheduler, and memory
-   models through the same zero-cost-when-absent slot pattern as
+1. **Runtime invariants** — :class:`InvariantChecker` is built before
+   the layers and handed to the constructors of the event kernel, the
+   network backend and the execution engine (which checks collectives
+   and memory accesses), the same zero-cost-when-absent slot pattern as
    telemetry and fault injection, asserting causality, conservation,
    capacity, and finiteness laws while a simulation runs.
 2. **Metamorphic relations** — :func:`run_metamorphic_suite` checks laws

@@ -16,7 +16,7 @@ backend pairs and asserts agreement within *declared* tolerance bands:
   coarse documented band.
 
 Every scenario additionally runs with an
-:class:`~repro.validate.invariants.InvariantChecker` installed, so a
+:class:`~repro.validate.invariants.InvariantChecker` on, so a
 conformance pass certifies both cross-backend agreement *and* a
 violation-free run.  The outcome is persisted as a versioned
 :class:`~repro.validate.harness.SuiteReport` JSON document (CI uploads

@@ -43,13 +43,10 @@ def run_algorithm(
     """
     topo = parse_topology(notation, list(bandwidths),
                           latencies_ns=list(latencies))
-    engine = EventEngine()
+    checker = InvariantChecker(InvariantConfig()) if check_invariants else None
+    engine = EventEngine(invariants=checker)
     net = make_network(backend, engine, topo, packet_bytes=packet_bytes,
-                       **backend_options)
-    checker = None
-    if check_invariants:
-        checker = InvariantChecker(InvariantConfig()).install(
-            engine, network=net)
+                       invariants=checker, **backend_options)
     executor = SendRecvCollectiveExecutor(engine, net)
     out: Dict[str, float] = {}
     getattr(executor, f"run_{algorithm}")(
@@ -58,7 +55,8 @@ def run_algorithm(
     engine.run()
     violations = 0
     if checker is not None:
-        violations = checker.finalize(engine.now).violations_total
+        violations = checker.finalize(
+            engine.now, engine=engine, network=net).violations_total
     return out["t"], engine.events_processed, violations, net
 
 

@@ -1,15 +1,16 @@
 """Runtime invariant checking — pillar 1 of :mod:`repro.validate`.
 
-An :class:`InvariantChecker` attaches to the per-run objects of a
-simulation through the same opt-in slot pattern as telemetry and fault
-injection: the event engine, the network backend and the execution
-engine each carry an ``invariants`` attribute that defaults to ``None``,
-and every hook guards with ``if inv is not None`` — an absent config
-keeps the simulation on the exact un-instrumented code path
+Like telemetry and fault injection, an :class:`InvariantChecker` is
+passed to the constructors of the event engine, the network backend and
+the execution engine, whose ``invariants`` slot is ``None`` without a
+config; every hook guards with ``if inv is not None`` — an absent
+config keeps the simulation on the exact un-instrumented code path
 (bit-identical results, enforced by the perf-smoke A/B gate).  Memory
 models outlive a run and may be shared between runs, so they carry no
 slot: the execution engine checks each memory access where it issues
-the memory node.
+the memory node.  The checker holds no layer: its ``finalize`` is given
+the layers to sweep, and each network backend sweeps its own end-of-run
+state (:meth:`~repro.network.api.NetworkBackend.invariants_finalize`).
 
 Checked physical laws:
 
@@ -29,8 +30,8 @@ Checked physical laws:
 
 Violations are recorded as structured :class:`InvariantViolation`
 records (``strict=True`` raises :class:`InvariantError` at the first
-one) and surfaced through the telemetry metrics registry when a
-collector is installed.
+one) and surfaced through the telemetry metrics registry when the run
+has a collector.
 """
 
 from __future__ import annotations
@@ -169,10 +170,9 @@ def expected_collective_traffic(
 class InvariantChecker:
     """Runtime invariant checker with zero-cost-when-absent hooks.
 
-    Install with :meth:`install` (mirroring
-    :meth:`repro.telemetry.Telemetry.install`); layers call the
-    ``check_*`` hot hooks only while attached.  :meth:`finalize` runs
-    the end-of-run sweeps and returns an :class:`InvariantReport`.
+    Layers given it at construction call the ``check_*`` hot hooks.
+    :meth:`finalize` runs the end-of-run sweeps and returns an
+    :class:`InvariantReport`.
     """
 
     def __init__(self, config: Optional[InvariantConfig] = None) -> None:
@@ -180,26 +180,6 @@ class InvariantChecker:
         self.violations: List[InvariantViolation] = []
         self.violations_total = 0
         self.checks = 0
-        self._engine = None
-        self._network = None
-        self._execution = None
-        self._seq_at_install = 0
-
-    # -- installation ------------------------------------------------------------
-
-    def install(self, engine, network=None,
-                execution=None) -> "InvariantChecker":
-        """Attach to the layers' ``invariants`` slots."""
-        self._engine = engine
-        self._seq_at_install = engine._seq
-        engine.invariants = self
-        if network is not None:
-            self._network = network
-            network.invariants = self
-        if execution is not None:
-            self._execution = execution
-            execution.invariants = self
-        return self
 
     # -- recording ---------------------------------------------------------------
 
@@ -215,7 +195,7 @@ class InvariantChecker:
         if self.config.strict:
             raise InvariantError(f"[{layer}/{name}] {message}")
 
-    # -- hot hooks (called only while installed) ----------------------------------
+    # -- hot hooks ----------------------------------------------------------------
 
     def check_event_time(self, time: float, now: float) -> None:
         """Causality/finiteness of a scheduled event timestamp.
@@ -407,105 +387,6 @@ class InvariantChecker:
 
     # -- end-of-run sweeps ----------------------------------------------------------
 
-    def _finalize_network(self, network, total_ns: float) -> None:
-        posted = network.pending_receives()
-        unclaimed = network.undelivered_arrivals()
-        if posted:
-            self.record(
-                "network", "leak",
-                f"{posted} receives still posted at end of run",
-                time_ns=total_ns, posted=posted)
-        if unclaimed:
-            self.record(
-                "network", "leak",
-                f"{unclaimed} delivered messages never claimed by a "
-                "receive", time_ns=total_ns, unclaimed=unclaimed)
-        self.checks += 2
-        ports = getattr(network, "_ports", None)
-        if ports is not None:  # analytical: ports + shared fabrics
-            # Each port reservation passed the inlined guard in
-            # reserve_port; account for those checks in bulk.
-            self.checks += sum(p.reservations for p in ports.values())
-            for key, port in list(ports.items()) + list(
-                    getattr(network, "_fabrics", {}).items()):
-                self.checks += 1
-                if port.busy_ns > port.free_at + 1e-6 or port.busy_ns < 0:
-                    self.record(
-                        "network", "capacity",
-                        f"port {key!r} accumulated {port.busy_ns:.6g} ns "
-                        f"of busy time inside a [0, {port.free_at:.6g}] "
-                        "ns reservation span (double-booked)",
-                        time_ns=total_ns, busy_ns=port.busy_ns,
-                        free_at=port.free_at)
-        links = getattr(network, "_links", None)
-        if links is not None:
-            for key, link in links.items():
-                bandwidth = getattr(link, "bandwidth", None)
-                if bandwidth is not None:  # garnet-lite packet links
-                    self.checks += 1
-                    serialized = link.bytes_carried / bandwidth
-                    if (link.bytes_carried < 0
-                            or not math.isfinite(link.free_at)
-                            or serialized > link.free_at + 1e-6):
-                        self.record(
-                            "network", "capacity",
-                            f"link {key!r} serialized "
-                            f"{serialized:.6g} ns of traffic in a "
-                            f"[0, {link.free_at:.6g}] ns busy span",
-                            time_ns=total_ns,
-                            bytes_carried=link.bytes_carried,
-                            free_at=link.free_at)
-                else:  # flow-level links: all flows must have drained
-                    self.checks += 1
-                    if link.flows:
-                        self.record(
-                            "network", "leak",
-                            f"link {key!r} still carries "
-                            f"{len(link.flows)} flows at end of run",
-                            time_ns=total_ns, flows=len(link.flows))
-        if getattr(network, "_flows", None):
-            self.checks += 1
-            self.record(
-                "network", "leak",
-                f"{len(network._flows)} flows still in flight at end of "
-                "run", time_ns=total_ns, flows=len(network._flows))
-        gran = getattr(network, "_gran", None)
-        if gran is not None:  # adaptive granularity controller
-            # Byte conservation across granularity handoffs: every byte a
-            # message delivered was attributed to exactly one granularity,
-            # so fluid + escalated must equal the delivered traffic total
-            # (slack: <= 1 B per message for the size-floor/segment
-            # rounding, <= 1 B per handoff for the ceil at conversion).
-            self.checks += 1
-            accounted = network.fluid_bytes + network.escalated_bytes
-            delivered = float(network.bytes_delivered)
-            slack = (2.0 * (network.messages_delivered + network.handoffs)
-                     + self.config.rel_tolerance * max(1.0, delivered))
-            if abs(accounted - delivered) > slack:
-                self.record(
-                    "network", "conservation",
-                    f"granularity byte attribution {accounted:.6g} B "
-                    f"(fluid {network.fluid_bytes:.6g} + escalated "
-                    f"{network.escalated_bytes:.6g}) does not conserve "
-                    f"the {delivered:.6g} B delivered",
-                    time_ns=total_ns, fluid_bytes=network.fluid_bytes,
-                    escalated_bytes=network.escalated_bytes,
-                    delivered_bytes=delivered)
-            # No stuck escalations: once traffic drains, any link whose
-            # de-escalation point is reachable (threshold - hysteresis
-            # >= 0) must have flipped back to fluid.
-            if (network.escalation_threshold
-                    - network.deescalation_hysteresis >= 0):
-                for state in gran.values():
-                    self.checks += 1
-                    if (state.mode == "packet" and not state.link.flows
-                            and not state.pending):
-                        self.record(
-                            "network", "leak",
-                            f"link {state.link.key!r} still escalated at "
-                            "end of run with no flows (missed "
-                            "de-escalation)", time_ns=total_ns)
-
     def _finalize_execution(self, execution, total_ns: float) -> None:
         self.checks += 1
         waiting = len(execution.open_rendezvous())
@@ -521,21 +402,22 @@ class InvariantChecker:
                 f"run finished at non-physical time {total_ns!r}",
                 time_ns=0.0)
 
-    def finalize(self, total_ns: float, telemetry=None) -> InvariantReport:
-        """End-of-run sweeps over every installed layer; build the report.
+    def finalize(self, total_ns: float, engine=None, network=None,
+                 execution=None, telemetry=None) -> InvariantReport:
+        """End-of-run sweeps over the given layers; build the report.
 
         When a telemetry collector is passed, violation counts surface in
         its metrics registry under the ``validate`` layer.
         """
-        if self._engine is not None:
-            # Every event scheduled while installed went through the
-            # engine's inlined timestamp guard; count those checks here
-            # in one O(1) step instead of per event on the hot path.
-            self.checks += self._engine._seq - self._seq_at_install
-        if self._network is not None:
-            self._finalize_network(self._network, total_ns)
-        if self._execution is not None:
-            self._finalize_execution(self._execution, total_ns)
+        if engine is not None:
+            # Every event the engine scheduled went through its inlined
+            # timestamp guard; count those checks here in one O(1) step
+            # instead of per event on the hot path.
+            self.checks += engine._seq
+        if network is not None:
+            network.invariants_finalize(self, total_ns)
+        if execution is not None:
+            self._finalize_execution(execution, total_ns)
         report = InvariantReport(
             checks=self.checks,
             violations_total=self.violations_total,

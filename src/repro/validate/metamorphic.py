@@ -53,8 +53,8 @@ class RelationResult:
     message: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        # Coerce to plain Python scalars: the Themis LP path hands back
-        # numpy float64/bool_, which json.dumps refuses.
+        # Pin the document's types: a detail is always written as a
+        # float and ``passed`` as a bool, whatever a relation computed.
         return {
             "relation": self.relation,
             "case": self.case,

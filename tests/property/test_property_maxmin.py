@@ -110,9 +110,9 @@ def test_counted_filling_is_bit_identical_to_plain_loop(case):
     notation, bandwidths, pairs, overrides, leave = case
     topo = parse_topology(notation, bandwidths,
                           latencies_ns=[0.0] * len(bandwidths))
-    engine = EventEngine()
-    net = FlowLevelNetwork(engine, topo)
-    checker = InvariantChecker().install(engine, network=net)
+    checker = InvariantChecker()
+    engine = EventEngine(invariants=checker)
+    net = FlowLevelNetwork(engine, topo, invariants=checker)
     flows = []
     for src, dst in pairs:
         links = net._links.path(src, dst)

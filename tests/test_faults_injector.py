@@ -130,8 +130,7 @@ class TestStretchHooks:
     def test_serialization_time_scales_with_degrade(self):
         injector = make_injector("degrade@dim0:0.5x@t=0")
         topology = injector.topology
-        network = AnalyticalNetwork(EventEngine(), topology)
-        injector.install(network)
+        network = AnalyticalNetwork(EventEngine(), topology, faults=injector)
         base = network.serialization_time(1000, 0)
         # A relay hop has no members: only its dimension's degrade acts.
         relay = network.faults.port_timeline(0, ())

@@ -63,17 +63,17 @@ class TestFig4Checked:
                                                      payload_mib):
         topo = parse_topology(f"Ring({num_gpus})", [150.0],
                               latencies_ns=[700.0])
-        engine = EventEngine()
-        network = AnalyticalNetwork(engine, topo)
-        checker = InvariantChecker(InvariantConfig()).install(
-            engine, network=network)
+        checker = InvariantChecker(InvariantConfig())
+        engine = EventEngine(invariants=checker)
+        network = AnalyticalNetwork(engine, topo, invariants=checker)
         executor = SendRecvCollectiveExecutor(engine, network)
         out = {}
         executor.run_ring_allreduce(
             list(range(num_gpus)), payload_mib * MiB,
             on_complete=lambda t: out.update(t=t))
         engine.run()
-        report = checker.finalize(engine.now)
+        report = checker.finalize(engine.now, engine=engine,
+                                  network=network)
         assert report.ok, report.counts_by_name()
         assert report.checks > 0
         golden = _golden("fig4")["simulated_ns"]

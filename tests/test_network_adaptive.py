@@ -18,15 +18,13 @@ from repro.validate import InvariantChecker, InvariantConfig
 
 def _net(threshold=1.0, hysteresis=1.0, packet=1024, notation="Ring(4)",
          bws=(100,), lats=(0,), invariants=False):
-    engine = EventEngine()
+    checker = InvariantChecker(InvariantConfig()) if invariants else None
+    engine = EventEngine(invariants=checker)
     topo = parse_topology(notation, list(bws), latencies_ns=list(lats))
     net = AdaptiveFlowNetwork(
         engine, topo, escalation_threshold=threshold,
-        deescalation_hysteresis=hysteresis, escalation_packet_bytes=packet)
-    checker = None
-    if invariants:
-        checker = InvariantChecker(InvariantConfig()).install(
-            engine, network=net)
+        deescalation_hysteresis=hysteresis, escalation_packet_bytes=packet,
+        invariants=checker)
     return engine, net, checker
 
 
@@ -186,7 +184,7 @@ class TestByteConservation:
             net.sim_recv(1, 0, payload, tag=tag, callback=lambda m: None)
             net.sim_send(0, 1, payload, tag=tag)
         engine.run()
-        report = checker.finalize(engine.now)
+        report = checker.finalize(engine.now, engine=engine, network=net)
         assert report.ok, report.to_dict()
         assert net.handoffs > 0
         total = net.fluid_bytes + net.escalated_bytes
@@ -201,7 +199,7 @@ class TestByteConservation:
             net.sim_recv(1, 0, size, tag=tag, callback=lambda m: None)
             net.sim_send(0, 1, size, tag=tag)
         engine.run()
-        report = checker.finalize(engine.now)
+        report = checker.finalize(engine.now, engine=engine, network=net)
         assert report.ok, report.to_dict()
         assert net.escalations >= 1 and net.deescalations >= 1
         total = net.fluid_bytes + net.escalated_bytes
@@ -219,7 +217,7 @@ class TestByteConservation:
             net.sim_recv(1, 0, 64 * 1024, tag=tag, callback=lambda m: None)
             net.sim_send(0, 1, 64 * 1024, tag=tag)
         engine.run()
-        report = checker.finalize(engine.now)
+        report = checker.finalize(engine.now, engine=engine, network=net)
         assert not report.ok
         assert any(v.name == "conservation" for v in report.violations)
 
@@ -232,7 +230,7 @@ class TestByteConservation:
             net.sim_recv(1, 0, 32 * 1024, tag=tag, callback=lambda m: None)
             net.sim_send(0, 1, 32 * 1024, tag=tag)
         engine.run()
-        report = checker.finalize(engine.now)
+        report = checker.finalize(engine.now, engine=engine, network=net)
         assert any(v.name == "leak" and "escalated" in v.message
                    for v in report.violations)
 

@@ -169,13 +169,16 @@ class TestKernelCounterPins:
     """Characterization: a flow-backend run solves max-min once per
     instant and re-plans its single pending completion event there, so
     its telemetry pins how the event kernel counts fired events,
-    cancellations and compactions, and how often the solver runs."""
+    cancellations and compactions, and how often the solver runs.  The
+    telemetry sampler's firings are scheduled but not processed events,
+    so ``events_processed`` is the uninstrumented run's."""
 
     SOLVES = {"alltoall": 3, "allreduce": 28}
+    SCHEDULED = {"alltoall": 76, "allreduce": 154}
 
     @pytest.mark.parametrize("workload, processed, cancels", [
-        ("alltoall", 76, 0),
-        ("allreduce", 154, 0),
+        ("alltoall", 59, 0),
+        ("allreduce", 127, 0),
     ])
     def test_ring8_flow_event_counters(self, tmp_path, capsys, monkeypatch,
                                        workload, processed, cancels):
@@ -201,7 +204,7 @@ class TestKernelCounterPins:
                     if m["layer"] == "events" and m["type"] == "counter"}
         assert counters == {
             "events_processed": processed,
-            "events_scheduled": processed + cancels,
+            "events_scheduled": self.SCHEDULED[workload],
             "cancels": cancels,
             "compactions": 0,
         }

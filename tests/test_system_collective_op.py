@@ -190,8 +190,12 @@ def _chunk_path(ops, scheduler="baseline", faults=None):
 
     engine = EventEngine()
     topo = parse_topology(_PIN_TOPO[0], _PIN_TOPO[1], latencies_ns=_PIN_TOPO[2])
-    net = AnalyticalNetwork(engine, topo)
     log = []
+    injector = None
+    if faults is not None:
+        injector = FaultInjector(FaultSchedule.parse(faults), topo)
+    net = AnalyticalNetwork(engine, topo, faults=injector,
+                            telemetry=_SpanLog(log))
     reserve = net.reserve_port
 
     def logged_reserve(npu, dim, busy, members=None):
@@ -200,9 +204,6 @@ def _chunk_path(ops, scheduler="baseline", faults=None):
         return start, end
 
     net.reserve_port = logged_reserve
-    net.telemetry = _SpanLog(log)
-    if faults is not None:
-        FaultInjector(FaultSchedule.parse(faults), topo).install(net)
     sched = make_scheduler(scheduler)
     for collective, chunks, dims, shape in ops:
         CollectiveOperation(

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro.events import EventEngine
+from repro.network import make_network
 from repro.memory.inswitch import InSwitchCollectiveMemory
 from repro.memory.pools import MultiLevelSwitchPool
 from repro.memory.remote import HierarchicalRemoteMemory, HierMemConfig
@@ -453,10 +454,11 @@ class TestFinalize:
     def test_finalize_twice_rejected(self):
         telemetry = Telemetry(TelemetryConfig())
         engine = EventEngine()
-        telemetry.install(engine)
-        telemetry.finalize(0.0)
+        network = make_network(
+            "analytical", engine, repro.parse_topology("Ring(2)", [100]))
+        telemetry.finalize(0.0, engine, network)
         with pytest.raises(RuntimeError):
-            telemetry.finalize(0.0)
+            telemetry.finalize(0.0, engine, network)
 
     def test_engine_counters_swept(self):
         result = _run(TelemetryConfig())
