@@ -53,6 +53,7 @@ class EventEngine:
 
     ``now`` (the simulation clock) and ``events_processed`` (events fired
     so far) are plain attributes; treat them as read-only.
+    ``events_scheduled`` and ``pending`` are read-only properties.
 
     The engine is *not* re-entrant across threads.  Callbacks may freely
     schedule further events, including at the current time, and register
@@ -91,6 +92,12 @@ class EventEngine:
         every heap entry is live unless it was cancelled or is the
         end-of-instant step."""
         return len(self._queue) - self._cancelled - (self._instant_end is not None)
+
+    @property
+    def events_scheduled(self) -> int:
+        """Events scheduled since construction or :meth:`reset`, the
+        cancelled ones included; end-of-instant steps are not events."""
+        return self._seq
 
     # -- scheduling --------------------------------------------------------------
 

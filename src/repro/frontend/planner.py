@@ -6,8 +6,10 @@ layout helpers the builtin generators use, from
 :mod:`repro.workload.parallelism`: ``assign_dims_or_flat`` (dimension
 runs, or flat MP/DP groups when the degrees do not align),
 ``stage_representatives`` (the traced NPU of each pipeline stage) and
-``p2p_tag`` (stage-boundary send/recv tags).  It then lowers every op of
-every microbatch, forward and backward alike, through one step into
+``p2p_tag`` (stage-boundary send/recv tags).  It then prices each op's
+forward and backward once per plan, walks each stage's ops once per
+direction to find their in-stage edges, and lowers every op of every
+microbatch, forward and backward alike, through one loop body into
 per-NPU Chakra-style execution traces that run unmodified on all three
 network backends.
 
@@ -232,46 +234,54 @@ def plan(
     def mb_scale(value: int) -> int:
         return max(1, value // microbatches) if value else 0
 
-    def lower(b: TraceBuilder, op: OpNode, deps: List[int], forward: bool,
-              it: int, mb: int) -> int:
-        """One op of one microbatch in one pass; returns its last node.
+    def pass_costs(op: OpNode) -> Tuple[_Costs, _Costs]:
+        """The op's forward and backward costs per microbatch.
 
         Routed ops run between a dispatch and a combine All-to-All.
         Otherwise a ``row`` op All-Reduces its partial-sum output in the
         forward, and a ``col`` op whose input was replicated All-Reduces
         its input gradient's partial sums in the backward.
         """
-        compute, dispatch, combine, all_reduce = _NODE_NAMES[forward]
-        routed = op.routed and has_route
-        if routed:
-            deps = [b.collective(
-                f"it{it}.{op.name}.{dispatch}.mb{mb}",
-                CollectiveType.ALL_TO_ALL, mb_scale(op.route_bytes),
-                route_dims, deps=deps, involved=route_group)]
         flops = mb_scale(sharded(op, op.flops))
         out_bytes = mb_scale(op.output_bytes // tp if op.tp == "col"
                              and tp > 1 else op.output_bytes)
-        node = b.compute(f"it{it}.{compute}.{op.name}.mb{mb}",
-                         flops if forward else 2 * flops, out_bytes,
-                         deps=deps)
-        if routed:
-            return b.collective(
-                f"it{it}.{op.name}.{combine}.mb{mb}",
-                CollectiveType.ALL_TO_ALL, mb_scale(op.route_bytes),
-                route_dims, deps=(node,), involved=route_group)
-        if not has_mp:
-            return node
-        if forward and op.tp == "row":
-            ar_bytes = op.output_bytes
-        elif (not forward and op.tp == "col"
+        route = fwd_ar = bwd_ar = None
+        if op.routed and has_route:
+            route = mb_scale(op.route_bytes)
+        elif has_mp and op.tp == "row":
+            fwd_ar = mb_scale(op.output_bytes)
+        elif (has_mp and op.tp == "col"
               and all(graph.op(d).tp == "none" for d in op.deps)):
-            ar_bytes = op.input_bytes or op.output_bytes
-        else:
-            return node
-        return b.collective(
-            f"it{it}.{all_reduce}.{op.name}.mb{mb}",
-            CollectiveType.ALL_REDUCE, mb_scale(ar_bytes), mp_dims,
-            deps=(node,), involved=mp_group)
+            bwd_ar = mb_scale(op.input_bytes or op.output_bytes)
+        return ((flops, out_bytes, route, fwd_ar),
+                (2 * flops, out_bytes, route, bwd_ar))
+
+    def walks(ops: List[OpNode]) -> Tuple[List[_Step], List[_Step]]:
+        """The stage's forward walk (along deps, in order) and backward
+        walk (along consumers, in reverse order), one step per op.  Each
+        op is in one stage, so each is priced once per plan.
+
+        A step's in-stage edges are indices of earlier steps of the same
+        walk; a step without them is a stage root.  Only backward steps
+        of ops with unrouted parameters carry a gradient-bucket key.
+        """
+        index = {op.op_id: i for i, op in enumerate(ops)}
+        last = len(ops) - 1
+        fwd: List[_Step] = []
+        bwd: List[_Step] = []
+        for op in ops:
+            fwd_costs, bwd_costs = pass_costs(op)
+            local = [index[e] for e in op.deps if e in index]
+            fwd.append((op.name, fwd_costs, local,
+                        len(local) < len(op.deps), None))
+            edges = graph.consumers(op.op_id)
+            local = [last - index[e] for e in edges if e in index]
+            key = (_group_key(op) if op.param_bytes and not op.routed
+                   else None)
+            bwd.append((op.name, bwd_costs, local,
+                        len(local) < len(edges), key))
+        bwd.reverse()
+        return fwd, bwd
 
     # Each stage is traced on its own representative: its forward and
     # backward microbatches in schedule order, then the DP weight-gradient
@@ -279,19 +289,21 @@ def plan(
     traces: Dict[int, ExecutionTrace] = {}
     for s, ops in enumerate(stage_ops):
         b = TraceBuilder(reps[s])
-        in_stage = {op.op_id for op in ops}
+        collective, compute = b.collective, b.compute
+        fwd_walk, bwd_walk = walks(ops)
         boundary_in = mb_scale(ops[0].input_bytes or ops[0].output_bytes)
         boundary_out = mb_scale(ops[-1].output_bytes or ops[-1].input_bytes)
         # Weight-gradient bytes per layer group; routed parameters are
         # model-parallel and excluded.
         group_bytes: Dict[Any, int] = {}
+        opt_params = 0
         for op in ops:
+            params = sharded(op, op.param_bytes)
+            opt_params += params
             if op.param_bytes and not op.routed:
                 key = _group_key(op)
-                group_bytes[key] = (group_bytes.get(key, 0)
-                                    + sharded(op, op.param_bytes))
-        opt_params = (sum(sharded(op, op.param_bytes) for op in ops)
-                      // config.dtype_bytes)
+                group_bytes[key] = group_bytes.get(key, 0) + params
+        opt_params //= config.dtype_bytes
         sequence = _stage_op_sequence(config.schedule, pp, s, microbatches)
         prev: Tuple[int, ...] = ()
         for it in range(config.iterations):
@@ -303,24 +315,27 @@ def plan(
                 # along consumers, from the next stage.
                 forward = kind == "f"
                 if forward:
-                    walk: List[OpNode] = ops
+                    walk = fwd_walk
                     src, dst = s - 1, s + 1
                     recv_bytes, send_bytes = boundary_in, boundary_out
                 else:
-                    walk = ops[::-1]
+                    walk = bwd_walk
                     src, dst = s + 1, s - 1
                     recv_bytes, send_bytes = boundary_out, boundary_in
+                stem, dispatch, combine, all_reduce = _NODE_NAMES[forward]
                 recv_id = None
                 if 0 <= src < pp:
                     recv_id = b.recv(
                         f"it{it}.recv{kind.upper()}.s{s}.mb{mb}", reps[src],
                         recv_bytes, p2p_tag(it, kind, s, mb, pp, microbatches),
                         deps=prev)
-                nodes: Dict[int, int] = {}
-                for op in walk:
-                    edges = op.deps if forward else graph.consumers(op.op_id)
-                    deps = [nodes[e] for e in edges if e in nodes]
-                    if not deps:
+                nodes: List[int] = []
+                for name, cost, local, external, grad_key in walk:
+                    if local:
+                        deps = [nodes[i] for i in local]
+                        if external and recv_id is not None:
+                            deps.append(recv_id)
+                    else:
                         # Stage/graph root: chain on the stage's previous
                         # activity (serializes microbatches, as the
                         # builtin pipeline generator does); a backward
@@ -331,14 +346,26 @@ def plan(
                             deps.append(fwd_out[mb])
                         if recv_id is not None:
                             deps.append(recv_id)
-                    elif recv_id is not None and any(
-                            e not in in_stage for e in edges):
-                        deps.append(recv_id)
-                    node = nodes[op.op_id] = lower(b, op, deps, forward,
-                                                   it, mb)
-                    if not forward and op.param_bytes and not op.routed:
-                        grad_deps.setdefault(_group_key(op), []).append(node)
-                prev = (nodes[walk[-1].op_id],)
+                    flops, out_bytes, route, ar_bytes = cost
+                    if route is not None:
+                        deps = (collective(
+                            f"it{it}.{name}.{dispatch}.mb{mb}", _A2A, route,
+                            route_dims, deps=deps, involved=route_group),)
+                    node = compute(f"it{it}.{stem}.{name}.mb{mb}", flops,
+                                   out_bytes, deps=deps)
+                    if route is not None:
+                        node = collective(
+                            f"it{it}.{name}.{combine}.mb{mb}", _A2A, route,
+                            route_dims, deps=(node,), involved=route_group)
+                    elif ar_bytes is not None:
+                        node = collective(
+                            f"it{it}.{all_reduce}.{name}.mb{mb}", _AR,
+                            ar_bytes, mp_dims, deps=(node,),
+                            involved=mp_group)
+                    nodes.append(node)
+                    if grad_key is not None:
+                        grad_deps.setdefault(grad_key, []).append(node)
+                prev = (nodes[-1],)
                 if forward:
                     fwd_out[mb] = prev[0]
                 if 0 <= dst < pp:
@@ -347,18 +374,30 @@ def plan(
                            p2p_tag(it, kind, dst, mb, pp, microbatches),
                            deps=prev)
             grad_ars = [
-                b.collective(f"it{it}.gradAR.s{s}.{key}",
-                             CollectiveType.ALL_REDUCE, group_bytes[key],
-                             dp_dims, deps=tuple(deps), involved=dp_group)
+                collective(f"it{it}.gradAR.s{s}.{key}", _AR,
+                           group_bytes[key], dp_dims, deps=tuple(deps),
+                           involved=dp_group)
                 for key, deps in grad_deps.items()] if has_dp else []
-            prev = (b.compute(f"it{it}.optimizer.s{s}", max(1, opt_params),
-                              deps=tuple(grad_ars) + prev),)
+            prev = (compute(f"it{it}.optimizer.s{s}", max(1, opt_params),
+                            deps=tuple(grad_ars) + prev),)
         traces[reps[s]] = b.build()
 
     return Plan(graph=graph, topology=topology, spec=spec,
                 assignment=assignment, traces=traces,
                 stage_layers=stage_layers)
 
+
+#: An op's per-microbatch costs in one pass: compute flops, output bytes,
+#: routed All-to-All bytes and tensor-parallel All-Reduce bytes (None
+#: when the op has no such collective).
+_Costs = Tuple[int, int, Optional[int], Optional[int]]
+#: One op of a stage walk: name, costs, in-stage edges (indices of earlier
+#: steps), whether it has an edge from outside the stage, and its
+#: gradient-bucket key (None: no DP gradient).
+_Step = Tuple[str, _Costs, List[int], bool, Any]
+
+_A2A = CollectiveType.ALL_TO_ALL
+_AR = CollectiveType.ALL_REDUCE
 
 # Node-name stems per pass (forward?): compute, routed dispatch and
 # combine All-to-Alls, tensor-parallel All-Reduce.

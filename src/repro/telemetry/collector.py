@@ -164,7 +164,7 @@ class Telemetry:
         metrics.counter("events", "events_processed").value = float(
             engine.events_processed)
         metrics.counter("events", "events_scheduled").value = float(
-            engine._seq)
+            engine.events_scheduled)
         metrics.counter("events", "cancels").value = float(engine.cancels)
         metrics.counter("events", "compactions").value = float(
             engine.compactions)

@@ -52,8 +52,11 @@ class ExecutionTrace:
     The execution engine issues and completes by position and keeps only
     a per-run copy of ``indegree``; callers only read these lists.  When
     every dep names an earlier node, insertion order is a topological
-    order, so the acyclicity walk runs only for traces with a dep on a
-    later node.
+    order, so the acyclicity walk runs only for traces with a dep on the
+    node itself or a later one.  This is the check on the whole set:
+    :class:`~repro.workload.generators.TraceBuilder` makes its nodes
+    without the per-node :meth:`ETNode.validate`, and deps may be edited
+    after a node was constructed.
     """
 
     def __init__(self, npu_id: int, nodes: Iterable[ETNode] = ()) -> None:
@@ -85,7 +88,7 @@ class ExecutionTrace:
                     raise TraceValidationError(
                         f"node {node.node_id} depends on unknown node {dep}"
                     )
-                if parent > pos:
+                if parent >= pos:
                     forward = True
                 children[parent].append(pos)
         if forward:

@@ -413,7 +413,7 @@ class InvariantChecker:
             # Every event the engine scheduled went through its inlined
             # timestamp guard; count those checks here in one O(1) step
             # instead of per event on the hot path.
-            self.checks += engine._seq
+            self.checks += engine.events_scheduled
         if network is not None:
             network.invariants_finalize(self, total_ns)
         if execution is not None:

@@ -31,66 +31,102 @@ from repro.workload.parallelism import (
 VIA_FABRIC = "fabric"  # attrs["via"] value routing a collective through the memory fabric
 
 
+_new_node = object.__new__
+_LOCAL = TensorLocation.LOCAL
+
+
 class TraceBuilder:
-    """Incremental ET construction with automatic id assignment."""
+    """Incremental ET construction with automatic id assignment.
+
+    The builder makes its nodes directly, without ``ETNode.__post_init__``:
+    it assigns the ids and tuples every sequence itself, so of
+    :meth:`ETNode.validate`'s rules it checks only those its callers'
+    values can break: ``tensor_bytes >= 0``, a non-negative peer, a
+    collective type, and no dep on the node's own id.  A node that breaks
+    one is built through ``ETNode(...)``, which raises its usual error.
+    :meth:`build` hands the set to :class:`ExecutionTrace`, which checks
+    it as a whole (unknown deps, cycles).
+    """
 
     def __init__(self, npu_id: int) -> None:
         self.npu_id = npu_id
         self._nodes: List[ETNode] = []
 
-    def _add(self, node: ETNode) -> int:
-        self._nodes.append(node)
-        return node.node_id
+    def _add(self, ok: bool, node_type: NodeType, name: str,
+             deps: Tuple[int, ...], tensor_bytes: int, flops: int = 0,
+             collective: Optional[CollectiveType] = None,
+             comm_dims: Optional[Tuple[int, ...]] = None,
+             peer: Optional[int] = None, tag: int = 0,
+             location: TensorLocation = _LOCAL,
+             involved: Optional[Tuple[int, ...]] = None,
+             attrs: Optional[dict] = None) -> int:
+        """Append a node; ``ok`` is the caller's check of its type's rules.
 
-    def _next_id(self) -> int:
-        return len(self._nodes)
+        The attributes are set one by one in field order, as the
+        dataclass ``__init__`` sets them, so the node keeps CPython's
+        key-sharing instance dict (filling ``__dict__`` in one call
+        doubles a node's size).
+        """
+        nodes = self._nodes
+        nid = len(nodes)
+        if attrs is None:
+            attrs = {}
+        if ok and tensor_bytes >= 0 and nid not in deps:
+            node = _new_node(ETNode)
+            node.node_id = nid
+            node.node_type = node_type
+            node.name = name
+            node.deps = deps
+            node.tensor_bytes = tensor_bytes
+            node.flops = flops
+            node.collective = collective
+            node.comm_dims = comm_dims
+            node.peer = peer
+            node.tag = tag
+            node.location = location
+            node.involved_npus = involved
+            node.attrs = attrs
+        else:
+            node = ETNode(nid, node_type, name, deps, tensor_bytes, flops,
+                          collective, comm_dims, peer, tag, location,
+                          involved, attrs)
+        nodes.append(node)
+        return nid
 
     def compute(self, name: str, flops: int, tensor_bytes: int = 0,
                 deps: Sequence[int] = ()) -> int:
-        return self._add(ETNode(
-            node_id=self._next_id(), node_type=NodeType.COMPUTE, name=name,
-            deps=tuple(deps), flops=max(1, flops), tensor_bytes=tensor_bytes,
-        ))
+        return self._add(True, NodeType.COMPUTE, name, tuple(deps),
+                         tensor_bytes, flops=max(1, flops))
 
     def collective(self, name: str, ctype: CollectiveType, tensor_bytes: int,
                    dims: Optional[Sequence[int]], deps: Sequence[int] = (),
                    via: Optional[str] = None,
                    involved: Optional[Sequence[int]] = None) -> int:
-        attrs = {"via": via} if via else {}
-        return self._add(ETNode(
-            node_id=self._next_id(), node_type=NodeType.COMM_COLLECTIVE,
-            name=name, deps=tuple(deps), tensor_bytes=tensor_bytes,
-            collective=ctype,
+        return self._add(
+            ctype is not None, NodeType.COMM_COLLECTIVE, name, tuple(deps),
+            tensor_bytes, collective=ctype,
             comm_dims=tuple(dims) if dims is not None else None,
-            involved_npus=tuple(involved) if involved is not None else None,
-            attrs=attrs,
-        ))
+            involved=tuple(involved) if involved is not None else None,
+            attrs={"via": via} if via else None)
 
     def memory(self, name: str, tensor_bytes: int, *, store: bool = False,
                remote: bool = False, deps: Sequence[int] = (),
                via: Optional[str] = None) -> int:
-        attrs = {"via": via} if via else {}
-        return self._add(ETNode(
-            node_id=self._next_id(),
-            node_type=NodeType.MEMORY_STORE if store else NodeType.MEMORY_LOAD,
-            name=name, deps=tuple(deps), tensor_bytes=tensor_bytes,
-            location=TensorLocation.REMOTE if remote else TensorLocation.LOCAL,
-            attrs=attrs,
-        ))
+        return self._add(
+            True, NodeType.MEMORY_STORE if store else NodeType.MEMORY_LOAD,
+            name, tuple(deps), tensor_bytes,
+            location=TensorLocation.REMOTE if remote else _LOCAL,
+            attrs={"via": via} if via else None)
 
     def send(self, name: str, peer: int, tensor_bytes: int, tag: int,
              deps: Sequence[int] = ()) -> int:
-        return self._add(ETNode(
-            node_id=self._next_id(), node_type=NodeType.COMM_SEND, name=name,
-            deps=tuple(deps), tensor_bytes=tensor_bytes, peer=peer, tag=tag,
-        ))
+        return self._add(peer is not None and peer >= 0, NodeType.COMM_SEND,
+                         name, tuple(deps), tensor_bytes, peer=peer, tag=tag)
 
     def recv(self, name: str, peer: int, tensor_bytes: int, tag: int,
              deps: Sequence[int] = ()) -> int:
-        return self._add(ETNode(
-            node_id=self._next_id(), node_type=NodeType.COMM_RECV, name=name,
-            deps=tuple(deps), tensor_bytes=tensor_bytes, peer=peer, tag=tag,
-        ))
+        return self._add(peer is not None and peer >= 0, NodeType.COMM_RECV,
+                         name, tuple(deps), tensor_bytes, peer=peer, tag=tag)
 
     def build(self) -> ExecutionTrace:
         return ExecutionTrace(self.npu_id, self._nodes)

@@ -148,6 +148,23 @@ def test_events_processed_counter():
     assert engine.events_processed == 7
 
 
+def test_events_scheduled_counter():
+    """Counts every schedule path and cancelled events, not the
+    end-of-instant step; read-only, and zeroed by reset."""
+    engine = EventEngine()
+    engine.schedule(1.0, lambda: engine.at_instant_end(lambda: None))
+    engine.cancel(engine.schedule(2.0, lambda: None))
+    engine.schedule_at(3.0, lambda: None)
+    engine.schedule_many([(4.0, lambda: None), (5.0, lambda: None)])
+    engine.run()
+    assert engine.events_scheduled == 5
+    assert engine.events_processed == 4
+    with pytest.raises(AttributeError):
+        engine.events_scheduled = 0
+    engine.reset()
+    assert engine.events_scheduled == 0
+
+
 def test_reentrant_run_rejected():
     engine = EventEngine()
     errors = []
