@@ -9,6 +9,12 @@ is one simulator event — exactly the per-packet cost that makes
 cycle-level network simulation three orders of magnitude slower than the
 analytical backend.
 
+A send splits its message once into full trains and at most one shorter
+tail (a 0-byte message is one 1-byte packet).  Every segment-hop is one
+call of the shared :meth:`GarnetLiteNetwork._hop` step, serialized by
+:meth:`_Link.transmit`: hop 0 is called at send time, every later hop is
+an event that step schedules.
+
 Unlike :class:`~repro.network.analytical.AnalyticalNetwork`, this backend
 models link oversubscription and congestion, so it doubles as a ground
 truth for the analytical model's accuracy on congestion-free collective
@@ -46,8 +52,8 @@ class _Link:
 
     def transmit(self, now: float, size_bytes: int) -> Tuple[float, float]:
         """Serialize a packet; returns (departure_complete, arrival)."""
-        start = max(now, self.free_at)
-        done = start + size_bytes / self.bandwidth
+        free_at = self.free_at
+        done = (free_at if free_at > now else now) + size_bytes / self.bandwidth
         self.free_at = done
         self.bytes_carried += size_bytes
         return done, done + self.latency_ns
@@ -57,11 +63,10 @@ class _PacketFlow:
     """Book-keeping for one message's packets in flight."""
 
     __slots__ = ("message", "on_sent", "packets_total", "packets_arrived",
-                 "packets_injected", "backend")
+                 "packets_injected")
 
-    def __init__(self, backend: "GarnetLiteNetwork", message: Message,
-                 on_sent: Optional[Callable[[], None]], packets_total: int) -> None:
-        self.backend = backend
+    def __init__(self, message: Message, on_sent: Optional[Callable[[], None]],
+                 packets_total: int) -> None:
         self.message = message
         self.on_sent = on_sent
         self.packets_total = packets_total
@@ -89,9 +94,9 @@ class GarnetLiteNetwork(NetworkBackend):
             count drops by ~the train length; per-message completion
             times shift by at most one train's serialization per hop).
             The first hop interleaves nothing at any train length:
-            ``_transmit`` reserves all of a message's segments on hop 0
-            at send time, so a source's messages leave it whole, in send
-            order.
+            ``_transmit`` calls the shared ``_hop`` step for hop 0 of
+            every segment at send time, so a source's messages leave it
+            whole, in send order.
     """
 
     def __init__(
@@ -116,6 +121,9 @@ class GarnetLiteNetwork(NetworkBackend):
             topology, lambda bw, lat: _Link(bw, lat),
             on_create=lambda key, link: setattr(link, "key", key))
         self.packet_hops = 0
+        telemetry = self.telemetry  # packet spans are on or off per run
+        self._packet_spans = (telemetry.spans if telemetry is not None
+                              and telemetry.packet_spans else None)
 
     def route(self, src: int, dst: int) -> List[NodeId]:
         """Dimension-order route from src to dst (inclusive of endpoints)."""
@@ -124,42 +132,43 @@ class GarnetLiteNetwork(NetworkBackend):
     # -- transmission ------------------------------------------------------------
 
     def _transmit(self, message: Message, on_sent: Optional[Callable[[], None]]) -> None:
+        """Plan the message's segments once and send each over hop 0 now."""
         links = self._links.path(message.src, message.dest)
-        n_packets = max(1, -(-message.size_bytes // self.packet_bytes))
-        unit = self.packet_bytes * self.train_packets
-        n_segments = max(1, -(-message.size_bytes // unit))
-        flow = _PacketFlow(self, message, on_sent, n_packets)
-        remaining = message.size_bytes
-        for _ in range(n_segments):
-            size = min(unit, remaining) if remaining else self.packet_bytes
-            remaining -= size
-            count = max(1, -(-size // self.packet_bytes))
-            self._hop(flow, links, 0, max(1, size), count)
+        packet = self.packet_bytes
+        train = self.train_packets
+        unit = packet * train
+        full, tail = divmod(message.size_bytes, unit)
+        tail_packets = -(-tail // packet)
+        flow = _PacketFlow(message, on_sent, full * train + tail_packets or 1)
+        hop = self._hop
+        for _ in range(full):
+            hop(flow, links, 0, unit, train)
+        if tail or not full:
+            hop(flow, links, 0, tail or 1, tail_packets or 1)
 
     def _hop(self, flow: _PacketFlow, links: Tuple[_Link, ...], hop_idx: int,
              size: int, count: int) -> None:
         """Advance one segment (``count`` packets) across ``links[hop_idx]``."""
         link = links[hop_idx]
-        departed, arrived = link.transmit(self.engine.now, size)
+        engine = self.engine
+        departed, arrived = link.transmit(engine.now, size)
         self.packet_hops += count
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.packet_spans:
+        spans = self._packet_spans
+        if spans is not None:
             # One span per segment-hop on the link's own track: the
             # serialization window just reserved on the link.
-            telemetry.spans.add(
-                f"link {link.key[0]}->{link.key[1]}",
-                f"pkt x{count}", "packet",
-                departed - size / link.bandwidth, departed)
+            spans.add(f"link {link.key[0]}->{link.key[1]}", f"pkt x{count}",
+                      "packet", departed - size / link.bandwidth, departed)
         if hop_idx == 0:
             flow.packets_injected += count
             if flow.packets_injected == flow.packets_total and flow.on_sent:
-                self.engine.schedule_at(departed, flow.on_sent)
-        if hop_idx + 1 == len(links):
-            self.engine.schedule_at(arrived, self._segment_arrived, flow, count)
+                engine.schedule_at(departed, flow.on_sent)
+        hop_idx += 1
+        if hop_idx == len(links):
+            engine.schedule_at(arrived, self._segment_arrived, flow, count)
         else:
-            self.engine.schedule_at(
-                arrived, self._hop, flow, links, hop_idx + 1, size, count
-            )
+            engine.schedule_at(arrived, self._hop, flow, links, hop_idx,
+                               size, count)
 
     def _segment_arrived(self, flow: _PacketFlow, count: int) -> None:
         flow.packets_arrived += count

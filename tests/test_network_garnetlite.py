@@ -3,7 +3,12 @@
 import pytest
 
 from repro.events import EventEngine
-from repro.network import AnalyticalNetwork, GarnetLiteNetwork, parse_topology
+from repro.network import (
+    AnalyticalNetwork,
+    GarnetLiteNetwork,
+    make_network,
+    parse_topology,
+)
 
 
 def _net(notation="Ring(4)_Ring(4)", bws=(100, 100), lats=(100, 100), packet=1024):
@@ -113,6 +118,32 @@ class TestTransfer:
         net.sim_send(0, 1, 2048)
         engine.run()
         assert max(link.bytes_carried for link in net._links.values()) == 2048
+
+
+class TestZeroByteMessage:
+    """A 0 B message is one 1-byte packet, not a full packet."""
+
+    def _arrival(self, backend, size):
+        engine = EventEngine()
+        topo = parse_topology("Ring(8)", [50], latencies_ns=[500])
+        net = make_network(backend, engine, topo)
+        done = []
+        net.sim_recv(1, 0, size, callback=lambda m: done.append(engine.now))
+        net.sim_send(0, 1, size)
+        engine.run()
+        return done[0], net
+
+    @pytest.mark.parametrize("backend",
+                             ["analytical", "flow", "garnet", "adaptive"])
+    def test_zero_bytes_never_arrive_after_one_byte(self, backend):
+        assert self._arrival(backend, 0)[0] <= self._arrival(backend, 1)[0]
+
+    def test_zero_bytes_arrive_with_flow(self):
+        arrived, net = self._arrival("garnet", 0)
+        assert arrived == self._arrival("flow", 0)[0]
+        assert arrived < self._arrival("garnet", 4096)[0]
+        assert [link.bytes_carried for link in net._links.values()] == [1]
+        assert net.packet_hops == 1
 
 
 class TestPacketTrains:
