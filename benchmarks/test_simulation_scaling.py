@@ -4,7 +4,8 @@ The point of the analytical backend is "profiling systems of scale at
 speed" (Sec. IV-C): simulation cost must not grow with the number of
 NPUs for symmetric workloads.  This regenerates that claim end to end:
 1 GB All-Reduces and full GPT-3 iterations on systems from 512 NPUs to
-32K NPUs, reporting simulated time, wall-clock cost, and event counts.
+32K NPUs, writing simulated times and event counts to the results file
+and printing wall-clock costs.
 """
 
 from __future__ import annotations
@@ -60,22 +61,27 @@ def test_simulation_cost_flat_in_system_size(benchmark, results_dir):
             rows.append([
                 npus,
                 f"{ar_result.total_time_us:.0f}",
-                f"{1e3 * ar_wall:.1f}",
+                ar_result.events_processed,
                 f"{gpt_result.total_time_ms:.0f}",
-                f"{1e3 * gpt_wall:.1f}",
                 gpt_result.events_processed,
             ])
         return rows, walls
 
     rows, walls = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    # The committed file holds what every host reproduces; wall clocks
+    # go to stdout only.
     text = format_table(
-        ["NPUs", "AllReduce sim (us)", "wall (ms)",
-         "GPT-3 iter sim (ms)", "wall (ms)", "GPT-3 events"],
+        ["NPUs", "AllReduce sim (us)", "AllReduce events",
+         "GPT-3 iter sim (ms)", "GPT-3 events"],
         rows,
-    ) + ("\n\nSimulation wall-clock cost is flat in system size for"
-         " symmetric workloads — the representative-communicator design"
+    ) + ("\n\nEvent counts, and so simulation cost, are flat in system size"
+         " for symmetric workloads — the representative-communicator design"
          " (paper Sec. IV-C: 4K NPUs 'at speed').")
     write_result(results_dir, "simulation_scaling.txt", text)
+    print(format_table(
+        ["NPUs", "AllReduce wall (ms)", "GPT-3 wall (ms)"],
+        [[npus, f"{1e3 * ar:.1f}", f"{1e3 * gpt:.1f}"]
+         for npus, (ar, gpt) in walls.items()]))
 
     # Every point simulates in well under a second — the headline claim.
     for npus, (ar_wall, gpt_wall) in walls.items():

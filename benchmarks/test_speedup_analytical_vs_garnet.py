@@ -79,15 +79,19 @@ def test_speedup_64npu_torus(benchmark, results_dir):
     (a_time, a_wall, a_events), (g_time, g_wall, g_events) = benchmark.pedantic(
         run_both, rounds=1, iterations=1)
     speedup = g_wall / max(a_wall, 1e-9)
+    # The committed file holds what every host reproduces; wall clocks
+    # go to stdout only.
     text = format_table(
-        ["backend", "collective (us)", "wall (s)", "events"],
+        ["backend", "collective (us)", "events"],
         [
-            ["analytical", f"{a_time / 1e3:.2f}", f"{a_wall:.4f}", a_events],
-            ["garnet-lite", f"{g_time / 1e3:.2f}", f"{g_wall:.4f}", g_events],
+            ["analytical", f"{a_time / 1e3:.2f}", a_events],
+            ["garnet-lite", f"{g_time / 1e3:.2f}", g_events],
         ],
-    ) + (f"\n\nwall-clock speedup: {speedup:.0f}x"
-         f"  (paper: 756x for C++ Garnet vs closed form)")
+    ) + f"\n\nevent ratio: {g_events / a_events:.0f}x"
     write_result(results_dir, "secIVC_speedup_64npu.txt", text)
+    print(f"wall: analytical {a_wall:.4f} s, garnet-lite {g_wall:.4f} s; "
+          f"wall-clock speedup {speedup:.0f}x  (paper: 756x for C++ Garnet "
+          "vs closed form)")
     # Same congestion-free traffic -> same collective time.
     assert g_time == pytest.approx(a_time, rel=0.01)
     # Packet-level simulation is at least an order of magnitude slower.
@@ -105,8 +109,9 @@ def test_analytical_handles_4k_npus_in_seconds(benchmark, results_dir):
 
     collective_ns, wall, events = benchmark.pedantic(run, rounds=1, iterations=1)
     text = (f"4096-NPU torus 1MB All-Reduce: collective {collective_ns / 1e3:.2f} us, "
-            f"wall {wall:.2f} s, {events} events  (paper: 3.14 s)")
+            f"{events} events")
     write_result(results_dir, "secIVC_speedup_4k_npu.txt", text)
+    print(f"wall {wall:.2f} s  (paper: 3.14 s)")
     assert wall < 60
 
 

@@ -29,8 +29,6 @@ from repro.system.compute import RooflineCompute
 
 TABLE5_PEAK_TFLOPS = 2048.0
 TABLE5_HBM_GBPS = 4096.0
-NUM_NODES = 16
-GPUS_PER_NODE = 16
 
 
 def moe_npu_network() -> MultiDimTopology:
@@ -65,18 +63,6 @@ def zero_infinity_table5() -> SystemConfig:
     return config
 
 
-def _hiermem_config(in_node_bw: float, group_bw: float) -> HierMemConfig:
-    return HierMemConfig(
-        num_nodes=NUM_NODES,
-        gpus_per_node=GPUS_PER_NODE,
-        num_out_switches=16,
-        num_remote_groups=256,
-        mem_side_bw_gbps=group_bw,
-        gpu_side_out_bw_gbps=in_node_bw,
-        in_node_bw_gbps=in_node_bw,
-    )
-
-
 def hiermem_baseline() -> SystemConfig:
     """HierMem (Baseline) column: fabric 256 GB/s, groups 100 GB/s."""
     return hiermem_custom(in_node_bw=256.0, group_bw=100.0)
@@ -89,8 +75,9 @@ def hiermem_opt() -> SystemConfig:
 
 def hiermem_custom(in_node_bw: float, group_bw: float) -> SystemConfig:
     """Arbitrary point of the Table V design-space sweep."""
-    pool = _hiermem_config(in_node_bw, group_bw)
-    config = _base_config(moe_npu_network())
+    topology = moe_npu_network()
+    pool = HierMemConfig.for_topology(topology, in_node_bw, group_bw)
+    config = _base_config(topology)
     config.remote_memory = HierarchicalRemoteMemory(pool)
     config.fabric_collectives = InSwitchCollectiveMemory(pool)
     return config

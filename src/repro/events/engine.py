@@ -121,8 +121,8 @@ class EventEngine:
         now = self.now
         time = now + delay
         # Inlined invariant guard: the chained comparison fails for NaN
-        # and +/-inf as well as time travel, so the checker is only
-        # entered on an actual anomaly (see check_event_time).
+        # and +inf, so the checker is only entered on an actual anomaly
+        # (see InvariantChecker.event_time_anomaly).
         if self.invariants is not None and not (now <= time < _INF):
             self.invariants.event_time_anomaly(time, now)
         seq = self._seq

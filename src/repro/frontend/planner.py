@@ -1,12 +1,9 @@
 """Automatic parallelism annotation: op graph + topology → execution traces.
 
 The planner maps an ingested :class:`~repro.frontend.ir.OpGraph` onto a
-:class:`~repro.network.topology.MultiDimTopology` through the same
-layout helpers the builtin generators use, from
-:mod:`repro.workload.parallelism`: ``assign_dims_or_flat`` (dimension
-runs, or flat MP/DP groups when the degrees do not align),
-``stage_representatives`` (the traced NPU of each pipeline stage) and
-``p2p_tag`` (stage-boundary send/recv tags).  It then prices each op's
+:class:`~repro.network.topology.MultiDimTopology` through the degree
+rule and layout helpers of :mod:`repro.workload.parallelism` that the
+builtin generators use too.  It then prices each op's
 forward and backward once per plan, walks each stage's ops once per
 direction to find their in-stage edges, and lowers every op of every
 microbatch, forward and backward alike, through one loop body into
@@ -44,16 +41,15 @@ from repro.frontend.ir import FrontendError, OpGraph, OpNode
 from repro.network.topology import MultiDimTopology
 from repro.trace.graph import ExecutionTrace
 from repro.trace.node import CollectiveType
-from repro.workload.generators import (
-    PIPELINE_SCHEDULES,
-    TraceBuilder,
-    _stage_op_sequence,
-)
+from repro.workload.generators import TraceBuilder
 from repro.workload.parallelism import (
     DimAssignmentError,
     ParallelismSpec,
     assign_dims_or_flat,
+    check_schedule,
     p2p_tag,
+    resolve_degrees,
+    stage_op_sequence,
     stage_representatives,
 )
 
@@ -63,8 +59,8 @@ class PlanConfig:
     """Requested parallelization; ``0`` degrees are auto-fitted.
 
     Auto rules: TP takes the innermost topology dimension when the graph
-    has tensor-parallel ops (and the dimension divides the system), DP
-    absorbs every NPU left over, PP and EP stay 1 unless requested.
+    has tensor-parallel ops, DP absorbs every NPU left over, PP and EP
+    stay 1 unless requested.
     """
 
     tp: int = 0
@@ -82,15 +78,11 @@ class PlanConfig:
                 raise FrontendError(
                     f"{name} must be >= 0 (0 = auto), got "
                     f"{getattr(self, name)}")
-        if self.microbatches < 1 or self.iterations < 1:
-            raise FrontendError("microbatches/iterations must be >= 1")
-        if self.dtype_bytes < 1:
-            raise FrontendError(
-                f"dtype_bytes must be >= 1, got {self.dtype_bytes}")
-        if self.schedule not in PIPELINE_SCHEDULES:
-            raise FrontendError(
-                f"unknown pipeline schedule {self.schedule!r}; expected "
-                "'gpipe' or '1f1b'")
+        for name in ("iterations", "dtype_bytes"):
+            if getattr(self, name) < 1:
+                raise FrontendError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        check_schedule(self.schedule, self.microbatches, FrontendError)
 
 
 @dataclass
@@ -123,31 +115,16 @@ class Plan:
 def resolve_parallelism(
     graph: OpGraph, topology: MultiDimTopology, config: PlanConfig
 ) -> ParallelismSpec:
-    """Fill auto (0) degrees against the graph and topology."""
-    npus = topology.num_npus
-    tp = config.tp
-    if tp == 0:
-        inner = topology.dims[0].size
-        tp = inner if (graph.has_tensor_parallel_ops()
-                       and npus % inner == 0 and inner <= npus) else 1
-    pp = config.pp or 1
-    ep = config.ep or 1
-    if pp > 1 and graph.num_layers < pp:
+    """Fill auto (0) degrees against the graph and topology (see
+    :class:`PlanConfig`)."""
+    if config.pp > 1 and graph.num_layers < config.pp:
         raise FrontendError(
-            f"pp={pp} needs a layered graph with >= {pp} layers; "
-            f"{graph.name!r} has {graph.num_layers}")
-    shard = tp * pp * ep
-    if shard < 1 or npus % shard != 0:
-        raise FrontendError(
-            f"tp x pp x ep = {shard} does not divide the topology's "
-            f"{npus} NPUs")
-    dp = config.dp or npus // shard
-    spec = ParallelismSpec(mp=tp, dp=dp, pp=pp, ep=ep)
-    if spec.total != npus:
-        raise FrontendError(
-            f"tp x dp x pp x ep = {spec.total} but the topology has "
-            f"{npus} NPUs; leave a degree at 0 to auto-fit it")
-    return spec
+            f"pp={config.pp} needs a layered graph with >= {config.pp} "
+            f"layers; {graph.name!r} has {graph.num_layers}")
+    tp = config.tp or (topology.dims[0].size
+                       if graph.has_tensor_parallel_ops() else 1)
+    return resolve_degrees(topology.num_npus, tp, config.dp, config.pp,
+                           config.ep, FrontendError)
 
 
 def _split_stages(graph: OpGraph, pp: int) -> List[List[Optional[int]]]:
@@ -304,7 +281,7 @@ def plan(
                 key = _group_key(op)
                 group_bytes[key] = group_bytes.get(key, 0) + params
         opt_params //= config.dtype_bytes
-        sequence = _stage_op_sequence(config.schedule, pp, s, microbatches)
+        sequence = stage_op_sequence(config.schedule, pp, s, microbatches)
         prev: Tuple[int, ...] = ()
         for it in range(config.iterations):
             grad_deps: Dict[Any, List[int]] = {}

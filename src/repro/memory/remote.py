@@ -73,6 +73,22 @@ class HierMemConfig:
     chunk_bytes: int = 1 << 20
     access_latency_ns: float = 1000.0
 
+    @classmethod
+    def for_topology(cls, topology, fabric_bw_gbps: float,
+                     group_bw_gbps: float) -> "HierMemConfig":
+        """The pool Table V puts behind ``topology``: dim 0 is the in-node
+        switch (GPUs per node), one out-node switch per node, one remote
+        memory group per GPU, and the fabric bandwidth on both GPU-side
+        links."""
+        gpus_per_node = topology.dims[0].size
+        num_nodes = topology.num_npus // gpus_per_node
+        return cls(num_nodes=num_nodes, gpus_per_node=gpus_per_node,
+                   num_out_switches=num_nodes,
+                   num_remote_groups=topology.num_npus,
+                   mem_side_bw_gbps=group_bw_gbps,
+                   gpu_side_out_bw_gbps=fabric_bw_gbps,
+                   in_node_bw_gbps=fabric_bw_gbps)
+
     def __post_init__(self) -> None:
         for name in ("num_nodes", "gpus_per_node", "num_out_switches",
                      "num_remote_groups", "chunk_bytes"):

@@ -147,9 +147,9 @@ class AnalyticalNetwork(NetworkBackend):
             timeline = self.faults.port_timeline(dim, members)
             if timeline is not None:
                 end, busy_ns = port.reprice(start, busy_ns, timeline)
-        # Inlined invariant guard (see InvariantChecker.check_reservation):
-        # the resource label and the checker call are only built when the
-        # chained comparison actually fails.
+        # Inlined invariant guard: one chained comparison proves causal
+        # order and finiteness (NaN fails every bound); the resource label
+        # and the checker call are only built when it fails.
         if self.invariants is not None and not (
                 now - 1e-9 <= start <= end < _INF):
             self.invariants.reservation_anomaly(

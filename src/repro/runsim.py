@@ -47,6 +47,7 @@ from repro.workload import (
     moe_1t,
     transformer_1t,
 )
+from repro.workload.parallelism import resolve_degrees
 
 
 def point_errors(entry):
@@ -74,23 +75,6 @@ def build_topology(args: argparse.Namespace):
     return parse_topology(args.topology,
                           [float(x) for x in args.bandwidths.split(",")],
                           latencies_ns=[float(x) for x in latencies])
-
-
-def _parallel_degrees(args: argparse.Namespace, topology, mp: int, pp: int = 1):
-    """Validate mp/pp against the NPU count and auto-compute dp."""
-    shard = mp * pp
-    if shard < 1 or topology.num_npus % shard != 0:
-        flags = f"--mp {mp}" + (f" x --pp {pp}" if pp > 1 else "")
-        raise PointConfigError(
-            f"{flags} does not divide the topology's "
-            f"{topology.num_npus} NPUs; pick degrees whose product divides "
-            "the NPU count")
-    dp = args.dp or topology.num_npus // shard
-    if mp * pp * dp > topology.num_npus:
-        raise PointConfigError(
-            f"mp x pp x dp = {mp * pp * dp} exceeds the topology's "
-            f"{topology.num_npus} NPUs")
-    return dp
 
 
 @point_errors
@@ -203,7 +187,31 @@ def _trace_set(args: argparse.Namespace, topology):
     return _generate_traces(args, topology), None
 
 
+#: The degrees each builtin workload models and an unset (0) one's value
+#: (dp 0: fill the NPUs left); any other nonzero degree is an error.
+WORKLOAD_DEGREES = {
+    "gpt3": {"mp": 16, "dp": 0},
+    "transformer1t": {"mp": 16, "dp": 0},
+    "pp-gpt3": {"mp": 1, "pp": 8, "dp": 0},
+}
+
+
+def _workload_degrees(args: argparse.Namespace, topology) -> ParallelismSpec:
+    """The builtin workload's degrees, resolved by ``resolve_degrees``."""
+    modeled = WORKLOAD_DEGREES.get(args.workload, {})
+    for axis in ("mp", "dp", "pp", "ep"):
+        if getattr(args, axis) and axis not in modeled:
+            raise PointConfigError(
+                f"workload {args.workload!r} does not model --{axis} (its "
+                f"degrees: {', '.join('--' + a for a in modeled) or 'none'}); "
+                f"leave --{axis} at 0, or give --model to plan any strategy")
+    return resolve_degrees(topology.num_npus, **{
+        axis: getattr(args, axis) or default
+        for axis, default in modeled.items()})
+
+
 def _generate_traces(args: argparse.Namespace, topology):
+    spec = _workload_degrees(args, topology)
     payload = int(args.payload_mib * (1 << 20))
     if args.workload == "allreduce":
         return generate_single_collective(
@@ -218,23 +226,16 @@ def _generate_traces(args: argparse.Namespace, topology):
             moe_1t(), topology,
             remote_parameters=args.memory_model != "local",
             inswitch_collectives=args.inswitch)
-    model = transformer_1t() if args.workload == "transformer1t" else gpt3_175b()
     if args.workload in ("gpt3", "transformer1t"):
-        mp = args.mp or 16
-        dp = _parallel_degrees(args, topology, mp)
-        return generate_megatron_hybrid(
-            model, topology, ParallelismSpec(mp=mp, dp=dp))
+        model = gpt3_175b() if args.workload == "gpt3" else transformer_1t()
+        return generate_megatron_hybrid(model, topology, spec)
     if args.workload == "fsdp-gpt3":
         return generate_fsdp(gpt3_175b(), topology)
     if args.workload == "dp-gpt3":
         return generate_data_parallel(gpt3_175b(), topology)
     if args.workload == "pp-gpt3":
-        mp = args.mp or 1
-        pp = args.pp or 8
-        dp = _parallel_degrees(args, topology, mp, pp)
         return generate_pipeline_parallel(
-            gpt3_175b(), topology, ParallelismSpec(mp=mp, pp=pp, dp=dp),
-            microbatches=args.microbatches)
+            gpt3_175b(), topology, spec, microbatches=args.microbatches)
     raise PointConfigError(f"unknown workload {args.workload!r}")
 
 
@@ -242,8 +243,7 @@ def _memory_models(args: argparse.Namespace, topology):
     """Local / remote / fabric memory models from the CLI flags.
 
     ``hiermem`` derives the pool geometry from the topology the way
-    Table V does: dim 0 is the in-node switch (GPUs per node), one
-    out-node switch per node, one remote memory group per GPU.
+    Table V does (:meth:`HierMemConfig.for_topology`).
     """
     local = LocalMemory(bandwidth_gbps=args.hbm_gbps)
     if args.inswitch and args.memory_model != "hiermem":
@@ -256,17 +256,8 @@ def _memory_models(args: argparse.Namespace, topology):
         remote = ZeroInfinityMemory(ZeroInfinityConfig(
             path_bandwidth_gbps=args.remote_path_gbps))
         return local, remote, None
-    gpus_per_node = topology.dims[0].size
-    num_nodes = topology.num_npus // gpus_per_node
-    pool = HierMemConfig(
-        num_nodes=num_nodes,
-        gpus_per_node=gpus_per_node,
-        num_out_switches=num_nodes,
-        num_remote_groups=topology.num_npus,
-        mem_side_bw_gbps=args.group_bw_gbps,
-        gpu_side_out_bw_gbps=args.fabric_bw_gbps,
-        in_node_bw_gbps=args.fabric_bw_gbps,
-    )
+    pool = HierMemConfig.for_topology(
+        topology, args.fabric_bw_gbps, args.group_bw_gbps)
     return local, HierarchicalRemoteMemory(pool), InSwitchCollectiveMemory(pool)
 
 
@@ -280,9 +271,8 @@ def _checkpoint_config(args: argparse.Namespace, topology):
 
         model = (transformer_1t() if args.workload == "transformer1t"
                  else gpt3_175b())
-        mp = args.mp or 16
-        dp = _parallel_degrees(args, topology, mp)
-        footprint = transformer_footprint(model, ParallelismSpec(mp=mp, dp=dp))
+        footprint = transformer_footprint(
+            model, _workload_degrees(args, topology))
         return CheckpointConfig.from_footprint(footprint, interval_ns)
     return CheckpointConfig(interval_ns=interval_ns,
                             snapshot_bytes=args.checkpoint_gib * (1 << 30))

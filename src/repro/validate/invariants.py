@@ -197,56 +197,30 @@ class InvariantChecker:
 
     # -- hot hooks ----------------------------------------------------------------
 
-    def check_event_time(self, time: float, now: float) -> None:
-        """Causality/finiteness of a scheduled event timestamp.
-
-        The engine's own guards reject negative delays; this catches the
-        failure modes they cannot — NaN and infinite timestamps, which
-        would otherwise corrupt heap ordering silently.  The engine hot
-        paths do not call this method: they inline the single chained
-        comparison below (a NaN compares False against every bound) and
-        call :meth:`event_time_anomaly` only on failure, so a checked
-        run pays one comparison, not one method call, per event.  The
-        per-event check count is reconstructed in bulk at finalize time
-        from the engine's sequence counter.
-        """
-        self.checks += 1
-        if not (now <= time < math.inf):
-            self.event_time_anomaly(time, now)
-
     def event_time_anomaly(self, time: float, now: float) -> None:
-        """Slow path: classify and record a bad event timestamp."""
-        if time != time or time in (math.inf, -math.inf):
-            self.record(
-                "events", "finite_time",
-                f"event scheduled at non-finite time {time!r}",
-                time_ns=now, scheduled=repr(time))
-        elif time < now:
-            self.record(
-                "events", "causality",
-                f"event scheduled at t={time} before now={now}",
-                time_ns=now, scheduled=time)
+        """Record an event scheduled at a NaN or infinite time.
 
-    def check_reservation(self, start: float, end: float, now: float,
-                          resource: str = "port") -> None:
-        """A serializing reservation must be causal and non-negative.
-
-        Like the event-time check, the analytical backend inlines the
-        chained comparison at the reservation site and calls
-        :meth:`reservation_anomaly` only on failure; per-reservation
-        check counts are recovered at finalize from the ports' own
-        reservation counters.
+        The event kernel calls this only when its inlined ``now <= time <
+        inf`` guard fails (a NaN fails every bound), so a checked run pays
+        one comparison per event; it raises on time travel itself, so only
+        non-finite times get here.  The per-event check count is
+        reconstructed in bulk at finalize time from the kernel's sequence
+        counter.
         """
-        self.checks += 1
-        # Fast path: one chained comparison proves causal ordering and
-        # finiteness at once (NaN fails every bound).
-        if now - 1e-9 <= start <= end < math.inf:
-            return
-        self.reservation_anomaly(start, end, now, resource)
+        self.record(
+            "events", "finite_time",
+            f"event scheduled at non-finite time {time!r}",
+            time_ns=now, scheduled=repr(time))
 
     def reservation_anomaly(self, start: float, end: float, now: float,
                             resource: str = "port") -> None:
-        """Slow path: classify and record a bad reservation."""
+        """Classify and record a bad reservation.
+
+        The analytical backend calls this only when its inlined ``now -
+        1e-9 <= start <= end < inf`` guard fails; per-reservation check
+        counts are recovered at finalize from the ports' own reservation
+        counters.
+        """
         if not (math.isfinite(start) and math.isfinite(end)):
             self.record(
                 "network", "finite_time",

@@ -24,9 +24,14 @@ from repro.workload.parallelism import (
     ParallelismSpec,
     assign_dims,
     assign_dims_or_flat,
+    check_schedule,
     p2p_tag,
+    stage_op_sequence,
     stage_representatives,
 )
+
+#: Kept for callers that import the schedule order from this module.
+_stage_op_sequence = stage_op_sequence
 
 VIA_FABRIC = "fabric"  # attrs["via"] value routing a collective through the memory fabric
 
@@ -346,40 +351,6 @@ def generate_fsdp(
 # -- pipeline parallelism (GPipe schedule) ------------------------------------------------
 
 
-PIPELINE_SCHEDULES = ("gpipe", "1f1b")
-
-
-def _stage_op_sequence(schedule: str, num_stages: int, stage: int,
-                       microbatches: int) -> List[Tuple[str, int]]:
-    """Per-stage (kind, microbatch) issue order for a pipeline schedule.
-
-    - ``gpipe``: all forwards, then all backwards in reverse microbatch
-      order (synchronous flush).
-    - ``1f1b``: PipeDream-flush — ``num_stages - 1 - stage`` warmup
-      forwards, a steady phase alternating one forward and one backward,
-      and a backward-only cooldown.  Same work, far smaller activation
-      working set and bubbles that shrink with depth.
-    """
-    if schedule == "gpipe":
-        return ([("f", mb) for mb in range(microbatches)]
-                + [("b", mb) for mb in reversed(range(microbatches))])
-    if schedule == "1f1b":
-        warmup = min(microbatches, num_stages - 1 - stage)
-        ops: List[Tuple[str, int]] = [("f", mb) for mb in range(warmup)]
-        fwd, bwd = warmup, 0
-        while fwd < microbatches:
-            ops.append(("f", fwd))
-            fwd += 1
-            ops.append(("b", bwd))
-            bwd += 1
-        while bwd < microbatches:
-            ops.append(("b", bwd))
-            bwd += 1
-        return ops
-    raise InputError(f"unknown pipeline schedule {schedule!r}; "
-                     "expected 'gpipe' or '1f1b'")
-
-
 def generate_pipeline_parallel(
     model: TransformerSpec,
     topology: MultiDimTopology,
@@ -398,10 +369,14 @@ def generate_pipeline_parallel(
     across the DP dims.
 
     ``schedule`` selects the issue order per stage: ``"gpipe"`` (all
-    forwards then all backwards) or ``"1f1b"`` (PipeDream-flush).
+    forwards then all backwards) or ``"1f1b"`` (PipeDream-flush).  EP
+    degrees are rejected, not ignored.
     """
-    if microbatches < 1:
-        raise InputError(f"microbatches must be >= 1, got {microbatches}")
+    check_schedule(schedule, microbatches)
+    if spec.ep > 1:
+        raise InputError(
+            f"generate_pipeline_parallel models MP x PP x DP only, got "
+            f"ep={spec.ep}; use repro.frontend.plan for expert parallelism")
     assignment = assign_dims(topology, spec)
     pp_dims, dp_dims, mp_dims = assignment["pp"], assignment["dp"], assignment["mp"]
     if not pp_dims:
@@ -409,15 +384,13 @@ def generate_pipeline_parallel(
     num_stages = spec.pp
     layers_per_stage = max(1, model.num_layers // num_stages)
     act = model.activation_bytes()
-    fwd_flops = layers_per_stage * model.fwd_flops_per_layer() // max(1, spec.mp)
-    bwd_flops = layers_per_stage * model.bwd_flops_per_layer() // max(1, spec.mp)
-    stage_grad_bytes = (
-        layers_per_stage * model.layer_grad_bytes() // max(1, spec.mp)
-    )
+    fwd_flops = layers_per_stage * model.fwd_flops_per_layer() // spec.mp
+    bwd_flops = layers_per_stage * model.bwd_flops_per_layer() // spec.mp
+    stage_grad_bytes = layers_per_stage * model.layer_grad_bytes() // spec.mp
 
     reps = stage_representatives(topology, pp_dims, num_stages)
     builders = {rep: TraceBuilder(rep) for rep in reps}
-    sequences = [_stage_op_sequence(schedule, num_stages, s, microbatches)
+    sequences = [stage_op_sequence(schedule, num_stages, s, microbatches)
                  for s in range(num_stages)]
 
     def tag(it: int, kind: str, stage: int, mb: int) -> int:

@@ -7,17 +7,16 @@ matching how real systems place communicators (tensor parallelism on
 NVLink, data parallelism over the NIC; paper Sec. V-A: "MP and DP span
 over some (and not every) dimensions and utilize only those BW").
 
-The pipeline layout shared by the builtin generators and the frontend
-planner is defined here too: :func:`assign_dims_or_flat` (the flat-group
-fallback for unaligned MP x DP), :func:`stage_representatives` (one
-traced NPU per pipeline stage) and :func:`p2p_tag` (the send/recv tag of
-a stage-boundary transfer).
+The degree rule (:func:`resolve_degrees`) and the pipeline layout
+(:func:`assign_dims_or_flat`, :func:`stage_op_sequence`,
+:func:`stage_representatives`, :func:`p2p_tag`) shared by the builtin
+generators and the frontend planner are defined here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.errors import InputError
 from repro.network.topology import MultiDimTopology
@@ -64,11 +63,7 @@ def assign_dims(
     Raises :class:`DimAssignmentError` when a degree does not align with
     dimension boundaries (e.g. MP=4 on a topology whose first dim is 8).
     """
-    if spec.total != topology.num_npus:
-        raise DimAssignmentError(
-            f"parallelism degrees multiply to {spec.total} but topology has "
-            f"{topology.num_npus} NPUs"
-        )
+    resolve_degrees(topology.num_npus, spec.mp, spec.dp, spec.pp, spec.ep)
     sizes = topology.shape
     assignment: Dict[str, Tuple[int, ...]] = {}
     next_dim = 0
@@ -98,17 +93,29 @@ def assign_dims(
     return assignment
 
 
-def fit_hybrid(topology: MultiDimTopology, mp: int) -> ParallelismSpec:
-    """Convenience: hybrid MP x DP filling the whole system.
+def resolve_degrees(npus: int, mp: int = 0, dp: int = 0, pp: int = 0,
+                    ep: int = 0, error: Type[InputError] = DimAssignmentError,
+                    ) -> ParallelismSpec:
+    """The degrees filling ``npus`` NPUs; 0 is auto (1, and DP fills the
+    rest).  MP x PP x EP must divide the NPU count and, with DP, equal it;
+    otherwise raise ``error``, with one message for both."""
+    mp, pp, ep = mp or 1, pp or 1, ep or 1
+    shard = mp * pp * ep
+    if shard >= 1 and npus % shard == 0:
+        spec = ParallelismSpec(mp=mp, dp=dp or npus // shard, pp=pp, ep=ep)
+        if spec.total == npus:
+            return spec
+    flags = " x ".join(f"--{axis} {degree}" for axis, degree in
+                       (("mp", mp), ("pp", pp), ("ep", ep)) if degree != 1)
+    raise error(
+        f"{flags or '--mp 1'} does not divide the topology's {npus} NPUs"
+        f"{f' into --dp {dp} replicas' if dp else ''}; pick degrees whose "
+        "product divides the NPU count, and leave --dp at 0 to fill the rest")
 
-    DP takes whatever NPUs remain after MP; raises if MP does not divide
-    the system size.
-    """
-    if topology.num_npus % mp != 0:
-        raise DimAssignmentError(
-            f"MP={mp} does not divide system size {topology.num_npus}"
-        )
-    return ParallelismSpec(mp=mp, dp=topology.num_npus // mp)
+
+def fit_hybrid(topology: MultiDimTopology, mp: int) -> ParallelismSpec:
+    """Convenience: hybrid MP x DP filling the whole system."""
+    return resolve_degrees(topology.num_npus, mp=mp)
 
 
 Group = Optional[Tuple[int, ...]]
@@ -141,6 +148,45 @@ def assign_dims_or_flat(
     dp_group = (tuple(range(0, spec.mp * spec.dp, spec.mp))
                 if spec.dp > 1 else None)
     return {"mp": (), "dp": (), "pp": (), "ep": ()}, mp_group, dp_group
+
+
+def check_schedule(schedule: str, microbatches: int,
+                   error: Type[InputError] = InputError) -> None:
+    """Reject fewer than one microbatch or an unknown pipeline schedule."""
+    if microbatches < 1:
+        raise error(f"microbatches must be >= 1, got {microbatches}")
+    if schedule not in ("gpipe", "1f1b"):
+        raise error(f"unknown pipeline schedule {schedule!r}; "
+                    "expected 'gpipe' or '1f1b'")
+
+
+def stage_op_sequence(schedule: str, num_stages: int, stage: int,
+                      microbatches: int) -> List[Tuple[str, int]]:
+    """Per-stage (kind, microbatch) issue order for a pipeline schedule.
+
+    - ``gpipe``: all forwards, then all backwards in reverse microbatch
+      order (synchronous flush).
+    - ``1f1b``: PipeDream-flush — ``num_stages - 1 - stage`` warmup
+      forwards, a steady phase alternating one forward and one backward,
+      and a backward-only cooldown.  Same work, far smaller activation
+      working set and bubbles that shrink with depth.
+    """
+    check_schedule(schedule, microbatches)
+    if schedule == "gpipe":
+        return ([("f", mb) for mb in range(microbatches)]
+                + [("b", mb) for mb in reversed(range(microbatches))])
+    warmup = min(microbatches, num_stages - 1 - stage)
+    ops: List[Tuple[str, int]] = [("f", mb) for mb in range(warmup)]
+    fwd, bwd = warmup, 0
+    while fwd < microbatches:
+        ops.append(("f", fwd))
+        fwd += 1
+        ops.append(("b", bwd))
+        bwd += 1
+    while bwd < microbatches:
+        ops.append(("b", bwd))
+        bwd += 1
+    return ops
 
 
 def stage_representatives(

@@ -165,6 +165,22 @@ class TestRunFieldNumbers:
             error = json.loads(excinfo.value.read())["error"]
         assert error == {"type": "PointConfigError", "message": message}
 
+    def test_dropped_degree_is_400(self):
+        """A degree the builtin workload does not model is refused."""
+        cases = [({"workload": "gpt3", "mp": 4, "pp": 2}, "gpt3", "pp"),
+                 ({"workload": "gpt3", "mp": 4, "ep": 2}, "gpt3", "ep"),
+                 ({"workload": "pp-gpt3", "pp": 4, "ep": 2}, "pp-gpt3", "ep"),
+                 ({"workload": "dlrm", "mp": 4}, "dlrm", "mp")]
+        with serving() as (base, _server):
+            for fields, workload, axis in cases:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post(base + "/run", dict(POINT, **fields))
+                assert excinfo.value.code == 400
+                error = json.loads(excinfo.value.read())["error"]
+                assert error["type"] == "PointConfigError"
+                assert error["message"].startswith(
+                    f"workload {workload!r} does not model --{axis} ")
+
     @pytest.mark.parametrize("fields, message", [
         ({"jobs": -1}, "jobs must be >= 0, got -1"),
         ({"queue_depth": 0}, "queue_depth must be >= 1, got 0"),

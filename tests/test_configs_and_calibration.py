@@ -76,6 +76,14 @@ class TestTable5:
     def test_moe_network_is_256_gpus(self):
         assert moe_npu_network().num_npus == 256
 
+    def test_hiermem_pool_is_the_derived_geometry(self):
+        from repro.memory import HierMemConfig
+
+        assert hiermem_baseline().remote_memory.config == HierMemConfig(
+            num_nodes=16, gpus_per_node=16, num_out_switches=16,
+            num_remote_groups=256, mem_side_bw_gbps=100.0,
+            gpu_side_out_bw_gbps=256.0, in_node_bw_gbps=256.0)
+
 
 class TestNcclReference:
     def test_monotone_in_payload(self):

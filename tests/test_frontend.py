@@ -313,6 +313,11 @@ class TestPlanner:
         with pytest.raises(FrontendError, match="unknown pipeline schedule"):
             PlanConfig(schedule="interleaved")
 
+    def test_zero_microbatches_rejected_at_construction(self):
+        with pytest.raises(FrontendError,
+                           match="microbatches must be >= 1, got 0"):
+            PlanConfig(microbatches=0)
+
 
 class TestZoo:
     def test_names_and_entries_agree(self):

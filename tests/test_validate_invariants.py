@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.core import SystemConfig, simulate
+from repro.events import EventEngine, SimulationError
 from repro.network import parse_topology
 from repro.stats.export import result_to_dict
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -119,31 +120,60 @@ class TestRecording:
         assert doc["violations"][0]["context"] == {"stages": 3}
 
 
+class _Port:
+    """A port whose reservations run backwards: the bug the guard catches."""
+
+    def reserve(self, now, duration):
+        return now + duration, now
+
+
+def _reserve(busy_ns, port=None):
+    """One ``reserve_port`` on a checked analytical network."""
+    from repro.network.analytical import AnalyticalNetwork
+
+    inv = InvariantChecker()
+    net = AnalyticalNetwork(EventEngine(), parse_topology("Ring(4)", [100.0]),
+                            invariants=inv)
+    if port is not None:
+        net.port = lambda npu, dim: port
+    net.reserve_port(0, 0, busy_ns)
+    return inv
+
+
 class TestHotHooks:
+    """The guards the event kernel and ``reserve_port`` inline."""
+
     def test_event_time_nan_and_inf_caught(self):
         inv = InvariantChecker()
-        inv.check_event_time(float("nan"), now=0.0)
-        inv.check_event_time(math.inf, now=0.0)
-        assert inv.violations_total == 2
+        engine = EventEngine(invariants=inv)
+        engine.schedule(float("nan"), lambda: None)
+        engine.schedule_at(math.inf, lambda: None)
+        engine.schedule_many([(math.inf, lambda: None)])
+        assert inv.violations_total == 3
         assert all(v.name == "finite_time" for v in inv.violations)
 
     def test_event_time_causality(self):
         inv = InvariantChecker()
-        inv.check_event_time(5.0, now=10.0)
-        assert inv.violations[0].name == "causality"
-        inv2 = InvariantChecker()
-        inv2.check_event_time(10.0, now=10.0)  # equal is fine
-        assert inv2.violations_total == 0
+        engine = EventEngine(invariants=inv)
+        engine.schedule(10.0, lambda: None)
+        engine.run()
+        # The kernel refuses time travel itself, before the checker.
+        with pytest.raises(SimulationError):
+            engine.schedule_at(5.0, lambda: None)
+        engine.schedule_at(10.0, lambda: None)  # equal is fine
+        assert inv.violations_total == 0
 
     def test_reservation_backwards(self):
-        inv = InvariantChecker()
-        inv.check_reservation(start=10.0, end=5.0, now=10.0)
-        assert inv.violations[0].name == "causality"
+        inv = _reserve(5.0, port=_Port())
+        assert [v.name for v in inv.violations] == ["causality"]
 
     def test_reservation_nonfinite(self):
-        inv = InvariantChecker()
-        inv.check_reservation(start=0.0, end=math.inf, now=0.0)
-        assert inv.violations[0].name == "finite_time"
+        for busy_ns in (math.inf, float("nan")):
+            inv = _reserve(busy_ns)
+            assert [v.name for v in inv.violations] == ["finite_time"]
+
+    def test_clean_reservation(self):
+        assert _reserve(5.0).violations_total == 0
 
 
 class TestSimulatorIntegration:

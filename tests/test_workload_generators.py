@@ -312,8 +312,12 @@ class TestInputErrors:
             _small_transformer(), parse_topology("Ring(8)", [100]),
             ParallelismSpec(mp=4, pp=2)),
          "models MP x DP only"),
+        (lambda: generate_pipeline_parallel(
+            _small_transformer(), parse_topology("Ring(4)_Switch(2)", [100, 50]),
+            ParallelismSpec(pp=4, ep=2)),
+         "models MP x PP x DP only"),
     ], ids=["parallelism", "transformer", "dlrm", "moe", "microbatches",
-            "pp-1", "schedule", "megatron-pp"])
+            "pp-1", "schedule", "megatron-pp", "pipeline-ep"])
     def test_bad_argument_is_an_input_error(self, build, message):
         with pytest.raises(InputError, match=message):
             build()

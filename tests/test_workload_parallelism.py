@@ -4,7 +4,11 @@ import pytest
 
 from repro.network import parse_topology
 from repro.workload import ParallelismSpec, assign_dims
-from repro.workload.parallelism import DimAssignmentError, fit_hybrid
+from repro.workload.parallelism import (
+    DimAssignmentError,
+    fit_hybrid,
+    resolve_degrees,
+)
 
 
 def _conv4d():
@@ -64,3 +68,29 @@ class TestFitHybrid:
     def test_indivisible_rejected(self):
         with pytest.raises(DimAssignmentError):
             fit_hybrid(_conv4d(), mp=7)
+
+
+class TestResolveDegrees:
+    def test_auto_dp_fills_the_rest(self):
+        assert resolve_degrees(32, mp=4, pp=2) == ParallelismSpec(
+            mp=4, dp=4, pp=2)
+
+    def test_zero_is_auto(self):
+        assert resolve_degrees(8) == ParallelismSpec(dp=8)
+
+    @pytest.mark.parametrize("degrees, message", [
+        ({"mp": 3}, "--mp 3 does not divide the topology's 8 NPUs; "),
+        ({"mp": 1, "pp": 3, "ep": 2},
+         "--pp 3 x --ep 2 does not divide the topology's 8 NPUs; "),
+        ({"mp": 2, "dp": 2},
+         "--mp 2 does not divide the topology's 8 NPUs into --dp 2 "
+         "replicas; "),
+    ], ids=["mp", "pp-ep", "explicit-dp"])
+    def test_one_message(self, degrees, message):
+        with pytest.raises(DimAssignmentError) as excinfo:
+            resolve_degrees(8, **degrees)
+        assert str(excinfo.value).startswith(message)
+
+    def test_negative_dp_is_a_degree_error(self):
+        with pytest.raises(ValueError, match="dp degree must be >= 1, got -2"):
+            resolve_degrees(8, mp=4, dp=-2)
