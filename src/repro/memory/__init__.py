@@ -11,8 +11,7 @@ memory-system design, and returns access time.  Provided models:
   are gathered (All-Gather) while being loaded and sharded
   (Reduce-Scatter) while being stored, inside the switches;
 - :class:`ZeroInfinityMemory` — the ZeRO-Infinity baseline (Fig. 10):
-  per-GPU dedicated slow paths to CPU memory / NVMe;
-- the Fig. 5 pool-architecture variants in :mod:`repro.memory.pools`.
+  per-GPU dedicated slow paths to CPU memory / NVMe.
 
 Models hold no per-run state and no instrumentation slots; the
 execution engine records their telemetry counters and checks their
@@ -24,12 +23,6 @@ from repro.memory.local import LocalMemory
 from repro.memory.remote import HierMemConfig, HierarchicalRemoteMemory
 from repro.memory.inswitch import InSwitchCollectiveMemory
 from repro.memory.zero_infinity import ZeroInfinityConfig, ZeroInfinityMemory
-from repro.memory.pools import (
-    MeshPool,
-    MultiLevelSwitchPool,
-    PoolDesign,
-    RingPool,
-)
 
 __all__ = [
     "HierMemConfig",
@@ -38,10 +31,6 @@ __all__ = [
     "LocalMemory",
     "MemoryModel",
     "MemoryRequest",
-    "MeshPool",
-    "MultiLevelSwitchPool",
-    "PoolDesign",
-    "RingPool",
     "ZeroInfinityConfig",
     "ZeroInfinityMemory",
 ]

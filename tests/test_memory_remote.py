@@ -82,6 +82,24 @@ class TestPipelineCriticalPath:
         expected = sum(stages.values()) + (n - 1) * max(stages.values())
         assert mem.access_time_ns(_remote_request(w)) == pytest.approx(expected)
 
+    def test_memory_bound_steady_state_is_the_group_links(self):
+        """With the memory-side links the bottleneck, the steady state
+        moves one chunk per beat over each group link (``mem_side_bw /
+        num_out_switches``); the other stages only add their fill."""
+        config = HierMemConfig(
+            num_nodes=16, gpus_per_node=16, num_out_switches=4,
+            num_remote_groups=16, mem_side_bw_gbps=100.0,
+            gpu_side_out_bw_gbps=100.0, in_node_bw_gbps=100.0,
+            chunk_bytes=MiB, access_latency_ns=0.0)
+        mem = HierarchicalRemoteMemory(config)
+        w = 64 * MiB
+        n = mem.num_pipeline_stages(w)
+        beat = mem.effective_chunk_bytes(w) / (
+            config.mem_side_bw_gbps / config.num_out_switches)
+        assert mem.bottleneck_stage() == "rem2outSW"
+        assert mem.access_time_ns(_remote_request(w)) == pytest.approx(
+            n * beat, rel=0.01)
+
     def test_latency_added_once(self):
         config = _paper_example_config(access_latency_ns=5000.0)
         mem = HierarchicalRemoteMemory(config)

@@ -9,7 +9,6 @@ import repro
 from repro.events import EventEngine
 from repro.network import make_network
 from repro.memory.inswitch import InSwitchCollectiveMemory
-from repro.memory.pools import MultiLevelSwitchPool
 from repro.memory.remote import HierarchicalRemoteMemory, HierMemConfig
 from repro.memory.zero_infinity import ZeroInfinityConfig, ZeroInfinityMemory
 from repro.telemetry import (
@@ -379,11 +378,6 @@ class TestMemoryMetrics:
             HierarchicalRemoteMemory(HierMemConfig()),
             ((0, False), (1 << 26, False)), _HIERMEM_COUNTERS,
             id="hiermem-zero-byte"),
-        pytest.param(
-            MultiLevelSwitchPool(HierMemConfig()),
-            ((1 << 26, False),),
-            (("pool_transfers", {"design": "MultiLevelSwitchPool"}, 1.0),),
-            id="multi-level-switch-pool"),
     ])
     def test_model_counters_through_simulate(self, model, accesses,
                                              expected):
