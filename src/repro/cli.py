@@ -182,7 +182,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     import json
 
     import repro.validate as validate
-    from repro.runsim import simulate_from_args, workload_label
+    from repro.runsim import reads, simulate_from_args, workload_label
 
     quick = not args.full
     suites = (("invariants", "metamorphic", "conformance", "adaptive",
@@ -204,7 +204,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             args.topology, args.bandwidths = "Ring(2)_Switch(4)", "200,50"
             payload_default = 64.0
         if args.payload_mib is None:
-            args.payload_mib = payload_default
+            args.payload_mib = (payload_default if "payload_mib" in reads(args)
+                                else FIELDS["payload_mib"].default)
         args.check_invariants = True
         topology, result, _ = simulate_from_args(args)
         report = result.invariants

@@ -12,6 +12,7 @@ use them.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import functools
 from pathlib import Path
@@ -29,12 +30,12 @@ from repro.memory import (
     ZeroInfinityMemory,
 )
 from repro.network import parse_topology
-from repro.runspec import TRACE_MEMO, PointConfigError, check_choices, trace_key
+from repro.runspec import (
+    FIELDS, TRACE_FIELDS, TRACE_MEMO, PointConfigError, check_choices)
 from repro.system import RooflineCompute
 from repro.telemetry import TelemetryConfig, TraceLevel
 from repro.trace import CollectiveType
 from repro.workload import (
-    ParallelismSpec,
     dlrm_paper,
     generate_data_parallel,
     generate_dlrm,
@@ -103,8 +104,12 @@ def ingest_from_args(args: argparse.Namespace):
     else:
         payload = load_config(model_json)
         if payload.get("format") == OPGRAPH_FORMAT:
-            # Explicit op graphs carry their own shapes/costs; the
-            # batch/seq knobs only apply to architecture configs.
+            # An op graph carries its own shapes and costs.
+            shape = ("batch", "seq_len")
+            for field in shape:
+                if getattr(args, field):
+                    raise _not_modeled(f"ingest:{model_json}", field, [
+                        f for f in reads(args) if f not in shape])
             return opgraph_from_dict(payload)
         options = default_options_for(payload)
     overrides = {}
@@ -162,81 +167,101 @@ def workload_label(args: argparse.Namespace) -> str:
 
 
 def _build_traces(args: argparse.Namespace, topology):
-    """The run's trace set, built once per process for each trace key.
-
-    The key is the run's :data:`~repro.runspec.TRACE_FIELDS`; a later
-    run with the same key gets the same trace objects (runs only read
-    their traces) and the same ``args.graph_name``.
-    """
-    key = trace_key(args)
-    if key is None:
-        traces, graph_name = _trace_set(args, topology)
-    else:
-        traces, graph_name = TRACE_MEMO.lookup(
-            key, lambda: _trace_set(args, topology))
-    if graph_name is not None:
-        args.graph_name = graph_name
-    return traces
+    """The run's ``(traces, degrees)``; a later run with the same memo key
+    gets the same traces (runs only read them) and ``args.graph_name``."""
+    entry, spec, key = _resolve(args, topology)
+    build = functools.partial(_build, args, topology, entry, spec)
+    traces, args.graph_name = build() if key is None else TRACE_MEMO.lookup(
+        key, build)
+    return traces, spec
 
 
-def _trace_set(args: argparse.Namespace, topology):
-    """Build ``(traces, graph_name)``; the name is None off the frontend."""
-    if _is_frontend(args):
+def _build(args, topology, entry, spec):
+    if entry is FRONTEND:
         graph = ingest_from_args(args)
         return plan_from_args(args, graph, topology).traces, graph.name
-    return _generate_traces(args, topology), None
+    return entry.build(args, topology, spec), None
 
 
-#: The degrees each builtin workload models and an unset (0) one's value
-#: (dp 0: fill the NPUs left); any other nonzero degree is an error.
-WORKLOAD_DEGREES = {
-    "gpt3": {"mp": 16, "dp": 0},
-    "transformer1t": {"mp": 16, "dp": 0},
-    "pp-gpt3": {"mp": 1, "pp": 8, "dp": 0},
+#: A trace producer: ``build(args, topology, spec)``, the trace fields it
+#: reads besides its name, shape and degrees, each modeled degree's unset
+#: value (``dp`` 0 fills the rest; ``spec`` is them resolved) and the model
+#: whose state sizes a checkpoint.
+Workload = collections.namedtuple(
+    "Workload", "build fields degrees footprint", defaults=((), {}, None))
+_MEGATRON = {"mp": 16, "dp": 0}
+
+#: Every builtin workload, in ``repro.runspec.WORKLOADS`` order.
+BUILTINS = {
+    "allreduce": Workload(lambda a, t, s: generate_single_collective(
+        t, CollectiveType.ALL_REDUCE, int(a.payload_mib * (1 << 20))),
+        ("payload_mib",)),
+    "alltoall": Workload(lambda a, t, s: generate_single_collective(
+        t, CollectiveType.ALL_TO_ALL, int(a.payload_mib * (1 << 20))),
+        ("payload_mib",)),
+    "gpt3": Workload(lambda a, t, s: generate_megatron_hybrid(
+        gpt3_175b(), t, s), (), _MEGATRON, gpt3_175b),
+    "transformer1t": Workload(lambda a, t, s: generate_megatron_hybrid(
+        transformer_1t(), t, s), (), _MEGATRON, transformer_1t),
+    "dlrm": Workload(lambda a, t, s: generate_dlrm(dlrm_paper(), t)),
+    "fsdp-gpt3": Workload(lambda a, t, s: generate_fsdp(gpt3_175b(), t)),
+    "dp-gpt3": Workload(
+        lambda a, t, s: generate_data_parallel(gpt3_175b(), t)),
+    "pp-gpt3": Workload(lambda a, t, s: generate_pipeline_parallel(
+        gpt3_175b(), t, s, microbatches=a.microbatches),
+        ("microbatches",), {"mp": 1, "pp": 8, "dp": 0}),
+    "moe1t": Workload(lambda a, t, s: generate_moe(
+        moe_1t(), t, remote_parameters=a.memory_model != "local",
+        inswitch_collectives=a.inswitch), ("memory_model", "inswitch")),
 }
 
+#: A ``--model``/``--model-json`` run, ingested and planned.  Its memo key
+#: holds the degrees as given: the planner's TP auto-fit needs the graph.
+FRONTEND = Workload(None, ("model", "model_json", "batch", "seq_len", "mp",
+                           "dp", "pp", "ep", "microbatches"))
 
-def _workload_degrees(args: argparse.Namespace, topology) -> ParallelismSpec:
-    """The builtin workload's degrees, resolved by ``resolve_degrees``."""
-    modeled = WORKLOAD_DEGREES.get(args.workload, {})
-    for axis in ("mp", "dp", "pp", "ep"):
-        if getattr(args, axis) and axis not in modeled:
-            raise PointConfigError(
-                f"workload {args.workload!r} does not model --{axis} (its "
-                f"degrees: {', '.join('--' + a for a in modeled) or 'none'}); "
-                f"leave --{axis} at 0, or give --model to plan any strategy")
-    return resolve_degrees(topology.num_npus, **{
+
+def _producer(args: argparse.Namespace):
+    """The run's name, entry and trace fields read (degrees last)."""
+    if _is_frontend(args):
+        return (f"ingest:{args.model or args.model_json}", FRONTEND,
+                ("topology", *FRONTEND.fields))
+    entry = BUILTINS[args.workload]
+    return args.workload, entry, ("topology", "workload", *entry.fields,
+                                  *entry.degrees)
+
+
+def reads(args: argparse.Namespace) -> tuple:
+    """Every trace field the run's producer reads."""
+    return _producer(args)[2]
+
+
+def _not_modeled(name: str, field: str, read) -> PointConfigError:
+    """The error for a trace field that producer ``name`` does not read."""
+    flag = FIELDS[field].flag
+    listed = ", ".join(FIELDS[f].flag for f in read if f not in (
+        "topology", "workload", "model", "model_json")) or "no other field"
+    return PointConfigError(f"workload {name!r} does not model {flag} (it "
+                            f"reads: {listed}); leave {flag} unset")
+
+
+def _resolve(args: argparse.Namespace, topology):
+    """The run's ``(entry, degrees, memo key)``; a trace field that its
+    producer does not read must be at its default.  The key is what the
+    producer read (a builtin's degrees resolved), or None when a
+    ``--model-json`` file cannot be read."""
+    name, entry, read = _producer(args)
+    for field in TRACE_FIELDS:
+        if field not in read and getattr(args, field) != FIELDS[field].default:
+            raise _not_modeled(name, field, read)
+    spec = resolve_degrees(topology.num_npus, **{
         axis: getattr(args, axis) or default
-        for axis, default in modeled.items()})
-
-
-def _generate_traces(args: argparse.Namespace, topology):
-    spec = _workload_degrees(args, topology)
-    payload = int(args.payload_mib * (1 << 20))
-    if args.workload == "allreduce":
-        return generate_single_collective(
-            topology, CollectiveType.ALL_REDUCE, payload)
-    if args.workload == "alltoall":
-        return generate_single_collective(
-            topology, CollectiveType.ALL_TO_ALL, payload)
-    if args.workload == "dlrm":
-        return generate_dlrm(dlrm_paper(), topology)
-    if args.workload == "moe1t":
-        return generate_moe(
-            moe_1t(), topology,
-            remote_parameters=args.memory_model != "local",
-            inswitch_collectives=args.inswitch)
-    if args.workload in ("gpt3", "transformer1t"):
-        model = gpt3_175b() if args.workload == "gpt3" else transformer_1t()
-        return generate_megatron_hybrid(model, topology, spec)
-    if args.workload == "fsdp-gpt3":
-        return generate_fsdp(gpt3_175b(), topology)
-    if args.workload == "dp-gpt3":
-        return generate_data_parallel(gpt3_175b(), topology)
-    if args.workload == "pp-gpt3":
-        return generate_pipeline_parallel(
-            gpt3_175b(), topology, spec, microbatches=args.microbatches)
-    raise PointConfigError(f"unknown workload {args.workload!r}")
+        for axis, default in entry.degrees.items()})
+    try:
+        return entry, spec, (*(TRACE_FIELDS[f](getattr(args, f)) for f in
+                               read[:len(read) - len(entry.degrees)]), spec)
+    except OSError:
+        return entry, spec, None
 
 
 def _memory_models(args: argparse.Namespace, topology):
@@ -261,19 +286,18 @@ def _memory_models(args: argparse.Namespace, topology):
     return local, HierarchicalRemoteMemory(pool), InSwitchCollectiveMemory(pool)
 
 
-def _checkpoint_config(args: argparse.Namespace, topology):
-    """Build the checkpoint model from CLI flags (None when disabled)."""
+def _checkpoint_config(args: argparse.Namespace, spec):
+    """Build the checkpoint model from CLI flags (None when disabled);
+    a ``footprint`` model is sized at the run's resolved degrees."""
     if not args.checkpoint_interval_ms:
         return None
     interval_ns = args.checkpoint_interval_ms * 1e6
-    if args.workload in ("gpt3", "transformer1t") and not _is_frontend(args):
+    footprint = _producer(args)[1].footprint
+    if footprint is not None:
         from repro.memory.capacity import transformer_footprint
 
-        model = (transformer_1t() if args.workload == "transformer1t"
-                 else gpt3_175b())
-        footprint = transformer_footprint(
-            model, _workload_degrees(args, topology))
-        return CheckpointConfig.from_footprint(footprint, interval_ns)
+        return CheckpointConfig.from_footprint(
+            transformer_footprint(footprint(), spec), interval_ns)
     return CheckpointConfig(interval_ns=interval_ns,
                             snapshot_bytes=args.checkpoint_gib * (1 << 30))
 
@@ -334,7 +358,7 @@ def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
     """
     check_choices(args)
     topology = build_topology(args)
-    traces = _build_traces(args, topology)
+    traces, spec = _build_traces(args, topology)
     local_memory, remote_memory, fabric = _memory_models(args, topology)
     config = SystemConfig(
         topology=topology,
@@ -373,7 +397,7 @@ def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
         schedule = _fault_schedule(args, topology, baseline.total_time_ns)
         config = dataclasses.replace(
             config, faults=schedule,
-            checkpoint=_checkpoint_config(args, topology))
+            checkpoint=_checkpoint_config(args, spec))
         result = simulate(traces, config)
         if result.resilience is not None:
             result.resilience.baseline_ns = baseline.total_time_ns

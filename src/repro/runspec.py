@@ -10,7 +10,8 @@ merged document's ``config``); and the namespace the simulate path in
 :mod:`repro.runsim` reads for a sweep or ``repro serve`` point
 (:func:`run_namespace`), with its choice check (:func:`check_choices`).
 Next to it, :data:`TRACE_FIELDS` declares the fields the trace builders
-read, which key the process's trace memo (:data:`TRACE_MEMO`).
+read and the part of each that keys the process's trace memo
+(:data:`TRACE_MEMO`).
 """
 
 from __future__ import annotations
@@ -233,10 +234,6 @@ def _same(value: Any) -> Any:
     return value
 
 
-def _remote_parameters(memory_model: str) -> bool:
-    return memory_model != "local"
-
-
 def _model_file(spec: str) -> Any:
     # The builder reads the file's content, and its stem names a graph
     # whose config gives no name; inline JSON is its own content.  An
@@ -248,41 +245,19 @@ def _model_file(spec: str) -> Any:
     return hashlib.sha256(path.read_bytes()).hexdigest(), path.stem
 
 
-#: The run fields the trace builders (``repro.runsim._build_traces``)
-#: read, each with the part of its value they read; the trace memo keys
-#: a build on exactly this projection of a run (:func:`trace_key`).
-#: ``topology`` is the shape notation alone: no builder reads bandwidths
-#: or latencies.  ``memory_model`` enters as whether parameters live in
-#: remote memory, ``model_json`` as the file's content.  Every other
-#: field is left out (the inverse property in tests/test_trace_memo.py
-#: changes each one alone and checks the memoised traces against a
-#: fresh build).
+#: The run fields the trace builders read, each with the part they read;
+#: a run's memo key holds the ones its producer reads (``repro.runsim``).
+#: ``topology`` is the shape notation alone, ``memory_model`` whether
+#: parameters are remote, ``model_json`` the file's content.  No other
+#: field changes a build (the inverse property in tests/test_trace_memo.py).
 TRACE_FIELDS: Dict[str, Callable[[Any], Any]] = {
-    "topology": _same,
-    "workload": _same,
-    "model": _same,
+    **dict.fromkeys(("topology", "workload", "model"), _same),
     "model_json": _model_file,
-    "batch": _same,
-    "seq_len": _same,
-    "payload_mib": _same,
-    "mp": _same,
-    "dp": _same,
-    "pp": _same,
-    "ep": _same,
-    "microbatches": _same,
-    "memory_model": _remote_parameters,
+    **dict.fromkeys(("batch", "seq_len", "payload_mib", "mp", "dp", "pp",
+                     "ep", "microbatches"), _same),
+    "memory_model": lambda model: model != "local",  # remote parameters?
     "inswitch": _same,
 }
-
-
-def trace_key(args: Any) -> Optional[Tuple[Any, ...]]:
-    """The trace memo key of a run, or None when its ``--model-json``
-    file cannot be read."""
-    try:
-        return tuple(project(getattr(args, name))
-                     for name, project in TRACE_FIELDS.items())
-    except OSError:
-        return None
 
 
 class TraceMemo:

@@ -23,6 +23,11 @@ def _graph():
          "model": "gpt3-175b-hf"}))
 
 
+def _build_builtin(args, topology):
+    entry, degrees, _key = runsim._resolve(args, topology)
+    return runsim._build(args, topology, entry, degrees)
+
+
 def _build(build, *args):
     """``None`` when the build succeeds, else its error message."""
     try:
@@ -42,6 +47,6 @@ def test_builtin_and_planned_points_share_the_degree_rule(system, mp, dp):
     builtin = run_namespace(dict(fields, workload="gpt3"))
     planned = run_namespace(dict(fields, model="gpt3-175b-hf"))
     topo = runsim.build_topology(builtin)
-    builtin_error = _build(runsim._generate_traces, builtin, topo)
+    builtin_error = _build(_build_builtin, builtin, topo)
     planned_error = _build(runsim.plan_from_args, planned, _graph(), topo)
     assert builtin_error == planned_error

@@ -365,9 +365,9 @@ def test_fault_spec_text(text):
 # -- sweep-spec documents and POST /sweep bodies -------------------------------------
 
 SWEEP_DOCS = [
-    {"base": {"topology": "Ring(4)", "bandwidths": "100", "payload_mib": 1},
+    {"base": {"topology": "Ring(4)", "bandwidths": "100"},
      "grid": {"chunks": [2, 4], "scheduler": ["baseline", "themis"]},
-     "zip": {"workload": ["allreduce", "alltoall"], "microbatches": [1, 2]}},
+     "zip": {"workload": ["allreduce", "alltoall"], "payload_mib": [1, 2]}},
     {"base": {"topology": "Ring(4)_Switch(2)", "bandwidths": [100, 50]},
      "points": [{"chunks": 2}, {"payload_mib": "2", "fault_seed": 3}]},
 ]

@@ -48,9 +48,9 @@ def _run(point, **fixed):
     original = runsim._build_traces
 
     def build(args, topology):
-        traces = original(args, topology)
+        traces, degrees = original(args, topology)
         built.append((traces, _digest(traces)))
-        return traces
+        return traces, degrees
 
     args = run_namespace(point)
     for name, value in fixed.items():
@@ -73,8 +73,9 @@ def test_run_leaves_traces_unchanged(backend, folding, workload, shape,
     assume(not (backend == "garnet" and workload == "pp-gpt3"))
     topology, bandwidths = shape
     point = dict(WORKLOADS[workload], topology=topology,
-                 bandwidths=bandwidths, payload_mib=payload_mib,
-                 backend=backend)
+                 bandwidths=bandwidths, backend=backend)
+    if workload != "pp-gpt3":  # only the collectives read a payload
+        point["payload_mib"] = payload_mib
     before, after = _run(point, folding=folding)
     assert len(before) == 1
     assert after == before
@@ -89,8 +90,10 @@ def test_faulted_run_builds_traces_once(workload, shape, fault_seed):
     """Baseline and faulted run share one trace build, left unchanged."""
     topology, bandwidths = shape
     point = dict(GPT3 if workload == "gpt3" else WORKLOADS[workload],
-                 topology=topology, bandwidths=bandwidths, payload_mib=1.0,
+                 topology=topology, bandwidths=bandwidths,
                  fault_seed=fault_seed, checkpoint_interval_ms=1.0)
+    if workload == "allreduce":  # the only one here that reads a payload
+        point["payload_mib"] = 1.0
     before, after = _run(point)
     assert len(before) == 1
     assert after == before
@@ -118,12 +121,13 @@ def test_planned_traces_simulate_twice_identically():
              "model": "llama3-8b", "seq_len": 256, "pp": 2,
              "microbatches": 2}
     args = run_namespace(point)
-    traces = runsim._build_traces(args, runsim.build_topology(args))
+    built = runsim._build_traces(args, runsim.build_topology(args))
+    traces = built[0]
     compiled = copy.deepcopy(_compiled(traces))
     documents = []
     for _ in range(2):
         with mock.patch.object(runsim, "_build_traces",
-                               lambda _args, _topology: traces):
+                               lambda _args, _topology: built):
             _, result, _ = runsim.simulate_from_args(run_namespace(point))
         documents.append(json.dumps(result_to_dict(result), sort_keys=True))
     assert documents[0] == documents[1]

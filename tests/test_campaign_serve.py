@@ -181,6 +181,19 @@ class TestRunFieldNumbers:
                 assert error["message"].startswith(
                     f"workload {workload!r} does not model --{axis} ")
 
+    def test_dropped_trace_field_is_400(self):
+        """A trace field the run's producer does not read is refused."""
+        from tests.test_workload_reads import DROPPED, message
+
+        with serving() as (base, _server):
+            for fields, name, flag in DROPPED:
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    post(base + "/run", dict(POINT, **fields))
+                assert excinfo.value.code == 400
+                error = json.loads(excinfo.value.read())["error"]
+                assert error["type"] == "PointConfigError"
+                assert error["message"].startswith(message(name, flag))
+
     @pytest.mark.parametrize("fields, message", [
         ({"jobs": -1}, "jobs must be >= 0, got -1"),
         ({"queue_depth": 0}, "queue_depth must be >= 1, got 0"),

@@ -106,8 +106,9 @@ def _planned(point, new_id=None):
     original = runsim._build_traces
 
     def build(args, topology):
-        traces = original(args, topology)
-        return traces if new_id is None else relabel(traces, new_id)
+        traces, degrees = original(args, topology)
+        return (traces if new_id is None else relabel(traces, new_id),
+                degrees)
 
     with mock.patch.object(runsim, "_build_traces", build):
         _, result, _ = runsim.simulate_from_args(run_namespace(point))

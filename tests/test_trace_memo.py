@@ -40,7 +40,6 @@ from repro.runspec import (
     TRACE_MEMO_SIZE,
     TraceMemo,
     run_namespace,
-    trace_key,
 )
 from repro.trace.serialization import dumps_trace
 
@@ -54,13 +53,12 @@ HIERMEM_BASE = {
 FABRIC_SWEEP = SweepSpec(base=HIERMEM_BASE,
                          grid={"fabric_bw_gbps": [128, 256, 512, 1024]})
 
-SMALL = {"topology": "Ring(2)_Switch(2)", "bandwidths": "100,50",
-         "payload_mib": 1}
+SMALL = {"topology": "Ring(2)_Switch(2)", "bandwidths": "100,50"}
 
 #: Every builtin workload and one zoo model, each on a small shape.
 BUILDS = {
-    "allreduce": {},
-    "alltoall": {},
+    "allreduce": {"payload_mib": 1},
+    "alltoall": {"payload_mib": 1},
     "gpt3": {"mp": 2},
     "transformer1t": {"mp": 2},
     "dlrm": {},
@@ -86,14 +84,15 @@ def _digest(traces):
 
 def _memoised(args):
     """Build through the memo; return (traces, this thread's counts)."""
-    traces = runsim._build_traces(args, runsim.build_topology(args))
+    traces, _degrees = runsim._build_traces(args, runsim.build_topology(args))
     return traces, TRACE_MEMO.take_counts()
 
 
 def _fresh(args):
     """Build without the memo."""
-    traces, _name = runsim._trace_set(args, runsim.build_topology(args))
-    return traces
+    topology = runsim.build_topology(args)
+    entry, degrees, _key = runsim._resolve(args, topology)
+    return runsim._build(args, topology, entry, degrees)[0]
 
 
 # -- the key ---------------------------------------------------------------------
@@ -105,22 +104,28 @@ def _model_json(tmp_path):
     return str(path)
 
 
-#: One alternative value per declared trace field.
+#: Bases that read each declared trace field.
+GPT3 = dict(SMALL, workload="gpt3", mp=2)
+PP_GPT3 = dict(SMALL, workload="pp-gpt3", pp=2)
+ZOO = dict(SMALL, model="llama3-8b", seq_len=128, mp=2)
+
+#: One alternative value per declared trace field, on a base whose
+#: producer reads that field.
 KEY_CHANGES = {
-    "topology": "Switch(2)_Switch(4)",
-    "workload": "allreduce",
-    "model": "llama3-8b",
-    "model_json": _model_json,
-    "batch": 2,
-    "seq_len": 128,
-    "payload_mib": 64.0,
-    "mp": 2,
-    "dp": 2,
-    "pp": 2,
-    "ep": 2,
-    "microbatches": 2,
-    "memory_model": "local",
-    "inswitch": False,
+    "topology": (HIERMEM_BASE, "Switch(2)_Switch(4)"),
+    "workload": (SMALL, "alltoall"),
+    "model": (SMALL, "llama3-8b"),
+    "model_json": (SMALL, _model_json),
+    "batch": (ZOO, 2),
+    "seq_len": (ZOO, 256),
+    "payload_mib": (SMALL, 64.0),
+    "mp": (GPT3, 4),
+    "dp": (ZOO, 2),
+    "pp": (ZOO, 2),
+    "ep": (ZOO, 2),
+    "microbatches": (PP_GPT3, 2),
+    "memory_model": (HIERMEM_BASE, "local"),
+    "inswitch": (HIERMEM_BASE, False),
 }
 
 
@@ -128,18 +133,33 @@ def test_key_changes_cover_every_declared_field():
     assert set(KEY_CHANGES) == set(TRACE_FIELDS)
 
 
+def _key(args):
+    return runsim._resolve(args, runsim.build_topology(args))[2]
+
+
 @pytest.mark.parametrize("field", sorted(KEY_CHANGES))
 def test_changing_a_trace_field_is_a_miss(field, tmp_path):
-    value = KEY_CHANGES[field]
+    point, value = KEY_CHANGES[field]
     if callable(value):
         value = value(tmp_path)
-    base = run_namespace(HIERMEM_BASE)
-    changed = run_namespace(dict(HIERMEM_BASE, **{field: value}))
+    base = run_namespace(point)
+    changed = run_namespace(dict(point, **{field: value}))
     assert getattr(changed, field) != getattr(base, field)
     memo = TraceMemo(4)
-    memo.lookup(trace_key(base), object)
-    memo.lookup(trace_key(changed), object)
+    memo.lookup(_key(base), object)
+    memo.lookup(_key(changed), object)
     assert memo.take_counts() == (0, 2)
+
+
+def test_spellings_of_one_builtin_degree_set_share_a_key():
+    # gpt3's unset --mp is 16, and DP fills the rest: one build.
+    point = dict(SMALL, topology="Ring(4)_Switch(8)", workload="gpt3")
+    _, counts = _memoised(run_namespace(dict(point, mp=0)))
+    assert counts == (0, 1)
+    _, counts = _memoised(run_namespace(dict(point, mp=16)))
+    assert counts == (1, 0)
+    _, counts = _memoised(run_namespace(dict(point, mp=16, dp=2)))
+    assert counts == (1, 0)
 
 
 def test_a_trace_field_change_rebuilds_through_the_simulate_path():
@@ -321,7 +341,7 @@ def test_editing_a_model_json_file_is_a_miss(tmp_path):
 
 def test_unreadable_model_json_bypasses_the_memo(tmp_path):
     args = run_namespace(dict(SMALL, model_json=str(tmp_path / "none.json")))
-    assert trace_key(args) is None
+    assert _key(args) is None
     with pytest.raises(runsim.PointConfigError, match="not found"):
         _memoised(args)
     assert len(TRACE_MEMO) == 0
