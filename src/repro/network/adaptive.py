@@ -20,10 +20,10 @@ Mechanics
   ``schedule_many`` path — so a burst of joins flips a link once, after
   the burst, not once per join.
 * The handoff protocol conserves in-flight bytes in both directions:
-  escalating a link converts each fluid flow crossing it into a
-  sequential packet-segment :class:`_SubFlowGroup` carrying exactly the
-  flow's remaining bytes; de-escalating converts a group's unsent
-  segments plus the live segment's residue back into one fluid flow.
+  escalating a link converts each fluid flow crossing it into one flow
+  that steps through packet segments carrying exactly the fluid flow's
+  remaining bytes; de-escalating converts its unsent segments plus the
+  live segment's residue back into one fluid flow.
   ``InvariantChecker.check_granularity_handoff`` audits every
   conversion and a finalize-time conservation check audits the totals.
 
@@ -40,12 +40,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.events import EventEngine
 from repro.network.api import Message
-from repro.network.flowlevel import (
-    FlowLevelNetwork,
-    _Flow,
-    _FlowLink,
-    _SubFlowGroup,
-)
+from repro.network.flowlevel import FlowLevelNetwork, _Flow, _FlowLink
 from repro.network.linkgraph import LazyLinkGraph
 from repro.network.topology import MultiDimTopology
 
@@ -132,10 +127,6 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
         self.deescalations = 0
         self.handoffs = 0
         self.escalated_messages = 0
-        # Byte attribution for the conservation invariant: every byte a
-        # message delivers is accounted to exactly one granularity.
-        self.fluid_bytes = 0.0
-        self.escalated_bytes = 0.0
 
     # -- controller predicates (mutation-test seams) --------------------------------
 
@@ -211,20 +202,15 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
         """
         total = max(1, int(math.ceil(size_bytes)))
         packet = self.escalation_packet_bytes
-        sizes: List[int] = []
-        remaining = total
-        while remaining > 0:
-            step = min(packet, remaining)
-            sizes.append(step)
-            remaining -= step
-        return sizes
+        whole, tail = divmod(total, packet)
+        return [packet] * whole + ([tail] if tail else [])
 
     def _escalate(self, link: _FlowLink, state: _LinkGranState) -> None:
         """Flip one link to packet mode, converting its fluid flows.
 
         Every non-finished fluid flow crossing the link is replaced by a
-        sequential packet-segment group carrying exactly its remaining
-        bytes; bytes already sent stay attributed to the fluid model.
+        flow of packet segments carrying exactly its remaining bytes;
+        bytes already sent stay attributed to the fluid model.
         """
         self._flip_mode(state, "packet")
         self._packet_links.add(id(link))
@@ -233,7 +219,7 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
         invariants = self.invariants
         now = self.engine.now
         for flow in list(link.flows):
-            if flow.group is not None or flow.finished:
+            if flow.sizes is not None or flow.finished:
                 continue  # already packet-granularity, or about to drain
             before = flow.remaining
             sizes = self._segments(before)
@@ -243,17 +229,17 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
             self.handoffs += 1
             self.fluid_bytes += flow.size - before
             self._remove_flow(flow)
-            group = _SubFlowGroup(flow.message, flow.on_sent, flow.links,
-                                  sizes)
             self.escalated_messages += 1
-            self._launch_next_subflow(group)
+            self._add_flow(_Flow(flow.message, flow.on_sent, flow.links,
+                                 sizes=sizes))
 
     def _deescalate(self, link: _FlowLink, state: _LinkGranState) -> None:
-        """Flip one link back to fluid, merging eligible sub-flow groups.
+        """Flip one link back to fluid, merging eligible segmented flows.
 
-        A group folds back into a single fluid flow only when no link on
-        its route remains in packet mode; otherwise its segments keep
-        draining at packet granularity until the last packet link clears.
+        A segmented flow folds back into a single fluid flow only when no
+        link on its route remains in packet mode; otherwise its segments
+        keep draining at packet granularity until the last packet link
+        clears.
         """
         self._flip_mode(state, "fluid")
         self._packet_links.discard(id(link))
@@ -262,32 +248,23 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
         packet_links = self._packet_links
         now = self.engine.now
         for flow in list(link.flows):
-            group = flow.group
-            if group is None or flow.finished:
+            if flow.sizes is None or flow.finished:
                 continue
-            if any(id(lnk) in packet_links for lnk in group.links):
+            if any(id(lnk) in packet_links for lnk in flow.links):
                 continue
-            before = flow.remaining + float(sum(group.sizes[group.next_idx:]))
+            before = flow.remaining + float(sum(flow.sizes[flow.next_idx:]))
             if invariants is not None:
                 invariants.check_granularity_handoff(
-                    group.message, before, before, now)
+                    flow.message, before, before, now)
             self.handoffs += 1
             # Only the live segment's sent portion: earlier segments
             # were attributed on their own completion.
             self.escalated_bytes += flow.size - flow.remaining
             self._remove_flow(flow)
-            merged = _Flow(group.message, group.on_sent, group.links,
-                           size_bytes=before)
             # Attribute only the not-yet-sent remainder to this fluid
             # flow (its nominal size is the merged remainder).
-            self._flows[merged] = None
-            for lnk in merged.links:
-                lnk.flows[merged] = None
-
-    def _remove_flow(self, flow: _Flow) -> None:
-        self._flows.pop(flow, None)
-        for lnk in flow.links:
-            lnk.flows.pop(flow, None)
+            self._add_flow(_Flow(flow.message, flow.on_sent, flow.links,
+                                 size_bytes=before))
 
     # -- FlowLevelNetwork overrides ---------------------------------------------------
 
@@ -299,15 +276,11 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
                 id(link) in self._packet_links for link in links):
             # Route crosses an escalated segment: start directly at
             # packet granularity so the contended link sees packets.
-            group = _SubFlowGroup(message, on_sent, links,
-                                  self._segments(float(message.size_bytes)))
             self.escalated_messages += 1
-            self._launch_next_subflow(group)
+            self._add_flow(_Flow(message, on_sent, links, sizes=self._segments(
+                float(message.size_bytes))))
         else:
-            flow = _Flow(message, on_sent, links)
-            self._flows[flow] = None
-            for link in links:
-                link.flows[flow] = None
+            self._add_flow(_Flow(message, on_sent, links))
         # Joins can only push links *up* through the threshold.
         for link in links:
             n = len(link.flows)
@@ -320,11 +293,6 @@ class AdaptiveFlowNetwork(FlowLevelNetwork):
 
     def _complete_due_flows(self) -> Tuple[List[_Flow], bool]:
         finished, departed = super()._complete_due_flows()
-        for flow in finished:
-            if flow.group is not None:
-                self.escalated_bytes += flow.size
-            else:
-                self.fluid_bytes += flow.size
         # Drains can only pull links *down* through the hysteresis band.
         # Segment handoffs alone leave every link's flow count as it was,
         # and a packet link already inside the band has a transition

@@ -43,56 +43,40 @@ class _FlowLink:
 
 
 class _Flow:
-    """One in-flight message (or one packet-granularity sub-flow)."""
+    """One in-flight message.
 
-    __slots__ = ("message", "on_sent", "links", "size", "remaining", "rate",
-                 "prop_latency_ns", "finish_threshold", "group")
-
-    def __init__(self, message: Message, on_sent: Optional[Callable[[], None]],
-                 links: Tuple[_FlowLink, ...], size_bytes: Optional[int] = None,
-                 group: Optional["_SubFlowGroup"] = None) -> None:
-        self.message = message
-        self.on_sent = on_sent
-        self.links = links
-        self.size = float(max(
-            1, message.size_bytes if size_bytes is None else size_bytes))
-        self.remaining = self.size
-        self.rate = 0.0
-        # A packet segment shares its group's route; summed once there.
-        self.prop_latency_ns = (group.prop_latency_ns if group is not None
-                                else sum(link.latency_ns for link in links))
-        # Rate * time accumulates relative float error; declare the flow
-        # done once the residue is negligible for its size, or the
-        # scheduler grinds through microscopic remainders forever.
-        self.finish_threshold = max(1e-6, 1e-9 * self.remaining)
-        self.group = group
-
-    @property
-    def finished(self) -> bool:
-        return self.remaining <= self.finish_threshold
-
-
-class _SubFlowGroup:
-    """An escalated message: packet-granularity sub-flows run in sequence.
-
-    HyGra-style fidelity escalation (see :mod:`repro.network.adaptive`):
-    on a contended route the fluid approximation is replaced by
-    store-and-forward packet segments, so rate changes are resolved at
-    packet rather than message granularity.  The message delivers when
-    its last segment finishes.
+    An escalated message (see :mod:`repro.network.adaptive`) is one flow
+    that steps through its packet segments in place: ``sizes`` lists
+    them, ``size`` is the live segment's and ``next_idx`` indexes its
+    successor.  A fluid flow has ``sizes`` None.
     """
 
-    __slots__ = ("message", "on_sent", "links", "sizes", "next_idx",
-                 "prop_latency_ns")
+    __slots__ = ("message", "on_sent", "links", "size", "remaining", "rate",
+                 "prop_latency_ns", "finish_threshold", "sizes", "next_idx")
 
     def __init__(self, message: Message, on_sent: Optional[Callable[[], None]],
-                 links: Tuple[_FlowLink, ...], sizes: List[int]) -> None:
+                 links: Tuple[_FlowLink, ...], size_bytes: Optional[float] = None,
+                 sizes: Optional[List[int]] = None) -> None:
         self.message = message
         self.on_sent = on_sent
         self.links = links
         self.sizes = sizes
-        self.next_idx = 0
+        self.next_idx = 1
+        if sizes is not None:
+            size_bytes = sizes[0]
+        self.size = float(max(
+            1, message.size_bytes if size_bytes is None else size_bytes))
+        self.remaining = self.size
+        self.rate = 0.0
         self.prop_latency_ns = sum(link.latency_ns for link in links)
+        # Rate * time accumulates relative float error; declare the flow
+        # done once the residue is negligible for its size, or the
+        # scheduler grinds through microscopic remainders forever.
+        self.finish_threshold = max(1e-6, 1e-9 * self.remaining)
+
+    @property
+    def finished(self) -> bool:
+        return self.remaining <= self.finish_threshold
 
 
 class FlowLevelNetwork(NetworkBackend):
@@ -106,8 +90,8 @@ class FlowLevelNetwork(NetworkBackend):
 
     A solve runs once per instant, not once per change: every change
     registers the solve at the event engine's end-of-instant step, and a
-    packet segment handing off to its successor on the same route keeps
-    every rate as it is.
+    flow stepping from one packet segment to the next on the same route
+    keeps every rate as it is.
 
     Args:
         engine: The shared event engine.
@@ -130,32 +114,33 @@ class FlowLevelNetwork(NetworkBackend):
         self._completion_event: Optional[list] = None
         self.rate_recomputations = 0
         self.granularity_escalations = 0
+        # Byte attribution: every byte a message delivers is accounted to
+        # exactly one granularity, fluid or escalated (packet segments).
+        self.fluid_bytes = 0.0
+        self.escalated_bytes = 0.0
 
     # -- NetworkBackend -----------------------------------------------------------
 
     def _transmit(self, message: Message, on_sent: Optional[Callable[[], None]]) -> None:
         links = self._links.path(message.src, message.dest)
         self._advance_to_now()
-        flow = _Flow(message, on_sent, links)
-        self._flows[flow] = None
-        for link in links:
-            link.flows[flow] = None
+        self._add_flow(_Flow(message, on_sent, links))
         self._resolve()
+
+    def _add_flow(self, flow: _Flow) -> None:
+        self._flows[flow] = None
+        for link in flow.links:
+            link.flows[flow] = None
+
+    def _remove_flow(self, flow: _Flow) -> None:
+        del self._flows[flow]
+        for link in flow.links:
+            del link.flows[flow]
 
     def _resolve(self) -> None:
         # Rates depend only on the set of flows, and no time passes within
         # an instant, so one solve after its last change is all it needs.
         self.engine.at_instant_end(self._reallocate)
-
-    def _launch_next_subflow(self, group: _SubFlowGroup) -> _Flow:
-        size = group.sizes[group.next_idx]
-        group.next_idx += 1
-        sub = _Flow(group.message, None, group.links,
-                    size_bytes=size, group=group)
-        self._flows[sub] = None
-        for link in group.links:
-            link.flows[sub] = None
-        return sub
 
     # -- fluid dynamics -----------------------------------------------------------
 
@@ -233,30 +218,61 @@ class FlowLevelNetwork(NetworkBackend):
     def _complete_due_flows(self) -> Tuple[List[_Flow], bool]:
         """Retire finished flows; return them, and whether any departed.
 
-        A departure, and every send issued from ``on_sent``, registers
-        the instant's one solve.  When nothing departed (every finished
-        flow was a packet segment whose successor took its place on the
-        same route) the flow set is unchanged as a multiset of routes,
-        which is all progressive filling reads, so each successor takes
-        its predecessor's rate and no solve runs.
+        One pass drains every flow linearly since the last rate change
+        and collects the finished ones.  A finished flow with a packet
+        segment left takes it in place: it keeps its rate and route and
+        moves to the end of the flow order, where a newly launched flow
+        would land.  A departure, and every send issued from
+        ``on_sent``, registers the instant's one solve.  When nothing
+        departed (every finished flow only stepped to its next segment)
+        the flow set is unchanged as a multiset of routes, which is all
+        progressive filling reads, so every rate stands and no solve
+        runs.
         """
         self._completion_event = None
-        self._advance_to_now()
-        finished = [f for f in self._flows if f.finished]
+        now = self.engine.now
+        elapsed = now - self._last_update
+        self._last_update = now
+        flows = self._flows
+        if elapsed > 0:
+            finished = []
+            for flow in flows:
+                left = flow.remaining - flow.rate * elapsed
+                # max(0.0, left) for every float, NaN included.
+                flow.remaining = left = left if left > 0.0 else 0.0
+                if left <= flow.finish_threshold:
+                    finished.append(flow)
+        else:
+            finished = [f for f in flows if f.remaining <= f.finish_threshold]
         departed = False
         for flow in finished:
-            self._flows.pop(flow, None)
-            for link in flow.links:
-                link.flows.pop(flow, None)
-            group = flow.group
-            if group is not None and group.next_idx < len(group.sizes):
-                self._launch_next_subflow(group).rate = flow.rate
-                continue
+            sizes = flow.sizes
+            if sizes is None:
+                self.fluid_bytes += flow.size
+            else:
+                self.escalated_bytes += flow.size
+                idx = flow.next_idx
+                if idx < len(sizes):
+                    # The constructor's float(max(1, s)) and
+                    # max(1e-6, 1e-9 * size), without builtin calls.
+                    flow.next_idx = idx + 1
+                    size = sizes[idx]
+                    size = float(size) if size > 1 else 1.0
+                    flow.size = flow.remaining = size
+                    threshold = 1e-9 * size
+                    flow.finish_threshold = (threshold if threshold > 1e-6
+                                             else 1e-6)
+                    del flows[flow]
+                    flows[flow] = None
+                    for link in flow.links:
+                        del link.flows[flow]
+                        link.flows[flow] = None
+                    continue
+            self._remove_flow(flow)
             departed = True
             self._resolve()
-            on_sent = flow.on_sent if group is None else group.on_sent
-            if on_sent is not None:
-                on_sent()
+            if flow.on_sent is not None:
+                flow.on_sent()
             self._record_flow_span(flow.message)
             self.engine.schedule(flow.prop_latency_ns, self._deliver,
                                  flow.message)

@@ -71,7 +71,8 @@ def running(pid):
     try:
         with open(f"/proc/{pid}/stat") as stat:
             return stat.read().rpartition(")")[2].split()[0] != "Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
+        # Gone before the open, or between the open and the read.
         return False
 
 

@@ -10,6 +10,7 @@ from repro.network import (
     AdaptiveFlowNetwork,
     FlowLevelNetwork,
     GarnetLiteNetwork,
+    flowlevel,
     parse_topology,
 )
 from repro.system import SendRecvCollectiveExecutor
@@ -135,6 +136,33 @@ class TestControllerStateMachine:
                                 deescalation_hysteresis=float("inf"))
         with pytest.raises(ValueError):
             AdaptiveFlowNetwork(engine, topo, escalation_packet_bytes=0)
+
+
+class TestSegmentHandoff:
+    def test_one_flow_per_message_and_per_escalation(self, monkeypatch):
+        """An escalated message steps through its segments in place.
+
+        Two 16 KiB messages on one Ring(4) link at threshold 1 with 1 KiB
+        packets: two fluid flows, then one segmented flow per escalation
+        handoff, and none per segment (a flow per segment made 34).  One
+        1-layer Mixtral EP=8 point on Ring(8) at threshold 4 builds 896
+        flows this way, against 57,792 with a flow per segment.
+        """
+        built = []
+        init = flowlevel._Flow.__init__
+
+        def counted(flow, *args, **kwargs):
+            built.append(flow)
+            init(flow, *args, **kwargs)
+
+        monkeypatch.setattr(flowlevel._Flow, "__init__", counted)
+        engine, net, _ = _net(threshold=1.0, packet=1024)
+        for tag in (0, 1):
+            net.sim_send(0, 1, 16 * 1024, tag=tag)
+        engine.run()
+        assert (net.messages_delivered, net.escalations, net.handoffs) \
+            == (2, 1, 2)
+        assert len(built) == 4
 
 
 class TestIdentityAndParity:
