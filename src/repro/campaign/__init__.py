@@ -34,7 +34,7 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.campaign.aggregate": "campaign_rows campaign_summary "
                                 "campaign_table campaign_to_csv "
-                                "dump_campaign_json metric_series "
+                                "dump_campaign_json "
                                 "results_by_config varying_fields",
     "repro.campaign.cache": "CACHE_SCHEMA_VERSION RunCache code_fingerprint "
                             "fingerprint_sources",

@@ -120,28 +120,6 @@ def dump_campaign_json(doc: Mapping[str, Any],
                           + "\n")
 
 
-def metric_series(
-    doc: Mapping[str, Any], field: str, metric: str = "total_time_ms",
-) -> List[Tuple[Any, float]]:
-    """``(field value, metric)`` pairs over the successful points.
-
-    Convenience for plotting one sweep axis against a result metric;
-    ``metric`` may be ``total_time_ms`` or any top-level numeric key of
-    the result payload (``total_time_ns``, ``events_processed``, ...).
-    """
-    series: List[Tuple[Any, float]] = []
-    for point in doc["points"]:
-        result = point.get("result")
-        if result is None:
-            continue
-        if metric == "total_time_ms":
-            value = result["total_time_ns"] * 1e-6
-        else:
-            value = result[metric]
-        series.append((point["config"].get(field), value))
-    return series
-
-
 def results_by_config(
     doc: Mapping[str, Any], *fields: str,
 ) -> Dict[Tuple[Any, ...], Dict[str, Any]]:

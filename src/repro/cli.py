@@ -32,15 +32,19 @@ from repro.runspec import FIELDS, PointConfigError, add_run_flags
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    from repro.runsim import simulate_from_args, workload_label
+    from repro.core.config import resolve_backend
+    from repro.runsim import BACKENDS, simulate_from_args, workload_label
     from repro.stats import format_breakdown_table
 
     topology, result, resilience = simulate_from_args(
         args, collect_metrics=bool(args.metrics_out))
     workload = workload_label(args)
+    backend = resolve_backend(args.backend, args.granularity)
+    read = "".join(f"  {field}: {getattr(args, field)}"
+                   for field in ("scheduler", "chunks")
+                   if field in BACKENDS[backend])
     print(f"topology : {topology.notation()}  ({topology.num_npus} NPUs)")
-    print(f"workload : {workload}  scheduler: {args.scheduler}  "
-          f"chunks: {args.chunks}")
+    print(f"workload : {workload}  backend: {backend}{read}")
     print(f"total    : {result.total_time_ms:.3f} ms  "
           f"({result.nodes_executed} nodes, "
           f"{result.events_processed} events)")

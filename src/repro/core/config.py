@@ -34,6 +34,27 @@ GRANULARITY_ALIASES = {"fluid": "flow", "packet": "garnet",
                        "adaptive": "adaptive"}
 
 
+def resolve_backend(network_backend: str, granularity: str) -> str:
+    """The backend ``network_backend`` and its ``granularity`` alias name:
+    an alias may refine ``"analytical"``, its own backend, or (for
+    ``"adaptive"`` only) ``"flow"``; any other pair is a conflict."""
+    if not granularity:
+        return network_backend
+    resolved = GRANULARITY_ALIASES.get(granularity)
+    if resolved is None:
+        raise InputError(
+            "granularity must be '' or one of "
+            + ", ".join(repr(g) for g in GRANULARITY_ALIASES)
+            + f", got {granularity!r}")
+    if network_backend not in ("analytical", resolved) and (
+            resolved, network_backend) != ("adaptive", "flow"):
+        raise InputError(
+            f"granularity {granularity!r} conflicts with "
+            f"network_backend {network_backend!r} (it selects "
+            f"the {resolved!r} backend)")
+    return resolved
+
+
 @dataclass
 class SystemConfig:
     """Everything the simulator needs besides the traces.
@@ -62,14 +83,10 @@ class SystemConfig:
             trades contention granularity for simulation speed on large
             payloads (see :class:`~repro.network.garnetlite.
             GarnetLiteNetwork`).
-        granularity: Alias of ``network_backend``, resolved at
-            construction: ``"fluid"`` is ``"flow"``, ``"packet"`` is
-            ``"garnet"`` and ``"adaptive"`` is ``"adaptive"`` (``""``, the
-            default, leaves ``network_backend`` as given).  The alias may
-            refine the default ``"analytical"``, its own backend, or (for
-            ``"adaptive"`` only) ``"flow"``; it then overwrites
-            ``network_backend`` with the resolved name.  Any other pair
-            is a conflict.
+        granularity: Alias of ``network_backend``: ``"fluid"`` is
+            ``"flow"``, ``"packet"`` is ``"garnet"`` and ``"adaptive"`` is
+            ``"adaptive"``.  Construction overwrites ``network_backend``
+            with the backend :func:`resolve_backend` names.
         escalation_threshold: Adaptive mode only — a link escalates to
             packet granularity when it carries more than this many
             concurrent flows (``0`` escalates everything, ``inf`` never
@@ -143,20 +160,8 @@ class SystemConfig:
                 "network_backend must be one of "
                 + ", ".join(repr(b) for b in NETWORK_BACKENDS)
                 + f", got {self.network_backend!r}")
-        if self.granularity:
-            resolved = GRANULARITY_ALIASES.get(self.granularity)
-            if resolved is None:
-                raise InputError(
-                    "granularity must be '' or one of "
-                    + ", ".join(repr(g) for g in GRANULARITY_ALIASES)
-                    + f", got {self.granularity!r}")
-            if self.network_backend not in ("analytical", resolved) and (
-                    resolved, self.network_backend) != ("adaptive", "flow"):
-                raise InputError(
-                    f"granularity {self.granularity!r} conflicts with "
-                    f"network_backend {self.network_backend!r} (it selects "
-                    f"the {resolved!r} backend)")
-            self.network_backend = resolved
+        self.network_backend = resolve_backend(self.network_backend,
+                                               self.granularity)
         if self.packet_bytes < 0:
             raise InputError(
                 f"packet_bytes must be >= 0, got {self.packet_bytes}")

@@ -38,7 +38,6 @@ from repro.frontend.ir import (
 )
 from repro.frontend.opgraph_json import (
     OPGRAPH_FORMAT,
-    load_opgraph,
     loads_opgraph,
     opgraph_from_dict,
     parse_opgraph,
@@ -76,7 +75,6 @@ __all__ = [
     "detect_family",
     "ingest",
     "load_config",
-    "load_opgraph",
     "loads_opgraph",
     "opgraph_from_dict",
     "parse_opgraph",

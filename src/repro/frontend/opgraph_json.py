@@ -190,14 +190,6 @@ def opgraph_from_dict(payload: Any) -> OpGraph:
     return OpGraph(*parse_opgraph(payload))
 
 
-def load_opgraph(path: Union[str, Path]) -> OpGraph:
-    """Read an operator-graph JSON file."""
-    p = Path(path)
-    if not p.exists():
-        raise FrontendError(f"opgraph file not found: {p}")
-    return loads_opgraph(p.read_text())
-
-
 def to_opgraph_json(graph: OpGraph, indent: int = 0) -> str:
     """Serialize any op graph back into the opgraph JSON format."""
     payload = {

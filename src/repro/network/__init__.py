@@ -48,8 +48,10 @@ def make_network(
     """Build the backend ``name`` (``analytical``, ``flow``, ``garnet`` or
     ``adaptive``) on ``engine`` with the run's ``telemetry`` and
     ``invariants`` instruments (absent or ``None``: off).
-    ``packet_bytes=0`` means the default packet size; options a backend
-    does not model (``faults`` outside ``analytical``) are ignored."""
+    ``packet_bytes=0`` means the default packet size.  This Python API
+    passes each backend only the options it models and takes the others
+    without complaint; a run built from run fields (``repro run``, a sweep
+    or ``repro serve`` point) refuses them first (``repro.runsim.BACKENDS``)."""
     packet_bytes = packet_bytes or DEFAULT_PACKET_BYTES
     if name == "analytical":
         return AnalyticalNetwork(engine, topology, faults=faults, **instruments)

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Tuple
 
 from repro.core import SystemConfig, simulate
+from repro.core.config import resolve_backend
 from repro.errors import InputError
 from repro.faults import CheckpointConfig, FaultSchedule
 from repro.memory import (
@@ -105,10 +106,10 @@ def ingest_from_args(args: argparse.Namespace):
         payload = load_config(model_json)
         if payload.get("format") == OPGRAPH_FORMAT:
             # An op graph carries its own shapes and costs.
-            shape = ("batch", "seq_len")
+            name, shape = f"ingest:{model_json}", ("batch", "seq_len")
             for field in shape:
                 if getattr(args, field):
-                    raise _not_modeled(f"ingest:{model_json}", field, [
+                    raise _not_modeled(f"workload {name!r}", field, [
                         f for f in reads(args) if f not in shape])
             return opgraph_from_dict(payload)
         options = default_options_for(payload)
@@ -236,24 +237,93 @@ def reads(args: argparse.Namespace) -> tuple:
     return _producer(args)[2]
 
 
-def _not_modeled(name: str, field: str, read) -> PointConfigError:
-    """The error for a trace field that producer ``name`` does not read."""
+#: Each network backend, ``--granularity`` resolved, and the run fields it
+#: reads of those some backend reads.
+BACKENDS = {
+    "analytical": ("scheduler", "chunks", "faults", "fault_seed"),
+    "garnet": ("packet_bytes", "train_packets"),
+    "flow": (),
+    "adaptive": ("packet_bytes", "escalation_threshold",
+                 "deescalation_hysteresis"),
+}
+
+#: Each ``--memory-model`` and the run fields it reads.
+MEMORY_MODELS = {
+    "local": (),
+    "hiermem": ("fabric_bw_gbps", "group_bw_gbps", "inswitch"),
+    "zero-infinity": ("remote_path_gbps",),
+}
+
+
+def _faulted(args: argparse.Namespace) -> bool:
+    return bool(args.faults) or args.fault_seed is not None
+
+
+#: Each switch: the flags that turn it on, whether a run turned it on, and
+#: the run fields read only while it is on.
+SWITCHES = (
+    ("--faults or --fault-seed", _faulted,
+     ("checkpoint_interval_ms", "checkpoint_gib")),
+    ("--checkpoint-interval-ms", lambda args: bool(
+        args.checkpoint_interval_ms), ("checkpoint_gib",)),
+    ("--check-invariants", lambda args: args.check_invariants,
+     ("strict_invariants",)),
+)
+
+
+def _readers(rows, pick: str) -> dict:
+    """Each field a row of ``rows`` reads -> how a run picks such a row."""
+    return {field: pick + " or ".join(row for row, read in rows.items()
+                                      if field in read)
+            for fields in rows.values() for field in fields}
+
+
+# A producer's error names no other producer.
+_PRODUCER_READERS = dict.fromkeys((*TRACE_FIELDS, "checkpoint_gib"), "")
+_BACKEND_READERS = _readers(BACKENDS, "use --backend ")
+_MEMORY_READERS = _readers(MEMORY_MODELS, "use --memory-model ")
+
+
+def _not_modeled(what: str, field: str, read, alternative: str = ""
+                 ) -> PointConfigError:
+    """The error for a run field that ``what`` (a row of the table) does
+    not read; ``alternative`` says how a run gets a row that does."""
     flag = FIELDS[field].flag
     listed = ", ".join(FIELDS[f].flag for f in read if f not in (
         "topology", "workload", "model", "model_json")) or "no other field"
-    return PointConfigError(f"workload {name!r} does not model {flag} (it "
-                            f"reads: {listed}); leave {flag} unset")
+    return PointConfigError(
+        f"{what} does not model {flag} (it reads: {listed}); leave {flag} "
+        f"unset" + (f", or {alternative}" if alternative else ""))
+
+
+def _check_reads(args: argparse.Namespace, name: str, entry, read) -> None:
+    """Refuse a run field, set away from its default, that the run's row on
+    an axis of the table (producer, backend, memory model, switch) does not
+    read while another row of that axis does."""
+    if entry.footprint is None:  # it sizes checkpoints by --checkpoint-gib
+        read = (*read, "checkpoint_gib")
+    backend = resolve_backend(args.backend, args.granularity)
+    for what, row, readers in (
+            (f"workload {name!r}", read, _PRODUCER_READERS),
+            (f"backend {backend!r}", BACKENDS[backend], _BACKEND_READERS),
+            (f"memory model {args.memory_model!r}",
+             MEMORY_MODELS[args.memory_model], _MEMORY_READERS),
+            *((f"a run without {flags}", fields if on(args) else (),
+               dict.fromkeys(fields, f"give {flags}"))
+              for flags, on, fields in SWITCHES)):
+        for field, alternative in readers.items():
+            if (field not in row
+                    and getattr(args, field) != FIELDS[field].default):
+                raise _not_modeled(what, field, row, alternative)
 
 
 def _resolve(args: argparse.Namespace, topology):
-    """The run's ``(entry, degrees, memo key)``; a trace field that its
-    producer does not read must be at its default.  The key is what the
-    producer read (a builtin's degrees resolved), or None when a
-    ``--model-json`` file cannot be read."""
+    """The run's ``(entry, degrees, memo key)``; a run field that its row
+    on some axis of the table does not read must be at its default.  The
+    key is what the producer read (a builtin's degrees resolved), or None
+    when a ``--model-json`` file cannot be read."""
     name, entry, read = _producer(args)
-    for field in TRACE_FIELDS:
-        if field not in read and getattr(args, field) != FIELDS[field].default:
-            raise _not_modeled(name, field, read)
+    _check_reads(args, name, entry, read)
     spec = resolve_degrees(topology.num_npus, **{
         axis: getattr(args, axis) or default
         for axis, default in entry.degrees.items()})
@@ -271,10 +341,6 @@ def _memory_models(args: argparse.Namespace, topology):
     Table V does (:meth:`HierMemConfig.for_topology`).
     """
     local = LocalMemory(bandwidth_gbps=args.hbm_gbps)
-    if args.inswitch and args.memory_model != "hiermem":
-        raise PointConfigError(
-            "--inswitch requires --memory-model hiermem (in-switch "
-            "collectives run inside the pooled fabric)")
     if args.memory_model == "local":
         return local, None, None
     if args.memory_model == "zero-infinity":
@@ -387,10 +453,7 @@ def simulate_from_args(args: argparse.Namespace, collect_metrics: bool = False
             "adaptive; the analytical backend does not model individual "
             "packets)")
     resilience = None
-    if args.faults or args.fault_seed is not None:
-        if config.network_backend != "analytical":
-            raise PointConfigError(
-                "--faults/--fault-seed require --backend analytical")
+    if _faulted(args):
         # Fault-free baseline: the exact time-lost reference, and the
         # horizon seeded schedules are drawn over.
         baseline = simulate(traces, config)

@@ -135,7 +135,8 @@ RUN_FIELDS: Tuple[RunField, ...] = (
              "default)"),
     RunField("payload_mib", number, 1024.0,
              "collective payload for allreduce/alltoall"),
-    RunField("scheduler", str, "themis", "collective chunk scheduler",
+    RunField("scheduler", str, "themis",
+             "collective chunk scheduler (read by the analytical backend)",
              choices=("baseline", "themis")),
     RunField("backend", str, "analytical",
              "network backend; on garnet/flow/adaptive collectives are "
@@ -144,11 +145,12 @@ RUN_FIELDS: Tuple[RunField, ...] = (
              "contention and hysteresis-based de-escalation",
              choices=("analytical", "garnet", "flow", "adaptive")),
     RunField("packet_bytes", integer, 0,
-             "packet/segment size for the detailed backends (0 = backend "
-             "default, 4096)"),
+             "packet/segment size (read by the garnet and adaptive "
+             "backends; 0 = backend default, 4096)"),
     RunField("train_packets", integer, 1,
-             "garnet packet-train coalescing factor; > 1 trades contention "
-             "granularity for simulation speed on large payloads"),
+             "packet-train coalescing factor (read by the garnet backend); "
+             "> 1 trades contention granularity for simulation speed on "
+             "large payloads"),
     RunField("granularity", str, "",
              "alias of --backend: 'fluid' is flow, 'packet' is garnet, "
              "'adaptive' is adaptive (it may refine the default analytical, "
@@ -162,7 +164,9 @@ RUN_FIELDS: Tuple[RunField, ...] = (
     RunField("deescalation_hysteresis", number, 1.0,
              "adaptive backend: de-escalate a packet-mode link when its "
              "flow count drops to threshold minus this margin or below"),
-    RunField("chunks", integer, 16, "pipelining degree of each collective"),
+    RunField("chunks", integer, 16,
+             "pipelining degree of each collective (read by the analytical "
+             "backend)"),
     RunField("mp", integer, 0, "tensor/model-parallel degree (0 = auto)"),
     RunField("dp", integer, 0, "data-parallel degree (0 = auto)"),
     RunField("pp", integer, 0, "pipeline-parallel degree (0 = auto)"),
@@ -195,11 +199,12 @@ RUN_FIELDS: Tuple[RunField, ...] = (
              "fault-free duration (deterministic per seed)", metavar="SEED"),
     RunField("checkpoint_interval_ms", number, 0.0,
              "checkpoint period for the resilience report's restart/replay "
-             "accounting (0 = no checkpoints)"),
+             "accounting (read with --faults or --fault-seed; 0 = no "
+             "checkpoints)"),
     RunField("checkpoint_gib", number, 16.0,
-             "per-NPU snapshot size for non-transformer workloads "
-             "(transformer workloads derive it from the model-state "
-             "footprint)"),
+             "per-NPU snapshot size (read with --checkpoint-interval-ms "
+             "and faults by workloads without a footprint model; gpt3 and "
+             "transformer1t derive it from the model-state footprint)"),
     RunField("trace_level", str, "off",
              "span recording depth for --chrome-trace / --metrics-out "
              "(deeper levels record more spans; 'packet' needs a "

@@ -30,9 +30,6 @@ from repro.workload.parallelism import (
     stage_representatives,
 )
 
-#: Kept for callers that import the schedule order from this module.
-_stage_op_sequence = stage_op_sequence
-
 VIA_FABRIC = "fabric"  # attrs["via"] value routing a collective through the memory fabric
 
 

@@ -153,8 +153,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("flags, message", [
         (["--chunks", "0"], "collective_chunks must be >= 1"),
-        (["--packet-bytes", "-1"], "packet_bytes must be >= 0"),
-        (["--train-packets", "0"], "train_packets must be >= 1"),
+        (["--backend", "garnet", "--packet-bytes", "-1"],
+         "packet_bytes must be >= 0"),
+        (["--backend", "garnet", "--train-packets", "0"],
+         "train_packets must be >= 1"),
         (["--backend", "garnet", "--granularity", "adaptive"],
          "conflicts with network_backend 'garnet'"),
         (["--granularity", "adaptive", "--escalation-threshold", "-1"],
@@ -317,7 +319,8 @@ class TestRunFieldNumbers:
 
     def test_escalation_threshold_takes_inf(self, capsys):
         assert main(["run"] + self.RING8 + [
-            "--payload-mib", "1", "--escalation-threshold", "inf"]) == 0
+            "--payload-mib", "1", "--backend", "adaptive",
+            "--escalation-threshold", "inf"]) == 0
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--workload", "pp-gpt3", "--microbatches", "0"],
@@ -469,7 +472,7 @@ class TestFaultFlags:
         with pytest.raises(SystemExit) as exc_info:
             main(["run", "--topology", "Ring(8)", "--bandwidths", "100",
                   "--payload-mib", "1", "--fault-seed", "3"] + selector)
-        assert "require --backend analytical" in str(exc_info.value)
+        assert "use --backend analytical" in str(exc_info.value)
 
 
 class TestSweep:

@@ -195,8 +195,7 @@ class TestKernelCounterPins:
         path = tmp_path / "metrics.json"
         assert main(["run", "--topology", "Ring(8)", "--bandwidths", "100",
                      "--workload", workload, "--payload-mib", "1",
-                     "--backend", "flow", "--scheduler", "baseline",
-                     "--trace-level", "collective",
+                     "--backend", "flow", "--trace-level", "collective",
                      "--metrics-out", str(path)]) == 0
         assert f"(1 nodes, {processed} events)" in capsys.readouterr().out
         metrics = json.loads(path.read_text())["metrics"]

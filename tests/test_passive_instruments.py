@@ -38,11 +38,17 @@ _INSTRUMENT_DIRS = tuple(
     for package in (repro.faults, repro.telemetry, repro.validate))
 
 # GPT-3 over 4 pipeline stages x 2 data-parallel replicas: compute,
-# point-to-point activations and gradient All-Reduces, in packet trains
-# large enough for garnet-lite to stay quick.
+# point-to-point activations and gradient All-Reduces.  Each backend gets
+# the fields it reads: 4 chunks on analytical, packets large enough for
+# garnet-lite and adaptive to stay quick.
 _PIPELINE = {"topology": "Ring(4)_Ring(2)", "bandwidths": "150,75",
-             "workload": "pp-gpt3", "pp": 4, "chunks": 4,
-             "packet_bytes": 1 << 20, "train_packets": 64}
+             "workload": "pp-gpt3", "pp": 4}
+_BACKEND_FIELDS = {
+    "analytical": {"chunks": 4},
+    "flow": {},
+    "garnet": {"packet_bytes": 1 << 20, "train_packets": 64},
+    "adaptive": {"packet_bytes": 1 << 20},
+}
 _TABLE_V = {"topology": "Switch(16)_Switch(16)", "bandwidths": "256,12.5",
             "latencies": "250,1000", "workload": "moe1t",
             "scheduler": "themis", "memory_model": "hiermem",
@@ -54,9 +60,10 @@ _LLAMA = {"topology": "Ring(2)_FC(8)_Ring(8)_Switch(4)",
 
 POINTS = {
     **{f"pp-gpt3-{backend}-{scheduler}": dict(
-        _PIPELINE, backend=backend, scheduler=scheduler)
-       for backend in ("analytical", "flow", "garnet", "adaptive")
-       for scheduler in ("baseline", "themis")},
+        _PIPELINE, backend=backend, scheduler=scheduler, **fields)
+       for backend, fields in _BACKEND_FIELDS.items()
+       for scheduler in ("baseline", "themis")
+       if scheduler == "themis" or backend == "analytical"},
     "tableV-hiermem": _TABLE_V,
     "tableV-hiermem-inswitch": dict(_TABLE_V, inswitch=True),
     "llama-70b-tp16-pp8-dp4": _LLAMA,
@@ -121,9 +128,10 @@ def test_the_tracer_sees_instruments_that_are_on(monkeypatch):
 
 def _run_doc(tmp_path, capsys, tag, backend, *extra):
     path = tmp_path / f"{tag}.json"
+    chunks = ["--chunks", "4"] if backend == "analytical" else []
     assert main(["run", "--topology", "Ring(4)_Ring(2)",
                  "--bandwidths", "150,75", "--workload", "allreduce",
-                 "--payload-mib", "1", "--chunks", "4",
+                 "--payload-mib", "1", *chunks,
                  "--backend", backend, "--json-out", str(path),
                  *extra]) == 0
     summary = next(line for line in capsys.readouterr().out.splitlines()

@@ -124,7 +124,7 @@ KEY_CHANGES = {
     "pp": (ZOO, 2),
     "ep": (ZOO, 2),
     "microbatches": (PP_GPT3, 2),
-    "memory_model": (HIERMEM_BASE, "local"),
+    "memory_model": (dict(HIERMEM_BASE, inswitch=False), "local"),
     "inswitch": (HIERMEM_BASE, False),
 }
 
@@ -205,8 +205,35 @@ OTHER_FIELDS = {
 }
 
 
+#: What a run sets, besides a build's own fields, to read each field of
+#: OTHER_FIELDS that a run at the defaults (analytical backend, local
+#: memory, no faults, no invariant checker) does not read.
+READ_WITH = {
+    "packet_bytes": {"backend": "garnet"},
+    "train_packets": {"backend": "garnet"},
+    "escalation_threshold": {"backend": "adaptive"},
+    "deescalation_hysteresis": {"backend": "adaptive"},
+    "fabric_bw_gbps": {"memory_model": "hiermem"},
+    "group_bw_gbps": {"memory_model": "hiermem"},
+    "remote_path_gbps": {"memory_model": "zero-infinity", "inswitch": False},
+    "checkpoint_interval_ms": {"fault_seed": 1},
+    "checkpoint_gib": {"fault_seed": 1, "checkpoint_interval_ms": 5.0},
+    "strict_invariants": {"check_invariants": True},
+}
+
+#: The (build, field) pairs that no run reads: only moe1t reads a memory
+#: model, and gpt3 and transformer1t size checkpoints from their model
+#: state.
+REFUSED = {
+    *((build, field) for build in BUILDS if build != "moe1t"
+      for field in ("fabric_bw_gbps", "group_bw_gbps", "remote_path_gbps")),
+    ("gpt3", "checkpoint_gib"), ("transformer1t", "checkpoint_gib"),
+}
+
+
 def test_every_run_field_is_in_the_key_or_the_inverse_property():
     assert set(OTHER_FIELDS) == set(FIELDS) - set(TRACE_FIELDS)
+    assert set(READ_WITH) <= set(OTHER_FIELDS)
 
 
 def _with(point, field, value):
@@ -223,11 +250,17 @@ def _with(point, field, value):
 @given(data=st.data())
 def test_changing_any_other_field_is_a_hit(build, field, data):
     value = data.draw(OTHER_FIELDS[field], label=field)
-    point = _point(build)
+    refused = (build, field) in REFUSED
+    point = dict(_point(build), **({} if refused else READ_WITH.get(field, {})))
     base_args = run_namespace(point)
     args = _with(point, field, value)
     assume(getattr(args, field) != getattr(base_args, field))
     TRACE_MEMO.clear()
+    if refused:
+        with pytest.raises(runsim.PointConfigError,
+                           match=f" does not model {FIELDS[field].flag} "):
+            _memoised(args)
+        return
     first, counts = _memoised(base_args)
     assert counts == (0, 1)
     second, counts = _memoised(args)
@@ -239,8 +272,9 @@ def test_changing_any_other_field_is_a_hit(build, field, data):
 
 
 def test_remote_memory_models_share_a_trace_set():
-    # Only whether parameters are remote reaches the builder.
-    point = _point("moe1t")
+    # Only whether parameters are remote reaches the builder.  Only
+    # hiermem reads --inswitch.
+    point = dict(_point("moe1t"), inswitch=False)
     first, _ = _memoised(run_namespace(point))
     args = run_namespace(dict(point, memory_model="zero-infinity"))
     second, counts = _memoised(args)

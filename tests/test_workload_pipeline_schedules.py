@@ -7,8 +7,8 @@ from repro.memory import LocalMemory
 from repro.network import parse_topology
 from repro.system import RooflineCompute
 from repro.workload import ParallelismSpec, generate_pipeline_parallel
-from repro.workload.generators import _stage_op_sequence
 from repro.workload.models import TransformerSpec
+from repro.workload.parallelism import stage_op_sequence
 
 
 def _model():
@@ -31,31 +31,31 @@ def _config(topology):
 
 class TestOpSequences:
     def test_gpipe_all_forwards_then_reversed_backwards(self):
-        ops = _stage_op_sequence("gpipe", 4, 1, 3)
+        ops = stage_op_sequence("gpipe", 4, 1, 3)
         assert ops == [("f", 0), ("f", 1), ("f", 2),
                        ("b", 2), ("b", 1), ("b", 0)]
 
     def test_1f1b_last_stage_alternates_immediately(self):
-        ops = _stage_op_sequence("1f1b", 4, 3, 4)
+        ops = stage_op_sequence("1f1b", 4, 3, 4)
         assert ops == [("f", 0), ("b", 0), ("f", 1), ("b", 1),
                        ("f", 2), ("b", 2), ("f", 3), ("b", 3)]
 
     def test_1f1b_first_stage_warmup_depth(self):
-        ops = _stage_op_sequence("1f1b", 4, 0, 6)
+        ops = stage_op_sequence("1f1b", 4, 0, 6)
         # 3 warmup forwards, then steady f/b pairs, then drain backwards.
         assert ops[:3] == [("f", 0), ("f", 1), ("f", 2)]
         assert ops[3:5] == [("f", 3), ("b", 0)]
         assert ops[-3:] == [("b", 3), ("b", 4), ("b", 5)]
 
     def test_1f1b_warmup_capped_by_microbatches(self):
-        ops = _stage_op_sequence("1f1b", 8, 0, 2)
+        ops = stage_op_sequence("1f1b", 8, 0, 2)
         kinds = [k for k, _ in ops]
         assert kinds.count("f") == 2 and kinds.count("b") == 2
 
     def test_every_schedule_does_all_work_once(self):
         for schedule in ("gpipe", "1f1b"):
             for stage in range(4):
-                ops = _stage_op_sequence(schedule, 4, stage, 5)
+                ops = stage_op_sequence(schedule, 4, stage, 5)
                 fwd = [mb for k, mb in ops if k == "f"]
                 bwd = [mb for k, mb in ops if k == "b"]
                 assert sorted(fwd) == list(range(5))
@@ -63,7 +63,7 @@ class TestOpSequences:
 
     def test_1f1b_backward_never_precedes_its_forward(self):
         for stage in range(4):
-            ops = _stage_op_sequence("1f1b", 4, stage, 6)
+            ops = stage_op_sequence("1f1b", 4, stage, 6)
             seen_fwd = set()
             for kind, mb in ops:
                 if kind == "f":
@@ -73,7 +73,7 @@ class TestOpSequences:
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError):
-            _stage_op_sequence("interleaved", 4, 0, 4)
+            stage_op_sequence("interleaved", 4, 0, 4)
         with pytest.raises(ValueError):
             generate_pipeline_parallel(
                 _model(), _topo(), ParallelismSpec(pp=4, dp=2),
@@ -124,7 +124,7 @@ class TestSchedulesEndToEnd:
 
         def max_in_flight(schedule, stage):
             live = peak = 0
-            for kind, _ in _stage_op_sequence(schedule, stages, stage,
+            for kind, _ in stage_op_sequence(schedule, stages, stage,
                                               microbatches):
                 live += 1 if kind == "f" else -1
                 peak = max(peak, live)
